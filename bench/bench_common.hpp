@@ -45,9 +45,9 @@ namespace sb::bench {
 //   --threads N   worker count (same effect as SB_THREADS=N)
 //   --repeat N    run the measured phase N times; reports carry the median
 //                 wall clock (benches that support it call repeat_median)
-//   --plan P      serving inference-plan precision: off (raw layer graph),
-//                 f64 (exact compiled plan, the default) or f32 (folded
-//                 fast plan) — same switch as SB_PRECISION
+//   --plan P      serving inference-plan precision: exact (bitwise equal
+//                 to the layer graph, the default) or fast (folded float32
+//                 plan) — same switch as SB_PRECISION
 //   --out-dir D   directory for BENCH_/TRACE_ JSON reports (default: next
 //                 to the binary)
 //   --help        usage
@@ -84,7 +84,7 @@ inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
           "  --seed N     offset added to every scenario seed\n"
           "  --threads N  worker threads (equivalent to SB_THREADS=N)\n"
           "  --repeat N   repeat the measured phase N times, report the median\n"
-          "  --plan P     serving plan precision: off|f64|f32 (same as "
+          "  --plan P     serving plan precision: exact|fast (same as "
           "SB_PRECISION)\n"
           "  --out-dir D  directory for BENCH_*/TRACE_* reports\n",
           argv[0]);
@@ -114,7 +114,7 @@ inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
       const char* value = need_value(i);
       ml::PlanPrecision precision{};
       if (!ml::parse_plan_precision(value, precision)) {
-        std::fprintf(stderr, "%s: --plan must be off, f64 or f32 (got '%s')\n",
+        std::fprintf(stderr, "%s: --plan must be exact or fast (got '%s')\n",
                      argv[0], value);
         std::exit(2);
       }

@@ -81,34 +81,7 @@ faults::FaultPlan make_plan(Cell cell, double severity, int flight_index) {
   return plan;
 }
 
-// One flight's verdict through the engine's two-stage logic (IMU verdict
-// selects the GPS KF variant), with the health tally alongside.
-struct Verdict {
-  bool imu_attacked = false;
-  bool gps_attacked = false;
-  double gps_detect_time = -1.0;
-  faults::HealthReport health;
-};
-
-Verdict analyze(const core::Flight& flight,
-                std::span<const core::TimedPrediction> preds,
-                const bench::CalibratedDetectors& det,
-                faults::HealthReport window_health = {}) {
-  Verdict v;
-  v.health = window_health;
-  const auto residuals = core::ImuRcaDetector::residuals(flight, preds, 10, &v.health);
-  const auto imu = det.imu.analyze(residuals);
-  v.imu_attacked = imu.attacked;
-  v.health.imu_windows_skipped += imu.windows_skipped;
-  const auto mode = v.imu_attacked ? core::GpsDetectorMode::kAudioOnly
-                                   : core::GpsDetectorMode::kAudioImu;
-  const auto gps = det.gps.analyze(flight, preds, mode, nullptr, &v.health);
-  v.gps_attacked = gps.attacked;
-  v.gps_detect_time = gps.detect_time;
-  return v;
-}
-
-bool same_verdict(const Verdict& a, const Verdict& b) {
+bool same_verdict(const core::RcaReport& a, const core::RcaReport& b) {
   return a.imu_attacked == b.imu_attacked && a.gps_attacked == b.gps_attacked &&
          std::memcmp(&a.gps_detect_time, &b.gps_detect_time, sizeof(double)) == 0;
 }
@@ -144,7 +117,7 @@ struct CellTally {
   std::size_t windows_degraded = 0;
   std::size_t coast_intervals = 0;
 
-  void record(bool attacked_flight, const Verdict& v) {
+  void record(bool attacked_flight, const core::RcaReport& v) {
     if (v.gps_attacked) (attacked_flight ? attack_alerts : benign_alerts)++;
     if (v.health.degraded()) ++degraded_flights;
     windows_degraded += v.health.windows_degraded;
@@ -162,6 +135,9 @@ int main(int argc, char** argv) {
 
   auto mapper = bench::standard_mapper();
   auto det = bench::calibrate_detectors(mapper);
+  // One prediction set per flight, many verdicts: the engine decides from
+  // predictions already in hand.
+  const core::RcaEngine engine{mapper, det.imu, det.gps};
 
   CellTally tallies[std::size(kCells)][std::size(kSeverities)];
   CellTally baseline_tally;
@@ -178,7 +154,7 @@ int main(int argc, char** argv) {
 
     const auto windows = mapper.synthesize_windows(bench::lab(), flight);
     const auto base_preds = mapper.predict_windows(windows);
-    const auto base_verdict = analyze(flight, base_preds, det);
+    const auto base_verdict = engine.decide(flight, base_preds);
     baseline_tally.record(attacked, base_verdict);
 
     for (std::size_t ci = 0; ci < std::size(kCells); ++ci) {
@@ -186,20 +162,20 @@ int main(int argc, char** argv) {
       for (std::size_t si = 0; si < std::size(kSeverities); ++si) {
         const double severity = kSeverities[si];
         const auto plan = make_plan(cell, severity, fi);
-        Verdict v;
+        core::RcaReport v;
         if (is_mic(cell)) {
           auto faulted = windows;
           for (auto& w : faulted) faults::apply_to_audio(w.audio, w.t0, plan);
           faults::HealthReport window_health;
           const auto preds = mapper.predict_windows(faulted, {}, &window_health);
-          v = analyze(flight, preds, det, window_health);
+          v = engine.decide(flight, preds, window_health);
           if (severity <= 0.0)
             severity0_ok = severity0_ok && same_audio(faulted, windows) &&
                            same_preds(preds, base_preds) && same_verdict(v, base_verdict);
         } else {
           auto faulted = flight;
           faults::apply_to_log(faulted.log, plan);
-          v = analyze(faulted, base_preds, det);
+          v = engine.decide(faulted, base_preds);
           if (severity <= 0.0)
             severity0_ok = severity0_ok && same_log(faulted.log, flight.log) &&
                            same_verdict(v, base_verdict);

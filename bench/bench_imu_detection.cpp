@@ -47,20 +47,15 @@ int main(int argc, char** argv) {
 
   // 10 attacked hovers.  The first one also exports its per-decision
   // evidence (both RCA stages) as JSONL + CSV next to the binary.
+  const core::RcaEngine engine{mapper, det.imu, det.gps};
   for (int i = 0; i < 10; ++i) {
     const auto scenario = bench::imu_attack_scenario(i);
     const auto f = bench::lab().fly(scenario);
     const auto preds = mapper.predict_flight(bench::lab(), f);
-    core::RcaDecisionTrace trace;
-    const bool export_trace = i == 0;
-    const auto r = det.imu.analyze(core::ImuRcaDetector::residuals(f, preds),
-                                   export_trace ? &trace.imu : nullptr);
-    if (export_trace) {
-      trace.imu_attacked = r.attacked;
-      trace.gps_mode = r.attacked ? core::GpsDetectorMode::kAudioOnly
-                                  : core::GpsDetectorMode::kAudioImu;
-      trace.gps_attacked =
-          det.gps.analyze(f, preds, trace.gps_mode, &trace.gps).attacked;
+    const auto r = det.imu.analyze(core::ImuRcaDetector::residuals(f, preds));
+    if (i == 0) {
+      core::RcaDecisionTrace trace;
+      engine.decide(f, preds, {}, &trace);
       const auto dir = bench::bench_output_dir();
       io::write_decision_trace_jsonl((dir / "DECISIONS_imu_attack.jsonl").string(),
                                      trace);

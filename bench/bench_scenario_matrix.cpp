@@ -59,26 +59,7 @@ core::SensoryMapperConfig mapper_config() {
   return cfg;
 }
 
-// One flight's verdict through the engine's two-stage logic (the IMU verdict
-// selects the GPS KF variant) — same shape as bench_fault_matrix.
-struct Verdict {
-  bool imu_attacked = false;
-  bool gps_attacked = false;
-};
-
-Verdict analyze(const core::Flight& flight,
-                std::span<const core::TimedPrediction> preds,
-                const bench::CalibratedDetectors& det) {
-  Verdict v;
-  const auto residuals = core::ImuRcaDetector::residuals(flight, preds);
-  v.imu_attacked = det.imu.analyze(residuals).attacked;
-  const auto mode = v.imu_attacked ? core::GpsDetectorMode::kAudioOnly
-                                   : core::GpsDetectorMode::kAudioImu;
-  v.gps_attacked = det.gps.analyze(flight, preds, mode).attacked;
-  return v;
-}
-
-bool detected(const Verdict& v, scenario::AttackKind attack) {
+bool detected(const core::RcaReport& v, scenario::AttackKind attack) {
   switch (attack) {
     case scenario::AttackKind::kBenign: return v.imu_attacked || v.gps_attacked;
     case scenario::AttackKind::kImuBias: return v.imu_attacked;
@@ -159,10 +140,11 @@ std::map<int, Tally> score_fold(const scenario::ScenarioSet& set,
                                 const core::SensoryMapper& mapper,
                                 const bench::CalibratedDetectors& det) {
   std::map<int, Tally> per_airframe;
+  const core::RcaEngine engine{mapper, det.imu, det.gps};
   for (const auto& cell : split.eval) {
     const auto& flight = flights[static_cast<std::size_t>(cell.flight_id)];
     const auto preds = mapper.predict_flight(set.lab(cell), flight);
-    const Verdict v = analyze(flight, preds, det);
+    const core::RcaReport v = engine.decide(flight, preds);
     Tally& t = per_airframe[cell.airframe];
     if (cell.attack == scenario::AttackKind::kBenign) {
       ++t.benign;

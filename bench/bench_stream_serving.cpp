@@ -282,15 +282,15 @@ int main(int argc, char** argv) {
   report.metric("sessions_imu_flagged", imu_flagged);
   report.metric("sessions_gps_flagged", gps_flagged);
 
-  // When serving ran on the folded float32 plan, gate the run on its drift
-  // against the exact pipeline: the same windows go end to end — f32 STFT
-  // signatures into the folded plan vs exact signatures into the raw layer
-  // graph — and predictions are compared component-wise.  Both stages round
-  // at float level, so the tolerance has orders-of-magnitude headroom — a
-  // violation means the fold or f32-STFT math (not float noise) is wrong,
-  // and the bench fails.
+  // When serving ran on the fast (folded float32) plan, gate the run on its
+  // drift against the exact pipeline: the same windows go end to end —
+  // float32 STFT signatures into the folded plan vs exact signatures into
+  // the exact plan (bitwise the layer graph) — and predictions are compared
+  // component-wise.  Both stages round at float level, so the tolerance has
+  // orders-of-magnitude headroom — a violation means the fold or float32
+  // STFT math (not float noise) is wrong, and the bench fails.
   bool drift_ok = true;
-  if (ml::plan_precision() == ml::PlanPrecision::kF32) {
+  if (ml::plan_precision() == ml::PlanPrecision::kFast) {
     const auto windows = mapper.synthesize_windows(bench::lab(), feeds[0].flight);
     const std::size_t n_check = std::min<std::size_t>(windows.size(), 32);
     std::vector<core::WindowSpan> spans;
@@ -304,10 +304,10 @@ int main(int argc, char** argv) {
         sigs.push_back(mapper.prepare_signature(windows[i].audio));
       return sigs;
     };
-    ml::set_plan_precision(ml::PlanPrecision::kOff);
+    ml::set_plan_precision(ml::PlanPrecision::kExact);
     const auto exact_sigs = prepare_all();
     const auto ref = mapper.predict_prepared(exact_sigs, spans);
-    ml::set_plan_precision(ml::PlanPrecision::kF32);
+    ml::set_plan_precision(ml::PlanPrecision::kFast);
     const auto fast_sigs = prepare_all();
     const auto fast = mapper.predict_prepared(fast_sigs, spans);
     double drift_sq = 0.0, drift_max = 0.0;
@@ -328,11 +328,11 @@ int main(int argc, char** argv) {
     constexpr double kMaxTol = 1e-3;
     drift_ok = drift_mse <= kMseTol && drift_max <= kMaxTol &&
                std::isfinite(drift_mse) && n_comp > 0;
-    report.metric("f32_drift_mse", drift_mse);
-    report.metric("f32_drift_max", drift_max);
+    report.metric("fast_drift_mse", drift_mse);
+    report.metric("fast_drift_max", drift_max);
     if (!drift_ok)
       std::fprintf(stderr,
-                   "stream_serving: f32 plan drift out of tolerance "
+                   "stream_serving: fast plan drift out of tolerance "
                    "(mse %.3e > %.0e or max %.3e > %.0e)\n",
                    drift_mse, kMseTol, drift_max, kMaxTol);
   }

@@ -19,6 +19,10 @@ bool finite(const Vec3& v) {
   return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
 }
 
+bool usable(const sim::GpsSample& fix) {
+  return std::isfinite(fix.t) && finite(fix.vel) && finite(fix.pos);
+}
+
 void write_matrix(std::ostream& os, const est::Matrix& m) {
   util::io::write_pod(os, static_cast<std::uint64_t>(m.rows()));
   util::io::write_pod(os, static_cast<std::uint64_t>(m.cols()));
@@ -87,24 +91,27 @@ GpsRcaDetector::Monitor::Monitor(const GpsRcaDetector& detector, GpsDetectorMode
     : Monitor(detector.config_, mode, detector.threshold(mode),
               detector.pos_threshold(mode), count_metrics) {}
 
-void GpsRcaDetector::Monitor::seed(const Vec3& v0, const Vec3& p0) {
-  if (seeded_) return;
-  seeded_ = true;
-  if (mode_ == GpsDetectorMode::kAudioOnly)
-    audio_kf_.emplace(config_.kf, v0);
-  else
-    fused_kf_.emplace(config_.kf, v0);
-  pos_est_ = p0;
-}
-
 void GpsRcaDetector::Monitor::step_window(
     const TimedPrediction& p, std::span<const sim::GpsSample> gps,
     std::span<const sim::ImuSample> imu,
     std::vector<GpsFixDecision>* decisions_out, faults::HealthReport* health,
     Trace* trace_out) {
-  if (!seeded_) seed({}, {});
   const bool telemetry = obs::enabled();
   if (first_window_) {
+    // Seed from the first FINITE fix (pre-attack per the threat model:
+    // attacks start only after takeoff completes); a poisoned leading fix
+    // must not seed the filters with NaN.
+    Vec3 v0;
+    for (const auto& fix : gps) {
+      if (!usable(fix)) continue;
+      v0 = fix.vel;
+      pos_est_ = fix.pos;
+      break;
+    }
+    if (mode_ == GpsDetectorMode::kAudioOnly)
+      audio_kf_.emplace(config_.kf, v0);
+    else
+      fused_kf_.emplace(config_.kf, v0);
     prev_t_ = p.t0;
     first_window_ = false;
   }
@@ -154,7 +161,7 @@ void GpsRcaDetector::Monitor::step_window(
   while (gps_idx_ < gps.size() && gps[gps_idx_].t <= p.t1) {
     const auto& fix = gps[gps_idx_];
     ++gps_idx_;
-    if (!std::isfinite(fix.t) || !finite(fix.vel) || !finite(fix.pos)) {
+    if (!usable(fix)) {
       if (health) ++health->gps_fixes_nonfinite;
       if (count_metrics_) {
         static obs::Counter& bad =
@@ -226,7 +233,6 @@ void GpsRcaDetector::Monitor::save_state(std::ostream& os) const {
   write_pod(os, vel_threshold_);
   write_pod(os, pos_threshold_);
   write_pod(os, static_cast<std::uint64_t>(config_.mean_window));
-  write_pod(os, static_cast<std::uint8_t>(seeded_ ? 1 : 0));
   write_pod(os, static_cast<std::uint8_t>(first_window_ ? 1 : 0));
   const est::LinearKalmanFilter* kf = nullptr;
   if (audio_kf_) kf = &audio_kf_->filter();
@@ -260,11 +266,8 @@ bool GpsRcaDetector::Monitor::load_state(std::istream& is) {
   if (!read_pod(is, pos_th) || pos_th != pos_threshold_) return false;
   if (!read_pod(is, mean_window) || mean_window != config_.mean_window)
     return false;
-  std::uint8_t seeded = 0, first_window = 0, has_kf = 0;
-  if (!read_pod(is, seeded) || !read_pod(is, first_window) ||
-      !read_pod(is, has_kf))
-    return false;
-  seeded_ = seeded != 0;
+  std::uint8_t first_window = 0, has_kf = 0;
+  if (!read_pod(is, first_window) || !read_pod(is, has_kf)) return false;
   first_window_ = first_window != 0;
   audio_kf_.reset();
   fused_kf_.reset();
@@ -300,46 +303,27 @@ bool GpsRcaDetector::Monitor::load_state(std::istream& is) {
 
 GpsRcaDetector::Result GpsRcaDetector::run(const Flight& flight,
                                            std::span<const TimedPrediction> preds,
-                                           GpsDetectorMode mode, double vel_threshold,
-                                           double pos_threshold, Trace* trace_out,
-                                           std::vector<GpsFixDecision>* decisions_out,
-                                           faults::HealthReport* health) const {
+                                           GpsDetectorMode mode,
+                                           Trace* trace_out) const {
   obs::ScopedSpan span{"gps_rca", obs::Stage::kDetect};
-  if (preds.empty()) return {};
-
-  // Initial state from the first FINITE GPS fix (pre-attack per the threat
-  // model: attacks start only after takeoff completes).  A poisoned leading
-  // fix must not seed the filters with NaN.
-  Vec3 v0, p0;
-  for (const auto& fix : flight.log.gps) {
-    if (!std::isfinite(fix.t) || !finite(fix.vel) || !finite(fix.pos)) continue;
-    v0 = fix.vel;
-    p0 = fix.pos;
-    break;
-  }
-  Monitor monitor{config_, mode, vel_threshold, pos_threshold};
-  monitor.seed(v0, p0);
+  Monitor monitor{*this, mode};
   for (const auto& p : preds)
-    monitor.step_window(p, flight.log.gps, flight.log.imu, decisions_out, health,
+    monitor.step_window(p, flight.log.gps, flight.log.imu, nullptr, nullptr,
                         trace_out);
   return monitor.result();
 }
 
 GpsRcaDetector::Result GpsRcaDetector::analyze(
     const Flight& flight, std::span<const TimedPrediction> preds,
-    GpsDetectorMode mode, std::vector<GpsFixDecision>* decisions_out,
-    faults::HealthReport* health) const {
-  const std::size_t m = mode_index(mode);
-  return run(flight, preds, mode, vel_thresholds_[m], pos_thresholds_[m], nullptr,
-             decisions_out, health);
+    GpsDetectorMode mode) const {
+  return run(flight, preds, mode, nullptr);
 }
 
 GpsRcaDetector::Trace GpsRcaDetector::trace(const Flight& flight,
                                             std::span<const TimedPrediction> preds,
                                             GpsDetectorMode mode) const {
   Trace t;
-  const std::size_t m = mode_index(mode);
-  run(flight, preds, mode, vel_thresholds_[m], pos_thresholds_[m], &t);
+  run(flight, preds, mode, &t);
   return t;
 }
 

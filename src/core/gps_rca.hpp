@@ -64,34 +64,30 @@ class GpsRcaDetector {
   // mean after outlier removal).  Returns the threshold.
   double calibrate(std::span<const Result> benign_results, GpsDetectorMode mode);
 
-  // Runs detection on one flight given its audio acceleration predictions.
-  // With `decisions_out`, every post-warmup GPS fix appends its evidence
-  // (running-mean error, location deviation, thresholds, verdict).  With
-  // `health`, the degradation tally (non-finite fixes rejected, coast
-  // intervals, fused-KF fallbacks) accumulates into it.
+  // Runs detection on one flight given its audio acceleration predictions
+  // (detector calibration and the per-variant benches; the two-stage verdict
+  // is RcaEngine's).
   Result analyze(const Flight& flight, std::span<const TimedPrediction> preds,
-                 GpsDetectorMode mode,
-                 std::vector<GpsFixDecision>* decisions_out = nullptr,
-                 faults::HealthReport* health = nullptr) const;
+                 GpsDetectorMode mode) const;
 
   Trace trace(const Flight& flight, std::span<const TimedPrediction> preds,
               GpsDetectorMode mode) const;
 
-  // Incremental form of analyze() for the streaming runtime; the offline
-  // run() is itself implemented on top of it, so stepping a Monitor window
-  // by window over the same prediction/fix/IMU streams reproduces analyze()
-  // bit for bit.  Seeding: the offline path seeds the filters from the first
-  // finite fix of the WHOLE log; a streaming session seeds from the first
-  // finite fix it has received when the first window arrives — identical
-  // whenever any finite fix precedes the first analysis window (always true
-  // outside total-GPS-blackout starts, where detection is moot anyway).
+  // Incremental form of analyze(), stepped window by window; analyze() and
+  // RcaEngine::Monitor both run on it.  Seeding: on its first window the
+  // monitor seeds the filter velocity and integrated position from the
+  // first finite fix of the stream it is given — the whole log when a
+  // caller pushes it up front, the fixes received so far when streaming;
+  // identical whenever any finite fix precedes the first analysis window
+  // (always true outside total-GPS-blackout starts, where detection is moot
+  // anyway).  No finite fix seeds zero.
   class Monitor {
    public:
     // Explicit thresholds (< 0 disables the comparison, as in calibration
     // runs).  `count_metrics` = false suppresses the global `faults.*` obs
-    // counters — a streaming session runs BOTH mode monitors concurrently
+    // counters — RcaEngine::Monitor runs BOTH mode monitors concurrently
     // and adds the selected one's tallies itself at finish, so the global
-    // metrics match a single offline run.
+    // metrics count one GPS stage per flight.
     Monitor(const GpsRcaConfig& config, GpsDetectorMode mode,
             double vel_threshold, double pos_threshold,
             bool count_metrics = true);
@@ -99,16 +95,13 @@ class GpsRcaDetector {
     Monitor(const GpsRcaDetector& detector, GpsDetectorMode mode,
             bool count_metrics = true);
 
-    // Seeds filter velocity and integrated position; the first call wins,
-    // later calls are no-ops.  Unseeded monitors seed to zero on first use.
-    void seed(const Vec3& v0, const Vec3& p0);
-    bool seeded() const { return seeded_; }
-
     // Advances over one prediction window: one KF step, then consumes GPS
     // fixes with t <= p.t1 from `gps` (the fix stream so far; the monitor
     // keeps its own cursor, so pass a growing buffer with a stable prefix).
     // `imu` is consulted in fused mode only.  Post-warmup fixes append
-    // their evidence to `decisions_out` when given.
+    // their evidence to `decisions_out` when given; with `health`, the
+    // degradation tally (non-finite fixes rejected, coast intervals,
+    // fused-KF fallbacks) accumulates into it.
     void step_window(const TimedPrediction& p,
                      std::span<const sim::GpsSample> gps,
                      std::span<const sim::ImuSample> imu,
@@ -132,7 +125,6 @@ class GpsRcaDetector {
     double vel_threshold_;
     double pos_threshold_;
     bool count_metrics_ = true;
-    bool seeded_ = false;
     bool first_window_ = true;
     std::optional<est::AudioOnlyVelocityKf> audio_kf_;
     std::optional<est::AudioImuVelocityKf> fused_kf_;
@@ -149,13 +141,10 @@ class GpsRcaDetector {
   bool calibrated(GpsDetectorMode mode) const;
 
  private:
-  // Shared implementation: walks predictions + GPS fixes, returns both the
-  // result (against the thresholds) and optionally the full trace.
+  // Shared implementation: walks predictions + GPS fixes against the
+  // calibrated thresholds, optionally recording the full trace.
   Result run(const Flight& flight, std::span<const TimedPrediction> preds,
-             GpsDetectorMode mode, double vel_threshold, double pos_threshold,
-             Trace* trace_out,
-             std::vector<GpsFixDecision>* decisions_out = nullptr,
-             faults::HealthReport* health = nullptr) const;
+             GpsDetectorMode mode, Trace* trace_out) const;
 
   GpsRcaConfig config_;
   double vel_thresholds_[2] = {-1.0, -1.0};

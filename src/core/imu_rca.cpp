@@ -58,40 +58,38 @@ WindowResiduals ImuRcaDetector::window_residuals(
   return w;
 }
 
+Vec3 ImuRcaDetector::baseline(std::span<const WindowResiduals> raw,
+                               std::size_t reference_windows) {
+  Vec3 sum;
+  std::size_t n = 0;
+  for (const auto& w : raw.first(std::min(reference_windows, raw.size())))
+    for (const auto& r : w.samples) {
+      sum += r;
+      ++n;
+    }
+  return n > 0 ? sum / static_cast<double>(n) : Vec3{};
+}
+
 std::vector<WindowResiduals> ImuRcaDetector::residuals(
     const Flight& flight, std::span<const TimedPrediction> preds,
-    std::size_t reference_windows, faults::HealthReport* health) {
+    std::size_t reference_windows) {
   std::vector<WindowResiduals> out;
   out.reserve(preds.size());
-  std::size_t nonfinite = 0, total = 0;
+  std::size_t nonfinite = 0;
   std::size_t lo = 0;
   for (const auto& p : preds)
-    out.push_back(window_residuals(p, flight.log.imu, lo, &total, &nonfinite));
-  if (health) {
-    health->imu_samples_total += total;
-    health->imu_samples_nonfinite += nonfinite;
-  }
+    out.push_back(window_residuals(p, flight.log.imu, lo, nullptr, &nonfinite));
   if (nonfinite > 0) {
     static obs::Counter& dropped =
         obs::Registry::instance().counter("faults.imu_samples_nonfinite");
     dropped.add(nonfinite);
   }
 
-  // Flight-local baseline from the attack-free early windows.
-  if (reference_windows > 0 && !out.empty()) {
-    Vec3 baseline;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < std::min(reference_windows, out.size()); ++i)
-      for (const auto& r : out[i].samples) {
-        baseline += r;
-        ++n;
-      }
-    if (n > 0) {
-      baseline = baseline / static_cast<double>(n);
-      for (auto& w : out)
-        for (auto& r : w.samples) r -= baseline;
-    }
-  }
+  // Flight-local baseline from the attack-free early windows.  Residuals are
+  // finite, so subtracting a zero baseline leaves them bit-identical.
+  const Vec3 b = baseline(out, reference_windows);
+  for (auto& w : out)
+    for (auto& r : w.samples) r -= b;
   return out;
 }
 
@@ -216,72 +214,45 @@ bool ImuRcaDetector::step(const WindowResiduals& w, StepState& state,
 }
 
 ImuRcaDetector::Result ImuRcaDetector::analyze(
-    std::span<const WindowResiduals> windows,
-    std::vector<ImuWindowDecision>* decisions_out) const {
+    std::span<const WindowResiduals> windows) const {
   if (!calibrated_) throw std::logic_error{"ImuRcaDetector: analyze before calibrate"};
   obs::ScopedSpan span{"imu_rca", obs::Stage::kDetect};
   StepState state;
-  for (const auto& w : windows) {
-    ImuWindowDecision d;
-    if (step(w, state, &d) && decisions_out) decisions_out->push_back(d);
-  }
+  for (const auto& w : windows) step(w, state, nullptr);
   return state.result;
 }
 
 ImuRcaDetector::Monitor::Monitor(const ImuRcaDetector& detector,
                                  std::size_t reference_windows)
-    : detector_(&detector), reference_windows_(reference_windows) {
-  // reference_windows == 0 means "no flight-local baseline": nothing to
-  // accumulate, decisions flow immediately.
-  frozen_ = reference_windows_ == 0;
-}
+    : detector_(&detector), reference_windows_(reference_windows) {}
 
-void ImuRcaDetector::Monitor::freeze_baseline() {
-  if (frozen_) return;
-  // Same accumulation order as the offline residuals() baseline loop
-  // (window order, sample order) so the mean is bitwise identical.
-  if (baseline_n_ > 0)
-    baseline_ = baseline_sum_ / static_cast<double>(baseline_n_);
-  frozen_ = true;
-}
-
-std::vector<ImuWindowDecision> ImuRcaDetector::Monitor::drain() {
-  std::vector<ImuWindowDecision> out;
+void ImuRcaDetector::Monitor::freeze_and_drain(std::vector<ImuWindowDecision>& out) {
+  if (!frozen_) {
+    baseline_ = baseline(pending_, reference_windows_);
+    frozen_ = true;
+  }
   for (auto& w : pending_) {
     for (auto& r : w.samples) r -= baseline_;
     ImuWindowDecision d;
     if (detector_->step(w, state_, &d)) out.push_back(d);
   }
   pending_.clear();
-  return out;
 }
 
-std::vector<ImuWindowDecision> ImuRcaDetector::Monitor::add(WindowResiduals raw) {
-  ++windows_seen_;
-  if (!frozen_) {
-    for (const auto& r : raw.samples) {
-      baseline_sum_ += r;
-      ++baseline_n_;
-    }
-  }
+void ImuRcaDetector::Monitor::add(WindowResiduals raw,
+                                  std::vector<ImuWindowDecision>& out) {
   pending_.push_back(std::move(raw));
-  if (!frozen_ && windows_seen_ >= reference_windows_) freeze_baseline();
-  if (!frozen_) return {};
-  return drain();
+  if (frozen_ || pending_.size() >= reference_windows_) freeze_and_drain(out);
 }
 
-std::vector<ImuWindowDecision> ImuRcaDetector::Monitor::finish() {
-  freeze_baseline();
-  return drain();
+void ImuRcaDetector::Monitor::finish(std::vector<ImuWindowDecision>& out) {
+  freeze_and_drain(out);
 }
 
 void ImuRcaDetector::Monitor::save_state(std::ostream& os) const {
   using util::io::write_pod;
   write_pod(os, static_cast<std::uint64_t>(reference_windows_));
-  write_pod(os, static_cast<std::uint64_t>(windows_seen_));
   write_pod(os, static_cast<std::uint8_t>(frozen_ ? 1 : 0));
-  write_pod(os, baseline_sum_);
-  write_pod(os, static_cast<std::uint64_t>(baseline_n_));
   write_pod(os, baseline_);
   write_pod(os, static_cast<std::uint64_t>(pending_.size()));
   for (const auto& w : pending_) {
@@ -301,17 +272,14 @@ void ImuRcaDetector::Monitor::save_state(std::ostream& os) const {
 
 bool ImuRcaDetector::Monitor::load_state(std::istream& is) {
   using util::io::read_pod;
-  std::uint64_t ref = 0, seen = 0, baseline_n = 0, n_pending = 0;
+  std::uint64_t ref = 0, n_pending = 0;
   std::uint8_t frozen = 0;
   if (!read_pod(is, ref) || ref != reference_windows_) return false;
-  if (!read_pod(is, seen) || !read_pod(is, frozen)) return false;
-  if (!read_pod(is, baseline_sum_) || !read_pod(is, baseline_n) ||
-      !read_pod(is, baseline_))
-    return false;
+  if (!read_pod(is, frozen) || !read_pod(is, baseline_)) return false;
   if (!read_pod(is, n_pending)) return false;
-  // A pending backlog can hold at most reference_windows_ buffered windows
-  // (plus one in flight); a wild count here means corrupt bytes.
-  if (n_pending > reference_windows_ + 1) return false;
+  // Between calls the backlog holds fewer than reference_windows_ windows
+  // (none once frozen); a wild count here means corrupt bytes.
+  if (n_pending >= std::max<std::uint64_t>(reference_windows_, 1)) return false;
   pending_.clear();
   pending_.reserve(n_pending);
   for (std::uint64_t i = 0; i < n_pending; ++i) {
@@ -330,9 +298,7 @@ bool ImuRcaDetector::Monitor::load_state(std::istream& is) {
       !read_pod(is, flagged) || !read_pod(is, skipped) ||
       !read_pod(is, consecutive))
     return false;
-  windows_seen_ = static_cast<std::size_t>(seen);
   frozen_ = frozen != 0;
-  baseline_n_ = static_cast<std::size_t>(baseline_n);
   r.attacked = attacked != 0;
   r.windows_tested = static_cast<std::size_t>(tested);
   r.windows_flagged = static_cast<std::size_t>(flagged);

@@ -46,30 +46,35 @@ class ImuRcaDetector {
  public:
   explicit ImuRcaDetector(const ImuRcaConfig& config);
 
-  // IMU-rate residual series of one flight given its window predictions.
-  // Residuals are baselined against the flight's first `reference_windows`
-  // windows: the threat model guarantees attacks begin only after takeoff
-  // completes, so the early flight provides a per-flight reference that
-  // removes flight-specific model bias before the distribution test.
-  // Non-finite IMU readings (NaN bursts, poisoned streams) are dropped
-  // before any statistic touches them; with `health`, the drop tally
-  // accumulates into it.
+  // IMU-rate residual series of one flight given its window predictions
+  // (detector calibration, Fig. 6).  Residuals are baselined against the
+  // flight's first `reference_windows` windows: the threat model guarantees
+  // attacks begin only after takeoff completes, so the early flight
+  // provides a per-flight reference that removes flight-specific model bias
+  // before the distribution test.  Non-finite IMU readings (NaN bursts,
+  // poisoned streams) are dropped before any statistic touches them.
   static std::vector<WindowResiduals> residuals(const Flight& flight,
                                                 std::span<const TimedPrediction> preds,
-                                                std::size_t reference_windows = 10,
-                                                faults::HealthReport* health = nullptr);
+                                                std::size_t reference_windows = 10);
 
   // One window's RAW (un-baselined) residuals from a time-ordered IMU sample
   // stream.  `lo` is the remembered scan lower bound, advanced in place so
   // overlapping windows re-scan only their overlap.  Non-finite readings are
-  // dropped and tallied into `total`/`nonfinite` when given.  Both the
-  // offline residuals() loop and the streaming session build their windows
-  // through this one implementation.
+  // dropped and tallied into `total`/`nonfinite` when given.  residuals()
+  // and the decision monitors build their windows through this one
+  // implementation.
   static WindowResiduals window_residuals(const TimedPrediction& pred,
                                           std::span<const sim::ImuSample> imu,
                                           std::size_t& lo,
                                           std::size_t* total = nullptr,
                                           std::size_t* nonfinite = nullptr);
+
+  // The flight-local baseline: mean residual over the first
+  // `reference_windows` RAW windows, accumulated in window then sample
+  // order (zero when they hold no samples).  residuals() and Monitor both
+  // baseline through it.
+  static Vec3 baseline(std::span<const WindowResiduals> raw,
+                       std::size_t reference_windows);
 
   // Fits the benign residual statistics (Fig. 6's blue curve): per-axis
   // distributions of the window MEAN (Side-Swing shifts it) and of the
@@ -102,53 +107,46 @@ class ImuRcaDetector {
   bool step(const WindowResiduals& window, StepState& state,
             ImuWindowDecision* decision) const;
 
-  // With `decisions_out`, every tested window appends its evidence (per-axis
-  // z-scores, OOD score, active threshold, verdict).
-  Result analyze(std::span<const WindowResiduals> windows,
-                 std::vector<ImuWindowDecision>* decisions_out = nullptr) const;
+  // Verdict over already-baselined windows.
+  Result analyze(std::span<const WindowResiduals> windows) const;
 
-  // Incremental form of residuals()+analyze() for the streaming runtime: feed
-  // RAW (un-baselined) windows in grid order and collect decisions as they
-  // become final.  The flight-local baseline freezes once `reference_windows`
-  // windows have arrived (or at finish() for short flights), exactly as the
-  // offline path computes it, so early windows are buffered until then and
-  // drain in order — the decision sequence and Result are bit-identical to
-  // the offline analyze() over residuals().
+  // Incremental form of residuals()+analyze(): feed RAW (un-baselined)
+  // windows in grid order and collect decisions as they become final.  The
+  // pending backlog holds exactly the first `reference_windows` windows when
+  // the baseline freezes (at finish() for short flights), so early windows
+  // drain in order once it does — the decision sequence and Result equal
+  // analyze() over residuals() bit for bit.
   class Monitor {
    public:
     explicit Monitor(const ImuRcaDetector& detector,
                      std::size_t reference_windows = 10);
 
-    // Offers the next raw window; returns any decisions finalized by it
-    // (empty while the baseline is still accumulating, a backlog right
-    // after it freezes, then one decision per tested window).
-    std::vector<ImuWindowDecision> add(WindowResiduals raw);
+    // Offers the next raw window and appends the decisions it finalized to
+    // `out` (none while the baseline is pending, the backlog right after it
+    // freezes, then one per tested window).
+    void add(WindowResiduals raw, std::vector<ImuWindowDecision>& out);
 
     // Marks end-of-flight: freezes the baseline if still pending and drains
-    // the remaining backlog.
-    std::vector<ImuWindowDecision> finish();
+    // the remaining backlog into `out`.
+    void finish(std::vector<ImuWindowDecision>& out);
 
     const Result& result() const { return state_.result; }
     const ImuRcaDetector& detector() const { return *detector_; }
 
-    // Bitwise checkpoint of the running analysis state (baseline
-    // accumulator, pending backlog, step state).  load_state expects a
-    // monitor constructed against the SAME detector and reference-window
-    // count; it returns false on malformed bytes or a configuration
-    // mismatch, leaving the monitor in an unspecified state.
+    // Bitwise checkpoint of the running analysis state (baseline, pending
+    // backlog, step state).  load_state expects a monitor constructed
+    // against the SAME detector and reference-window count; it returns
+    // false on malformed bytes or a configuration mismatch, leaving the
+    // monitor in an unspecified state.
     void save_state(std::ostream& os) const;
     bool load_state(std::istream& is);
 
    private:
-    void freeze_baseline();
-    std::vector<ImuWindowDecision> drain();
+    void freeze_and_drain(std::vector<ImuWindowDecision>& out);
 
     const ImuRcaDetector* detector_;
     std::size_t reference_windows_;
-    std::size_t windows_seen_ = 0;
     bool frozen_ = false;
-    Vec3 baseline_sum_;
-    std::size_t baseline_n_ = 0;
     Vec3 baseline_;
     std::vector<WindowResiduals> pending_;
     StepState state_;

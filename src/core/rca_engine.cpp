@@ -2,8 +2,26 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "util/binary_io.hpp"
 
 namespace sb::core {
+namespace {
+
+std::size_t mode_index(GpsDetectorMode mode) {
+  return mode == GpsDetectorMode::kAudioOnly ? 0 : 1;
+}
+
+// Stage 2 variant for a stage-1 verdict: an attacked IMU cannot be fused.
+GpsDetectorMode gps_mode_for(bool imu_attacked) {
+  return imu_attacked ? GpsDetectorMode::kAudioOnly : GpsDetectorMode::kAudioImu;
+}
+
+void add_count(const char* counter, std::size_t n) {
+  if (n > 0) obs::Registry::instance().counter(counter).add(n);
+}
+
+}  // namespace
 
 RcaEngine::RcaEngine(const SensoryMapper& mapper, const ImuRcaDetector& imu_detector,
                      const GpsRcaDetector& gps_detector)
@@ -12,48 +30,142 @@ RcaEngine::RcaEngine(const SensoryMapper& mapper, const ImuRcaDetector& imu_dete
 RcaReport RcaEngine::analyze(const FlightLab& lab, const Flight& flight,
                              const PredictionHooks& hooks,
                              RcaDecisionTrace* trace_out) const {
+  faults::HealthReport window_health;
+  const auto preds = mapper_->predict_flight(lab, flight, hooks, &window_health);
+  return decide(flight, preds, window_health, trace_out);
+}
+
+RcaReport RcaEngine::decide(const Flight& flight,
+                            std::span<const TimedPrediction> preds,
+                            const faults::HealthReport& window_health,
+                            RcaDecisionTrace* trace_out) const {
+  obs::ScopedSpan span{"rca_decide", obs::Stage::kDetect};
+  Monitor monitor{*imu_, *gps_};
+  monitor.push_imu(flight.log.imu);
+  monitor.push_gps(flight.log.gps);
+  for (const auto& p : preds) monitor.deliver(p);
+  return monitor.finish(window_health, trace_out);
+}
+
+RcaEngine::Monitor::Monitor(const ImuRcaDetector& imu_detector,
+                            const GpsRcaDetector& gps_detector,
+                            std::size_t reference_windows)
+    : imu_(imu_detector, reference_windows),
+      gps_{{gps_detector, GpsDetectorMode::kAudioOnly, /*count_metrics=*/false},
+           {gps_detector, GpsDetectorMode::kAudioImu, /*count_metrics=*/false}} {}
+
+void RcaEngine::Monitor::push_imu(std::span<const sim::ImuSample> samples) {
+  imu_buf_.insert(imu_buf_.end(), samples.begin(), samples.end());
+}
+
+void RcaEngine::Monitor::push_gps(std::span<const sim::GpsSample> samples) {
+  gps_buf_.insert(gps_buf_.end(), samples.begin(), samples.end());
+}
+
+const std::vector<GpsFixDecision>& RcaEngine::Monitor::gps_decisions(
+    GpsDetectorMode mode) const {
+  return gps_decisions_[mode_index(mode)];
+}
+
+RcaEngine::Monitor::Delivery RcaEngine::Monitor::deliver(const TimedPrediction& pred) {
+  Delivery out;
+  out.imu_begin = imu_decisions_.size();
+  std::size_t nonfinite = 0;
+  auto raw = ImuRcaDetector::window_residuals(
+      pred, imu_buf_, residual_lo_, &imu_health_.imu_samples_total, &nonfinite);
+  imu_health_.imu_samples_nonfinite += nonfinite;
+  add_count("faults.imu_samples_nonfinite", nonfinite);
+  imu_.add(std::move(raw), imu_decisions_);
+
+  out.gps_mode = gps_mode_for(imu_attacked());
+  out.gps_begin = gps_decisions_[mode_index(out.gps_mode)].size();
+  for (std::size_t m = 0; m < 2; ++m)
+    gps_[m].step_window(pred, gps_buf_, imu_buf_, &gps_decisions_[m],
+                        &gps_health_[m]);
+  return out;
+}
+
+RcaReport RcaEngine::Monitor::finish(const faults::HealthReport& window_health,
+                                     RcaDecisionTrace* trace_out) {
+  // Short flights: the baseline may still be pending — it freezes over the
+  // windows seen.
+  imu_.finish(imu_decisions_);
+  const ImuRcaDetector::Result& imu = imu_.result();
   RcaReport report;
-  // Every stage feeds the same per-flight health tally; on a pristine
-  // recording nothing triggers and the analysis is bit-identical to the
-  // health-blind path.
-  const auto preds = mapper_->predict_flight(lab, flight, hooks, &report.health);
+  report.imu_attacked = imu.attacked;
+  report.imu_detect_time = imu.detect_time;
+  report.gps_mode_used = gps_mode_for(imu.attacked);
+  const std::size_t sel = mode_index(report.gps_mode_used);
+  const GpsRcaDetector::Result& gps = gps_[sel].result();
+  report.gps_attacked = gps.attacked;
+  report.gps_detect_time = gps.detect_time;
 
-  // Stage 1: IMU integrity.
-  const auto residuals = ImuRcaDetector::residuals(flight, preds, 10, &report.health);
-  const auto imu_result =
-      imu_->analyze(residuals, trace_out ? &trace_out->imu : nullptr);
-  report.imu_attacked = imu_result.attacked;
-  report.imu_detect_time = imu_result.detect_time;
-  report.health.imu_windows_skipped += imu_result.windows_skipped;
-  if (imu_result.windows_skipped > 0) {
-    static obs::Counter& skipped =
-        obs::Registry::instance().counter("faults.imu_windows_skipped");
-    skipped.add(imu_result.windows_skipped);
-  }
-
-  // Stage 2: GPS integrity with the KF variant matching the IMU verdict.
-  report.gps_mode_used = report.imu_attacked ? GpsDetectorMode::kAudioOnly
-                                             : GpsDetectorMode::kAudioImu;
-  const auto gps_result =
-      gps_->analyze(flight, preds, report.gps_mode_used,
-                    trace_out ? &trace_out->gps : nullptr, &report.health);
-  report.gps_attacked = gps_result.attacked;
-  report.gps_detect_time = gps_result.detect_time;
-  if (report.health.degraded())
+  // Only the SELECTED variant's tally counts — the rejected monitor's walk
+  // over the same fixes must not double-count — and it is mirrored into the
+  // global counters its monitor was told not to touch.
+  faults::HealthReport& health = report.health;
+  health = window_health;
+  health += imu_health_;
+  health.imu_windows_skipped += imu.windows_skipped;
+  health += gps_health_[sel];
+  add_count("faults.imu_windows_skipped", imu.windows_skipped);
+  add_count("faults.gps_fixes_nonfinite", gps_health_[sel].gps_fixes_nonfinite);
+  add_count("faults.gps_coast_intervals", gps_health_[sel].gps_coast_intervals);
+  add_count("faults.kf_fallback_steps", gps_health_[sel].kf_fallback_steps);
+  if (health.degraded())
     obs::logf(obs::LogLevel::kInfo, "detect",
               "RCA completed degraded: %zu/%u mics alive, %zu windows masked, "
               "%zu IMU windows skipped, %zu GPS coast intervals (%.1f s)",
-              report.health.mics_alive(),
-              static_cast<unsigned>(sensors::kNumMics),
-              report.health.windows_degraded, report.health.imu_windows_skipped,
-              report.health.gps_coast_intervals, report.health.gps_coast_seconds);
+              health.mics_alive(), static_cast<unsigned>(sensors::kNumMics),
+              health.windows_degraded, health.imu_windows_skipped,
+              health.gps_coast_intervals, health.gps_coast_seconds);
   if (trace_out) {
+    trace_out->imu = imu_decisions_;
+    trace_out->gps = gps_decisions_[sel];
     trace_out->imu_attacked = report.imu_attacked;
     trace_out->gps_attacked = report.gps_attacked;
     trace_out->gps_mode = report.gps_mode_used;
-    trace_out->health = report.health;
+    trace_out->health = health;
   }
   return report;
+}
+
+void RcaEngine::Monitor::save_state(std::ostream& os) const {
+  using util::io::write_pod;
+  using util::io::write_pod_vec;
+  write_pod(os, imu_.detector().score_threshold());
+  imu_.save_state(os);
+  for (const auto& m : gps_) m.save_state(os);
+  write_pod(os, imu_health_);
+  for (const auto& h : gps_health_) write_pod(os, h);
+  write_pod_vec(os, imu_decisions_);
+  for (const auto& d : gps_decisions_) write_pod_vec(os, d);
+  write_pod_vec(os, imu_buf_);
+  write_pod_vec(os, gps_buf_);
+  write_pod(os, static_cast<std::uint64_t>(residual_lo_));
+}
+
+bool RcaEngine::Monitor::load_state(std::istream& is) {
+  using util::io::read_pod;
+  using util::io::read_pod_vec;
+  double imu_threshold = 0.0;
+  if (!read_pod(is, imu_threshold) ||
+      imu_threshold != imu_.detector().score_threshold())
+    return false;
+  if (!imu_.load_state(is)) return false;
+  for (auto& m : gps_)
+    if (!m.load_state(is)) return false;
+  if (!read_pod(is, imu_health_)) return false;
+  for (auto& h : gps_health_)
+    if (!read_pod(is, h)) return false;
+  if (!read_pod_vec(is, imu_decisions_)) return false;
+  for (auto& d : gps_decisions_)
+    if (!read_pod_vec(is, d)) return false;
+  if (!read_pod_vec(is, imu_buf_) || !read_pod_vec(is, gps_buf_)) return false;
+  std::uint64_t residual_lo = 0;
+  if (!read_pod(is, residual_lo) || residual_lo > imu_buf_.size()) return false;
+  residual_lo_ = static_cast<std::size_t>(residual_lo);
+  return true;
 }
 
 }  // namespace sb::core

@@ -10,9 +10,8 @@
 #include "dsp/fft.hpp"
 #include "dsp/window.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/checksum.hpp"
+#include "util/binary_io.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -79,10 +78,7 @@ void SensoryMapper::ensure_plan(ml::PlanPrecision precision) const {
 }
 
 ml::Tensor SensoryMapper::serving_forward(const ml::Tensor& batch) const {
-  const ml::PlanPrecision precision = ml::plan_precision();
-  if (precision == ml::PlanPrecision::kOff)
-    return model_->forward(batch, false);
-  ensure_plan(precision);
+  ensure_plan(ml::plan_precision());
   return plan_->forward(batch);
 }
 
@@ -93,8 +89,7 @@ void SensoryMapper::warm_serving() const {
   const auto& sig = config_.dataset.signature;
   dsp::warm_fft_plan(sig.frame_size);
   (void)dsp::cached_window(dsp::WindowType::kHann, sig.frame_size);
-  const ml::PlanPrecision precision = ml::plan_precision();
-  if (trained_ && precision != ml::PlanPrecision::kOff) ensure_plan(precision);
+  if (trained_) ensure_plan(ml::plan_precision());
 }
 
 void SensoryMapper::fit_output_calibration(const ml::RegressionDataset& data) {
@@ -205,11 +200,11 @@ ml::Tensor SensoryMapper::prepare_signature(
     hooks.audio_transform(transformed);
     audio = &transformed;
   }
-  // Under the opt-in f32 plan the WHOLE serving path drops to float32 —
+  // Under the opt-in fast plan the WHOLE serving path drops to float32 —
   // signature front end included (the STFT dominates serving cost, not the
   // model forward).  Training and dataset building call compute_signature
   // directly and always keep the exact double pipeline.
-  const bool fast_f32 = ml::plan_precision() == ml::PlanPrecision::kF32;
+  const bool fast_f32 = ml::plan_precision() == ml::PlanPrecision::kFast;
   ml::Tensor sig = compute_signature(*audio, config_.dataset.signature, fast_f32);
   if (hooks.signature_transform) hooks.signature_transform(sig);
   if (healthy) {
@@ -270,7 +265,7 @@ std::vector<TimedPrediction> SensoryMapper::predict_windows(
   // Signature extraction (the expensive part) is independent per window and
   // runs in parallel; see PredictionHooks for the concurrency contract.
   // Channel diagnosis writes only its own window's slot; the health tally
-  // and obs counters are reduced serially after the loop.
+  // is reduced serially, in window order, after the loop.
   std::vector<ml::Tensor> sigs(windows.size());
   std::vector<std::array<bool, sensors::kNumMics>> healthy;
   if (health) healthy.assign(windows.size(), {});
@@ -280,25 +275,8 @@ std::vector<TimedPrediction> SensoryMapper::predict_windows(
   });
 
   if (health) {
-    std::size_t masked_total = 0;
-    std::size_t degraded = 0;
-    for (const auto& h : healthy) {
-      bool any = false;
-      for (std::size_t c = 0; c < sensors::kNumMics; ++c)
-        if (!h[c]) {
-          ++health->mic_windows_masked[c];
-          ++masked_total;
-          any = true;
-        }
-      if (any) ++degraded;
-    }
+    for (const auto& h : healthy) health->add_window_mask(h);
     health->windows_total += windows.size();
-    health->windows_degraded += degraded;
-    if (masked_total > 0) {
-      static obs::Counter& masked =
-          obs::Registry::instance().counter("faults.mic_windows_masked");
-      masked.add(masked_total);
-    }
   }
 
   // The model keeps per-layer forward caches, so inference stays single-file
@@ -328,30 +306,30 @@ std::vector<TimedPrediction> SensoryMapper::predict_flight(
 
 namespace {
 
-// Framed format: magic, format version, payload size, CRC-32 of the
-// payload, then the payload itself.  The frame is validated before any
-// payload field is parsed, so truncation and bit flips are caught up front
-// instead of surfacing as a silently mis-sized model.
+// SBMAPF02 frame (util::io::write_frame): magic, format version, payload
+// size, CRC-32, then the payload.  The frame is validated before any payload
+// field is parsed, so truncation and bit flips are caught up front instead
+// of surfacing as a silently mis-sized model.
 constexpr std::uint64_t kModelMagic = 0x53424d4150463032ULL;   // "SBMAPF02"
 constexpr std::uint64_t kLegacyModelMagic = 0x53424d4150313032ULL;  // "SBMAP102"
 constexpr std::uint32_t kFormatVersion = 2;
-// magic + version + payload size + crc32.
-constexpr std::uint64_t kFrameHeaderBytes = 8 + 4 + 8 + 4;
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return static_cast<bool>(is);
-}
+using util::io::read_pod;
+using util::io::write_pod;
 
 void reject(const std::string& path, const char* why) {
   obs::logf(obs::LogLevel::kWarn, "io", "rejecting model file %s: %s",
             path.c_str(), why);
+}
+
+void write_floats(std::ostream& os, const float* data, std::size_t n) {
+  os.write(reinterpret_cast<const char*>(data),
+           static_cast<std::streamsize>(n * sizeof(float)));
+}
+
+bool read_floats(std::istream& is, float* data, std::size_t n) {
+  is.read(reinterpret_cast<char*>(data), static_cast<std::streamsize>(n * sizeof(float)));
+  return static_cast<bool>(is);
 }
 
 }  // namespace
@@ -375,8 +353,7 @@ bool SensoryMapper::save(std::ostream& out) const {
   write_pod(os, static_cast<std::uint64_t>(params.size()));
   for (const ml::Param* p : params) {
     write_pod(os, static_cast<std::uint64_t>(p->value.numel()));
-    os.write(reinterpret_cast<const char*>(p->value.data()),
-             static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
+    write_floats(os, p->value.data(), p->value.numel());
   }
 
   // Persistent non-learnable state (batch-norm running statistics).
@@ -384,25 +361,17 @@ bool SensoryMapper::save(std::ostream& out) const {
   write_pod(os, static_cast<std::uint64_t>(state.size()));
   for (const ml::Tensor* t : state) {
     write_pod(os, static_cast<std::uint64_t>(t->numel()));
-    os.write(reinterpret_cast<const char*>(t->data()),
-             static_cast<std::streamsize>(t->numel() * sizeof(float)));
+    write_floats(os, t->data(), t->numel());
   }
 
   write_pod(os, static_cast<std::uint64_t>(feat_mean_.size()));
-  os.write(reinterpret_cast<const char*>(feat_mean_.data()),
-           static_cast<std::streamsize>(feat_mean_.size() * sizeof(float)));
-  os.write(reinterpret_cast<const char*>(feat_inv_std_.data()),
-           static_cast<std::streamsize>(feat_inv_std_.size() * sizeof(float)));
+  write_floats(os, feat_mean_.data(), feat_mean_.size());
+  write_floats(os, feat_inv_std_.data(), feat_inv_std_.size());
   for (double a : calib_a_) write_pod(os, a);
   for (double b : calib_b_) write_pod(os, b);
   if (!os) return false;
 
-  const std::string payload = os.str();
-  write_pod(out, kModelMagic);
-  write_pod(out, kFormatVersion);
-  write_pod(out, static_cast<std::uint64_t>(payload.size()));
-  write_pod(out, util::crc32(payload.data(), payload.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  util::io::write_frame(out, kModelMagic, kFormatVersion, os.str());
   return static_cast<bool>(out);
 }
 
@@ -413,55 +382,22 @@ bool SensoryMapper::load(const std::string& path) {
 }
 
 bool SensoryMapper::load(std::istream& file, const std::string& path) {
+  std::string payload;
   std::uint64_t magic = 0;
-  if (!read_pod(file, magic)) return false;
-  if (magic == kLegacyModelMagic) {
-    reject(path, "pre-framing format (no integrity checksum) — retrain and re-save");
-    return false;
-  }
-  if (magic != kModelMagic) {
-    reject(path, "unrecognized magic");
-    return false;
-  }
-  std::uint32_t version = 0;
-  std::uint64_t payload_size = 0;
-  std::uint32_t crc = 0;
-  if (!read_pod(file, version) || !read_pod(file, payload_size) ||
-      !read_pod(file, crc)) {
-    reject(path, "truncated frame header");
-    return false;
-  }
-  if (version != kFormatVersion) {
-    reject(path, "unsupported format version");
-    return false;
-  }
-  // The declared payload must match the bytes actually present — this both
-  // catches truncation early and bounds the allocation below.  The frame
-  // starts wherever this stream was positioned on entry (byte 0 for a model
-  // file; mid-stream for an embedded frame).
-  const auto frame_start = static_cast<std::uint64_t>(
-      static_cast<std::streamoff>(file.tellg()) -
-      static_cast<std::streamoff>(kFrameHeaderBytes));
-  file.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(file.tellg());
-  file.seekg(static_cast<std::streamoff>(frame_start + kFrameHeaderBytes),
-             std::ios::beg);
-  if (file_size < frame_start + kFrameHeaderBytes ||
-      payload_size != file_size - frame_start - kFrameHeaderBytes) {
-    reject(path, "payload size mismatch (truncated or corrupt)");
-    return false;
-  }
-  std::string payload(payload_size, '\0');
-  file.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (!file) {
-    reject(path, "short read");
-    return false;
-  }
-  if (util::crc32(payload.data(), payload.size()) != crc) {
-    reject(path, "checksum mismatch (bit-flipped or corrupt)");
+  if (const char* why =
+          util::io::read_frame(file, kModelMagic, kFormatVersion, payload, &magic)) {
+    reject(path, magic == kLegacyModelMagic
+                     ? "pre-framing format (no integrity checksum) — retrain and re-save"
+                     : why);
     return false;
   }
 
+  // The frame is intact, but its contents come from outside the program:
+  // every count must match this mapper's configuration and the payload must
+  // be consumed exactly, or the model stays untrained.  Loaded weights
+  // differ from whatever the plan packed; it recompiles lazily.
+  trained_ = false;
+  plan_.reset();
   std::istringstream is{payload, std::ios::binary};
   std::uint32_t kind = 0;
   if (!read_pod(is, kind) || kind != static_cast<std::uint32_t>(config_.model))
@@ -472,10 +408,9 @@ bool SensoryMapper::load(std::istream& file, const std::string& path) {
   if (!read_pod(is, count) || count != params.size()) return false;
   for (ml::Param* p : params) {
     std::uint64_t numel = 0;
-    if (!read_pod(is, numel) || numel != p->value.numel()) return false;
-    is.read(reinterpret_cast<char*>(p->value.data()),
-            static_cast<std::streamsize>(numel * sizeof(float)));
-    if (!is) return false;
+    if (!read_pod(is, numel) || numel != p->value.numel() ||
+        !read_floats(is, p->value.data(), p->value.numel()))
+      return false;
     // New weights under the same Param: invalidate packed backward operands
     // keyed on the version stamp (ml::Conv2D's weight^T pack).
     p->bump();
@@ -486,27 +421,27 @@ bool SensoryMapper::load(std::istream& file, const std::string& path) {
   if (!read_pod(is, state_count) || state_count != state.size()) return false;
   for (ml::Tensor* t : state) {
     std::uint64_t numel = 0;
-    if (!read_pod(is, numel) || numel != t->numel()) return false;
-    is.read(reinterpret_cast<char*>(t->data()),
-            static_cast<std::streamsize>(numel * sizeof(float)));
-    if (!is) return false;
+    if (!read_pod(is, numel) || numel != t->numel() ||
+        !read_floats(is, t->data(), t->numel()))
+      return false;
   }
 
+  // Standardization covers every signature feature; a shorter vector would
+  // make standardize() skip and health masking read past its end.
+  const auto shape = signature_shape(config_.dataset.signature);
+  const std::uint64_t expected_feat = shape.channels * shape.frames * shape.bands;
   std::uint64_t feat = 0;
-  if (!read_pod(is, feat)) return false;
+  if (!read_pod(is, feat) || feat != expected_feat) return false;
   feat_mean_.resize(feat);
   feat_inv_std_.resize(feat);
-  is.read(reinterpret_cast<char*>(feat_mean_.data()),
-          static_cast<std::streamsize>(feat * sizeof(float)));
-  is.read(reinterpret_cast<char*>(feat_inv_std_.data()),
-          static_cast<std::streamsize>(feat * sizeof(float)));
+  if (!read_floats(is, feat_mean_.data(), feat) ||
+      !read_floats(is, feat_inv_std_.data(), feat))
+    return false;
   for (double& a : calib_a_)
     if (!read_pod(is, a)) return false;
   for (double& b : calib_b_)
     if (!read_pod(is, b)) return false;
-  trained_ = static_cast<bool>(is);
-  // Loaded weights differ from whatever the plan packed; recompile lazily.
-  plan_.reset();
+  trained_ = util::io::at_end(is);
   return trained_;
 }
 

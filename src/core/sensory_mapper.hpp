@@ -133,13 +133,13 @@ class SensoryMapper {
 
   // Pays serving's one-time costs up front so the first window of a stream
   // doesn't spike p99: warms the FFT plan cache and STFT window
-  // coefficients for this mapper's signature config, and (when the process
-  // serving precision isn't off) compiles the inference plan.  Called by
+  // coefficients for this mapper's signature config, and compiles the
+  // inference plan at the process serving precision.  Called by
   // stream::RcaSession at construction; safe to call repeatedly.
   void warm_serving() const;
 
-  // The compiled plan predictions currently route through (null when the
-  // precision is off or nothing has been served/warmed yet).
+  // The compiled plan predictions currently route through (null until
+  // something has been served or warmed).
   const ml::InferencePlan* serving_plan() const { return plan_.get(); }
 
   // Counterfactual feature-importance helper (§IV-A): replaces every
@@ -177,7 +177,7 @@ class SensoryMapper {
 
   // Eval forward for serving: routes through the compiled inference plan at
   // the process precision (ml::plan_precision()), building or rebuilding it
-  // lazily; falls back to the raw layer graph when the precision is off.
+  // lazily.
   ml::Tensor serving_forward(const ml::Tensor& batch) const;
   void ensure_plan(ml::PlanPrecision precision) const;
 

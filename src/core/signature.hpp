@@ -50,7 +50,7 @@ std::vector<WindowSpan> window_grid(double settle, double stride,
 // output grid always has exactly `target_frames` frames, exposing the whole
 // (head-wind-lengthened) actuation process at the same resolution.
 // Returns a [1, C, H, W] tensor ready to batch.  `fast_f32` selects the
-// float32 STFT pipeline of the SB_PRECISION=f32 serving path (SensoryMapper
+// float32 STFT pipeline of the SB_PRECISION=fast serving path (SensoryMapper
 // opts serving in; training and dataset building keep the exact default).
 ml::Tensor compute_signature(const acoustics::MultiChannelAudio& audio,
                              const SignatureConfig& config,

@@ -109,7 +109,10 @@ bool RunningVecMeanMonitor::load_state(std::istream& is) {
   using util::io::read_pod;
   std::uint64_t window = 0, head = 0, count = 0;
   if (!read_pod(is, window) || window != window_) return false;
-  if (!read_pod(is, head) || !read_pod(is, count)) return false;
+  // add() indexes the ring with head: it must lie inside it.
+  if (!read_pod(is, head) || !read_pod(is, count) ||
+      (window_ > 0 && head >= window_))
+    return false;
   double sums[3][2];
   for (auto& s : sums)
     if (!read_pod(is, s[0]) || !read_pod(is, s[1])) return false;

@@ -304,7 +304,7 @@ std::size_t next_pow2(std::size_t n) {
 void warm_fft_plan(std::size_t n) {
   if (n == 0) return;
   // Warm both precisions: the f32 plan (twiddle table) is ~8 KB at n=1024
-  // and serving can flip to SB_PRECISION=f32 after the session was built.
+  // and serving can flip to SB_PRECISION=fast after the session was built.
   (void)get_plan_f32(next_pow2(n));  // builds the double plan as its base
 }
 

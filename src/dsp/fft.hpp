@@ -22,7 +22,7 @@ void fft_inplace(std::span<std::complex<double>> data);
 void ifft_inplace(std::span<std::complex<double>> data);
 
 // Single-precision forward transform for the opt-in float32 serving path
-// (SB_PRECISION=f32; see DESIGN.md "Inference plan").  Shares the memoized
+// (SB_PRECISION=fast; see DESIGN.md "Inference plan").  Shares the memoized
 // bit-reversal plan with the double transform and adds a per-stage float
 // twiddle table (built once per size with the double recurrence, rounded to
 // float once per twiddle), so the only working precision lost is the

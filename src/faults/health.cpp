@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.hpp"
+
 namespace sb::faults {
 
 ChannelStats analyze_channel(std::span<const double> samples) {
@@ -61,6 +63,38 @@ std::array<bool, sensors::kNumMics> healthy_channels(
     out[c] = ok;
   }
   return out;
+}
+
+std::size_t HealthReport::add_window_mask(
+    const std::array<bool, sensors::kNumMics>& healthy) {
+  std::size_t masked = 0;
+  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+    if (!healthy[c]) {
+      ++mic_windows_masked[c];
+      ++masked;
+    }
+  if (masked == 0) return 0;
+  ++windows_degraded;
+  static obs::Counter& counter =
+      obs::Registry::instance().counter("faults.mic_windows_masked");
+  counter.add(masked);
+  return masked;
+}
+
+HealthReport& HealthReport::operator+=(const HealthReport& other) {
+  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+    mic_windows_masked[c] += other.mic_windows_masked[c];
+  windows_total += other.windows_total;
+  windows_degraded += other.windows_degraded;
+  imu_samples_total += other.imu_samples_total;
+  imu_samples_nonfinite += other.imu_samples_nonfinite;
+  imu_windows_skipped += other.imu_windows_skipped;
+  gps_fixes_total += other.gps_fixes_total;
+  gps_fixes_nonfinite += other.gps_fixes_nonfinite;
+  gps_coast_intervals += other.gps_coast_intervals;
+  gps_coast_seconds += other.gps_coast_seconds;
+  kf_fallback_steps += other.kf_fallback_steps;
+  return *this;
 }
 
 }  // namespace sb::faults

@@ -50,8 +50,8 @@ std::array<bool, sensors::kNumMics> healthy_channels(
 
 // What the pipeline tolerated while analyzing one flight.  Populated by
 // SensoryMapper (mic health), ImuRcaDetector (residual hygiene) and
-// GpsRcaDetector (outage coasting); RcaEngine aggregates all three and
-// mirrors the totals into the `faults.*` obs counters.
+// GpsRcaDetector (outage coasting); RcaEngine::Monitor aggregates all three
+// and mirrors the totals into the `faults.*` obs counters.
 struct HealthReport {
   // Acoustic front-end: windows in which each channel was masked out.
   std::array<std::size_t, sensors::kNumMics> mic_windows_masked{};
@@ -73,6 +73,17 @@ struct HealthReport {
                                         // (IMU window empty/NaN) and
                                         // predict-only coasts (no usable
                                         // audio prediction)
+
+  // Tallies one analyzed window's channel mask (true = healthy) into the
+  // mic counts and the `faults.mic_windows_masked` counter — the single
+  // mic-health tally of the offline and streaming front ends — and returns
+  // how many channels it masked.  The caller counts windows_total
+  // (streaming also counts windows it never prepares).
+  std::size_t add_window_mask(const std::array<bool, sensors::kNumMics>& healthy);
+
+  // Adds every tally of `other`: each stage reports into its own tally and
+  // the flight's report is their sum.
+  HealthReport& operator+=(const HealthReport& other);
 
   // A channel is considered alive when it survived at least half of the
   // analyzed windows (a transient glitch does not kill a mic).

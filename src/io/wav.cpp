@@ -5,21 +5,12 @@
 #include <cstring>
 #include <fstream>
 
+#include "util/binary_io.hpp"
+
 namespace sb::io {
-namespace {
 
-template <typename T>
-void write_pod(std::ostream& os, T v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return static_cast<bool>(is);
-}
-
-}  // namespace
+using util::io::read_pod;
+using util::io::write_pod;
 
 bool write_wav(const std::string& path, const WavData& data) {
   if (data.channels.empty() || data.num_samples() == 0) return false;
@@ -75,17 +66,6 @@ bool read_wav(const std::string& path, WavData& out) {
   // Every declared chunk size is checked against the bytes actually left in
   // the file before it is trusted, so a truncated or hostile header can
   // neither seek backwards nor drive a multi-gigabyte allocation.
-  is.seekg(0, std::ios::end);
-  const auto end_pos = is.tellg();
-  if (end_pos < 0) return false;
-  const auto file_size = static_cast<std::uint64_t>(end_pos);
-  is.seekg(0, std::ios::beg);
-  const auto remaining = [&]() -> std::uint64_t {
-    const auto pos = is.tellg();
-    if (pos < 0 || static_cast<std::uint64_t>(pos) > file_size) return 0;
-    return file_size - static_cast<std::uint64_t>(pos);
-  };
-
   char tag[5] = {};
   is.read(tag, 4);
   if (!is || std::strncmp(tag, "RIFF", 4) != 0) return false;
@@ -101,7 +81,7 @@ bool read_wav(const std::string& path, WavData& out) {
   while (is.read(tag, 4)) {
     std::uint32_t chunk_size = 0;
     if (!read_pod(is, chunk_size)) return false;
-    if (chunk_size > remaining()) return false;
+    if (chunk_size > util::io::bytes_left(is)) return false;
     if (std::strncmp(tag, "fmt ", 4) == 0) {
       // The PCM fmt payload is 16 bytes; a smaller declaration would make
       // the skip below seek backwards into the chunk header.

@@ -59,7 +59,7 @@ class Layer {
   // fold/fuse emission or keep this default, which opts out: the plan then
   // runs the layer through a graph-call fallback op (still bitwise, no
   // speedup).  Overrides must reproduce forward(x, false) exactly for the
-  // exact ("f64") plan — PlanEquivalence pins this.
+  // exact plan — PlanEquivalence pins this.
   virtual bool compile(PlanBuilder&) { return false; }
 
   // Deep copy for data-parallel training (DESIGN.md "Training performance").

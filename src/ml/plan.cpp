@@ -28,13 +28,13 @@ std::size_t conv_out_dim(std::size_t in, std::size_t k, std::size_t stride,
 // SB_PRECISION env, read once; set_plan_precision overrides.
 PlanPrecision& mutable_precision() {
   static PlanPrecision p = [] {
-    PlanPrecision out = PlanPrecision::kF64;
+    PlanPrecision out = PlanPrecision::kExact;
     const char* env = std::getenv("SB_PRECISION");
     if (env && *env && !parse_plan_precision(env, out)) {
       obs::logf(obs::LogLevel::kWarn, "ml",
-                "SB_PRECISION=%s unrecognized (want off|f64|f32); using f64",
+                "SB_PRECISION=%s unrecognized (want exact|fast); using exact",
                 env);
-      out = PlanPrecision::kF64;
+      out = PlanPrecision::kExact;
     }
     return out;
   }();
@@ -50,17 +50,15 @@ std::atomic<std::uint64_t> g_packed{0};
 
 const char* to_string(PlanPrecision precision) {
   switch (precision) {
-    case PlanPrecision::kOff: return "off";
-    case PlanPrecision::kF64: return "f64";
-    case PlanPrecision::kF32: return "f32";
+    case PlanPrecision::kExact: return "exact";
+    case PlanPrecision::kFast: return "fast";
   }
   return "?";
 }
 
 bool parse_plan_precision(std::string_view text, PlanPrecision& out) {
-  if (text == "off") { out = PlanPrecision::kOff; return true; }
-  if (text == "f64") { out = PlanPrecision::kF64; return true; }
-  if (text == "f32") { out = PlanPrecision::kF32; return true; }
+  if (text == "exact") { out = PlanPrecision::kExact; return true; }
+  if (text == "fast") { out = PlanPrecision::kFast; return true; }
   return false;
 }
 
@@ -515,7 +513,7 @@ bool PlanBuilder::try_fuse_affine(const Tensor& gamma, const Tensor& beta,
                                                            : prev->out_c;
   if (gamma.numel() != c) return false;
 
-  if (precision_ == PlanPrecision::kF32) {
+  if (precision_ == PlanPrecision::kFast) {
     // Fold the eval-mode BN affine into the producer's weights and bias:
     //   s    = gamma / sqrt(var + eps)
     //   w'   = w * s[oc]
@@ -701,8 +699,6 @@ InferencePlan::~InferencePlan() = default;
 std::unique_ptr<InferencePlan> InferencePlan::compile(
     Layer& model, const std::vector<std::size_t>& item_shape,
     PlanPrecision precision) {
-  if (precision == PlanPrecision::kOff)
-    throw std::logic_error{"InferencePlan::compile: precision off"};
   PlanBuilder builder{item_shape, precision};
   if (!model.compile(builder)) builder.layer_call(&model);
 

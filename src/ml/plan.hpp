@@ -19,17 +19,14 @@
 //   * layers with no compiled lowering (Lstm, NeuralOdeBlock) fall back to
 //     a graph-call op — the plan still runs, those ops just don't speed up.
 //
-// Precision policy: `PlanPrecision::kF64` is the EXACT plan — its forward
-// is bitwise identical to `Layer::forward(x, false)` (pinned by the
-// PlanEquivalence tests), because every lowering preserves the graph's
-// per-element operation sequence and accumulation order (the kernels are
-// float32 throughout; the historical "f64" name means "the reference
-// path", not wider arithmetic — see DESIGN.md).  `PlanPrecision::kF32` is
-// the folded fast plan: BatchNorm running stats are folded into the
-// adjacent conv/dense weights (scale computed in double, rounded to
-// float32 once), trading bitwise identity for fewer passes under the
-// tolerance harness in ml_test/integration_test.  `kOff` bypasses the plan
-// entirely.
+// Precision policy: `PlanPrecision::kExact` is bitwise identical to
+// `Layer::forward(x, false)` (pinned by the PlanEquivalence tests, which keep
+// the layer graph as the reference), because every lowering preserves the
+// graph's per-element operation sequence and accumulation order.
+// `PlanPrecision::kFast` is the folded plan: BatchNorm running stats are
+// folded into the adjacent conv/dense weights (scale computed in double,
+// rounded to float32 once), trading bitwise identity for fewer passes under
+// the tolerance harness in ml_test/integration_test.
 //
 // Threading/workspace contract: op kernels use util::parallel_for* with
 // disjoint writes only (bit-identical at any SB_THREADS); all forward
@@ -49,14 +46,14 @@ namespace sb::ml {
 
 class Layer;
 
-enum class PlanPrecision { kOff, kF64, kF32 };
+enum class PlanPrecision { kExact, kFast };
 
 const char* to_string(PlanPrecision precision);
-// Parses "off" / "f64" / "f32" (case-sensitive); false on anything else.
+// Parses "exact" / "fast" (case-sensitive); false on anything else.
 bool parse_plan_precision(std::string_view text, PlanPrecision& out);
 
-// Process-wide serving precision: SB_PRECISION env (off|f64|f32, read once,
-// default f64) until overridden by set_plan_precision (e.g. bench --plan).
+// Process-wide serving precision: SB_PRECISION env (exact|fast, read once,
+// default exact) until overridden by set_plan_precision (e.g. bench --plan).
 PlanPrecision plan_precision();
 void set_plan_precision(PlanPrecision precision);
 
@@ -168,7 +165,7 @@ class InferencePlan {
  private:
   InferencePlan() = default;
 
-  PlanPrecision precision_ = PlanPrecision::kF64;
+  PlanPrecision precision_ = PlanPrecision::kExact;
   std::vector<std::size_t> input_shape_;
   std::vector<std::size_t> output_shape_;
   int out_reg_ = -1;

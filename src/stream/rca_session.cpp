@@ -1,11 +1,8 @@
 #include "stream/rca_session.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace sb::stream {
@@ -21,14 +18,6 @@ StreamingExtractorConfig extractor_config(const core::SensoryMapper& mapper,
   return ec;
 }
 
-bool finite(const Vec3& v) {
-  return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
-}
-
-std::size_t mode_index(core::GpsDetectorMode mode) {
-  return mode == core::GpsDetectorMode::kAudioOnly ? 0 : 1;
-}
-
 }  // namespace
 
 RcaSession::RcaSession(std::uint64_t id, const core::SensoryMapper& mapper,
@@ -39,11 +28,7 @@ RcaSession::RcaSession(std::uint64_t id, const core::SensoryMapper& mapper,
       mapper_(&mapper),
       config_(config),
       extractor_(extractor_config(mapper, config)),
-      imu_monitor_(imu_detector, config.reference_windows),
-      gps_monitors_{{gps_detector, core::GpsDetectorMode::kAudioOnly,
-                     /*count_metrics=*/false},
-                    {gps_detector, core::GpsDetectorMode::kAudioImu,
-                     /*count_metrics=*/false}} {
+      monitor_(imu_detector, gps_detector, config.reference_windows) {
   if (!mapper.trained())
     throw std::logic_error{"RcaSession: mapper not trained"};
   if (obs::recorder_enabled())
@@ -86,21 +71,9 @@ void RcaSession::prepare_window(ReadyWindow& w) {
   std::array<bool, sensors::kNumMics> healthy{};
   w.signature = mapper_->prepare_signature(w.audio, config_.hooks, &healthy);
   w.audio = {};
-  bool any_masked = false;
-  std::size_t masked = 0;
-  for (std::size_t c = 0; c < sensors::kNumMics; ++c) {
-    if (healthy[c]) continue;
-    ++health_.mic_windows_masked[c];
-    ++masked;
-    any_masked = true;
-  }
-  if (any_masked) ++health_.windows_degraded;
-  if (masked > 0) {
-    static obs::Counter& masked_counter =
-        obs::Registry::instance().counter("faults.mic_windows_masked");
-    masked_counter.add(masked);
-  }
+  const std::size_t masked = health_.add_window_mask(healthy);
   if (recorder_) {
+    const bool any_masked = masked > 0;
     recorder_->record({obs::RecorderEvent::Kind::kWindow, any_masked, w.seq,
                        w.ready_at_us, w.span.t1, static_cast<double>(masked),
                        0.0});
@@ -115,12 +88,12 @@ void RcaSession::prepare_window(ReadyWindow& w) {
 
 void RcaSession::push_imu(std::span<const sim::ImuSample> samples) {
   if (finished_) throw std::logic_error{"RcaSession: push after finish"};
-  imu_buf_.insert(imu_buf_.end(), samples.begin(), samples.end());
+  monitor_.push_imu(samples);
 }
 
 void RcaSession::push_gps(std::span<const sim::GpsSample> samples) {
   if (finished_) throw std::logic_error{"RcaSession: push after finish"};
-  gps_buf_.insert(gps_buf_.end(), samples.begin(), samples.end());
+  monitor_.push_gps(samples);
 }
 
 std::vector<RcaSession::ReadyWindow> RcaSession::take_ready() {
@@ -130,23 +103,21 @@ std::vector<RcaSession::ReadyWindow> RcaSession::take_ready() {
   return out;
 }
 
-void RcaSession::emit_imu_decisions(
-    std::vector<core::ImuWindowDecision> decisions, double decided_at) {
-  const bool attacked = imu_monitor_.result().attacked;
-  for (auto& d : decisions) {
+void RcaSession::emit_imu_decisions(std::size_t begin, double decided_at) {
+  const auto& decisions = monitor_.imu_decisions();
+  for (std::size_t i = begin; i < decisions.size(); ++i) {
+    const core::ImuWindowDecision& d = decisions[i];
     VerdictEvent e;
     e.kind = VerdictEvent::Kind::kImuWindow;
     e.decided_at = decided_at;
-    e.imu_attacked = attacked;
+    e.imu_attacked = monitor_.imu_attacked();
     e.imu = d;
     if (recorder_) {
-      recorder_->record({obs::RecorderEvent::Kind::kImuVerdict, d.alert,
-                         imu_decisions_.size(), obs::now_us(), d.t1, d.score,
-                         d.threshold});
+      recorder_->record({obs::RecorderEvent::Kind::kImuVerdict, d.alert, i,
+                         obs::now_us(), d.t1, d.score, d.threshold});
       if (d.alert) recorder_->trigger("imu_alert");
     }
     events_.push_back(e);
-    imu_decisions_.push_back(std::move(d));
   }
 }
 
@@ -157,52 +128,16 @@ void RcaSession::deliver(const core::TimedPrediction& pred) {
   ++delivered_;
   last_t1_ = pred.t1;
 
-  // Stage 1: IMU residuals for this window.  A shed (NaN) prediction makes
-  // every residual non-finite, so the window drops to zero usable samples
-  // and the monitor skips it — the offline degradation path for evidence
-  // gaps, now also the backpressure path.
-  std::size_t total = 0, nonfinite = 0;
-  auto raw = core::ImuRcaDetector::window_residuals(pred, imu_buf_, residual_lo_,
-                                                    &total, &nonfinite);
-  health_.imu_samples_total += total;
-  health_.imu_samples_nonfinite += nonfinite;
-  if (nonfinite > 0) {
-    static obs::Counter& dropped =
-        obs::Registry::instance().counter("faults.imu_samples_nonfinite");
-    dropped.add(nonfinite);
-  }
-  emit_imu_decisions(imu_monitor_.add(std::move(raw)), pred.t1);
-
-  // Stage 2: both GPS variants advance; events surface the provisionally
-  // selected one (final selection happens at finish()).
-  if (!gps_seeded_) {
-    Vec3 v0, p0;
-    for (const auto& fix : gps_buf_) {
-      if (!std::isfinite(fix.t) || !finite(fix.vel) || !finite(fix.pos)) continue;
-      v0 = fix.vel;
-      p0 = fix.pos;
-      break;
-    }
-    for (auto& m : gps_monitors_) m.seed(v0, p0);
-    gps_seeded_ = true;
-  }
-  const std::size_t sel = mode_index(imu_monitor_.result().attacked
-                                         ? core::GpsDetectorMode::kAudioOnly
-                                         : core::GpsDetectorMode::kAudioImu);
-  std::size_t before[2];
-  for (std::size_t m = 0; m < 2; ++m) {
-    before[m] = gps_decisions_[m].size();
-    gps_monitors_[m].step_window(pred, gps_buf_, imu_buf_, &gps_decisions_[m],
-                                 &gps_health_[m]);
-  }
-  for (std::size_t i = before[sel]; i < gps_decisions_[sel].size(); ++i) {
+  const auto delivery = monitor_.deliver(pred);
+  emit_imu_decisions(delivery.imu_begin, pred.t1);
+  const auto& fixes = monitor_.gps_decisions(delivery.gps_mode);
+  for (std::size_t i = delivery.gps_begin; i < fixes.size(); ++i) {
     VerdictEvent e;
     e.kind = VerdictEvent::Kind::kGpsFix;
     e.decided_at = pred.t1;
-    e.imu_attacked = sel == 0;
-    e.gps_mode = sel == 0 ? core::GpsDetectorMode::kAudioOnly
-                          : core::GpsDetectorMode::kAudioImu;
-    e.gps = gps_decisions_[sel][i];
+    e.imu_attacked = monitor_.imu_attacked();
+    e.gps_mode = delivery.gps_mode;
+    e.gps = fixes[i];
     if (recorder_) {
       recorder_->record({obs::RecorderEvent::Kind::kGpsVerdict, e.gps.alert, i,
                          obs::now_us(), e.gps.t, e.gps.running_mean_err,
@@ -220,72 +155,13 @@ std::vector<VerdictEvent> RcaSession::poll_verdicts() {
 core::RcaReport RcaSession::finish(core::RcaDecisionTrace* trace_out) {
   if (finished_) throw std::logic_error{"RcaSession: finish twice"};
   finished_ = true;
-  // Short flights: the baseline may still be accumulating — freeze and
-  // drain, exactly what the offline path's min(reference, count) does.
-  emit_imu_decisions(imu_monitor_.finish(), last_t1_);
-
-  core::RcaReport report;
-  const auto& imu_result = imu_monitor_.result();
-  report.imu_attacked = imu_result.attacked;
-  report.imu_detect_time = imu_result.detect_time;
-  health_.imu_windows_skipped += imu_result.windows_skipped;
-  if (imu_result.windows_skipped > 0) {
-    static obs::Counter& skipped =
-        obs::Registry::instance().counter("faults.imu_windows_skipped");
-    skipped.add(imu_result.windows_skipped);
-  }
-
-  report.gps_mode_used = report.imu_attacked ? core::GpsDetectorMode::kAudioOnly
-                                             : core::GpsDetectorMode::kAudioImu;
-  const std::size_t sel = mode_index(report.gps_mode_used);
-  const auto& gps_result = gps_monitors_[sel].result();
-  report.gps_attacked = gps_result.attacked;
-  report.gps_detect_time = gps_result.detect_time;
-
-  // Merge the SELECTED variant's degradation tally — the rejected monitor's
-  // identical walk must not double-count — and mirror it into the global
-  // counters its monitor was told not to touch.
-  const faults::HealthReport& gh = gps_health_[sel];
-  health_.gps_fixes_total += gh.gps_fixes_total;
-  health_.gps_fixes_nonfinite += gh.gps_fixes_nonfinite;
-  health_.gps_coast_intervals += gh.gps_coast_intervals;
-  health_.gps_coast_seconds += gh.gps_coast_seconds;
-  health_.kf_fallback_steps += gh.kf_fallback_steps;
-  if (gh.gps_fixes_nonfinite > 0)
-    obs::Registry::instance()
-        .counter("faults.gps_fixes_nonfinite")
-        .add(gh.gps_fixes_nonfinite);
-  if (gh.gps_coast_intervals > 0)
-    obs::Registry::instance()
-        .counter("faults.gps_coast_intervals")
-        .add(gh.gps_coast_intervals);
-  if (gh.kf_fallback_steps > 0)
-    obs::Registry::instance()
-        .counter("faults.kf_fallback_steps")
-        .add(gh.kf_fallback_steps);
-
-  report.health = health_;
+  const std::size_t imu_begin = monitor_.imu_decisions().size();
+  const core::RcaReport report = monitor_.finish(health_, trace_out);
+  emit_imu_decisions(imu_begin, last_t1_);
   // Attack verdict: the session's black box is the post-incident evidence —
   // always dump (force bypasses the rate-limit gap, not the dump bound).
-  if (recorder_ && (report.imu_attacked || report.gps_attacked))
+  if (recorder_ && report.any_attack())
     recorder_->trigger("final_verdict", /*force=*/true);
-  if (report.health.degraded())
-    obs::logf(obs::LogLevel::kInfo, "detect",
-              "RCA session %llu completed degraded: %zu/%u mics alive, "
-              "%zu windows masked, %zu IMU windows skipped, %zu GPS coast "
-              "intervals (%.1f s)",
-              static_cast<unsigned long long>(id_), report.health.mics_alive(),
-              static_cast<unsigned>(sensors::kNumMics),
-              report.health.windows_degraded, report.health.imu_windows_skipped,
-              report.health.gps_coast_intervals, report.health.gps_coast_seconds);
-  if (trace_out) {
-    trace_out->imu = imu_decisions_;
-    trace_out->gps = gps_decisions_[sel];
-    trace_out->imu_attacked = report.imu_attacked;
-    trace_out->gps_attacked = report.gps_attacked;
-    trace_out->gps_mode = report.gps_mode_used;
-    trace_out->health = report.health;
-  }
   return report;
 }
 

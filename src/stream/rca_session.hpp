@@ -9,22 +9,16 @@
 // micro-batches them across sessions into single model forwards, delivering
 // each prediction back in window order (deliver).
 //
-// Equivalence contract (pinned by the integration suite): a flight pushed
-// through a session sample-by-sample yields bit-identical signature windows,
-// residuals, decision sequences and final RcaReport to the offline
-// RcaEngine::analyze of the same recording.  The three offline acausalities
-// are handled explicitly:
-//   - the IMU residual baseline averages the first `reference_windows`
-//     windows, so IMU decisions buffer until the baseline freezes and then
-//     drain in order (ImuRcaDetector::Monitor);
-//   - the offline GPS stage picks its KF variant from the FINAL IMU verdict,
-//     so the session runs BOTH GPS monitors concurrently and selects at
-//     finish(); poll_verdicts() reports the provisionally selected mode's
-//     decisions (causal, may switch mid-flight);
-//   - the offline KFs seed from the first finite fix of the whole log; the
-//     session seeds from the first finite fix received before the first
-//     window — identical whenever GPS acquires before the settle period
-//     ends.
+// The session is transport only: window staging, signature preparation,
+// verdict events, the flight recorder and checkpoint framing.  Every
+// decision — residual baseline, both GPS variants, the final variant
+// selection, health tallies — is core::RcaEngine::Monitor's, the same
+// object RcaEngine::analyze feeds, so the two paths differ only in how
+// windows reach it (pinned by the StreamingEquivalence integration suite).
+// Two consequences of the FINAL IMU verdict picking the GPS variant are
+// visible here: IMU decisions surface once the flight-local baseline
+// freezes, and poll_verdicts() reports the provisionally selected GPS
+// variant's decisions (causal, may switch mid-flight).
 //
 // Shed windows (backpressure) are delivered as NaN predictions and flow
 // through the pipeline's existing degradation paths: the IMU stage drops the
@@ -37,8 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "core/gps_rca.hpp"
-#include "core/imu_rca.hpp"
 #include "core/rca_engine.hpp"
 #include "core/sensory_mapper.hpp"
 #include "obs/recorder.hpp"
@@ -129,17 +121,15 @@ class RcaSession {
   // Decisions finalized since the last poll, in decided_at order.
   std::vector<VerdictEvent> poll_verdicts();
 
-  // End of stream: drains the IMU baseline backlog, selects the GPS variant
-  // by the final IMU verdict and assembles the flight report — field for
-  // field what RcaEngine::analyze would have produced.  With `trace_out`,
-  // the full decision trace of the selected path is recorded.  The session
-  // accepts no further input afterwards.
+  // End of stream: the monitor's finish() (IMU backlog drained, GPS variant
+  // selected by the final IMU verdict) over the session's window tally.
+  // With `trace_out`, the full decision trace of the selected path is
+  // recorded.  The session accepts no further input afterwards.
   core::RcaReport finish(core::RcaDecisionTrace* trace_out = nullptr);
   bool finished() const { return finished_; }
 
   std::size_t windows_staged() const { return next_seq_; }
   std::size_t windows_delivered() const { return delivered_; }
-  const faults::HealthReport& health() const { return health_; }
 
   // The session's black-box ring, or nullptr when recording is off.  The
   // scheduler feeds it delivery/shed/SLO events; recording never feeds back
@@ -148,13 +138,13 @@ class RcaSession {
 
   const RcaSessionConfig& config() const { return config_; }
 
-  // Crash-safe checkpoint: serializes the COMPLETE monitor state (extractor
-  // ring, IMU baseline/run state, both GPS monitors with KF x and P, sensor
+  // Crash-safe checkpoint: serializes the COMPLETE session state (extractor
+  // ring, the decision monitor with both GPS variants' KF x and P, sensor
   // buffers, cursors, verdict backlog, health) inside an SBSESS01 integrity
-  // frame (magic, version, payload size, CRC-32 — same layout as the model
-  // format).  The session must be quiescent — every staged window taken AND
-  // delivered (drain the scheduler first) — or a logic_error is thrown:
-  // in-flight windows cannot round-trip.  Returns false on I/O failure.
+  // frame (util::io::write_frame, as the model format).  The session must
+  // be quiescent — every staged window taken AND delivered (drain the
+  // scheduler first) — or a logic_error is thrown: in-flight windows cannot
+  // round-trip.  Returns false on I/O failure.
   bool checkpoint(const std::string& path) const;
 
   // Rebuilds a session from a checkpoint against the same (or bitwise-equal)
@@ -177,8 +167,8 @@ class RcaSession {
   static bool peek_checkpoint_id(const std::string& path, std::uint64_t* id);
 
  private:
-  void emit_imu_decisions(std::vector<core::ImuWindowDecision> decisions,
-                          double decided_at);
+  // Turns the monitor's IMU decisions from index `begin` on into events.
+  void emit_imu_decisions(std::size_t begin, double decided_at);
   // Signature preparation for one staged window (see ReadyWindow).
   void prepare_window(ReadyWindow& w);
   // Checkpoint payload body (everything inside the SBSESS01 frame); defined
@@ -192,25 +182,15 @@ class RcaSession {
   std::unique_ptr<obs::FlightRecorder> recorder_;  // null unless SB_RECORDER
   std::uint64_t audio_chunks_ = 0;
   StreamingFeatureExtractor extractor_;
-  core::ImuRcaDetector::Monitor imu_monitor_;
-  // [0] = kAudioOnly, [1] = kAudioImu — both run; finish() selects.
-  core::GpsRcaDetector::Monitor gps_monitors_[2];
-  faults::HealthReport gps_health_[2];
-  std::vector<core::GpsFixDecision> gps_decisions_[2];
-
-  std::vector<sim::ImuSample> imu_buf_;
-  std::vector<sim::GpsSample> gps_buf_;
-  std::size_t residual_lo_ = 0;  // window_residuals scan cursor
-  bool gps_seeded_ = false;
+  core::RcaEngine::Monitor monitor_;
 
   std::vector<ReadyWindow> ready_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t delivered_ = 0;
   double last_t1_ = 0.0;
 
-  std::vector<core::ImuWindowDecision> imu_decisions_;  // full trace
   std::vector<VerdictEvent> events_;
-  faults::HealthReport health_;  // mic + IMU tallies; GPS merged at finish()
+  faults::HealthReport health_;  // window tally: staged windows, mic masking
   bool finished_ = false;
 };
 

@@ -1,21 +1,21 @@
 // Crash-safe RcaSession checkpoint/restore (SBSESS01).
 //
-// A checkpoint is the COMPLETE monitor state of a quiescent session —
-// extractor ring and cursors, IMU baseline/run state, both GPS monitors
-// with their KF x and P, sensor buffers, verdict backlog and health — so a
-// restarted server resumes mid-flight and every subsequent verdict is
-// bitwise identical to the uninterrupted session (pinned by the
-// StreamingEquivalence integration suite at SB_THREADS 1 and 4).
+// A checkpoint is the COMPLETE state of a quiescent session — extractor ring
+// and cursors, the decision monitor (IMU baseline/run state, both GPS
+// monitors with their KF x and P, sensor buffers, decision traces), verdict
+// backlog and window tally — so a restarted server resumes mid-flight and
+// every subsequent verdict is bitwise identical to the uninterrupted session
+// (pinned by the StreamingEquivalence integration suite at SB_THREADS 1 and
+// 4).
 //
-// The on-disk frame mirrors the model format (SBMAPF02): magic, format
-// version, payload size, CRC-32 of the payload, then the payload.  The
-// frame is validated before any payload field is parsed, so truncated,
-// bit-flipped, wrong-magic and version-skewed files are rejected loudly up
-// front instead of surfacing as a silently corrupted session.  The payload
-// additionally opens with the configuration the state was taken under
-// (grid, baseline horizon, detector thresholds); a mismatch against the
-// restoring detectors rejects the file — resuming against different
-// calibration would silently change every subsequent verdict.
+// The payload travels in the shared integrity frame (util::io::read_frame:
+// magic, format version, payload size, CRC-32), validated before any field
+// is parsed, so truncated, bit-flipped, wrong-magic and version-skewed files
+// are rejected loudly up front instead of surfacing as a silently corrupted
+// session.  The payload additionally carries the configuration the state was
+// taken under (grid, baseline horizon, detector thresholds); a mismatch
+// against the restoring detectors rejects the file — resuming against
+// different calibration would silently change every subsequent verdict.
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -25,15 +25,12 @@
 #include "obs/metrics.hpp"
 #include "stream/rca_session.hpp"
 #include "util/binary_io.hpp"
-#include "util/checksum.hpp"
 
 namespace sb::stream {
 namespace {
 
 constexpr std::uint64_t kSessionMagic = 0x5342534553533031ULL;  // "SBSESS01"
-constexpr std::uint32_t kSessionVersion = 1;
-// magic + version + payload size + crc32.
-constexpr std::uint64_t kFrameHeaderBytes = 8 + 4 + 8 + 4;
+constexpr std::uint32_t kSessionVersion = 2;
 
 void reject(const std::string& path, const char* why) {
   obs::logf(obs::LogLevel::kWarn, "io", "rejecting session checkpoint %s: %s",
@@ -41,52 +38,16 @@ void reject(const std::string& path, const char* why) {
   obs::Registry::instance().counter("stream.checkpoint_rejected").add();
 }
 
-// Reads and validates the whole frame; returns the payload bytes or empty
-// with a logged rejection.
-bool read_frame(const std::string& path, std::string& payload) {
+// Reads and validates the whole frame; false with a logged rejection.
+bool read_checkpoint(const std::string& path, std::string& payload) {
   std::ifstream file{path, std::ios::binary};
   if (!file) {
     reject(path, "cannot open");
     return false;
   }
-  std::uint64_t magic = 0;
-  if (!util::io::read_pod(file, magic)) {
-    reject(path, "truncated frame header");
-    return false;
-  }
-  if (magic != kSessionMagic) {
-    reject(path, "unrecognized magic");
-    return false;
-  }
-  std::uint32_t version = 0;
-  std::uint64_t payload_size = 0;
-  std::uint32_t crc = 0;
-  if (!util::io::read_pod(file, version) ||
-      !util::io::read_pod(file, payload_size) ||
-      !util::io::read_pod(file, crc)) {
-    reject(path, "truncated frame header");
-    return false;
-  }
-  if (version != kSessionVersion) {
-    reject(path, "unsupported format version");
-    return false;
-  }
-  file.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(file.tellg());
-  file.seekg(static_cast<std::streamoff>(kFrameHeaderBytes), std::ios::beg);
-  if (file_size < kFrameHeaderBytes ||
-      payload_size != file_size - kFrameHeaderBytes) {
-    reject(path, "payload size mismatch (truncated or corrupt)");
-    return false;
-  }
-  payload.assign(payload_size, '\0');
-  file.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (!file) {
-    reject(path, "short read");
-    return false;
-  }
-  if (util::crc32(payload.data(), payload.size()) != crc) {
-    reject(path, "checksum mismatch (bit-flipped or corrupt)");
+  if (const char* why =
+          util::io::read_frame(file, kSessionMagic, kSessionVersion, payload)) {
+    reject(path, why);
     return false;
   }
   return true;
@@ -102,23 +63,13 @@ void RcaSession::save_payload(std::ostream& os) const {
   // load_state guards reject any mismatch.
   write_pod(os, static_cast<std::uint64_t>(config_.evidence_stride));
   write_pod(os, config_.sample_rate);
-  write_pod(os, static_cast<std::uint64_t>(config_.reference_windows));
-  write_pod(os, imu_monitor_.detector().score_threshold());
 
   write_pod(os, audio_chunks_);
   extractor_.save_state(os);
-  imu_monitor_.save_state(os);
-  for (const auto& m : gps_monitors_) m.save_state(os);
-  for (const auto& h : gps_health_) write_pod(os, h);
-  for (const auto& d : gps_decisions_) write_pod_vec(os, d);
-  write_pod_vec(os, imu_buf_);
-  write_pod_vec(os, gps_buf_);
-  write_pod(os, static_cast<std::uint64_t>(residual_lo_));
-  write_pod(os, static_cast<std::uint8_t>(gps_seeded_ ? 1 : 0));
+  monitor_.save_state(os);
   write_pod(os, next_seq_);
   write_pod(os, delivered_);
   write_pod(os, last_t1_);
-  write_pod_vec(os, imu_decisions_);
   write_pod_vec(os, events_);
   write_pod(os, health_);
 }
@@ -126,17 +77,11 @@ void RcaSession::save_payload(std::ostream& os) const {
 bool RcaSession::load_payload(std::istream& is) {
   using util::io::read_pod;
   using util::io::read_pod_vec;
-  std::uint64_t id = 0, stride = 0, reference_windows = 0;
-  double sample_rate = 0.0, imu_threshold = 0.0;
+  std::uint64_t id = 0, stride = 0;
+  double sample_rate = 0.0;
   if (!read_pod(is, id) || id != id_) return false;
   if (!read_pod(is, stride) || stride == 0) return false;
   if (!read_pod(is, sample_rate) || sample_rate != config_.sample_rate)
-    return false;
-  if (!read_pod(is, reference_windows) ||
-      reference_windows != config_.reference_windows)
-    return false;
-  if (!read_pod(is, imu_threshold) ||
-      imu_threshold != imu_monitor_.detector().score_threshold())
     return false;
   // The degradation level travels WITH the session: a fleet restoring a
   // degraded session must not silently promote it back to full evidence.
@@ -144,30 +89,14 @@ bool RcaSession::load_payload(std::istream& is) {
 
   if (!read_pod(is, audio_chunks_)) return false;
   if (!extractor_.load_state(is)) return false;
-  if (!imu_monitor_.load_state(is)) return false;
-  for (auto& m : gps_monitors_)
-    if (!m.load_state(is)) return false;
-  for (auto& h : gps_health_)
-    if (!read_pod(is, h)) return false;
-  for (auto& d : gps_decisions_)
-    if (!read_pod_vec(is, d)) return false;
-  if (!read_pod_vec(is, imu_buf_) || !read_pod_vec(is, gps_buf_)) return false;
-  std::uint64_t residual_lo = 0;
-  std::uint8_t gps_seeded = 0;
-  if (!read_pod(is, residual_lo) || !read_pod(is, gps_seeded)) return false;
-  residual_lo_ = static_cast<std::size_t>(residual_lo);
-  gps_seeded_ = gps_seeded != 0;
+  if (!monitor_.load_state(is)) return false;
   if (!read_pod(is, next_seq_) || !read_pod(is, delivered_) ||
       !read_pod(is, last_t1_))
     return false;
   if (next_seq_ != delivered_) return false;  // quiescence invariant
-  if (!read_pod_vec(is, imu_decisions_) || !read_pod_vec(is, events_))
-    return false;
+  if (!read_pod_vec(is, events_)) return false;
   if (!read_pod(is, health_)) return false;
-  // The whole payload must be consumed: trailing bytes mean a framing bug
-  // or a foreign payload that happened to parse.
-  is.peek();
-  return is.eof();
+  return util::io::at_end(is);
 }
 
 bool RcaSession::checkpoint(const std::string& path) const {
@@ -179,14 +108,9 @@ bool RcaSession::checkpoint(const std::string& path) const {
   std::ostringstream os{std::ios::binary};
   save_payload(os);
   if (!os) return false;
-  const std::string payload = os.str();
   std::ofstream file{path, std::ios::binary};
   if (!file) return false;
-  util::io::write_pod(file, kSessionMagic);
-  util::io::write_pod(file, kSessionVersion);
-  util::io::write_pod(file, static_cast<std::uint64_t>(payload.size()));
-  util::io::write_pod(file, util::crc32(payload.data(), payload.size()));
-  file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  util::io::write_frame(file, kSessionMagic, kSessionVersion, os.str());
   return static_cast<bool>(file);
 }
 
@@ -195,7 +119,7 @@ std::unique_ptr<RcaSession> RcaSession::restore(
     const core::ImuRcaDetector& imu_detector,
     const core::GpsRcaDetector& gps_detector, const RcaSessionConfig& config) {
   std::string payload;
-  if (!read_frame(path, payload)) return nullptr;
+  if (!read_checkpoint(path, payload)) return nullptr;
   std::istringstream is{payload, std::ios::binary};
   std::uint64_t id = 0;
   if (!util::io::read_pod(is, id)) {
@@ -216,7 +140,7 @@ std::unique_ptr<RcaSession> RcaSession::restore(
 bool RcaSession::peek_checkpoint_id(const std::string& path,
                                     std::uint64_t* id) {
   std::string payload;
-  if (!read_frame(path, payload)) return false;
+  if (!read_checkpoint(path, payload)) return false;
   std::istringstream is{payload, std::ios::binary};
   std::uint64_t parsed = 0;
   if (!util::io::read_pod(is, parsed)) {

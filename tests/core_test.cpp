@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "core/dataset.hpp"
 #include "core/flight_lab.hpp"
 #include "core/imu_rca.hpp"
+#include "core/rca_engine.hpp"
+#include "core/sensory_mapper.hpp"
 #include "core/signature.hpp"
 #include "test_helpers.hpp"
+#include "util/checksum.hpp"
 
 namespace sb::core {
 namespace {
@@ -408,6 +416,294 @@ TEST(ImuRca, WindowKsIsLargeUnderAttackDistribution) {
   const double ks_benign = det.window_ks(make_window(0.3));
   const double ks_attack = det.window_ks(make_window(2.8));
   EXPECT_GT(ks_attack, 3.0 * ks_benign);
+}
+
+
+// ---------------------------------------------------------------------------
+// RcaEngine::Monitor: the one two-stage decision path.  No trained model is
+// needed — predictions are the flight's own window means, and the detectors
+// are calibrated on benign windows built the same way.
+
+// Predictions a perfect sensory mapper would make: the window's mean IMU
+// acceleration and navigation velocity.
+std::vector<TimedPrediction> synthetic_predictions(const Flight& f) {
+  std::vector<TimedPrediction> preds;
+  for (const WindowSpan& w : window_grid(1.0, 0.25, 0.5, f.log.duration()))
+    preds.push_back({w.t0, w.t1, f.log.mean_imu_accel(w.t0, w.t1),
+                     f.log.mean_nav_vel(w.t0, w.t1)});
+  return preds;
+}
+
+struct MonitorDetectors {
+  ImuRcaDetector imu{ImuRcaConfig{}};
+  GpsRcaDetector gps{GpsRcaConfig{}};
+};
+
+const MonitorDetectors& monitor_detectors() {
+  static const MonitorDetectors det = [] {
+    MonitorDetectors d;
+    std::vector<WindowResiduals> imu_cal;
+    std::vector<GpsRcaDetector::Result> audio, fused;
+    for (std::uint64_t seed : {31, 32}) {
+      const auto f = test::hover_flight(20.0, seed);
+      const auto preds = synthetic_predictions(f);
+      const auto w = ImuRcaDetector::residuals(f, preds);
+      imu_cal.insert(imu_cal.end(), w.begin(), w.end());
+      audio.push_back(d.gps.analyze(f, preds, GpsDetectorMode::kAudioOnly));
+      fused.push_back(d.gps.analyze(f, preds, GpsDetectorMode::kAudioImu));
+    }
+    d.imu.calibrate(imu_cal);
+    d.gps.calibrate(audio, GpsDetectorMode::kAudioOnly);
+    d.gps.calibrate(fused, GpsDetectorMode::kAudioImu);
+    return d;
+  }();
+  return det;
+}
+
+struct MonitorRun {
+  RcaReport report;
+  RcaDecisionTrace trace;
+};
+
+// Feeds one flight through a monitor: either the whole sensor logs up front
+// (RcaEngine::decide's feed) or, window by window, only the samples up to
+// each window's end (a streaming session's feed).
+MonitorRun feed_monitor(const Flight& f, std::span<const TimedPrediction> preds,
+                        std::size_t reference_windows, bool incremental) {
+  const auto& det = monitor_detectors();
+  RcaEngine::Monitor monitor{det.imu, det.gps, reference_windows};
+  if (!incremental) {
+    monitor.push_imu(f.log.imu);
+    monitor.push_gps(f.log.gps);
+  }
+  std::size_t imu_i = 0, gps_i = 0;
+  for (const auto& p : preds) {
+    if (incremental) {
+      std::size_t imu_end = imu_i, gps_end = gps_i;
+      while (imu_end < f.log.imu.size() && f.log.imu[imu_end].t <= p.t1) ++imu_end;
+      while (gps_end < f.log.gps.size() && f.log.gps[gps_end].t <= p.t1) ++gps_end;
+      monitor.push_imu(std::span{f.log.imu}.subspan(imu_i, imu_end - imu_i));
+      monitor.push_gps(std::span{f.log.gps}.subspan(gps_i, gps_end - gps_i));
+      imu_i = imu_end;
+      gps_i = gps_end;
+    }
+    monitor.deliver(p);
+  }
+  MonitorRun run;
+  run.report = monitor.finish({}, &run.trace);
+  return run;
+}
+
+// EXPECT_EQ on doubles is exact: any drift fails.
+void expect_same_health(const faults::HealthReport& a,
+                        const faults::HealthReport& b) {
+  EXPECT_EQ(a.imu_samples_total, b.imu_samples_total);
+  EXPECT_EQ(a.imu_samples_nonfinite, b.imu_samples_nonfinite);
+  EXPECT_EQ(a.imu_windows_skipped, b.imu_windows_skipped);
+  EXPECT_EQ(a.gps_fixes_total, b.gps_fixes_total);
+  EXPECT_EQ(a.gps_fixes_nonfinite, b.gps_fixes_nonfinite);
+  EXPECT_EQ(a.gps_coast_intervals, b.gps_coast_intervals);
+  EXPECT_EQ(a.gps_coast_seconds, b.gps_coast_seconds);
+  EXPECT_EQ(a.kf_fallback_steps, b.kf_fallback_steps);
+}
+
+void expect_same_run(const MonitorRun& a, const MonitorRun& b) {
+  EXPECT_EQ(a.report.imu_attacked, b.report.imu_attacked);
+  EXPECT_EQ(a.report.imu_detect_time, b.report.imu_detect_time);
+  EXPECT_EQ(a.report.gps_attacked, b.report.gps_attacked);
+  EXPECT_EQ(a.report.gps_detect_time, b.report.gps_detect_time);
+  EXPECT_EQ(a.report.gps_mode_used, b.report.gps_mode_used);
+  expect_same_health(a.report.health, b.report.health);
+  expect_same_health(a.trace.health, b.trace.health);
+  EXPECT_EQ(a.trace.imu_attacked, b.trace.imu_attacked);
+  EXPECT_EQ(a.trace.gps_attacked, b.trace.gps_attacked);
+  EXPECT_EQ(a.trace.gps_mode, b.trace.gps_mode);
+  ASSERT_EQ(a.trace.imu.size(), b.trace.imu.size());
+  for (std::size_t i = 0; i < a.trace.imu.size(); ++i) {
+    const auto& x = a.trace.imu[i];
+    const auto& y = b.trace.imu[i];
+    EXPECT_EQ(x.t0, y.t0) << i;
+    EXPECT_EQ(x.t1, y.t1) << i;
+    EXPECT_EQ(x.mean_z, y.mean_z) << i;
+    EXPECT_EQ(x.spread_z, y.spread_z) << i;
+    EXPECT_EQ(x.score, y.score) << i;
+    EXPECT_EQ(x.threshold, y.threshold) << i;
+    EXPECT_EQ(x.flagged, y.flagged) << i;
+    EXPECT_EQ(x.alert, y.alert) << i;
+  }
+  ASSERT_EQ(a.trace.gps.size(), b.trace.gps.size());
+  for (std::size_t i = 0; i < a.trace.gps.size(); ++i) {
+    const auto& x = a.trace.gps[i];
+    const auto& y = b.trace.gps[i];
+    EXPECT_EQ(x.t, y.t) << i;
+    EXPECT_EQ(x.running_mean_err, y.running_mean_err) << i;
+    EXPECT_EQ(x.pos_dev, y.pos_dev) << i;
+    EXPECT_EQ(x.vel_threshold, y.vel_threshold) << i;
+    EXPECT_EQ(x.pos_threshold, y.pos_threshold) << i;
+    EXPECT_EQ(x.vel_hit, y.vel_hit) << i;
+    EXPECT_EQ(x.pos_hit, y.pos_hit) << i;
+    EXPECT_EQ(x.alert, y.alert) << i;
+    EXPECT_EQ(x.coast_reset, y.coast_reset) << i;
+  }
+}
+
+// The monitor's stage verdicts equal the batch detectors' over the same
+// predictions: one residual baseline, one GPS seeding.
+void expect_matches_batch_detectors(const Flight& f,
+                                    std::span<const TimedPrediction> preds,
+                                    std::size_t reference_windows,
+                                    const MonitorRun& run) {
+  const auto& det = monitor_detectors();
+  const auto imu =
+      det.imu.analyze(ImuRcaDetector::residuals(f, preds, reference_windows));
+  EXPECT_EQ(run.report.imu_attacked, imu.attacked);
+  EXPECT_EQ(run.report.imu_detect_time, imu.detect_time);
+  EXPECT_EQ(run.trace.imu.size(), imu.windows_tested);
+  EXPECT_EQ(run.report.health.imu_windows_skipped, imu.windows_skipped);
+  const auto gps = det.gps.analyze(f, preds, run.report.gps_mode_used);
+  EXPECT_EQ(run.report.gps_attacked, gps.attacked);
+  EXPECT_EQ(run.report.gps_detect_time, gps.detect_time);
+}
+
+TEST(RcaMonitor, WindowByWindowFeedMatchesWholeLogFeedBitwise) {
+  auto f = test::hover_flight(24.0, 33);
+  const auto preds = synthetic_predictions(f);
+  // Post-hoc attacks on the recorded streams (the predictions stay clean):
+  // an accelerometer bias from 10 s, a GPS drag from 14 s.
+  for (auto& s : f.log.imu)
+    if (s.t >= 10.0 && s.t < 13.0) s.accel_ned += Vec3{3.0, 0.0, 0.0};
+  for (auto& fix : f.log.gps)
+    if (fix.t >= 14.0) {
+      fix.pos += Vec3{2.0 * (fix.t - 14.0), 0.0, 0.0};
+      fix.vel += Vec3{2.0, 0.0, 0.0};
+    }
+  const auto incremental = feed_monitor(f, preds, 10, true);
+  const auto upfront = feed_monitor(f, preds, 10, false);
+  EXPECT_TRUE(upfront.report.imu_attacked);
+  EXPECT_FALSE(upfront.trace.gps.empty());
+  expect_same_run(incremental, upfront);
+  expect_matches_batch_detectors(f, preds, 10, upfront);
+
+  const auto& det = monitor_detectors();
+  SensoryMapperConfig cfg;
+  cfg.model = ml::ModelKind::kMlp;
+  const SensoryMapper unused{cfg};  // decide() never touches the mapper
+  const RcaEngine engine{unused, det.imu, det.gps};
+  MonitorRun decided;
+  decided.report = engine.decide(f, preds, {}, &decided.trace);
+  expect_same_run(decided, upfront);
+}
+
+TEST(RcaMonitor, ShortFlightAndZeroReferenceWindowsFeedBitwise) {
+  // Fewer windows than the baseline horizon: the baseline freezes at
+  // finish() over every window seen.
+  const auto short_flight = test::hover_flight(3.5, 34);
+  const auto short_preds = synthetic_predictions(short_flight);
+  ASSERT_LT(short_preds.size(), 10u);
+  const auto a = feed_monitor(short_flight, short_preds, 10, true);
+  const auto b = feed_monitor(short_flight, short_preds, 10, false);
+  EXPECT_EQ(a.trace.imu.size(), short_preds.size());
+  expect_same_run(a, b);
+  expect_matches_batch_detectors(short_flight, short_preds, 10, b);
+
+  // reference_windows = 0: no flight-local baseline, decisions flow at once.
+  const auto f = test::hover_flight(12.0, 35);
+  const auto preds = synthetic_predictions(f);
+  const auto c = feed_monitor(f, preds, 0, true);
+  const auto d = feed_monitor(f, preds, 0, false);
+  expect_same_run(c, d);
+  expect_matches_batch_detectors(f, preds, 0, d);
+}
+
+TEST(RcaMonitor, CheckpointRoundTripResumesBitwise) {
+  const auto f = test::hover_flight(12.0, 36);
+  const auto preds = synthetic_predictions(f);
+  const auto& det = monitor_detectors();
+  RcaEngine::Monitor first{det.imu, det.gps};
+  first.push_imu(f.log.imu);
+  first.push_gps(f.log.gps);
+  const std::size_t half = preds.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) first.deliver(preds[i]);
+  std::stringstream state{std::ios::in | std::ios::out | std::ios::binary};
+  first.save_state(state);
+
+  RcaEngine::Monitor resumed{det.imu, det.gps};
+  ASSERT_TRUE(resumed.load_state(state));
+  for (std::size_t i = half; i < preds.size(); ++i) resumed.deliver(preds[i]);
+  MonitorRun a;
+  a.report = resumed.finish({}, &a.trace);
+  expect_same_run(a, feed_monitor(f, preds, 10, false));
+
+  // A different baseline horizon is a configuration mismatch.
+  state.clear();
+  state.seekg(0);
+  RcaEngine::Monitor other{det.imu, det.gps, 5};
+  EXPECT_FALSE(other.load_state(state));
+}
+
+// ---------------------------------------------------------------------------
+// SBMAPF02 payloads that pass the CRC but are malformed must be rejected
+// without throwing: the files come from outside the program.
+
+TEST(SensoryMapperLoad, RejectsRecrcedPayloadWithWrongFeatureCount) {
+  SensoryMapperConfig cfg;
+  cfg.model = ml::ModelKind::kMlp;
+  cfg.dataset.stride = 0.5;
+  cfg.train.epochs = 1;
+  SensoryMapper mapper{cfg};
+  const auto flight = test::hover_flight(6.0, 37);
+  const std::vector<Flight> flights{flight};
+  mapper.fit(test::lab(), flights);
+  std::ostringstream saved{std::ios::binary};
+  ASSERT_TRUE(mapper.save(saved));
+  const std::string file = saved.str();
+
+  // Frame: magic(8) version(4) size(8) crc(4), then the payload, which ends
+  // with feat(8), feat means, feat inverse stddevs and the output
+  // calibration (2 x kLabelDim doubles).
+  std::uint64_t magic = 0;
+  std::uint32_t version = 0;
+  std::memcpy(&magic, file.data(), sizeof magic);
+  std::memcpy(&version, file.data() + 8, sizeof version);
+  const std::string payload = file.substr(24);
+  const auto shape = signature_shape(cfg.dataset.signature);
+  const std::size_t feat = shape.channels * shape.frames * shape.bands;
+  const std::size_t feat_at =
+      payload.size() - 2 * kLabelDim * sizeof(double) - 2 * feat * sizeof(float) - 8;
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, payload.data() + feat_at, sizeof stored);
+  ASSERT_EQ(stored, feat);
+
+  // A crafted file: patched payload, valid frame around it.
+  const auto reframed = [&](std::uint64_t patched, std::size_t trailing) {
+    std::string p = payload + std::string(trailing, '\0');
+    std::memcpy(p.data() + feat_at, &patched, sizeof patched);
+    const std::uint64_t size = p.size();
+    const std::uint32_t crc = util::crc32(p.data(), p.size());
+    std::string out(24, '\0');
+    std::memcpy(out.data(), &magic, 8);
+    std::memcpy(out.data() + 8, &version, 4);
+    std::memcpy(out.data() + 12, &size, 8);
+    std::memcpy(out.data() + 20, &crc, 4);
+    return out + p;
+  };
+  const auto rejects = [&](const std::string& bytes, const char* what) {
+    SensoryMapper loaded{cfg};
+    std::istringstream is{bytes, std::ios::binary};
+    bool ok = true;
+    EXPECT_NO_THROW(ok = loaded.load(is)) << what;
+    EXPECT_FALSE(ok) << what;
+    EXPECT_FALSE(loaded.trained()) << what;
+  };
+  rejects(reframed(8, 0), "feature count too short");
+  rejects(reframed(std::numeric_limits<std::uint64_t>::max() / 8, 0),
+          "feature count huge");
+  rejects(reframed(feat, 8), "trailing bytes");
+
+  // The untouched payload re-framed the same way still loads.
+  SensoryMapper loaded{cfg};
+  std::istringstream is{reframed(feat, 0), std::ios::binary};
+  EXPECT_TRUE(loaded.load(is));
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
 
 #include "detect/ks_test.hpp"
 #include "detect/running_mean.hpp"
@@ -123,6 +127,25 @@ TEST(RunningVecMean, WindowSlides) {
   m.add({4, 0, 0});
   m.add({2, 0, 0});
   EXPECT_DOUBLE_EQ(m.add({0, 0, 0}), 1.0);  // mean of (2,0,0),(0,0,0)
+}
+
+// Checkpoint bytes come from files: a ring cursor outside the ring must be
+// refused, or the next add() would write past the buffer.
+TEST(RunningVecMean, LoadStateRejectsRingCursorOutsideTheRing) {
+  RunningVecMeanMonitor m{4};
+  m.add({1.0, 0.0, 0.0});
+  std::ostringstream os{std::ios::binary};
+  m.save_state(os);
+  const std::string bytes = os.str();
+  const auto load = [](std::string b, std::uint64_t head) {
+    std::memcpy(b.data() + sizeof(std::uint64_t), &head, sizeof head);
+    std::istringstream is{b, std::ios::binary};
+    RunningVecMeanMonitor restored{4};
+    return restored.load_state(is);
+  };
+  EXPECT_TRUE(load(bytes, 1));
+  EXPECT_FALSE(load(bytes, 4));
+  EXPECT_FALSE(load(bytes, ~std::uint64_t{0}));
 }
 
 TEST(RunningMean, CompensatedMeanTracksExtendedPrecisionOverTenMillion) {

@@ -345,17 +345,17 @@ TEST(ImuDegradation, ResidualsDropNonFiniteSamplesAndRecordWhy) {
   apply_to_log(flight.log, plan);
 
   // Predictions are irrelevant to the hygiene logic; use zero-accel windows.
-  std::vector<core::TimedPrediction> preds;
-  for (double t = 0.0; t < 7.0; t += 1.0) preds.push_back({t, t + 1.0, {}, {}});
-  HealthReport health;
-  const auto windows = core::ImuRcaDetector::residuals(flight, preds, 0, &health);
-  EXPECT_GT(health.imu_samples_nonfinite, 0u);
-  EXPECT_GT(health.imu_samples_total, health.imu_samples_nonfinite);
-  for (const auto& w : windows)
+  std::size_t total = 0, nonfinite = 0, lo = 0;
+  for (double t = 0.0; t < 7.0; t += 1.0) {
+    const auto w = core::ImuRcaDetector::window_residuals(
+        {t, t + 1.0, {}, {}}, flight.log.imu, lo, &total, &nonfinite);
     for (const auto& r : w.samples) {
       EXPECT_TRUE(std::isfinite(r.x));
       EXPECT_TRUE(std::isfinite(r.z));
     }
+  }
+  EXPECT_GT(nonfinite, 0u);
+  EXPECT_GT(total, nonfinite);
 }
 
 TEST(HealthReport, AliveAndDegradedRules) {

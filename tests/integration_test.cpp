@@ -255,8 +255,8 @@ struct PlanPrecisionGuard {
 
 // The compiled plan packs frozen weights, so load() must invalidate it and
 // serving must rebuild from the LOADED weights: save -> load -> serve via
-// the exact plan has to match the original mapper's raw-graph predictions
-// bitwise (the exact plan is pinned bitwise-equal to the graph by
+// the exact plan has to match the original mapper's exact predictions
+// bitwise (the exact plan is pinned bitwise-equal to the layer graph by
 // PlanEquivalence in ml_test; this pins the rebuild-after-load plumbing).
 TEST(Integration, SaveLoadRebuildsInferencePlan) {
   const auto& p = pipeline();
@@ -268,14 +268,11 @@ TEST(Integration, SaveLoadRebuildsInferencePlan) {
   const auto& f = p.benign.front();
   std::vector<TimedPrediction> graph, planned;
   {
-    PlanPrecisionGuard off{ml::PlanPrecision::kOff};
+    PlanPrecisionGuard exact{ml::PlanPrecision::kExact};
     graph = p.mapper->predict_flight(test::lab(), f);
-  }
-  {
-    PlanPrecisionGuard exact{ml::PlanPrecision::kF64};
     loaded.warm_serving();
     ASSERT_NE(loaded.serving_plan(), nullptr);
-    EXPECT_EQ(loaded.serving_plan()->precision(), ml::PlanPrecision::kF64);
+    EXPECT_EQ(loaded.serving_plan()->precision(), ml::PlanPrecision::kExact);
     planned = loaded.predict_flight(test::lab(), f);
   }
   ASSERT_EQ(graph.size(), planned.size());
@@ -290,9 +287,9 @@ TEST(Integration, SaveLoadRebuildsInferencePlan) {
   std::remove(path.c_str());
 }
 
-// The opt-in float32 plan folds BatchNorm into the weights (one rounding
-// per weight), so its predictions drift — but verdicts must agree with the
-// reference path on every fixture flight, and the drift must stay orders
+// The opt-in fast plan folds BatchNorm into the weights (one rounding per
+// weight), so its predictions drift — but verdicts must agree with the
+// exact path on every fixture flight, and the drift must stay orders
 // of magnitude under the detector thresholds.
 TEST(Integration, F32PlanKeepsVerdictsAndBoundsDrift) {
   const auto& p = pipeline();
@@ -305,11 +302,11 @@ TEST(Integration, F32PlanKeepsVerdictsAndBoundsDrift) {
   for (const auto& f : flights) {
     RcaReport ref, fast;
     {
-      PlanPrecisionGuard off{ml::PlanPrecision::kOff};
+      PlanPrecisionGuard exact{ml::PlanPrecision::kExact};
       ref = engine.analyze(test::lab(), f);
     }
     {
-      PlanPrecisionGuard folded{ml::PlanPrecision::kF32};
+      PlanPrecisionGuard folded{ml::PlanPrecision::kFast};
       fast = engine.analyze(test::lab(), f);
     }
     EXPECT_EQ(ref.imu_attacked, fast.imu_attacked);
@@ -320,11 +317,11 @@ TEST(Integration, F32PlanKeepsVerdictsAndBoundsDrift) {
   // Component-wise prediction drift on a benign flight.
   std::vector<TimedPrediction> ref, fast;
   {
-    PlanPrecisionGuard off{ml::PlanPrecision::kOff};
+    PlanPrecisionGuard exact{ml::PlanPrecision::kExact};
     ref = p.mapper->predict_flight(test::lab(), flights.back());
   }
   {
-    PlanPrecisionGuard folded{ml::PlanPrecision::kF32};
+    PlanPrecisionGuard folded{ml::PlanPrecision::kFast};
     fast = p.mapper->predict_flight(test::lab(), flights.back());
   }
   ASSERT_EQ(ref.size(), fast.size());
@@ -344,10 +341,10 @@ TEST(Integration, F32PlanKeepsVerdictsAndBoundsDrift) {
       ++n;
     }
   }
-  // The f32 path rounds both the STFT front end and the folded weights at
+  // The fast path rounds both the STFT front end and the folded weights at
   // float level; prediction drift stays orders of magnitude below the
   // detector thresholds (measured MSE ~1e-12 on the bench workload).  A
-  // violation means the f32 math is wrong, not that float noise grew.
+  // violation means the fast-path math is wrong, not that float noise grew.
   EXPECT_LT(mse / static_cast<double>(n), 1e-6);
 }
 

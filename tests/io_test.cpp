@@ -6,12 +6,15 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/gps_rca.hpp"
 #include "io/flight_csv.hpp"
 #include "io/wav.hpp"
 #include "test_helpers.hpp"
+#include "util/binary_io.hpp"
 
 namespace sb::io {
 namespace {
@@ -247,6 +250,30 @@ TEST(FlightCsv, TraceExport) {
 TEST(FlightCsv, ZeroStrideRejected) {
   const auto flight = test::hover_flight(2.0, 73);
   EXPECT_FALSE(write_truth_csv(temp_path("bad.csv"), flight.log, 0));
+}
+
+
+// Length prefixes come from files: a count the remaining bytes cannot hold
+// is rejected before any allocation (an ~2^32-element prefix of 80-byte IMU
+// samples would otherwise ask for ~320 GiB).
+TEST(BinaryIo, ReadPodVecRejectsLengthBeyondRemainingBytes) {
+  const auto stream_with = [](std::uint64_t count, std::size_t present) {
+    std::stringstream ss{std::ios::in | std::ios::out | std::ios::binary};
+    util::io::write_pod(ss, count);
+    for (std::size_t i = 0; i < present; ++i) util::io::write_pod(ss, sim::ImuSample{});
+    return ss;
+  };
+  std::vector<sim::ImuSample> v;
+  for (const std::uint64_t count :
+       {(std::uint64_t{1} << 32) - 1, std::uint64_t{3}, ~std::uint64_t{0}}) {
+    auto ss = stream_with(count, 2);
+    bool ok = true;
+    EXPECT_NO_THROW(ok = util::io::read_pod_vec(ss, v)) << count;
+    EXPECT_FALSE(ok) << count;
+  }
+  auto exact = stream_with(2, 2);
+  ASSERT_TRUE(util::io::read_pod_vec(exact, v));
+  EXPECT_EQ(v.size(), 2u);
 }
 
 }  // namespace

@@ -488,7 +488,7 @@ TEST(Models, EvaluateMseMatchesManual) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled inference plan (ml/plan.hpp): the exact ("f64") plan must be
+// Compiled inference plan (ml/plan.hpp): the exact plan must be
 // BITWISE identical to the layer-graph eval forward — across model kinds,
 // SIMD backends and thread counts — and the folded float32 plan must stay
 // within a drift bound of it.
@@ -534,7 +534,7 @@ TEST(PlanEquivalence, ExactPlanIsBitwiseGraphForward) {
         random_tensor({5, in.channels, in.height, in.width}, rng);
     const Tensor want = model->forward(batch, false);
     const auto plan = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kF64);
+        *model, {in.channels, in.height, in.width}, PlanPrecision::kExact);
     const struct {
       util::SimdBackend backend;
       std::size_t threads;
@@ -566,7 +566,7 @@ TEST(PlanEquivalence, PlanBatchChunkingIsBitwise) {
     const Tensor batch =
         random_tensor({kBatch, in.channels, in.height, in.width}, rng);
     const auto plan = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kF64);
+        *model, {in.channels, in.height, in.width}, PlanPrecision::kExact);
     const Tensor out = plan->forward(batch);
     // Row-at-a-time and arbitrary re-chunks: serving batches cut anywhere.
     for (std::size_t i = 0; i < kBatch; ++i) {
@@ -593,7 +593,7 @@ TEST(PlanEquivalence, F32FoldedPlanDriftIsBounded) {
         random_tensor({6, in.channels, in.height, in.width}, rng);
     const Tensor want = model->forward(batch, false);
     const auto plan = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kF32);
+        *model, {in.channels, in.height, in.width}, PlanPrecision::kFast);
     const Tensor got = plan->forward(batch);
     ASSERT_EQ(got.numel(), want.numel()) << to_string(kind);
     // The fold rounds each folded weight exactly once, so the drift budget
@@ -612,19 +612,19 @@ TEST(PlanEquivalence, F32FoldedPlanDriftIsBounded) {
 TEST(PlanEquivalence, FoldFuseAndPackCountersTally) {
   const ModelInputShape in;
   Rng rng{94};
-  // MobileNetLite: conv->BN->activation stacks throughout.  The f32 plan
+  // MobileNetLite: conv->BN->activation stacks throughout.  The fast plan
   // folds every BN into its producer; the exact plan fuses them as
   // epilogues instead.  Both pack every weight panel and neither needs a
   // graph-call fallback.
   {
     const auto model = warmed_model(ModelKind::kMobileNetLite, in, rng);
     const auto fast = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kF32);
+        *model, {in.channels, in.height, in.width}, PlanPrecision::kFast);
     EXPECT_GT(fast->folded_batchnorms(), 0u);
     EXPECT_GT(fast->packed_panels(), 0u);
     EXPECT_EQ(fast->graph_fallback_ops(), 0u);
     const auto exact = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kF64);
+        *model, {in.channels, in.height, in.width}, PlanPrecision::kExact);
     EXPECT_EQ(exact->folded_batchnorms(), 0u);
     EXPECT_GT(exact->fused_activations(), 0u);
     EXPECT_EQ(exact->graph_fallback_ops(), 0u);
@@ -634,7 +634,7 @@ TEST(PlanEquivalence, FoldFuseAndPackCountersTally) {
   {
     const auto model = warmed_model(ModelKind::kNeuralOde, in, rng);
     const auto plan = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kF64);
+        *model, {in.channels, in.height, in.width}, PlanPrecision::kExact);
     EXPECT_GT(plan->graph_fallback_ops(), 0u);
   }
 }

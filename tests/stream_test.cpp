@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "stream/inference_scheduler.hpp"
 #include "stream/rca_session.hpp"
 #include "stream/streaming_extractor.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace sb::stream {
@@ -477,6 +479,41 @@ TEST_F(StreamServingTest, CheckpointRejectsCorruptFiles) {
   const auto restored = RcaSession::restore(path, *mapper_, *imu_, *gps_);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->id(), 17u);
+}
+
+// A crafted checkpoint: its CRC is recomputed, so only the payload parser
+// stands between a hostile length prefix and the allocator.
+TEST_F(StreamServingTest, RestoreRejectsOversizedLengthPrefixWithoutThrowing) {
+  auto a = make_session(19);
+  InferenceScheduler sched{*mapper_};
+  sched.attach(a);
+  feed(a, 6.0);
+  sched.drain();
+  a.poll_verdicts();
+  const std::string path = ::testing::TempDir() + "sb_oversized.sbsess";
+  ASSERT_TRUE(a.checkpoint(path));
+  std::string bytes = slurp(path);
+  ASSERT_GT(bytes.size(), 24u);
+
+  // Frame header: magic(8) version(4) size(8) crc(4).  With the verdict
+  // backlog polled empty, the payload ends with the backlog's zero length
+  // prefix and the window health tally.
+  std::string payload = bytes.substr(24);
+  const std::size_t prefix_at =
+      payload.size() - sizeof(faults::HealthReport) - sizeof(std::uint64_t);
+  std::uint64_t count = 1;
+  std::memcpy(&count, payload.data() + prefix_at, sizeof count);
+  ASSERT_EQ(count, 0u);
+  count = (std::uint64_t{1} << 32) - 1;  // ~2^32 events: far past the file
+  std::memcpy(payload.data() + prefix_at, &count, sizeof count);
+  const std::uint32_t crc = util::crc32(payload.data(), payload.size());
+  std::memcpy(bytes.data() + 20, &crc, sizeof crc);
+  bytes.replace(24, payload.size(), payload);
+  spew(path, bytes);
+
+  std::unique_ptr<RcaSession> restored;
+  EXPECT_NO_THROW(restored = RcaSession::restore(path, *mapper_, *imu_, *gps_));
+  EXPECT_EQ(restored, nullptr);
 }
 
 void expect_same_verdicts(const std::vector<VerdictEvent>& x,
