@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -203,6 +204,24 @@ class BenchReport {
   // their measured phase --repeat times and report the median.
   void wall_seconds(double s) { wall_override_ = s; }
 
+  // Paper-shape gate: checks one relation the reproduction claims
+  // (`lhs op rhs`, op ">=" or "<="), records it in the report's `shape`
+  // block and prints it.  A bench that states its shape returns
+  // shape_exit_code() from main, so a broken relation is a nonzero exit.
+  bool shape(const std::string& relation, double lhs, std::string_view op,
+             double rhs) {
+    const bool ok = op == ">=" ? lhs >= rhs : lhs <= rhs;
+    shape_.push_back({relation, lhs, std::string{op}, rhs, ok});
+    std::printf("shape %-4s %s: %.3f %s %.3f\n", ok ? "ok" : "FAIL",
+                relation.c_str(), lhs, shape_.back().op.c_str(), rhs);
+    return ok;
+  }
+  bool shape_ok() const {
+    return std::all_of(shape_.begin(), shape_.end(),
+                       [](const ShapeRelation& r) { return r.ok; });
+  }
+  int shape_exit_code() const { return shape_ok() ? 0 : 1; }
+
   void flush() {
     if (flushed_) return;
     flushed_ = true;
@@ -246,6 +265,24 @@ class BenchReport {
     w.kv("repeats", static_cast<std::uint64_t>(bench_args().repeats));
     for (const auto& [k, v] : metrics_) w.kv(k, v);
     for (const auto& [k, v] : notes_) w.kv(k, std::string_view{v});
+    if (!shape_.empty()) {
+      w.key("shape");
+      w.begin_object();
+      w.kv("ok", shape_ok());
+      w.key("relations");
+      w.begin_array();
+      for (const ShapeRelation& r : shape_) {
+        w.begin_object();
+        w.kv("relation", std::string_view{r.relation});
+        w.kv("lhs", r.lhs);
+        w.kv("op", std::string_view{r.op});
+        w.kv("rhs", r.rhs);
+        w.kv("ok", r.ok);
+        w.end_object();
+      }
+      w.end_array();
+      w.end_object();
+    }
     if (obs::enabled()) {
       const auto totals = obs::Trace::instance().stage_totals();
       double staged = 0.0;
@@ -285,11 +322,20 @@ class BenchReport {
   }
 
  private:
+  struct ShapeRelation {
+    std::string relation;
+    double lhs;
+    std::string op;
+    double rhs;
+    bool ok;
+  };
+
   std::string name_;
   Stopwatch timer_;
   obs::Trace::StageTotals stage_baseline_;
   std::vector<std::pair<std::string, double>> metrics_;
   std::vector<std::pair<std::string, std::string>> notes_;
+  std::vector<ShapeRelation> shape_;
   double wall_override_ = -1.0;
   bool flushed_ = false;
 };

@@ -2,6 +2,7 @@
 // prediction minus IMU reading) for a benign flight vs. an IMU-attacked
 // flight.  Benign residuals approximate a narrow normal; the attack
 // distribution is visibly wider / shifted (paper reports attack std 2.81).
+// Gated: the attack/benign residual std ratio must be at least 3.
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -75,7 +76,12 @@ int main(int argc, char** argv) {
 
   const auto ks = detect::ks_test_two_sample(b_res, a_res);
   std::printf("two-sample KS: D = %.3f, p = %.2e\n", ks.statistic, ks.p_value);
+  const double ratio = stddev(a_res) / std::max(stddev(b_res), 1e-9);
   std::printf("std inflation: %.2fx (paper: attack std 2.81 vs narrow benign)\n",
-              stddev(a_res) / std::max(stddev(b_res), 1e-9));
-  return 0;
+              ratio);
+  report.metric("benign_std", stddev(b_res));
+  report.metric("attack_std", stddev(a_res));
+  report.metric("ks_statistic", ks.statistic);
+  report.shape("attack/benign residual std ratio >= 3", ratio, ">=", 3.0);
+  return report.shape_exit_code();
 }
