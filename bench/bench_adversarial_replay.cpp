@@ -26,18 +26,19 @@ int main(int argc, char** argv) {
   hover.wind.gust_stddev = 0.3;
   hover.seed = 95001;
   const auto flight = bench::lab().fly(hover);
-  const auto windows = mapper.synthesize_windows(bench::lab(), flight);
-  const auto clean = mapper.predict_windows(windows);
-
-  // "Recording" of the same UAV model's rotor sound (record-and-replay).
   const auto synth = bench::lab().synthesizer(flight);
-  const auto recording_audio = synth.synthesize(flight.log, 3.0, 3.6);
-  std::vector<double> recording = recording_audio.channels[0];
+  const auto recording = synth.synthesize(flight.log, 0.0, flight.log.duration());
+  const auto clean = mapper.predict_windows(recording);
+
+  // Replayed audio: 0.6 s of the same UAV model's rotor sound, taken from
+  // mic 0 of the flight's recording (record-and-replay).
+  const auto replay_src = core::recording_window(recording, 3.0, 0.6).channels[0];
+  std::vector<double> replay(replay_src.begin(), replay_src.end());
   // Played at maximum portable-speaker volume: normalize to the loudest
   // plausible source level (~the rotor source amplitude itself).
   double peak = 1e-9;
-  for (double x : recording) peak = std::max(peak, std::abs(x));
-  for (double& x : recording) x = x / peak * 0.8;
+  for (double x : replay) peak = std::max(peak, std::abs(x));
+  for (double& x : replay) x = x / peak * 0.8;
 
   const auto geometry = synth.geometry();
   Table table({"interferer distance", "mean |delta a'| (m/s^2)",
@@ -47,10 +48,10 @@ int main(int argc, char** argv) {
     attacks::ReplayAttackConfig cfg;
     cfg.source_pos = {0.0, dist, 0.0};
     cfg.gain = 1.0;
-    hooks.audio_transform = [&, cfg](acoustics::MultiChannelAudio& audio) {
-      attacks::apply_replay_attack(audio, recording, cfg, geometry);
+    hooks.audio_transform = [&, cfg](acoustics::MultiChannelAudio& audio, double) {
+      attacks::apply_replay_attack(audio, replay, cfg, geometry);
     };
-    const auto attacked = mapper.predict_windows(windows, hooks);
+    const auto attacked = mapper.predict_windows(recording, hooks);
     std::vector<double> deltas;
     for (std::size_t i = 0; i < clean.size(); ++i)
       deltas.push_back((clean[i].accel - attacked[i].accel).norm());

@@ -376,13 +376,15 @@ inline core::SensoryMapperConfig standard_mapper_config() {
   return cfg;
 }
 
-// Cache filenames carry the model-file format tag AND the trainer schema
-// tag, so either a format bump (which would make load() reject the file
-// anyway) or a training-math change simply misses the cache and retrains —
-// loudly, via the standard "training ..." log line — instead of serving
-// weights trained under superseded math as current results.
+// Cache filenames carry the model-file format tag, the trainer schema tag
+// AND the synthesis schema tag, so a format bump (which would make load()
+// reject the file anyway), a training-math change or a change to the
+// synthesized training audio simply misses the cache and retrains — loudly,
+// via the standard "training ..." log line — instead of serving weights
+// trained under superseded math or audio as current results.
 inline std::string cache_tag() {
-  return std::string{core::model_format_tag()} + ml::trainer_schema_tag();
+  return std::string{core::model_format_tag()} + ml::trainer_schema_tag() +
+         acoustics::synth_schema_tag();
 }
 
 inline std::string cache_path(const core::SensoryMapperConfig& cfg) {

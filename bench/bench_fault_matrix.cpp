@@ -4,9 +4,9 @@
 // every cell writes its TPR/FPR into BENCH_fault_matrix.json.
 //
 // Determinism check baked in: every severity-0 cell must reproduce the
-// unfaulted baseline bit-for-bit (injector inputs compared bitwise, then the
-// full analysis re-run on them and its verdicts/predictions compared
-// bitwise).  The `severity0_matches_baseline` metric is 1 only if every cell
+// unfaulted baseline bit-for-bit (a faulted flight log is compared bitwise,
+// then the full analysis re-run on it; mic faults damage each window as a
+// prediction hook, so their predictions and verdicts are compared bitwise).  The `severity0_matches_baseline` metric is 1 only if every cell
 // passed; run under SB_THREADS=1 and SB_THREADS=4 to cover the parallel
 // paths.
 #include <cstdio>
@@ -93,14 +93,6 @@ bool same_preds(std::span<const core::TimedPrediction> a,
                                    a.size() * sizeof(core::TimedPrediction)) == 0);
 }
 
-bool same_audio(const std::vector<core::SensoryMapper::WindowAudio>& a,
-                const std::vector<core::SensoryMapper::WindowAudio>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].audio.channels != b[i].audio.channels) return false;
-  return true;
-}
-
 bool same_log(const sim::FlightLog& a, const sim::FlightLog& b) {
   const auto bytes_equal = [](const auto& x, const auto& y) {
     using T = typename std::decay_t<decltype(x)>::value_type;
@@ -152,8 +144,9 @@ int main(int argc, char** argv) {
     obs::logf(obs::LogLevel::kInfo, "run", "flight %d/%d (%s)", fi + 1, total_flights,
               attacked ? "gps spoof" : "benign");
 
-    const auto windows = mapper.synthesize_windows(bench::lab(), flight);
-    const auto base_preds = mapper.predict_windows(windows);
+    const auto recording =
+        bench::lab().synthesizer(flight).synthesize(flight.log, 0.0, flight.log.duration());
+    const auto base_preds = mapper.predict_windows(recording);
     const auto base_verdict = engine.decide(flight, base_preds);
     baseline_tally.record(attacked, base_verdict);
 
@@ -164,14 +157,17 @@ int main(int argc, char** argv) {
         const auto plan = make_plan(cell, severity, fi);
         core::RcaReport v;
         if (is_mic(cell)) {
-          auto faulted = windows;
-          for (auto& w : faulted) faults::apply_to_audio(w.audio, w.t0, plan);
+          // Mic faults damage each analyzed window's copy of the recording.
+          core::PredictionHooks hooks;
+          hooks.audio_transform = [&plan](acoustics::MultiChannelAudio& audio, double t0) {
+            faults::apply_to_audio(audio, t0, plan);
+          };
           faults::HealthReport window_health;
-          const auto preds = mapper.predict_windows(faulted, {}, &window_health);
+          const auto preds = mapper.predict_windows(recording, hooks, &window_health);
           v = engine.decide(flight, preds, window_health);
           if (severity <= 0.0)
-            severity0_ok = severity0_ok && same_audio(faulted, windows) &&
-                           same_preds(preds, base_preds) && same_verdict(v, base_verdict);
+            severity0_ok = severity0_ok && same_preds(preds, base_preds) &&
+                           same_verdict(v, base_verdict);
         } else {
           auto faulted = flight;
           faults::apply_to_log(faulted.log, plan);

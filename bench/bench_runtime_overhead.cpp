@@ -1,6 +1,6 @@
 // §IV-C runtime overhead: google-benchmark microbenchmarks of every online
-// pipeline stage (audio synthesis stands in for audio capture, which is free
-// on real hardware), plus the signature-generation duty cycle — the paper
+// pipeline stage (rendering a flight's recording stands in for audio
+// capture, which is free on real hardware), plus the signature-generation duty cycle — the paper
 // reports ~2.4% overhead for signature generation and fully-onboard
 // (Raspberry-Pi-class) post hoc RCA.
 #include <benchmark/benchmark.h>
@@ -31,23 +31,41 @@ core::SensoryMapper& mapper() {
   return kMapper;
 }
 
-void BM_AudioWindowSynthesis(benchmark::State& state) {
-  const auto synth = bench::lab().synthesizer(hover_flight());
-  double t0 = 2.0;
-  for (auto _ : state) {
-    auto audio = synth.synthesize(hover_flight().log, t0, t0 + 0.5);
-    benchmark::DoNotOptimize(audio.channels[0].data());
-    t0 = t0 >= 18.0 ? 2.0 : t0 + 0.25;
-  }
+// The first analysis window of the hover flight: [2.0, 2.5) s.
+constexpr core::WindowSpan kWindow{2.0, 2.5};
+
+const acoustics::MultiChannelAudio& window_audio() {
+  static const acoustics::MultiChannelAudio kAudio =
+      bench::lab().synthesizer(hover_flight()).synthesize(hover_flight().log,
+                                                          kWindow.t0, kWindow.t1);
+  return kAudio;
 }
-BENCHMARK(BM_AudioWindowSynthesis)->Unit(benchmark::kMillisecond);
+
+// One window through the online per-window path: signature, then forward.
+std::vector<core::TimedPrediction> predict_window(const core::SensoryMapper& m) {
+  const ml::Tensor sig = m.prepare_signature(window_audio(), {}, nullptr, kWindow.t0);
+  return m.predict_prepared({&sig, 1}, {&kWindow, 1});
+}
+
+// Renders the 20 s flight's whole recording, as offline analysis does once
+// per flight; items are recording samples (all four channels each).
+void BM_FlightRecordingSynthesis(benchmark::State& state) {
+  const auto synth = bench::lab().synthesizer(hover_flight());
+  const auto& log = hover_flight().log;
+  std::int64_t samples = 0;
+  for (auto _ : state) {
+    auto audio = synth.synthesize(log, 0.0, log.duration());
+    benchmark::DoNotOptimize(audio.channels[0].data());
+    samples += static_cast<std::int64_t>(audio.num_samples());
+  }
+  state.SetItemsProcessed(samples);
+}
+BENCHMARK(BM_FlightRecordingSynthesis)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SignatureGeneration(benchmark::State& state) {
-  const auto synth = bench::lab().synthesizer(hover_flight());
-  const auto audio = synth.synthesize(hover_flight().log, 2.0, 2.5);
   core::SignatureConfig cfg;
   for (auto _ : state) {
-    auto sig = core::compute_signature(audio, cfg);
+    auto sig = core::compute_signature(window_audio(), cfg);
     benchmark::DoNotOptimize(sig.data());
   }
 }
@@ -55,10 +73,8 @@ BENCHMARK(BM_SignatureGeneration)->Unit(benchmark::kMillisecond);
 
 void BM_ModelInference(benchmark::State& state) {
   auto& m = mapper();
-  const auto windows = m.synthesize_windows(bench::lab(), hover_flight());
-  std::vector<core::SensoryMapper::WindowAudio> one{windows.front()};
   for (auto _ : state) {
-    auto preds = m.predict_windows(one);
+    auto preds = predict_window(m);
     benchmark::DoNotOptimize(preds.data());
   }
 }
@@ -134,8 +150,7 @@ BENCHMARK(BM_EnabledSpan)->Iterations(1 << 16);
 // STFT + banding; audio capture itself is a DMA transfer on real hardware)
 // relative to the 0.25 s stride budget.
 void BM_SignatureDutyCycle(benchmark::State& state) {
-  const auto synth = bench::lab().synthesizer(hover_flight());
-  const auto audio = synth.synthesize(hover_flight().log, 2.0, 2.5);
+  const auto& audio = window_audio();
   core::SignatureConfig cfg;
   double seconds = 0.0;
   std::size_t iterations = 0;
@@ -159,8 +174,6 @@ BENCHMARK(BM_SignatureDutyCycle)->Unit(benchmark::kMillisecond);
 // upper bound on the overhead instrumentation adds when SB_TRACE is unset.
 void report_tracing_overhead(bench::BenchReport& report) {
   auto& m = mapper();
-  const auto windows = m.synthesize_windows(bench::lab(), hover_flight());
-  const std::vector<core::SensoryMapper::WindowAudio> one{windows.front()};
 
   const bool was = obs::enabled();
   obs::set_enabled(false);
@@ -192,7 +205,7 @@ void report_tracing_overhead(bench::BenchReport& report) {
   constexpr int kWinIters = 20;
   const double win_t0 = obs::now_us();
   for (int i = 0; i < kWinIters; ++i) {
-    auto preds = m.predict_windows(one);
+    auto preds = predict_window(m);
     benchmark::DoNotOptimize(preds.data());
   }
   const double window_seconds = (obs::now_us() - win_t0) * 1e-6 / kWinIters;
@@ -200,7 +213,7 @@ void report_tracing_overhead(bench::BenchReport& report) {
   obs::set_enabled(true);
   obs::Trace::instance().clear();
   {
-    auto preds = m.predict_windows(one);
+    auto preds = predict_window(m);
     benchmark::DoNotOptimize(preds.data());
   }
   const auto spans = static_cast<double>(obs::Trace::instance().event_count());

@@ -291,17 +291,19 @@ int main(int argc, char** argv) {
   // STFT math (not float noise) is wrong, and the bench fails.
   bool drift_ok = true;
   if (ml::plan_precision() == ml::PlanPrecision::kFast) {
-    const auto windows = mapper.synthesize_windows(bench::lab(), feeds[0].flight);
-    const std::size_t n_check = std::min<std::size_t>(windows.size(), 32);
-    std::vector<core::WindowSpan> spans;
-    spans.reserve(n_check);
-    for (std::size_t i = 0; i < n_check; ++i)
-      spans.push_back({windows[i].t0, windows[i].t1});
+    const core::Flight& flight = feeds[0].flight;
+    const auto recording = bench::lab().synthesizer(flight).synthesize(
+        flight.log, 0.0, flight.log.duration());
+    const auto& ds = mapper.config().dataset;
+    auto spans = core::window_grid(ds.settle_time, ds.stride,
+                                   ds.signature.window_seconds, flight.log.duration());
+    spans.resize(std::min<std::size_t>(spans.size(), 32));
     auto prepare_all = [&] {
       std::vector<ml::Tensor> sigs;
-      sigs.reserve(n_check);
-      for (std::size_t i = 0; i < n_check; ++i)
-        sigs.push_back(mapper.prepare_signature(windows[i].audio));
+      sigs.reserve(spans.size());
+      for (const core::WindowSpan& w : spans)
+        sigs.push_back(mapper.prepare_signature(
+            core::recording_window(recording, w.t0, ds.signature.window_seconds)));
       return sigs;
     };
     ml::set_plan_precision(ml::PlanPrecision::kExact);

@@ -32,26 +32,24 @@ int main(int argc, char** argv) {
   auto mapper = bench::standard_mapper();
   auto det = bench::calibrate_detectors(mapper);
 
-  // Pre-synthesize every flight's windows once; the sound attack is applied
-  // per-configuration on copies.
+  // Render every flight's recording once; the sound attack is applied
+  // per-configuration on copies of its windows (the audio_transform hook).
   struct Prepared {
     core::Flight flight;
-    std::vector<core::SensoryMapper::WindowAudio> windows;
+    acoustics::MultiChannelAudio recording;
     bool attacked;
   };
   std::vector<Prepared> flights;
   obs::logf(obs::LogLevel::kInfo, "setup", "simulating and synthesizing %d flights...",
             kBenign + kAttacks);
-  for (int i = 0; i < kBenign; ++i) {
-    Prepared p{bench::lab().fly(bench::benign_scenario(i, 40.0)), {}, false};
-    p.windows = mapper.synthesize_windows(bench::lab(), p.flight);
+  auto prepare = [&](const core::FlightScenario& scenario, bool attacked) {
+    Prepared p{bench::lab().fly(scenario), {}, attacked};
+    p.recording = bench::lab().synthesizer(p.flight).synthesize(
+        p.flight.log, 0.0, p.flight.log.duration());
     flights.push_back(std::move(p));
-  }
-  for (int i = 0; i < kAttacks; ++i) {
-    Prepared p{bench::lab().fly(bench::gps_attack_scenario(i, 55.0)), {}, true};
-    p.windows = mapper.synthesize_windows(bench::lab(), p.flight);
-    flights.push_back(std::move(p));
-  }
+  };
+  for (int i = 0; i < kBenign; ++i) prepare(bench::benign_scenario(i, 40.0), false);
+  for (int i = 0; i < kAttacks; ++i) prepare(bench::gps_attack_scenario(i, 55.0), true);
 
   const double amplitudes[] = {0.0, 0.25, 0.50, 0.75, 1.25, 1.50, 1.75, 2.00};
   Table table({"attack", "amplitude", "ch=1 TPR", "ch=1 FPR", "ch=2 TPR", "ch=2 FPR",
@@ -67,13 +65,13 @@ int main(int argc, char** argv) {
       attacks::PhaseSyncSoundAttackConfig atk;
       atk.amplitude_factor = amp;
       for (int c = 0; c < num_channels; ++c) atk.channels.push_back(c);
-      hooks.audio_transform = [atk](acoustics::MultiChannelAudio& audio) {
+      hooks.audio_transform = [atk](acoustics::MultiChannelAudio& audio, double) {
         attacks::apply_phase_sync_attack(audio, atk);
       };
 
       int tp = 0, fp = 0;
       for (const auto& p : flights) {
-        const auto preds = mapper.predict_windows(p.windows, hooks);
+        const auto preds = mapper.predict_windows(p.recording, hooks);
         const auto r = det.gps.analyze(p.flight, preds,
                                        core::GpsDetectorMode::kAudioImu);
         if (p.attacked && r.attacked) ++tp;

@@ -37,11 +37,14 @@ int main() {
   hover.wind.gust_stddev = 0.3;
   hover.seed = 321;
   const auto flight = lab.fly(hover);
-  const auto windows = mapper.synthesize_windows(lab, flight);
-  const auto clean = mapper.predict_windows(windows);
+  // Render the flight's recording once; every attack below re-analyzes
+  // views of it.
+  const auto synth = lab.synthesizer(flight);
+  const auto recording = synth.synthesize(flight.log, 0.0, flight.log.duration());
+  const auto clean = mapper.predict_windows(recording);
 
   auto mean_delta = [&](const core::PredictionHooks& hooks) {
-    const auto attacked = mapper.predict_windows(windows, hooks);
+    const auto attacked = mapper.predict_windows(recording, hooks);
     std::vector<double> d;
     for (std::size_t i = 0; i < clean.size(); ++i)
       d.push_back((clean[i].accel - attacked[i].accel).norm());
@@ -54,7 +57,7 @@ int main() {
   std::printf("\n--- 1. ultrasonic IMU-injection carrier ---\n");
   {
     core::PredictionHooks hooks;
-    hooks.audio_transform = [](acoustics::MultiChannelAudio& audio) {
+    hooks.audio_transform = [](acoustics::MultiChannelAudio& audio, double) {
       // What a 21 kHz carrier folds to at 16 kHz sampling: 5 kHz image,
       // but any real carrier energy above 6 kHz is removed by the pipeline
       // low-pass; emulate a tiny residual leak.
@@ -70,18 +73,17 @@ int main() {
   // 2. Record-and-replay at 0.5 m.
   std::printf("\n--- 2. record-and-replay from a second UAV at 0.5 m ---\n");
   {
-    const auto synth = lab.synthesizer(flight);
-    const auto rec = synth.synthesize(flight.log, 3.0, 3.6);
-    std::vector<double> recording = rec.channels[0];
+    const auto rec = core::recording_window(recording, 3.0, 0.6).channels[0];
+    std::vector<double> replay(rec.begin(), rec.end());
     double peak = 1e-9;
-    for (double x : recording) peak = std::max(peak, std::abs(x));
-    for (double& x : recording) x = x / peak * 0.8;
+    for (double x : replay) peak = std::max(peak, std::abs(x));
+    for (double& x : replay) x = x / peak * 0.8;
     const auto geometry = synth.geometry();
     core::PredictionHooks hooks;
-    hooks.audio_transform = [&](acoustics::MultiChannelAudio& audio) {
+    hooks.audio_transform = [&](acoustics::MultiChannelAudio& audio, double) {
       attacks::ReplayAttackConfig rcfg;
       rcfg.source_pos = {0, 0.5, 0};
-      attacks::apply_replay_attack(audio, recording, rcfg, geometry);
+      attacks::apply_replay_attack(audio, replay, rcfg, geometry);
     };
     std::printf("prediction shift: %.4f m/s^2 (sound arrives at ~46%% of\n"
                 "on-frame intensity and without phase lock: negligible)\n",
@@ -92,7 +94,7 @@ int main() {
   std::printf("\n--- 3. idealized phase-synced aerodynamic cancellation ---\n");
   {
     core::PredictionHooks hooks;
-    hooks.audio_transform = [](acoustics::MultiChannelAudio& audio) {
+    hooks.audio_transform = [](acoustics::MultiChannelAudio& audio, double) {
       attacks::PhaseSyncSoundAttackConfig acfg;
       acfg.amplitude_factor = 0.0;
       acfg.channels = {0, 1, 2, 3};

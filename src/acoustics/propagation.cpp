@@ -1,5 +1,6 @@
 #include "acoustics/propagation.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -7,6 +8,66 @@
 #include "util/thread_pool.hpp"
 
 namespace sb::acoustics {
+
+AudioView::AudioView(const MultiChannelAudio& audio) : sample_rate(audio.sample_rate) {
+  for (std::size_t c = 0; c < sensors::kNumMics; ++c) channels[c] = audio.channels[c];
+}
+
+AudioView AudioView::slice(std::size_t begin, std::size_t n) const {
+  AudioView out;
+  out.sample_rate = sample_rate;
+  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+    out.channels[c] = channels[c].subspan(begin, n);
+  return out;
+}
+
+MultiChannelAudio AudioView::copy() const {
+  MultiChannelAudio out;
+  out.sample_rate = sample_rate;
+  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+    out.channels[c].assign(channels[c].begin(), channels[c].end());
+  return out;
+}
+
+void mix_block(std::span<const std::span<double>> out,
+               std::span<const std::span<const double>> rotor_streams,
+               std::size_t lead_samples, const sensors::MicGeometry& geometry,
+               double sample_rate, double ambient_noise,
+               std::span<GaussianNoise> mic_noise,
+               std::span<const FlowSegment> flow, double directivity,
+               const GroundReflection& ground) {
+  const bool with_flow = directivity != 0.0 && !flow.empty();
+  const bool with_ground = ground.gain_scale != 0.0;
+  util::parallel_for(out.size(), [&](std::size_t mi) {
+    const std::span<double> ch = out[mi];
+    const std::size_t n = ch.size();
+    std::fill(ch.begin(), ch.end(), 0.0);
+    for (std::size_t ri = 0; ri < rotor_streams.size(); ++ri) {
+      const double gain = geometry.gain[mi][ri];
+      const auto delay = static_cast<std::size_t>(
+          std::llround(geometry.delay_s[mi][ri] * sample_rate));
+      const double* src = rotor_streams[ri].data() + lead_samples - delay;
+      if (with_flow) {
+        const Vec3 d = geometry.dir[mi][ri];
+        for (std::size_t s = 0; s < flow.size(); ++s) {
+          const std::size_t end = s + 1 < flow.size() ? flow[s + 1].begin : n;
+          const double g =
+              gain * std::max(1.0 + directivity * flow[s].v.dot(d), 0.1);
+          for (std::size_t i = flow[s].begin; i < end; ++i) ch[i] += g * src[i];
+        }
+      } else {
+        for (std::size_t i = 0; i < n; ++i) ch[i] += gain * src[i];
+      }
+      if (with_ground) {
+        const double rgain = gain * ground.gain_scale;
+        const double* rsrc = src - ground.delay_samples;
+        for (std::size_t i = 0; i < n; ++i) ch[i] += rgain * rsrc[i];
+      }
+    }
+    if (ambient_noise > 0.0)
+      for (double& x : ch) x += ambient_noise * mic_noise[mi].next();
+  }, 1);
+}
 
 MultiChannelAudio mix_to_mics(
     std::span<const std::vector<double>> rotor_signals,
@@ -21,14 +82,8 @@ MultiChannelAudio mix_to_mics(
   if (total < lead_samples)
     throw std::invalid_argument{"mix_to_mics: lead exceeds signal length"};
   const std::size_t n = total - lead_samples;
-  const bool with_flow = directivity != 0.0 && flow_body.size() >= n;
   const bool with_ground = ground.gain_scale != 0.0;
 
-  MultiChannelAudio out;
-  out.sample_rate = sample_rate;
-  for (auto& ch : out.channels) ch.assign(n, 0.0);
-
-  // Delay validation stays serial so the throw cannot escape a worker.
   for (int m = 0; m < sensors::kNumMics; ++m)
     for (int r = 0; r < num_rotors; ++r) {
       const auto delay = static_cast<std::size_t>(std::llround(
@@ -40,40 +95,23 @@ MultiChannelAudio mix_to_mics(
         throw std::invalid_argument{"mix_to_mics: lead too short for delay"};
     }
 
-  // Mics mix into disjoint channels, so the rotor superposition can fan out.
-  util::parallel_for(static_cast<std::size_t>(sensors::kNumMics), [&](std::size_t mi) {
-    auto& ch = out.channels[mi];
-    for (int r = 0; r < num_rotors; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      const double gain = geometry.gain[mi][ri];
-      const auto delay = static_cast<std::size_t>(
-          std::llround(geometry.delay_s[mi][ri] * sample_rate));
-      const auto& src = rotor_signals[ri];
-      if (with_flow) {
-        const Vec3 d = geometry.dir[mi][ri];
-        for (std::size_t i = 0; i < n; ++i) {
-          const double mod =
-              std::max(1.0 + directivity * flow_body[i].dot(d), 0.1);
-          ch[i] += gain * mod * src[i + lead_samples - delay];
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i)
-          ch[i] += gain * src[i + lead_samples - delay];
-      }
-      if (with_ground) {
-        const double rgain = gain * ground.gain_scale;
-        const std::size_t rdelay = delay + ground.delay_samples;
-        for (std::size_t i = 0; i < n; ++i)
-          ch[i] += rgain * src[i + lead_samples - rdelay];
-      }
-    }
-  }, 1);
+  std::array<GaussianNoise, sensors::kNumMics> noise;
+  for (auto& g : noise) g = GaussianNoise{rng.split()};
+  std::vector<FlowSegment> flow;
+  if (directivity != 0.0 && flow_body.size() >= n)
+    for (std::size_t i = 0; i < n; ++i) flow.push_back({i, flow_body[i]});
+  std::vector<std::span<const double>> streams(rotor_signals.begin(),
+                                               rotor_signals.end());
 
-  // Ambient noise draws stay on the caller's thread, in mic order, so the
-  // shared rng consumes exactly the sequence the serial mix would.
-  if (ambient_noise > 0.0)
-    for (auto& ch : out.channels)
-      for (auto& x : ch) x += rng.normal(0.0, ambient_noise);
+  MultiChannelAudio out;
+  out.sample_rate = sample_rate;
+  std::array<std::span<double>, sensors::kNumMics> channels;
+  for (std::size_t m = 0; m < sensors::kNumMics; ++m) {
+    out.channels[m].resize(n);
+    channels[m] = out.channels[m];
+  }
+  mix_block(channels, streams, lead_samples, geometry, sample_rate, ambient_noise,
+            noise, flow, directivity, ground);
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "acoustics/gaussian.hpp"
 #include "sensors/mic_array.hpp"
 #include "util/rng.hpp"
 
@@ -20,6 +21,25 @@ struct MultiChannelAudio {
   std::size_t num_samples() const { return channels[0].size(); }
 };
 
+// Non-owning view of a recording or of a slice of one: the sample rate plus
+// one span per channel, all the same length.  Built implicitly from a
+// MultiChannelAudio, so analysis windows of a flight's one recording are
+// read in place instead of copied.  The viewed audio must outlive the view.
+struct AudioView {
+  double sample_rate = 16000.0;
+  std::array<std::span<const double>, sensors::kNumMics> channels;
+
+  AudioView() = default;
+  AudioView(const MultiChannelAudio& audio);  // NOLINT(google-explicit-constructor)
+
+  std::size_t num_samples() const { return channels[0].size(); }
+  // Samples [begin, begin + n) of every channel; the range must lie inside
+  // the view.
+  AudioView slice(std::size_t begin, std::size_t n) const;
+  // Owning copy, for transforms that mutate audio.
+  MultiChannelAudio copy() const;
+};
+
 // Ground-effect reflection (image-source approximation, environment
 // profiles): every direct mic/rotor tap gains ONE reflected sibling delayed
 // by `delay_samples` and scaled by `gain_scale` relative to the direct tap.
@@ -30,18 +50,46 @@ struct GroundReflection {
   std::size_t delay_samples = 0;
 };
 
-// Mixes rotor source signals (one per rotor, all the same length; the count
-// must match geometry.num_rotors) to the microphone channels.  Each rotor
-// stream must include `lead_samples` of pre-roll so that delayed taps —
-// including the ground-reflection tap, when enabled — never index before the
-// window start.
+// Body-frame air velocity held over a run of output samples: a segment
+// covers [begin, next segment's begin), the last one to the end of the
+// block, and the first begins at 0.  The synthesizer emits one per physics
+// step (400 Hz), so airflow is computed once per step rather than once per
+// audio sample.
+struct FlowSegment {
+  std::size_t begin = 0;
+  Vec3 v;
+};
+
+// Mixes one block of rotor streams into the microphone channels: out[m]
+// (all the same length n) is overwritten with the superposition of every
+// rotor stream at its mic gain and TDoA delay, plus ambient noise drawn
+// from that channel's own generator.  Each rotor stream holds n + lead
+// samples; output sample k reads stream sample k + lead - delay, so `lead`
+// must cover the largest delay including the ground-reflection tap (the
+// caller validates this).  Channels mix in parallel and each draws only its
+// own noise stream, so the result is the same at any thread count.
 //
-// `flow_body` (optional, one body-frame air-velocity vector per OUTPUT
-// sample) models airflow directivity: rotor turbulence noise convects
-// downwind, so the gain of rotor r at mic m is scaled by
-// 1 + directivity * (v_body . dir[m][r]).  This per-channel anisotropy is
-// what lets the learned model recover the horizontal motion state.  The
-// reflected tap arrives off the ground, diffuse, and is not flow-modulated.
+// `flow` (optional) models airflow directivity: rotor turbulence noise
+// convects downwind, so the gain of rotor r at mic m is scaled by
+// max(1 + directivity * (v_body . dir[m][r]), 0.1).  This per-channel
+// anisotropy is what lets the learned model recover the horizontal motion
+// state.  The reflected tap arrives off the ground, diffuse, and is not
+// flow-modulated.
+void mix_block(std::span<const std::span<double>> out,
+               std::span<const std::span<const double>> rotor_streams,
+               std::size_t lead_samples, const sensors::MicGeometry& geometry,
+               double sample_rate, double ambient_noise,
+               std::span<GaussianNoise> mic_noise,
+               std::span<const FlowSegment> flow, double directivity,
+               const GroundReflection& ground);
+
+// Whole-buffer form of mix_block: mixes rotor source signals (one per
+// rotor, all the same length, each including `lead_samples` of pre-roll;
+// the count must match geometry.num_rotors) into a new recording.  Throws
+// std::invalid_argument when the lead is too short for a delayed tap.
+// One ambient-noise generator per channel is split from `rng` up front, in
+// mic order.  `flow_body` (optional) holds one body-frame air-velocity
+// vector per OUTPUT sample.
 MultiChannelAudio mix_to_mics(
     std::span<const std::vector<double>> rotor_signals,
     std::size_t lead_samples, const sensors::MicGeometry& geometry,

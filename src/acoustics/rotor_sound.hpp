@@ -12,8 +12,13 @@
 // is what makes the acoustic side-channel informative about actuation.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 
+#include "acoustics/gaussian.hpp"
 #include "dsp/biquad.hpp"
 #include "util/rng.hpp"
 
@@ -50,8 +55,19 @@ double motor_unit_detune(std::uint64_t motor_seed, int rotor, double spread);
 
 // Sample-by-sample synthesizer for ONE rotor; keeps oscillator phases and
 // filter state continuous across calls.
+//
+// The three tones are unit phasors advanced by one complex rotation per
+// sample; blade harmonics 2..N come from the Chebyshev recurrence
+// sin((h+1)x) = 2 cos(x) sin(hx) - sin((h-1)x) (the double- and triple-angle
+// identities for the default three).  Rotor speed is sample-and-held from
+// the physics timeline, so the rotations and amplitudes are recomputed only
+// when omega changes; the phasors are renormalized then, and at least every
+// kRenormInterval samples, which bounds magnitude drift on constant-speed
+// runs of any length.
 class RotorSound {
  public:
+  static constexpr std::size_t kRenormInterval = 4096;
+
   RotorSound(const RotorSoundConfig& config, double sample_rate, double hover_omega,
              Rng rng);
 
@@ -59,15 +75,50 @@ class RotorSound {
   // (rad/s).
   double sample(double omega);
 
+  // Fills `out` with the next out.size() samples at one rotor speed —
+  // identical to calling sample(omega) once per element.  The synthesizer
+  // renders one physics step (40 samples at 16 kHz) per call.
+  void render(double omega, std::span<double> out);
+
+  // Largest |1 - |z|| over the three oscillator phasors.
+  double phasor_error() const;
+
  private:
+  struct Phasor {
+    double re = 1.0;
+    double im = 0.0;
+    static Phasor at(double angle) { return {std::cos(angle), std::sin(angle)}; }
+    void rotate(const Phasor& w) {
+      const double r = re * w.re - im * w.im;
+      im = re * w.im + im * w.re;
+      re = r;
+    }
+    void normalize() {
+      const double inv = 1.0 / std::sqrt(re * re + im * im);
+      re *= inv;
+      im *= inv;
+    }
+  };
+
+  // Recomputes the per-sample rotations and amplitudes for `omega` and
+  // renormalizes the phasors.
+  void retune(double omega);
+
   RotorSoundConfig config_;
   double sample_rate_;
   double hover_omega_;
-  Rng rng_;
+  GaussianNoise noise_;
   dsp::Biquad aero_filter_;
-  double blade_phase_ = 0.0;
-  double mech_phase_ = 0.0;
-  double tone_phase_ = 0.0;
+  Phasor blade_, mech_, tone_;
+  // Per-sample rotations and amplitudes at omega_ (NaN until the first
+  // sample, so it always retunes).
+  Phasor blade_step_, mech_step_, tone_step_;
+  double omega_ = std::numeric_limits<double>::quiet_NaN();
+  double blade_amp_ = 0.0;
+  double mech_amp_ = 0.0;
+  double aero_gain_ = 0.0;
+  double tone_amp_ = 0.0;
+  std::size_t since_renorm_ = 0;
 };
 
 }  // namespace sb::acoustics

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "acoustics/propagation.hpp"
 #include "acoustics/rotor_sound.hpp"
@@ -32,14 +33,27 @@ struct SynthesizerConfig {
   double ground_altitude_m = 0.0;
 };
 
+// Provenance tag of the audio this build synthesizes.  Bump it whenever the
+// recording rendered for a given (config, flight log, seed) changes: model
+// caches key their filenames on it (bench::cache_tag), so a synthesis change
+// retrains instead of loading weights fitted to superseded audio.
+std::string synth_schema_tag();
+
 class AudioSynthesizer {
  public:
   AudioSynthesizer(const SynthesizerConfig& config, const sim::QuadrotorParams& quad,
                    std::uint64_t seed);
 
-  // Synthesizes the microphone recording for flight time [t0, t1).
-  // Deterministic given (seed, t0): the same window always produces the same
-  // audio, so pipeline stages can re-window a flight independently.
+  // Returns samples [llround(t0 * fs), llround(t1 * fs)) of the flight's one
+  // continuous microphone recording, which starts at t = 0 and is seeded by
+  // the flight seed alone.  A window is therefore a slice of that recording:
+  // synthesize(log, a, c) equals synthesize(log, a, b) followed by
+  // synthesize(log, b, c) bit for bit, and a stream of the whole recording
+  // re-slices to exactly the offline windows.  The recording is rendered
+  // from t = 0 in fixed-size blocks (transient memory O(block)) and is
+  // bitwise independent of the block size, SB_THREADS and SB_SIMD.  Render
+  // the whole flight once and slice it (AudioView) rather than calling this
+  // per window: each call renders from t = 0.
   MultiChannelAudio synthesize(const sim::FlightLog& log, double t0, double t1) const;
 
   const sensors::MicGeometry& geometry() const { return geometry_; }

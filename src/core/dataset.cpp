@@ -47,27 +47,6 @@ void enforce_disjoint_split(std::span<const std::int64_t> train_ids,
 DatasetBuilder::DatasetBuilder(const DatasetConfig& config, const FlightLab& lab)
     : config_(config), lab_(&lab), shape_(signature_shape(config.signature)) {}
 
-void DatasetBuilder::append_window(const Flight& flight,
-                                   const acoustics::AudioSynthesizer& synth,
-                                   double t0, double capture_len) {
-  const double t1 = t0 + capture_len;
-  if (t1 > flight.log.duration()) return;
-
-  const auto audio = synth.synthesize(flight.log, t0, t1);
-  const ml::Tensor sig = compute_signature(audio, config_.signature);
-  xs_.insert(xs_.end(), sig.flat().begin(), sig.flat().end());
-
-  // Labels: intact-IMU acceleration (paper §III-B) plus the benign
-  // autopilot's navigation velocity — the "audio-derived velocity" target
-  // the GPS-stage Kalman filters consume as their measurement.
-  const Vec3 accel = flight.log.mean_imu_accel(t0, t1);
-  const Vec3 vel = flight.log.mean_nav_vel(t0, t1);
-  for (double v : {accel.x, accel.y, accel.z, vel.x, vel.y, vel.z})
-    ys_.push_back(static_cast<float>(v));
-  window_flight_ids_.push_back(kNoFlightId);
-  ++count_;
-}
-
 void DatasetBuilder::add_flight(const Flight& flight) {
   add_flight(flight, kNoFlightId);
 }
@@ -79,13 +58,15 @@ void DatasetBuilder::add_flight(const Flight& flight, std::int64_t flight_id) {
 void DatasetBuilder::add_flight(const Flight& flight, std::int64_t flight_id,
                                 const FlightLab& lab) {
   obs::ScopedSpan span{"dataset_add_flight", obs::Stage::kSynthesis};
-  const auto synth = lab.synthesizer(flight);
   const double base = config_.signature.window_seconds;
   const double end = flight.log.duration();
+  const auto recording = lab.synthesizer(flight).synthesize(flight.log, 0.0, end);
 
-  // Enumerate the (start, length) grid up front; each window's synthesis +
-  // signature is independent, so they run in parallel into indexed slots and
-  // are appended in grid order afterwards — same corpus as the serial loop.
+  // Enumerate the (start, length) grid up front; each window's signature is
+  // independent, so they run in parallel into indexed slots and are appended
+  // in grid order afterwards — same corpus as the serial loop.  Base and
+  // augmented (re-captured at stretched lengths) windows are all views of
+  // the one recording.
   struct WindowTask {
     double t0, len;
   };
@@ -99,9 +80,13 @@ void DatasetBuilder::add_flight(const Flight& flight, std::int64_t flight_id,
   std::vector<WindowResult> results(tasks.size());
   util::parallel_for(tasks.size(), [&](std::size_t w) {
     const double t1 = tasks[w].t0 + tasks[w].len;
-    if (t1 > flight.log.duration()) return;
-    const auto audio = synth.synthesize(flight.log, tasks[w].t0, t1);
+    if (t1 > end) return;
+    const auto audio = recording_window(recording, tasks[w].t0, tasks[w].len);
+    if (audio.num_samples() == 0) return;
     results[w].sig = compute_signature(audio, config_.signature);
+    // Labels: intact-IMU acceleration (paper §III-B) plus the benign
+    // autopilot's navigation velocity — the "audio-derived velocity" target
+    // the GPS-stage Kalman filters consume as their measurement.
     const Vec3 accel = flight.log.mean_imu_accel(tasks[w].t0, t1);
     const Vec3 vel = flight.log.mean_nav_vel(tasks[w].t0, t1);
     const std::array<double, kLabelDim> label{accel.x, accel.y, accel.z,

@@ -58,13 +58,15 @@ class DatasetBuilder {
  public:
   DatasetBuilder(const DatasetConfig& config, const FlightLab& lab);
 
-  // Extracts all windows of one flight and appends them to the corpus.
+  // Renders the flight's recording once, extracts all windows (base and
+  // augmented) as views of it, appends them to the corpus and frees the
+  // recording before returning.
   // The id variant records `flight_id` as the provenance of every window it
   // appends, feeding the disjointness guard; the plain variant records
   // kNoFlightId (unknown provenance).
   void add_flight(const Flight& flight);
   void add_flight(const Flight& flight, std::int64_t flight_id);
-  // Multi-lab corpora (scenario matrix): synthesizes this flight's windows
+  // Multi-lab corpora (scenario matrix): renders this flight's recording
   // with `lab`'s synthesizer instead of the builder's own, so one corpus can
   // span airframes/environments whose acoustics differ.  The signature
   // config (and therefore the tensor shape) stays the builder's.
@@ -82,10 +84,6 @@ class DatasetBuilder {
   ml::RegressionDataset build() const;
 
  private:
-  void append_window(const Flight& flight,
-                     const acoustics::AudioSynthesizer& synth, double t0,
-                     double capture_len);
-
   DatasetConfig config_;
   const FlightLab* lab_;
   SignatureShape shape_;

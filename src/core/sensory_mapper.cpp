@@ -172,40 +172,21 @@ void SensoryMapper::standardize(ml::Tensor& x) const {
   }
 }
 
-std::vector<SensoryMapper::WindowAudio> SensoryMapper::synthesize_windows(
-    const FlightLab& lab, const Flight& flight) const {
-  obs::ScopedSpan span{"synthesize_windows", obs::Stage::kSynthesis};
-  const auto synth = lab.synthesizer(flight);
-  const auto grid =
-      window_grid(config_.dataset.settle_time, config_.dataset.stride,
-                  config_.dataset.signature.window_seconds, flight.log.duration());
-
-  // Window synthesis is seeded per (flight, window-start), so parallel
-  // filling of indexed slots reproduces the serial loop exactly.
-  std::vector<WindowAudio> out(grid.size());
-  util::parallel_for(grid.size(), [&](std::size_t i) {
-    out[i] = {grid[i].t0, grid[i].t1,
-              synth.synthesize(flight.log, grid[i].t0, grid[i].t1)};
-  });
-  return out;
-}
-
 ml::Tensor SensoryMapper::prepare_signature(
-    const acoustics::MultiChannelAudio& audio_in, const PredictionHooks& hooks,
-    std::array<bool, sensors::kNumMics>* healthy) const {
+    acoustics::AudioView audio, const PredictionHooks& hooks,
+    std::array<bool, sensors::kNumMics>* healthy, double t0) const {
   acoustics::MultiChannelAudio transformed;
-  const acoustics::MultiChannelAudio* audio = &audio_in;
   if (hooks.audio_transform) {
-    transformed = audio_in;  // transform a copy
-    hooks.audio_transform(transformed);
-    audio = &transformed;
+    transformed = audio.copy();  // the hook mutates a copy, never the recording
+    hooks.audio_transform(transformed, t0);
+    audio = transformed;
   }
   // Under the opt-in fast plan the WHOLE serving path drops to float32 —
   // signature front end included (the STFT dominates serving cost, not the
   // model forward).  Training and dataset building call compute_signature
   // directly and always keep the exact double pipeline.
   const bool fast_f32 = ml::plan_precision() == ml::PlanPrecision::kFast;
-  ml::Tensor sig = compute_signature(*audio, config_.dataset.signature, fast_f32);
+  ml::Tensor sig = compute_signature(audio, config_.dataset.signature, fast_f32);
   if (hooks.signature_transform) hooks.signature_transform(sig);
   if (healthy) {
     // Diagnose the audio the model would actually see and mask unhealthy
@@ -213,7 +194,7 @@ ml::Tensor SensoryMapper::prepare_signature(
     // same neutral imputation as neutralize_frequency_group.
     std::array<faults::ChannelStats, sensors::kNumMics> stats;
     for (std::size_t c = 0; c < sensors::kNumMics; ++c)
-      stats[c] = faults::analyze_channel(audio->channels[c]);
+      stats[c] = faults::analyze_channel(audio.channels[c]);
     *healthy = faults::healthy_channels(stats);
     const std::size_t per_channel = sig.row_size() / sensors::kNumMics;
     for (std::size_t c = 0; c < sensors::kNumMics; ++c) {
@@ -257,26 +238,32 @@ std::vector<TimedPrediction> SensoryMapper::predict_prepared(
 }
 
 std::vector<TimedPrediction> SensoryMapper::predict_windows(
-    std::span<const WindowAudio> windows, const PredictionHooks& hooks,
+    acoustics::AudioView recording, const PredictionHooks& hooks,
     faults::HealthReport* health) const {
   obs::ScopedSpan span{"predict_windows", obs::Stage::kPredict};
   if (!trained_) throw std::logic_error{"SensoryMapper: predict before fit"};
+  const auto& ds = config_.dataset;
+  const double window_seconds = ds.signature.window_seconds;
+  const auto grid = window_grid(
+      ds.settle_time, ds.stride, window_seconds,
+      static_cast<double>(recording.num_samples()) / recording.sample_rate);
 
   // Signature extraction (the expensive part) is independent per window and
-  // runs in parallel; see PredictionHooks for the concurrency contract.
-  // Channel diagnosis writes only its own window's slot; the health tally
-  // is reduced serially, in window order, after the loop.
-  std::vector<ml::Tensor> sigs(windows.size());
+  // runs in parallel over views of the one recording; see PredictionHooks
+  // for the concurrency contract.  Channel diagnosis writes only its own
+  // window's slot; the health tally is reduced serially, in window order,
+  // after the loop.
+  std::vector<ml::Tensor> sigs(grid.size());
   std::vector<std::array<bool, sensors::kNumMics>> healthy;
-  if (health) healthy.assign(windows.size(), {});
-  util::parallel_for(windows.size(), [&](std::size_t i) {
-    sigs[i] = prepare_signature(windows[i].audio, hooks,
-                                health ? &healthy[i] : nullptr);
+  if (health) healthy.assign(grid.size(), {});
+  util::parallel_for(grid.size(), [&](std::size_t i) {
+    sigs[i] = prepare_signature(recording_window(recording, grid[i].t0, window_seconds),
+                                hooks, health ? &healthy[i] : nullptr, grid[i].t0);
   });
 
   if (health) {
     for (const auto& h : healthy) health->add_window_mask(h);
-    health->windows_total += windows.size();
+    health->windows_total += grid.size();
   }
 
   // The model keeps per-layer forward caches, so inference stays single-file
@@ -284,15 +271,13 @@ std::vector<TimedPrediction> SensoryMapper::predict_windows(
   // grid-order chunks — bitwise identical to per-window forwards because
   // every op processes batch rows independently (pinned by ml_test).
   std::vector<TimedPrediction> out;
-  out.reserve(windows.size());
+  out.reserve(grid.size());
   constexpr std::size_t kInferBatch = 64;
-  for (std::size_t start = 0; start < windows.size(); start += kInferBatch) {
-    const std::size_t end = std::min(start + kInferBatch, windows.size());
-    std::vector<WindowSpan> spans(end - start);
-    for (std::size_t i = start; i < end; ++i)
-      spans[i - start] = {windows[i].t0, windows[i].t1};
+  for (std::size_t start = 0; start < grid.size(); start += kInferBatch) {
+    const std::size_t end = std::min(start + kInferBatch, grid.size());
     auto chunk = predict_prepared(
-        std::span<const ml::Tensor>{sigs.data() + start, end - start}, spans);
+        std::span<const ml::Tensor>{sigs.data() + start, end - start},
+        std::span<const WindowSpan>{grid.data() + start, end - start});
     out.insert(out.end(), chunk.begin(), chunk.end());
   }
   return out;
@@ -301,7 +286,9 @@ std::vector<TimedPrediction> SensoryMapper::predict_windows(
 std::vector<TimedPrediction> SensoryMapper::predict_flight(
     const FlightLab& lab, const Flight& flight, const PredictionHooks& hooks,
     faults::HealthReport* health) const {
-  return predict_windows(synthesize_windows(lab, flight), hooks, health);
+  const auto recording =
+      lab.synthesizer(flight).synthesize(flight.log, 0.0, flight.log.duration());
+  return predict_windows(recording, hooks, health);
 }
 
 namespace {

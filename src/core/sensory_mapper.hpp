@@ -43,14 +43,16 @@ struct TimedPrediction {
   Vec3 vel;    // NED, m/s — the audio-derived velocity (KF measurement)
 };
 
-// Optional hooks for the adversarial and ablation experiments.
+// Optional hooks for the adversarial, fault and ablation experiments.
 // Concurrency contract: predict_windows may invoke a hook from several pool
 // threads at once (one window each), so hooks must be pure transforms of
-// their argument — no mutable captured state, no rng draws.
+// their arguments — no mutable captured state, no rng draws.
 struct PredictionHooks {
-  // Mutates the raw microphone audio before signature extraction
-  // (sound-spoofing attacks, Tab. III).
-  std::function<void(acoustics::MultiChannelAudio&)> audio_transform;
+  // Mutates a copy of one window's raw microphone audio before signature
+  // extraction (sound-spoofing attacks, Tab. III; mic faults via
+  // faults::apply_to_audio).  `t0` is the window's start on the flight
+  // timeline.
+  std::function<void(acoustics::MultiChannelAudio& audio, double t0)> audio_transform;
   // Mutates the signature tensor before inference (counterfactual
   // frequency-group removal, §IV-A).
   std::function<void(ml::Tensor&)> signature_transform;
@@ -67,41 +69,33 @@ class SensoryMapper {
   // Trains on a pre-built dataset (used by the augmentation sweep).
   ml::TrainResult fit_dataset(const ml::RegressionDataset& data);
 
-  // One synthesized analysis window of a flight.
-  struct WindowAudio {
-    double t0 = 0.0;
-    double t1 = 0.0;
-    acoustics::MultiChannelAudio audio;
-  };
-
-  // Synthesizes all analysis windows of a flight once; the result can be fed
-  // to predict_windows repeatedly (e.g. under different sound-attack
-  // transforms) without re-synthesizing.
-  std::vector<WindowAudio> synthesize_windows(const FlightLab& lab,
-                                              const Flight& flight) const;
-
-  // Predictions from pre-synthesized windows.  With `health`, every window's
-  // channels are diagnosed (faults::analyze_channel on the audio actually
-  // analyzed, i.e. after audio_transform) and unhealthy channels are masked
-  // to the training-corpus feature mean — the same neutral imputation as
+  // Predictions for the window_grid windows of a flight's recording
+  // (AudioSynthesizer::synthesize(log, 0, duration)), each read in place
+  // through recording_window.  The recording can be fed repeatedly (e.g.
+  // under different sound-attack or fault hooks) without re-rendering.
+  // With `health`, every window's channels are diagnosed
+  // (faults::analyze_channel on the audio actually analyzed, i.e. after
+  // audio_transform) and unhealthy channels are masked to the
+  // training-corpus feature mean — the same neutral imputation as
   // neutralize_frequency_group — instead of feeding a dead/clipped channel's
   // garbage to the model; the masking tally accumulates into `health`.
-  // Without `health` the diagnosis is skipped entirely and the output is
-  // bit-identical to previous behavior.
+  // Without `health` the diagnosis is skipped entirely.
   std::vector<TimedPrediction> predict_windows(
-      std::span<const WindowAudio> windows, const PredictionHooks& hooks = {},
+      acoustics::AudioView recording, const PredictionHooks& hooks = {},
       faults::HealthReport* health = nullptr) const;
 
   // Extracts, transforms, optionally health-masks and standardizes ONE
   // window's signature — the single implementation behind both the offline
   // predict_windows path and the streaming runtime (stream::RcaSession).
-  // With `healthy`, the channels of the (post-transform) audio are diagnosed
-  // and unhealthy ones masked to the corpus mean; the mask is written out.
+  // `t0` is the window's start, handed to hooks.audio_transform.  With
+  // `healthy`, the channels of the (post-transform) audio are diagnosed and
+  // unhealthy ones masked to the corpus mean; the mask is written out.
   // Safe to call from several pool threads at once (subject to the
   // PredictionHooks concurrency contract); it never touches the model.
   ml::Tensor prepare_signature(
-      const acoustics::MultiChannelAudio& audio, const PredictionHooks& hooks = {},
-      std::array<bool, sensors::kNumMics>* healthy = nullptr) const;
+      acoustics::AudioView audio, const PredictionHooks& hooks = {},
+      std::array<bool, sensors::kNumMics>* healthy = nullptr,
+      double t0 = 0.0) const;
 
   // Batched inference over prepared signatures: stacks the [1,C,H,W] rows
   // into one [N,C,H,W] tensor and runs ONE model forward (model forwards are
@@ -112,7 +106,8 @@ class SensoryMapper {
   std::vector<TimedPrediction> predict_prepared(
       std::span<const ml::Tensor> sigs, std::span<const WindowSpan> spans) const;
 
-  // Acceleration predictions at `stride` spacing across a flight.
+  // Acceleration predictions at `stride` spacing across a flight: renders
+  // the flight's recording once and predicts its windows.
   std::vector<TimedPrediction> predict_flight(
       const FlightLab& lab, const Flight& flight,
       const PredictionHooks& hooks = {},

@@ -1,6 +1,7 @@
 #include "core/signature.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "dsp/biquad.hpp"
@@ -23,7 +24,16 @@ std::vector<WindowSpan> window_grid(double settle, double stride,
   return grid;
 }
 
-ml::Tensor compute_signature(const acoustics::MultiChannelAudio& audio,
+acoustics::AudioView recording_window(acoustics::AudioView recording, double t0,
+                                      double seconds) {
+  const double fs = recording.sample_rate;
+  const auto begin = static_cast<std::size_t>(std::llround(std::max(t0, 0.0) * fs));
+  const auto n = static_cast<std::size_t>(std::llround(seconds * fs));
+  if (begin + n > recording.num_samples()) return {};
+  return recording.slice(begin, n);
+}
+
+ml::Tensor compute_signature(acoustics::AudioView audio,
                              const SignatureConfig& config, bool fast_f32) {
   const std::size_t n = audio.num_samples();
   if (n < config.frame_size)

@@ -39,11 +39,19 @@ struct WindowSpan {
 
 // The canonical analysis-window grid: starts at `settle` (takeoff transient
 // skipped), advances by `stride`, and keeps every window that fits before
-// `duration`.  Offline windowing (DatasetBuilder, synthesize_windows) and the
-// streaming extractor all enumerate THIS grid — one implementation, so the
-// online and post-incident paths analyze bit-identical windows.
+// `duration`.  Offline windowing (DatasetBuilder, SensoryMapper::
+// predict_windows) and the streaming extractor all enumerate THIS grid — one
+// implementation, so the online and post-incident paths analyze
+// bit-identical windows.
 std::vector<WindowSpan> window_grid(double settle, double stride,
                                     double window_seconds, double duration);
+
+// Window [t0, t0 + seconds) of a recording that starts at t = 0: the view
+// of samples [llround(t0 * fs), + llround(seconds * fs)) — the rounding the
+// synthesizer slices by and the streaming extractor emits — or an empty
+// view when that range runs past the recording's end.
+acoustics::AudioView recording_window(acoustics::AudioView recording, double t0,
+                                      double seconds);
 
 // Computes the signature of one audio window.  The window may be LONGER than
 // the base window (time-shift augmentation): the STFT hop is stretched so the
@@ -52,7 +60,7 @@ std::vector<WindowSpan> window_grid(double settle, double stride,
 // Returns a [1, C, H, W] tensor ready to batch.  `fast_f32` selects the
 // float32 STFT pipeline of the SB_PRECISION=fast serving path (SensoryMapper
 // opts serving in; training and dataset building keep the exact default).
-ml::Tensor compute_signature(const acoustics::MultiChannelAudio& audio,
+ml::Tensor compute_signature(acoustics::AudioView audio,
                              const SignatureConfig& config,
                              bool fast_f32 = false);
 

@@ -44,15 +44,6 @@ Biquad Biquad::notch(double center_hz, double sample_rate, double q) {
   return {1.0 / a0, -2.0 * cw / a0, 1.0 / a0, -2.0 * cw / a0, (1.0 - alpha) / a0};
 }
 
-double Biquad::process(double x) {
-  const double y = b0_ * x + b1_ * x1_ + b2_ * x2_ - a1_ * y1_ - a2_ * y2_;
-  x2_ = x1_;
-  x1_ = x;
-  y2_ = y1_;
-  y1_ = y;
-  return y;
-}
-
 std::vector<double> Biquad::process(std::span<const double> xs) {
   std::vector<double> out(xs.size());
   process_into(xs, out);

@@ -20,7 +20,16 @@ class Biquad {
   static Biquad notch(double center_hz, double sample_rate, double q);
 
   // Processes one sample through the filter, updating internal state.
-  double process(double x);
+  // Inline: the rotor-sound renderer filters one noise sample per output
+  // sample.
+  double process(double x) {
+    const double y = b0_ * x + b1_ * x1_ + b2_ * x2_ - a1_ * y1_ - a2_ * y2_;
+    x2_ = x1_;
+    x1_ = x;
+    y2_ = y1_;
+    y1_ = y;
+    return y;
+  }
 
   // Filters a whole buffer (stateful across calls).
   std::vector<double> process(std::span<const double> xs);

@@ -1,6 +1,7 @@
 #include "stream/fleet_server.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
@@ -218,6 +219,13 @@ bool FleetServer::checkpoint(std::uint64_t id, const std::string& path) {
 
 std::size_t FleetServer::checkpoint_all(const std::string& dir) {
   drain();
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    obs::logf(obs::LogLevel::kWarn, "fleet", "cannot create checkpoint dir %s: %s",
+              dir.c_str(), ec.message().c_str());
+    return 0;
+  }
   std::size_t written = 0;
   for (Shard& shard : shards_)
     for (const auto& session : shard.sessions) {

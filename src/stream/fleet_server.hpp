@@ -106,7 +106,9 @@ class FleetServer {
   bool checkpoint(std::uint64_t id, const std::string& path);
 
   // Drains everything and checkpoints every live session to
-  // `dir`/SESSION_<id>.sbsess.  Returns the number written.
+  // `dir`/SESSION_<id>.sbsess, creating `dir` (and its parents) first.
+  // Returns the number written — 0, with a warning, when the directory
+  // cannot be created.
   std::size_t checkpoint_all(const std::string& dir);
 
   // Restores a checkpointed session and attaches it to whichever shard its

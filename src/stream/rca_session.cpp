@@ -69,7 +69,8 @@ void RcaSession::prepare_window(ReadyWindow& w) {
   // Extraction, hooks, channel diagnosis + masking, standardization — the
   // exact per-window path the offline predict_windows runs.
   std::array<bool, sensors::kNumMics> healthy{};
-  w.signature = mapper_->prepare_signature(w.audio, config_.hooks, &healthy);
+  w.signature =
+      mapper_->prepare_signature(w.audio, config_.hooks, &healthy, w.span.t0);
   w.audio = {};
   const std::size_t masked = health_.add_window_mask(healthy);
   if (recorder_) {

@@ -37,7 +37,7 @@ void StreamingFeatureExtractor::trim() {
   base_ = keep_from;
 }
 
-std::vector<core::SensoryMapper::WindowAudio> StreamingFeatureExtractor::push(
+std::vector<WindowAudio> StreamingFeatureExtractor::push(
     const acoustics::MultiChannelAudio& chunk) {
   const std::size_t n = chunk.num_samples();
   for (const auto& ch : chunk.channels)
@@ -48,11 +48,11 @@ std::vector<core::SensoryMapper::WindowAudio> StreamingFeatureExtractor::push(
                       chunk.channels[c].end());
   next_abs_ += n;
 
-  std::vector<core::SensoryMapper::WindowAudio> out;
+  std::vector<WindowAudio> out;
   while (true) {
     const std::size_t begin = window_begin(next_t0_);
     if (begin + window_len_ > next_abs_) break;
-    core::SensoryMapper::WindowAudio w;
+    WindowAudio w;
     w.t0 = next_t0_;
     w.t1 = next_t0_ + config_.window_seconds;
     w.audio.sample_rate = config_.sample_rate;

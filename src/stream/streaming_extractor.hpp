@@ -1,15 +1,15 @@
 // Ring-buffered incremental window slicing for the online serving runtime.
 //
-// The offline pipeline synthesizes each analysis window as its own audio
-// capture; a live deployment instead sees ONE continuous multi-channel
-// stream arriving chunk by chunk.  StreamingFeatureExtractor buffers that
-// stream and emits an analysis window the moment its last sample arrives,
-// enumerating exactly the core::window_grid the offline path analyzes.  The
-// emitted audio is a verbatim slice of the stream, so downstream signature
-// extraction (SensoryMapper::prepare_signature) is bit-identical to the
-// offline path whenever the stream itself matches the offline windows'
-// concatenation — pinned by stream_test and the integration equivalence
-// suite.
+// The offline pipeline renders a flight's one continuous recording and reads
+// every analysis window as a view of it; a live deployment sees the same
+// continuous multi-channel stream arriving chunk by chunk.
+// StreamingFeatureExtractor buffers that stream and emits an analysis window
+// the moment its last sample arrives, enumerating exactly the
+// core::window_grid the offline path analyzes.  The emitted audio is a
+// verbatim slice of the stream at the samples core::recording_window views
+// offline, so streaming the recording reproduces the offline signatures bit
+// for bit at any stride — pinned by stream_test and the integration
+// equivalence suite at the production 0.25 s stride.
 #pragma once
 
 #include <cstddef>
@@ -17,9 +17,17 @@
 #include <vector>
 
 #include "acoustics/propagation.hpp"
-#include "core/sensory_mapper.hpp"
 
 namespace sb::stream {
+
+// One analysis window cut from the stream: its span on the flight timeline
+// and a copy of its samples (the ring buffer moves on before the window is
+// analyzed).
+struct WindowAudio {
+  double t0 = 0.0;
+  double t1 = 0.0;
+  acoustics::MultiChannelAudio audio;
+};
 
 struct StreamingExtractorConfig {
   double sample_rate = 16000.0;
@@ -37,13 +45,12 @@ class StreamingFeatureExtractor {
   // grid order.  Chunk boundaries are irrelevant: the emitted windows depend
   // only on the concatenated stream (chunk-size invariance is pinned by
   // stream_test).
-  std::vector<core::SensoryMapper::WindowAudio> push(
+  std::vector<WindowAudio> push(
       const acoustics::MultiChannelAudio& chunk);
 
   // Window k covers samples [begin, begin + length) of the stream, with
-  // begin = llround(t0_k * fs) — the same rounding the synthesizer uses to
-  // size a window, so a re-sliced continuous stream lands on the exact
-  // samples an offline per-window capture holds.
+  // begin = llround(t0_k * fs) — the same rounding the synthesizer slices
+  // the recording by and core::recording_window views it with.
   std::size_t window_length() const { return window_len_; }
 
   std::size_t samples_pushed() const { return next_abs_; }

@@ -6,8 +6,6 @@
 namespace sb {
 namespace {
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 // splitmix64: seeds the xoshiro state from a single 64-bit value.
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -22,23 +20,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

@@ -5,6 +5,7 @@
 // every experiment is reproducible from a single seed.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -16,11 +17,21 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  // Uniform in [0, 2^64).
-  std::uint64_t next_u64();
+  // Uniform in [0, 2^64).  Inline: the audio renderer draws one per sample.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  // Uniform double in [0, 1).
-  double uniform();
+  // Uniform double in [0, 1): the 53 high bits.
+  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi);

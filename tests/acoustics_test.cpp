@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "acoustics/propagation.hpp"
@@ -9,7 +10,9 @@
 #include "dsp/fft.hpp"
 #include "dsp/spectrogram.hpp"
 #include "util/checksum.hpp"
+#include "util/simd.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sb::acoustics {
 namespace {
@@ -328,10 +331,111 @@ TEST(Synthesizer, GroundReflectionChangesWaveform) {
   EXPECT_GT(diff, 0.1);
 }
 
-// Golden pin: the default quad's synthesized audio window is bitwise
-// identical to the pre-scenario-refactor build (CRC captured before the
-// synthesizer grew runtime rotor counts, detune vectors and ground
-// reflection).  See sim_test's GoldenQuad for the flight-side pins.
+TEST(RotorSound, PhasorMagnitudeStaysUnitOverTenMinutes) {
+  // A constant speed never retunes, so only the periodic renormalization
+  // keeps rounding from growing the oscillator phasors.
+  const double hover = sim::QuadrotorParams{}.hover_omega();
+  RotorSound synth{{}, kFs, hover, Rng{5}};
+  std::vector<double> block(16000);
+  double worst = 0.0;
+  for (int second = 0; second < 600; ++second) {
+    synth.render(hover, block);
+    worst = std::max(worst, synth.phasor_error());
+  }
+  EXPECT_LT(worst, 1e-9);
+}
+
+TEST(RotorSound, RenderMatchesPerSampleCalls) {
+  const double hover = sim::QuadrotorParams{}.hover_omega();
+  RotorSound a{{}, kFs, hover, Rng{6}};
+  RotorSound b{{}, kFs, hover, Rng{6}};
+  std::vector<double> block(100);
+  for (const double omega : {hover, 1.1 * hover, 0.95 * hover}) {
+    a.render(omega, block);
+    for (double x : block) ASSERT_EQ(x, b.sample(omega));
+  }
+}
+
+// A real closed-loop flight: rotor speeds change every physics step and the
+// body moves, so the recording exercises retuning, airflow and every block
+// boundary.
+const core::Flight& line_flight() {
+  static const core::Flight kFlight = [] {
+    core::FlightLab lab;
+    core::FlightScenario s;
+    s.mission = sim::Mission::line({0, 0, -10}, {15, 0, -10}, 3.0, 4.0);
+    s.wind.gust_stddev = 0.3;
+    s.seed = 17;
+    return lab.fly(s);
+  }();
+  return kFlight;
+}
+
+void expect_same_audio(const MultiChannelAudio& a, const MultiChannelAudio& b) {
+  ASSERT_EQ(a.num_samples(), b.num_samples());
+  for (std::size_t m = 0; m < a.channels.size(); ++m)
+    ASSERT_EQ(a.channels[m], b.channels[m]) << "mic " << m;
+}
+
+TEST(Synthesizer, AdjacentSlicesConcatenateToTheRecordingBitwise) {
+  const auto& flight = line_flight();
+  const auto synth = core::FlightLab{}.synthesizer(flight);
+  // Cut points off the render's block grid and off the physics grid.
+  const double a = 0.3, b = 1.2371, c = 3.5;
+  const auto whole = synth.synthesize(flight.log, a, c);
+  const auto left = synth.synthesize(flight.log, a, b);
+  const auto right = synth.synthesize(flight.log, b, c);
+  ASSERT_EQ(left.num_samples() + right.num_samples(), whole.num_samples());
+  for (std::size_t m = 0; m < whole.channels.size(); ++m) {
+    std::vector<double> joined = left.channels[m];
+    joined.insert(joined.end(), right.channels[m].begin(), right.channels[m].end());
+    ASSERT_EQ(joined, whole.channels[m]) << "mic " << m;
+  }
+  // A slice is the recording's samples [llround(t0 fs), llround(t1 fs)).
+  const auto recording = synth.synthesize(flight.log, 0.0, c);
+  for (std::size_t m = 0; m < whole.channels.size(); ++m)
+    ASSERT_TRUE(std::equal(whole.channels[m].begin(), whole.channels[m].end(),
+                           recording.channels[m].begin() + std::llround(a * kFs)));
+}
+
+TEST(Synthesizer, RecordingIsIdenticalAcrossThreadsAndSimdBackends) {
+  const auto& flight = line_flight();
+  const auto synth = core::FlightLab{}.synthesizer(flight);
+  util::ThreadPool::set_threads(1);
+  const auto one = synth.synthesize(flight.log, 0.0, flight.log.duration());
+  util::ThreadPool::set_threads(4);
+  const auto four = synth.synthesize(flight.log, 0.0, flight.log.duration());
+  const util::SimdBackend backend = util::simd_backend();
+  util::set_simd_backend(util::SimdBackend::kScalar);
+  const auto scalar = synth.synthesize(flight.log, 0.0, flight.log.duration());
+  util::set_simd_backend(backend);
+  util::ThreadPool::set_threads(0);
+  expect_same_audio(one, four);
+  expect_same_audio(one, scalar);
+}
+
+TEST(Synthesizer, ConstantOmegaPeaksAtBladeMechanicalAndVortexTones) {
+  sim::QuadrotorParams quad;
+  SynthesizerConfig cfg;
+  cfg.rotor_detune = {0.0, 0.0, 0.0, 0.0};  // every rotor on the same tones
+  AudioSynthesizer synth{cfg, quad, 11};
+  const auto audio = synth.synthesize(hover_log(quad, 1200), 0.5, 2.5);
+  const double rot_hz = quad.hover_omega() / (2.0 * M_PI);
+  const auto& rc = cfg.rotor;
+  const auto& mic = audio.channels[0];
+  for (const double tone : {rc.blade_count * rot_hz, rc.mech_ratio * rot_hz,
+                            rc.aero_tone_ratio * rot_hz}) {
+    const double peak = dsp::goertzel(mic, tone, kFs);
+    for (const double off : {-0.06, 0.06})
+      EXPECT_GT(peak, 5.0 * dsp::goertzel(mic, tone * (1.0 + off), kFs))
+          << "tone " << tone << " Hz";
+  }
+}
+
+// Golden pin of the default quad's audio: samples [3 s, 4 s) of the flight's
+// one continuous recording.  Re-pinned when synthesis moved from per-window
+// captures to one recording per flight (phasor oscillators, per-mic noise
+// streams); see sim_test's GoldenQuad for the flight-side pins.
 TEST(GoldenQuad, AudioBitwiseIdenticalToSeed) {
   core::FlightLab lab;
   core::FlightScenario s;
@@ -345,7 +449,7 @@ TEST(GoldenQuad, AudioBitwiseIdenticalToSeed) {
   std::uint32_t crc = 0;
   for (const auto& ch : audio.channels)
     for (double x : ch) crc = util::crc32(&x, sizeof x, crc);
-  EXPECT_EQ(crc, 0x950d243bu);
+  EXPECT_EQ(crc, 0xb62e8ee4u);
 }
 
 }  // namespace

@@ -467,10 +467,14 @@ TEST(WorkspaceTest, ServingSteadyStateMakesNoHeapAllocations) {
   const std::vector<core::Flight> flights{flight};
   mapper.fit(test::lab(), flights);
 
-  const auto windows = mapper.synthesize_windows(test::lab(), flight);
-  ASSERT_FALSE(windows.empty());
-  const auto& audio = windows.front().audio;
-  const core::WindowSpan span{windows.front().t0, windows.front().t1};
+  const auto recording =
+      test::lab().synthesizer(flight).synthesize(flight.log, 0.0, flight.log.duration());
+  const auto& ds = mapper.config().dataset;
+  const core::WindowSpan span{ds.settle_time,
+                              ds.settle_time + ds.signature.window_seconds};
+  const auto audio =
+      core::recording_window(recording, span.t0, ds.signature.window_seconds);
+  ASSERT_GT(audio.num_samples(), 0u);
 
   auto serve_once = [&] {
     const Tensor sig = mapper.prepare_signature(audio);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -43,10 +44,10 @@ acoustics::MultiChannelAudio slice(const acoustics::MultiChannelAudio& full,
   return chunk;
 }
 
-std::vector<core::SensoryMapper::WindowAudio> push_in_chunks(
+std::vector<WindowAudio> push_in_chunks(
     StreamingFeatureExtractor& ex, const acoustics::MultiChannelAudio& full,
     std::size_t chunk_size) {
-  std::vector<core::SensoryMapper::WindowAudio> out;
+  std::vector<WindowAudio> out;
   for (std::size_t i = 0; i < full.num_samples(); i += chunk_size) {
     const std::size_t end = std::min(i + chunk_size, full.num_samples());
     for (auto& w : ex.push(slice(full, i, end))) out.push_back(std::move(w));
@@ -686,6 +687,50 @@ TEST_F(StreamServingTest, FleetServingMatchesShardedStandaloneBitwise) {
     expect_same_reports(solo_report, fleet_report);
   }
   EXPECT_EQ(fleet.sessions_live(), 0u);
+}
+
+TEST_F(StreamServingTest, FleetCheckpointAllCreatesItsDirectoryAndRestoresBitwise) {
+  // A restart-recovery run hands checkpoint_all a directory that does not
+  // exist yet; the fleet must create it, and a fresh fleet restoring from it
+  // must finish the flight exactly as an uninterrupted fleet does.
+  const std::vector<std::uint64_t> ids{31, 32};
+  FleetServerConfig config;
+  config.num_shards = 2;
+  FleetServer control{*mapper_, *imu_, *gps_, config};
+  FleetServer before{*mapper_, *imu_, *gps_, config};
+  for (const auto id : ids) {
+    feed_range(*control.admit(id).session, 0.0, 5.0);
+    feed_range(*before.admit(id).session, 0.0, 5.0);
+  }
+  control.pump();
+  before.pump();
+  // checkpoint_all drains first; drain the control at the same point so
+  // both fleets see one delivery schedule.
+  EXPECT_TRUE(control.drain());
+
+  const std::filesystem::path dir = std::filesystem::path{::testing::TempDir()} /
+                                    "sb_fleet_ckpt" / "nested" / "run";
+  std::filesystem::remove_all(dir.parent_path().parent_path());
+  ASSERT_EQ(before.checkpoint_all(dir.string()), ids.size());
+
+  FleetServer after{*mapper_, *imu_, *gps_, config};
+  for (const auto id : ids) {
+    const auto res =
+        after.restore((dir / ("SESSION_" + std::to_string(id) + ".sbsess")).string());
+    ASSERT_NE(res.session, nullptr) << "session " << id;
+    feed_range(*res.session, 5.0, 10.0);
+    feed_range(*control.find(id), 5.0, 10.0);
+  }
+  control.pump();
+  after.pump();
+  EXPECT_TRUE(control.drain());
+  EXPECT_TRUE(after.drain());
+  for (const auto id : ids) {
+    expect_same_verdicts(control.find(id)->poll_verdicts(),
+                         after.find(id)->poll_verdicts());
+    expect_same_reports(control.finish(id), after.finish(id));
+  }
+  std::filesystem::remove_all(dir.parent_path().parent_path());
 }
 
 TEST_F(StreamServingTest, FleetRestoreMigratesSessionsAcrossShardLayouts) {
