@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "estimation/frames.hpp"
 #include "estimation/kalman.hpp"
 #include "estimation/velocity_kf.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace sb::est {
@@ -157,6 +160,77 @@ TEST(VelocityKf, DeadReckonDriftsWithBiasedAccel) {
   // Both predict and measurement integrate the same biased stream: the
   // filter cannot reject the drift (the Failsafe baseline's weakness).
   EXPECT_GT(v.x, 4.0);
+}
+
+// Bits of `x` folded into a running CRC-32.
+std::uint32_t fold(std::uint32_t crc, double x) {
+  return util::crc32(&x, sizeof x, crc);
+}
+
+std::uint32_t fold(std::uint32_t crc, const Vec3& v) {
+  return fold(fold(fold(crc, v.x), v.y), v.z);
+}
+
+// One fixed input for the bit pins below: random strides, accelerations and
+// measurements drawn with arithmetic only (no libm, so the bits are the same
+// on every host), and a coast on roughly one step in six.
+struct KfStep {
+  double dt;
+  Vec3 accel;
+  Vec3 meas;
+  bool coast;
+};
+
+std::vector<KfStep> kf_pin_input() {
+  Rng rng{2024};
+  const auto vec = [&](double span) {
+    const double x = rng.uniform(-span, span);
+    const double y = rng.uniform(-span, span);
+    return Vec3{x, y, rng.uniform(-span, span)};
+  };
+  std::vector<KfStep> steps(600);
+  for (auto& s : steps) {
+    s.dt = rng.uniform(0.05, 0.5);
+    s.accel = vec(3.0);
+    s.meas = vec(8.0);
+    s.coast = rng.uniform() < 1.0 / 6.0;
+  }
+  return steps;
+}
+
+// Pins the velocity filters' output bits over kf_pin_input(): velocity and
+// variance after every step of the audio-only and the fused drive, and the
+// velocity of the dead-reckoning drive (the Failsafe baseline's: a single
+// acceleration stream whose own integral is the measurement, with variance
+// growing by r_drift per second).  Every verdict and checkpoint depends on
+// these bits.
+TEST(VelocityKf, OutputBitsArePinned) {
+  const VelocityKfConfig cfg;
+  const Vec3 v0{1.25, -0.5, 0.125};
+  const auto steps = kf_pin_input();
+  AudioOnlyVelocityKf audio{cfg, v0};
+  AudioImuVelocityKf fused{cfg, v0};
+  DeadReckonVelocityKf reckon{cfg, v0};
+  std::uint32_t crc_audio = 0, crc_fused = 0, crc_reckon = 0;
+  const auto fold_filter = [](std::uint32_t crc, const Vec3& v,
+                              const LinearKalmanFilter& kf) {
+    // The covariance stays p * I: one variance describes it.
+    const Matrix& p = kf.covariance();
+    for (std::size_t i = 0; i < 3; ++i)
+      for (std::size_t j = 0; j < 3; ++j)
+        EXPECT_EQ(p(i, j), i == j ? p(0, 0) : 0.0);
+    return fold(fold(crc, v), p(0, 0));
+  };
+  for (const auto& s : steps) {
+    const Vec3 va = s.coast ? audio.coast(s.dt) : audio.step(s.accel, s.meas, s.dt);
+    const Vec3 vf = s.coast ? fused.coast(s.dt) : fused.step(s.accel, s.meas, s.dt);
+    crc_audio = fold_filter(crc_audio, va, audio.filter());
+    crc_fused = fold_filter(crc_fused, vf, fused.filter());
+    crc_reckon = fold(crc_reckon, reckon.step(s.accel, s.dt));
+  }
+  EXPECT_EQ(crc_audio, 0x506da468u);
+  EXPECT_EQ(crc_fused, 0xe61aa283u);
+  EXPECT_EQ(crc_reckon, 0xce362433u);
 }
 
 TEST(Frames, AccelRoundTrip) {
