@@ -1,5 +1,6 @@
 // Shared experiment rig for the bench harnesses: the standard training
-// corpus, the benign/attack test flight sets, and the calibrated detectors.
+// corpus, the benign/attack test flight sets, the calibrated detectors and
+// the serving benches' set-up (tiny mode, env knobs, feed slicing, model).
 //
 // Workload scale note: the paper's flights are 1-3 minutes on a physical
 // testbed; the benches use 25-60 s simulated flights so the whole suite runs
@@ -531,18 +532,13 @@ inline core::FlightScenario imu_attack_scenario(int i, double duration = 40.0) {
   return s;
 }
 
-struct CalibratedDetectors {
-  core::ImuRcaDetector imu{core::ImuRcaConfig{}};
-  core::GpsRcaDetector gps{core::GpsRcaConfig{}};
-};
+using CalibratedDetectors = core::CalibratedDetectors;
 
-// Calibrates both detector stages on `n_benign` dedicated benign flights.
+// Calibrates both detector stages (core::calibrate_detectors) on `n_benign`
+// dedicated benign flights.
 inline CalibratedDetectors calibrate_detectors(const core::SensoryMapper& mapper,
                                                int n_benign = 10,
                                                double duration = 40.0) {
-  CalibratedDetectors det;
-  std::vector<core::WindowResiduals> imu_cal;
-  std::vector<core::GpsRcaDetector::Result> audio_results, fused_results;
   std::vector<core::FlightScenario> scenarios;
   for (int i = 0; i < n_benign; ++i) {
     auto scenario = benign_scenario(i, duration);
@@ -550,19 +546,49 @@ inline CalibratedDetectors calibrate_detectors(const core::SensoryMapper& mapper
     scenarios.push_back(scenario);
   }
   const auto flights = lab().fly_all(scenarios);
-  for (const auto& flight : flights) {
-    const auto preds = mapper.predict_flight(lab(), flight);
-    const auto w = core::ImuRcaDetector::residuals(flight, preds);
-    imu_cal.insert(imu_cal.end(), w.begin(), w.end());
-    audio_results.push_back(
-        det.gps.analyze(flight, preds, core::GpsDetectorMode::kAudioOnly));
-    fused_results.push_back(
-        det.gps.analyze(flight, preds, core::GpsDetectorMode::kAudioImu));
-  }
-  det.imu.calibrate(imu_cal);
-  det.gps.calibrate(audio_results, core::GpsDetectorMode::kAudioOnly);
-  det.gps.calibrate(fused_results, core::GpsDetectorMode::kAudioImu);
-  return det;
+  std::vector<std::vector<core::TimedPrediction>> preds;
+  for (const auto& flight : flights)
+    preds.push_back(mapper.predict_flight(lab(), flight));
+  return core::calibrate_detectors(flights, preds);
+}
+
+// SB_BENCH_TINY (set, non-empty, not "0") shrinks a bench to a seconds-scale
+// smoke run of every code path (CI's bench-smoke job).
+inline bool tiny_mode() {
+  const char* v = std::getenv("SB_BENCH_TINY");
+  return v != nullptr && *v && *v != '0';
+}
+
+// A numeric SB_BENCH_* knob; `fallback` when unset or empty.
+inline double env_double(const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  return v != nullptr && *v ? std::strtod(v, nullptr) : fallback;
+}
+
+// Samples [begin, end) of every channel of a continuous capture: one pushed
+// chunk of a serving feed.
+inline acoustics::MultiChannelAudio slice_audio(
+    const acoustics::MultiChannelAudio& full, std::size_t begin, std::size_t end) {
+  acoustics::MultiChannelAudio chunk;
+  chunk.sample_rate = full.sample_rate;
+  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+    chunk.channels[c].assign(full.channels[c].begin() + begin,
+                             full.channels[c].begin() + end);
+  return chunk;
+}
+
+// The model the serving benches serve: the standard mapper, or with `tiny`
+// an MLP trained for two epochs on a handful of short flights — enough to
+// exercise every serving code path in seconds — cached as "stream_tiny".
+inline core::SensoryMapper serving_mapper(bool tiny) {
+  if (!tiny) return standard_mapper();
+  core::SensoryMapperConfig cfg;
+  cfg.model = ml::ModelKind::kMlp;
+  cfg.train.epochs = 2;
+  core::SensoryMapper mapper{cfg};
+  const auto flights = lab().fly_all(lab().training_scenarios(1, 12.0));
+  fit_cached(mapper, "stream_tiny", flights);
+  return mapper;
 }
 
 }  // namespace sb::bench

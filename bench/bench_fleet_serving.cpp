@@ -39,19 +39,9 @@ namespace {
 
 using namespace sb;
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v ? std::strtod(v, nullptr) : fallback;
-}
-
 std::string env_string(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return v != nullptr && *v ? std::string{v} : fallback;
-}
-
-bool tiny_mode() {
-  const char* v = std::getenv("SB_BENCH_TINY");
-  return v != nullptr && *v && *v != '0';
 }
 
 std::vector<int> parse_grid(const std::string& csv) {
@@ -78,23 +68,13 @@ struct Cursor {
   std::size_t gps = 0;
 };
 
-acoustics::MultiChannelAudio slice_audio(const acoustics::MultiChannelAudio& full,
-                                         std::size_t begin, std::size_t end) {
-  acoustics::MultiChannelAudio chunk;
-  chunk.sample_rate = full.sample_rate;
-  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
-    chunk.channels[c].assign(full.channels[c].begin() + begin,
-                             full.channels[c].begin() + end);
-  return chunk;
-}
-
 void push_until(stream::RcaSession& session, const Feed& feed, Cursor& cur,
                 double until) {
   const auto upto = static_cast<std::size_t>(
       std::min(until * feed.audio.sample_rate,
                static_cast<double>(feed.audio.num_samples())));
   if (upto > cur.audio) {
-    session.push_audio(slice_audio(feed.audio, cur.audio, upto));
+    session.push_audio(bench::slice_audio(feed.audio, cur.audio, upto));
     cur.audio = upto;
   }
   const auto& imu = feed.flight.log.imu;
@@ -206,17 +186,17 @@ ServeStats serve_phase(stream::FleetServer& fleet,
 
 int main(int argc, char** argv) {
   bench::bench_init(argc, argv);
-  const bool tiny = tiny_mode();
-  const double duration = env_double("SB_BENCH_FLIGHT_SECONDS", tiny ? 8.0 : 20.0);
+  const bool tiny = bench::tiny_mode();
+  const double duration = bench::env_double("SB_BENCH_FLIGHT_SECONDS", tiny ? 8.0 : 20.0);
   const auto shards =
-      static_cast<std::size_t>(env_double("SB_BENCH_FLEET_SHARDS", 4.0));
+      static_cast<std::size_t>(bench::env_double("SB_BENCH_FLEET_SHARDS", 4.0));
   const std::string mode = env_string("SB_BENCH_FLEET_MODE", "");
   const std::string ckpt_dir = env_string("SB_BENCH_FLEET_DIR", "");
   std::vector<int> grid = parse_grid(env_string(
       "SB_BENCH_FLEET_GRID", tiny ? "8,24" : "64,256,1024,4096"));
   if (!mode.empty()) {
     // Restart-recovery smoke serves one fixed fleet size.
-    grid = {static_cast<int>(env_double("SB_BENCH_SESSIONS", tiny ? 8.0 : 64.0))};
+    grid = {static_cast<int>(bench::env_double("SB_BENCH_SESSIONS", tiny ? 8.0 : 64.0))};
     if (ckpt_dir.empty()) {
       std::fprintf(stderr, "fleet_serving: SB_BENCH_FLEET_MODE needs "
                            "SB_BENCH_FLEET_DIR\n");
@@ -226,17 +206,7 @@ int main(int argc, char** argv) {
   const long total_ticks = std::lround(duration / kTick);
   const long half_ticks = total_ticks / 2;
 
-  core::SensoryMapper mapper = [&] {
-    if (!tiny) return bench::standard_mapper();
-    core::SensoryMapperConfig cfg;
-    cfg.model = ml::ModelKind::kMlp;
-    cfg.train.epochs = 2;
-    core::SensoryMapper m{cfg};
-    const auto scenarios = bench::lab().training_scenarios(1, 12.0);
-    const auto flights = bench::lab().fly_all(scenarios);
-    bench::fit_cached(m, "stream_tiny", flights);
-    return m;
-  }();
+  core::SensoryMapper mapper = bench::serving_mapper(tiny);
   const auto det = bench::calibrate_detectors(mapper, tiny ? 2 : 10,
                                               tiny ? 12.0 : 40.0);
 

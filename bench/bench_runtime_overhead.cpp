@@ -81,9 +81,12 @@ void BM_ModelInference(benchmark::State& state) {
 BENCHMARK(BM_ModelInference)->Unit(benchmark::kMillisecond);
 
 void BM_KalmanStep(benchmark::State& state) {
-  est::AudioImuVelocityKf kf{{}, {}};
+  const est::VelocityKfConfig cfg;
+  est::VelocityKf kf{{}, cfg.p0};
   for (auto _ : state) {
-    auto v = kf.step({0.1, 0, 0}, {0.5, 0, 0}, 0.25);
+    kf.predict({0.1, 0, 0}, 0.25, cfg.q_imu);
+    kf.update({0.5, 0, 0}, cfg.r_audio_vel);
+    auto v = kf.velocity();
     benchmark::DoNotOptimize(v);
   }
 }

@@ -31,17 +31,12 @@ using namespace sb;
 
 namespace {
 
-bool tiny_mode() {
-  const char* v = std::getenv("SB_BENCH_TINY");
-  return v != nullptr && *v && *v != '0';
-}
-
 scenario::ScenarioSetConfig matrix_config() {
   scenario::ScenarioSetConfig cfg;
   cfg.airframes = scenario::airframe_catalog();
   cfg.environments = scenario::environment_catalog();
   cfg.seed = 1 + bench::bench_args().seed_offset;
-  if (tiny_mode()) {
+  if (bench::tiny_mode()) {
     cfg.airframes.resize(2);
     cfg.environments.resize(2);
     cfg.train_repeats = 2;
@@ -55,7 +50,7 @@ scenario::ScenarioSetConfig matrix_config() {
 
 core::SensoryMapperConfig mapper_config() {
   auto cfg = bench::standard_mapper_config();
-  if (tiny_mode()) cfg.train.epochs = 4;
+  if (bench::tiny_mode()) cfg.train.epochs = 4;
   return cfg;
 }
 
@@ -110,27 +105,19 @@ core::SensoryMapper train_fold(const scenario::ScenarioSet& set,
   return mapper;
 }
 
+// Calibrates both detector stages on the split's calibration cells, each
+// predicted with its own cell's lab.
 bench::CalibratedDetectors calibrate_fold(const scenario::ScenarioSet& set,
                                           const scenario::TrainEvalSplit& split,
                                           const std::vector<core::Flight>& flights,
                                           const core::SensoryMapper& mapper) {
-  bench::CalibratedDetectors det;
-  std::vector<core::WindowResiduals> imu_cal;
-  std::vector<core::GpsRcaDetector::Result> audio_results, fused_results;
+  std::vector<core::Flight> cal;
+  std::vector<std::vector<core::TimedPrediction>> preds;
   for (const auto& cell : split.calibration) {
-    const auto& flight = flights[static_cast<std::size_t>(cell.flight_id)];
-    const auto preds = mapper.predict_flight(set.lab(cell), flight);
-    const auto w = core::ImuRcaDetector::residuals(flight, preds);
-    imu_cal.insert(imu_cal.end(), w.begin(), w.end());
-    audio_results.push_back(
-        det.gps.analyze(flight, preds, core::GpsDetectorMode::kAudioOnly));
-    fused_results.push_back(
-        det.gps.analyze(flight, preds, core::GpsDetectorMode::kAudioImu));
+    cal.push_back(flights[static_cast<std::size_t>(cell.flight_id)]);
+    preds.push_back(mapper.predict_flight(set.lab(cell), cal.back()));
   }
-  det.imu.calibrate(imu_cal);
-  det.gps.calibrate(audio_results, core::GpsDetectorMode::kAudioOnly);
-  det.gps.calibrate(fused_results, core::GpsDetectorMode::kAudioImu);
-  return det;
+  return core::calibrate_detectors(cal, preds);
 }
 
 // Scores the split's eval cells, tallied per airframe index.
@@ -210,7 +197,7 @@ int main(int argc, char** argv) {
 
     Table table({"split", "airframe", "TPR", "FPR", "attacks", "benign"});
     const std::string seed_tag = std::to_string(set_cfg.seed) +
-                                 (tiny_mode() ? "_tiny" : "");
+                                 (bench::tiny_mode() ? "_tiny" : "");
     try {
       // Flight-disjoint: one shared model, scored per airframe.
       const auto fd = set.flight_disjoint_split();
@@ -239,7 +226,7 @@ int main(int argc, char** argv) {
 
       // Cross-airframe column: leave-one-airframe-out, each airframe scored
       // by a model that never trained on it.
-      if (!tiny_mode()) {
+      if (!bench::tiny_mode()) {
         Tally cross;
         for (std::size_t holdout = 0; holdout < n_air; ++holdout) {
           const auto loao = set.airframe_disjoint_split(static_cast<int>(holdout));

@@ -31,16 +31,6 @@ namespace {
 
 using namespace sb;
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v ? std::strtod(v, nullptr) : fallback;
-}
-
-bool tiny_mode() {
-  const char* v = std::getenv("SB_BENCH_TINY");
-  return v != nullptr && *v && *v != '0';
-}
-
 // Pre-rendered per-session feed: the full flight stream, sliced on demand.
 struct SessionFeed {
   core::Flight flight;
@@ -50,16 +40,6 @@ struct SessionFeed {
   std::size_t gps_cursor = 0;
 };
 
-acoustics::MultiChannelAudio slice_audio(const acoustics::MultiChannelAudio& full,
-                                         std::size_t begin, std::size_t end) {
-  acoustics::MultiChannelAudio chunk;
-  chunk.sample_rate = full.sample_rate;
-  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
-    chunk.channels[c].assign(full.channels[c].begin() + begin,
-                             full.channels[c].begin() + end);
-  return chunk;
-}
-
 // Pushes everything with t < until (audio by sample index) and advances the
 // cursors — the "what arrived since the last tick" slice of each stream.
 void push_until(stream::RcaSession& session, SessionFeed& feed, double until) {
@@ -67,7 +47,7 @@ void push_until(stream::RcaSession& session, SessionFeed& feed, double until) {
       std::min(until * feed.audio.sample_rate,
                static_cast<double>(feed.audio.num_samples())));
   if (upto > feed.audio_cursor) {
-    session.push_audio(slice_audio(feed.audio, feed.audio_cursor, upto));
+    session.push_audio(bench::slice_audio(feed.audio, feed.audio_cursor, upto));
     feed.audio_cursor = upto;
   }
   const auto& imu = feed.flight.log.imu;
@@ -132,26 +112,14 @@ bool validate_jsonl_file(const std::filesystem::path& path) {
 
 int main(int argc, char** argv) {
   bench::bench_init(argc, argv);
-  const bool tiny = tiny_mode();
+  const bool tiny = bench::tiny_mode();
   const int n_sessions =
-      static_cast<int>(env_double("SB_BENCH_SESSIONS", 8.0));
+      static_cast<int>(bench::env_double("SB_BENCH_SESSIONS", 8.0));
   const double duration =
-      env_double("SB_BENCH_FLIGHT_SECONDS", tiny ? 10.0 : 30.0);
+      bench::env_double("SB_BENCH_FLIGHT_SECONDS", tiny ? 10.0 : 30.0);
 
-  // Model + calibrated detectors.  The tiny config trains an MLP for a couple
-  // of epochs on a handful of short flights — enough to exercise every
-  // serving code path in seconds, cached under its own tag.
-  core::SensoryMapper mapper = [&] {
-    if (!tiny) return bench::standard_mapper();
-    core::SensoryMapperConfig cfg;
-    cfg.model = ml::ModelKind::kMlp;
-    cfg.train.epochs = 2;
-    core::SensoryMapper m{cfg};
-    const auto scenarios = bench::lab().training_scenarios(1, 12.0);
-    const auto flights = bench::lab().fly_all(scenarios);
-    bench::fit_cached(m, "stream_tiny", flights);
-    return m;
-  }();
+  // Model + calibrated detectors.
+  core::SensoryMapper mapper = bench::serving_mapper(tiny);
   const auto det = bench::calibrate_detectors(mapper, tiny ? 2 : 10,
                                               tiny ? 12.0 : 40.0);
 

@@ -29,11 +29,6 @@ namespace {
 
 using namespace sb;
 
-bool tiny_mode() {
-  const char* v = std::getenv("SB_BENCH_TINY");
-  return v != nullptr && *v && *v != '0';
-}
-
 struct Workload {
   ml::ModelInputShape input;
   std::size_t train_rows = 0;
@@ -121,7 +116,7 @@ bool bitwise_equal(const FitRun& a, const FitRun& b) {
 
 int main(int argc, char** argv) {
   sb::bench::bench_init(argc, argv);
-  const bool tiny = tiny_mode();
+  const bool tiny = bench::tiny_mode();
   const Workload w = workload(tiny);
   const Corpus corpus = make_corpus(w);
   const util::SimdBackend ambient_backend = util::simd_backend();

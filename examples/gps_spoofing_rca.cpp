@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/gps_rca.hpp"
-#include "core/imu_rca.hpp"
 #include "core/rca_engine.hpp"
 #include "core/sensory_mapper.hpp"
 #include "obs/log.hpp"
@@ -35,45 +33,35 @@ int main() {
   imu_cfg.score_percentile = 99.5;
   imu_cfg.score_margin = 1.6;
   imu_cfg.consecutive_required = 5;
-  core::ImuRcaDetector imu_det{imu_cfg};
-  core::GpsRcaDetector gps_det{core::GpsRcaConfig{}};
-  {
-    std::vector<core::WindowResiduals> imu_cal;
-    std::vector<core::GpsRcaDetector::Result> audio_cal, fused_cal;
-    for (std::uint64_t seed = 910; seed < 918; ++seed) {
-      core::FlightScenario b;
-      // Calibration must cover the mission variety the detector will see:
-      // hover, en-route and turning flight all have different benign
-      // residual envelopes.
-      switch (seed % 4) {
-        case 0: b.mission = sim::Mission::hover({0, 0, -10}, 30.0); break;
-        case 1:
-          b.mission = sim::Mission::line({0, 0, -10}, {15, 5, -11}, 2.5, 30.0);
-          break;
-        case 2:
-          b.mission = sim::Mission::figure_eight({0, 2, -11}, 8, 2.2, 30.0);
-          break;
-        default:
-          b.mission = sim::Mission::square({0, 0, 0}, 12, 10, 2.0, 30.0);
-          break;
-      }
-      b.wind.gust_stddev = 0.4;
-      b.seed = seed;
-      const auto f = lab.fly(b);
-      const auto preds = mapper.predict_flight(lab, f);
-      const auto w = core::ImuRcaDetector::residuals(f, preds);
-      imu_cal.insert(imu_cal.end(), w.begin(), w.end());
-      audio_cal.push_back(gps_det.analyze(f, preds, core::GpsDetectorMode::kAudioOnly));
-      fused_cal.push_back(gps_det.analyze(f, preds, core::GpsDetectorMode::kAudioImu));
+  std::vector<core::Flight> cal_flights;
+  std::vector<std::vector<core::TimedPrediction>> cal_preds;
+  for (std::uint64_t seed = 910; seed < 918; ++seed) {
+    core::FlightScenario b;
+    // Calibration must cover the mission variety the detector will see:
+    // hover, en-route and turning flight all have different benign
+    // residual envelopes.
+    switch (seed % 4) {
+      case 0: b.mission = sim::Mission::hover({0, 0, -10}, 30.0); break;
+      case 1:
+        b.mission = sim::Mission::line({0, 0, -10}, {15, 5, -11}, 2.5, 30.0);
+        break;
+      case 2:
+        b.mission = sim::Mission::figure_eight({0, 2, -11}, 8, 2.2, 30.0);
+        break;
+      default:
+        b.mission = sim::Mission::square({0, 0, 0}, 12, 10, 2.0, 30.0);
+        break;
     }
-    imu_det.calibrate(imu_cal);
-    gps_det.calibrate(audio_cal, core::GpsDetectorMode::kAudioOnly);
-    gps_det.calibrate(fused_cal, core::GpsDetectorMode::kAudioImu);
+    b.wind.gust_stddev = 0.4;
+    b.seed = seed;
+    cal_flights.push_back(lab.fly(b));
+    cal_preds.push_back(mapper.predict_flight(lab, cal_flights.back()));
   }
+  const auto det = core::calibrate_detectors(cal_flights, cal_preds, imu_cfg);
   obs::logf(obs::LogLevel::kInfo, "setup",
             "velocity-error thresholds: audio-only %.2f, audio+IMU %.2f m/s",
-            gps_det.threshold(core::GpsDetectorMode::kAudioOnly),
-            gps_det.threshold(core::GpsDetectorMode::kAudioImu));
+            det.gps.threshold(core::GpsDetectorMode::kAudioOnly),
+            det.gps.threshold(core::GpsDetectorMode::kAudioImu));
 
   obs::logf(obs::LogLevel::kInfo, "run", "[3/4] the incident: hover mission, spoofer active 15-45 s...");
   core::FlightScenario incident;
@@ -94,7 +82,7 @@ int main() {
             final_true.x, final_true.y, final_true.z);
 
   obs::logf(obs::LogLevel::kInfo, "run", "[4/4] post-incident two-stage RCA...");
-  core::RcaEngine engine{mapper, imu_det, gps_det};
+  core::RcaEngine engine{mapper, det.imu, det.gps};
   const auto report = engine.analyze(lab, flight);
 
   std::printf("\n=== RCA verdict ===\n");

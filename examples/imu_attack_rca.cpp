@@ -1,5 +1,5 @@
 // IMU-attack RCA walk-through: train the acoustic model on benign flights,
-// calibrate the KS-stage detector, then diagnose a flight whose gyroscope
+// calibrate the detectors, then diagnose a flight whose gyroscope
 // was spoofed mid-air with a Side-Swing bias injection.
 //
 // Uses the fast MLP model so the whole example runs in about a minute;
@@ -37,18 +37,18 @@ int main() {
 
   // --- Calibrate the benign residual distribution. ---
   obs::logf(obs::LogLevel::kInfo, "setup", "[3/4] calibrating the benign residual distribution...");
-  core::ImuRcaDetector detector{core::ImuRcaConfig{}};
-  std::vector<core::WindowResiduals> calibration;
+  std::vector<core::Flight> cal_flights;
+  std::vector<std::vector<core::TimedPrediction>> cal_preds;
   for (std::uint64_t seed = 900; seed < 906; ++seed) {
     core::FlightScenario b;
     b.mission = sim::Mission::hover({0, 0, -10}, 25.0);
     b.wind.gust_stddev = 0.4;
     b.seed = seed;
-    const auto f = lab.fly(b);
-    const auto w = core::ImuRcaDetector::residuals(f, mapper.predict_flight(lab, f));
-    calibration.insert(calibration.end(), w.begin(), w.end());
+    cal_flights.push_back(lab.fly(b));
+    cal_preds.push_back(mapper.predict_flight(lab, cal_flights.back()));
   }
-  detector.calibrate(calibration);
+  const auto det = core::calibrate_detectors(cal_flights, cal_preds);
+  const core::ImuRcaDetector& detector = det.imu;
   obs::logf(obs::LogLevel::kInfo, "setup", "benign z-residuals: mean %+.3f, std %.3f",
             detector.benign_fit(2).mean, detector.benign_fit(2).stddev);
 

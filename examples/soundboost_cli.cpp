@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/gps_rca.hpp"
-#include "core/imu_rca.hpp"
 #include "core/rca_engine.hpp"
 #include "core/sensory_mapper.hpp"
 #include "io/flight_csv.hpp"
@@ -176,29 +174,21 @@ int cmd_analyze(const Args& args) {
   }
 
   obs::logf(obs::LogLevel::kInfo, "setup", "calibrating detectors on benign flights...");
-  core::ImuRcaDetector imu_det{core::ImuRcaConfig{}};
-  core::GpsRcaDetector gps_det{core::GpsRcaConfig{}};
-  std::vector<core::WindowResiduals> imu_cal;
-  std::vector<core::GpsRcaDetector::Result> audio_cal, fused_cal;
+  std::vector<core::Flight> cal_flights;
+  std::vector<std::vector<core::TimedPrediction>> cal_preds;
   for (std::uint64_t s = 7000; s < 7006; ++s) {
     core::FlightScenario b;
     b.mission = s % 2 ? make_mission("line", 30.0) : make_mission("hover", 30.0);
     b.wind.gust_stddev = 0.4;
     b.seed = s;
-    const auto f = lab.fly(b);
-    const auto preds = mapper.predict_flight(lab, f);
-    const auto w = core::ImuRcaDetector::residuals(f, preds);
-    imu_cal.insert(imu_cal.end(), w.begin(), w.end());
-    audio_cal.push_back(gps_det.analyze(f, preds, core::GpsDetectorMode::kAudioOnly));
-    fused_cal.push_back(gps_det.analyze(f, preds, core::GpsDetectorMode::kAudioImu));
+    cal_flights.push_back(lab.fly(b));
+    cal_preds.push_back(mapper.predict_flight(lab, cal_flights.back()));
   }
-  imu_det.calibrate(imu_cal);
-  gps_det.calibrate(audio_cal, core::GpsDetectorMode::kAudioOnly);
-  gps_det.calibrate(fused_cal, core::GpsDetectorMode::kAudioImu);
+  const auto det = core::calibrate_detectors(cal_flights, cal_preds);
 
   obs::logf(obs::LogLevel::kInfo, "run", "flying the incident (attack: %s)...", args.attack.c_str());
   const auto flight = lab.fly(make_scenario(args));
-  core::RcaEngine engine{mapper, imu_det, gps_det};
+  core::RcaEngine engine{mapper, det.imu, det.gps};
   const auto report = engine.analyze(lab, flight);
 
   std::printf("\n=== RCA verdict ===\n");

@@ -32,7 +32,10 @@ FailsafeImuDetector::Result FailsafeImuDetector::analyze(
   // the IMU in audio's place.  Accelerometer bias makes the dead-reckoned
   // position drift quadratically, which is exactly why the paper's Failsafe
   // baseline trails the acoustic detectors.
-  est::DeadReckonVelocityKf kf{config_.kf, log.gps.front().vel};
+  const est::VelocityKfConfig& kf_cfg = config_.kf;
+  est::VelocityKf kf{log.gps.front().vel, kf_cfg.p0};
+  Vec3 reckoned_vel = log.gps.front().vel;
+  double elapsed = 0.0;
   detect::RunningVecMeanMonitor monitor{config_.mean_window};
   Vec3 pos_est = log.gps.front().pos;
 
@@ -40,7 +43,13 @@ FailsafeImuDetector::Result FailsafeImuDetector::analyze(
   const double stride = config_.stride;
   for (double t0 = config_.settle_time; t0 + stride <= log.duration(); t0 += stride) {
     const Vec3 imu_accel = log.mean_imu_accel(t0, t0 + stride);
-    const Vec3 v_est = kf.step(imu_accel, stride);
+    elapsed += stride;
+    kf.predict(imu_accel, stride, kf_cfg.q_imu);
+    // The dead-reckoned velocity drifts: its variance grows with the time it
+    // has been integrated.
+    reckoned_vel += imu_accel * stride;
+    kf.update(reckoned_vel, kf_cfg.r_base + kf_cfg.r_drift * elapsed);
+    const Vec3 v_est = kf.velocity();
     pos_est += v_est * stride;
 
     while (gps_idx < log.gps.size() && log.gps[gps_idx].t <= t0 + stride) {

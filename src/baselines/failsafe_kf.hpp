@@ -9,7 +9,6 @@
 #include "core/flight_lab.hpp"
 #include "detect/running_mean.hpp"
 #include "detect/threshold.hpp"
-#include "estimation/kalman.hpp"
 #include "estimation/velocity_kf.hpp"
 
 namespace sb::baselines {

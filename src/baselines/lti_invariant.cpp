@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "estimation/kalman.hpp"
+#include "estimation/matrix.hpp"
 
 namespace sb::baselines {
 

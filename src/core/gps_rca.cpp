@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -21,26 +20,6 @@ bool finite(const Vec3& v) {
 
 bool usable(const sim::GpsSample& fix) {
   return std::isfinite(fix.t) && finite(fix.vel) && finite(fix.pos);
-}
-
-void write_matrix(std::ostream& os, const est::Matrix& m) {
-  util::io::write_pod(os, static_cast<std::uint64_t>(m.rows()));
-  util::io::write_pod(os, static_cast<std::uint64_t>(m.cols()));
-  for (std::size_t r = 0; r < m.rows(); ++r)
-    for (std::size_t c = 0; c < m.cols(); ++c) util::io::write_pod(os, m(r, c));
-}
-
-bool read_matrix(std::istream& is, est::Matrix& m) {
-  std::uint64_t rows = 0, cols = 0;
-  if (!util::io::read_pod(is, rows) || !util::io::read_pod(is, cols)) return false;
-  // Velocity filters are 3-state; anything large here is corrupt bytes.
-  if (rows > 16 || cols > 16) return false;
-  est::Matrix out(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  for (std::size_t r = 0; r < out.rows(); ++r)
-    for (std::size_t c = 0; c < out.cols(); ++c)
-      if (!util::io::read_pod(is, out(r, c))) return false;
-  m = std::move(out);
-  return true;
 }
 
 }  // namespace
@@ -100,7 +79,7 @@ void GpsRcaDetector::Monitor::step_window(
   if (first_window_) {
     // Seed from the first FINITE fix (pre-attack per the threat model:
     // attacks start only after takeoff completes); a poisoned leading fix
-    // must not seed the filters with NaN.
+    // must not seed the filter with NaN.
     Vec3 v0;
     for (const auto& fix : gps) {
       if (!usable(fix)) continue;
@@ -108,10 +87,7 @@ void GpsRcaDetector::Monitor::step_window(
       pos_est_ = fix.pos;
       break;
     }
-    if (mode_ == GpsDetectorMode::kAudioOnly)
-      audio_kf_.emplace(config_.kf, v0);
-    else
-      fused_kf_.emplace(config_.kf, v0);
+    kf_ = est::VelocityKf{v0, config_.kf.p0};
     prev_t_ = p.t0;
     first_window_ = false;
   }
@@ -120,36 +96,40 @@ void GpsRcaDetector::Monitor::step_window(
   if (dt <= 0.0) return;
 
   const double kf_start_us = telemetry ? obs::now_us() : 0.0;
-  Vec3 v_est;
+  // Audio-only: the audio acceleration predicts.  Fused (Fig. 4): the IMU
+  // acceleration predicts — IMU is high-rate and, when benign, low-noise, so
+  // the process noise is smaller.
+  const bool fused = mode_ == GpsDetectorMode::kAudioImu;
+  const double q = fused ? config_.kf.q_imu : config_.kf.q_audio;
+  const auto fallback = [&] {
+    if (health) ++health->kf_fallback_steps;
+    if (count_metrics_) {
+      static obs::Counter& fallbacks =
+          obs::Registry::instance().counter("faults.kf_fallback_steps");
+      fallbacks.add();
+    }
+  };
   if (!finite(p.accel) || !finite(p.vel)) {
     // No usable audio prediction for this window (e.g. a fully masked
     // front-end or a shed serving window): predict-only coast, the estimate
     // is held.
-    v_est = mode_ == GpsDetectorMode::kAudioOnly ? audio_kf_->coast(dt)
-                                                 : fused_kf_->coast(dt);
-    if (health) ++health->kf_fallback_steps;
-    if (count_metrics_) {
-      static obs::Counter& coasts =
-          obs::Registry::instance().counter("faults.kf_fallback_steps");
-      coasts.add();
-    }
-  } else if (mode_ == GpsDetectorMode::kAudioOnly) {
-    v_est = audio_kf_->step(p.accel, p.vel, dt);
+    kf_.coast(dt, q);
+    fallback();
   } else {
-    Vec3 imu_accel = sim::mean_imu_accel(imu, p.t0, p.t1);
-    if (sim::imu_samples_in(imu, p.t0, p.t1) == 0 || !finite(imu_accel)) {
-      // IMU gap or NaN burst inside this window: fall back to the audio
-      // acceleration so one bad window cannot poison the fused filter.
-      imu_accel = p.accel;
-      if (health) ++health->kf_fallback_steps;
-      if (count_metrics_) {
-        static obs::Counter& fallbacks =
-            obs::Registry::instance().counter("faults.kf_fallback_steps");
-        fallbacks.add();
+    Vec3 accel = p.accel;
+    if (fused) {
+      accel = sim::mean_imu_accel(imu, p.t0, p.t1);
+      if (sim::imu_samples_in(imu, p.t0, p.t1) == 0 || !finite(accel)) {
+        // IMU gap or NaN burst inside this window: fall back to the audio
+        // acceleration so one bad window cannot poison the fused filter.
+        accel = p.accel;
+        fallback();
       }
     }
-    v_est = fused_kf_->step(imu_accel, p.vel, dt);
+    kf_.predict(accel, dt, q);
+    kf_.update(p.vel, config_.kf.r_audio_vel);
   }
+  const Vec3 v_est = kf_.velocity();
   if (telemetry) {
     static obs::Histogram& kf_step =
         obs::Registry::instance().histogram("detect.kf_step_seconds");
@@ -234,14 +214,8 @@ void GpsRcaDetector::Monitor::save_state(std::ostream& os) const {
   write_pod(os, pos_threshold_);
   write_pod(os, static_cast<std::uint64_t>(config_.mean_window));
   write_pod(os, static_cast<std::uint8_t>(first_window_ ? 1 : 0));
-  const est::LinearKalmanFilter* kf = nullptr;
-  if (audio_kf_) kf = &audio_kf_->filter();
-  if (fused_kf_) kf = &fused_kf_->filter();
-  write_pod(os, static_cast<std::uint8_t>(kf ? 1 : 0));
-  if (kf) {
-    write_matrix(os, kf->state());
-    write_matrix(os, kf->covariance());
-  }
+  write_pod(os, kf_.velocity());
+  write_pod(os, kf_.variance());
   monitor_.save_state(os);
   write_pod(os, pos_est_);
   write_pod(os, static_cast<std::uint64_t>(gps_idx_));
@@ -266,27 +240,13 @@ bool GpsRcaDetector::Monitor::load_state(std::istream& is) {
   if (!read_pod(is, pos_th) || pos_th != pos_threshold_) return false;
   if (!read_pod(is, mean_window) || mean_window != config_.mean_window)
     return false;
-  std::uint8_t first_window = 0, has_kf = 0;
-  if (!read_pod(is, first_window) || !read_pod(is, has_kf)) return false;
+  std::uint8_t first_window = 0;
+  Vec3 v;
+  double variance = 0.0;
+  if (!read_pod(is, first_window) || !read_pod(is, v) || !read_pod(is, variance))
+    return false;
   first_window_ = first_window != 0;
-  audio_kf_.reset();
-  fused_kf_.reset();
-  if (has_kf) {
-    est::Matrix x, p;
-    if (!read_matrix(is, x) || !read_matrix(is, p)) return false;
-    // Re-emplace with a placeholder seed, then overwrite x and P verbatim —
-    // the filter dynamics live in config_.kf, which the guard above pins.
-    est::LinearKalmanFilter* kf;
-    if (mode_ == GpsDetectorMode::kAudioOnly) {
-      audio_kf_.emplace(config_.kf, Vec3{});
-      kf = &audio_kf_->filter();
-    } else {
-      fused_kf_.emplace(config_.kf, Vec3{});
-      kf = &fused_kf_->filter();
-    }
-    kf->set_state(std::move(x));
-    kf->set_covariance(std::move(p));
-  }
+  kf_ = est::VelocityKf{v, variance};
   if (!monitor_.load_state(is)) return false;
   std::uint64_t gps_idx = 0;
   std::uint8_t attacked = 0;

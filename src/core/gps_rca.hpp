@@ -5,7 +5,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -111,11 +110,11 @@ class GpsRcaDetector {
 
     const Result& result() const { return result_; }
 
-    // Bitwise checkpoint of the running estimation state (KF x and P, error
-    // monitor ring, fix cursor, timing).  load_state expects a monitor
-    // constructed with the SAME mode/thresholds/config and returns false on
-    // malformed bytes or a configuration mismatch, leaving the monitor in an
-    // unspecified state.
+    // Bitwise checkpoint of the running estimation state (KF velocity and
+    // variance, error monitor ring, fix cursor, timing).  load_state expects
+    // a monitor constructed with the SAME mode/thresholds/config and returns
+    // false on malformed bytes or a configuration mismatch, leaving the
+    // monitor in an unspecified state.
     void save_state(std::ostream& os) const;
     bool load_state(std::istream& is);
 
@@ -126,8 +125,9 @@ class GpsRcaDetector {
     double pos_threshold_;
     bool count_metrics_ = true;
     bool first_window_ = true;
-    std::optional<est::AudioOnlyVelocityKf> audio_kf_;
-    std::optional<est::AudioImuVelocityKf> fused_kf_;
+    // Seeded on the first window; q and the predicting acceleration follow
+    // mode_.
+    est::VelocityKf kf_;
     detect::RunningVecMeanMonitor monitor_;
     Vec3 pos_est_;
     std::size_t gps_idx_ = 0;

@@ -1,5 +1,7 @@
 #include "core/rca_engine.hpp"
 
+#include <stdexcept>
+
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -22,6 +24,27 @@ void add_count(const char* counter, std::size_t n) {
 }
 
 }  // namespace
+
+CalibratedDetectors calibrate_detectors(
+    std::span<const Flight> flights,
+    std::span<const std::vector<TimedPrediction>> preds,
+    const ImuRcaConfig& imu_config) {
+  if (flights.size() != preds.size())
+    throw std::invalid_argument{"calibrate_detectors: one prediction set per flight"};
+  CalibratedDetectors det{ImuRcaDetector{imu_config}, GpsRcaDetector{GpsRcaConfig{}}};
+  std::vector<WindowResiduals> imu_windows;
+  std::vector<GpsRcaDetector::Result> audio, fused;
+  for (std::size_t i = 0; i < flights.size(); ++i) {
+    const auto w = ImuRcaDetector::residuals(flights[i], preds[i]);
+    imu_windows.insert(imu_windows.end(), w.begin(), w.end());
+    audio.push_back(det.gps.analyze(flights[i], preds[i], GpsDetectorMode::kAudioOnly));
+    fused.push_back(det.gps.analyze(flights[i], preds[i], GpsDetectorMode::kAudioImu));
+  }
+  det.imu.calibrate(imu_windows);
+  det.gps.calibrate(audio, GpsDetectorMode::kAudioOnly);
+  det.gps.calibrate(fused, GpsDetectorMode::kAudioImu);
+  return det;
+}
 
 RcaEngine::RcaEngine(const SensoryMapper& mapper, const ImuRcaDetector& imu_detector,
                      const GpsRcaDetector& gps_detector)

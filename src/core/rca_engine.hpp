@@ -31,6 +31,25 @@ struct RcaReport {
   bool any_attack() const { return imu_attacked || gps_attacked; }
 };
 
+// Both detector stages, calibrated together by calibrate_detectors.
+struct CalibratedDetectors {
+  ImuRcaDetector imu{ImuRcaConfig{}};
+  GpsRcaDetector gps{GpsRcaConfig{}};
+};
+
+// The one calibration procedure of the two-stage RCA: fits both stages on
+// benign flights and their predict_flight predictions (`preds[i]` belongs
+// to `flights[i]`).  The IMU stage calibrates on every flight's residual
+// windows (ImuRcaDetector::residuals), each GPS variant on the flights'
+// peak statistics (GpsRcaDetector::analyze).  Predictions, not a mapper,
+// so callers may predict each flight with its own lab or synthesize them.
+// `imu_config` tunes the IMU stage (e.g. a stricter percentile for
+// mixed-mission deployments); the GPS stage uses the default GpsRcaConfig.
+CalibratedDetectors calibrate_detectors(
+    std::span<const Flight> flights,
+    std::span<const std::vector<TimedPrediction>> preds,
+    const ImuRcaConfig& imu_config = {});
+
 class RcaEngine {
  public:
   RcaEngine(const SensoryMapper& mapper, const ImuRcaDetector& imu_detector,

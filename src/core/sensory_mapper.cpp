@@ -447,20 +447,4 @@ double SensoryMapper::test_mse(const FlightLab& lab, std::span<const Flight> fli
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
-double SensoryMapper::test_vel_mse(const FlightLab& lab,
-                                   std::span<const Flight> flights,
-                                   const PredictionHooks& hooks) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const Flight& f : flights) {
-    const auto preds = predict_flight(lab, f, hooks);
-    for (const auto& p : preds) {
-      const Vec3 d = p.vel - f.log.mean_nav_vel(p.t0, p.t1);
-      sum += d.norm_sq();
-      n += 3;
-    }
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
 }  // namespace sb::core

@@ -118,10 +118,6 @@ class SensoryMapper {
   double test_mse(const FlightLab& lab, std::span<const Flight> flights,
                   const PredictionHooks& hooks = {}) const;
 
-  // Velocity-head test MSE against the benign navigation velocity.
-  double test_vel_mse(const FlightLab& lab, std::span<const Flight> flights,
-                      const PredictionHooks& hooks = {}) const;
-
   const SensoryMapperConfig& config() const { return config_; }
   ml::Layer& model() { return *model_; }
   bool trained() const { return trained_; }

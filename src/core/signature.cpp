@@ -82,16 +82,4 @@ ml::Tensor compute_signature(acoustics::AudioView audio,
   return out;
 }
 
-void remove_frequency_group(ml::Tensor& signatures, dsp::FreqGroup group,
-                            const SignatureConfig& config) {
-  if (signatures.ndim() != 4)
-    throw std::invalid_argument{"remove_frequency_group: expected [N,C,H,W]"};
-  const std::size_t bands = signatures.dim(3);
-  for (std::size_t i = 0; i < signatures.numel(); ++i) {
-    const std::size_t band = i % bands;
-    if (dsp::group_of_band(band, config.bands) == group)
-      signatures[i] = static_cast<float>(dsp::kSilenceFeature);
-  }
-}
-
 }  // namespace sb::core

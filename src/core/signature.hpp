@@ -64,9 +64,4 @@ ml::Tensor compute_signature(acoustics::AudioView audio,
                              const SignatureConfig& config,
                              bool fast_f32 = false);
 
-// Convenience: zeroes one frequency group in a precomputed signature batch
-// (counterfactual feature-importance analysis, §IV-A).
-void remove_frequency_group(ml::Tensor& signatures, dsp::FreqGroup group,
-                            const SignatureConfig& config);
-
 }  // namespace sb::core

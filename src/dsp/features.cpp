@@ -68,14 +68,4 @@ FreqGroup group_of_band(std::size_t band, const BandFeatureConfig& config) {
   return FreqGroup::kOther;
 }
 
-void remove_group(std::span<double> features, std::size_t bands_per_frame,
-                  FreqGroup group, const BandFeatureConfig& config) {
-  if (bands_per_frame == 0 || features.size() % bands_per_frame != 0)
-    throw std::invalid_argument{"remove_group: bad feature layout"};
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    const std::size_t band = i % bands_per_frame;
-    if (group_of_band(band, config) == group) features[i] = kSilenceFeature;
-  }
-}
-
 }  // namespace sb::dsp

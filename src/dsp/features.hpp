@@ -59,9 +59,4 @@ void band_features_into(const Spectrogram& spec, const BandFeatureConfig& config
 // its centre frequency, for counterfactual importance analysis (§IV-A).
 FreqGroup group_of_band(std::size_t band, const BandFeatureConfig& config);
 
-// Zeroes every feature whose band falls into `group`, in place.
-// `features` is [num_frames x bands_per_frame] row-major.
-void remove_group(std::span<double> features, std::size_t bands_per_frame,
-                  FreqGroup group, const BandFeatureConfig& config);
-
 }  // namespace sb::dsp

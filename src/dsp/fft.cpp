@@ -291,7 +291,6 @@ void fft(std::vector<std::complex<double>>& data) { fft_impl(data, false); }
 void ifft(std::vector<std::complex<double>>& data) { fft_impl(data, true); }
 
 void fft_inplace(std::span<std::complex<double>> data) { fft_impl(data, false); }
-void ifft_inplace(std::span<std::complex<double>> data) { fft_impl(data, true); }
 
 void fft_inplace_f32(std::span<std::complex<float>> data) { fft_impl_f32(data); }
 

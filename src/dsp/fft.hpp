@@ -16,10 +16,10 @@ void fft(std::vector<std::complex<double>>& data);
 // Inverse FFT (normalized by 1/N).
 void ifft(std::vector<std::complex<double>>& data);
 
-// Span-based in-place transforms over caller-owned storage (e.g. workspace
-// scratch buffers on the streaming hot path).  Same contract as fft/ifft.
+// Span-based in-place forward transform over caller-owned storage (e.g.
+// workspace scratch buffers on the streaming hot path).  Same contract as
+// fft.
 void fft_inplace(std::span<std::complex<double>> data);
-void ifft_inplace(std::span<std::complex<double>> data);
 
 // Single-precision forward transform for the opt-in float32 serving path
 // (SB_PRECISION=fast; see DESIGN.md "Inference plan").  Shares the memoized

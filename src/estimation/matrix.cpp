@@ -1,4 +1,4 @@
-#include "estimation/kalman.hpp"
+#include "estimation/matrix.hpp"
 
 #include <cmath>
 #include <stdexcept>
@@ -110,29 +110,6 @@ Matrix Matrix::inverse() const {
     }
   }
   return inv;
-}
-
-LinearKalmanFilter::LinearKalmanFilter(Matrix x0, Matrix p0)
-    : x_(std::move(x0)), p_(std::move(p0)) {}
-
-void LinearKalmanFilter::predict(const Matrix& f, const Matrix& b, const Matrix& u,
-                                 const Matrix& q) {
-  x_ = f * x_ + b * u;
-  p_ = f * p_ * f.transposed() + q;
-}
-
-void LinearKalmanFilter::predict(const Matrix& f, const Matrix& q) {
-  x_ = f * x_;
-  p_ = f * p_ * f.transposed() + q;
-}
-
-void LinearKalmanFilter::update(const Matrix& h, const Matrix& r, const Matrix& z) {
-  const Matrix pht = p_ * h.transposed();
-  const Matrix s = h * pht + r;
-  const Matrix k = pht * s.inverse();
-  x_ = x_ + k * (z - h * x_);
-  const Matrix ikh = Matrix::identity(p_.rows()) - k * h;
-  p_ = ikh * p_;
 }
 
 }  // namespace sb::est

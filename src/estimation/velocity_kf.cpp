@@ -1,78 +1,18 @@
 #include "estimation/velocity_kf.hpp"
 
 namespace sb::est {
-namespace {
 
-Matrix vec_to_col(const Vec3& v) { return Matrix::column({v.x, v.y, v.z}); }
-
-Vec3 col_to_vec(const Matrix& m) { return {m(0, 0), m(1, 0), m(2, 0)}; }
-
-}  // namespace
-
-AudioOnlyVelocityKf::AudioOnlyVelocityKf(const VelocityKfConfig& config, const Vec3& v0)
-    : config_(config), kf_(vec_to_col(v0), Matrix::identity(3) * config.p0) {}
-
-Vec3 AudioOnlyVelocityKf::step(const Vec3& audio_accel, const Vec3& audio_vel,
-                               double dt) {
-  const Matrix f = Matrix::identity(3);
-  const Matrix b = Matrix::identity(3) * dt;
-  const Matrix q = Matrix::identity(3) * (config_.q_audio * dt);
-  kf_.predict(f, b, vec_to_col(audio_accel), q);
-  kf_.update(Matrix::identity(3), Matrix::identity(3) * config_.r_audio_vel,
-             vec_to_col(audio_vel));
-  return velocity();
+void VelocityKf::predict(const Vec3& accel, double dt, double q) {
+  v_ += accel * dt;
+  p_ += q * dt;
 }
 
-Vec3 AudioOnlyVelocityKf::coast(double dt) {
-  kf_.predict(Matrix::identity(3), Matrix::identity(3) * (config_.q_audio * dt));
-  return velocity();
+void VelocityKf::coast(double dt, double q) { p_ += q * dt; }
+
+void VelocityKf::update(const Vec3& z, double r) {
+  const double k = p_ * (1.0 / (p_ + r));
+  v_ += (z - v_) * k;
+  p_ = (1.0 - k) * p_;
 }
-
-Vec3 AudioOnlyVelocityKf::velocity() const { return col_to_vec(kf_.state()); }
-
-AudioImuVelocityKf::AudioImuVelocityKf(const VelocityKfConfig& config, const Vec3& v0)
-    : config_(config), kf_(vec_to_col(v0), Matrix::identity(3) * config.p0) {}
-
-Vec3 AudioImuVelocityKf::step(const Vec3& imu_accel, const Vec3& audio_vel, double dt) {
-  // Customized prediction (Fig. 4): the IMU-measured acceleration forecasts
-  // the velocity; IMU is high-rate and (when benign) low-noise, so the
-  // process noise is smaller than in the audio-only variant.
-  const Matrix f = Matrix::identity(3);
-  const Matrix b = Matrix::identity(3) * dt;
-  const Matrix q = Matrix::identity(3) * (config_.q_imu * dt);
-  kf_.predict(f, b, vec_to_col(imu_accel), q);
-  kf_.update(Matrix::identity(3), Matrix::identity(3) * config_.r_audio_vel,
-             vec_to_col(audio_vel));
-  return velocity();
-}
-
-Vec3 AudioImuVelocityKf::coast(double dt) {
-  kf_.predict(Matrix::identity(3), Matrix::identity(3) * (config_.q_imu * dt));
-  return velocity();
-}
-
-Vec3 AudioImuVelocityKf::velocity() const { return col_to_vec(kf_.state()); }
-
-DeadReckonVelocityKf::DeadReckonVelocityKf(const VelocityKfConfig& config,
-                                           const Vec3& v0)
-    : config_(config),
-      kf_(vec_to_col(v0), Matrix::identity(3) * config.p0),
-      reckoned_vel_(v0) {}
-
-Vec3 DeadReckonVelocityKf::step(const Vec3& accel, double dt) {
-  elapsed_ += dt;
-  const Matrix f = Matrix::identity(3);
-  const Matrix b = Matrix::identity(3) * dt;
-  const Matrix q = Matrix::identity(3) * (config_.q_imu * dt);
-  kf_.predict(f, b, vec_to_col(accel), q);
-
-  // The dead-reckoned velocity drifts: its variance grows with elapsed time.
-  reckoned_vel_ += accel * dt;
-  const double r = config_.r_base + config_.r_drift * elapsed_;
-  kf_.update(Matrix::identity(3), Matrix::identity(3) * r, vec_to_col(reckoned_vel_));
-  return velocity();
-}
-
-Vec3 DeadReckonVelocityKf::velocity() const { return col_to_vec(kf_.state()); }
 
 }  // namespace sb::est

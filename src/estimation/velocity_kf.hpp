@@ -1,18 +1,27 @@
-// SoundBoost's two velocity-estimation Kalman filters (paper §III-C2).
+// SoundBoost's velocity-estimation Kalman filter (paper §III-C2).
 //
-// Both estimate the UAV's NED velocity WITHOUT using GPS — GPS is the sensor
-// under validation.  The measurement in the update step is the velocity
-// derived from the acoustic side-channel; the prediction step uses audio
-// acceleration (Version 1, compromised IMU) or the IMU-measured kinematics
-// (Version 2, benign IMU).  The Kalman gain weights the two sources by their
-// covariances and adapts dynamically, as the paper describes (Fig. 4).
+// The filter estimates the UAV's NED velocity WITHOUT using GPS — GPS is the
+// sensor under validation.  An acceleration drives the prediction step and a
+// velocity is the update measurement; the Kalman gain weights the two by
+// their variances and adapts as they change (Fig. 4).  Three drives share
+// it:
+//   - audio only (compromised IMU): audio acceleration predicts, the
+//     audio-derived velocity is the measurement;
+//   - audio + IMU (benign IMU, the customized design of Fig. 4): the IMU
+//     acceleration predicts, the audio velocity is the measurement;
+//   - the Failsafe baseline: the IMU acceleration predicts, and its own
+//     dead-reckoned integral is the measurement, with a variance that grows
+//     with elapsed time.
 //
-// A third variant (DeadReckonVelocityKf) implements the Failsafe baseline:
-// the same filter structure fed ONLY by an acceleration stream, whose
-// dead-reckoned velocity serves as the (drifting) measurement.
+// One variance for all three axes: the state transition, control and
+// measurement matrices are all I, and the initial, process and measurement
+// covariances are all multiples of I, so the covariance stays p·I and the
+// axes never couple.  The per-axis arithmetic is exactly what a dense 3x3
+// filter computes for that covariance — the gain is written p·(1/(p+r)), the
+// form a Gauss–Jordan inverse produces — so the two agree bit for bit
+// (estimation_test pins the bits).
 #pragma once
 
-#include "estimation/kalman.hpp"
 #include "util/vec3.hpp"
 
 namespace sb::est {
@@ -26,73 +35,29 @@ struct VelocityKfConfig {
   double r_drift = 0.004;     // variance growth per second of dead-reckoning
 };
 
-// Version 1: "Audio Only KF (with compromised IMU)".
-class AudioOnlyVelocityKf {
+class VelocityKf {
  public:
-  AudioOnlyVelocityKf(const VelocityKfConfig& config, const Vec3& v0);
+  VelocityKf() = default;
+  VelocityKf(const Vec3& v0, double p0) : v_(v0), p_(p0) {}
 
-  // Advances the filter by dt: the audio acceleration prediction (NED)
-  // drives the prediction step; the audio-derived velocity is the update
-  // measurement.  Returns the fused velocity estimate.
-  Vec3 step(const Vec3& audio_accel, const Vec3& audio_vel, double dt);
+  // Prediction over dt with acceleration `accel` and process noise density
+  // q: v += dt·a, then p += q·dt.
+  void predict(const Vec3& accel, double dt, double q);
 
-  // Predict-only step for windows without a usable audio prediction (e.g. a
-  // masked-out front-end): the velocity estimate is held while the state
-  // covariance grows with the process noise, so the filter re-weights
-  // measurements correctly once real inputs return.
-  Vec3 coast(double dt);
+  // Prediction without an acceleration (a window with no usable audio
+  // prediction): the velocity is held while the variance grows, so the
+  // filter re-weights measurements correctly once real inputs return.
+  void coast(double dt, double q);
 
-  Vec3 velocity() const;
+  // Measurement update with velocity z of variance r.
+  void update(const Vec3& z, double r);
 
-  // Underlying filter, exposed for session checkpoint/restore (x and P must
-  // round-trip bitwise for a resumed stream to continue identically).
-  LinearKalmanFilter& filter() { return kf_; }
-  const LinearKalmanFilter& filter() const { return kf_; }
+  const Vec3& velocity() const { return v_; }
+  double variance() const { return p_; }
 
  private:
-  VelocityKfConfig config_;
-  LinearKalmanFilter kf_;
-};
-
-// Version 2: "Audio + IMU KF (with benign IMU)" — the customized design of
-// Fig. 4: IMU acceleration drives the prediction step; the audio-derived
-// velocity is the weighted measurement in the update step.
-class AudioImuVelocityKf {
- public:
-  AudioImuVelocityKf(const VelocityKfConfig& config, const Vec3& v0);
-
-  Vec3 step(const Vec3& imu_accel, const Vec3& audio_vel, double dt);
-
-  // Predict-only step (see AudioOnlyVelocityKf::coast).
-  Vec3 coast(double dt);
-
-  Vec3 velocity() const;
-
-  // See AudioOnlyVelocityKf::filter().
-  LinearKalmanFilter& filter() { return kf_; }
-  const LinearKalmanFilter& filter() const { return kf_; }
-
- private:
-  VelocityKfConfig config_;
-  LinearKalmanFilter kf_;
-};
-
-// Failsafe-style filter: a single acceleration stream drives the prediction
-// step, and its own dead-reckoned integral is the measurement.  The
-// measurement variance grows with time (integration drift).
-class DeadReckonVelocityKf {
- public:
-  DeadReckonVelocityKf(const VelocityKfConfig& config, const Vec3& v0);
-
-  Vec3 step(const Vec3& accel, double dt);
-
-  Vec3 velocity() const;
-
- private:
-  VelocityKfConfig config_;
-  LinearKalmanFilter kf_;
-  Vec3 reckoned_vel_;
-  double elapsed_ = 0.0;
+  Vec3 v_;
+  double p_ = 0.0;
 };
 
 }  // namespace sb::est

@@ -7,15 +7,6 @@
 
 namespace sb::scenario {
 
-const char* attack_kind_name(AttackKind kind) {
-  switch (kind) {
-    case AttackKind::kBenign: return "benign";
-    case AttackKind::kImuBias: return "imu-bias";
-    case AttackKind::kGpsSpoof: return "gps-spoof";
-  }
-  return "?";
-}
-
 ScenarioSet::ScenarioSet(ScenarioSetConfig config) : config_(std::move(config)) {
   if (config_.airframes.empty()) config_.airframes = airframe_catalog();
   if (config_.environments.empty()) config_.environments = environment_catalog();

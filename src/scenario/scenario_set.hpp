@@ -29,8 +29,6 @@ namespace sb::scenario {
 
 enum class AttackKind { kBenign, kImuBias, kGpsSpoof };
 
-const char* attack_kind_name(AttackKind kind);
-
 // What a cell's flight is for.  Calibration cells are benign flights
 // reserved for detector-threshold calibration — disjoint from both the
 // training corpus and the scored eval set.

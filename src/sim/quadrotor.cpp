@@ -28,8 +28,6 @@ Quadrotor::Quadrotor(const QuadrotorParams& params) : params_(params) {
     state_.omega[static_cast<std::size_t>(i)] = params_.hover_omega();
 }
 
-double Quadrotor::rotor_thrust(double omega) const { return params_.kf * omega * omega; }
-
 Quadrotor::Derivative Quadrotor::derivative(const QuadState& s, const RotorCommand& cmd,
                                             const Vec3& wind) const {
   Derivative d;

@@ -89,9 +89,6 @@ class Quadrotor {
   // f_b = R^T (a_ned - g), where a_ned is the linear acceleration.
   Vec3 specific_force_body() const;
 
-  // Thrust (N) produced by one rotor at speed omega.
-  double rotor_thrust(double omega) const;
-
  private:
   struct Derivative {
     Vec3 dpos, dvel, deuler, drates;

@@ -139,12 +139,12 @@ class RcaSession {
   const RcaSessionConfig& config() const { return config_; }
 
   // Crash-safe checkpoint: serializes the COMPLETE session state (extractor
-  // ring, the decision monitor with both GPS variants' KF x and P, sensor
-  // buffers, cursors, verdict backlog, health) inside an SBSESS01 integrity
-  // frame (util::io::write_frame, as the model format).  The session must
-  // be quiescent — every staged window taken AND delivered (drain the
-  // scheduler first) — or a logic_error is thrown: in-flight windows cannot
-  // round-trip.  Returns false on I/O failure.
+  // ring, the decision monitor with both GPS variants' KF velocity and
+  // variance, sensor buffers, cursors, verdict backlog, health) inside an
+  // SBSESS01 integrity frame (util::io::write_frame, as the model format).
+  // The session must be quiescent — every staged window taken AND delivered
+  // (drain the scheduler first) — or a logic_error is thrown: in-flight
+  // windows cannot round-trip.  Returns false on I/O failure.
   bool checkpoint(const std::string& path) const;
 
   // Rebuilds a session from a checkpoint against the same (or bitwise-equal)

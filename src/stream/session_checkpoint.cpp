@@ -2,11 +2,11 @@
 //
 // A checkpoint is the COMPLETE state of a quiescent session — extractor ring
 // and cursors, the decision monitor (IMU baseline/run state, both GPS
-// monitors with their KF x and P, sensor buffers, decision traces), verdict
-// backlog and window tally — so a restarted server resumes mid-flight and
-// every subsequent verdict is bitwise identical to the uninterrupted session
-// (pinned by the StreamingEquivalence integration suite at SB_THREADS 1 and
-// 4).
+// monitors with their KF velocity and variance, sensor buffers, decision
+// traces), verdict backlog and window tally — so a restarted server resumes
+// mid-flight and every subsequent verdict is bitwise identical to the
+// uninterrupted session (pinned by the StreamingEquivalence integration
+// suite at SB_THREADS 1 and 4).
 //
 // The payload travels in the shared integrity frame (util::io::read_frame:
 // magic, format version, payload size, CRC-32), validated before any field
@@ -30,7 +30,7 @@ namespace sb::stream {
 namespace {
 
 constexpr std::uint64_t kSessionMagic = 0x5342534553533031ULL;  // "SBSESS01"
-constexpr std::uint32_t kSessionVersion = 2;
+constexpr std::uint32_t kSessionVersion = 3;
 
 void reject(const std::string& path, const char* why) {
   obs::logf(obs::LogLevel::kWarn, "io", "rejecting session checkpoint %s: %s",

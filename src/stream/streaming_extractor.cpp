@@ -43,6 +43,10 @@ std::vector<WindowAudio> StreamingFeatureExtractor::push(
   for (const auto& ch : chunk.channels)
     if (ch.size() != n)
       throw std::invalid_argument{"StreamingFeatureExtractor: ragged chunk"};
+  // Sample indices are the stream's clock: audio at another rate would be
+  // cut into windows of the wrong duration and stamped as this rate.
+  if (chunk.sample_rate != config_.sample_rate)
+    throw std::invalid_argument{"StreamingFeatureExtractor: sample rate mismatch"};
   for (std::size_t c = 0; c < sensors::kNumMics; ++c)
     buffer_[c].insert(buffer_[c].end(), chunk.channels[c].begin(),
                       chunk.channels[c].end());

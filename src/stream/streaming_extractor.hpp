@@ -40,7 +40,8 @@ class StreamingFeatureExtractor {
  public:
   explicit StreamingFeatureExtractor(const StreamingExtractorConfig& config);
 
-  // Appends one chunk (all channels the same length; t = 0 is the first
+  // Appends one chunk (all channels the same length, at the configured
+  // sample rate — anything else throws invalid_argument; t = 0 is the first
   // sample ever pushed) and returns the analysis windows it completed, in
   // grid order.  Chunk boundaries are irrelevant: the emitted windows depend
   // only on the concatenated stream (chunk-size invariance is pinned by

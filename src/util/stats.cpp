@@ -43,10 +43,6 @@ double percentile(std::span<const double> xs, double p) {
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
-double min_of(std::span<const double> xs) {
-  return xs.empty() ? 0.0 : *std::min_element(xs.begin(), xs.end());
-}
-
 double max_of(std::span<const double> xs) {
   return xs.empty() ? 0.0 : *std::max_element(xs.begin(), xs.end());
 }

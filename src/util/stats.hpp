@@ -15,7 +15,6 @@ double stddev(std::span<const double> xs);     // population standard deviation
 double sample_stddev(std::span<const double> xs);
 double median(std::span<const double> xs);
 double percentile(std::span<const double> xs, double p);  // p in [0, 100]
-double min_of(std::span<const double> xs);
 double max_of(std::span<const double> xs);
 
 // Pearson correlation coefficient; returns 0 for degenerate inputs.

@@ -83,17 +83,6 @@ TEST(Signature, ToneLandsInItsBand) {
   EXPECT_GT(hit, miss + 2.0);
 }
 
-TEST(Signature, RemoveFrequencyGroupSilences) {
-  SignatureConfig cfg;
-  auto sig = compute_signature(tone_audio(5250.0), cfg);
-  remove_frequency_group(sig, dsp::FreqGroup::kAerodynamic, cfg);
-  const std::size_t bands = sig.dim(3);
-  for (std::size_t i = 0; i < sig.numel(); ++i) {
-    if (dsp::group_of_band(i % bands, cfg.bands) == dsp::FreqGroup::kAerodynamic)
-      EXPECT_FLOAT_EQ(sig[i], static_cast<float>(dsp::kSilenceFeature));
-  }
-}
-
 TEST(FlightLab, DeterministicForSameSeed) {
   const auto f1 = test::hover_flight(5.0, 99);
   const auto f2 = test::hover_flight(5.0, 99);
@@ -434,28 +423,15 @@ std::vector<TimedPrediction> synthetic_predictions(const Flight& f) {
   return preds;
 }
 
-struct MonitorDetectors {
-  ImuRcaDetector imu{ImuRcaConfig{}};
-  GpsRcaDetector gps{GpsRcaConfig{}};
-};
-
-const MonitorDetectors& monitor_detectors() {
-  static const MonitorDetectors det = [] {
-    MonitorDetectors d;
-    std::vector<WindowResiduals> imu_cal;
-    std::vector<GpsRcaDetector::Result> audio, fused;
+const CalibratedDetectors& monitor_detectors() {
+  static const CalibratedDetectors det = [] {
+    std::vector<Flight> flights;
+    std::vector<std::vector<TimedPrediction>> preds;
     for (std::uint64_t seed : {31, 32}) {
-      const auto f = test::hover_flight(20.0, seed);
-      const auto preds = synthetic_predictions(f);
-      const auto w = ImuRcaDetector::residuals(f, preds);
-      imu_cal.insert(imu_cal.end(), w.begin(), w.end());
-      audio.push_back(d.gps.analyze(f, preds, GpsDetectorMode::kAudioOnly));
-      fused.push_back(d.gps.analyze(f, preds, GpsDetectorMode::kAudioImu));
+      flights.push_back(test::hover_flight(20.0, seed));
+      preds.push_back(synthetic_predictions(flights.back()));
     }
-    d.imu.calibrate(imu_cal);
-    d.gps.calibrate(audio, GpsDetectorMode::kAudioOnly);
-    d.gps.calibrate(fused, GpsDetectorMode::kAudioImu);
-    return d;
+    return calibrate_detectors(flights, preds);
   }();
   return det;
 }

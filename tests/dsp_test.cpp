@@ -355,30 +355,6 @@ TEST(Features, ToneRaisesItsBandOnly) {
   EXPECT_GT(feats[13], feats[5] + 3.0);  // log scale: >3 nats apart
 }
 
-TEST(Features, RemoveGroupSilencesItsBands) {
-  BandFeatureConfig cfg;
-  std::vector<double> feats(2 * cfg.bands_per_frame, 1.0);
-  remove_group(feats, cfg.bands_per_frame, FreqGroup::kAerodynamic, cfg);
-  bool any_removed = false;
-  for (std::size_t i = 0; i < feats.size(); ++i) {
-    const auto band = i % cfg.bands_per_frame;
-    if (group_of_band(band, cfg) == FreqGroup::kAerodynamic) {
-      EXPECT_DOUBLE_EQ(feats[i], kSilenceFeature);
-      any_removed = true;
-    } else {
-      EXPECT_DOUBLE_EQ(feats[i], 1.0);
-    }
-  }
-  EXPECT_TRUE(any_removed);
-}
-
-TEST(Features, RemoveGroupRejectsBadLayout) {
-  BandFeatureConfig cfg;
-  std::vector<double> feats(cfg.bands_per_frame + 1, 1.0);
-  EXPECT_THROW(remove_group(feats, cfg.bands_per_frame, FreqGroup::kOther, cfg),
-               std::invalid_argument);
-}
-
 TEST(Features, PipelineCutoffIs6kHz) { EXPECT_DOUBLE_EQ(kPipelineCutoffHz, 6000.0); }
 
 class FftSizeSweep : public ::testing::TestWithParam<std::size_t> {};

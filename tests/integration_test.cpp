@@ -31,8 +31,7 @@ namespace {
 
 struct Pipeline {
   std::unique_ptr<SensoryMapper> mapper;
-  std::unique_ptr<ImuRcaDetector> imu_det;
-  std::unique_ptr<GpsRcaDetector> gps_det;
+  CalibratedDetectors det;
   std::vector<Flight> benign;
 };
 
@@ -63,26 +62,10 @@ const Pipeline& pipeline() {
     out.benign.push_back(test::line_flight(25.0, 306));
     out.benign.push_back(test::line_flight(25.0, 307));
 
-    out.imu_det = std::make_unique<ImuRcaDetector>(ImuRcaConfig{});
-    std::vector<WindowResiduals> cal;
-    for (const auto& f : out.benign) {
-      const auto preds = out.mapper->predict_flight(test::lab(), f);
-      const auto w = ImuRcaDetector::residuals(f, preds);
-      cal.insert(cal.end(), w.begin(), w.end());
-    }
-    out.imu_det->calibrate(cal);
-
-    out.gps_det = std::make_unique<GpsRcaDetector>(GpsRcaConfig{});
-    std::vector<GpsRcaDetector::Result> audio_results, fused_results;
-    for (const auto& f : out.benign) {
-      const auto preds = out.mapper->predict_flight(test::lab(), f);
-      audio_results.push_back(
-          out.gps_det->analyze(f, preds, GpsDetectorMode::kAudioOnly));
-      fused_results.push_back(
-          out.gps_det->analyze(f, preds, GpsDetectorMode::kAudioImu));
-    }
-    out.gps_det->calibrate(audio_results, GpsDetectorMode::kAudioOnly);
-    out.gps_det->calibrate(fused_results, GpsDetectorMode::kAudioImu);
+    std::vector<std::vector<TimedPrediction>> preds;
+    for (const auto& f : out.benign)
+      preds.push_back(out.mapper->predict_flight(test::lab(), f));
+    out.det = calibrate_detectors(out.benign, preds);
     return out;
   }();
   return p;
@@ -141,7 +124,7 @@ TEST(Integration, ModelBeatsZeroPredictorOnVerticalAxis) {
 TEST(Integration, BenignResidualsApproximatelyZeroMean) {
   const auto& p = pipeline();
   for (int axis = 0; axis < 3; ++axis) {
-    const auto& fit = p.imu_det->benign_fit(axis);
+    const auto& fit = p.det.imu.benign_fit(axis);
     EXPECT_LT(std::abs(fit.mean), 0.35) << "axis " << axis;
     EXPECT_GT(fit.stddev, 0.0);
   }
@@ -151,7 +134,7 @@ TEST(Integration, ImuStageDetectsAccelDos) {
   const auto& p = pipeline();
   const auto f = imu_attack_flight(attacks::ImuAttackType::kAccelDos, 400);
   const auto preds = p.mapper->predict_flight(test::lab(), f);
-  const auto r = p.imu_det->analyze(ImuRcaDetector::residuals(f, preds));
+  const auto r = p.det.imu.analyze(ImuRcaDetector::residuals(f, preds));
   EXPECT_TRUE(r.attacked);
   EXPECT_GE(r.detect_time, 10.0);
   EXPECT_LE(r.detect_time, 20.0);
@@ -161,7 +144,7 @@ TEST(Integration, ImuStageDetectsSideSwing) {
   const auto& p = pipeline();
   const auto f = imu_attack_flight(attacks::ImuAttackType::kSideSwing, 401);
   const auto preds = p.mapper->predict_flight(test::lab(), f);
-  const auto r = p.imu_det->analyze(ImuRcaDetector::residuals(f, preds));
+  const auto r = p.det.imu.analyze(ImuRcaDetector::residuals(f, preds));
   EXPECT_TRUE(r.attacked);
 }
 
@@ -169,7 +152,7 @@ TEST(Integration, ImuStageQuietOnFreshBenignFlight) {
   const auto& p = pipeline();
   const auto f = test::hover_flight(25.0, 402, 0.4);
   const auto preds = p.mapper->predict_flight(test::lab(), f);
-  const auto r = p.imu_det->analyze(ImuRcaDetector::residuals(f, preds));
+  const auto r = p.det.imu.analyze(ImuRcaDetector::residuals(f, preds));
   EXPECT_FALSE(r.attacked);
 }
 
@@ -177,7 +160,7 @@ TEST(Integration, GpsStageDetectsDragSpoofFused) {
   const auto& p = pipeline();
   const auto f = gps_attack_flight(403);
   const auto preds = p.mapper->predict_flight(test::lab(), f);
-  const auto r = p.gps_det->analyze(f, preds, GpsDetectorMode::kAudioImu);
+  const auto r = p.det.gps.analyze(f, preds, GpsDetectorMode::kAudioImu);
   EXPECT_TRUE(r.attacked);
   EXPECT_GE(r.detect_time, 10.0);
 }
@@ -186,7 +169,7 @@ TEST(Integration, GpsStageDetectsDragSpoofAudioOnly) {
   const auto& p = pipeline();
   const auto f = gps_attack_flight(404);
   const auto preds = p.mapper->predict_flight(test::lab(), f);
-  const auto r = p.gps_det->analyze(f, preds, GpsDetectorMode::kAudioOnly);
+  const auto r = p.det.gps.analyze(f, preds, GpsDetectorMode::kAudioOnly);
   EXPECT_TRUE(r.attacked);
 }
 
@@ -194,13 +177,13 @@ TEST(Integration, GpsStageQuietOnFreshBenignFlight) {
   const auto& p = pipeline();
   const auto f = test::hover_flight(30.0, 405, 0.4);
   const auto preds = p.mapper->predict_flight(test::lab(), f);
-  const auto r = p.gps_det->analyze(f, preds, GpsDetectorMode::kAudioImu);
+  const auto r = p.det.gps.analyze(f, preds, GpsDetectorMode::kAudioImu);
   EXPECT_FALSE(r.attacked);
 }
 
 TEST(Integration, RcaEngineAttributesImuAttack) {
   const auto& p = pipeline();
-  RcaEngine engine{*p.mapper, *p.imu_det, *p.gps_det};
+  RcaEngine engine{*p.mapper, p.det.imu, p.det.gps};
   const auto f = imu_attack_flight(attacks::ImuAttackType::kAccelDos, 406);
   const auto report = engine.analyze(test::lab(), f);
   EXPECT_TRUE(report.imu_attacked);
@@ -210,7 +193,7 @@ TEST(Integration, RcaEngineAttributesImuAttack) {
 
 TEST(Integration, RcaEngineAttributesGpsAttack) {
   const auto& p = pipeline();
-  RcaEngine engine{*p.mapper, *p.imu_det, *p.gps_det};
+  RcaEngine engine{*p.mapper, p.det.imu, p.det.gps};
   const auto f = gps_attack_flight(407);
   const auto report = engine.analyze(test::lab(), f);
   EXPECT_TRUE(report.gps_attacked);
@@ -219,7 +202,7 @@ TEST(Integration, RcaEngineAttributesGpsAttack) {
 
 TEST(Integration, RcaEngineQuietOnBenign) {
   const auto& p = pipeline();
-  RcaEngine engine{*p.mapper, *p.imu_det, *p.gps_det};
+  RcaEngine engine{*p.mapper, p.det.imu, p.det.gps};
   const auto f = test::hover_flight(25.0, 408, 0.4);
   const auto report = engine.analyze(test::lab(), f);
   EXPECT_FALSE(report.imu_attacked);
@@ -298,7 +281,7 @@ TEST(Integration, SaveLoadRebuildsInferencePlan) {
 // of magnitude under the detector thresholds.
 TEST(Integration, F32PlanKeepsVerdictsAndBoundsDrift) {
   const auto& p = pipeline();
-  RcaEngine engine{*p.mapper, *p.imu_det, *p.gps_det};
+  RcaEngine engine{*p.mapper, p.det.imu, p.det.gps};
   const std::vector<Flight> flights = {
       imu_attack_flight(attacks::ImuAttackType::kAccelDos, 606),
       gps_attack_flight(607),
@@ -430,7 +413,7 @@ TEST(Integration, LoadRejectsPreFramingFormat) {
 
 TEST(Integration, DeadMicFlightStillCompletesRcaWithHealthReport) {
   const auto& p = pipeline();
-  RcaEngine engine{*p.mapper, *p.imu_det, *p.gps_det};
+  RcaEngine engine{*p.mapper, p.det.imu, p.det.gps};
   const auto f = test::hover_flight(25.0, 410, 0.4);
   PredictionHooks hooks;
   hooks.audio_transform = [](acoustics::MultiChannelAudio& audio, double) {
@@ -450,7 +433,7 @@ TEST(Integration, DeadMicFlightStillCompletesRcaWithHealthReport) {
 
 TEST(Integration, GpsOutageCoastsWithoutFalseAlert) {
   const auto& p = pipeline();
-  RcaEngine engine{*p.mapper, *p.imu_det, *p.gps_det};
+  RcaEngine engine{*p.mapper, p.det.imu, p.det.gps};
   auto f = test::hover_flight(25.0, 411, 0.4);
   faults::FaultPlan plan;
   plan.gps.push_back({faults::GpsFaultType::kOutage, 1.0, 10.0, 15.0});
@@ -469,7 +452,7 @@ TEST(Integration, GpsOutageCoastsWithoutFalseAlert) {
 
 TEST(Integration, EngineHealthCleanOnPristineFlight) {
   const auto& p = pipeline();
-  RcaEngine engine{*p.mapper, *p.imu_det, *p.gps_det};
+  RcaEngine engine{*p.mapper, p.det.imu, p.det.gps};
   const auto f = test::hover_flight(25.0, 412, 0.4);
   const auto report = engine.analyze(test::lab(), f);
   EXPECT_FALSE(report.health.degraded());
@@ -519,8 +502,7 @@ TEST(Integration, FrequencyGroupRemovalDegradesAccuracy) {
   const auto& f = p.benign.back();
   PredictionHooks hooks;
   hooks.signature_transform = [&](ml::Tensor& sig) {
-    remove_frequency_group(sig, dsp::FreqGroup::kAerodynamic,
-                           p.mapper->config().dataset.signature);
+    p.mapper->neutralize_frequency_group(sig, dsp::FreqGroup::kAerodynamic);
   };
   const double clean_mse = p.mapper->test_mse(test::lab(), std::span{&f, 1});
   const double ablated_mse = p.mapper->test_mse(test::lab(), std::span{&f, 1}, hooks);
@@ -554,7 +536,7 @@ StreamOutcome run_streaming(const Flight& f, const SensoryMapper& m,
   // Inert unless the recorder-on test flips SB_RECORDER's switch; keeps any
   // black-box dumps out of the working directory.
   sc.recorder.out_dir = ::testing::TempDir();
-  stream::RcaSession session{1, m, *p.imu_det, *p.gps_det, sc};
+  stream::RcaSession session{1, m, p.det.imu, p.det.gps, sc};
   stream::InferenceScheduler sched{m};
   sched.attach(session);
 
@@ -610,7 +592,7 @@ StreamOutcome run_streaming_with_restart(const Flight& f,
   sc.hooks = hooks;
   sc.recorder.out_dir = ::testing::TempDir();
   auto session =
-      std::make_unique<stream::RcaSession>(1, m, *p.imu_det, *p.gps_det, sc);
+      std::make_unique<stream::RcaSession>(1, m, p.det.imu, p.det.gps, sc);
   auto sched = std::make_unique<stream::InferenceScheduler>(m);
   sched->attach(*session);
 
@@ -652,7 +634,7 @@ StreamOutcome run_streaming_with_restart(const Flight& f,
       // Crash: the old scheduler and session go away entirely.
       sched.reset();
       session.reset();
-      session = stream::RcaSession::restore(path, m, *p.imu_det, *p.gps_det, sc);
+      session = stream::RcaSession::restore(path, m, p.det.imu, p.det.gps, sc);
       EXPECT_NE(session, nullptr);
       if (!session) return out;
       sched = std::make_unique<stream::InferenceScheduler>(m);
@@ -749,7 +731,7 @@ void expect_equivalent(const RcaReport& off, const RcaDecisionTrace& off_tr,
 void check_equivalence(const Flight& f, const PredictionHooks& hooks = {}) {
   const auto& p = pipeline();
   const auto& m = *p.mapper;
-  RcaEngine engine{m, *p.imu_det, *p.gps_det};
+  RcaEngine engine{m, p.det.imu, p.det.gps};
   std::vector<RcaDecisionTrace> offline_traces;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     util::ThreadPool::set_threads(threads);
@@ -802,7 +784,7 @@ TEST(StreamingEquivalence, ChunkSizeDoesNotChangeTheVerdictEvidence) {
   const auto& p = pipeline();
   const auto& m = *p.mapper;
   const auto f = test::hover_flight(25.0, 420, 0.4);
-  RcaEngine engine{m, *p.imu_det, *p.gps_det};
+  RcaEngine engine{m, p.det.imu, p.det.gps};
   RcaDecisionTrace off_tr;
   const auto off = engine.analyze(test::lab(), f, {}, &off_tr);
   // A prime chunk size keeps every window boundary strictly inside a chunk.
@@ -813,7 +795,7 @@ TEST(StreamingEquivalence, ImuAttackFlightMatchesOffline) {
   const auto f = imu_attack_flight(attacks::ImuAttackType::kAccelDos, 421);
   const auto& p = pipeline();
   const auto& m = *p.mapper;
-  RcaEngine engine{m, *p.imu_det, *p.gps_det};
+  RcaEngine engine{m, p.det.imu, p.det.gps};
   const auto off = engine.analyze(test::lab(), f);
   EXPECT_TRUE(off.imu_attacked);  // the comparison must not be vacuous
   check_equivalence(f);
@@ -823,7 +805,7 @@ TEST(StreamingEquivalence, GpsSpoofFlightMatchesOffline) {
   const auto f = gps_attack_flight(422);
   const auto& p = pipeline();
   const auto& m = *p.mapper;
-  RcaEngine engine{m, *p.imu_det, *p.gps_det};
+  RcaEngine engine{m, p.det.imu, p.det.gps};
   const auto off = engine.analyze(test::lab(), f);
   EXPECT_TRUE(off.gps_attacked);
   check_equivalence(f);
@@ -838,7 +820,7 @@ TEST(StreamingEquivalence, CheckpointRestoreMidFlightIsBitwiseIdentical) {
   const auto f = imu_attack_flight(attacks::ImuAttackType::kAccelDos, 421);
   const auto& p = pipeline();
   const auto& m = *p.mapper;
-  RcaEngine engine{m, *p.imu_det, *p.gps_det};
+  RcaEngine engine{m, p.det.imu, p.det.gps};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     util::ThreadPool::set_threads(threads);
     RcaDecisionTrace off_tr;
@@ -865,7 +847,7 @@ TEST(StreamingEquivalence, RecorderOnKeepsEvidenceBitwiseIdentical) {
   const auto f = imu_attack_flight(attacks::ImuAttackType::kAccelDos, 421);
   const auto& p = pipeline();
   const auto& m = *p.mapper;
-  RcaEngine engine{m, *p.imu_det, *p.gps_det};
+  RcaEngine engine{m, p.det.imu, p.det.gps};
   RecorderGuard recorder_on{true};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     util::ThreadPool::set_threads(threads);
@@ -889,7 +871,7 @@ TEST(StreamingEquivalence, RecorderOnServingStaysScratchHeapFlat) {
   const auto f = test::hover_flight(25.0, 420, 0.4);
   stream::RcaSessionConfig sc;
   sc.recorder.out_dir = ::testing::TempDir();
-  stream::RcaSession session{11, m, *p.imu_det, *p.gps_det, sc};
+  stream::RcaSession session{11, m, p.det.imu, p.det.gps, sc};
   ASSERT_NE(session.recorder(), nullptr);
   stream::InferenceScheduler sched{m};
   sched.attach(session);
@@ -946,7 +928,7 @@ TEST(StreamingEquivalence, FaultedFlightMatchesOffline) {
   };
   const auto& p = pipeline();
   const auto& m = *p.mapper;
-  RcaEngine engine{m, *p.imu_det, *p.gps_det};
+  RcaEngine engine{m, p.det.imu, p.det.gps};
   RcaDecisionTrace off_tr;
   const auto off = engine.analyze(test::lab(), f, hooks, &off_tr);
   EXPECT_GE(off.health.gps_coast_intervals, 1u);

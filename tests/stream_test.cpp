@@ -150,6 +150,18 @@ TEST(StreamingExtractor, RejectsRaggedChunks) {
   EXPECT_THROW(ex.push(chunk), std::invalid_argument);
 }
 
+// A 48 kHz chunk in a 16 kHz stream would be cut into windows a third as
+// long and stamped as 16 kHz audio.
+TEST(StreamingExtractor, RejectsChunksAtAnotherSampleRate) {
+  StreamingFeatureExtractor ex{StreamingExtractorConfig{}};
+  auto chunk = noise_stream(48000, 5);
+  chunk.sample_rate = 48000.0;
+  EXPECT_THROW(ex.push(chunk), std::invalid_argument);
+  EXPECT_EQ(ex.samples_pushed(), 0u);
+  chunk.sample_rate = ex.config().sample_rate;
+  EXPECT_FALSE(ex.push(chunk).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Session + scheduler structure.  One tiny MLP trained on a single short
 // flight is enough: these tests pin ordering, backpressure and error paths,
@@ -174,20 +186,12 @@ class StreamServingTest : public ::testing::Test {
         lab_->synthesizer(*flight_).synthesize(flight_->log, 0.0, 10.0)};
     // Calibrate both detector stages on the same flight — threshold quality
     // is irrelevant here, but sessions require calibrated detectors.
-    imu_ = new core::ImuRcaDetector{core::ImuRcaConfig{}};
-    gps_ = new core::GpsRcaDetector{core::GpsRcaConfig{}};
-    const auto preds = mapper_->predict_flight(*lab_, *flight_);
-    imu_->calibrate(core::ImuRcaDetector::residuals(*flight_, preds));
-    for (const auto mode :
-         {core::GpsDetectorMode::kAudioOnly, core::GpsDetectorMode::kAudioImu}) {
-      const std::vector<core::GpsRcaDetector::Result> results{
-          gps_->analyze(*flight_, preds, mode)};
-      gps_->calibrate(results, mode);
-    }
+    const std::vector<std::vector<core::TimedPrediction>> preds{
+        mapper_->predict_flight(*lab_, *flight_)};
+    det_ = new core::CalibratedDetectors{core::calibrate_detectors(flights, preds)};
   }
   static void TearDownTestSuite() {
-    delete gps_;
-    delete imu_;
+    delete det_;
     delete audio_;
     delete flight_;
     delete lab_;
@@ -195,7 +199,7 @@ class StreamServingTest : public ::testing::Test {
   }
 
   RcaSession make_session(std::uint64_t id) {
-    return RcaSession{id, *mapper_, *imu_, *gps_};
+    return RcaSession{id, *mapper_, det_->imu, det_->gps};
   }
 
   // Pushes the shared flight's streams into the session up to `seconds`.
@@ -236,20 +240,18 @@ class StreamServingTest : public ::testing::Test {
   static core::FlightLab* lab_;
   static core::Flight* flight_;
   static acoustics::MultiChannelAudio* audio_;
-  static core::ImuRcaDetector* imu_;
-  static core::GpsRcaDetector* gps_;
+  static core::CalibratedDetectors* det_;
 };
 
 core::SensoryMapper* StreamServingTest::mapper_ = nullptr;
 core::FlightLab* StreamServingTest::lab_ = nullptr;
 core::Flight* StreamServingTest::flight_ = nullptr;
 acoustics::MultiChannelAudio* StreamServingTest::audio_ = nullptr;
-core::ImuRcaDetector* StreamServingTest::imu_ = nullptr;
-core::GpsRcaDetector* StreamServingTest::gps_ = nullptr;
+core::CalibratedDetectors* StreamServingTest::det_ = nullptr;
 
 TEST_F(StreamServingTest, SessionRequiresTrainedMapper) {
   core::SensoryMapper untrained{core::SensoryMapperConfig{}};
-  EXPECT_THROW(RcaSession(1, untrained, *imu_, *gps_), std::logic_error);
+  EXPECT_THROW(RcaSession(1, untrained, det_->imu, det_->gps), std::logic_error);
 }
 
 TEST_F(StreamServingTest, SchedulerRejectsDegenerateConfigAndDuplicateIds) {
@@ -387,7 +389,7 @@ TEST_F(StreamServingTest, BoundedDrainAbortsOnExcessProgress) {
 TEST_F(StreamServingTest, EvidenceThinningDeliversEveryWindowWithoutInference) {
   RcaSessionConfig config;
   config.evidence_stride = 2;
-  RcaSession a{15, *mapper_, *imu_, *gps_, config};
+  RcaSession a{15, *mapper_, det_->imu, det_->gps, config};
   InferenceScheduler sched{*mapper_};
   sched.attach(a);
   feed(a, 10.0);
@@ -456,7 +458,7 @@ TEST_F(StreamServingTest, CheckpointRejectsCorruptFiles) {
   std::size_t attempts = 0;
   const auto expect_rejected = [&](std::string corrupt, const char* what) {
     spew(path, corrupt);
-    EXPECT_EQ(RcaSession::restore(path, *mapper_, *imu_, *gps_), nullptr)
+    EXPECT_EQ(RcaSession::restore(path, *mapper_, det_->imu, det_->gps), nullptr)
         << what;
     ++attempts;
   };
@@ -472,12 +474,18 @@ TEST_F(StreamServingTest, CheckpointRejectsCorruptFiles) {
   std::string version = bytes;
   version[8] ^= 0xFF;  // format version lives right after the 8-byte magic
   expect_rejected(version, "version skew");
+  // A version-2 file (dense KF matrices in place of velocity and variance)
+  // is version skew too, even with its CRC intact.
+  std::string v2 = bytes;
+  const std::uint32_t two = 2;
+  std::memcpy(v2.data() + 8, &two, sizeof two);
+  expect_rejected(v2, "previous format version");
   EXPECT_EQ(rejected.value(), rejected_before + attempts);
 
   // The pristine bytes still restore — the harness, not the format, was
   // rejecting above.
   spew(path, bytes);
-  const auto restored = RcaSession::restore(path, *mapper_, *imu_, *gps_);
+  const auto restored = RcaSession::restore(path, *mapper_, det_->imu, det_->gps);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->id(), 17u);
 }
@@ -513,7 +521,7 @@ TEST_F(StreamServingTest, RestoreRejectsOversizedLengthPrefixWithoutThrowing) {
   spew(path, bytes);
 
   std::unique_ptr<RcaSession> restored;
-  EXPECT_NO_THROW(restored = RcaSession::restore(path, *mapper_, *imu_, *gps_));
+  EXPECT_NO_THROW(restored = RcaSession::restore(path, *mapper_, det_->imu, det_->gps));
   EXPECT_EQ(restored, nullptr);
 }
 
@@ -571,7 +579,7 @@ TEST_F(StreamServingTest, CheckpointRestoreResumesBitwise) {
   const std::string path = ::testing::TempDir() + "sb_resume.sbsess";
   ASSERT_TRUE(subject.checkpoint(path));
 
-  const auto resumed = RcaSession::restore(path, *mapper_, *imu_, *gps_);
+  const auto resumed = RcaSession::restore(path, *mapper_, det_->imu, det_->gps);
   ASSERT_NE(resumed, nullptr);
   InferenceScheduler after_sched{*mapper_};
   after_sched.attach(*resumed);
@@ -609,7 +617,7 @@ TEST_F(StreamServingTest, FleetAdmissionAdmitsDegradesAndRejects) {
   config.max_sessions_per_shard = 2;
   config.degrade_sessions_per_shard = 1;
   config.degraded_evidence_stride = 3;
-  FleetServer fleet{*mapper_, *imu_, *gps_, config};
+  FleetServer fleet{*mapper_, det_->imu, det_->gps, config};
 
   // Three ids that land on the SAME shard exercise all three verdicts in
   // admission order.
@@ -651,7 +659,7 @@ TEST_F(StreamServingTest, FleetServingMatchesShardedStandaloneBitwise) {
   constexpr std::size_t kShards = 3;
   FleetServerConfig config;
   config.num_shards = kShards;
-  FleetServer fleet{*mapper_, *imu_, *gps_, config};
+  FleetServer fleet{*mapper_, det_->imu, det_->gps, config};
   const std::vector<std::uint64_t> ids{1, 2, 3, 4};
   std::vector<RcaSession*> fleet_sessions;
   for (const auto id : ids)
@@ -696,8 +704,8 @@ TEST_F(StreamServingTest, FleetCheckpointAllCreatesItsDirectoryAndRestoresBitwis
   const std::vector<std::uint64_t> ids{31, 32};
   FleetServerConfig config;
   config.num_shards = 2;
-  FleetServer control{*mapper_, *imu_, *gps_, config};
-  FleetServer before{*mapper_, *imu_, *gps_, config};
+  FleetServer control{*mapper_, det_->imu, det_->gps, config};
+  FleetServer before{*mapper_, det_->imu, det_->gps, config};
   for (const auto id : ids) {
     feed_range(*control.admit(id).session, 0.0, 5.0);
     feed_range(*before.admit(id).session, 0.0, 5.0);
@@ -713,7 +721,7 @@ TEST_F(StreamServingTest, FleetCheckpointAllCreatesItsDirectoryAndRestoresBitwis
   std::filesystem::remove_all(dir.parent_path().parent_path());
   ASSERT_EQ(before.checkpoint_all(dir.string()), ids.size());
 
-  FleetServer after{*mapper_, *imu_, *gps_, config};
+  FleetServer after{*mapper_, det_->imu, det_->gps, config};
   for (const auto id : ids) {
     const auto res =
         after.restore((dir / ("SESSION_" + std::to_string(id) + ".sbsess")).string());
@@ -747,7 +755,7 @@ TEST_F(StreamServingTest, FleetRestoreMigratesSessionsAcrossShardLayouts) {
   // on whichever shard its id maps to and resumes there.
   FleetServerConfig config;
   config.num_shards = 4;
-  FleetServer fleet{*mapper_, *imu_, *gps_, config};
+  FleetServer fleet{*mapper_, det_->imu, det_->gps, config};
   const auto res = fleet.restore(path);
   ASSERT_NE(res.session, nullptr);
   EXPECT_EQ(res.shard, FleetServer::shard_of(19, 4));
