@@ -9,6 +9,7 @@
 #include "dsp/spectrogram.hpp"
 #include "dsp/window.hpp"
 #include "obs/metrics.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -118,6 +119,59 @@ TEST(Fft, F32TracksDoubleTransform) {
 TEST(Fft, F32RejectsNonPowerOfTwo) {
   std::vector<std::complex<float>> data(100);
   EXPECT_THROW(fft_inplace_f32(data), std::invalid_argument);
+}
+
+// Pins the front end's output bits: the double and float forward transforms
+// of fixed random inputs at n = 1...8192, the exact and fast STFT magnitudes
+// and magnitude_spectrum, each computed under both SIMD backends.  Every
+// signature, and so every model input and verdict, is built from these bits.
+TEST(Fft, OutputBitsArePinned) {
+  struct Crcs {
+    std::uint32_t fft64 = 0, fft32 = 0, stft_exact = 0, stft_fast = 0,
+                  spectrum = 0;
+  };
+  const auto run = [](util::SimdBackend backend) {
+    SimdBackendGuard guard{backend};
+    Crcs c;
+    Rng rng{1616};
+    for (std::size_t n = 1; n <= 8192; n <<= 1) {
+      std::vector<std::complex<double>> d(n);
+      std::vector<std::complex<float>> f(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        d[i] = {rng.normal(), rng.normal()};
+        f[i] = {static_cast<float>(rng.normal()),
+                static_cast<float>(rng.normal())};
+      }
+      fft(d);
+      fft_inplace_f32(f);
+      c.fft64 = util::crc32(d.data(), n * sizeof d[0], c.fft64);
+      c.fft32 = util::crc32(f.data(), n * sizeof f[0], c.fft32);
+    }
+    auto s = sine(2500.0, 16000.0, 8000);
+    for (auto& v : s) v += rng.normal(0.0, 0.3);
+    StftConfig cfg;
+    cfg.hop_size = 437;  // a stretched signature hop, not a divisor
+    const auto exact = stft(s, cfg);
+    c.stft_exact = util::crc32(exact.mags.data(),
+                               exact.mags.size() * sizeof(double));
+    cfg.fast_f32 = true;
+    const auto fast = stft(s, cfg);
+    c.stft_fast =
+        util::crc32(fast.mags.data(), fast.mags.size() * sizeof(double));
+    const auto mags = magnitude_spectrum(std::span{s}.first(1000));
+    c.spectrum = util::crc32(mags.data(), mags.size() * sizeof(double));
+    return c;
+  };
+  for (const auto backend :
+       {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+    SCOPED_TRACE(backend == util::SimdBackend::kVector ? "vector" : "scalar");
+    const Crcs c = run(backend);
+    EXPECT_EQ(c.fft64, 0x021175aau);
+    EXPECT_EQ(c.fft32, 0x8c540327u);
+    EXPECT_EQ(c.stft_exact, 0x6a14407bu);
+    EXPECT_EQ(c.stft_fast, 0x9c63c2f4u);
+    EXPECT_EQ(c.spectrum, 0x683dcbaau);
+  }
 }
 
 TEST(Fft, PlanCacheHitsOnWarmSize) {
