@@ -83,9 +83,9 @@ ml::Tensor SensoryMapper::serving_forward(const ml::Tensor& batch) const {
 }
 
 void SensoryMapper::warm_serving() const {
-  // First-window costs on the streaming path: the FFT bit-reversal plan,
-  // the Hann coefficients (both memoized process-wide) and the compiled
-  // inference plan for this mapper.
+  // First-window costs on the streaming path: the FFT plan (bit reversal
+  // and both precisions' twiddles), the Hann coefficients (both memoized
+  // process-wide) and the compiled inference plan for this mapper.
   const auto& sig = config_.dataset.signature;
   dsp::warm_fft_plan(sig.frame_size);
   (void)dsp::cached_window(dsp::WindowType::kHann, sig.frame_size);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <complex>
 #include <stdexcept>
+#include <type_traits>
 
 #include "dsp/fft.hpp"
 #include "obs/trace.hpp"
@@ -11,6 +12,45 @@
 #include "util/thread_pool.hpp"
 
 namespace sb::dsp {
+
+namespace {
+
+// The frame loop of both precisions: T = double is the exact pipeline,
+// T = float the SB_PRECISION=fast one.  Each window product is computed in
+// double and rounded to T once, straight into the pooled complex buffer;
+// magnitudes are std::abs (hypot) in double and sqrt(re² + im²) in float
+// (hypot measured 3x the cost of the sqrt form, and the float grid can't
+// represent its extra headroom anyway).  Magnitudes are stored in double,
+// so everything downstream is the same for both.
+template <typename T>
+void frames(std::span<const double> signal, const StftConfig& config,
+            const double* win, double norm, Spectrogram& out) {
+  // Frames are independent and write disjoint rows of the magnitude matrix.
+  util::parallel_for_ranges(out.num_frames, [&](std::size_t f0, std::size_t f1) {
+    const std::size_t fsize = config.frame_size;
+    util::Scratch<T> cbuf{2 * fsize};
+    // std::complex<T> is layout-compatible with T[2].
+    auto* spec = reinterpret_cast<std::complex<T>*>(cbuf.data());
+    for (std::size_t f = f0; f < f1; ++f) {
+      const double* x = signal.data() + f * config.hop_size;
+      for (std::size_t k = 0; k < fsize; ++k)
+        spec[k] = {static_cast<T>(x[k] * win[k]), T{0}};
+      fft(std::span{spec, fsize});
+      double* row = out.mags.data() + f * out.num_bins;
+      for (std::size_t k = 0; k < out.num_bins; ++k) {
+        if constexpr (std::is_same_v<T, double>) {
+          row[k] = std::abs(spec[k]) * norm;
+        } else {
+          const float re = spec[k].real();
+          const float im = spec[k].imag();
+          row[k] = static_cast<double>(std::sqrt(re * re + im * im)) * norm;
+        }
+      }
+    }
+  });
+}
+
+}  // namespace
 
 Spectrogram stft(std::span<const double> signal, const StftConfig& config) {
   obs::ScopedSpan span{"stft", obs::Stage::kStft};
@@ -31,57 +71,10 @@ Spectrogram stft(std::span<const double> signal, const StftConfig& config) {
     out.num_frames = (signal.size() - config.frame_size) / config.hop_size + 1;
   out.mags.resize(out.num_frames * out.num_bins);
 
-  // Frames are independent and write disjoint rows of the magnitude matrix.
-  // Per-chunk scratch (frame + complex FFT buffer) comes from the workspace
-  // pool; fft_inplace replaces the allocating fft_real (frame_size is
-  // already a power of two, so the transform length equals the frame).
-  if (config.fast_f32) {
-    // Float32 fast path: window products computed in double and rounded to
-    // float once per sample, single-precision FFT, sqrt magnitudes (std::abs
-    // on complex is hypot — measured 3x the cost of the sqrt form — and the
-    // float grid can't represent hypot's extra headroom anyway).  Magnitudes
-    // widen back to double so everything downstream is unchanged.
-    util::parallel_for_ranges(out.num_frames, [&](std::size_t f0, std::size_t f1) {
-      const std::size_t fsize = config.frame_size;
-      util::Scratch<float> cbuf{2 * fsize};
-      // std::complex<float> is layout-compatible with float[2].
-      auto* spec = reinterpret_cast<std::complex<float>*>(cbuf.data());
-      const double* win = window->data();
-      for (std::size_t f = f0; f < f1; ++f) {
-        const std::size_t start = f * config.hop_size;
-        for (std::size_t k = 0; k < fsize; ++k)
-          spec[k] = std::complex<float>{
-              static_cast<float>(signal[start + k] * win[k]), 0.0f};
-        fft_inplace_f32({spec, fsize});
-        double* row = out.mags.data() + f * out.num_bins;
-        for (std::size_t k = 0; k < out.num_bins; ++k) {
-          const float re = spec[k].real();
-          const float im = spec[k].imag();
-          row[k] = static_cast<double>(std::sqrt(re * re + im * im)) * norm;
-        }
-      }
-    });
-    return out;
-  }
-  util::parallel_for_ranges(out.num_frames, [&](std::size_t f0, std::size_t f1) {
-    const std::size_t fsize = config.frame_size;
-    util::Scratch<double> frame{fsize};
-    util::Scratch<double> cbuf{2 * fsize};
-    // std::complex<double> is layout-compatible with double[2].
-    auto* spec = reinterpret_cast<std::complex<double>*>(cbuf.data());
-    for (std::size_t f = f0; f < f1; ++f) {
-      const std::size_t start = f * config.hop_size;
-      std::copy_n(signal.begin() + static_cast<std::ptrdiff_t>(start), fsize,
-                  frame.data());
-      apply_window(frame.span(), *window);
-      for (std::size_t k = 0; k < fsize; ++k)
-        spec[k] = std::complex<double>{frame[k], 0.0};
-      fft_inplace({spec, fsize});
-      double* row = out.mags.data() + f * out.num_bins;
-      for (std::size_t k = 0; k < out.num_bins; ++k)
-        row[k] = std::abs(spec[k]) * norm;
-    }
-  });
+  if (config.fast_f32)
+    frames<float>(signal, config, window->data(), norm, out);
+  else
+    frames<double>(signal, config, window->data(), norm, out);
   return out;
 }
 

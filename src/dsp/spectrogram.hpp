@@ -16,8 +16,8 @@ struct StftConfig {
   std::size_t hop_size = 512;      // samples between frame starts
   WindowType window = WindowType::kHann;
   double sample_rate = 16000.0;
-  // Opt-in float32 frame pipeline (windowing rounded to float once per
-  // sample, fft_inplace_f32, sqrt magnitudes) for the SB_PRECISION=f32
+  // Runs the frame loop in float (window products rounded to float once per
+  // sample, the float fft, sqrt magnitudes) for the SB_PRECISION=fast
   // serving path.  Off = the exact double pipeline; results differ at float
   // rounding level when on.  Serving opts in via SensoryMapper; training and
   // dataset building always use the exact path.

@@ -3,11 +3,9 @@
 #include <cmath>
 #include <mutex>
 #include <numbers>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
-#include "util/simd.hpp"
 
 namespace sb::dsp {
 
@@ -56,22 +54,6 @@ std::shared_ptr<const std::vector<double>> cached_window(WindowType type,
     hits.add();
   }
   return slot;
-}
-
-void apply_window(std::span<double> frame, std::span<const double> window) {
-  if (frame.size() != window.size())
-    throw std::invalid_argument{"apply_window: size mismatch"};
-  double* f = frame.data();
-  const double* w = window.data();
-  const std::size_t n = frame.size();
-  std::size_t i = 0;
-  // Pure elementwise multiply: lanes are independent, both backends bitwise.
-  if (util::simd_enabled()) {
-    namespace v = util::simd;
-    for (; i + v::kDoubleLanes <= n; i += v::kDoubleLanes)
-      v::stored(f + i, v::muld(v::loadd(f + i), v::loadd(w + i)));
-  }
-  for (; i < n; ++i) f[i] *= w[i];
 }
 
 double window_sum(std::span<const double> window) {

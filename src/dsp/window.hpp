@@ -20,9 +20,6 @@ std::vector<double> make_window(WindowType type, std::size_t length);
 std::shared_ptr<const std::vector<double>> cached_window(WindowType type,
                                                          std::size_t length);
 
-// Multiplies the frame by the window in place.  Sizes must match.
-void apply_window(std::span<double> frame, std::span<const double> window);
-
 // Sum of window coefficients (used for amplitude normalization).
 double window_sum(std::span<const double> window);
 

@@ -103,10 +103,12 @@ bool StreamingFeatureExtractor::load_state(std::istream& is) {
   std::array<std::vector<double>, sensors::kNumMics> buffer;
   for (auto& ch : buffer)
     if (!util::io::read_pod_vec(is, ch)) return false;
-  // Cursor consistency: the buffer holds the stream tail [base_, next_abs_).
+  // Cursor consistency: the buffer holds the stream tail [base_, next_abs_),
+  // and the next window starts inside or after it (push copies from there).
   if (base > next_abs || buffer[0].size() != next_abs - base) return false;
   for (const auto& ch : buffer)
     if (ch.size() != buffer[0].size()) return false;
+  if (!std::isfinite(next_t0) || window_begin(next_t0) < base) return false;
   base_ = static_cast<std::size_t>(base);
   next_abs_ = static_cast<std::size_t>(next_abs);
   next_window_ = static_cast<std::size_t>(next_window);

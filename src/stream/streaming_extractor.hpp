@@ -65,7 +65,9 @@ class StreamingFeatureExtractor {
   // and the float-accumulated next_t0_ (the accumulated double itself is
   // persisted — recomputing settle + k*stride would NOT reproduce it).
   // load_state expects an extractor constructed with the SAME config and
-  // returns false on malformed bytes or a config mismatch.
+  // returns false on malformed bytes, a config mismatch, or cursors that
+  // disagree with the buffer (a next window starting before the buffered
+  // tail).
   void save_state(std::ostream& os) const;
   bool load_state(std::istream& is);
 

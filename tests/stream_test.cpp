@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -160,6 +161,35 @@ TEST(StreamingExtractor, RejectsChunksAtAnotherSampleRate) {
   EXPECT_EQ(ex.samples_pushed(), 0u);
   chunk.sample_rate = ex.config().sample_rate;
   EXPECT_FALSE(ex.push(chunk).empty());
+}
+
+// A checkpoint whose next-window cursor points before the buffered tail
+// must not restore: the next push would copy that window from before the
+// buffer.
+TEST(StreamingExtractor, LoadStateRejectsACursorBeforeTheBuffer) {
+  const StreamingExtractorConfig cfg;
+  StreamingFeatureExtractor ex{cfg};
+  ex.push(noise_stream(64000, 6));  // 4 s
+  std::ostringstream os{std::ios::binary};
+  ex.save_state(os);
+  const std::string bytes = os.str();
+  // Four config doubles, then base, next_abs, next_window and next_t0.
+  constexpr std::size_t kNextT0At = 4 * sizeof(double) + 3 * sizeof(std::uint64_t);
+  double next_t0 = 0.0;
+  std::memcpy(&next_t0, bytes.data() + kNextT0At, sizeof next_t0);
+  ASSERT_EQ(next_t0, 4.0);  // settle 2 s + 4 strides of 0.5 s
+  const auto load_with = [&](double t0) {
+    std::string forged = bytes;
+    std::memcpy(forged.data() + kNextT0At, &t0, sizeof t0);
+    std::istringstream is{forged, std::ios::binary};
+    StreamingFeatureExtractor fresh{cfg};
+    return fresh.load_state(is);
+  };
+  EXPECT_FALSE(load_with(0.0));
+  EXPECT_FALSE(load_with(3.5));
+  EXPECT_FALSE(load_with(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_FALSE(load_with(std::numeric_limits<double>::infinity()));
+  EXPECT_TRUE(load_with(next_t0));
 }
 
 // ---------------------------------------------------------------------------
@@ -480,6 +510,23 @@ TEST_F(StreamServingTest, CheckpointRejectsCorruptFiles) {
   const std::uint32_t two = 2;
   std::memcpy(v2.data() + 8, &two, sizeof two);
   expect_rejected(v2, "previous format version");
+  // A CRC-valid payload whose next-window cursor points before the buffered
+  // audio.  After the 24-byte frame header come the id, evidence stride,
+  // sample rate and chunk count, then the extractor's four config doubles,
+  // base, next_abs, next_window and next_t0.
+  std::string cursor = bytes;
+  constexpr std::size_t kExtractorAt = 24 + 4 * 8;
+  constexpr std::size_t kNextT0At = kExtractorAt + 4 * 8 + 3 * 8;
+  double fs = 0.0, next_t0 = 0.0;
+  std::memcpy(&fs, cursor.data() + kExtractorAt, sizeof fs);
+  std::memcpy(&next_t0, cursor.data() + kNextT0At, sizeof next_t0);
+  ASSERT_EQ(fs, audio_->sample_rate);
+  ASSERT_GT(next_t0, 5.0);
+  const double forged_t0 = 0.0;
+  std::memcpy(cursor.data() + kNextT0At, &forged_t0, sizeof forged_t0);
+  const std::uint32_t crc = util::crc32(cursor.data() + 24, cursor.size() - 24);
+  std::memcpy(cursor.data() + 20, &crc, sizeof crc);
+  expect_rejected(cursor, "window cursor before the buffered audio");
   EXPECT_EQ(rejected.value(), rejected_before + attempts);
 
   // The pristine bytes still restore — the harness, not the format, was
