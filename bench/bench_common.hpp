@@ -29,6 +29,7 @@
 #include "core/imu_rca.hpp"
 #include "core/rca_engine.hpp"
 #include "core/sensory_mapper.hpp"
+#include "core/signature.hpp"
 #include "ml/plan.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
@@ -377,15 +378,16 @@ inline core::SensoryMapperConfig standard_mapper_config() {
   return cfg;
 }
 
-// Cache filenames carry the model-file format tag, the trainer schema tag
-// AND the synthesis schema tag, so a format bump (which would make load()
-// reject the file anyway), a training-math change or a change to the
-// synthesized training audio simply misses the cache and retrains — loudly,
-// via the standard "training ..." log line — instead of serving weights
-// trained under superseded math or audio as current results.
+// Cache filenames carry the model-file format tag, the trainer schema tag,
+// the synthesis schema tag AND the signature schema tag, so a format bump
+// (which would make load() reject the file anyway), a training-math change,
+// a change to the synthesized training audio or to the signature computed
+// from it simply misses the cache and retrains — loudly, via the standard
+// "training ..." log line — instead of serving weights trained under
+// superseded math, audio or features as current results.
 inline std::string cache_tag() {
   return std::string{core::model_format_tag()} + ml::trainer_schema_tag() +
-         acoustics::synth_schema_tag();
+         acoustics::synth_schema_tag() + core::signature_schema_tag();
 }
 
 inline std::string cache_path(const core::SensoryMapperConfig& cfg) {

@@ -10,6 +10,12 @@
 
 namespace sb::core {
 
+std::string signature_schema_tag() {
+  // v2: real-input transform with sqrt(re² + im²) magnitudes (v1 ran an
+  // n-point complex transform and took std::abs, which is hypot).
+  return "sg2";
+}
+
 SignatureShape signature_shape(const SignatureConfig& config) {
   return {static_cast<std::size_t>(sensors::kNumMics), config.target_frames,
           config.bands.bands_per_frame};

@@ -6,12 +6,21 @@
 // log-magnitude features, giving a [channels x frames x bands] grid.
 #pragma once
 
+#include <string>
+
 #include "acoustics/propagation.hpp"
 #include "dsp/features.hpp"
 #include "dsp/spectrogram.hpp"
 #include "ml/tensor.hpp"
 
 namespace sb::core {
+
+// Provenance tag of the signature math: the low-pass, the STFT, its
+// magnitudes and the band features.  Bump it whenever the signature of a
+// given recording changes: model caches key their filenames on it
+// (bench::cache_tag), so a front-end change retrains instead of loading
+// weights fitted to superseded features.
+std::string signature_schema_tag();
 
 struct SignatureConfig {
   double window_seconds = 0.5;   // base analysis window (tuned in Tab. I)

@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "util/scratch.hpp"
 #include "util/simd.hpp"
 
 namespace sb::dsp {
@@ -134,26 +135,38 @@ void stage(T* d, std::size_t n, std::size_t len, const T* tw, bool vec) {
   }
 }
 
+// The in-place transform of the m complexes at d (interleaved [re, im]),
+// read from the plan of size m·stride: its bit reversal at every stride-th
+// entry and the twiddles of its first log2(m) stages.  Both equal the
+// m-point plan's own (rev_2m[2i] = rev_m[i], and each stage's twiddles
+// depend only on its len), so the real-input transform runs its half-size
+// transform off the full-size plan.
 template <typename T>
-void fft_impl(std::span<std::complex<T>> a) {
-  const std::size_t n = a.size();
-  if (!is_pow2(n)) throw std::invalid_argument{"fft: size must be a power of two"};
-  const auto plan = get_plan(n);
-
-  for (std::size_t i = 1; i < n; ++i)
-    if (i < plan->rev[i]) std::swap(a[i], a[plan->rev[i]]);
-
-  // std::complex<T> is layout-compatible with T[2] ([complex.numbers]).
-  T* d = reinterpret_cast<T*>(a.data());
+void transform(T* d, std::size_t m, const FftPlan& plan, std::size_t stride) {
+  for (std::size_t i = 1; i < m; ++i) {
+    const std::size_t j = plan.rev[i * stride];
+    if (i < j) {
+      std::swap(d[2 * i], d[2 * j]);
+      std::swap(d[2 * i + 1], d[2 * j + 1]);
+    }
+  }
   // The vector body only pays with >= 2 complexes per vector: floats on
   // every ISA, doubles only on AVX2.  At 2 double lanes (SSE2/NEON) each
   // vector holds one complex and measured ~2x slower than the scalar loop.
   const bool vec = kLanes<T> >= 4 && util::simd_enabled();
-  const T* tw = plan->twiddles<T>();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    stage(d, n, len, tw, vec);
+  const T* tw = plan.twiddles<T>();
+  for (std::size_t len = 2; len <= m; len <<= 1) {
+    stage(d, m, len, tw, vec);
     tw += len;  // this stage read len/2 interleaved twiddles
   }
+}
+
+template <typename T>
+void fft_impl(std::span<std::complex<T>> a) {
+  const std::size_t n = a.size();
+  if (!is_pow2(n)) throw std::invalid_argument{"fft: size must be a power of two"};
+  // std::complex<T> is layout-compatible with T[2] ([complex.numbers]).
+  transform(reinterpret_cast<T*>(a.data()), n, *get_plan(n), 1);
 }
 
 }  // namespace
@@ -171,14 +184,56 @@ void warm_fft_plan(std::size_t n) {
   if (n != 0) (void)get_plan(next_pow2(n));
 }
 
+void real_fft_magnitudes(std::span<const double> frame,
+                         std::span<const double> window, double scale,
+                         std::span<double> mags) {
+  const std::size_t n = frame.size();
+  if (!is_pow2(n))
+    throw std::invalid_argument{"real_fft_magnitudes: size must be a power of two"};
+  const auto mag = [](double re, double im, double s) {
+    return std::sqrt(re * re + im * im) * s;
+  };
+  if (n == 1) {
+    mags[0] = mag(window.empty() ? frame[0] : frame[0] * window[0], 0.0, scale);
+    return;
+  }
+  const auto plan = get_plan(n);
+  const std::size_t m = n / 2;
+  // Packing z_j = x_2j + i·x_2j+1 is the frame's own memory layout.
+  util::Scratch<double> zbuf{n};
+  double* z = zbuf.data();
+  if (window.empty())
+    std::copy(frame.begin(), frame.end(), z);
+  else
+    for (std::size_t j = 0; j < n; ++j) z[j] = frame[j] * window[j];
+  transform(z, m, *plan, 2);
+
+  // Split: X_k = E_k + w_k·O_k with 2E_k = Z_k + conj Z_m-k and
+  // 2O_k = -i(Z_k - conj Z_m-k), w_k = exp(-2πik/n) read from the plan's
+  // last stage.  The loop forms 2X_k and folds the 1/2 into the scale,
+  // which is bitwise the same as halving E and O: scaling by 2 commutes
+  // with every rounding here.
+  mags[0] = mag(z[0] + z[1], 0.0, scale);
+  mags[m] = mag(z[0] - z[1], 0.0, scale);
+  const double half = 0.5 * scale;
+  const double* w = plan->tw.data() + (n - 2);
+  for (std::size_t k = 1; k < m; ++k) {
+    const double ar = z[2 * k], ai = z[2 * k + 1];
+    const double br = z[2 * (m - k)], bi = z[2 * (m - k) + 1];
+    const double ev_r = ar + br, ev_i = ai - bi;  // 2E_k
+    const double od_r = ai + bi, od_i = br - ar;  // 2O_k
+    const double wr = w[2 * k], wi = w[2 * k + 1];
+    mags[k] = mag(ev_r + (od_r * wr - od_i * wi), ev_i + (od_r * wi + od_i * wr),
+                  half);
+  }
+}
+
 std::vector<double> magnitude_spectrum(std::span<const double> signal) {
-  std::vector<std::complex<double>> spec(
-      next_pow2(std::max<std::size_t>(signal.size(), 1)));
-  std::copy(signal.begin(), signal.end(), spec.begin());
-  fft(spec);
-  std::vector<double> mags(spec.size() / 2 + 1);
+  std::vector<double> padded(next_pow2(std::max<std::size_t>(signal.size(), 1)));
+  std::copy(signal.begin(), signal.end(), padded.begin());
+  std::vector<double> mags(padded.size() / 2 + 1);
   const double scale = 2.0 / static_cast<double>(signal.empty() ? 1 : signal.size());
-  for (std::size_t k = 0; k < mags.size(); ++k) mags[k] = std::abs(spec[k]) * scale;
+  real_fft_magnitudes(padded, {}, scale, mags);
   mags[0] *= 0.5;  // DC is not doubled
   return mags;
 }

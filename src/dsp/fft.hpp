@@ -20,6 +20,18 @@ namespace sb::dsp {
 void fft(std::span<std::complex<double>> data);
 void fft(std::span<std::complex<float>> data);
 
+// Scaled magnitudes of the DFT of one real frame: mags[k] = |X_k|·scale for
+// k = 0…n/2, X the n-point DFT of x_j = frame[j]·window[j] (an empty window
+// means x = frame).  n = frame.size() must be a power of two (throws
+// std::invalid_argument otherwise), a non-empty window holds n values and
+// mags holds n/2 + 1.  The n reals run as one n/2-point complex transform
+// plus a split pass, and each magnitude is sqrt(re² + im²)·scale.  One plan
+// lookup per call: the n-point plan holds the half-size transform's tables
+// and the split twiddles.  The STFT frame loop calls it once per frame.
+void real_fft_magnitudes(std::span<const double> frame,
+                         std::span<const double> window, double scale,
+                         std::span<double> mags);
+
 // Magnitude spectrum of a real signal, zero-padded to the next power of two
 // N: bins [0, N/2], scaled by 2/size so a unit-amplitude sinusoid at a bin
 // centre reads ~1.0.

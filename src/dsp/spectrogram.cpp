@@ -16,18 +16,25 @@ namespace sb::dsp {
 namespace {
 
 // The frame loop of both precisions: T = double is the exact pipeline,
-// T = float the SB_PRECISION=fast one.  Each window product is computed in
-// double and rounded to T once, straight into the pooled complex buffer;
-// magnitudes are std::abs (hypot) in double and sqrt(re² + im²) in float
-// (hypot measured 3x the cost of the sqrt form, and the float grid can't
-// represent its extra headroom anyway).  Magnitudes are stored in double,
-// so everything downstream is the same for both.
+// T = float the SB_PRECISION=fast one.  The exact frames run through
+// real_fft_magnitudes, which windows while it packs.  The float frames
+// compute each window product in double and round it to float once, straight
+// into the pooled complex buffer, and take sqrt(re² + im²) magnitudes.
+// Magnitudes are stored in double, so everything downstream is the same for
+// both.
 template <typename T>
 void frames(std::span<const double> signal, const StftConfig& config,
             const double* win, double norm, Spectrogram& out) {
   // Frames are independent and write disjoint rows of the magnitude matrix.
   util::parallel_for_ranges(out.num_frames, [&](std::size_t f0, std::size_t f1) {
     const std::size_t fsize = config.frame_size;
+    if constexpr (std::is_same_v<T, double>) {
+      for (std::size_t f = f0; f < f1; ++f)
+        real_fft_magnitudes(signal.subspan(f * config.hop_size, fsize),
+                            {win, fsize}, norm,
+                            {out.mags.data() + f * out.num_bins, out.num_bins});
+      return;
+    }
     util::Scratch<T> cbuf{2 * fsize};
     // std::complex<T> is layout-compatible with T[2].
     auto* spec = reinterpret_cast<std::complex<T>*>(cbuf.data());
@@ -38,13 +45,9 @@ void frames(std::span<const double> signal, const StftConfig& config,
       fft(std::span{spec, fsize});
       double* row = out.mags.data() + f * out.num_bins;
       for (std::size_t k = 0; k < out.num_bins; ++k) {
-        if constexpr (std::is_same_v<T, double>) {
-          row[k] = std::abs(spec[k]) * norm;
-        } else {
-          const float re = spec[k].real();
-          const float im = spec[k].imag();
-          row[k] = static_cast<double>(std::sqrt(re * re + im * im)) * norm;
-        }
+        const T re = spec[k].real();
+        const T im = spec[k].imag();
+        row[k] = static_cast<double>(std::sqrt(re * re + im * im)) * norm;
       }
     }
   });
