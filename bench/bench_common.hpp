@@ -48,9 +48,6 @@ namespace sb::bench {
 //   --threads N   worker count (same effect as SB_THREADS=N)
 //   --repeat N    run the measured phase N times; reports carry the median
 //                 wall clock (benches that support it call repeat_median)
-//   --plan P      serving inference-plan precision: exact (bitwise equal
-//                 to the layer graph, the default) or fast (folded float32
-//                 plan) — same switch as SB_PRECISION
 //   --out-dir D   directory for BENCH_/TRACE_ JSON reports (default: next
 //                 to the binary)
 //   --help        usage
@@ -82,13 +79,10 @@ inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--seed N] [--threads N] [--repeat N] [--plan P] "
-          "[--out-dir DIR]\n"
+          "usage: %s [--seed N] [--threads N] [--repeat N] [--out-dir DIR]\n"
           "  --seed N     offset added to every scenario seed\n"
           "  --threads N  worker threads (equivalent to SB_THREADS=N)\n"
           "  --repeat N   repeat the measured phase N times, report the median\n"
-          "  --plan P     serving plan precision: exact|fast (same as "
-          "SB_PRECISION)\n"
           "  --out-dir D  directory for BENCH_*/TRACE_* reports\n",
           argv[0]);
       std::exit(0);
@@ -112,17 +106,6 @@ inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
       // Same switch SB_THREADS flips, through the same entry point, so a
       // CLI override and the env var can never disagree mid-process.
       util::ThreadPool::set_threads(static_cast<std::size_t>(n));
-      ++i;
-    } else if (arg == "--plan") {
-      const char* value = need_value(i);
-      ml::PlanPrecision precision{};
-      if (!ml::parse_plan_precision(value, precision)) {
-        std::fprintf(stderr, "%s: --plan must be exact or fast (got '%s')\n",
-                     argv[0], value);
-        std::exit(2);
-      }
-      // Same switch SB_PRECISION flips, so the CLI and env can't disagree.
-      ml::set_plan_precision(precision);
       ++i;
     } else if (arg == "--out-dir") {
       bench_args().out_dir = need_value(i);
@@ -248,7 +231,7 @@ class BenchReport {
          std::string_view{util::simd_enabled() ? "vector" : "scalar"});
     w.kv("simd_float_lanes",
          static_cast<std::uint64_t>(util::simd::kFloatLanes));
-    // Serving-plan provenance next to the SIMD block: the precision mode
+    // Serving-plan provenance next to the SIMD block: the precision label
     // plus the process-wide compile tallies, so a perf delta can always be
     // traced to "what inference path actually ran".
     {
@@ -257,8 +240,6 @@ class BenchReport {
       w.begin_object();
       w.kv("precision", std::string_view{ml::to_string(ml::plan_precision())});
       w.kv("plans_built", static_cast<std::uint64_t>(plan.plans_built));
-      w.kv("folded_batchnorms",
-           static_cast<std::uint64_t>(plan.folded_batchnorms));
       w.kv("fused_kernels",
            static_cast<std::uint64_t>(plan.fused_activations));
       w.kv("packed_panels", static_cast<std::uint64_t>(plan.packed_panels));

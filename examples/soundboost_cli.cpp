@@ -7,13 +7,21 @@
 //                           writes the 4-channel microphone recording
 //   soundboost_cli train    [--model mlp|mobilenet|resnet|ode] [--flights N]
 //                           [--epochs N] [--out MODEL.bin]
-//   soundboost_cli analyze  --model MODEL.bin [--attack none|imu|gps]
+//   soundboost_cli analyze  [--model mlp|mobilenet|resnet|ode]
+//                           [--out MODEL.bin] [--attack none|imu|gps]
 //                           [--seed N]           runs the two-stage RCA
 //
-// Everything is deterministic in --seed.
+// analyze loads the model trained by `train` with the same --model and
+// --out.  An unknown option or value, a missing value, a malformed number
+// or a non-positive count prints the usage and exits 2.  Everything is
+// deterministic in --seed.
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/rca_engine.hpp"
@@ -32,7 +40,6 @@ struct Args {
   std::string attack = "none";
   std::string model = "mlp";
   std::string out;
-  std::string model_path;
   std::uint64_t seed = 1;
   double duration = 40.0;
   double t0 = 5.0, t1 = 6.0;
@@ -40,28 +47,61 @@ struct Args {
   int epochs = 8;
 };
 
+bool one_of(const std::string& value, std::initializer_list<std::string_view> allowed) {
+  return std::find(allowed.begin(), allowed.end(), value) != allowed.end();
+}
+
+// Whole-string numeric parse: no leading junk, no trailing junk.
+template <typename T>
+bool parse_number(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
 bool parse(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
   args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     const std::string key = argv[i];
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", key.c_str());
+      return false;
+    }
     const std::string value = argv[i + 1];
-    if (key == "--mission") args.mission = value;
-    else if (key == "--attack") args.attack = value;
-    else if (key == "--model") args.model = value;
-    else if (key == "--out") args.out = value;
-    else if (key == "--seed") args.seed = std::stoull(value);
-    else if (key == "--duration") args.duration = std::stod(value);
-    else if (key == "--t0") args.t0 = std::stod(value);
-    else if (key == "--t1") args.t1 = std::stod(value);
-    else if (key == "--flights") args.flights = std::stoi(value);
-    else if (key == "--epochs") args.epochs = std::stoi(value);
-    else {
+    bool ok = true;
+    if (key == "--mission") {
+      ok = one_of(value, {"hover", "line", "square", "fig8"});
+      args.mission = value;
+    } else if (key == "--attack") {
+      ok = one_of(value, {"none", "imu", "gps", "actuator"});
+      args.attack = value;
+    } else if (key == "--model") {
+      ok = one_of(value, {"mlp", "mobilenet", "resnet", "ode"});
+      args.model = value;
+    } else if (key == "--out") {
+      args.out = value;
+    } else if (key == "--seed") {
+      ok = parse_number(value, args.seed);
+    } else if (key == "--duration") {
+      ok = parse_number(value, args.duration) && args.duration > 0.0;
+    } else if (key == "--t0") {
+      ok = parse_number(value, args.t0);
+    } else if (key == "--t1") {
+      ok = parse_number(value, args.t1);
+    } else if (key == "--flights") {
+      ok = parse_number(value, args.flights) && args.flights > 0;
+    } else if (key == "--epochs") {
+      ok = parse_number(value, args.epochs) && args.epochs > 0;
+    } else {
       std::fprintf(stderr, "unknown option: %s\n", key.c_str());
       return false;
     }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", key.c_str(), value.c_str());
+      return false;
+    }
   }
-  if (args.command == "analyze" && args.model_path.empty()) args.model_path = args.out;
   return true;
 }
 
@@ -207,16 +247,15 @@ int cmd_analyze(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse(argc, argv, args)) {
-    std::fprintf(stderr,
-                 "usage: soundboost_cli <fly|record|train|analyze> [options]\n"
-                 "see the header comment of examples/soundboost_cli.cpp\n");
-    return 2;
+  if (parse(argc, argv, args)) {
+    if (args.command == "fly") return cmd_fly(args);
+    if (args.command == "record") return cmd_record(args);
+    if (args.command == "train") return cmd_train(args);
+    if (args.command == "analyze") return cmd_analyze(args);
+    std::fprintf(stderr, "unknown command: %s\n", args.command.c_str());
   }
-  if (args.command == "fly") return cmd_fly(args);
-  if (args.command == "record") return cmd_record(args);
-  if (args.command == "train") return cmd_train(args);
-  if (args.command == "analyze") return cmd_analyze(args);
-  std::fprintf(stderr, "unknown command: %s\n", args.command.c_str());
+  std::fprintf(stderr,
+               "usage: soundboost_cli <fly|record|train|analyze> [options]\n"
+               "see the header comment of examples/soundboost_cli.cpp\n");
   return 2;
 }

@@ -70,26 +70,26 @@ ml::TrainResult SensoryMapper::fit_dataset(const ml::RegressionDataset& data) {
   return result;
 }
 
-void SensoryMapper::ensure_plan(ml::PlanPrecision precision) const {
-  if (plan_ && plan_->precision() == precision) return;
+void SensoryMapper::ensure_plan() const {
+  if (plan_) return;
   const auto shape = signature_shape(config_.dataset.signature);
-  plan_ = ml::InferencePlan::compile(
-      *model_, {shape.channels, shape.frames, shape.bands}, precision);
+  plan_ = ml::InferencePlan::compile(*model_,
+                                     {shape.channels, shape.frames, shape.bands});
 }
 
 ml::Tensor SensoryMapper::serving_forward(const ml::Tensor& batch) const {
-  ensure_plan(ml::plan_precision());
+  ensure_plan();
   return plan_->forward(batch);
 }
 
 void SensoryMapper::warm_serving() const {
   // First-window costs on the streaming path: the FFT plan (bit reversal
-  // and both precisions' twiddles), the Hann coefficients (both memoized
-  // process-wide) and the compiled inference plan for this mapper.
+  // and twiddles), the Hann coefficients (both memoized process-wide) and
+  // the compiled inference plan for this mapper.
   const auto& sig = config_.dataset.signature;
   dsp::warm_fft_plan(sig.frame_size);
-  (void)dsp::cached_window(dsp::WindowType::kHann, sig.frame_size);
-  if (trained_) ensure_plan(ml::plan_precision());
+  (void)dsp::cached_hann_window(sig.frame_size);
+  if (trained_) ensure_plan();
 }
 
 void SensoryMapper::fit_output_calibration(const ml::RegressionDataset& data) {
@@ -181,12 +181,7 @@ ml::Tensor SensoryMapper::prepare_signature(
     hooks.audio_transform(transformed, t0);
     audio = transformed;
   }
-  // Under the opt-in fast plan the WHOLE serving path drops to float32 —
-  // signature front end included (the STFT dominates serving cost, not the
-  // model forward).  Training and dataset building call compute_signature
-  // directly and always keep the exact double pipeline.
-  const bool fast_f32 = ml::plan_precision() == ml::PlanPrecision::kFast;
-  ml::Tensor sig = compute_signature(audio, config_.dataset.signature, fast_f32);
+  ml::Tensor sig = compute_signature(audio, config_.dataset.signature);
   if (hooks.signature_transform) hooks.signature_transform(sig);
   if (healthy) {
     // Diagnose the audio the model would actually see and mask unhealthy

@@ -125,8 +125,8 @@ class SensoryMapper {
   // Pays serving's one-time costs up front so the first window of a stream
   // doesn't spike p99: warms the FFT plan cache and STFT window
   // coefficients for this mapper's signature config, and compiles the
-  // inference plan at the process serving precision.  Called by
-  // stream::RcaSession at construction; safe to call repeatedly.
+  // inference plan.  Called by stream::RcaSession at construction; safe to
+  // call repeatedly.
   void warm_serving() const;
 
   // The compiled plan predictions currently route through (null until
@@ -166,11 +166,10 @@ class SensoryMapper {
   // Fits the per-output affine recalibration on the (standardized) corpus.
   void fit_output_calibration(const ml::RegressionDataset& data);
 
-  // Eval forward for serving: routes through the compiled inference plan at
-  // the process precision (ml::plan_precision()), building or rebuilding it
-  // lazily.
+  // Eval forward for serving: routes through the compiled inference plan,
+  // compiling it on first use after a fit or load.
   ml::Tensor serving_forward(const ml::Tensor& batch) const;
-  void ensure_plan(ml::PlanPrecision precision) const;
+  void ensure_plan() const;
 
   SensoryMapperConfig config_;
   std::unique_ptr<ml::Layer> model_;

@@ -40,7 +40,7 @@ acoustics::AudioView recording_window(acoustics::AudioView recording, double t0,
 }
 
 ml::Tensor compute_signature(acoustics::AudioView audio,
-                             const SignatureConfig& config, bool fast_f32) {
+                             const SignatureConfig& config) {
   const std::size_t n = audio.num_samples();
   if (n < config.frame_size)
     throw std::invalid_argument{"compute_signature: window shorter than one frame"};
@@ -54,7 +54,6 @@ ml::Tensor compute_signature(acoustics::AudioView audio,
   stft_cfg.frame_size = config.frame_size;
   stft_cfg.hop_size = hop;
   stft_cfg.sample_rate = audio.sample_rate;
-  stft_cfg.fast_f32 = fast_f32;
 
   const auto shape = signature_shape(config);
   ml::Tensor out({1, shape.channels, shape.frames, shape.bands});

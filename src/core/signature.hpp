@@ -66,11 +66,9 @@ acoustics::AudioView recording_window(acoustics::AudioView recording, double t0,
 // the base window (time-shift augmentation): the STFT hop is stretched so the
 // output grid always has exactly `target_frames` frames, exposing the whole
 // (head-wind-lengthened) actuation process at the same resolution.
-// Returns a [1, C, H, W] tensor ready to batch.  `fast_f32` selects the
-// float32 STFT pipeline of the SB_PRECISION=fast serving path (SensoryMapper
-// opts serving in; training and dataset building keep the exact default).
+// Returns a [1, C, H, W] tensor ready to batch.  Training, offline analysis
+// and serving all compute signatures here.
 ml::Tensor compute_signature(acoustics::AudioView audio,
-                             const SignatureConfig& config,
-                             bool fast_f32 = false);
+                             const SignatureConfig& config);
 
 }  // namespace sb::core

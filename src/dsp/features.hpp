@@ -37,7 +37,7 @@ inline constexpr double kSilenceFeature = -13.815510557964274;
 
 // Per-frame banded log-magnitude features.  The spectrum below `cutoff_hz`
 // is divided into `bands_per_frame` equal-width bands; each feature is
-// log1p(mean magnitude in band).  These are the model inputs.
+// log(mean magnitude in band + 1e-6).  These are the model inputs.
 struct BandFeatureConfig {
   std::size_t bands_per_frame = 32;
   double cutoff_hz = kPipelineCutoffHz;

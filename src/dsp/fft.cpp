@@ -6,7 +6,6 @@
 #include <mutex>
 #include <numbers>
 #include <stdexcept>
-#include <type_traits>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -20,15 +19,14 @@ bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 // Memoized per-size plan: the bit-reversal permutation and each stage's
 // twiddles w_k = exp(-2πik/len), k < len/2, interleaved [wr, wi] with the
-// stages concatenated (2(n-1) values, 16 KB of doubles at n = 1024).  The
-// twiddles come from the recurrence w *= exp(-2πi/len) started at w = 1 in
-// each stage, not from a cos/sin per twiddle: the pinned output bits
+// stages concatenated (2(n-1) values, 16 KB at n = 1024).  The twiddles
+// come from the recurrence w *= exp(-2πi/len) started at w = 1 in each
+// stage, not from a cos/sin per twiddle: the pinned output bits
 // (Fft.OutputBitsArePinned, and through the STFT every signature) are those
-// of the recurrence.  The float copy rounds each double twiddle once.
+// of the recurrence.
 struct FftPlan {
   std::vector<std::size_t> rev;
   std::vector<double> tw;
-  std::vector<float> tw_f;
 
   explicit FftPlan(std::size_t n) : rev(n) {
     for (std::size_t i = 1, j = 0; i < n; ++i) {
@@ -51,15 +49,6 @@ struct FftPlan {
         wr = nwr;
       }
     }
-    tw_f.assign(tw.begin(), tw.end());
-  }
-
-  template <typename T>
-  const T* twiddles() const {
-    if constexpr (std::is_same_v<T, float>)
-      return tw_f.data();
-    else
-      return tw.data();
   }
 };
 
@@ -83,50 +72,42 @@ std::shared_ptr<const FftPlan> get_plan(std::size_t n) {
   return slot;
 }
 
-// The fixed-width ops of util/simd.hpp, overloaded on the sample type.
-namespace v = util::simd;
-template <typename T>
-constexpr std::size_t kLanes =
-    std::is_same_v<T, float> ? v::kFloatLanes : v::kDoubleLanes;
-inline v::VDouble vload(const double* p) { return v::loadd(p); }
-inline v::VFloat vload(const float* p) { return v::load(p); }
-inline void vstore(double* p, v::VDouble x) { v::stored(p, x); }
-inline void vstore(float* p, v::VFloat x) { v::store(p, x); }
-inline v::VDouble vadd(v::VDouble a, v::VDouble b) { return v::addd(a, b); }
-inline v::VFloat vadd(v::VFloat a, v::VFloat b) { return v::add(a, b); }
-inline v::VDouble vsub(v::VDouble a, v::VDouble b) { return v::subd(a, b); }
-inline v::VFloat vsub(v::VFloat a, v::VFloat b) { return v::sub(a, b); }
-
 // One butterfly stage over every len-block of the interleaved [re, im]
 // data, reading the stage's len/2 twiddles.  Every butterfly computes
 //   v = (xr*wr - xi*wi, xr*wi + xi*wr);  lo = u + v;  hi = u - v
 // (the naive complex multiply, which std::complex also lowers to for finite
-// operands).  The vector body holds whole complexes side by side in its
-// lanes and util::simd::cmul keeps that per-component operation order, so
-// the body and the scalar tail are bitwise-identical (this TU pins
-// -ffp-contract=off so no FMA can fuse the mul-sub/mul-add pairs).
-template <typename T>
-void stage(T* d, std::size_t n, std::size_t len, const T* tw, bool vec) {
-  constexpr std::size_t kCplx = kLanes<T> / 2;  // complexes per vector
+// operands).  The vector body holds two complexes side by side in AVX2's
+// four double lanes and util::simd::cmul keeps that per-component
+// operation order, so the body and the scalar tail are bitwise-identical
+// (this TU pins -ffp-contract=off so no FMA can fuse the mul-sub/mul-add
+// pairs).  At 2 double lanes (SSE2/NEON) one complex per vector measured
+// ~2x slower than the scalar loop, so only AVX2 carries the complex
+// helpers; the guard is the preprocessor's because a non-template function
+// compiles both arms of an if constexpr.
+void stage(double* d, std::size_t n, std::size_t len, const double* tw,
+           [[maybe_unused]] bool vec) {
   const std::size_t half = len / 2;
   for (std::size_t i = 0; i < n; i += len) {
-    T* lo = d + 2 * i;
-    T* hi = lo + 2 * half;
+    double* lo = d + 2 * i;
+    double* hi = lo + 2 * half;
     std::size_t k = 0;
+#if defined(SB_SIMD_AVX2)
+    namespace v = util::simd;
     if (vec)
-      for (; k + kCplx <= half; k += kCplx) {
-        const auto w = vload(tw + 2 * k);
-        const auto u = vload(lo + 2 * k);
-        const auto vv = v::cmul(vload(hi + 2 * k), w);
-        vstore(lo + 2 * k, vadd(u, vv));
-        vstore(hi + 2 * k, vsub(u, vv));
+      for (; k + 2 <= half; k += 2) {
+        const v::VDouble w = v::loadd(tw + 2 * k);
+        const v::VDouble u = v::loadd(lo + 2 * k);
+        const v::VDouble vv = v::cmul(v::loadd(hi + 2 * k), w);
+        v::stored(lo + 2 * k, v::addd(u, vv));
+        v::stored(hi + 2 * k, v::subd(u, vv));
       }
+#endif
     for (; k < half; ++k) {
-      const T wr = tw[2 * k], wi = tw[2 * k + 1];
-      const T xr = hi[2 * k], xi = hi[2 * k + 1];
-      const T vr = xr * wr - xi * wi;
-      const T vi = xr * wi + xi * wr;
-      const T ur = lo[2 * k], ui = lo[2 * k + 1];
+      const double wr = tw[2 * k], wi = tw[2 * k + 1];
+      const double xr = hi[2 * k], xi = hi[2 * k + 1];
+      const double vr = xr * wr - xi * wi;
+      const double vi = xr * wi + xi * wr;
+      const double ur = lo[2 * k], ui = lo[2 * k + 1];
       lo[2 * k] = ur + vr;
       lo[2 * k + 1] = ui + vi;
       hi[2 * k] = ur - vr;
@@ -141,8 +122,7 @@ void stage(T* d, std::size_t n, std::size_t len, const T* tw, bool vec) {
 // m-point plan's own (rev_2m[2i] = rev_m[i], and each stage's twiddles
 // depend only on its len), so the real-input transform runs its half-size
 // transform off the full-size plan.
-template <typename T>
-void transform(T* d, std::size_t m, const FftPlan& plan, std::size_t stride) {
+void transform(double* d, std::size_t m, const FftPlan& plan, std::size_t stride) {
   for (std::size_t i = 1; i < m; ++i) {
     const std::size_t j = plan.rev[i * stride];
     if (i < j) {
@@ -150,29 +130,22 @@ void transform(T* d, std::size_t m, const FftPlan& plan, std::size_t stride) {
       std::swap(d[2 * i + 1], d[2 * j + 1]);
     }
   }
-  // The vector body only pays with >= 2 complexes per vector: floats on
-  // every ISA, doubles only on AVX2.  At 2 double lanes (SSE2/NEON) each
-  // vector holds one complex and measured ~2x slower than the scalar loop.
-  const bool vec = kLanes<T> >= 4 && util::simd_enabled();
-  const T* tw = plan.twiddles<T>();
+  const bool vec = util::simd_enabled();
+  const double* tw = plan.tw.data();
   for (std::size_t len = 2; len <= m; len <<= 1) {
     stage(d, m, len, tw, vec);
     tw += len;  // this stage read len/2 interleaved twiddles
   }
 }
 
-template <typename T>
-void fft_impl(std::span<std::complex<T>> a) {
-  const std::size_t n = a.size();
-  if (!is_pow2(n)) throw std::invalid_argument{"fft: size must be a power of two"};
-  // std::complex<T> is layout-compatible with T[2] ([complex.numbers]).
-  transform(reinterpret_cast<T*>(a.data()), n, *get_plan(n), 1);
-}
-
 }  // namespace
 
-void fft(std::span<std::complex<double>> data) { fft_impl(data); }
-void fft(std::span<std::complex<float>> data) { fft_impl(data); }
+void fft(std::span<std::complex<double>> data) {
+  const std::size_t n = data.size();
+  if (!is_pow2(n)) throw std::invalid_argument{"fft: size must be a power of two"};
+  // std::complex<double> is layout-compatible with double[2].
+  transform(reinterpret_cast<double*>(data.data()), n, *get_plan(n), 1);
+}
 
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;

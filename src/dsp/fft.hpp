@@ -10,15 +10,10 @@
 namespace sb::dsp {
 
 // In-place iterative radix-2 Cooley–Tukey forward transform.  data.size()
-// must be a power of two (throws std::invalid_argument otherwise).  One
-// implementation serves both precisions: the float one is the
-// SB_PRECISION=fast serving path (DESIGN.md "Inference plan").  Both read
-// the same memoized per-size plan, whose float twiddles are its double
-// twiddles rounded once, so the float transform loses only the butterfly
-// arithmetic's precision.  The scalar and vector butterflies are
-// bitwise-identical in each precision (pinned by simd_test).
+// must be a power of two (throws std::invalid_argument otherwise).  It reads
+// a memoized per-size plan; the scalar and vector butterflies are
+// bitwise-identical (pinned by simd_test).
 void fft(std::span<std::complex<double>> data);
-void fft(std::span<std::complex<float>> data);
 
 // Scaled magnitudes of the DFT of one real frame: mags[k] = |X_k|·scale for
 // k = 0…n/2, X the n-point DFT of x_j = frame[j]·window[j] (an empty window
@@ -43,10 +38,10 @@ double bin_frequency(std::size_t k, std::size_t n, double sample_rate);
 // Smallest power of two >= n (n >= 1).
 std::size_t next_pow2(std::size_t n);
 
-// Pre-builds the memoized FFT plan (bit-reversal table and the twiddles of
-// both precisions) for size next_pow2(n), so a latency-sensitive caller's
-// first transform doesn't pay the one-time plan construction (stream
-// sessions warm this at creation).
+// Pre-builds the memoized FFT plan (bit-reversal table and twiddles) for
+// size next_pow2(n), so a latency-sensitive caller's first transform doesn't
+// pay the one-time plan construction (stream sessions warm this at
+// creation).  Warming the frame size warms what real_fft_magnitudes reads.
 void warm_fft_plan(std::size_t n);
 
 // Single-bin DFT (Goertzel algorithm): magnitude of the component at

@@ -2,58 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 #include <stdexcept>
-#include <type_traits>
 
 #include "dsp/fft.hpp"
+#include "dsp/window.hpp"
 #include "obs/trace.hpp"
-#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sb::dsp {
-
-namespace {
-
-// The frame loop of both precisions: T = double is the exact pipeline,
-// T = float the SB_PRECISION=fast one.  The exact frames run through
-// real_fft_magnitudes, which windows while it packs.  The float frames
-// compute each window product in double and round it to float once, straight
-// into the pooled complex buffer, and take sqrt(re² + im²) magnitudes.
-// Magnitudes are stored in double, so everything downstream is the same for
-// both.
-template <typename T>
-void frames(std::span<const double> signal, const StftConfig& config,
-            const double* win, double norm, Spectrogram& out) {
-  // Frames are independent and write disjoint rows of the magnitude matrix.
-  util::parallel_for_ranges(out.num_frames, [&](std::size_t f0, std::size_t f1) {
-    const std::size_t fsize = config.frame_size;
-    if constexpr (std::is_same_v<T, double>) {
-      for (std::size_t f = f0; f < f1; ++f)
-        real_fft_magnitudes(signal.subspan(f * config.hop_size, fsize),
-                            {win, fsize}, norm,
-                            {out.mags.data() + f * out.num_bins, out.num_bins});
-      return;
-    }
-    util::Scratch<T> cbuf{2 * fsize};
-    // std::complex<T> is layout-compatible with T[2].
-    auto* spec = reinterpret_cast<std::complex<T>*>(cbuf.data());
-    for (std::size_t f = f0; f < f1; ++f) {
-      const double* x = signal.data() + f * config.hop_size;
-      for (std::size_t k = 0; k < fsize; ++k)
-        spec[k] = {static_cast<T>(x[k] * win[k]), T{0}};
-      fft(std::span{spec, fsize});
-      double* row = out.mags.data() + f * out.num_bins;
-      for (std::size_t k = 0; k < out.num_bins; ++k) {
-        const T re = spec[k].real();
-        const T im = spec[k].imag();
-        row[k] = static_cast<double>(std::sqrt(re * re + im * im)) * norm;
-      }
-    }
-  });
-}
-
-}  // namespace
 
 Spectrogram stft(std::span<const double> signal, const StftConfig& config) {
   obs::ScopedSpan span{"stft", obs::Stage::kStft};
@@ -62,7 +18,7 @@ Spectrogram stft(std::span<const double> signal, const StftConfig& config) {
   if (next_pow2(config.frame_size) != config.frame_size)
     throw std::invalid_argument{"stft: frame_size must be a power of two"};
 
-  const auto window = cached_window(config.window, config.frame_size);
+  const auto window = cached_hann_window(config.frame_size);
   const double norm = 2.0 / window_sum(*window);
 
   Spectrogram out;
@@ -74,10 +30,13 @@ Spectrogram stft(std::span<const double> signal, const StftConfig& config) {
     out.num_frames = (signal.size() - config.frame_size) / config.hop_size + 1;
   out.mags.resize(out.num_frames * out.num_bins);
 
-  if (config.fast_f32)
-    frames<float>(signal, config, window->data(), norm, out);
-  else
-    frames<double>(signal, config, window->data(), norm, out);
+  // Frames are independent and write disjoint rows of the magnitude matrix.
+  util::parallel_for_ranges(out.num_frames, [&](std::size_t f0, std::size_t f1) {
+    for (std::size_t f = f0; f < f1; ++f)
+      real_fft_magnitudes(signal.subspan(f * config.hop_size, config.frame_size),
+                          *window, norm,
+                          std::span{out.mags}.subspan(f * out.num_bins, out.num_bins));
+  });
   return out;
 }
 

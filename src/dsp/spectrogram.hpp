@@ -6,22 +6,15 @@
 #include <span>
 #include <vector>
 
-#include "dsp/window.hpp"
 #include "util/scratch.hpp"
 
 namespace sb::dsp {
 
+// Frames are Hann-windowed (dsp/window.hpp).
 struct StftConfig {
   std::size_t frame_size = 1024;   // samples per analysis frame (power of two)
   std::size_t hop_size = 512;      // samples between frame starts
-  WindowType window = WindowType::kHann;
   double sample_rate = 16000.0;
-  // Runs the frame loop in float (window products rounded to float once per
-  // sample, the float fft, sqrt magnitudes) for the SB_PRECISION=fast
-  // serving path.  Off = the exact double pipeline; results differ at float
-  // rounding level when on.  Serving opts in via SensoryMapper; training and
-  // dataset building always use the exact path.
-  bool fast_f32 = false;
 };
 
 // One STFT result: frames x bins magnitude grid.

@@ -1,4 +1,4 @@
-// Analysis window functions for STFT framing.
+// The STFT analysis window: a symmetric Hann window.
 #pragma once
 
 #include <cstddef>
@@ -8,17 +8,15 @@
 
 namespace sb::dsp {
 
-enum class WindowType { kRect, kHann, kHamming, kBlackman };
+// Hann coefficients 0.5 - 0.5·cos(2πi/(length-1)); a length of 0 or 1 gives
+// all ones.
+std::vector<double> hann_window(std::size_t length);
 
-// Returns the window coefficients of the given length.
-std::vector<double> make_window(WindowType type, std::size_t length);
-
-// Memoized coefficients, shared per (type, length) like the FFT plan cache:
+// Memoized Hann coefficients, shared per length like the FFT plan cache:
 // stft() runs per analysis window on the streaming hot path and must not
 // recompute (or allocate) the window every call.  The returned coefficients
 // are immutable and safe to share across threads.
-std::shared_ptr<const std::vector<double>> cached_window(WindowType type,
-                                                         std::size_t length);
+std::shared_ptr<const std::vector<double>> cached_hann_window(std::size_t length);
 
 // Sum of window coefficients (used for amplitude normalization).
 double window_sum(std::span<const double> window);

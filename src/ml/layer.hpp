@@ -56,10 +56,10 @@ class Layer {
 
   // Lowers this layer's eval-mode forward onto an inference plan (see
   // ml/plan.hpp).  Every layer must either override this with its
-  // fold/fuse emission or keep this default, which opts out: the plan then
+  // fuse emission or keep this default, which opts out: the plan then
   // runs the layer through a graph-call fallback op (still bitwise, no
-  // speedup).  Overrides must reproduce forward(x, false) exactly for the
-  // exact plan — PlanEquivalence pins this.
+  // speedup).  Overrides must reproduce forward(x, false) exactly —
+  // PlanEquivalence pins this.
   virtual bool compile(PlanBuilder&) { return false; }
 
   // Deep copy for data-parallel training (DESIGN.md "Training performance").

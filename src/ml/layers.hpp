@@ -67,8 +67,8 @@ class BatchNorm final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> state() override { return {&running_mean_, &running_var_}; }
-  // Folds into the preceding conv/dense weights on the fast plan; fuses as
-  // an exact eval-mode affine epilogue on the exact plan.
+  // Fuses as an exact eval-mode affine epilogue into the preceding
+  // conv/dense op.
   bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<BatchNorm>(*this);

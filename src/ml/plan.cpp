@@ -4,13 +4,11 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "ml/gemm.hpp"
 #include "ml/layer.hpp"
 #include "ml/workspace.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -25,51 +23,18 @@ std::size_t conv_out_dim(std::size_t in, std::size_t k, std::size_t stride,
   return (in + 2 * pad - k) / stride + 1;
 }
 
-// SB_PRECISION env, read once; set_plan_precision overrides.
-PlanPrecision& mutable_precision() {
-  static PlanPrecision p = [] {
-    PlanPrecision out = PlanPrecision::kExact;
-    const char* env = std::getenv("SB_PRECISION");
-    if (env && *env && !parse_plan_precision(env, out)) {
-      obs::logf(obs::LogLevel::kWarn, "ml",
-                "SB_PRECISION=%s unrecognized (want exact|fast); using exact",
-                env);
-      out = PlanPrecision::kExact;
-    }
-    return out;
-  }();
-  return p;
-}
-
 std::atomic<std::uint64_t> g_plans_built{0};
-std::atomic<std::uint64_t> g_folded{0};
 std::atomic<std::uint64_t> g_fused{0};
 std::atomic<std::uint64_t> g_packed{0};
 
 }  // namespace
 
-const char* to_string(PlanPrecision precision) {
-  switch (precision) {
-    case PlanPrecision::kExact: return "exact";
-    case PlanPrecision::kFast: return "fast";
-  }
-  return "?";
-}
+const char* to_string(PlanPrecision) { return "exact"; }
 
-bool parse_plan_precision(std::string_view text, PlanPrecision& out) {
-  if (text == "exact") { out = PlanPrecision::kExact; return true; }
-  if (text == "fast") { out = PlanPrecision::kFast; return true; }
-  return false;
-}
-
-PlanPrecision plan_precision() { return mutable_precision(); }
-void set_plan_precision(PlanPrecision precision) {
-  mutable_precision() = precision;
-}
+PlanPrecision plan_precision() { return PlanPrecision::kExact; }
 
 PlanBuildStats plan_build_stats() {
   return {g_plans_built.load(std::memory_order_relaxed),
-          g_folded.load(std::memory_order_relaxed),
           g_fused.load(std::memory_order_relaxed),
           g_packed.load(std::memory_order_relaxed)};
 }
@@ -375,9 +340,8 @@ void exec_layer_call(const PlanOp& op, const float* xin, float* y,
 // ---------------------------------------------------------------------------
 // PlanBuilder
 
-PlanBuilder::PlanBuilder(std::vector<std::size_t> input_shape,
-                         PlanPrecision precision)
-    : precision_(precision), shape_(std::move(input_shape)) {}
+PlanBuilder::PlanBuilder(std::vector<std::size_t> input_shape)
+    : shape_(std::move(input_shape)) {}
 
 PlanBuilder::~PlanBuilder() = default;
 
@@ -513,40 +477,7 @@ bool PlanBuilder::try_fuse_affine(const Tensor& gamma, const Tensor& beta,
                                                            : prev->out_c;
   if (gamma.numel() != c) return false;
 
-  if (precision_ == PlanPrecision::kFast) {
-    // Fold the eval-mode BN affine into the producer's weights and bias:
-    //   s    = gamma / sqrt(var + eps)
-    //   w'   = w * s[oc]
-    //   b'   = (b[oc] - mean[oc]) * s[oc] + beta[oc]
-    // computed in double and rounded to float32 once per element — the only
-    // rounding difference vs. the reference path, bounded by the tolerance
-    // harness.
-    const std::size_t row = prev->wpack.size() / c;
-    for (std::size_t oc = 0; oc < c; ++oc) {
-      const double s = static_cast<double>(gamma[oc]) /
-                       std::sqrt(static_cast<double>(var[oc]) +
-                                 static_cast<double>(eps));
-      if (prev->kind == PlanOp::Kind::kDense) {
-        for (std::size_t i = 0; i < prev->in_dim; ++i) {
-          float& wv = prev->wpack[i * prev->out_dim + oc];
-          wv = static_cast<float>(static_cast<double>(wv) * s);
-        }
-      } else {
-        for (std::size_t j = 0; j < row; ++j) {
-          float& wv = prev->wpack[oc * row + j];
-          wv = static_cast<float>(static_cast<double>(wv) * s);
-        }
-      }
-      prev->bias[oc] = static_cast<float>(
-          (static_cast<double>(prev->bias[oc]) - static_cast<double>(mean[oc])) *
-              s +
-          static_cast<double>(beta[oc]));
-    }
-    ++stats_.folded_batchnorms;
-    return true;
-  }
-
-  // Exact plan: attach the BN epilogue in the graph's own arithmetic form.
+  // Attach the BN epilogue in the graph's own arithmetic form.
   prev->has_affine = true;
   prev->aff_mean.assign(mean.data(), mean.data() + c);
   prev->aff_gamma.assign(gamma.data(), gamma.data() + c);
@@ -697,13 +628,11 @@ bool Sequential::compile(PlanBuilder& builder) {
 InferencePlan::~InferencePlan() = default;
 
 std::unique_ptr<InferencePlan> InferencePlan::compile(
-    Layer& model, const std::vector<std::size_t>& item_shape,
-    PlanPrecision precision) {
-  PlanBuilder builder{item_shape, precision};
+    Layer& model, const std::vector<std::size_t>& item_shape) {
+  PlanBuilder builder{item_shape};
   if (!model.compile(builder)) builder.layer_call(&model);
 
   std::unique_ptr<InferencePlan> plan{new InferencePlan};
-  plan->precision_ = precision;
   plan->input_shape_ = item_shape;
   plan->output_shape_ = builder.shape_;
   plan->out_reg_ = builder.cur_;
@@ -713,8 +642,6 @@ std::unique_ptr<InferencePlan> InferencePlan::compile(
   plan->stats_.plans_built = 1;
 
   g_plans_built.fetch_add(1, std::memory_order_relaxed);
-  g_folded.fetch_add(plan->stats_.folded_batchnorms,
-                     std::memory_order_relaxed);
   g_fused.fetch_add(plan->stats_.fused_activations, std::memory_order_relaxed);
   g_packed.fetch_add(plan->stats_.packed_panels, std::memory_order_relaxed);
   static obs::Counter& builds =

@@ -19,14 +19,10 @@
 //   * layers with no compiled lowering (Lstm, NeuralOdeBlock) fall back to
 //     a graph-call op — the plan still runs, those ops just don't speed up.
 //
-// Precision policy: `PlanPrecision::kExact` is bitwise identical to
+// Precision policy: one precision.  A plan is bitwise identical to
 // `Layer::forward(x, false)` (pinned by the PlanEquivalence tests, which keep
 // the layer graph as the reference), because every lowering preserves the
 // graph's per-element operation sequence and accumulation order.
-// `PlanPrecision::kFast` is the folded plan: BatchNorm running stats are
-// folded into the adjacent conv/dense weights (scale computed in double,
-// rounded to float32 once), trading bitwise identity for fewer passes under
-// the tolerance harness in ml_test/integration_test.
 //
 // Threading/workspace contract: op kernels use util::parallel_for* with
 // disjoint writes only (bit-identical at any SB_THREADS); all forward
@@ -37,7 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "ml/tensor.hpp"
@@ -46,22 +41,17 @@ namespace sb::ml {
 
 class Layer;
 
-enum class PlanPrecision { kExact, kFast };
+// The serving precision as a provenance label: plans have one precision,
+// exact, and plan_precision() always returns it.
+enum class PlanPrecision { kExact };
 
 const char* to_string(PlanPrecision precision);
-// Parses "exact" / "fast" (case-sensitive); false on anything else.
-bool parse_plan_precision(std::string_view text, PlanPrecision& out);
-
-// Process-wide serving precision: SB_PRECISION env (exact|fast, read once,
-// default exact) until overridden by set_plan_precision (e.g. bench --plan).
 PlanPrecision plan_precision();
-void set_plan_precision(PlanPrecision precision);
 
 // Process-wide totals across every compile() in this process (bench
 // provenance: BENCH jsons record them next to the SIMD block).
 struct PlanBuildStats {
   std::uint64_t plans_built = 0;
-  std::uint64_t folded_batchnorms = 0;  // BN folded into adjacent weights
   std::uint64_t fused_activations = 0;  // BN/ReLU merged into producer ops
   std::uint64_t packed_panels = 0;      // weight tensors repacked at build
 };
@@ -80,7 +70,6 @@ class PlanBuilder {
   PlanBuilder(const PlanBuilder&) = delete;
   PlanBuilder& operator=(const PlanBuilder&) = delete;
 
-  PlanPrecision precision() const { return precision_; }
   // Per-item activation dims at the current point ({C,H,W} or {D}).
   const std::vector<std::size_t>& item_shape() const { return shape_; }
 
@@ -114,8 +103,7 @@ class PlanBuilder {
 
  private:
   friend class InferencePlan;
-  explicit PlanBuilder(std::vector<std::size_t> input_shape,
-                       PlanPrecision precision);
+  explicit PlanBuilder(std::vector<std::size_t> input_shape);
   ~PlanBuilder();
 
   detail::PlanOp* last_op();
@@ -127,7 +115,6 @@ class PlanBuilder {
                        const Tensor& mean, const Tensor& var, float eps);
   bool try_fuse_relu(float cap);
 
-  PlanPrecision precision_;
   std::vector<std::size_t> shape_;
   int cur_ = -1;  // -1 = the plan input
   std::vector<std::size_t> reg_numel_;
@@ -144,8 +131,7 @@ class InferencePlan {
   // fallback ops) and owns packed copies of all compiled weights, so it
   // must be rebuilt after any further training or load.
   static std::unique_ptr<InferencePlan> compile(
-      Layer& model, const std::vector<std::size_t>& item_shape,
-      PlanPrecision precision);
+      Layer& model, const std::vector<std::size_t>& item_shape);
 
   ~InferencePlan();
 
@@ -154,18 +140,15 @@ class InferencePlan {
   // bitwise).  Not reentrant.
   Tensor forward(const Tensor& x) const;
 
-  PlanPrecision precision() const { return precision_; }
   std::size_t num_ops() const;
   // Ops that still call back into the layer graph (0 = fully compiled).
   std::size_t graph_fallback_ops() const;
-  std::size_t folded_batchnorms() const { return stats_.folded_batchnorms; }
   std::size_t fused_activations() const { return stats_.fused_activations; }
   std::size_t packed_panels() const { return stats_.packed_panels; }
 
  private:
   InferencePlan() = default;
 
-  PlanPrecision precision_ = PlanPrecision::kExact;
   std::vector<std::size_t> input_shape_;
   std::vector<std::size_t> output_shape_;
   int out_reg_ = -1;

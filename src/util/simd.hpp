@@ -111,17 +111,19 @@ inline VFloat narrow2(VDouble lo, VDouble hi) {
   return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo)),
                               _mm256_cvtpd_ps(hi), 1);
 }
-// Interleaved-complex helpers ([re, im, re, im] layout, 2 complexes/vector).
+// Interleaved-complex helpers ([re, im, re, im] layout, 2 complexes/vector)
+// for the FFT butterflies.  Only AVX2 has them: at 2 double lanes a vector
+// holds one complex, and the FFT's scalar loop beats that.
 inline VDouble dup_even(VDouble a) { return _mm256_movedup_pd(a); }
 inline VDouble dup_odd(VDouble a) { return _mm256_permute_pd(a, 0xF); }
 inline VDouble swap_pairs(VDouble a) { return _mm256_permute_pd(a, 0x5); }
 // even lanes: a - b, odd lanes: a + b.
 inline VDouble addsub(VDouble a, VDouble b) { return _mm256_addsub_pd(a, b); }
-// Float interleaved-complex helpers (4 complexes/vector).
-inline VFloat dup_even(VFloat a) { return _mm256_moveldup_ps(a); }
-inline VFloat dup_odd(VFloat a) { return _mm256_movehdup_ps(a); }
-inline VFloat swap_pairs(VFloat a) { return _mm256_permute_ps(a, 0xB1); }
-inline VFloat addsub(VFloat a, VFloat b) { return _mm256_addsub_ps(a, b); }
+// Interleaved complex multiply x*w over [re, im, ...] pairs, with the exact
+// per-component operation order of `(xr*wr - xi*wi, xr*wi + xi*wr)`.
+inline VDouble cmul(VDouble x, VDouble w) {
+  return addsub(muld(dup_even(x), w), muld(dup_odd(x), swap_pairs(w)));
+}
 
 #elif defined(SB_SIMD_SSE2)
 
@@ -162,23 +164,6 @@ inline VDouble widen(const float* p) {
 }
 inline VFloat narrow2(VDouble lo, VDouble hi) {
   return _mm_movelh_ps(_mm_cvtpd_ps(lo), _mm_cvtpd_ps(hi));
-}
-// One complex per vector: even lane = re, odd lane = im.
-inline VDouble dup_even(VDouble a) { return _mm_shuffle_pd(a, a, 0x0); }
-inline VDouble dup_odd(VDouble a) { return _mm_shuffle_pd(a, a, 0x3); }
-inline VDouble swap_pairs(VDouble a) { return _mm_shuffle_pd(a, a, 0x1); }
-inline VDouble addsub(VDouble a, VDouble b) {
-  // a + (b ^ [-0.0, 0.0]): IEEE-754 guarantees x - y == x + (-y) bitwise.
-  const VDouble flip = _mm_set_pd(0.0, -0.0);
-  return _mm_add_pd(a, _mm_xor_pd(b, flip));
-}
-// Float interleaved-complex helpers (2 complexes/vector).
-inline VFloat dup_even(VFloat a) { return _mm_shuffle_ps(a, a, 0xA0); }
-inline VFloat dup_odd(VFloat a) { return _mm_shuffle_ps(a, a, 0xF5); }
-inline VFloat swap_pairs(VFloat a) { return _mm_shuffle_ps(a, a, 0xB1); }
-inline VFloat addsub(VFloat a, VFloat b) {
-  const VFloat flip = _mm_set_ps(0.0f, -0.0f, 0.0f, -0.0f);
-  return _mm_add_ps(a, _mm_xor_ps(b, flip));
 }
 
 #elif defined(SB_SIMD_NEON)
@@ -225,23 +210,6 @@ inline VDouble sqrtd(VDouble a) { return vsqrtq_f64(a); }
 inline VDouble widen(const float* p) { return vcvt_f64_f32(vld1_f32(p)); }
 inline VFloat narrow2(VDouble lo, VDouble hi) {
   return vcombine_f32(vcvt_f32_f64(lo), vcvt_f32_f64(hi));
-}
-inline VDouble dup_even(VDouble a) { return vdupq_laneq_f64(a, 0); }
-inline VDouble dup_odd(VDouble a) { return vdupq_laneq_f64(a, 1); }
-inline VDouble swap_pairs(VDouble a) { return vextq_f64(a, a, 1); }
-inline VDouble addsub(VDouble a, VDouble b) {
-  const uint64x2_t flip = {0x8000000000000000ULL, 0};
-  return vaddq_f64(
-      a, vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(b), flip)));
-}
-// Float interleaved-complex helpers (2 complexes/vector).
-inline VFloat dup_even(VFloat a) { return vtrn1q_f32(a, a); }
-inline VFloat dup_odd(VFloat a) { return vtrn2q_f32(a, a); }
-inline VFloat swap_pairs(VFloat a) { return vrev64q_f32(a); }
-inline VFloat addsub(VFloat a, VFloat b) {
-  const uint32x4_t flip = {0x80000000u, 0, 0x80000000u, 0};
-  return vaddq_f32(
-      a, vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(b), flip)));
 }
 
 #else  // SB_SIMD_SCALAR — per-lane loops; identical operations, no vector ISA.
@@ -381,62 +349,6 @@ inline VFloat narrow2(VDouble lo, VDouble hi) {
   }
   return r;
 }
-inline VDouble dup_even(VDouble a) {
-  VDouble r;
-  for (std::size_t i = 0; i < kDoubleLanes; i += 2) r.v[i] = r.v[i + 1] = a.v[i];
-  return r;
-}
-inline VDouble dup_odd(VDouble a) {
-  VDouble r;
-  for (std::size_t i = 0; i < kDoubleLanes; i += 2)
-    r.v[i] = r.v[i + 1] = a.v[i + 1];
-  return r;
-}
-inline VDouble swap_pairs(VDouble a) {
-  VDouble r;
-  for (std::size_t i = 0; i < kDoubleLanes; i += 2) {
-    r.v[i] = a.v[i + 1];
-    r.v[i + 1] = a.v[i];
-  }
-  return r;
-}
-inline VDouble addsub(VDouble a, VDouble b) {
-  VDouble r;
-  for (std::size_t i = 0; i < kDoubleLanes; i += 2) {
-    r.v[i] = a.v[i] - b.v[i];
-    r.v[i + 1] = a.v[i + 1] + b.v[i + 1];
-  }
-  return r;
-}
-
-inline VFloat dup_even(VFloat a) {
-  VFloat r;
-  for (std::size_t i = 0; i < kFloatLanes; i += 2) r.v[i] = r.v[i + 1] = a.v[i];
-  return r;
-}
-inline VFloat dup_odd(VFloat a) {
-  VFloat r;
-  for (std::size_t i = 0; i < kFloatLanes; i += 2)
-    r.v[i] = r.v[i + 1] = a.v[i + 1];
-  return r;
-}
-inline VFloat swap_pairs(VFloat a) {
-  VFloat r;
-  for (std::size_t i = 0; i < kFloatLanes; i += 2) {
-    r.v[i] = a.v[i + 1];
-    r.v[i + 1] = a.v[i];
-  }
-  return r;
-}
-inline VFloat addsub(VFloat a, VFloat b) {
-  VFloat r;
-  for (std::size_t i = 0; i < kFloatLanes; i += 2) {
-    r.v[i] = a.v[i] - b.v[i];
-    r.v[i + 1] = a.v[i + 1] + b.v[i + 1];
-  }
-  return r;
-}
-
 #endif
 
 // std::max(a, b) per lane — returns a on unordered (NaN) comparisons and
@@ -444,15 +356,6 @@ inline VFloat addsub(VFloat a, VFloat b) {
 inline VFloat vmax(VFloat a, VFloat b) { return select(cmp_lt(a, b), b, a); }
 // std::min(a, b) per lane: (b < a) ? b : a.
 inline VFloat vmin(VFloat a, VFloat b) { return select(cmp_lt(b, a), b, a); }
-
-// Interleaved complex multiply x*w over [re, im, ...] pairs, with the exact
-// per-component operation order of `(xr*wr - xi*wi, xr*wi + xi*wr)`.
-inline VDouble cmul(VDouble x, VDouble w) {
-  return addsub(muld(dup_even(x), w), muld(dup_odd(x), swap_pairs(w)));
-}
-inline VFloat cmul(VFloat x, VFloat w) {
-  return addsub(mul(dup_even(x), w), mul(dup_odd(x), swap_pairs(w)));
-}
 
 }  // namespace simd
 }  // namespace sb::util

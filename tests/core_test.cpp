@@ -255,21 +255,21 @@ TEST(Signature, DeterministicForSameAudio) {
   for (std::size_t i = 0; i < a.numel(); ++i) EXPECT_FLOAT_EQ(a[i], b[i]);
 }
 
-// Pins the signature's output bits: exact and fast signatures of a base
-// window and of a 5x stretched (time-shift augmented) window of one
-// synthesized recording, each computed under both SIMD backends.
+// Pins the signature's output bits: the signatures of a base window and of
+// a 5x stretched (time-shift augmented) window of one synthesized recording,
+// computed under both SIMD backends.
 TEST(Signature, OutputBitsArePinned) {
   const auto flight = test::line_flight(6.0, 7);
   const auto recording =
       test::lab().synthesizer(flight).synthesize(flight.log, 0.0, 6.0);
   const SignatureConfig cfg;
-  const auto crc_of = [&](util::SimdBackend backend, bool fast) {
+  const auto crc_of = [&](util::SimdBackend backend) {
     const util::SimdBackend saved = util::simd_backend();
     util::set_simd_backend(backend);
     std::uint32_t crc = 0;
     for (const double seconds : {0.5, 2.5}) {
-      const auto sig = compute_signature(
-          recording_window(recording, 2.0, seconds), cfg, fast);
+      const auto sig =
+          compute_signature(recording_window(recording, 2.0, seconds), cfg);
       crc = util::crc32(sig.data(), sig.numel() * sizeof(float), crc);
     }
     util::set_simd_backend(saved);
@@ -278,8 +278,7 @@ TEST(Signature, OutputBitsArePinned) {
   for (const auto backend :
        {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
     SCOPED_TRACE(backend == util::SimdBackend::kVector ? "vector" : "scalar");
-    EXPECT_EQ(crc_of(backend, false), 0xa9c8c30au);
-    EXPECT_EQ(crc_of(backend, true), 0x6e894ab9u);
+    EXPECT_EQ(crc_of(backend), 0xa9c8c30au);
   }
 }
 

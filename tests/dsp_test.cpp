@@ -96,7 +96,6 @@ void expect_real_matches_dft(std::size_t n, std::uint64_t seed) {
 
 TEST(Fft, MatchesDftDefinition) { expect_matches_dft(128, 3); }
 
-
 TEST(Fft, ParsevalHolds) {
   Rng rng{4};
   std::vector<std::complex<double>> data(256);
@@ -139,39 +138,13 @@ TEST(Fft, GoertzelMatchesFftAtBin) {
   EXPECT_NEAR(goertzel(s, f * 2, fs), 0.0, 0.05);
 }
 
-TEST(Fft, F32TracksDoubleTransform) {
-  Rng rng{11};
-  const std::size_t n = 1024;
-  std::vector<std::complex<double>> ref(n);
-  std::vector<std::complex<float>> f32(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double re = rng.normal(), im = rng.normal();
-    ref[i] = {re, im};
-    f32[i] = {static_cast<float>(re), static_cast<float>(im)};
-  }
-  fft(ref);
-  fft(f32);
-  double peak = 0.0;
-  for (const auto& x : ref) peak = std::max(peak, std::abs(x));
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(f32[i].real(), ref[i].real(), 1e-5 * peak);
-    EXPECT_NEAR(f32[i].imag(), ref[i].imag(), 1e-5 * peak);
-  }
-}
-
-TEST(Fft, F32RejectsNonPowerOfTwo) {
-  std::vector<std::complex<float>> data(100);
-  EXPECT_THROW(fft(data), std::invalid_argument);
-}
-
-// Pins the front end's output bits: the double and float forward transforms
-// of fixed random inputs at n = 1...8192, the exact and fast STFT magnitudes
-// and magnitude_spectrum, each computed under both SIMD backends.  Every
-// signature, and so every model input and verdict, is built from these bits.
+// Pins the front end's output bits: the forward transform of fixed random
+// inputs at n = 1...8192, the STFT magnitudes and magnitude_spectrum, each
+// computed under both SIMD backends.  Every signature, and so every model
+// input and verdict, is built from these bits.
 TEST(Fft, OutputBitsArePinned) {
   struct Crcs {
-    std::uint32_t fft64 = 0, fft32 = 0, stft_exact = 0, stft_fast = 0,
-                  spectrum = 0;
+    std::uint32_t fft64 = 0, stft = 0, spectrum = 0;
   };
   const auto run = [](util::SimdBackend backend) {
     SimdBackendGuard guard{backend};
@@ -179,28 +152,22 @@ TEST(Fft, OutputBitsArePinned) {
     Rng rng{1616};
     for (std::size_t n = 1; n <= 8192; n <<= 1) {
       std::vector<std::complex<double>> d(n);
-      std::vector<std::complex<float>> f(n);
       for (std::size_t i = 0; i < n; ++i) {
         d[i] = {rng.normal(), rng.normal()};
-        f[i] = {static_cast<float>(rng.normal()),
-                static_cast<float>(rng.normal())};
+        // Two more draws per element keep the draw sequence, and so the
+        // inputs, that fft64 was pinned with.
+        (void)rng.normal();
+        (void)rng.normal();
       }
       fft(d);
-      fft(f);
       c.fft64 = util::crc32(d.data(), n * sizeof d[0], c.fft64);
-      c.fft32 = util::crc32(f.data(), n * sizeof f[0], c.fft32);
     }
     auto s = sine(2500.0, 16000.0, 8000);
     for (auto& v : s) v += rng.normal(0.0, 0.3);
     StftConfig cfg;
     cfg.hop_size = 437;  // a stretched signature hop, not a divisor
-    const auto exact = stft(s, cfg);
-    c.stft_exact = util::crc32(exact.mags.data(),
-                               exact.mags.size() * sizeof(double));
-    cfg.fast_f32 = true;
-    const auto fast = stft(s, cfg);
-    c.stft_fast =
-        util::crc32(fast.mags.data(), fast.mags.size() * sizeof(double));
+    const auto spec = stft(s, cfg);
+    c.stft = util::crc32(spec.mags.data(), spec.mags.size() * sizeof(double));
     const auto mags = magnitude_spectrum(std::span{s}.first(1000));
     c.spectrum = util::crc32(mags.data(), mags.size() * sizeof(double));
     return c;
@@ -210,9 +177,7 @@ TEST(Fft, OutputBitsArePinned) {
     SCOPED_TRACE(backend == util::SimdBackend::kVector ? "vector" : "scalar");
     const Crcs c = run(backend);
     EXPECT_EQ(c.fft64, 0x021175aau);
-    EXPECT_EQ(c.fft32, 0x8c540327u);
-    EXPECT_EQ(c.stft_exact, 0xeb3aaf50u);
-    EXPECT_EQ(c.stft_fast, 0x9c63c2f4u);
+    EXPECT_EQ(c.stft, 0xeb3aaf50u);
     EXPECT_EQ(c.spectrum, 0x0632417eu);
   }
 }
@@ -220,17 +185,13 @@ TEST(Fft, OutputBitsArePinned) {
 TEST(Fft, PlanCacheHitsOnWarmSize) {
   auto& hits = sb::obs::Registry::instance().counter("fft.plan_hits");
   // The first transform builds (or reuses) the 512-point plan.  Every later
-  // transform, in either precision, must be exactly one cache hit: a rebuild
-  // per call would defeat the cache, and a second lookup would double
-  // perfbench's dsp.fft_calls_per_window.
+  // transform must be exactly one cache hit: a rebuild per call would defeat
+  // the cache, and a second lookup would double perfbench's
+  // dsp.fft_calls_per_window.
   std::vector<std::complex<double>> a(512, {1.0, 0.0});
   fft(a);
   auto before = hits.value();
   fft(a);
-  EXPECT_EQ(hits.value(), before + 1);
-  std::vector<std::complex<float>> b(512, {0.5f, 0.0f});
-  before = hits.value();
-  fft(b);
   EXPECT_EQ(hits.value(), before + 1);
   // A real 1024-sample frame runs a 512-point transform off the 1024-point
   // plan: one lookup per frame, so an STFT of F frames is F hits.
@@ -248,36 +209,17 @@ TEST(Fft, PlanCacheHitsOnWarmSize) {
 }
 
 TEST(Window, HannEndpointsAndPeak) {
-  const auto w = make_window(WindowType::kHann, 64);
+  const auto w = hann_window(64);
   EXPECT_NEAR(w.front(), 0.0, 1e-12);
   EXPECT_NEAR(w.back(), 0.0, 1e-12);
   EXPECT_NEAR(w[32], 1.0, 0.01);
 }
 
-TEST(Window, RectIsUnity) {
-  const auto w = make_window(WindowType::kRect, 16);
-  for (double v : w) EXPECT_DOUBLE_EQ(v, 1.0);
-}
-
 TEST(Window, SumMatchesApplied) {
-  const auto w = make_window(WindowType::kHamming, 128);
-  EXPECT_NEAR(window_sum(w), 0.54 * 128, 1.0);
+  // The symmetric Hann window of length n sums to (n - 1)/2.
+  const auto w = hann_window(128);
+  EXPECT_NEAR(window_sum(w), 0.5 * 127, 1e-9);
 }
-
-class WindowTypeTest : public ::testing::TestWithParam<WindowType> {};
-
-TEST_P(WindowTypeTest, NonNegativeAndBounded) {
-  const auto w = make_window(GetParam(), 101);
-  for (double v : w) {
-    EXPECT_GE(v, -1e-12);
-    EXPECT_LE(v, 1.0 + 1e-12);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWindows, WindowTypeTest,
-                         ::testing::Values(WindowType::kRect, WindowType::kHann,
-                                           WindowType::kHamming,
-                                           WindowType::kBlackman));
 
 TEST(Stft, FrameCount) {
   StftConfig cfg;
@@ -326,48 +268,6 @@ TEST(Stft, AmplitudeTracksToneLevel) {
   const auto bq = band_amplitude_over_time(stft(quiet, cfg), 900, 1100);
   const auto bl = band_amplitude_over_time(stft(loud, cfg), 900, 1100);
   EXPECT_NEAR(bl[0] / bq[0], 3.0, 0.2);
-}
-
-TEST(Stft, FastF32TracksExactPipeline) {
-  StftConfig cfg;
-  cfg.frame_size = 1024;
-  cfg.hop_size = 512;
-  cfg.sample_rate = 16000.0;
-  Rng rng{13};
-  auto s = sine(2500.0, cfg.sample_rate, 8000, 1.0);
-  for (auto& v : s) v += rng.normal(0.0, 0.05);
-  const auto exact = stft(s, cfg);
-  cfg.fast_f32 = true;
-  const auto fast = stft(s, cfg);
-  ASSERT_EQ(fast.num_frames, exact.num_frames);
-  ASSERT_EQ(fast.num_bins, exact.num_bins);
-  double peak = 0.0;
-  for (double m : exact.mags) peak = std::max(peak, m);
-  ASSERT_GT(peak, 0.0);
-  for (std::size_t i = 0; i < exact.mags.size(); ++i)
-    EXPECT_NEAR(fast.mags[i], exact.mags[i], 1e-5 * peak) << "cell " << i;
-}
-
-TEST(Stft, FastF32ScalarAndVectorBackendsAreBitwiseIdentical) {
-  StftConfig cfg;
-  cfg.frame_size = 512;
-  cfg.hop_size = 256;
-  cfg.fast_f32 = true;
-  Rng rng{14};
-  std::vector<double> s(4096);
-  for (auto& v : s) v = rng.normal(0.0, 0.3);
-  Spectrogram vec, sca;
-  {
-    SimdBackendGuard g{util::SimdBackend::kVector};
-    vec = stft(s, cfg);
-  }
-  {
-    SimdBackendGuard g{util::SimdBackend::kScalar};
-    sca = stft(s, cfg);
-  }
-  ASSERT_EQ(vec.mags.size(), sca.mags.size());
-  for (std::size_t i = 0; i < vec.mags.size(); ++i)
-    ASSERT_EQ(vec.mags[i], sca.mags[i]) << "cell " << i;
 }
 
 TEST(Biquad, LowPassAttenuatesHighFrequency) {

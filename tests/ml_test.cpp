@@ -488,10 +488,9 @@ TEST(Models, EvaluateMseMatchesManual) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled inference plan (ml/plan.hpp): the exact plan must be
-// BITWISE identical to the layer-graph eval forward — across model kinds,
-// SIMD backends and thread counts — and the folded float32 plan must stay
-// within a drift bound of it.
+// Compiled inference plan (ml/plan.hpp): the plan must be BITWISE
+// identical to the layer-graph eval forward — across model kinds, SIMD
+// backends and thread counts.
 
 struct SimdBackendGuard {
   explicit SimdBackendGuard(util::SimdBackend b) : prev_(util::simd_backend()) {
@@ -512,7 +511,7 @@ constexpr ModelKind kPlanKinds[] = {ModelKind::kMobileNetLite,
 
 // Fresh model with NON-TRIVIAL BatchNorm running statistics: a few
 // train-mode passes move every running mean/var off its (0, 1) init, so
-// the plan's folding/fusing is exercised against real eval-affine values,
+// the plan's fusing is exercised against real eval-affine values,
 // not the identity transform.
 std::unique_ptr<Layer> warmed_model(ModelKind kind, const ModelInputShape& in,
                                     Rng& rng) {
@@ -533,8 +532,8 @@ TEST(PlanEquivalence, ExactPlanIsBitwiseGraphForward) {
     const Tensor batch =
         random_tensor({5, in.channels, in.height, in.width}, rng);
     const Tensor want = model->forward(batch, false);
-    const auto plan = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kExact);
+    const auto plan =
+        InferencePlan::compile(*model, {in.channels, in.height, in.width});
     const struct {
       util::SimdBackend backend;
       std::size_t threads;
@@ -565,8 +564,8 @@ TEST(PlanEquivalence, PlanBatchChunkingIsBitwise) {
     const auto model = warmed_model(kind, in, rng);
     const Tensor batch =
         random_tensor({kBatch, in.channels, in.height, in.width}, rng);
-    const auto plan = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kExact);
+    const auto plan =
+        InferencePlan::compile(*model, {in.channels, in.height, in.width});
     const Tensor out = plan->forward(batch);
     // Row-at-a-time and arbitrary re-chunks: serving batches cut anywhere.
     for (std::size_t i = 0; i < kBatch; ++i) {
@@ -584,57 +583,26 @@ TEST(PlanEquivalence, PlanBatchChunkingIsBitwise) {
   }
 }
 
-TEST(PlanEquivalence, F32FoldedPlanDriftIsBounded) {
-  const ModelInputShape in;
-  for (const ModelKind kind : kPlanKinds) {
-    Rng rng{93};
-    const auto model = warmed_model(kind, in, rng);
-    const Tensor batch =
-        random_tensor({6, in.channels, in.height, in.width}, rng);
-    const Tensor want = model->forward(batch, false);
-    const auto plan = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kFast);
-    const Tensor got = plan->forward(batch);
-    ASSERT_EQ(got.numel(), want.numel()) << to_string(kind);
-    // The fold rounds each folded weight exactly once, so the drift budget
-    // has orders of magnitude of headroom on these O(1)-scale outputs.
-    double mse = 0.0;
-    for (std::size_t i = 0; i < want.numel(); ++i) {
-      ASSERT_TRUE(std::isfinite(got[i])) << to_string(kind);
-      const double d = static_cast<double>(got[i]) - want[i];
-      mse += d * d;
-    }
-    mse /= static_cast<double>(want.numel());
-    EXPECT_LT(mse, 1e-8) << to_string(kind);
-  }
-}
-
 TEST(PlanEquivalence, FoldFuseAndPackCountersTally) {
   const ModelInputShape in;
   Rng rng{94};
-  // MobileNetLite: conv->BN->activation stacks throughout.  The fast plan
-  // folds every BN into its producer; the exact plan fuses them as
-  // epilogues instead.  Both pack every weight panel and neither needs a
-  // graph-call fallback.
+  // MobileNetLite: conv->BN->activation stacks throughout.  The plan fuses
+  // every BN into its producer as an epilogue, packs every weight panel and
+  // needs no graph-call fallback.
   {
     const auto model = warmed_model(ModelKind::kMobileNetLite, in, rng);
-    const auto fast = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kFast);
-    EXPECT_GT(fast->folded_batchnorms(), 0u);
-    EXPECT_GT(fast->packed_panels(), 0u);
-    EXPECT_EQ(fast->graph_fallback_ops(), 0u);
-    const auto exact = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kExact);
-    EXPECT_EQ(exact->folded_batchnorms(), 0u);
-    EXPECT_GT(exact->fused_activations(), 0u);
-    EXPECT_EQ(exact->graph_fallback_ops(), 0u);
+    const auto plan =
+        InferencePlan::compile(*model, {in.channels, in.height, in.width});
+    EXPECT_GT(plan->fused_activations(), 0u);
+    EXPECT_GT(plan->packed_panels(), 0u);
+    EXPECT_EQ(plan->graph_fallback_ops(), 0u);
   }
   // NeuralODE: the ODE block opts out of compilation, so its plan carries
   // graph-call fallback ops (bitwise, just not fused).
   {
     const auto model = warmed_model(ModelKind::kNeuralOde, in, rng);
-    const auto plan = InferencePlan::compile(
-        *model, {in.channels, in.height, in.width}, PlanPrecision::kExact);
+    const auto plan =
+        InferencePlan::compile(*model, {in.channels, in.height, in.width});
     EXPECT_GT(plan->graph_fallback_ops(), 0u);
   }
 }

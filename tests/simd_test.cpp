@@ -5,11 +5,11 @@
 //   * matmul_nn vector vs scalar backend on ragged shapes (k in {0,1},
 //     non-multiple-of-lane N, non-multiple-of-tile M, strided sub-blocks) —
 //     bitwise, not approximately,
-//   * FFT butterflies across sizes, in double and float,
+//   * FFT butterflies across sizes,
 //   * elementwise layers (ReLU, BatchNorm, ResidualBlock's post-sum ReLU)
 //     fed NaN/infinity/denormal inputs — the vector masks must keep the
 //     exact scalar special-value behaviour,
-//   * the cached_window coefficient cache,
+//   * the cached_hann_window coefficient cache,
 //   * end-to-end training fingerprints across backend x thread-count,
 //   * the steady-state zero-allocation contract of the workspace pool on
 //     the prepare_signature -> predict_prepared serving path.
@@ -29,7 +29,6 @@
 #include "ml/gemm.hpp"
 #include "ml/layers.hpp"
 #include "ml/models.hpp"
-#include "ml/plan.hpp"
 #include "ml/tensor.hpp"
 #include "ml/trainer.hpp"
 #include "obs/metrics.hpp"
@@ -220,29 +219,6 @@ TEST(SimdFftTest, ForwardBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(SimdFftTest, F32ForwardBitIdenticalAcrossBackends) {
-  for (std::size_t n : {std::size_t{2}, std::size_t{8}, std::size_t{64},
-                        std::size_t{1024}}) {
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    Rng rng{9100 + n};
-    std::vector<std::complex<float>> data(n);
-    for (auto& z : data)
-      z = {static_cast<float>(rng.normal(0.0, 1.0)),
-           static_cast<float>(rng.normal(0.0, 1.0))};
-
-    auto run = [&](util::SimdBackend backend) {
-      SimdBackendGuard guard{backend};
-      auto copy = data;
-      dsp::fft(copy);
-      std::vector<float> flat(2 * n);
-      std::memcpy(flat.data(), copy.data(), flat.size() * sizeof(float));
-      return flat;
-    };
-    expect_bits_equal(run(util::SimdBackend::kVector),
-                      run(util::SimdBackend::kScalar), "fft_f32");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Elementwise layers on special values.
 
@@ -344,16 +320,13 @@ TEST(SimdLayerTest, ResidualBlockBackwardKeepsNaNGradientSemantics) {
 
 TEST(SimdWindowTest, CachedWindowReusesCoefficients) {
   auto& hits = obs::Registry::instance().counter("dsp.window_hits");
-  const auto first = dsp::cached_window(dsp::WindowType::kBlackman, 333);
+  const auto first = dsp::cached_hann_window(333);
   const auto hits_before = hits.value();
-  const auto second = dsp::cached_window(dsp::WindowType::kBlackman, 333);
+  const auto second = dsp::cached_hann_window(333);
   EXPECT_EQ(first.get(), second.get()) << "second lookup must hit the cache";
   EXPECT_EQ(hits.value(), hits_before + 1);
-  // Different length or type is a distinct plan.
-  EXPECT_NE(dsp::cached_window(dsp::WindowType::kBlackman, 334).get(),
-            first.get());
-  EXPECT_NE(dsp::cached_window(dsp::WindowType::kHamming, 333).get(),
-            first.get());
+  // A different length is a distinct plan.
+  EXPECT_NE(dsp::cached_hann_window(334).get(), first.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -462,26 +435,17 @@ TEST(WorkspaceTest, ServingSteadyStateMakesNoHeapAllocations) {
     ASSERT_EQ(preds.size(), 1u);
   };
 
-  // The zero-allocation contract covers both serving precisions (plan
-  // compilation itself allocates — that's a warm-up cost, paid once per
-  // precision switch).
-  const ml::PlanPrecision saved = ml::plan_precision();
-  for (const ml::PlanPrecision precision :
-       {ml::PlanPrecision::kExact, ml::PlanPrecision::kFast}) {
-    ml::set_plan_precision(precision);
-    // Warm-up: first passes populate the per-thread free lists, build the
-    // inference plan and any lazily-built caches (window coefficients).
-    for (int i = 0; i < 3; ++i) serve_once();
+  // Warm-up: first passes populate the per-thread free lists, build the
+  // inference plan (plan compilation itself allocates — a warm-up cost, paid
+  // once) and any lazily-built caches (window coefficients).
+  for (int i = 0; i < 3; ++i) serve_once();
 
-    auto& heap_allocs =
-        obs::Registry::instance().counter("ml.workspace.heap_allocs");
-    const auto before = heap_allocs.value();
-    for (int i = 0; i < 10; ++i) serve_once();
-    EXPECT_EQ(heap_allocs.value(), before)
-        << "steady-state serving took pool blocks from the heap (plan "
-        << ml::to_string(precision) << ")";
-  }
-  ml::set_plan_precision(saved);
+  auto& heap_allocs =
+      obs::Registry::instance().counter("ml.workspace.heap_allocs");
+  const auto before = heap_allocs.value();
+  for (int i = 0; i < 10; ++i) serve_once();
+  EXPECT_EQ(heap_allocs.value(), before)
+      << "steady-state serving took pool blocks from the heap";
 }
 
 }  // namespace
