@@ -222,10 +222,15 @@ TEST(Integration, SaveLoadRoundTripPreservesPredictions) {
   const auto a = p.mapper->predict_flight(test::lab(), f);
   const auto b = loaded.predict_flight(test::lab(), f);
   ASSERT_EQ(a.size(), b.size());
+  // The model file stores raw floats and doubles, so the reloaded mapper
+  // must predict bitwise what the original does.
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i].accel.x, b[i].accel.x, 1e-9);
-    EXPECT_NEAR(a[i].accel.z, b[i].accel.z, 1e-9);
-    EXPECT_NEAR(a[i].vel.y, b[i].vel.y, 1e-9);
+    EXPECT_EQ(a[i].accel.x, b[i].accel.x) << i;
+    EXPECT_EQ(a[i].accel.y, b[i].accel.y) << i;
+    EXPECT_EQ(a[i].accel.z, b[i].accel.z) << i;
+    EXPECT_EQ(a[i].vel.x, b[i].vel.x) << i;
+    EXPECT_EQ(a[i].vel.y, b[i].vel.y) << i;
+    EXPECT_EQ(a[i].vel.z, b[i].vel.z) << i;
   }
   std::remove(path.c_str());
 }

@@ -13,6 +13,7 @@
 #include "ml/plan.hpp"
 #include "ml/tensor.hpp"
 #include "ml/trainer.hpp"
+#include "util/checksum.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -522,6 +523,66 @@ std::unique_ptr<Layer> warmed_model(ModelKind kind, const ModelInputShape& in,
     (void)model->forward(batch, true);
   }
   return model;
+}
+
+// The layer graph's output bits, pinned so that a rewrite of any layer
+// forward or backward must keep them: CRC-32 of forward(x, false) for every
+// model kind (warmed, so BatchNorm reads moved running stats), and of one
+// training step of the two conv models — the output, the input gradient,
+// every parameter gradient and the BatchNorm running stats.  Every CRC must
+// hold under both SIMD backends at 1 and 4 threads.
+TEST(Models, ForwardBitsArePinned) {
+  const ModelInputShape in;
+  const auto fold = [](const Tensor& t, std::uint32_t crc) {
+    return util::crc32(t.data(), t.numel() * sizeof(float), crc);
+  };
+  const auto eval_crc = [&](ModelKind kind) {
+    Rng rng{95};
+    const auto model = warmed_model(kind, in, rng);
+    const Tensor batch =
+        random_tensor({5, in.channels, in.height, in.width}, rng);
+    return fold(model->forward(batch, false), 0);
+  };
+  const auto train_crc = [&](ModelKind kind) {
+    Rng rng{96};
+    const auto model = warmed_model(kind, in, rng);
+    const Tensor batch =
+        random_tensor({5, in.channels, in.height, in.width}, rng);
+    for (Param* p : model->params()) p->zero_grad();
+    const Tensor out = model->forward(batch, true);
+    const Tensor grad_in = model->backward(weighted_loss(out).second);
+    std::uint32_t crc = fold(grad_in, fold(out, 0));
+    for (Param* p : model->params()) crc = fold(p->grad, crc);
+    for (Tensor* t : model->state()) crc = fold(*t, crc);
+    return crc;
+  };
+  const struct {
+    ModelKind kind;
+    bool train;
+    std::uint32_t crc;
+  } pins[] = {
+      {ModelKind::kMobileNetLite, false, 0xd77914cau},
+      {ModelKind::kResNetLite, false, 0x6be56b4bu},
+      {ModelKind::kNeuralOde, false, 0xb72ca054u},
+      {ModelKind::kMlp, false, 0xddb1b6a7u},
+      {ModelKind::kMobileNetLite, true, 0xcd0f9987u},
+      {ModelKind::kResNetLite, true, 0x72da43e9u},
+  };
+  for (const auto backend :
+       {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SimdBackendGuard simd{backend};
+      ThreadCountGuard pool{threads};
+      for (const auto& pin : pins) {
+        SCOPED_TRACE(to_string(pin.kind) + (pin.train ? " train" : " eval") +
+                     (backend == util::SimdBackend::kVector ? " vector/"
+                                                            : " scalar/") +
+                     std::to_string(threads));
+        EXPECT_EQ(pin.train ? train_crc(pin.kind) : eval_crc(pin.kind),
+                  pin.crc);
+      }
+    }
+  }
 }
 
 TEST(PlanEquivalence, ExactPlanIsBitwiseGraphForward) {
