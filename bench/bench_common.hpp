@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,7 +31,6 @@
 #include "core/rca_engine.hpp"
 #include "core/sensory_mapper.hpp"
 #include "core/signature.hpp"
-#include "ml/plan.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -62,50 +62,64 @@ inline BenchArgs& bench_args() {
   return args;
 }
 
+inline void print_bench_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(
+      out,
+      "usage: %s [--seed N] [--threads N] [--repeat N] [--out-dir DIR]\n"
+      "  --seed N     offset added to every scenario seed (N >= 0)\n"
+      "  --threads N  worker threads (equivalent to SB_THREADS=N)\n"
+      "  --repeat N   repeat the measured phase N times, report the median\n"
+      "  --out-dir D  directory for BENCH_*/TRACE_* reports\n",
+      argv0);
+}
+
+[[noreturn]] inline void bench_usage_error(const char* argv0,
+                                           const std::string& msg) {
+  std::fprintf(stderr, "%s: %s\n", argv0, msg.c_str());
+  print_bench_usage(stderr, argv0);
+  std::exit(2);
+}
+
 // Parses the shared flags, removing them from argv (argc is updated) so a
 // bench that layers another parser on top (bench_runtime_overhead hands the
 // remainder to google-benchmark) sees only the flags it owns.  Unknown
 // arguments are an error unless `allow_unknown` — then they stay in argv.
+// A missing or malformed value prints the usage and exits 2: numbers parse
+// as whole strings, so "3x", "2.5", "abc" and a negative seed are rejected
+// rather than truncated or wrapped.
 inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
-  auto need_value = [&](int i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s: missing value for %s\n", argv[0], argv[i]);
-      std::exit(2);
-    }
+  auto need_value = [&](int i) -> std::string {
+    if (i + 1 >= argc)
+      bench_usage_error(argv[0], std::string{"missing value for "} + argv[i]);
     return argv[i + 1];
+  };
+  // Whole-string parse of an integer of type T that must be >= min.
+  auto need_number = [&]<typename T>(int i, T min) -> T {
+    const std::string text = need_value(i);
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end || value < min)
+      bench_usage_error(argv[0], "bad value for " + std::string{argv[i]} +
+                                     ": '" + text + "'");
+    return value;
   };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--seed N] [--threads N] [--repeat N] [--out-dir DIR]\n"
-          "  --seed N     offset added to every scenario seed\n"
-          "  --threads N  worker threads (equivalent to SB_THREADS=N)\n"
-          "  --repeat N   repeat the measured phase N times, report the median\n"
-          "  --out-dir D  directory for BENCH_*/TRACE_* reports\n",
-          argv[0]);
+      print_bench_usage(stdout, argv[0]);
       std::exit(0);
     } else if (arg == "--repeat") {
-      const long n = std::strtol(need_value(i), nullptr, 10);
-      if (n < 1) {
-        std::fprintf(stderr, "%s: --repeat must be >= 1\n", argv[0]);
-        std::exit(2);
-      }
-      bench_args().repeats = static_cast<int>(n);
+      bench_args().repeats = need_number(i, 1);
       ++i;
     } else if (arg == "--seed") {
-      bench_args().seed_offset = std::strtoull(need_value(i), nullptr, 10);
+      bench_args().seed_offset = need_number(i, std::uint64_t{0});
       ++i;
     } else if (arg == "--threads") {
-      const long n = std::strtol(need_value(i), nullptr, 10);
-      if (n < 1) {
-        std::fprintf(stderr, "%s: --threads must be >= 1\n", argv[0]);
-        std::exit(2);
-      }
       // Same switch SB_THREADS flips, through the same entry point, so a
       // CLI override and the env var can never disagree mid-process.
-      util::ThreadPool::set_threads(static_cast<std::size_t>(n));
+      util::ThreadPool::set_threads(need_number(i, std::size_t{1}));
       ++i;
     } else if (arg == "--out-dir") {
       bench_args().out_dir = need_value(i);
@@ -115,9 +129,7 @@ inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
     } else if (allow_unknown) {
       argv[out++] = argv[i];
     } else {
-      std::fprintf(stderr, "%s: unknown argument '%s' (see --help)\n", argv[0],
-                   arg.c_str());
-      std::exit(2);
+      bench_usage_error(argv[0], "unknown argument '" + arg + "'");
     }
   }
   argc = out;
@@ -231,20 +243,6 @@ class BenchReport {
          std::string_view{util::simd_enabled() ? "vector" : "scalar"});
     w.kv("simd_float_lanes",
          static_cast<std::uint64_t>(util::simd::kFloatLanes));
-    // Serving-plan provenance next to the SIMD block: the precision label
-    // plus the process-wide compile tallies, so a perf delta can always be
-    // traced to "what inference path actually ran".
-    {
-      const ml::PlanBuildStats plan = ml::plan_build_stats();
-      w.key("plan");
-      w.begin_object();
-      w.kv("precision", std::string_view{ml::to_string(ml::plan_precision())});
-      w.kv("plans_built", static_cast<std::uint64_t>(plan.plans_built));
-      w.kv("fused_kernels",
-           static_cast<std::uint64_t>(plan.fused_activations));
-      w.kv("packed_panels", static_cast<std::uint64_t>(plan.packed_panels));
-      w.end_object();
-    }
     w.kv("repeats", static_cast<std::uint64_t>(bench_args().repeats));
     for (const auto& [k, v] : metrics_) w.kv(k, v);
     for (const auto& [k, v] : notes_) w.kv(k, std::string_view{v});

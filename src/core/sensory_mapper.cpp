@@ -63,33 +63,16 @@ ml::TrainResult SensoryMapper::fit_dataset(const ml::RegressionDataset& data) {
   auto [train, val] = ml::split_dataset(standardized, config_.val_fraction, split_rng);
   const auto result = ml::train_regressor(*model_, train, val, config_.train);
   trained_ = true;
-  // The plan packs frozen weights; anything compiled before this training
-  // run is stale.
-  plan_.reset();
   fit_output_calibration(standardized);
   return result;
 }
 
-void SensoryMapper::ensure_plan() const {
-  if (plan_) return;
-  const auto shape = signature_shape(config_.dataset.signature);
-  plan_ = ml::InferencePlan::compile(*model_,
-                                     {shape.channels, shape.frames, shape.bands});
-}
-
-ml::Tensor SensoryMapper::serving_forward(const ml::Tensor& batch) const {
-  ensure_plan();
-  return plan_->forward(batch);
-}
-
 void SensoryMapper::warm_serving() const {
   // First-window costs on the streaming path: the FFT plan (bit reversal
-  // and twiddles), the Hann coefficients (both memoized process-wide) and
-  // the compiled inference plan for this mapper.
+  // and twiddles) and the Hann coefficients, both memoized process-wide.
   const auto& sig = config_.dataset.signature;
   dsp::warm_fft_plan(sig.frame_size);
   (void)dsp::cached_hann_window(sig.frame_size);
-  if (trained_) ensure_plan();
 }
 
 void SensoryMapper::fit_output_calibration(const ml::RegressionDataset& data) {
@@ -211,7 +194,9 @@ std::vector<TimedPrediction> SensoryMapper::predict_prepared(
   if (sigs.empty()) return out;
 
   const std::size_t n = sigs.size();
-  ml::Tensor batch({n, sigs[0].dim(1), sigs[0].dim(2), sigs[0].dim(3)});
+  // Every row is copied in below (or the call throws), so no zero fill.
+  ml::Tensor batch({n, sigs[0].dim(1), sigs[0].dim(2), sigs[0].dim(3)},
+                   ml::kNoFill);
   const std::size_t row = batch.row_size();
   for (std::size_t i = 0; i < n; ++i) {
     if (sigs[i].numel() != row)
@@ -219,7 +204,7 @@ std::vector<TimedPrediction> SensoryMapper::predict_prepared(
     std::copy(sigs[i].flat().begin(), sigs[i].flat().end(),
               batch.data() + i * row);
   }
-  const ml::Tensor pred = serving_forward(batch);
+  const ml::Tensor pred = model_->forward(batch, false);
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::array<double, kLabelDim> y{};
@@ -261,13 +246,16 @@ std::vector<TimedPrediction> SensoryMapper::predict_windows(
     health->windows_total += grid.size();
   }
 
-  // The model keeps per-layer forward caches, so inference stays single-file
-  // (never concurrent forwards); windows batch along the leading dim in
-  // grid-order chunks — bitwise identical to per-window forwards because
-  // every op processes batch rows independently (pinned by ml_test).
+  // Model forwards are not reentrant, so inference stays single-file (never
+  // concurrent forwards); windows batch along the leading dim in grid-order
+  // chunks — bitwise identical to per-window forwards because every op
+  // processes batch rows independently (pinned by ml_test).  The chunk is
+  // the scheduler's default max_batch: the layer graph holds each layer's
+  // output as its own pooled tensor, so larger chunks grow what the
+  // workers' pools retain.
   std::vector<TimedPrediction> out;
   out.reserve(grid.size());
-  constexpr std::size_t kInferBatch = 64;
+  constexpr std::size_t kInferBatch = 16;
   for (std::size_t start = 0; start < grid.size(); start += kInferBatch) {
     const std::size_t end = std::min(start + kInferBatch, grid.size());
     auto chunk = predict_prepared(
@@ -376,10 +364,8 @@ bool SensoryMapper::load(std::istream& file, const std::string& path) {
 
   // The frame is intact, but its contents come from outside the program:
   // every count must match this mapper's configuration and the payload must
-  // be consumed exactly, or the model stays untrained.  Loaded weights
-  // differ from whatever the plan packed; it recompiles lazily.
+  // be consumed exactly, or the model stays untrained.
   trained_ = false;
-  plan_.reset();
   std::istringstream is{payload, std::ios::binary};
   std::uint32_t kind = 0;
   if (!read_pod(is, kind) || kind != static_cast<std::uint32_t>(config_.model))

@@ -15,7 +15,6 @@
 #include "core/signature.hpp"
 #include "faults/health.hpp"
 #include "ml/models.hpp"
-#include "ml/plan.hpp"
 #include "ml/trainer.hpp"
 
 namespace sb::core {
@@ -98,11 +97,12 @@ class SensoryMapper {
       double t0 = 0.0) const;
 
   // Batched inference over prepared signatures: stacks the [1,C,H,W] rows
-  // into one [N,C,H,W] tensor and runs ONE model forward (model forwards are
-  // not reentrant — batching happens inside the forward).  Every op
-  // processes batch rows independently with a fixed accumulation order, so
-  // the result is bitwise identical to N single-window forwards (pinned by
-  // ml_test).  NaN rows are passed through as NaN predictions.
+  // into one [N,C,H,W] tensor and runs ONE eval forward of the layer graph
+  // (model forwards are not reentrant — batching happens inside the
+  // forward).  Every op processes batch rows independently with a fixed
+  // accumulation order, so the result is bitwise identical to N
+  // single-window forwards (pinned by ml_test).  NaN rows are passed
+  // through as NaN predictions.
   std::vector<TimedPrediction> predict_prepared(
       std::span<const ml::Tensor> sigs, std::span<const WindowSpan> spans) const;
 
@@ -124,14 +124,9 @@ class SensoryMapper {
 
   // Pays serving's one-time costs up front so the first window of a stream
   // doesn't spike p99: warms the FFT plan cache and STFT window
-  // coefficients for this mapper's signature config, and compiles the
-  // inference plan.  Called by stream::RcaSession at construction; safe to
-  // call repeatedly.
+  // coefficients for this mapper's signature config.  Called by
+  // stream::RcaSession at construction; safe to call repeatedly.
   void warm_serving() const;
-
-  // The compiled plan predictions currently route through (null until
-  // something has been served or warmed).
-  const ml::InferencePlan* serving_plan() const { return plan_.get(); }
 
   // Counterfactual feature-importance helper (§IV-A): replaces every
   // feature of `group` with its TRAINING-CORPUS MEAN (neutral imputation).
@@ -166,15 +161,8 @@ class SensoryMapper {
   // Fits the per-output affine recalibration on the (standardized) corpus.
   void fit_output_calibration(const ml::RegressionDataset& data);
 
-  // Eval forward for serving: routes through the compiled inference plan,
-  // compiling it on first use after a fit or load.
-  ml::Tensor serving_forward(const ml::Tensor& batch) const;
-  void ensure_plan() const;
-
   SensoryMapperConfig config_;
   std::unique_ptr<ml::Layer> model_;
-  // Compiled lazily from the frozen model; invalidated by fit/load.
-  mutable std::unique_ptr<ml::InferencePlan> plan_;
   bool trained_ = false;
   // Per-feature standardization fitted on the training corpus.
   std::vector<float> feat_mean_;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "ml/gemm.hpp"
-#include "ml/plan.hpp"
 #include "ml/workspace.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -98,14 +97,16 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t ke
                                 in_channels * kernel * kernel, rng)),
       bias_(Tensor::zeros({out_channels})) {}
 
-Tensor Conv2D::forward(const Tensor& x, bool /*train*/) {
+Tensor Conv2D::forward(const Tensor& x, bool train) {
   if (x.ndim() != 4 || x.dim(1) != in_c_)
     throw std::invalid_argument{"Conv2D::forward: expected [N,inC,H,W]"};
-  cached_x_ = x;
+  if (train) cached_x_ = x;
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = out_dim(h, k_, stride_, pad_);
   const std::size_t ow = out_dim(w, k_, stride_, pad_);
-  Tensor y({n, out_c_, oh, ow});
+  // Both backends write every output element (the GEMM path seeds it with
+  // the bias, then accumulates), so y starts unfilled.
+  Tensor y({n, out_c_, oh, ow}, kNoFill);
   if (g_backend == ConvBackend::kReference) {
     forward_reference(x, y, n, h, w, oh, ow);
     return y;
@@ -130,11 +131,6 @@ Tensor Conv2D::forward(const Tensor& x, bool /*train*/) {
       },
       1);
   return y;
-}
-
-bool Conv2D::compile(PlanBuilder& builder) {
-  builder.conv2d(weight_.value, bias_.value, in_c_, out_c_, k_, stride_, pad_);
-  return true;
 }
 
 void Conv2D::forward_reference(const Tensor& x, Tensor& y, std::size_t n,
@@ -282,14 +278,15 @@ DepthwiseConv2D::DepthwiseConv2D(std::size_t channels, std::size_t kernel,
       weight_(Tensor::he_normal({channels, kernel, kernel}, kernel * kernel, rng)),
       bias_(Tensor::zeros({channels})) {}
 
-Tensor DepthwiseConv2D::forward(const Tensor& x, bool /*train*/) {
+Tensor DepthwiseConv2D::forward(const Tensor& x, bool train) {
   if (x.ndim() != 4 || x.dim(1) != c_)
     throw std::invalid_argument{"DepthwiseConv2D::forward: expected [N,C,H,W]"};
-  cached_x_ = x;
+  if (train) cached_x_ = x;
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = out_dim(h, k_, stride_, pad_);
   const std::size_t ow = out_dim(w, k_, stride_, pad_);
-  Tensor y({n, c_, oh, ow});
+  // Every output element is written once: bias seed, then accumulation.
+  Tensor y({n, c_, oh, ow}, kNoFill);
   if (g_backend == ConvBackend::kReference) {
     forward_reference(x, y, n, h, w, oh, ow);
     return y;
@@ -311,11 +308,6 @@ Tensor DepthwiseConv2D::forward(const Tensor& x, bool /*train*/) {
     }
   });
   return y;
-}
-
-bool DepthwiseConv2D::compile(PlanBuilder& builder) {
-  builder.depthwise(weight_.value, bias_.value, c_, k_, stride_, pad_);
-  return true;
 }
 
 void DepthwiseConv2D::forward_reference(const Tensor& x, Tensor& y, std::size_t n,
@@ -475,47 +467,33 @@ ResidualBlock::ResidualBlock(std::size_t in_channels, std::size_t out_channels,
 }
 
 Tensor ResidualBlock::forward(const Tensor& x, bool train) {
-  Tensor main_out = main_.forward(x, train);
-  Tensor short_out = shortcut_ ? shortcut_->forward(x, train) : x;
-  cached_sum_ = main_out;
-  cached_sum_.add_scaled(short_out, 1.0f);
-  Tensor y = cached_sum_;
-  float* p = y.data();
-  const std::size_t numel = y.numel();
-  std::size_t i = 0;
+  // The sum accumulates into the main branch's output; an identity
+  // shortcut reads x in place.
+  Tensor sum = main_.forward(x, train);
+  if (shortcut_)
+    sum.add_scaled(shortcut_->forward(x, train), 1.0f);
+  else
+    sum.add_scaled(x, 1.0f);
   // vmax matches std::max's NaN operand pick; lanes are independent.
-  if (util::simd_enabled()) {
-    namespace v = util::simd;
-    const v::VFloat zero = v::zero_f();
-    for (; i + v::kFloatLanes <= numel; i += v::kFloatLanes)
-      v::store(p + i, v::vmax(v::load(p + i), zero));
+  const auto relu = [](const float* src, float* dst, std::size_t numel) {
+    std::size_t i = 0;
+    if (util::simd_enabled()) {
+      namespace v = util::simd;
+      const v::VFloat zero = v::zero_f();
+      for (; i + v::kFloatLanes <= numel; i += v::kFloatLanes)
+        v::store(dst + i, v::vmax(v::load(src + i), zero));
+    }
+    for (; i < numel; ++i) dst[i] = std::max(src[i], 0.0f);
+  };
+  if (!train) {
+    relu(sum.data(), sum.data(), sum.numel());
+    return sum;
   }
-  for (; i < numel; ++i) p[i] = std::max(p[i], 0.0f);
+  // Training keeps the pre-ReLU sum for backward's mask.
+  Tensor y(sum.shape(), kNoFill);
+  relu(sum.data(), y.data(), sum.numel());
+  cached_sum_ = std::move(sum);
   return y;
-}
-
-bool ResidualBlock::compile(PlanBuilder& builder) {
-  // Both branches read the block input, so its register stays pinned while
-  // either branch allocates; the main output is pinned across the shortcut
-  // compile for the same reason.  The join writes in place over main.
-  const int entry = builder.current_reg();
-  const std::vector<std::size_t> entry_shape = builder.item_shape();
-  builder.pin(entry);
-  main_.compile(builder);
-  const int main_reg = builder.current_reg();
-  const std::vector<std::size_t> main_shape = builder.item_shape();
-  int short_reg = entry;
-  if (shortcut_) {
-    builder.pin(main_reg);
-    builder.set_current(entry, entry_shape);
-    shortcut_->compile(builder);
-    short_reg = builder.current_reg();
-    builder.unpin(main_reg);
-  }
-  builder.unpin(entry);
-  builder.set_current(main_reg, main_shape);
-  builder.add_relu(main_reg, short_reg);
-  return true;
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_out) {

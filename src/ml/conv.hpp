@@ -22,7 +22,6 @@ class Conv2D final : public Layer {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
-  bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Conv2D>(*this);
   }
@@ -55,7 +54,6 @@ class DepthwiseConv2D final : public Layer {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
-  bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<DepthwiseConv2D>(*this);
   }
@@ -84,7 +82,6 @@ class DepthwiseSeparableBlock final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return body_.params(); }
   std::vector<Tensor*> state() override { return body_.state(); }
-  bool compile(PlanBuilder& builder) override { return body_.compile(builder); }
   std::unique_ptr<Layer> replicate() const override;
   std::size_t shard_stats_size() const override {
     return body_.shard_stats_size();
@@ -113,7 +110,6 @@ class ResidualBlock final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   std::vector<Tensor*> state() override;
-  bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override;
   // Shard stats concatenate main then shortcut — the same structural order
   // the replica exported in.

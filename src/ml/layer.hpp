@@ -12,8 +12,6 @@
 
 namespace sb::ml {
 
-class PlanBuilder;
-
 // Monotonic process-wide stamp for parameter mutations (see Param::bump).
 inline std::uint64_t next_param_version() {
   static std::atomic<std::uint64_t> counter{0};
@@ -40,11 +38,13 @@ class Layer {
   virtual ~Layer() = default;
 
   // Forward pass.  `train` enables training-only behaviour (batch-norm batch
-  // statistics, dropout).  Layers cache whatever backward needs.
+  // statistics, dropout) and makes the layer cache whatever backward needs.
+  // An eval forward (train == false) writes no backward state and fills
+  // each output once; serving, calibration and validation all run it.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
   // Backward pass: receives dLoss/dOutput, returns dLoss/dInput and
-  // accumulates parameter gradients.  Must follow the matching forward.
+  // accumulates parameter gradients.  Must follow a training forward.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   virtual std::vector<Param*> params() { return {}; }
@@ -53,14 +53,6 @@ class Layer {
   // Serialization must persist these alongside params() or a reloaded model
   // will not reproduce the trained one's eval-mode behaviour.
   virtual std::vector<Tensor*> state() { return {}; }
-
-  // Lowers this layer's eval-mode forward onto an inference plan (see
-  // ml/plan.hpp).  Every layer must either override this with its
-  // fuse emission or keep this default, which opts out: the plan then
-  // runs the layer through a graph-call fallback op (still bitwise, no
-  // speedup).  Overrides must reproduce forward(x, false) exactly —
-  // PlanEquivalence pins this.
-  virtual bool compile(PlanBuilder&) { return false; }
 
   // Deep copy for data-parallel training (DESIGN.md "Training performance").
   // Model forwards are NOT reentrant (per-layer activation caches), so the
@@ -99,9 +91,12 @@ class Sequential final : public Layer {
     return *this;
   }
 
+  // The first child reads x directly; no copy of the input is made.
   Tensor forward(const Tensor& x, bool train) override {
-    Tensor h = x;
-    for (auto& l : layers_) h = l->forward(h, train);
+    if (layers_.empty()) return x;
+    Tensor h = layers_.front()->forward(x, train);
+    for (std::size_t i = 1; i < layers_.size(); ++i)
+      h = layers_[i]->forward(h, train);
     return h;
   }
 
@@ -124,10 +119,6 @@ class Sequential final : public Layer {
       for (Tensor* t : l->state()) out.push_back(t);
     return out;
   }
-
-  // Lowers each child in order; children that opt out become graph-call
-  // fallback ops.  Defined in plan.cpp.
-  bool compile(PlanBuilder& builder) override;
 
   // Replicable iff every child is; shard stats concatenate child spans in
   // layer order (the same structural order on every replica).

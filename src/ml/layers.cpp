@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "ml/gemm.hpp"
-#include "ml/plan.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -17,12 +16,12 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
       weight_(Tensor::he_normal({out_features, in_features}, in_features, rng)),
       bias_(Tensor::zeros({out_features})) {}
 
-Tensor Dense::forward(const Tensor& x, bool /*train*/) {
+Tensor Dense::forward(const Tensor& x, bool train) {
   if (x.ndim() != 2 || x.dim(1) != in_)
     throw std::invalid_argument{"Dense::forward: expected [N, in]"};
-  cached_x_ = x;
+  if (train) cached_x_ = x;
   const std::size_t n = x.dim(0);
-  Tensor y({n, out_});
+  Tensor y({n, out_}, kNoFill);
   const float* b = bias_.value.data();
   // Seed each output row with the bias, then y += x * W^T with ascending-k
   // dot products — the exact accumulation order of the classic loop.
@@ -31,11 +30,6 @@ Tensor Dense::forward(const Tensor& x, bool /*train*/) {
   matmul_nt(x.data(), in_, weight_.value.data(), in_, y.data(), out_, n, in_,
             out_, true);
   return y;
-}
-
-bool Dense::compile(PlanBuilder& builder) {
-  builder.dense(weight_.value, bias_.value, in_, out_);
-  return true;
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {
@@ -56,10 +50,11 @@ Tensor Dense::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
-  cached_x_ = x;
-  Tensor y = x;
-  float* p = y.data();
+Tensor ReLU::forward(const Tensor& x, bool train) {
+  if (train) cached_x_ = x;
+  Tensor y(x.shape(), kNoFill);
+  const float* px = x.data();
+  float* py = y.data();
   // vmax/vmin mirror std::max/std::min exactly, including which operand
   // survives a NaN comparison (see util/simd.hpp), so both backends agree
   // bit-for-bit even on non-finite activations.
@@ -70,23 +65,18 @@ Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
       const v::VFloat zero = v::zero_f();
       const v::VFloat cap = v::broadcast(cap_);
       for (; i + v::kFloatLanes <= e; i += v::kFloatLanes) {
-        v::VFloat val = v::vmax(v::load(p + i), zero);
+        v::VFloat val = v::vmax(v::load(px + i), zero);
         if (cap_ > 0.0f) val = v::vmin(val, cap);
-        v::store(p + i, val);
+        v::store(py + i, val);
       }
     }
     for (; i < e; ++i) {
-      float v = std::max(p[i], 0.0f);
+      float v = std::max(px[i], 0.0f);
       if (cap_ > 0.0f) v = std::min(v, cap_);
-      p[i] = v;
+      py[i] = v;
     }
   });
   return y;
-}
-
-bool ReLU::compile(PlanBuilder& builder) {
-  builder.relu(cap_);
-  return true;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
@@ -118,16 +108,11 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return g;
 }
 
-Tensor Tanh::forward(const Tensor& x, bool /*train*/) {
-  Tensor y = x;
-  util::parallel_for(y.numel(), [&](std::size_t i) { y[i] = std::tanh(y[i]); });
-  cached_y_ = y;
+Tensor Tanh::forward(const Tensor& x, bool train) {
+  Tensor y(x.shape(), kNoFill);
+  util::parallel_for(y.numel(), [&](std::size_t i) { y[i] = std::tanh(x[i]); });
+  if (train) cached_y_ = y;
   return y;
-}
-
-bool Tanh::compile(PlanBuilder& builder) {
-  builder.tanh();
-  return true;
 }
 
 Tensor Tanh::backward(const Tensor& grad_out) {
@@ -138,6 +123,37 @@ Tensor Tanh::backward(const Tensor& grad_out) {
   });
   return g;
 }
+
+namespace {
+
+// One [hw] row of a channel: y = gamma * xhat + beta with
+// xhat = (x - mean) * inv_std, in the scalar operation order, so lanes
+// across k are independent and both backends agree bitwise.  A training
+// forward also stores xhat for backward.
+template <bool kStoreXhat>
+void batchnorm_row(const float* p, float* xh, float* py, std::size_t hw,
+                   float mean, float inv_std, float g, float b) {
+  std::size_t k = 0;
+  if (util::simd_enabled()) {
+    namespace v = util::simd;
+    const v::VFloat vm = v::broadcast(mean);
+    const v::VFloat vs = v::broadcast(inv_std);
+    const v::VFloat vg = v::broadcast(g);
+    const v::VFloat vb = v::broadcast(b);
+    for (; k + v::kFloatLanes <= hw; k += v::kFloatLanes) {
+      const v::VFloat xhat = v::mul(v::sub(v::load(p + k), vm), vs);
+      if constexpr (kStoreXhat) v::store(xh + k, xhat);
+      v::store(py + k, v::add(v::mul(vg, xhat), vb));
+    }
+  }
+  for (; k < hw; ++k) {
+    const float xhat = (p[k] - mean) * inv_std;
+    if constexpr (kStoreXhat) xh[k] = xhat;
+    py[k] = g * xhat + b;
+  }
+}
+
+}  // namespace
 
 BatchNorm::BatchNorm(std::size_t channels, float momentum, float eps)
     : channels_(channels),
@@ -159,14 +175,15 @@ Tensor BatchNorm::forward(const Tensor& x, bool train) {
   }
   if (c != channels_) throw std::invalid_argument{"BatchNorm: channel mismatch"};
 
-  cached_n_ = n;
-  cached_hw_ = hw;
-  cached_mean_.assign(c, 0.0f);
-  cached_var_.assign(c, 0.0f);
-  cached_inv_std_.assign(c, 0.0f);
-
-  Tensor y = x;
-  cached_xhat_ = Tensor(x.shape());
+  if (train) {
+    cached_n_ = n;
+    cached_hw_ = hw;
+    cached_mean_.assign(c, 0.0f);
+    cached_var_.assign(c, 0.0f);
+    cached_inv_std_.assign(c, 0.0f);
+    cached_xhat_ = Tensor(x.shape(), kNoFill);
+  }
+  Tensor y(x.shape(), kNoFill);
   const float count = static_cast<float>(n * hw);
 
   // Channels are independent: every write below (cached stats, running
@@ -197,42 +214,23 @@ Tensor BatchNorm::forward(const Tensor& x, bool train) {
       var_v = running_var_[ch];
     }
     const float inv_std = 1.0f / std::sqrt(var_v + eps_);
-    cached_mean_[ch] = mean_v;
-    cached_var_[ch] = var_v;
-    cached_inv_std_[ch] = inv_std;
     const float g = gamma_.value[ch], b = beta_.value[ch];
-    // Normalization is elementwise (sub, mul, mul, add in the scalar order),
-    // so lanes across k are independent and both backends agree bitwise.
     for (std::size_t i = 0; i < n; ++i) {
-      const float* p = x.data() + (i * c + ch) * hw;
-      float* xh = cached_xhat_.data() + (i * c + ch) * hw;
-      float* py = y.data() + (i * c + ch) * hw;
-      std::size_t k = 0;
-      if (util::simd_enabled()) {
-        namespace v = util::simd;
-        const v::VFloat vm = v::broadcast(mean_v);
-        const v::VFloat vs = v::broadcast(inv_std);
-        const v::VFloat vg = v::broadcast(g);
-        const v::VFloat vb = v::broadcast(b);
-        for (; k + v::kFloatLanes <= hw; k += v::kFloatLanes) {
-          const v::VFloat xhat = v::mul(v::sub(v::load(p + k), vm), vs);
-          v::store(xh + k, xhat);
-          v::store(py + k, v::add(v::mul(vg, xhat), vb));
-        }
-      }
-      for (; k < hw; ++k) {
-        xh[k] = (p[k] - mean_v) * inv_std;
-        py[k] = g * xh[k] + b;
-      }
+      const std::size_t off = (i * c + ch) * hw;
+      if (train)
+        batchnorm_row<true>(x.data() + off, cached_xhat_.data() + off,
+                            y.data() + off, hw, mean_v, inv_std, g, b);
+      else
+        batchnorm_row<false>(x.data() + off, nullptr, y.data() + off, hw,
+                             mean_v, inv_std, g, b);
+    }
+    if (train) {
+      cached_mean_[ch] = mean_v;
+      cached_var_[ch] = var_v;
+      cached_inv_std_[ch] = inv_std;
     }
   }, 1);
   return y;
-}
-
-bool BatchNorm::compile(PlanBuilder& builder) {
-  builder.batchnorm(gamma_.value, beta_.value, running_mean_, running_var_,
-                    eps_);
-  return true;
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_out) {
@@ -285,11 +283,11 @@ Tensor BatchNorm::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool /*train*/) {
+Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
   if (x.ndim() != 4) throw std::invalid_argument{"GlobalAvgPool: expected [N,C,H,W]"};
-  cached_shape_ = x.shape();
+  if (train) cached_shape_ = x.shape();
   const std::size_t n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
-  Tensor y({n, c});
+  Tensor y({n, c}, kNoFill);
   util::parallel_for(n, [&](std::size_t i) {
     for (std::size_t ch = 0; ch < c; ++ch) {
       const float* p = x.data() + (i * c + ch) * hw;
@@ -299,11 +297,6 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool /*train*/) {
     }
   });
   return y;
-}
-
-bool GlobalAvgPool::compile(PlanBuilder& builder) {
-  builder.global_avg_pool();
-  return true;
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
@@ -320,8 +313,8 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor Flatten::forward(const Tensor& x, bool /*train*/) {
-  cached_shape_ = x.shape();
+Tensor Flatten::forward(const Tensor& x, bool train) {
+  if (train) cached_shape_ = x.shape();
   return x.reshaped({x.dim(0), x.row_size()});
 }
 
@@ -329,17 +322,11 @@ Tensor Flatten::backward(const Tensor& grad_out) {
   return grad_out.reshaped(cached_shape_);
 }
 
-bool Flatten::compile(PlanBuilder& builder) {
-  builder.flatten();
-  return true;
-}
-
 Dropout::Dropout(float rate, Rng& rng) : rate_(rate), rng_(&rng) {}
 
 Tensor Dropout::forward(const Tensor& x, bool train) {
-  train_mode_ = train;
   if (!train || rate_ <= 0.0f) return x;
-  mask_ = Tensor(x.shape());
+  mask_ = Tensor(x.shape(), kNoFill);
   Tensor y = x;
   const float keep = 1.0f - rate_;
   for (std::size_t i = 0; i < y.numel(); ++i) {
@@ -350,13 +337,10 @@ Tensor Dropout::forward(const Tensor& x, bool train) {
   return y;
 }
 
-bool Dropout::compile(PlanBuilder& builder) {
-  builder.identity();
-  return true;
-}
-
 Tensor Dropout::backward(const Tensor& grad_out) {
-  if (!train_mode_ || rate_ <= 0.0f) return grad_out;
+  if (rate_ <= 0.0f) return grad_out;
+  if (mask_.numel() != grad_out.numel())
+    throw std::logic_error{"Dropout::backward: no matching training forward"};
   Tensor g = grad_out;
   for (std::size_t i = 0; i < g.numel(); ++i) g[i] *= mask_[i];
   return g;

@@ -13,7 +13,6 @@ class Dense final : public Layer {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
-  bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Dense>(*this);
   }
@@ -34,7 +33,6 @@ class ReLU final : public Layer {
   explicit ReLU(float cap = 0.0f) : cap_(cap) {}
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<ReLU>(*this);
   }
@@ -48,7 +46,6 @@ class Tanh final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Tanh>(*this);
   }
@@ -67,9 +64,6 @@ class BatchNorm final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> state() override { return {&running_mean_, &running_var_}; }
-  // Fuses as an exact eval-mode affine epilogue into the preceding
-  // conv/dense op.
-  bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<BatchNorm>(*this);
   }
@@ -109,7 +103,6 @@ class GlobalAvgPool final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<GlobalAvgPool>(*this);
   }
@@ -123,7 +116,6 @@ class Flatten final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  bool compile(PlanBuilder& builder) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Flatten>(*this);
   }
@@ -140,13 +132,11 @@ class Dropout final : public Layer {
   Dropout(float rate, Rng& rng);
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  bool compile(PlanBuilder& builder) override;  // identity in eval mode
 
  private:
   float rate_;
   Rng* rng_;
-  Tensor mask_;
-  bool train_mode_ = false;
+  Tensor mask_;  // of the last training forward
 };
 
 }  // namespace sb::ml

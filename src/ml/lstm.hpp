@@ -17,11 +17,6 @@ class Lstm final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&wx_, &wh_, &b_}; }
 
-  // Explicitly opts out of plan lowering (ml/plan.hpp): the sequential gate
-  // recurrence has no fused-kernel form here, so inference plans run this
-  // layer through the graph-call fallback (bitwise, just not faster).
-  bool compile(PlanBuilder&) override { return false; }
-
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Lstm>(*this);
   }

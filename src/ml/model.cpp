@@ -82,8 +82,6 @@ void ReplicaTeam::sync_weights(const std::vector<Param*>& primary_params) {
   }
 }
 
-Tensor predict(Layer& model, const Tensor& x) { return model.forward(x, false); }
-
 double evaluate_mse(Layer& model, const Tensor& x, const Tensor& y,
                     std::size_t batch_size) {
   const std::size_t n = x.dim(0);

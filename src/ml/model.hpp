@@ -33,15 +33,12 @@ struct ShardLoss {
 ShardLoss shard_mse_loss(const Tensor& pred, const Tensor& target,
                          float grad_scale);
 
-// Eval-mode prediction (no caching needed beyond the forward pass).
-Tensor predict(Layer& model, const Tensor& x);
-
 // Eval-mode MSE of the model over a dataset, computed in batches.
 double evaluate_mse(Layer& model, const Tensor& x, const Tensor& y,
                     std::size_t batch_size = 64);
 
 // Data-parallel training replicas (DESIGN.md "Training performance").
-// Model forwards are not reentrant — every layer caches activations for
+// Training forwards are not reentrant — every layer caches activations for
 // backward — so concurrent shard forwards run on deep copies built through
 // Layer::replicate().  Replicas own their weights and caches; the trainer
 // re-syncs weights from the primary after each optimizer step and replicas

@@ -18,6 +18,10 @@ std::string to_string(ModelKind kind) {
   return "unknown";
 }
 
+const char* to_string(PlanPrecision) { return "exact"; }
+
+PlanPrecision plan_precision() { return PlanPrecision::kExact; }
+
 std::unique_ptr<Layer> make_model(ModelKind kind, const ModelInputShape& input,
                                   std::size_t output_dim, Rng& rng) {
   auto model = std::make_unique<Sequential>();

@@ -15,6 +15,14 @@ enum class ModelKind { kMobileNetLite, kResNetLite, kNeuralOde, kMlp };
 
 std::string to_string(ModelKind kind);
 
+// Provenance label of the serving precision.  There is one precision and
+// plan_precision() always returns it.  Only the frozen repository benchmark
+// (perfbench) still prints this label; a change to the benchmark can drop
+// it together with these declarations.
+enum class PlanPrecision { kExact };
+const char* to_string(PlanPrecision precision);
+PlanPrecision plan_precision();
+
 struct ModelInputShape {
   std::size_t channels = 4;  // microphone channels
   std::size_t height = 14;   // STFT frames per window

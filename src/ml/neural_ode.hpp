@@ -22,11 +22,6 @@ class NeuralOdeBlock final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&w1_, &b1_, &w2_, &b2_}; }
 
-  // Explicitly opts out of plan lowering (ml/plan.hpp): the unrolled Euler
-  // integration is a loop over shared-weight GEMMs, not a single foldable
-  // op, so inference plans run it through the graph-call fallback.
-  bool compile(PlanBuilder&) override { return false; }
-
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<NeuralOdeBlock>(*this);
   }

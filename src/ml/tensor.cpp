@@ -20,6 +20,11 @@ std::size_t product(const Shape& shape) {
 Tensor::Tensor(Shape shape, float fill)
     : shape_(std::move(shape)), data_(product(shape_), fill) {}
 
+// A sized construction default-initializes through util::PoolAllocator, so
+// no float is written here.
+Tensor::Tensor(Shape shape, NoFill)
+    : shape_(std::move(shape)), data_(product(shape_)) {}
+
 Tensor Tensor::zeros(Shape shape) { return Tensor{std::move(shape)}; }
 
 Tensor Tensor::he_normal(Shape shape, std::size_t fan_in, Rng& rng) {

@@ -22,10 +22,18 @@ namespace sb::ml {
 // variable should use ml::Shape.
 using Shape = std::vector<std::size_t, util::PoolAllocator<std::size_t>>;
 
+// Tag for the Tensor constructor that skips the fill.
+struct NoFill {};
+inline constexpr NoFill kNoFill{};
+
 class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(Shape shape, float fill = 0.0f);
+  // Allocates without writing any element, under util::Scratch's contract:
+  // the caller writes every element before anything reads it.  Layer
+  // forwards build their outputs this way and fill them in one pass.
+  Tensor(Shape shape, NoFill);
 
   static Tensor zeros(Shape shape);
   // He-normal initialization with fan_in; used for conv/dense weights.

@@ -33,8 +33,8 @@ RcaSession::RcaSession(std::uint64_t id, const core::SensoryMapper& mapper,
     throw std::logic_error{"RcaSession: mapper not trained"};
   if (obs::recorder_enabled())
     recorder_ = std::make_unique<obs::FlightRecorder>(id, config.recorder);
-  // Pay serving's one-time costs (FFT plan, window coefficients, compiled
-  // inference plan) now rather than inside the first window's latency.
+  // Pay serving's one-time costs (FFT plan, window coefficients) now rather
+  // than inside the first window's latency.
   mapper.warm_serving();
 }
 

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <new>
 #include <span>
 #include <type_traits>
 
@@ -74,8 +75,9 @@ class Scratch {
 };
 
 // Standard allocator over the workspace pool; plugs the pool under container
-// storage (ml::Tensor data and shape vectors route through this).  Stateless
-// — all instances are interchangeable, so cross-thread destruction is fine.
+// storage (ml::Tensor data and shape vectors, dsp::Spectrogram magnitudes
+// and BiquadCascade sections route through this).  Stateless — all
+// instances are interchangeable, so cross-thread destruction is fine.
 template <typename T>
 struct PoolAllocator {
   using value_type = T;
@@ -89,6 +91,15 @@ struct PoolAllocator {
   }
   void deallocate(T* p, std::size_t n) noexcept {
     detail::pool_release(p, n * sizeof(T));
+  }
+
+  // Default-initializes, so a sized construction or a resize leaves trivial
+  // elements unwritten (Scratch's contract: the container's user writes
+  // every element it reads).  Constructions with arguments (copies, fills,
+  // push_back) go through std::construct_at as usual.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
   }
 
   friend bool operator==(const PoolAllocator&, const PoolAllocator&) {

@@ -235,35 +235,6 @@ TEST(Integration, SaveLoadRoundTripPreservesPredictions) {
   std::remove(path.c_str());
 }
 
-// The compiled plan packs frozen weights, so load() must invalidate it and
-// serving must rebuild from the LOADED weights: save -> load -> serve via
-// the plan has to match the original mapper's predictions bitwise (the plan
-// is pinned bitwise-equal to the layer graph by PlanEquivalence in ml_test;
-// this pins the rebuild-after-load plumbing).
-TEST(Integration, SaveLoadRebuildsInferencePlan) {
-  const auto& p = pipeline();
-  const std::string path = "/tmp/soundboost_test_plan_model.bin";
-  ASSERT_TRUE(p.mapper->save(path));
-  core::SensoryMapper loaded{p.mapper->config()};
-  ASSERT_TRUE(loaded.load(path));
-
-  const auto& f = p.benign.front();
-  const std::vector<TimedPrediction> graph = p.mapper->predict_flight(test::lab(), f);
-  loaded.warm_serving();
-  ASSERT_NE(loaded.serving_plan(), nullptr);
-  const std::vector<TimedPrediction> planned = loaded.predict_flight(test::lab(), f);
-  ASSERT_EQ(graph.size(), planned.size());
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    EXPECT_EQ(graph[i].accel.x, planned[i].accel.x) << i;
-    EXPECT_EQ(graph[i].accel.y, planned[i].accel.y) << i;
-    EXPECT_EQ(graph[i].accel.z, planned[i].accel.z) << i;
-    EXPECT_EQ(graph[i].vel.x, planned[i].vel.x) << i;
-    EXPECT_EQ(graph[i].vel.y, planned[i].vel.y) << i;
-    EXPECT_EQ(graph[i].vel.z, planned[i].vel.z) << i;
-  }
-  std::remove(path.c_str());
-}
-
 TEST(Integration, LoadRejectsWrongModelKind) {
   const auto& p = pipeline();
   const std::string path = "/tmp/soundboost_test_model2.bin";

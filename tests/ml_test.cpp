@@ -10,7 +10,6 @@
 #include "ml/models.hpp"
 #include "ml/neural_ode.hpp"
 #include "ml/optimizer.hpp"
-#include "ml/plan.hpp"
 #include "ml/tensor.hpp"
 #include "ml/trainer.hpp"
 #include "util/checksum.hpp"
@@ -489,9 +488,7 @@ TEST(Models, EvaluateMseMatchesManual) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled inference plan (ml/plan.hpp): the plan must be BITWISE
-// identical to the layer-graph eval forward — across model kinds, SIMD
-// backends and thread counts.
+// Forward bits across SIMD backends and thread counts.
 
 struct SimdBackendGuard {
   explicit SimdBackendGuard(util::SimdBackend b) : prev_(util::simd_backend()) {
@@ -506,14 +503,10 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { util::ThreadPool::set_threads(0); }
 };
 
-constexpr ModelKind kPlanKinds[] = {ModelKind::kMobileNetLite,
-                                    ModelKind::kResNetLite,
-                                    ModelKind::kNeuralOde, ModelKind::kMlp};
-
 // Fresh model with NON-TRIVIAL BatchNorm running statistics: a few
 // train-mode passes move every running mean/var off its (0, 1) init, so
-// the plan's fusing is exercised against real eval-affine values,
-// not the identity transform.
+// eval forwards are exercised against real eval-affine values, not the
+// identity transform.
 std::unique_ptr<Layer> warmed_model(ModelKind kind, const ModelInputShape& in,
                                     Rng& rng) {
   auto model = make_model(kind, in, 6, rng);
@@ -582,89 +575,6 @@ TEST(Models, ForwardBitsArePinned) {
                   pin.crc);
       }
     }
-  }
-}
-
-TEST(PlanEquivalence, ExactPlanIsBitwiseGraphForward) {
-  const ModelInputShape in;
-  for (const ModelKind kind : kPlanKinds) {
-    Rng rng{91};
-    const auto model = warmed_model(kind, in, rng);
-    const Tensor batch =
-        random_tensor({5, in.channels, in.height, in.width}, rng);
-    const Tensor want = model->forward(batch, false);
-    const auto plan =
-        InferencePlan::compile(*model, {in.channels, in.height, in.width});
-    const struct {
-      util::SimdBackend backend;
-      std::size_t threads;
-      const char* what;
-    } runs[] = {
-        {util::SimdBackend::kVector, 1, "vector/1"},
-        {util::SimdBackend::kVector, 4, "vector/4"},
-        {util::SimdBackend::kScalar, 1, "scalar/1"},
-        {util::SimdBackend::kScalar, 4, "scalar/4"},
-    };
-    for (const auto& r : runs) {
-      SimdBackendGuard simd{r.backend};
-      ThreadCountGuard threads{r.threads};
-      const Tensor got = plan->forward(batch);
-      ASSERT_EQ(got.numel(), want.numel()) << to_string(kind);
-      for (std::size_t i = 0; i < want.numel(); ++i)
-        ASSERT_EQ(got[i], want[i])
-            << to_string(kind) << " " << r.what << " dim " << i;
-    }
-  }
-}
-
-TEST(PlanEquivalence, PlanBatchChunkingIsBitwise) {
-  const ModelInputShape in;
-  constexpr std::size_t kBatch = 5;
-  for (const ModelKind kind : kPlanKinds) {
-    Rng rng{92};
-    const auto model = warmed_model(kind, in, rng);
-    const Tensor batch =
-        random_tensor({kBatch, in.channels, in.height, in.width}, rng);
-    const auto plan =
-        InferencePlan::compile(*model, {in.channels, in.height, in.width});
-    const Tensor out = plan->forward(batch);
-    // Row-at-a-time and arbitrary re-chunks: serving batches cut anywhere.
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      const Tensor row = plan->forward(batch.slice_rows(i, i + 1));
-      for (std::size_t d = 0; d < row.numel(); ++d)
-        ASSERT_EQ(row[d], out[i * row.numel() + d])
-            << to_string(kind) << " row " << i;
-    }
-    const Tensor front = plan->forward(batch.slice_rows(0, 3));
-    const Tensor back = plan->forward(batch.slice_rows(3, kBatch));
-    for (std::size_t j = 0; j < front.numel(); ++j)
-      ASSERT_EQ(front[j], out[j]) << to_string(kind);
-    for (std::size_t j = 0; j < back.numel(); ++j)
-      ASSERT_EQ(back[j], out[front.numel() + j]) << to_string(kind);
-  }
-}
-
-TEST(PlanEquivalence, FoldFuseAndPackCountersTally) {
-  const ModelInputShape in;
-  Rng rng{94};
-  // MobileNetLite: conv->BN->activation stacks throughout.  The plan fuses
-  // every BN into its producer as an epilogue, packs every weight panel and
-  // needs no graph-call fallback.
-  {
-    const auto model = warmed_model(ModelKind::kMobileNetLite, in, rng);
-    const auto plan =
-        InferencePlan::compile(*model, {in.channels, in.height, in.width});
-    EXPECT_GT(plan->fused_activations(), 0u);
-    EXPECT_GT(plan->packed_panels(), 0u);
-    EXPECT_EQ(plan->graph_fallback_ops(), 0u);
-  }
-  // NeuralODE: the ODE block opts out of compilation, so its plan carries
-  // graph-call fallback ops (bitwise, just not fused).
-  {
-    const auto model = warmed_model(ModelKind::kNeuralOde, in, rng);
-    const auto plan =
-        InferencePlan::compile(*model, {in.channels, in.height, in.width});
-    EXPECT_GT(plan->graph_fallback_ops(), 0u);
   }
 }
 

@@ -435,9 +435,8 @@ TEST(WorkspaceTest, ServingSteadyStateMakesNoHeapAllocations) {
     ASSERT_EQ(preds.size(), 1u);
   };
 
-  // Warm-up: first passes populate the per-thread free lists, build the
-  // inference plan (plan compilation itself allocates — a warm-up cost, paid
-  // once) and any lazily-built caches (window coefficients).
+  // Warm-up: first passes populate the per-thread free lists and any
+  // lazily-built caches (window coefficients).
   for (int i = 0; i < 3; ++i) serve_once();
 
   auto& heap_allocs =
