@@ -520,10 +520,11 @@ std::unique_ptr<Layer> warmed_model(ModelKind kind, const ModelInputShape& in,
 
 // The layer graph's output bits, pinned so that a rewrite of any layer
 // forward or backward must keep them: CRC-32 of forward(x, false) for every
-// model kind (warmed, so BatchNorm reads moved running stats), and of one
-// training step of the two conv models — the output, the input gradient,
-// every parameter gradient and the BatchNorm running stats.  Every CRC must
-// hold under both SIMD backends at 1 and 4 threads.
+// model kind (warmed, so BatchNorm reads moved running stats) and for the
+// DNN baseline's Lstm, and of one training step of the two conv models —
+// the output, the input gradient, every parameter gradient and the
+// BatchNorm running stats.  Every CRC must hold under both SIMD backends at
+// 1 and 4 threads.
 TEST(Models, ForwardBitsArePinned) {
   const ModelInputShape in;
   const auto fold = [](const Tensor& t, std::uint32_t crc) {
@@ -548,6 +549,14 @@ TEST(Models, ForwardBitsArePinned) {
     for (Param* p : model->params()) crc = fold(p->grad, crc);
     for (Tensor* t : model->state()) crc = fold(*t, crc);
     return crc;
+  };
+  // The DNN baseline's recurrent layer at its shape (6 features, hidden 16,
+  // 8 steps).
+  const auto lstm_eval_crc = [&] {
+    Rng rng{97};
+    Lstm lstm{6, 16, 8, rng};
+    const Tensor batch = random_tensor({5, 8, 6}, rng);
+    return fold(lstm.forward(batch, false), 0);
   };
   const struct {
     ModelKind kind;
@@ -574,6 +583,11 @@ TEST(Models, ForwardBitsArePinned) {
         EXPECT_EQ(pin.train ? train_crc(pin.kind) : eval_crc(pin.kind),
                   pin.crc);
       }
+      SCOPED_TRACE(std::string{"Lstm eval"} +
+                   (backend == util::SimdBackend::kVector ? " vector/"
+                                                          : " scalar/") +
+                   std::to_string(threads));
+      EXPECT_EQ(lstm_eval_crc(), 0x42b0a164u);
     }
   }
 }
