@@ -15,11 +15,13 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -80,6 +82,17 @@ inline void print_bench_usage(std::FILE* out, const char* argv0) {
   std::exit(2);
 }
 
+// Whole-string number parse: the entire text must be one value of type T,
+// so "3x", "2.5" (for an integer type), "abc" and "" are all nullopt.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
 // Parses the shared flags, removing them from argv (argc is updated) so a
 // bench that layers another parser on top (bench_runtime_overhead hands the
 // remainder to google-benchmark) sees only the flags it owns.  Unknown
@@ -96,13 +109,11 @@ inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
   // Whole-string parse of an integer of type T that must be >= min.
   auto need_number = [&]<typename T>(int i, T min) -> T {
     const std::string text = need_value(i);
-    const char* end = text.data() + text.size();
-    T value{};
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc{} || ptr != end || value < min)
+    const std::optional<T> value = parse_whole<T>(text);
+    if (!value || *value < min)
       bench_usage_error(argv[0], "bad value for " + std::string{argv[i]} +
                                      ": '" + text + "'");
-    return value;
+    return *value;
   };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
@@ -540,10 +551,30 @@ inline bool tiny_mode() {
   return v != nullptr && *v && *v != '0';
 }
 
-// A numeric SB_BENCH_* knob; `fallback` when unset or empty.
-inline double env_double(const char* name, double fallback) {
+// SB_BENCH_* knobs, read at startup before any training: `fallback` when
+// unset or empty.  A value that is not one whole number (env_count: >= 1,
+// for session, shard and grid counts) or one finite positive number of
+// seconds (env_seconds) prints the error and the usage and exits 2, like a
+// bad flag.
+template <typename T>
+T env_count(const char* argv0, const char* name, T fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr && *v ? std::strtod(v, nullptr) : fallback;
+  if (v == nullptr || *v == '\0') return fallback;
+  const std::optional<T> n = parse_whole<T>(v);
+  if (!n || *n < 1)
+    bench_usage_error(argv0, std::string{"bad value for "} + name + ": '" + v +
+                                 "' (need a whole number >= 1)");
+  return *n;
+}
+
+inline double env_seconds(const char* argv0, const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  const std::optional<double> s = parse_whole<double>(v);
+  if (!s || !std::isfinite(*s) || *s <= 0.0)
+    bench_usage_error(argv0, std::string{"bad value for "} + name + ": '" + v +
+                                 "' (need seconds > 0)");
+  return *s;
 }
 
 // Samples [begin, end) of every channel of a continuous capture: one pushed

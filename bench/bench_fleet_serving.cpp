@@ -1,6 +1,6 @@
 // Fleet serving bench (DESIGN.md "Fleet architecture"): N concurrent flight
-// sessions sharded across per-shard inference schedulers (FleetServer), each
-// shard pumping its own mapper clone in parallel.  Grids the fleet size and
+// sessions sharded across per-shard inference schedulers (FleetServer), the
+// shards pumping in parallel on one shared mapper.  Grids the fleet size and
 // reports, per N: sessions-per-core at realtime, window->verdict latency,
 // the shed/thinned rates under deliberate overload (the per-shard queue
 // bound is fixed while N grows), admission verdict counts and the
@@ -21,12 +21,15 @@
 //     every session + a verdict digest into DIR, then finishes the flight;
 //     `restore` (a fresh process) restores from DIR, serves the identical
 //     second half and fails on any digest divergence.
+// Counts must be whole numbers >= 1 and seconds positive; a bad knob prints
+// the usage and exits 2 before any training.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,12 +47,22 @@ std::string env_string(const char* name, const std::string& fallback) {
   return v != nullptr && *v ? std::string{v} : fallback;
 }
 
-std::vector<int> parse_grid(const std::string& csv) {
+// SB_BENCH_FLEET_GRID: comma-separated fleet sizes, each a whole number
+// >= 1; anything else prints the usage and exits 2.
+std::vector<int> parse_grid(const char* argv0, const std::string& csv) {
   std::vector<int> out;
   std::stringstream ss{csv};
   std::string tok;
-  while (std::getline(ss, tok, ','))
-    if (!tok.empty()) out.push_back(std::atoi(tok.c_str()));
+  while (std::getline(ss, tok, ',')) {
+    const std::optional<int> n = bench::parse_whole<int>(tok);
+    if (!n || *n < 1)
+      bench::bench_usage_error(argv0, "bad SB_BENCH_FLEET_GRID entry '" + tok +
+                                          "' in '" + csv +
+                                          "' (need whole numbers >= 1)");
+    out.push_back(*n);
+  }
+  if (out.empty() || csv.back() == ',')
+    bench::bench_usage_error(argv0, "bad SB_BENCH_FLEET_GRID '" + csv + "'");
   return out;
 }
 
@@ -187,16 +200,21 @@ ServeStats serve_phase(stream::FleetServer& fleet,
 int main(int argc, char** argv) {
   bench::bench_init(argc, argv);
   const bool tiny = bench::tiny_mode();
-  const double duration = bench::env_double("SB_BENCH_FLIGHT_SECONDS", tiny ? 8.0 : 20.0);
-  const auto shards =
-      static_cast<std::size_t>(bench::env_double("SB_BENCH_FLEET_SHARDS", 4.0));
+  const double duration = bench::env_seconds(argv[0], "SB_BENCH_FLIGHT_SECONDS",
+                                             tiny ? 8.0 : 20.0);
+  const auto shards = bench::env_count<std::size_t>(
+      argv[0], "SB_BENCH_FLEET_SHARDS", 4);
   const std::string mode = env_string("SB_BENCH_FLEET_MODE", "");
   const std::string ckpt_dir = env_string("SB_BENCH_FLEET_DIR", "");
-  std::vector<int> grid = parse_grid(env_string(
-      "SB_BENCH_FLEET_GRID", tiny ? "8,24" : "64,256,1024,4096"));
+  std::vector<int> grid = parse_grid(
+      argv[0],
+      env_string("SB_BENCH_FLEET_GRID", tiny ? "8,24" : "64,256,1024,4096"));
   if (!mode.empty()) {
+    if (mode != "checkpoint" && mode != "restore")
+      bench::bench_usage_error(argv[0], "bad value for SB_BENCH_FLEET_MODE: '" +
+                                            mode + "' (checkpoint|restore)");
     // Restart-recovery smoke serves one fixed fleet size.
-    grid = {static_cast<int>(bench::env_double("SB_BENCH_SESSIONS", tiny ? 8.0 : 64.0))};
+    grid = {bench::env_count(argv[0], "SB_BENCH_SESSIONS", tiny ? 8 : 64)};
     if (ckpt_dir.empty()) {
       std::fprintf(stderr, "fleet_serving: SB_BENCH_FLEET_MODE needs "
                            "SB_BENCH_FLEET_DIR\n");

@@ -10,6 +10,8 @@
 //   SB_BENCH_TINY=1            tiny model + short flights (CI smoke)
 //   SB_BENCH_SESSIONS=N        concurrent sessions   (default 8)
 //   SB_BENCH_FLIGHT_SECONDS=S  per-flight duration   (default 30, tiny 10)
+// Counts must be whole numbers >= 1 and seconds positive; a bad knob prints
+// the usage and exits 2 before any training.
 //
 // The emitted BENCH_stream_serving.json is self-checked with the obs JSON
 // validator before exit; a malformed report (and the TRACE file, when
@@ -112,10 +114,9 @@ bool validate_jsonl_file(const std::filesystem::path& path) {
 int main(int argc, char** argv) {
   bench::bench_init(argc, argv);
   const bool tiny = bench::tiny_mode();
-  const int n_sessions =
-      static_cast<int>(bench::env_double("SB_BENCH_SESSIONS", 8.0));
-  const double duration =
-      bench::env_double("SB_BENCH_FLIGHT_SECONDS", tiny ? 10.0 : 30.0);
+  const int n_sessions = bench::env_count(argv[0], "SB_BENCH_SESSIONS", 8);
+  const double duration = bench::env_seconds(argv[0], "SB_BENCH_FLIGHT_SECONDS",
+                                             tiny ? 10.0 : 30.0);
 
   // Model + calibrated detectors.
   core::SensoryMapper mapper = bench::serving_mapper(tiny);

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   report.note("mode", tiny ? "tiny" : "full");
   report.metric("train_rows", static_cast<double>(w.train_rows));
   report.metric("epochs", static_cast<double>(w.cfg.epochs));
-  report.metric("shard_grain", static_cast<double>(w.cfg.shard_grain));
+  report.metric("rows_per_shard", static_cast<double>(ml::kShardGrain));
 
   // --- Determinism matrix: the contract comes before the stopwatch. ------
   std::printf("determinism: threads {1,2,4} x simd {auto,scalar}\n");

@@ -246,13 +246,12 @@ std::vector<TimedPrediction> SensoryMapper::predict_windows(
     health->windows_total += grid.size();
   }
 
-  // Model forwards are not reentrant, so inference stays single-file (never
-  // concurrent forwards); windows batch along the leading dim in grid-order
-  // chunks — bitwise identical to per-window forwards because every op
-  // processes batch rows independently (pinned by ml_test).  The chunk is
-  // the scheduler's default max_batch: the layer graph holds each layer's
-  // output as its own pooled tensor, so larger chunks grow what the
-  // workers' pools retain.
+  // Windows batch along the leading dim in grid-order chunks, one forward
+  // after another — bitwise identical to per-window forwards because every
+  // op processes batch rows independently (pinned by ml_test), and each
+  // forward parallelizes inside its layers.  The chunk is the scheduler's
+  // default max_batch: the layer graph holds each layer's output as its own
+  // pooled tensor, so larger chunks grow what the workers' pools retain.
   std::vector<TimedPrediction> out;
   out.reserve(grid.size());
   constexpr std::size_t kInferBatch = 16;

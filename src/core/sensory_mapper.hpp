@@ -97,12 +97,13 @@ class SensoryMapper {
       double t0 = 0.0) const;
 
   // Batched inference over prepared signatures: stacks the [1,C,H,W] rows
-  // into one [N,C,H,W] tensor and runs ONE eval forward of the layer graph
-  // (model forwards are not reentrant — batching happens inside the
-  // forward).  Every op processes batch rows independently with a fixed
-  // accumulation order, so the result is bitwise identical to N
-  // single-window forwards (pinned by ml_test).  NaN rows are passed
-  // through as NaN predictions.
+  // into one [N,C,H,W] tensor and runs ONE eval forward of the layer graph,
+  // which amortizes each layer's fixed per-call cost over the batch.  Every
+  // op processes batch rows independently with a fixed accumulation order,
+  // so the result is bitwise identical to N single-window forwards (pinned
+  // by ml_test).  NaN rows are passed through as NaN predictions.  The eval
+  // forward writes no model state, so several threads may call this on one
+  // mapper at once (fleet shards do).
   std::vector<TimedPrediction> predict_prepared(
       std::span<const ml::Tensor> sigs, std::span<const WindowSpan> spans) const;
 
@@ -146,11 +147,8 @@ class SensoryMapper {
   bool save(const std::string& path) const;
   bool load(const std::string& path);
 
-  // Stream forms of the same framed format, for in-memory clones (a fleet
-  // shard round-trips the trained mapper through a stringstream to get a
-  // bitwise-identical private copy — model forwards are not reentrant, so
-  // concurrent shards each need their own).  `label` only names the source
-  // in rejection log lines.
+  // Stream forms of the same framed format, for in-memory copies.  `label`
+  // only names the source in rejection log lines.
   bool save(std::ostream& os) const;
   bool load(std::istream& is, const std::string& label = "<stream>");
 

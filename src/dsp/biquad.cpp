@@ -19,29 +19,12 @@ Biquad Biquad::low_pass(double cutoff_hz, double sample_rate, double q) {
           -2.0 * cw / a0, (1.0 - alpha) / a0};
 }
 
-Biquad Biquad::high_pass(double cutoff_hz, double sample_rate, double q) {
-  const double w0 = 2.0 * std::numbers::pi * cutoff_hz / sample_rate;
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double cw = std::cos(w0);
-  const double a0 = 1.0 + alpha;
-  return {(1.0 + cw) / 2.0 / a0, -(1.0 + cw) / a0, (1.0 + cw) / 2.0 / a0,
-          -2.0 * cw / a0, (1.0 - alpha) / a0};
-}
-
 Biquad Biquad::band_pass(double center_hz, double sample_rate, double q) {
   const double w0 = 2.0 * std::numbers::pi * center_hz / sample_rate;
   const double alpha = std::sin(w0) / (2.0 * q);
   const double cw = std::cos(w0);
   const double a0 = 1.0 + alpha;
   return {alpha / a0, 0.0, -alpha / a0, -2.0 * cw / a0, (1.0 - alpha) / a0};
-}
-
-Biquad Biquad::notch(double center_hz, double sample_rate, double q) {
-  const double w0 = 2.0 * std::numbers::pi * center_hz / sample_rate;
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double cw = std::cos(w0);
-  const double a0 = 1.0 + alpha;
-  return {1.0 / a0, -2.0 * cw / a0, 1.0 / a0, -2.0 * cw / a0, (1.0 - alpha) / a0};
 }
 
 std::vector<double> Biquad::process(std::span<const double> xs) {

@@ -15,9 +15,7 @@ class Biquad {
  public:
   // RBJ audio-EQ-cookbook designs.
   static Biquad low_pass(double cutoff_hz, double sample_rate, double q = 0.7071);
-  static Biquad high_pass(double cutoff_hz, double sample_rate, double q = 0.7071);
   static Biquad band_pass(double center_hz, double sample_rate, double q);
-  static Biquad notch(double center_hz, double sample_rate, double q);
 
   // Processes one sample through the filter, updating internal state.
   // Inline: the rotor-sound renderer filters one noise sample per output

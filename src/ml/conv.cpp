@@ -446,7 +446,6 @@ Tensor DepthwiseSeparableBlock::backward(const Tensor& grad_out) {
 
 std::unique_ptr<Layer> DepthwiseSeparableBlock::replicate() const {
   auto body = body_.replicate();
-  if (!body) return nullptr;
   std::unique_ptr<DepthwiseSeparableBlock> copy{new DepthwiseSeparableBlock()};
   copy->body_ = std::move(static_cast<Sequential&>(*body));
   return copy;
@@ -521,17 +520,11 @@ Tensor ResidualBlock::backward(const Tensor& grad_out) {
 
 std::unique_ptr<Layer> ResidualBlock::replicate() const {
   auto main = main_.replicate();
-  if (!main) return nullptr;
-  std::unique_ptr<Layer> shortcut;
-  if (shortcut_) {
-    shortcut = shortcut_->replicate();
-    if (!shortcut) return nullptr;
-  }
   std::unique_ptr<ResidualBlock> copy{new ResidualBlock()};
   copy->main_ = std::move(static_cast<Sequential&>(*main));
-  if (shortcut) {
-    copy->shortcut_.reset(static_cast<Sequential*>(shortcut.release()));
-  }
+  if (shortcut_)
+    copy->shortcut_.reset(
+        static_cast<Sequential*>(shortcut_->replicate().release()));
   copy->cached_sum_ = cached_sum_;
   return copy;
 }

@@ -1,5 +1,10 @@
 // Layer abstraction: explicit forward/backward with parameter gradients
 // accumulated in place (classic define-by-layer design; no autograd graph).
+//
+// Concurrency contract (DESIGN.md "Eval forward", "Training performance"):
+// an eval forward (train == false) writes no member state, so any number of
+// them may run on one model at once.  A training forward caches what
+// backward needs and runs on a replicate() copy, one per worker.
 #pragma once
 
 #include <atomic>
@@ -38,9 +43,10 @@ class Layer {
   virtual ~Layer() = default;
 
   // Forward pass.  `train` enables training-only behaviour (batch-norm batch
-  // statistics, dropout) and makes the layer cache whatever backward needs.
-  // An eval forward (train == false) writes no backward state and fills
-  // each output once; serving, calibration and validation all run it.
+  // statistics) and makes the layer cache whatever backward needs.  An eval
+  // forward (train == false) writes no member state and fills each output
+  // once; serving, calibration and validation all run it, concurrently on
+  // one model where they like.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
   // Backward pass: receives dLoss/dOutput, returns dLoss/dInput and
@@ -55,13 +61,12 @@ class Layer {
   virtual std::vector<Tensor*> state() { return {}; }
 
   // Deep copy for data-parallel training (DESIGN.md "Training performance").
-  // Model forwards are NOT reentrant (per-layer activation caches), so the
-  // trainer runs concurrent shard forwards on replicas, never on one model.
-  // A replica owns its own weights AND caches; the trainer re-syncs weights
-  // from the primary after each optimizer step.  The default opts out
-  // (returns nullptr) — layers whose copies would share mutable state (e.g.
-  // Dropout's Rng*) keep it, and the trainer falls back to the serial loop.
-  virtual std::unique_ptr<Layer> replicate() const { return nullptr; }
+  // Training forwards cache activations for backward, so the trainer runs
+  // concurrent shard forwards on replicas, never on one model.  A replica
+  // owns its own weights AND caches and shares no mutable state with the
+  // original; the trainer re-syncs weights from the primary after each
+  // optimizer step.
+  virtual std::unique_ptr<Layer> replicate() const = 0;
 
   // Ghost-batch statistics protocol for the sharded trainer: a replica that
   // computed per-shard batch statistics in its training forward (BatchNorm's
@@ -120,15 +125,11 @@ class Sequential final : public Layer {
     return out;
   }
 
-  // Replicable iff every child is; shard stats concatenate child spans in
-  // layer order (the same structural order on every replica).
+  // Shard stats concatenate child spans in layer order (the same structural
+  // order on every replica).
   std::unique_ptr<Layer> replicate() const override {
     auto copy = std::make_unique<Sequential>();
-    for (const auto& l : layers_) {
-      auto r = l->replicate();
-      if (!r) return nullptr;
-      copy->layers_.push_back(std::move(r));
-    }
+    for (const auto& l : layers_) copy->layers_.push_back(l->replicate());
     return copy;
   }
 

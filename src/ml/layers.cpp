@@ -322,28 +322,4 @@ Tensor Flatten::backward(const Tensor& grad_out) {
   return grad_out.reshaped(cached_shape_);
 }
 
-Dropout::Dropout(float rate, Rng& rng) : rate_(rate), rng_(&rng) {}
-
-Tensor Dropout::forward(const Tensor& x, bool train) {
-  if (!train || rate_ <= 0.0f) return x;
-  mask_ = Tensor(x.shape(), kNoFill);
-  Tensor y = x;
-  const float keep = 1.0f - rate_;
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    const bool on = rng_->uniform() < keep;
-    mask_[i] = on ? 1.0f / keep : 0.0f;
-    y[i] *= mask_[i];
-  }
-  return y;
-}
-
-Tensor Dropout::backward(const Tensor& grad_out) {
-  if (rate_ <= 0.0f) return grad_out;
-  if (mask_.numel() != grad_out.numel())
-    throw std::logic_error{"Dropout::backward: no matching training forward"};
-  Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.numel(); ++i) g[i] *= mask_[i];
-  return g;
-}
-
 }  // namespace sb::ml

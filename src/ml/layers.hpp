@@ -1,4 +1,4 @@
-// Core layers: Dense, activations, BatchNorm, pooling, Flatten, Dropout.
+// Core layers: Dense, activations, BatchNorm, pooling, Flatten.
 #pragma once
 
 #include "ml/layer.hpp"
@@ -122,21 +122,6 @@ class Flatten final : public Layer {
 
  private:
   Shape cached_shape_;
-};
-
-// Inverted dropout; identity in eval mode.  Keeps the replicate() opt-out:
-// copies would share the caller's Rng, and concurrent draws would destroy
-// seed determinism — models containing Dropout train on the serial path.
-class Dropout final : public Layer {
- public:
-  Dropout(float rate, Rng& rng);
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-
- private:
-  float rate_;
-  Rng* rng_;
-  Tensor mask_;  // of the last training forward
 };
 
 }  // namespace sb::ml

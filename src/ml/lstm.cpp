@@ -27,72 +27,90 @@ Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, std::size_t seq_len,
   for (std::size_t i = h_; i < 2 * h_; ++i) b_.value[i] = 1.0f;
 }
 
-Tensor Lstm::forward(const Tensor& x_in, bool /*train*/) {
-  Tensor x = x_in;
-  if (x.ndim() == 2) x = x.reshaped({x.dim(0), t_, d_});
+Tensor Lstm::forward(const Tensor& x_in, bool train) {
+  Tensor reshaped;
+  const Tensor* xp = &x_in;
+  if (x_in.ndim() == 2) {
+    reshaped = x_in.reshaped({x_in.dim(0), t_, d_});
+    xp = &reshaped;
+  }
+  const Tensor& x = *xp;
   if (x.ndim() != 3 || x.dim(1) != t_ || x.dim(2) != d_)
     throw std::invalid_argument{"Lstm::forward: expected [N, T, D]"};
-  cached_x_ = x;
   const std::size_t n = x.dim(0);
 
+  if (!train) {
+    // h and c start at zero and update in place; the gate buffer is fully
+    // rewritten every step.
+    Tensor gate({n, 4 * h_}, kNoFill);
+    Tensor cell({n, h_});
+    Tensor hidden({n, h_});
+    for (std::size_t t = 0; t < t_; ++t)
+      step(x, t, hidden.data(), cell.data(), gate.data(), cell.data(),
+           hidden.data());
+    return hidden;
+  }
+
+  cached_x_ = x;
   gates_.assign(t_, Tensor({n, 4 * h_}));
   cells_.assign(t_, Tensor({n, h_}));
   hiddens_.assign(t_, Tensor({n, h_}));
-
-  Tensor h_prev({n, h_});
-  Tensor c_prev({n, h_});
+  const Tensor zeros({n, h_});
   for (std::size_t t = 0; t < t_; ++t) {
-    auto& gate = gates_[t];
-    auto& cell = cells_[t];
-    auto& hidden = hiddens_[t];
-
-    // Gate pre-activations: bias, then += Wx x_t, then += Wh h_prev — both
-    // chained accumulating GEMMs with ascending-k dots, reproducing the
-    // classic per-gate loop's floating-point sums exactly.  x_t is a strided
-    // view into the [N, T, D] input (row stride T*D).
-    for (std::size_t i = 0; i < n; ++i) {
-      float* gt = gate.data() + i * 4 * h_;
-      for (std::size_t g = 0; g < 4 * h_; ++g) gt[g] = b_.value[g];
-    }
-    matmul_nt(x.data() + t * d_, t_ * d_, wx_.value.data(), d_, gate.data(),
-              4 * h_, n, d_, 4 * h_, true);
-    matmul_nt(h_prev.data(), h_, wh_.value.data(), h_, gate.data(), 4 * h_, n,
-              h_, 4 * h_, true);
-
-    // The cell update splits into three passes with no cross-element
-    // dependencies, so splitting cannot change any per-element result: the
-    // libm activations stay scalar, while the purely arithmetic middle pass
-    // (ct = fg*cp + ig*gg, scalar mul/mul/add order) vectorizes.
-    util::parallel_for(n, [&](std::size_t i) {
-      float* gt = gate.data() + i * 4 * h_;
-      const float* cp = c_prev.data() + i * h_;
-      float* ct = cell.data() + i * h_;
-      float* ht = hidden.data() + i * h_;
-      for (std::size_t k = 0; k < h_; ++k) {
-        gt[k] = sigmoid(gt[k]);
-        gt[h_ + k] = sigmoid(gt[h_ + k]);
-        gt[2 * h_ + k] = std::tanh(gt[2 * h_ + k]);
-        gt[3 * h_ + k] = sigmoid(gt[3 * h_ + k]);
-      }
-      std::size_t k = 0;
-      if (util::simd_enabled()) {
-        namespace v = util::simd;
-        for (; k + v::kFloatLanes <= h_; k += v::kFloatLanes) {
-          const v::VFloat ig = v::load(gt + k);
-          const v::VFloat fg = v::load(gt + h_ + k);
-          const v::VFloat gg = v::load(gt + 2 * h_ + k);
-          v::store(ct + k,
-                   v::add(v::mul(fg, v::load(cp + k)), v::mul(ig, gg)));
-        }
-      }
-      for (; k < h_; ++k) ct[k] = gt[h_ + k] * cp[k] + gt[k] * gt[2 * h_ + k];
-      for (std::size_t j = 0; j < h_; ++j)
-        ht[j] = gt[3 * h_ + j] * std::tanh(ct[j]);
-    });
-    h_prev = hidden;
-    c_prev = cell;
+    const Tensor& h_prev = t > 0 ? hiddens_[t - 1] : zeros;
+    const Tensor& c_prev = t > 0 ? cells_[t - 1] : zeros;
+    step(x, t, h_prev.data(), c_prev.data(), gates_[t].data(),
+         cells_[t].data(), hiddens_[t].data());
   }
   return hiddens_.back();
+}
+
+void Lstm::step(const Tensor& x, std::size_t t, const float* h_prev,
+                const float* c_prev, float* gate, float* cell,
+                float* hidden) const {
+  const std::size_t n = x.dim(0);
+  // Gate pre-activations: bias, then += Wx x_t, then += Wh h_prev — both
+  // chained accumulating GEMMs with ascending-k dots, reproducing the
+  // classic per-gate loop's floating-point sums exactly.  x_t is a strided
+  // view into the [N, T, D] input (row stride T*D).
+  for (std::size_t i = 0; i < n; ++i) {
+    float* gt = gate + i * 4 * h_;
+    for (std::size_t g = 0; g < 4 * h_; ++g) gt[g] = b_.value[g];
+  }
+  matmul_nt(x.data() + t * d_, t_ * d_, wx_.value.data(), d_, gate, 4 * h_, n,
+            d_, 4 * h_, true);
+  matmul_nt(h_prev, h_, wh_.value.data(), h_, gate, 4 * h_, n, h_, 4 * h_,
+            true);
+
+  // The cell update splits into three passes with no cross-element
+  // dependencies, so splitting cannot change any per-element result: the
+  // libm activations stay scalar, while the purely arithmetic middle pass
+  // (ct = fg*cp + ig*gg, scalar mul/mul/add order) vectorizes.
+  util::parallel_for(n, [&](std::size_t i) {
+    float* gt = gate + i * 4 * h_;
+    const float* cp = c_prev + i * h_;
+    float* ct = cell + i * h_;
+    float* ht = hidden + i * h_;
+    for (std::size_t k = 0; k < h_; ++k) {
+      gt[k] = sigmoid(gt[k]);
+      gt[h_ + k] = sigmoid(gt[h_ + k]);
+      gt[2 * h_ + k] = std::tanh(gt[2 * h_ + k]);
+      gt[3 * h_ + k] = sigmoid(gt[3 * h_ + k]);
+    }
+    std::size_t k = 0;
+    if (util::simd_enabled()) {
+      namespace v = util::simd;
+      for (; k + v::kFloatLanes <= h_; k += v::kFloatLanes) {
+        const v::VFloat ig = v::load(gt + k);
+        const v::VFloat fg = v::load(gt + h_ + k);
+        const v::VFloat gg = v::load(gt + 2 * h_ + k);
+        v::store(ct + k, v::add(v::mul(fg, v::load(cp + k)), v::mul(ig, gg)));
+      }
+    }
+    for (; k < h_; ++k) ct[k] = gt[h_ + k] * cp[k] + gt[k] * gt[2 * h_ + k];
+    for (std::size_t j = 0; j < h_; ++j)
+      ht[j] = gt[3 * h_ + j] * std::tanh(ct[j]);
+  });
 }
 
 Tensor Lstm::backward(const Tensor& grad_out) {

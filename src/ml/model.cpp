@@ -5,27 +5,11 @@
 
 namespace sb::ml {
 
-MseLoss mse_loss(const Tensor& pred, const Tensor& target) {
+SquaredError squared_error(const Tensor& pred, const Tensor& target,
+                           float grad_scale) {
   if (pred.numel() != target.numel())
-    throw std::invalid_argument{"mse_loss: size mismatch"};
-  MseLoss out;
-  out.grad = Tensor(pred.shape());
-  const float scale = 2.0f / static_cast<float>(pred.numel());
-  double s = 0.0;
-  for (std::size_t i = 0; i < pred.numel(); ++i) {
-    const double d = static_cast<double>(pred[i]) - static_cast<double>(target[i]);
-    s += d * d;
-    out.grad[i] = scale * static_cast<float>(d);
-  }
-  out.value = s / static_cast<double>(pred.numel());
-  return out;
-}
-
-ShardLoss shard_mse_loss(const Tensor& pred, const Tensor& target,
-                         float grad_scale) {
-  if (pred.numel() != target.numel())
-    throw std::invalid_argument{"shard_mse_loss: size mismatch"};
-  ShardLoss out;
+    throw std::invalid_argument{"squared_error: size mismatch"};
+  SquaredError out;
   out.grad = Tensor(pred.shape());
   for (std::size_t i = 0; i < pred.numel(); ++i) {
     const double d = static_cast<double>(pred[i]) - static_cast<double>(target[i]);
@@ -40,35 +24,12 @@ ReplicaTeam::ReplicaTeam(const Layer& primary, std::size_t count) {
   replicas_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     auto rep = primary.replicate();
-    if (!rep) {
-      replicas_.clear();
-      replica_params_.clear();
-      return;
-    }
     replica_params_.push_back(rep->params());
     // Deep copies carry whatever gradients the primary held; shard backward
     // passes accumulate, so start from zero.
     for (Param* p : replica_params_.back()) p->zero_grad();
     replicas_.push_back(std::move(rep));
   }
-  free_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) free_[i] = count - 1 - i;
-}
-
-std::size_t ReplicaTeam::acquire() {
-  std::unique_lock<std::mutex> lock{mutex_};
-  available_.wait(lock, [&] { return !free_.empty(); });
-  const std::size_t i = free_.back();
-  free_.pop_back();
-  return i;
-}
-
-void ReplicaTeam::release(std::size_t i) {
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    free_.push_back(i);
-  }
-  available_.notify_one();
 }
 
 void ReplicaTeam::sync_weights(const std::vector<Param*>& primary_params) {

@@ -39,22 +39,26 @@ Tensor NeuralOdeBlock::eval_f(const Tensor& h, Tensor& act) const {
   return out;
 }
 
-Tensor NeuralOdeBlock::forward(const Tensor& x, bool /*train*/) {
+Tensor NeuralOdeBlock::forward(const Tensor& x, bool train) {
   if (x.ndim() != 2 || x.dim(1) != d_)
     throw std::invalid_argument{"NeuralOdeBlock: expected [N, D]"};
   const float dt = 1.0f / static_cast<float>(steps_);
-  states_.clear();
-  acts_.clear();
-  states_.push_back(x);
+  if (train) {
+    states_.clear();
+    acts_.clear();
+    states_.push_back(x);
+  }
+  Tensor h = x;
   for (std::size_t s = 0; s < steps_; ++s) {
     Tensor act;
-    Tensor f = eval_f(states_.back(), act);
-    acts_.push_back(std::move(act));
-    Tensor next = states_.back();
-    next.add_scaled(f, dt);
-    states_.push_back(std::move(next));
+    const Tensor f = eval_f(h, act);
+    h.add_scaled(f, dt);
+    if (train) {
+      acts_.push_back(std::move(act));
+      states_.push_back(h);
+    }
   }
-  return states_.back();
+  return h;
 }
 
 Tensor NeuralOdeBlock::backward(const Tensor& grad_out) {

@@ -33,7 +33,8 @@ class NeuralOdeBlock final : public Layer {
   std::size_t d_, hidden_, steps_;
   Param w1_, b1_, w2_, b2_;
 
-  // Per-forward caches: state at every step + hidden activations.
+  // Caches of the last training forward: state at every step + hidden
+  // activations.
   std::vector<Tensor> states_;   // h_0..h_K  ([N, D] each)
   std::vector<Tensor> acts_;     // tanh activations per step ([N, hidden])
 };

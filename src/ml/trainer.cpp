@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <span>
 
 #include "ml/optimizer.hpp"
@@ -117,21 +116,10 @@ TrainResult train_regressor(Layer& model, const RegressionDataset& train,
   Adam opt{params, config.lr, 0.9, 0.999, 1e-8, config.weight_decay};
   Rng shuffle_rng{config.shuffle_seed};
 
-  // Sharded data-parallel engine (TrainConfig::shard_grain).  Falls back to
-  // the serial minibatch loop when sharding is disabled or any layer opts
-  // out of replication (Layer::replicate returning nullptr, e.g. Dropout).
-  const std::size_t grain = config.shard_grain;
-  std::unique_ptr<ReplicaTeam> team;
-  std::size_t max_shards = 0;
-  if (grain > 0) {
-    const std::size_t max_batch = std::min(config.batch_size, n);
-    max_shards = (max_batch + grain - 1) / grain;
-    std::size_t count =
-        config.replicas > 0 ? config.replicas : util::ThreadPool::threads();
-    count = std::max<std::size_t>(1, std::min(count, max_shards));
-    team = std::make_unique<ReplicaTeam>(model, count);
-    if (team->empty()) team.reset();
-  }
+  // One replica per worker, capped at the shard count of a full batch.
+  const std::size_t max_batch = std::min(config.batch_size, n);
+  const std::size_t max_shards = (max_batch + kShardGrain - 1) / kShardGrain;
+  ReplicaTeam team{model, std::min(util::ThreadPool::threads(), max_shards)};
 
   // Flat layout of every parameter gradient, for the shard partial buffers.
   std::vector<std::size_t> offsets;
@@ -141,18 +129,14 @@ TrainResult train_regressor(Layer& model, const RegressionDataset& train,
     offsets.push_back(total_params);
     total_params += p->grad.numel();
   }
-  const std::size_t stats_size = team ? model.shard_stats_size() : 0;
+  const std::size_t stats_size = model.shard_stats_size();
   const std::size_t ydim = train.y.numel() / n;
 
   // Pool-backed partial buffers, acquired once per fit: repeat fits hit the
   // thread-local free lists and ml.workspace.heap_allocs stays flat.
-  util::Scratch<float> grad_partials{team ? max_shards * total_params : 1};
-  util::Scratch<double> err_partials{team ? max_shards : 1};
-  util::Scratch<float> stats_partials{team && stats_size ? max_shards * stats_size : 1};
-
-  // Both engines clear gradients through the fused step_and_zero_grad, so
-  // clear whatever stale gradients the caller's params carry once up front.
-  opt.zero_grad();
+  util::Scratch<float> grad_partials{max_shards * total_params};
+  util::Scratch<double> err_partials{max_shards};
+  util::Scratch<float> stats_partials{stats_size ? max_shards * stats_size : 1};
 
   double lr = config.lr;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -168,31 +152,31 @@ TrainResult train_regressor(Layer& model, const RegressionDataset& train,
     for (std::size_t start = 0; start < n; start += config.batch_size) {
       const std::size_t end = std::min(start + config.batch_size, n);
       const std::size_t rows = end - start;
-      if (team) {
-        const std::size_t shards = (rows + grain - 1) / grain;
-        const float grad_scale = 2.0f / static_cast<float>(rows * ydim);
-        {
-          obs::ScopedSpan shard_span{"train.shards", obs::Stage::kTrain};
-          // One chunk per shard; results are independent of which replica
-          // runs which shard (per-shard output slots), so the pool's
-          // scheduling never shows up in the trained weights.
-          util::parallel_for(
-              shards,
-              [&](std::size_t s) {
-                const std::size_t r0 = start + s * grain;
-                const std::size_t r1 = std::min(r0 + grain, end);
+      const std::size_t shards = (rows + kShardGrain - 1) / kShardGrain;
+      const std::size_t reps = std::min(team.size(), shards);
+      const float grad_scale = 2.0f / static_cast<float>(rows * ydim);
+      {
+        obs::ScopedSpan shard_span{"train.shards", obs::Stage::kTrain};
+        // Replica r runs shards r, r+reps, ... in order.  Every shard writes
+        // its own gradient, loss and stats slot, so the result does not
+        // depend on which replica ran which shard.
+        util::parallel_for(
+            reps,
+            [&](std::size_t r) {
+              Layer& rep = team.replica(r);
+              const auto& rp = team.replica_params(r);
+              for (std::size_t s = r; s < shards; s += reps) {
+                const std::size_t r0 = start + s * kShardGrain;
+                const std::size_t r1 = std::min(r0 + kShardGrain, end);
                 const std::span<const std::size_t> rows_idx{perm.data() + r0,
                                                             r1 - r0};
-                const std::size_t rep_i = team->acquire();
-                Layer& rep = team->replica(rep_i);
                 const Tensor sx = train.x.gather_rows(rows_idx);
                 const Tensor sy = train.y.gather_rows(rows_idx);
                 const Tensor pred = rep.forward(sx, true);
-                const ShardLoss loss = shard_mse_loss(pred, sy, grad_scale);
+                const SquaredError loss = squared_error(pred, sy, grad_scale);
                 rep.backward(loss.grad);
                 err_partials[s] = loss.sq_err;
                 float* slot = grad_partials.data() + s * total_params;
-                const auto& rp = team->replica_params(rep_i);
                 for (std::size_t j = 0; j < rp.size(); ++j) {
                   std::copy_n(rp[j]->grad.data(), rp[j]->grad.numel(),
                               slot + offsets[j]);
@@ -201,47 +185,36 @@ TrainResult train_regressor(Layer& model, const RegressionDataset& train,
                 if (stats_size > 0)
                   rep.export_shard_stats(
                       {stats_partials.data() + s * stats_size, stats_size});
-                team->release(rep_i);
-              },
-              1);
-        }
-        {
-          obs::ScopedSpan reduce_span{"train.reduce", obs::Stage::kTrain};
-          reduce_grad_partials(params, offsets, total_params,
-                               grad_partials.data(), shards);
-          // Ghost batch-norm: the primary replays the running-stat update
-          // once per shard, in ascending shard order.
-          if (stats_size > 0)
-            for (std::size_t s = 0; s < shards; ++s)
-              model.absorb_shard_stats(
-                  {stats_partials.data() + s * stats_size, stats_size});
-        }
-        double batch_err = 0.0;
-        for (std::size_t s = 0; s < shards; ++s) batch_err += err_partials[s];
-        epoch_loss += batch_err / static_cast<double>(rows * ydim);
-        if (telemetry) {
-          epoch_grad_norm += grad_norm(params);
-          const std::size_t waves = (shards + team->size() - 1) / team->size();
-          obs::Registry::instance()
-              .histogram("train.shard_occupancy")
-              .record(static_cast<double>(shards) /
-                      static_cast<double>(waves * team->size()));
-        }
-        {
-          obs::ScopedSpan step_span{"train.step", obs::Stage::kTrain};
-          opt.step_and_zero_grad();
-          team->sync_weights(params);
-        }
-      } else {
-        const std::span<const std::size_t> rows_idx{perm.data() + start, rows};
-        const Tensor bx = train.x.gather_rows(rows_idx);
-        const Tensor by = train.y.gather_rows(rows_idx);
-        const Tensor pred = model.forward(bx, true);
-        const MseLoss loss = mse_loss(pred, by);
-        model.backward(loss.grad);
-        if (telemetry) epoch_grad_norm += grad_norm(params);
+              }
+            },
+            1);
+      }
+      {
+        obs::ScopedSpan reduce_span{"train.reduce", obs::Stage::kTrain};
+        reduce_grad_partials(params, offsets, total_params,
+                             grad_partials.data(), shards);
+        // Ghost batch-norm: the primary replays the running-stat update
+        // once per shard, in ascending shard order.
+        if (stats_size > 0)
+          for (std::size_t s = 0; s < shards; ++s)
+            model.absorb_shard_stats(
+                {stats_partials.data() + s * stats_size, stats_size});
+      }
+      double batch_err = 0.0;
+      for (std::size_t s = 0; s < shards; ++s) batch_err += err_partials[s];
+      epoch_loss += batch_err / static_cast<double>(rows * ydim);
+      if (telemetry) {
+        epoch_grad_norm += grad_norm(params);
+        const std::size_t waves = (shards + team.size() - 1) / team.size();
+        obs::Registry::instance()
+            .histogram("train.shard_occupancy")
+            .record(static_cast<double>(shards) /
+                    static_cast<double>(waves * team.size()));
+      }
+      {
+        obs::ScopedSpan step_span{"train.step", obs::Stage::kTrain};
         opt.step_and_zero_grad();
-        epoch_loss += loss.value;
+        team.sync_weights(params);
       }
       ++batches;
     }

@@ -1,4 +1,4 @@
-// Minibatch training loop for regression models (MSE loss, Adam).
+// Data-parallel minibatch training for regression models (MSE loss, Adam).
 #pragma once
 
 #include <vector>
@@ -30,23 +30,18 @@ struct TrainConfig {
   // Batch size for the epoch-end / final evaluate_mse passes.  Bounds eval
   // peak memory to one batch of activations regardless of dataset size.
   std::size_t eval_batch_size = 64;
-  // Data-parallel sharding (DESIGN.md "Training performance"): each
-  // minibatch splits into fixed-`shard_grain`-row shards — the grain is
-  // INDEPENDENT of the thread count — each shard runs forward+backward on a
-  // model replica, and per-shard gradient/loss/BatchNorm-stat partials
-  // reduce in ascending shard order, so trained weights are bit-identical
-  // in the seed at any SB_THREADS and any replica count.  shard_grain = 0
-  // disables sharding (the legacy serial minibatch loop, also the fallback
-  // when a layer opts out of Layer::replicate); shard_grain >= batch_size
-  // reproduces the serial loop's floating-point results bitwise (a single
-  // shard), at serial speed.  Other grains are deterministic but associate
-  // gradient sums differently and use per-shard (ghost) batch-norm
-  // statistics — a different, equally valid training run.
-  std::size_t shard_grain = 8;
-  // Replica count for the sharded path: 0 = one per worker thread.
-  std::size_t replicas = 0;
   bool verbose = false;
 };
+
+// Data-parallel sharding (DESIGN.md "Training performance"): each minibatch
+// splits into kShardGrain-row shards — the grain is INDEPENDENT of the
+// thread count — each shard runs forward+backward on a model replica, and
+// per-shard gradient/loss/BatchNorm-stat partials reduce in ascending shard
+// order, so trained weights are bit-identical in the seed at any
+// SB_THREADS.  A batch of at most kShardGrain rows is one shard; larger
+// batches associate gradient sums per shard and use per-shard (ghost)
+// batch-norm statistics.
+inline constexpr std::size_t kShardGrain = 8;
 
 // Schema tag for training-math compatibility: bumped whenever a trainer
 // change alters the numeric results of train_regressor for the same seeds

@@ -59,7 +59,6 @@ const char* stage_name(Stage stage) {
 }
 
 void set_parallel_worker(bool on) { tl_parallel_worker = on; }
-bool in_parallel_worker() { return tl_parallel_worker; }
 
 double now_us() {
   return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -

@@ -51,7 +51,6 @@ const char* stage_name(Stage stage);
 // Called by util::ThreadPool around task execution; tests may use it to
 // simulate worker context.
 void set_parallel_worker(bool on);
-bool in_parallel_worker();
 
 class Trace {
  public:

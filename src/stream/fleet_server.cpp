@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/log.hpp"
@@ -48,6 +47,7 @@ FleetServer::FleetServer(const core::SensoryMapper& mapper,
                          const core::GpsRcaDetector& gps_detector,
                          const FleetServerConfig& config)
     : config_(config),
+      mapper_(&mapper),
       imu_detector_(&imu_detector),
       gps_detector_(&gps_detector) {
   if (config_.num_shards == 0)
@@ -60,28 +60,15 @@ FleetServer::FleetServer(const core::SensoryMapper& mapper,
   rejected_count_ = &reg.counter("stream.shard.rejected");
   restored_count_ = &reg.counter("stream.shard.restored");
 
-  // Serialize the trained mapper once; every shard loads a private clone
-  // from the same bytes (bitwise-identical weights, standardization and
-  // calibration — the framed round-trip is exact).
-  std::stringstream frozen{std::ios::in | std::ios::out | std::ios::binary};
-  if (!mapper.save(frozen))
-    throw std::logic_error{"FleetServer: mapper serialization failed"};
-  const std::string bytes = frozen.str();
-
   shards_.resize(config_.num_shards);
   for (std::size_t k = 0; k < config_.num_shards; ++k) {
-    Shard& shard = shards_[k];
-    shard.mapper = std::make_unique<core::SensoryMapper>(mapper.config());
-    std::istringstream is{bytes, std::ios::binary};
-    if (!shard.mapper->load(is, "fleet shard clone"))
-      throw std::logic_error{"FleetServer: mapper clone round-trip failed"};
     InferenceSchedulerConfig sc = config_.scheduler;
     // Shards pump inside one parallel region: telemetry ticking (not
     // concurrent-safe) moves up to the fleet, and gauges/extra counters go
     // to the shard's own scope so concurrent shards never share a gauge.
     sc.telemetry_ticks = false;
     sc.metric_scope = "stream.shard" + std::to_string(k);
-    shard.scheduler = std::make_unique<InferenceScheduler>(*shard.mapper, sc);
+    shards_[k].scheduler = std::make_unique<InferenceScheduler>(mapper, sc);
   }
 }
 
@@ -137,9 +124,8 @@ FleetServer::AdmissionResult FleetServer::admit(std::uint64_t id) {
   if (degrade)
     sc.evidence_stride =
         std::max<std::size_t>(config_.degraded_evidence_stride, 2);
-  auto session = std::make_unique<RcaSession>(id, *shard.mapper,
-                                              *imu_detector_, *gps_detector_,
-                                              sc);
+  auto session = std::make_unique<RcaSession>(id, *mapper_, *imu_detector_,
+                                              *gps_detector_, sc);
   RcaSession* ptr = session.get();
   shard.scheduler->attach(*ptr);
   shard.sessions.push_back(std::move(session));
@@ -170,7 +156,8 @@ std::size_t FleetServer::pump() {
   obs::telemetry_tick();
   std::vector<std::size_t> inferred(shards_.size(), 0);
   // grain 1 = one chunk per shard: bodies touch disjoint shard state (own
-  // mapper clone, own queue, own scoped instruments); the shared global
+  // queue, own scoped instruments) and run eval forwards on the shared
+  // mapper, which write no model state; the shared global
   // counters/histograms are parallel-safe.
   util::parallel_for(
       shards_.size(),
@@ -260,7 +247,7 @@ FleetServer::AdmissionResult FleetServer::restore(const std::string& path) {
   const std::size_t k = shard_of(id, shards_.size());
   if (find(id) != nullptr)
     throw std::invalid_argument{"FleetServer: restore of a live session id"};
-  auto session = RcaSession::restore(path, *shards_[k].mapper, *imu_detector_,
+  auto session = RcaSession::restore(path, *mapper_, *imu_detector_,
                                      *gps_detector_, config_.session);
   if (!session) return {Admission::kRejected, k, nullptr};
   return attach_restored(std::move(session));

@@ -1,16 +1,13 @@
 // Fleet-scale serving: RcaSessions sharded across per-shard inference
 // schedulers, with admission control and crash-safe checkpoint/restore.
 //
-// Model forwards are NOT reentrant (per-layer caches), so one scheduler can
-// never pump concurrently with another over a shared mapper.  The fleet
-// gives each shard its OWN mapper clone — a bitwise-identical copy obtained
-// by round-tripping the trained mapper through its framed serialization —
-// so a pump() fans shards out across the thread pool and each shard runs
-// its batched forwards in parallel with the others.  Shard assignment is a
-// pure function of the session id (shard_of: splitmix64(id) mod shards),
-// never of load or arrival order, so batch composition per shard — and
-// therefore every verdict — is bit-identical at any SB_THREADS and across
-// checkpoint/restore migrations.
+// Every shard serves the one trained mapper: eval forwards write no model
+// state (ml/layer.hpp), so a pump() fans shards out across the thread pool
+// and each shard runs its batched forwards on the shared model in parallel
+// with the others.  Shard assignment is a pure function of the session id
+// (shard_of: splitmix64(id) mod shards), never of load or arrival order, so
+// batch composition per shard — and therefore every verdict — is
+// bit-identical at any SB_THREADS and across checkpoint/restore migrations.
 //
 // Admission control: every session enters through admit(), which returns an
 // explicit verdict.  A shard at its degrade watermark admits new sessions
@@ -62,8 +59,8 @@ const char* to_string(Admission verdict);
 
 class FleetServer {
  public:
-  // Detectors must be calibrated and the mapper trained; the fleet keeps
-  // its own per-shard mapper clones but holds the detectors by reference.
+  // Detectors must be calibrated and the mapper trained.  The fleet holds
+  // all three by reference, so they must outlive it.
   FleetServer(const core::SensoryMapper& mapper,
               const core::ImuRcaDetector& imu_detector,
               const core::GpsRcaDetector& gps_detector,
@@ -87,7 +84,7 @@ class FleetServer {
   RcaSession* find(std::uint64_t id);
 
   // One serving round: every shard scheduler pumps once, in parallel across
-  // the thread pool (each shard on its own mapper clone).  Returns the
+  // the thread pool (all shards on the one mapper).  Returns the
   // number of windows inferred across all shards.  Also the fleet's
   // telemetry clock (one tick per round, outside the parallel region).
   std::size_t pump();
@@ -128,7 +125,6 @@ class FleetServer {
 
  private:
   struct Shard {
-    std::unique_ptr<core::SensoryMapper> mapper;  // private clone
     std::unique_ptr<InferenceScheduler> scheduler;
     std::vector<std::unique_ptr<RcaSession>> sessions;
   };
@@ -137,6 +133,7 @@ class FleetServer {
   void update_global_gauges();
 
   FleetServerConfig config_;
+  const core::SensoryMapper* mapper_;
   const core::ImuRcaDetector* imu_detector_;
   const core::GpsRcaDetector* gps_detector_;
   std::vector<Shard> shards_;

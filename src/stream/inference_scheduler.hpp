@@ -1,11 +1,12 @@
 // Micro-batching inference scheduler for multi-session serving.
 //
-// Model forwards are NOT reentrant (per-layer caches), so N concurrent
-// flights cannot simply each call the model: the scheduler coalesces ready
-// windows from all attached sessions into ONE batched SensoryMapper forward
-// per round — batching along the tensor's leading dimension inside a single
-// forward, which is bitwise identical to per-window forwards (pinned by
-// ml_test) and amortizes the per-layer fixed costs across sessions.
+// The scheduler coalesces ready windows from all attached sessions into ONE
+// batched SensoryMapper forward per round, so the per-layer fixed costs of
+// a forward are paid once per round instead of once per window.  Batching
+// runs along the tensor's leading dimension inside a single forward, which
+// is bitwise identical to per-window forwards (pinned by ml_test).  Eval
+// forwards write no model state, so several schedulers (a fleet's shards)
+// may pump on one mapper at once.
 //
 // Determinism: each round collects ready windows in ascending session-id
 // order (each session's windows are already seq-ascending) into a FIFO

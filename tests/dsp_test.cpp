@@ -276,23 +276,11 @@ TEST(Biquad, LowPassAttenuatesHighFrequency) {
   EXPECT_LT(lp.magnitude_at(6000.0, 16000.0), 0.05);
 }
 
-TEST(Biquad, HighPassMirrorsLowPass) {
-  Biquad hp = Biquad::high_pass(1000.0, 16000.0);
-  EXPECT_LT(hp.magnitude_at(50.0, 16000.0), 0.01);
-  EXPECT_NEAR(hp.magnitude_at(7000.0, 16000.0), 1.0, 0.05);
-}
-
 TEST(Biquad, BandPassPeaksAtCenter) {
   Biquad bp = Biquad::band_pass(2500.0, 16000.0, 3.0);
   const double at_center = bp.magnitude_at(2500.0, 16000.0);
   EXPECT_GT(at_center, bp.magnitude_at(1000.0, 16000.0) * 5.0);
   EXPECT_GT(at_center, bp.magnitude_at(5000.0, 16000.0) * 5.0);
-}
-
-TEST(Biquad, NotchNullsCenter) {
-  Biquad n = Biquad::notch(2500.0, 16000.0, 5.0);
-  EXPECT_LT(n.magnitude_at(2500.0, 16000.0), 0.05);
-  EXPECT_NEAR(n.magnitude_at(100.0, 16000.0), 1.0, 0.05);
 }
 
 TEST(Biquad, TimeDomainMatchesMagnitudeResponse) {

@@ -1,20 +1,27 @@
 // Tier-1 coverage for the deterministic thread pool and the GEMM-backed
 // convolution backend:
 //   * thread-pool semantics (disjoint coverage, deterministic reductions,
-//     nested regions run inline, set_threads override),
+//     nested regions run inline, set_threads override, the worker cap and
+//     the SB_THREADS parser),
 //   * Conv2D / DepthwiseConv2D GEMM backend vs the reference loop nest on
 //     random shapes, forward AND backward,
-//   * the determinism regression: training the same model at 1 and 4 threads
+//   * the model concurrency contract: concurrent eval forwards on one model
+//     match serial ones bitwise,
+//   * the determinism regression: training the same model at 1 to 4 threads
 //     must produce bit-identical weights and predictions.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ml/conv.hpp"
+#include "ml/lstm.hpp"
 #include "ml/models.hpp"
 #include "ml/tensor.hpp"
 #include "ml/trainer.hpp"
@@ -109,6 +116,37 @@ TEST(ThreadPoolTest, SetThreadsOverridesAndRestores) {
     EXPECT_EQ(util::ThreadPool::threads(), 3u);
   }
   EXPECT_EQ(util::ThreadPool::threads(), fallback);
+}
+
+TEST(ThreadPoolTest, WorkerThreadsAreCappedAtHardwareConcurrency) {
+  // A thread count above the core count still chunks the loop at that
+  // count, but the chunks run on at most hardware_concurrency OS threads
+  // (the caller plus the workers).  Sleeping chunks keep every lane busy,
+  // so an uncapped pool would show up as extra distinct thread ids.
+  const std::size_t hc =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  ThreadCountGuard guard{hc + 4};
+  const std::size_t chunks = 4 * (hc + 4);
+  std::vector<std::thread::id> ran_on(chunks);
+  util::parallel_for(
+      chunks,
+      [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        ran_on[i] = std::this_thread::get_id();
+      },
+      1);
+  const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+  EXPECT_LE(distinct.size(), hc);
+}
+
+TEST(ThreadPoolTest, ThreadCountParsesWholePositiveIntegersOnly) {
+  EXPECT_EQ(util::parse_thread_count("4"), std::optional<std::size_t>{4});
+  // Large counts parse; the worker cap bounds what they start.
+  EXPECT_EQ(util::parse_thread_count("100000"),
+            std::optional<std::size_t>{100000});
+  for (const char* bad :
+       {"4x", "abc", "", "0", "-2", "2.5", " 4", "+4", "99999999999999999999999"})
+    EXPECT_EQ(util::parse_thread_count(bad), std::nullopt) << "'" << bad << "'";
 }
 
 // ---------------------------------------------------------------------------
@@ -217,15 +255,68 @@ TEST(ConvBackendTest, GemmBackendStaysParallelSafe) {
 }
 
 // ---------------------------------------------------------------------------
+// Model concurrency contract (ml/layer.hpp): an eval forward writes no member
+// state, so concurrent eval forwards on ONE model — fleet shards serving one
+// mapper — must each match the same forward run alone, bit for bit.
+
+TEST(ModelReentrancy, ConcurrentEvalForwardsMatchSerial) {
+  ThreadCountGuard guard{4};
+  constexpr std::size_t kInputs = 8;
+  constexpr int kRounds = 20;
+  const ml::ModelInputShape shape;
+  struct Case {
+    std::string name;
+    std::unique_ptr<ml::Layer> model;
+    ml::Shape row;  // one input row's shape after the batch dim
+  };
+  std::vector<Case> cases;
+  Rng model_rng{910};
+  for (const ml::ModelKind kind :
+       {ml::ModelKind::kMobileNetLite, ml::ModelKind::kResNetLite,
+        ml::ModelKind::kNeuralOde, ml::ModelKind::kMlp})
+    cases.push_back({ml::to_string(kind), ml::make_model(kind, shape, 6, model_rng),
+                     {shape.channels, shape.height, shape.width}});
+  cases.push_back({"Lstm", std::make_unique<ml::Lstm>(3, 16, 20, model_rng),
+                   {20, 3}});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // Inputs of 1-3 rows, so concurrent forwards see different batch sizes.
+    Rng data_rng{911};
+    std::vector<Tensor> inputs;
+    std::vector<Tensor> serial;
+    for (std::size_t i = 0; i < kInputs; ++i) {
+      ml::Shape in_shape{1 + i % 3};
+      in_shape.insert(in_shape.end(), c.row.begin(), c.row.end());
+      inputs.push_back(random_tensor(in_shape, data_rng));
+      serial.push_back(c.model->forward(inputs.back(), false));
+    }
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<Tensor> outs(kInputs);
+      util::parallel_for(
+          kInputs,
+          [&](std::size_t i) { outs[i] = c.model->forward(inputs[i], false); },
+          1);
+      for (std::size_t i = 0; i < kInputs; ++i) {
+        ASSERT_EQ(outs[i].shape(), serial[i].shape()) << "round " << round;
+        ASSERT_EQ(std::memcmp(outs[i].data(), serial[i].data(),
+                              serial[i].numel() * sizeof(float)),
+                  0)
+            << "input " << i << " diverged in round " << round;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Determinism regression: thread count must not change training results.
 
 // Trains a small model end to end and returns every learned weight followed
-// by the model's predictions on a fixed probe batch.  shard_grain/replicas
-// map straight onto TrainConfig (grain 4 over batch 8 = two shards per
-// batch, so the replicated engine and its reductions actually run).
-std::vector<float> train_and_fingerprint(ml::ModelKind kind, std::size_t threads,
-                                         std::size_t shard_grain = 4,
-                                         std::size_t replicas = 0) {
+// by the model's predictions on a fixed probe batch.  42 training rows at
+// batch 32 = one batch of four shards (grain ml::kShardGrain) and one of two,
+// so 2 and 3 threads run fewer replicas than shards and 4 threads leave
+// replicas idle on the short batch.
+std::vector<float> train_and_fingerprint(ml::ModelKind kind, std::size_t threads) {
   ThreadCountGuard guard{threads};
   const ml::ModelInputShape shape{.channels = 2, .height = 8, .width = 12};
   Rng model_rng{900};
@@ -233,17 +324,15 @@ std::vector<float> train_and_fingerprint(ml::ModelKind kind, std::size_t threads
 
   Rng data_rng{901};
   ml::RegressionDataset data;
-  data.x = random_tensor({24, shape.channels, shape.height, shape.width}, data_rng);
-  data.y = random_tensor({24, 3}, data_rng);
+  data.x = random_tensor({56, shape.channels, shape.height, shape.width}, data_rng);
+  data.y = random_tensor({56, 3}, data_rng);
   Rng split_rng{902};
   auto [train, val] = ml::split_dataset(data, 0.25, split_rng);
 
   ml::TrainConfig cfg;
   cfg.epochs = 2;
-  cfg.batch_size = 8;
+  cfg.batch_size = 32;
   cfg.eval_batch_size = 8;
-  cfg.shard_grain = shard_grain;
-  cfg.replicas = replicas;
   ml::train_regressor(*model, train, val, cfg);
 
   std::vector<float> fingerprint;
@@ -270,40 +359,17 @@ void expect_same_fingerprint(const std::vector<float>& a,
 class DeterminismTest : public ::testing::TestWithParam<ml::ModelKind> {};
 
 TEST_P(DeterminismTest, TrainingIsBitIdenticalAcrossThreadCounts) {
+  // The thread count sets the replica count (one per worker, capped at the
+  // shard count), so this also covers replicas running several shards.
   const auto serial = train_and_fingerprint(GetParam(), 1);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
     const auto parallel = train_and_fingerprint(GetParam(), threads);
     expect_same_fingerprint(serial, parallel,
                             "training " + ml::to_string(GetParam()) +
                                 " diverged between 1 and " +
                                 std::to_string(threads) + " threads");
   }
-}
-
-TEST_P(DeterminismTest, TrainingIsBitIdenticalAcrossReplicaCounts) {
-  // Grain 2 over batch 8 = four shards; replica counts below the shard
-  // count force checkout contention, above it leave replicas idle — neither
-  // may change the trained weights.
-  const auto reference = train_and_fingerprint(GetParam(), 4, 2, 1);
-  for (const std::size_t replicas : {std::size_t{2}, std::size_t{3}, std::size_t{0}}) {
-    const auto run = train_and_fingerprint(GetParam(), 4, 2, replicas);
-    expect_same_fingerprint(reference, run,
-                            "training " + ml::to_string(GetParam()) +
-                                " diverged at replica count " +
-                                std::to_string(replicas));
-  }
-}
-
-TEST_P(DeterminismTest, SingleShardShardedTrainingMatchesSerialLoop) {
-  // One shard per batch (grain >= batch) must reproduce the serial
-  // fallback's floating-point results bitwise: same loss scale, same
-  // gradient association, same BatchNorm running-stat updates.
-  const auto serial = train_and_fingerprint(GetParam(), 4, /*shard_grain=*/0);
-  const auto sharded = train_and_fingerprint(GetParam(), 4, /*shard_grain=*/8);
-  expect_same_fingerprint(serial, sharded,
-                          "single-shard training of " +
-                              ml::to_string(GetParam()) +
-                              " diverged from the serial loop");
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, DeterminismTest,

@@ -697,12 +697,13 @@ TEST_F(StreamServingTest, FleetAdmissionAdmitsDegradesAndRejects) {
 TEST_F(StreamServingTest, FleetServingMatchesShardedStandaloneBitwise) {
   // Reference: standalone schedulers with the SAME session->shard mapping
   // and pump pattern as the fleet, serving serially on the shared trained
-  // mapper.  The fleet adds per-shard mapper clones, parallel shard pumps
-  // and scoped metrics on top — none of which may change a single bit of
-  // any verdict.  (Queue composition must match between the two sides: GPS
-  // fix->window attribution legitimately depends on how deliveries
-  // interleave with pushes, so comparing different queueing layouts — e.g.
-  // one shared queue vs shards — compares different serving schedules.)
+  // mapper.  The fleet adds parallel shard pumps — concurrent eval forwards
+  // on that one mapper — and scoped metrics on top, none of which may
+  // change a single bit of any verdict.  (Queue composition must match
+  // between the two sides: GPS fix->window attribution legitimately depends
+  // on how deliveries interleave with pushes, so comparing different
+  // queueing layouts — e.g. one shared queue vs shards — compares different
+  // serving schedules.)
   constexpr std::size_t kShards = 3;
   FleetServerConfig config;
   config.num_shards = kShards;
