@@ -312,11 +312,11 @@ TEST(ModelReentrancy, ConcurrentEvalForwardsMatchSerial) {
 // Determinism regression: thread count must not change training results.
 
 // Trains a small model end to end and returns every learned weight followed
-// by the model's predictions on a fixed probe batch.  42 training rows at
-// batch 32 = one batch of four shards (grain ml::kShardGrain) and one of two,
-// so 2 and 3 threads run fewer replicas than shards and 4 threads leave
-// replicas idle on the short batch.
-std::vector<float> train_and_fingerprint(ml::ModelKind kind, std::size_t threads) {
+// by the model's predictions on a fixed probe batch.  The 42 training rows
+// split into shards of ml::kShardGrain rows, so batch_size picks the shard
+// count per batch; the replica count is min(threads, shards in a full batch).
+std::vector<float> train_and_fingerprint(ml::ModelKind kind, std::size_t threads,
+                                         std::size_t batch_size) {
   ThreadCountGuard guard{threads};
   const ml::ModelInputShape shape{.channels = 2, .height = 8, .width = 12};
   Rng model_rng{900};
@@ -331,7 +331,7 @@ std::vector<float> train_and_fingerprint(ml::ModelKind kind, std::size_t threads
 
   ml::TrainConfig cfg;
   cfg.epochs = 2;
-  cfg.batch_size = 32;
+  cfg.batch_size = batch_size;
   cfg.eval_batch_size = 8;
   ml::train_regressor(*model, train, val, cfg);
 
@@ -359,16 +359,31 @@ void expect_same_fingerprint(const std::vector<float>& a,
 class DeterminismTest : public ::testing::TestWithParam<ml::ModelKind> {};
 
 TEST_P(DeterminismTest, TrainingIsBitIdenticalAcrossThreadCounts) {
-  // The thread count sets the replica count (one per worker, capped at the
-  // shard count), so this also covers replicas running several shards.
-  const auto serial = train_and_fingerprint(GetParam(), 1);
-  for (const std::size_t threads :
-       {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
-    const auto parallel = train_and_fingerprint(GetParam(), threads);
+  // Batch 16 = two shards per batch: 2 threads run one replica per shard,
+  // 4 threads leave workers with no replica (they still split the layers'
+  // own parallel loops).
+  const auto serial = train_and_fingerprint(GetParam(), 1, 16);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    const auto parallel = train_and_fingerprint(GetParam(), threads, 16);
     expect_same_fingerprint(serial, parallel,
                             "training " + ml::to_string(GetParam()) +
                                 " diverged between 1 and " +
                                 std::to_string(threads) + " threads");
+  }
+}
+
+TEST_P(DeterminismTest, TrainingIsBitIdenticalAcrossReplicaCounts) {
+  // Batch 32 = four shards per full batch (the last batch has two), so 1-4
+  // threads run 1-4 replicas: 2 and 3 replicas run several shards each, 4
+  // leave replicas idle on the short batch — none may change the weights.
+  const auto reference = train_and_fingerprint(GetParam(), 1, 32);
+  for (const std::size_t replicas :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    const auto run = train_and_fingerprint(GetParam(), replicas, 32);
+    expect_same_fingerprint(reference, run,
+                            "training " + ml::to_string(GetParam()) +
+                                " diverged at replica count " +
+                                std::to_string(replicas));
   }
 }
 
