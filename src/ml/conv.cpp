@@ -17,39 +17,115 @@ std::size_t out_dim(std::size_t in, std::size_t k, std::size_t stride, std::size
   return (in + 2 * pad - k) / stride + 1;
 }
 
-// Unfolds one [C, H, W] input plane stack into the patch matrix
-// col[(c*k + ky)*k + kx][oy*ow + ox], zero-filling padding.  Row order
-// (c, ky, kx) matches the direct loop's accumulation order, so GEMM over
-// these rows reproduces the reference convolution's floating-point sums.
-void im2col(const float* x, std::size_t channels, std::size_t h, std::size_t w,
-            std::size_t ksize, std::size_t stride, std::size_t pad, std::size_t oh,
-            std::size_t ow, float* col) {
-  const std::size_t patches = oh * ow;
-  float* crow = col;
-  for (std::size_t c = 0; c < channels; ++c) {
-    const float* plane = x + c * h * w;
-    for (std::size_t ky = 0; ky < ksize; ++ky) {
-      for (std::size_t kx = 0; kx < ksize; ++kx, crow += patches) {
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          float* dst = crow + oy * ow;
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-            std::fill_n(dst, ow, 0.0f);
-            continue;
-          }
-          const float* src = plane + static_cast<std::size_t>(iy) * w;
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                                      static_cast<std::ptrdiff_t>(pad);
-            dst[ox] = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
-                          ? 0.0f
-                          : src[static_cast<std::size_t>(ix)];
-          }
-        }
+// Output columns [lo, hi) of a row whose input column ox*stride + kx - pad
+// lies inside [0, w); every other output column reads padding.
+struct ColRange {
+  std::size_t lo, hi;
+};
+ColRange valid_cols(std::size_t kx, std::size_t stride, std::size_t pad,
+                    std::size_t w, std::size_t ow) {
+  const std::size_t lo = kx >= pad ? 0 : (pad - kx + stride - 1) / stride;
+  const std::size_t hi =
+      w + pad > kx ? std::min(ow, (w + pad - kx + stride - 1) / stride) : 0;
+  return {std::min(lo, hi), hi};
+}
+
+// A zero-padded plane split into `stride` column phases: phase f row r holds
+// padded columns f, f + stride, f + 2*stride, ... (layout [stride][hp][pw]),
+// so a stride-s tap over consecutive output columns reads consecutive
+// elements of one phase row.  At stride 1 it is the plain padded plane.
+struct PhaseGeometry {
+  std::size_t hp, pw, size;
+  PhaseGeometry(std::size_t h, std::size_t w, std::size_t pad, std::size_t stride)
+      : hp(h + 2 * pad),
+        pw((w + 2 * pad + stride - 1) / stride),
+        size(stride * hp * pw) {}
+};
+
+// Fills every slot of the phase buffer from one [h, w] plane.
+void pad_phases(const float* x, std::size_t h, std::size_t w, std::size_t pad,
+                std::size_t stride, const PhaseGeometry& g, float* q) {
+  for (std::size_t f = 0; f < stride; ++f) {
+    const auto [lo, hi] = valid_cols(f, stride, pad, w, g.pw);
+    for (std::size_t r = 0; r < g.hp; ++r) {
+      float* dst = q + (f * g.hp + r) * g.pw;
+      if (r < pad || r >= pad + h) {
+        std::fill_n(dst, g.pw, 0.0f);
+        continue;
       }
+      const float* src = x + (r - pad) * w;
+      std::fill_n(dst, lo, 0.0f);
+      for (std::size_t j = lo; j < hi; ++j) dst[j] = src[j * stride + f - pad];
+      std::fill_n(dst + hi, g.pw - hi, 0.0f);
     }
   }
+}
+
+// Copies the unpadded interior of a phase buffer into a [h, w] plane (the
+// inverse of pad_phases).
+void unpad_phases(const float* q, std::size_t h, std::size_t w, std::size_t pad,
+                  std::size_t stride, const PhaseGeometry& g, float* x) {
+  for (std::size_t f = 0; f < stride; ++f) {
+    const auto [lo, hi] = valid_cols(f, stride, pad, w, g.pw);
+    for (std::size_t iy = 0; iy < h; ++iy) {
+      const float* src = q + (f * g.hp + iy + pad) * g.pw;
+      float* dst = x + iy * w;
+      for (std::size_t j = lo; j < hi; ++j) dst[j * stride + f - pad] = src[j];
+    }
+  }
+}
+
+// Zero-padded copy of one item's [C, h, w] planes in the stride-1 phase
+// layout [C][hp][wp]; an unpadded conv reads x in place.
+const float* padded_input(const float* x, std::size_t channels, std::size_t h,
+                          std::size_t w, std::size_t pad, const PhaseGeometry& g,
+                          float* buf) {
+  if (pad == 0) return x;
+  for (std::size_t c = 0; c < channels; ++c)
+    pad_phases(x + c * h * w, h, w, pad, 1, g, buf + c * g.size);
+  return buf;
+}
+
+// Unfolds a zero-padded [C, hp, wp] plane stack into the patch matrix
+// col[(c*k + ky)*k + kx][oy*ow + ox] = xp[c][oy*stride + ky][ox*stride + kx].
+// Row order (c, ky, kx) matches the direct loop's accumulation order, so
+// GEMM over these rows reproduces the reference convolution's floating-point
+// sums, padding taps included.
+void im2col(const float* xp, std::size_t channels, std::size_t hp, std::size_t wp,
+            std::size_t ksize, std::size_t stride, std::size_t oh, std::size_t ow,
+            float* col) {
+  float* dst = col;
+  for (std::size_t c = 0; c < channels; ++c)
+    for (std::size_t ky = 0; ky < ksize; ++ky)
+      for (std::size_t kx = 0; kx < ksize; ++kx)
+        for (std::size_t oy = 0; oy < oh; ++oy, dst += ow) {
+          const float* src = xp + (c * hp + oy * stride + ky) * wp + kx;
+          if (stride == 1)
+            std::copy_n(src, ow, dst);
+          else
+            for (std::size_t ox = 0; ox < ow; ++ox) dst[ox] = src[ox * stride];
+        }
+}
+
+// The same patch matrix transposed, colT[oy*ow + ox][(c*k + ky)*k + kx]:
+// the B operand of dW = grad_out * colT, whose matmul_nn lanes then run
+// across dW's columns while each element sums patches in ascending order.
+// K = 3 unrolls the k x k tap copy (K = 0: any k).
+template <std::size_t K>
+void im2col_t(const float* xp, std::size_t channels, std::size_t hp, std::size_t wp,
+              std::size_t k_any, std::size_t stride, std::size_t oh, std::size_t ow,
+              float* colt) {
+  const std::size_t k = K ? K : k_any;
+  float* dst = colt;
+  for (std::size_t oy = 0; oy < oh; ++oy)
+    for (std::size_t ox = 0; ox < ow; ++ox)
+      for (std::size_t c = 0; c < channels; ++c)
+#pragma GCC unroll 8
+        for (std::size_t ky = 0; ky < k; ++ky, dst += k) {
+          const float* src = xp + (c * hp + oy * stride + ky) * wp + ox * stride;
+#pragma GCC unroll 8
+          for (std::size_t kx = 0; kx < k; ++kx) dst[kx] = src[kx];
+        }
 }
 
 // Scatter-adds a patch-matrix gradient back onto the [C, H, W] input grid
@@ -63,20 +139,142 @@ void col2im_add(const float* col, std::size_t channels, std::size_t h, std::size
     float* plane = gx + c * h * w;
     for (std::size_t ky = 0; ky < ksize; ++ky) {
       for (std::size_t kx = 0; kx < ksize; ++kx, crow += patches) {
+        const auto [lo, hi] = valid_cols(kx, stride, pad, w, ow);
         for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-          float* dst = plane + static_cast<std::size_t>(iy) * w;
+          const std::size_t iy = oy * stride + ky;
+          if (iy < pad || iy >= pad + h) continue;
+          float* dst = plane + (iy - pad) * w;
           const float* src = crow + oy * ow;
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                                      static_cast<std::ptrdiff_t>(pad);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-            dst[static_cast<std::size_t>(ix)] += src[ox];
-          }
+          for (std::size_t ox = lo; ox < hi; ++ox)
+            dst[ox * stride + kx - pad] += src[ox];
         }
       }
+    }
+  }
+}
+
+// Sums of each of `rows` rows of `cols` floats, four rows interleaved: each
+// row keeps its one ascending chain from +0, as a plain loop per row would.
+void row_sums(const float* a, std::size_t rows, std::size_t cols, float* out) {
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const float* a0 = a + r * cols;
+    float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+    for (std::size_t p = 0; p < cols; ++p) {
+      s0 += a0[p];
+      s1 += a0[cols + p];
+      s2 += a0[2 * cols + p];
+      s3 += a0[3 * cols + p];
+    }
+    out[r] = s0;
+    out[r + 1] = s1;
+    out[r + 2] = s2;
+    out[r + 3] = s3;
+  }
+  for (; r < rows; ++r) {
+    float s = 0.0f;
+    for (std::size_t p = 0; p < cols; ++p) s += a[r * cols + p];
+    out[r] = s;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Direct depthwise kernel over one plane's phase buffer: tap (ky, kx) of
+// output columns ox, ox+1, ... reads consecutive elements of phase
+// kx % stride at offset kx / stride, so vector lanes run across output
+// columns.  Taps go in im2col's (ky, kx) order and the padding taps multiply
+// zeros, so every element's arithmetic is the im2col + GEMM path's, bit for
+// bit.
+
+// Offset of tap t = ky*k + kx for output (0, 0): phase kx % stride, row ky,
+// column kx / stride.  Output (oy, ox) adds oy * stride * pw + ox.
+void tap_offsets(const PhaseGeometry& g, std::size_t k, std::size_t stride,
+                 std::size_t* off) {
+  for (std::size_t ky = 0; ky < k; ++ky)
+    for (std::size_t kx = 0; kx < k; ++kx)
+      off[ky * k + kx] = ((kx % stride) * g.hp + ky) * g.pw + kx / stride;
+}
+
+// y = bias + sum over taps of w[ky*k + kx] * x_pad[oy*s + ky][ox*s + kx],
+// tap by tap over the whole plane, so each element's chain is separated by
+// a plane's worth of independent work.
+void depthwise_forward_plane(const float* q, const PhaseGeometry& g,
+                             const std::size_t* off, std::size_t taps,
+                             std::size_t stride, const float* wts, float bias,
+                             std::size_t oh, std::size_t ow, bool vec, float* y) {
+  std::fill_n(y, oh * ow, bias);
+  for (std::size_t t = 0; t < taps; ++t) {
+    const float wv = wts[t];
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      const float* src = q + oy * stride * g.pw + off[t];
+      float* yr = y + oy * ow;
+      std::size_t ox = 0;
+      if (vec) {
+        namespace v = util::simd;
+        const v::VFloat vw = v::broadcast(wv);
+        for (; ox + v::kFloatLanes <= ow; ox += v::kFloatLanes)
+          v::store(yr + ox, v::add(v::load(yr + ox), v::mul(vw, v::load(src + ox))));
+      }
+      for (; ox < ow; ++ox) yr[ox] += wv * src[ox];
+    }
+  }
+}
+
+// Weight and bias gradient partials of one plane: gw[t] sums g * x_pad over
+// patches in ascending order and gb sums g, each from +0 — independent
+// chains, so kTaps = 9 (3x3) keeps all ten in registers (kTaps = 0: any k).
+template <std::size_t kTaps>
+void depthwise_wgrad_plane(const float* q, const PhaseGeometry& g,
+                           const std::size_t* off, std::size_t taps_any,
+                           std::size_t stride, const float* grad, std::size_t oh,
+                           std::size_t ow, float* gw, float* gb) {
+  const std::size_t taps = kTaps ? kTaps : taps_any;
+  float fixed[kTaps ? kTaps : 1] = {};
+  std::size_t fixed_off[kTaps ? kTaps : 1] = {};
+  float* acc = fixed;
+  if constexpr (kTaps == 0) {
+    std::fill_n(gw, taps, 0.0f);
+    acc = gw;
+  } else {
+    std::copy_n(off, kTaps, fixed_off);
+    off = fixed_off;
+  }
+  float sb = 0.0f;
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    const float* row = q + oy * stride * g.pw;
+    const float* gr = grad + oy * ow;
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      const float gv = gr[ox];
+      sb += gv;
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < taps; ++t) acc[t] += gv * row[off[t] + ox];
+    }
+  }
+  if constexpr (kTaps != 0) std::copy_n(acc, kTaps, gw);
+  *gb = sb;
+}
+
+// Input gradient of one plane, accumulated in a zero-filled phase buffer:
+// tap by tap in (ky, kx) order, gq += w * g — each padded cell receives its
+// terms in im2col + col2im_add's ascending-tap order.  A tap sweeps every
+// output row before the next tap revisits a row one column over.
+void depthwise_xgrad_plane(const float* wts, const float* grad, const PhaseGeometry& g,
+                           const std::size_t* off, std::size_t taps,
+                           std::size_t stride, std::size_t oh, std::size_t ow,
+                           bool vec, float* gq) {
+  for (std::size_t t = 0; t < taps; ++t) {
+    const float wv = wts[t];
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      const float* gr = grad + oy * ow;
+      float* dst = gq + oy * stride * g.pw + off[t];
+      std::size_t ox = 0;
+      if (vec) {
+        namespace v = util::simd;
+        const v::VFloat vw = v::broadcast(wv);
+        for (; ox + v::kFloatLanes <= ow; ox += v::kFloatLanes)
+          v::store(dst + ox, v::add(v::load(dst + ox), v::mul(vw, v::load(gr + ox))));
+      }
+      for (; ox < ow; ++ox) dst[ox] += wv * gr[ox];
     }
   }
 }
@@ -114,19 +312,26 @@ Tensor Conv2D::forward(const Tensor& x, bool train) {
 
   const std::size_t kdim = in_c_ * k_ * k_;
   const std::size_t patches = oh * ow;
+  const bool pointwise = is_pointwise();
+  const PhaseGeometry geom{h, w, pad_, 1};
   util::parallel_for_ranges(
       n,
       [&](std::size_t i0, std::size_t i1) {
-        // im2col fully overwrites col, so uninitialized scratch is safe.
-        Scratch<float> col{kdim * patches};
+        // The padded copy and im2col fully overwrite their buffers, so
+        // uninitialized scratch is safe; a pointwise conv's input already is
+        // its patch matrix.
+        Scratch<float> xp{pad_ == 0 ? 0 : in_c_ * geom.size};
+        Scratch<float> col{pointwise ? 0 : kdim * patches};
         for (std::size_t i = i0; i < i1; ++i) {
-          im2col(x.data() + i * in_c_ * h * w, in_c_, h, w, k_, stride_, pad_, oh,
-                 ow, col.data());
+          const float* xi = x.data() + i * in_c_ * h * w;
+          if (!pointwise)
+            im2col(padded_input(xi, in_c_, h, w, pad_, geom, xp.data()), in_c_,
+                   geom.hp, geom.pw, k_, stride_, oh, ow, col.data());
           float* yi = y.data() + i * out_c_ * patches;
           for (std::size_t oc = 0; oc < out_c_; ++oc)
             std::fill_n(yi + oc * patches, patches, bias_.value[oc]);
-          matmul_nn(weight_.value.data(), kdim, col.data(), patches, yi, patches,
-                    out_c_, kdim, patches, true);
+          matmul_nn(weight_.value.data(), kdim, pointwise ? xi : col.data(), patches,
+                    yi, patches, out_c_, kdim, patches, true);
         }
       },
       1);
@@ -168,55 +373,74 @@ void Conv2D::forward_reference(const Tensor& x, Tensor& y, std::size_t n,
   }
 }
 
-Tensor Conv2D::backward(const Tensor& grad_out) {
+Tensor Conv2D::backward(const Tensor& grad_out, bool want_input_grad) {
   const Tensor& x = cached_x_;
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  Tensor grad_in(x.shape());
   if (g_backend == ConvBackend::kReference) {
+    Tensor grad_in(x.shape());
     backward_reference(grad_out, grad_in, n, h, w, oh, ow);
-    return grad_in;
+    return want_input_grad ? grad_in : Tensor{};
   }
 
   const std::size_t kdim = in_c_ * k_ * k_;
   const std::size_t patches = oh * ow;
+  const bool pointwise = is_pointwise();
+  const PhaseGeometry geom{h, w, pad_, 1};
   // dX operand: weight^T packed [kdim, outC], rebuilt only when the weights
   // actually changed (Param::version — optimizer steps, load, replica sync).
   // matmul_nn over the pack keeps matmul_tn's exact per-element ascending-oc
   // accumulation order but runs the vectorized micro-kernel.
-  if (packed_version_ != weight_.version) {
+  if (want_input_grad && packed_version_ != weight_.version) {
     if (packed_wt_.numel() != kdim * out_c_) packed_wt_ = Tensor({kdim, out_c_});
     pack_transpose(weight_.value.data(), kdim, out_c_, kdim, packed_wt_.data());
     packed_version_ = weight_.version;
   }
+  // A pointwise dX is written whole by one GEMM; col2im_add accumulates.
+  Tensor grad_in = !want_input_grad ? Tensor{}
+                   : pointwise      ? Tensor(x.shape(), kNoFill)
+                                    : Tensor(x.shape());
   // Per-item weight/bias gradient partials, reduced serially in batch order
   // below so the result is independent of the thread count.  Every slot is
-  // written before the reduction (matmul_nt with accumulate=false and the
-  // patch-sum assignment), so uninitialized scratch is safe.
+  // written before the reduction (matmul_nn with accumulate=false and the
+  // patch sums), so uninitialized scratch is safe.
   Scratch<float> gw_part{n * out_c_ * kdim};
   Scratch<float> gb_part{n * out_c_};
   util::parallel_for_ranges(
       n,
       [&](std::size_t i0, std::size_t i1) {
-        Scratch<float> col{kdim * patches};
-        Scratch<float> gcol{kdim * patches};
+        Scratch<float> xp{pad_ == 0 ? 0 : in_c_ * geom.size};
+        Scratch<float> colt{kdim * patches};
+        Scratch<float> gcol{want_input_grad && !pointwise ? kdim * patches : 0};
         for (std::size_t i = i0; i < i1; ++i) {
-          im2col(x.data() + i * in_c_ * h * w, in_c_, h, w, k_, stride_, pad_, oh,
-                 ow, col.data());
-          const float* gi = grad_out.data() + i * out_c_ * patches;
-          matmul_nt(gi, patches, col.data(), patches,
-                    gw_part.data() + i * out_c_ * kdim, kdim, out_c_, patches,
-                    kdim, false);
-          for (std::size_t oc = 0; oc < out_c_; ++oc) {
-            const float* grow = gi + oc * patches;
-            float s = 0.0f;
-            for (std::size_t p = 0; p < patches; ++p) s += grow[p];
-            gb_part[i * out_c_ + oc] = s;
+          const float* xi = x.data() + i * in_c_ * h * w;
+          if (pointwise) {
+            pack_transpose(xi, patches, in_c_, patches, colt.data());
+          } else {
+            const float* src = padded_input(xi, in_c_, h, w, pad_, geom, xp.data());
+            if (k_ == 3)
+              im2col_t<3>(src, in_c_, geom.hp, geom.pw, k_, stride_, oh, ow,
+                          colt.data());
+            else
+              im2col_t<0>(src, in_c_, geom.hp, geom.pw, k_, stride_, oh, ow,
+                          colt.data());
           }
-          matmul_nn(packed_wt_.data(), out_c_, gi, patches, gcol.data(), patches,
-                    kdim, out_c_, patches, false);
-          col2im_add(gcol.data(), in_c_, h, w, k_, stride_, pad_, oh, ow,
-                     grad_in.data() + i * in_c_ * h * w);
+          const float* gi = grad_out.data() + i * out_c_ * patches;
+          // dW[oc][j] = sum over patches p, ascending, of g[oc][p] * col[j][p]
+          // from +0: lanes run across j.
+          matmul_nn(gi, patches, colt.data(), kdim, gw_part.data() + i * out_c_ * kdim,
+                    kdim, out_c_, patches, kdim, false);
+          row_sums(gi, out_c_, patches, gb_part.data() + i * out_c_);
+          if (!want_input_grad) continue;
+          float* gxi = grad_in.data() + i * in_c_ * h * w;
+          if (pointwise) {
+            matmul_nn(packed_wt_.data(), out_c_, gi, patches, gxi, patches, kdim,
+                      out_c_, patches, false);
+          } else {
+            matmul_nn(packed_wt_.data(), out_c_, gi, patches, gcol.data(), patches,
+                      kdim, out_c_, patches, false);
+            col2im_add(gcol.data(), in_c_, h, w, k_, stride_, pad_, oh, ow, gxi);
+          }
         }
       },
       1);
@@ -292,19 +516,21 @@ Tensor DepthwiseConv2D::forward(const Tensor& x, bool train) {
     return y;
   }
 
-  const std::size_t kdim = k_ * k_;
+  const PhaseGeometry geom{h, w, pad_, stride_};
+  const std::size_t taps = k_ * k_;
   const std::size_t patches = oh * ow;
+  Scratch<std::size_t> off{taps};
+  tap_offsets(geom, k_, stride_, off.data());
+  const bool vec = util::simd_enabled();
   // Each (item, channel) plane is an independent single-filter convolution.
   util::parallel_for_ranges(n * c_, [&](std::size_t p0, std::size_t p1) {
-    Scratch<float> col{kdim * patches};
+    Scratch<float> q{geom.size};
     for (std::size_t pair = p0; pair < p1; ++pair) {
       const std::size_t c = pair % c_;
-      im2col(x.data() + pair * h * w, 1, h, w, k_, stride_, pad_, oh, ow,
-             col.data());
-      float* yrow = y.data() + pair * patches;
-      std::fill_n(yrow, patches, bias_.value[c]);
-      matmul_nn(weight_.value.data() + c * kdim, kdim, col.data(), patches, yrow,
-                patches, 1, kdim, patches, true);
+      pad_phases(x.data() + pair * h * w, h, w, pad_, stride_, geom, q.data());
+      depthwise_forward_plane(q.data(), geom, off.data(), taps, stride_,
+                              weight_.value.data() + c * taps, bias_.value[c], oh, ow,
+                              vec, y.data() + pair * patches);
     }
   });
   return y;
@@ -341,41 +567,46 @@ void DepthwiseConv2D::forward_reference(const Tensor& x, Tensor& y, std::size_t 
   }
 }
 
-Tensor DepthwiseConv2D::backward(const Tensor& grad_out) {
+Tensor DepthwiseConv2D::backward(const Tensor& grad_out, bool want_input_grad) {
   const Tensor& x = cached_x_;
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  Tensor grad_in(x.shape());
   if (g_backend == ConvBackend::kReference) {
+    Tensor grad_in(x.shape());
     backward_reference(grad_out, grad_in, n, h, w, oh, ow);
-    return grad_in;
+    return want_input_grad ? grad_in : Tensor{};
   }
 
   const std::size_t kdim = k_ * k_;
   const std::size_t patches = oh * ow;
+  const PhaseGeometry geom{h, w, pad_, stride_};
+  Scratch<std::size_t> off{kdim};
+  tap_offsets(geom, k_, stride_, off.data());
+  const bool vec = util::simd_enabled();
+  // Every plane of dX is copied out of its phase buffer whole.
+  Tensor grad_in = want_input_grad ? Tensor(x.shape(), kNoFill) : Tensor{};
+  // Per-plane partials, reduced serially in (item, channel) order below.
   Scratch<float> gw_part{n * c_ * kdim};
   Scratch<float> gb_part{n * c_};
   util::parallel_for_ranges(n * c_, [&](std::size_t p0, std::size_t p1) {
-    Scratch<float> col{kdim * patches};
-    Scratch<float> gcol{kdim * patches};
+    Scratch<float> q{geom.size};
+    Scratch<float> gq{want_input_grad ? geom.size : 0};
     for (std::size_t pair = p0; pair < p1; ++pair) {
       const std::size_t c = pair % c_;
-      im2col(x.data() + pair * h * w, 1, h, w, k_, stride_, pad_, oh, ow,
-             col.data());
       const float* grow = grad_out.data() + pair * patches;
-      matmul_nt(grow, patches, col.data(), patches, gw_part.data() + pair * kdim,
-                kdim, 1, patches, kdim, false);
-      float s = 0.0f;
-      for (std::size_t p = 0; p < patches; ++p) s += grow[p];
-      gb_part[pair] = s;
-      const float* wc = weight_.value.data() + c * kdim;
-      for (std::size_t kk = 0; kk < kdim; ++kk) {
-        float* grow_col = gcol.data() + kk * patches;
-        const float wv = wc[kk];
-        for (std::size_t p = 0; p < patches; ++p) grow_col[p] = wv * grow[p];
-      }
-      col2im_add(gcol.data(), 1, h, w, k_, stride_, pad_, oh, ow,
-                 grad_in.data() + pair * h * w);
+      pad_phases(x.data() + pair * h * w, h, w, pad_, stride_, geom, q.data());
+      if (kdim == 9)
+        depthwise_wgrad_plane<9>(q.data(), geom, off.data(), kdim, stride_, grow, oh,
+                                 ow, gw_part.data() + pair * kdim, &gb_part[pair]);
+      else
+        depthwise_wgrad_plane<0>(q.data(), geom, off.data(), kdim, stride_, grow, oh,
+                                 ow, gw_part.data() + pair * kdim, &gb_part[pair]);
+      if (!want_input_grad) continue;
+      std::fill_n(gq.data(), geom.size, 0.0f);
+      depthwise_xgrad_plane(weight_.value.data() + c * kdim, grow, geom, off.data(),
+                            kdim, stride_, oh, ow, vec, gq.data());
+      unpad_phases(gq.data(), h, w, pad_, stride_, geom,
+                   grad_in.data() + pair * h * w);
     }
   });
   for (std::size_t pair = 0; pair < n * c_; ++pair) {
@@ -429,19 +660,18 @@ DepthwiseSeparableBlock::DepthwiseSeparableBlock(std::size_t in_channels,
                                                  std::size_t out_channels,
                                                  std::size_t stride, Rng& rng) {
   body_.emplace<DepthwiseConv2D>(in_channels, 3, stride, 1, rng);
-  body_.emplace<BatchNorm>(in_channels);
-  body_.emplace<ReLU>(6.0f);
+  body_.emplace<BatchNorm>(in_channels, Activation::kRelu6);
   body_.emplace<Conv2D>(in_channels, out_channels, 1, 1, 0, rng);
-  body_.emplace<BatchNorm>(out_channels);
-  body_.emplace<ReLU>(6.0f);
+  body_.emplace<BatchNorm>(out_channels, Activation::kRelu6);
 }
 
 Tensor DepthwiseSeparableBlock::forward(const Tensor& x, bool train) {
   return body_.forward(x, train);
 }
 
-Tensor DepthwiseSeparableBlock::backward(const Tensor& grad_out) {
-  return body_.backward(grad_out);
+Tensor DepthwiseSeparableBlock::backward(const Tensor& grad_out,
+                                         bool want_input_grad) {
+  return body_.backward(grad_out, want_input_grad);
 }
 
 std::unique_ptr<Layer> DepthwiseSeparableBlock::replicate() const {
@@ -454,8 +684,7 @@ std::unique_ptr<Layer> DepthwiseSeparableBlock::replicate() const {
 ResidualBlock::ResidualBlock(std::size_t in_channels, std::size_t out_channels,
                              std::size_t stride, Rng& rng) {
   main_.emplace<Conv2D>(in_channels, out_channels, 3, stride, 1, rng);
-  main_.emplace<BatchNorm>(out_channels);
-  main_.emplace<ReLU>();
+  main_.emplace<BatchNorm>(out_channels, Activation::kRelu);
   main_.emplace<Conv2D>(out_channels, out_channels, 3, 1, 1, rng);
   main_.emplace<BatchNorm>(out_channels);
   if (stride != 1 || in_channels != out_channels) {
@@ -495,7 +724,7 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor ResidualBlock::backward(const Tensor& grad_out) {
+Tensor ResidualBlock::backward(const Tensor& grad_out, bool want_input_grad) {
   Tensor g = grad_out;
   float* gp = g.data();
   const float* sp = cached_sum_.data();
@@ -512,9 +741,15 @@ Tensor ResidualBlock::backward(const Tensor& grad_out) {
   }
   for (; i < numel; ++i)
     if (sp[i] <= 0.0f) gp[i] = 0.0f;
-  Tensor grad_main = main_.backward(g);
-  Tensor grad_short = shortcut_ ? shortcut_->backward(g) : g;
-  grad_main.add_scaled(grad_short, 1.0f);
+  // Each branch's first layer gets the switch; the identity branch's input
+  // gradient is g itself.
+  Tensor grad_main = main_.backward(g, want_input_grad);
+  if (shortcut_) {
+    const Tensor grad_short = shortcut_->backward(g, want_input_grad);
+    if (want_input_grad) grad_main.add_scaled(grad_short, 1.0f);
+  } else if (want_input_grad) {
+    grad_main.add_scaled(g, 1.0f);
+  }
   return grad_main;
 }
 

@@ -7,20 +7,23 @@
 
 namespace sb::ml {
 
-// kGemm (default) lowers convolutions to im2col + the shared GEMM kernels;
-// kReference is the original direct loop nest, kept for equivalence tests.
+// kGemm (default) lowers Conv2D to im2col + the shared GEMM kernels and runs
+// DepthwiseConv2D as a direct kernel over zero-padded column phases;
+// kReference is the original direct loop nest, kept as the test oracle.
 enum class ConvBackend { kGemm, kReference };
 ConvBackend conv_backend();
 void set_conv_backend(ConvBackend backend);
 
-// Standard convolution: x [N, inC, H, W] -> [N, outC, H', W'].
+// Standard convolution: x [N, inC, H, W] -> [N, outC, H', W'].  Backward
+// takes dW from matmul_nn over the transposed patch matrix and, with
+// want_input_grad == false, computes no input gradient at all.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          std::size_t stride, std::size_t padding, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Conv2D>(*this);
@@ -32,6 +35,10 @@ class Conv2D final : public Layer {
   void backward_reference(const Tensor& grad_out, Tensor& grad_in, std::size_t n,
                           std::size_t h, std::size_t w, std::size_t oh,
                           std::size_t ow);
+
+  // 1x1, stride 1, unpadded: x is its own patch matrix, so forward and dX
+  // skip im2col and col2im_add.
+  bool is_pointwise() const { return k_ == 1 && stride_ == 1 && pad_ == 0; }
 
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   Param weight_;  // [outC, inC, k, k]
@@ -45,14 +52,15 @@ class Conv2D final : public Layer {
   std::uint64_t packed_version_ = 0;
 };
 
-// Depthwise convolution: one k x k filter per channel.
+// Depthwise convolution: one k x k filter per channel, run as a direct
+// kernel over each zero-padded plane (no im2col).
 class DepthwiseConv2D final : public Layer {
  public:
   DepthwiseConv2D(std::size_t channels, std::size_t kernel, std::size_t stride,
                   std::size_t padding, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<DepthwiseConv2D>(*this);
@@ -72,14 +80,15 @@ class DepthwiseConv2D final : public Layer {
 };
 
 // MobileNet-style depthwise-separable block:
-//   depthwise 3x3 (stride s) -> BN -> ReLU6 -> pointwise 1x1 -> BN -> ReLU6.
+//   depthwise 3x3 (stride s) -> BN+ReLU6 -> pointwise 1x1 -> BN+ReLU6, each
+//   BN+ReLU6 one BatchNorm with Activation::kRelu6.
 class DepthwiseSeparableBlock final : public Layer {
  public:
   DepthwiseSeparableBlock(std::size_t in_channels, std::size_t out_channels,
                           std::size_t stride, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return body_.params(); }
   std::vector<Tensor*> state() override { return body_.state(); }
   std::unique_ptr<Layer> replicate() const override;
@@ -99,15 +108,15 @@ class DepthwiseSeparableBlock final : public Layer {
   Sequential body_;
 };
 
-// ResNet-style basic block: two 3x3 convs with BN, identity (or 1x1
-// projection) shortcut, ReLU after the sum.
+// ResNet-style basic block: two 3x3 convs with BN (the first one's ReLU
+// fused into it), identity (or 1x1 projection) shortcut, ReLU after the sum.
 class ResidualBlock final : public Layer {
  public:
   ResidualBlock(std::size_t in_channels, std::size_t out_channels, std::size_t stride,
                 Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override;
   std::vector<Tensor*> state() override;
   std::unique_ptr<Layer> replicate() const override;

@@ -49,9 +49,12 @@ class Layer {
   // one model where they like.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
-  // Backward pass: receives dLoss/dOutput, returns dLoss/dInput and
-  // accumulates parameter gradients.  Must follow a training forward.
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  // Backward pass: receives dLoss/dOutput, accumulates every parameter
+  // gradient and returns dLoss/dInput.  Must follow a training forward.
+  // With want_input_grad == false the caller discards dLoss/dInput (the
+  // trainer's first layer): the layer still accumulates every parameter
+  // gradient, and may skip the input gradient and return an empty tensor.
+  virtual Tensor backward(const Tensor& grad_out, bool want_input_grad) = 0;
 
   virtual std::vector<Param*> params() { return {}; }
 
@@ -105,9 +108,13 @@ class Sequential final : public Layer {
     return h;
   }
 
-  Tensor backward(const Tensor& grad_out) override {
-    Tensor g = grad_out;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
+  // Only the first child's input gradient is the caller's; every later
+  // child's feeds the layer before it.
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override {
+    if (layers_.empty()) return want_input_grad ? grad_out : Tensor{};
+    std::size_t i = layers_.size() - 1;
+    Tensor g = layers_[i]->backward(grad_out, i > 0 || want_input_grad);
+    while (i-- > 0) g = layers_[i]->backward(g, i > 0 || want_input_grad);
     return g;
   }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "ml/gemm.hpp"
+#include "ml/workspace.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -32,7 +33,7 @@ Tensor Dense::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor Dense::backward(const Tensor& grad_out) {
+Tensor Dense::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   const std::size_t n = cached_x_.dim(0);
   Tensor grad_in({n, in_});
   float* gb = bias_.grad.data();
@@ -79,7 +80,7 @@ Tensor ReLU::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor ReLU::backward(const Tensor& grad_out) {
+Tensor ReLU::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   Tensor g = grad_out;
   float* gp = g.data();
   const float* xp = cached_x_.data();
@@ -115,7 +116,7 @@ Tensor Tanh::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor Tanh::backward(const Tensor& grad_out) {
+Tensor Tanh::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   Tensor g = grad_out;
   util::parallel_for(g.numel(), [&](std::size_t i) {
     const float y = cached_y_[i];
@@ -126,37 +127,138 @@ Tensor Tanh::backward(const Tensor& grad_out) {
 
 namespace {
 
+// Channels whose sequential reductions (batch mean, variance, dgamma, dbeta)
+// run interleaved: each channel keeps its own ascending (item, element)
+// chain, so the sums are bitwise the one-channel loop's, and the
+// independent chains overlap instead of waiting on one add latency each.
+constexpr std::size_t kChannelGroup = 4;
+
+// Training statistics of channels [ch, ch + G) of an [n, c, hw] tensor.
+template <std::size_t G>
+void batch_moments(const float* x, std::size_t n, std::size_t c, std::size_t hw,
+                   std::size_t ch, float count, float* mean, float* var) {
+  float s[G] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* p = x + (i * c + ch) * hw;
+    for (std::size_t k = 0; k < hw; ++k)
+#pragma GCC unroll 4
+      for (std::size_t j = 0; j < G; ++j) s[j] += p[j * hw + k];
+  }
+  float m[G] = {}, v[G] = {};
+  for (std::size_t j = 0; j < G; ++j) m[j] = s[j] / count;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* p = x + (i * c + ch) * hw;
+    for (std::size_t k = 0; k < hw; ++k)
+#pragma GCC unroll 4
+      for (std::size_t j = 0; j < G; ++j) {
+        const float d = p[j * hw + k] - m[j];
+        v[j] += d * d;
+      }
+  }
+  for (std::size_t j = 0; j < G; ++j) {
+    mean[j] = m[j];
+    var[j] = v[j] / count;
+  }
+}
+
+// dgamma (= sum g*xhat) and dbeta (= sum g) of channels [ch, ch + G).
+template <std::size_t G>
+void batchnorm_grad_sums(const float* grad, const float* xhat, std::size_t n,
+                         std::size_t c, std::size_t hw, std::size_t ch,
+                         float* dgamma, float* dbeta) {
+  float sg[G] = {}, sb[G] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t off = (i * c + ch) * hw;
+    const float* g = grad + off;
+    const float* xh = xhat + off;
+    for (std::size_t k = 0; k < hw; ++k)
+#pragma GCC unroll 4
+      for (std::size_t j = 0; j < G; ++j) {
+        sg[j] += g[j * hw + k] * xh[j * hw + k];
+        sb[j] += g[j * hw + k];
+      }
+  }
+  for (std::size_t j = 0; j < G; ++j) {
+    dgamma[j] = sg[j];
+    dbeta[j] = sb[j];
+  }
+}
+
+// The fused activation's backward on one [hw] row: gm = g where the
+// recomputed output gamma * xhat + beta passes the standalone ReLU's
+// `y > 0 && (cap <= 0 || y < cap)` (ordered compares, false on NaN), else
+// +0 — ReLU::backward's mask on the value ReLU::forward was given.
+void relu_mask_row(const float* g, const float* xh, float* gm, std::size_t hw,
+                   float gamma, float beta, float cap, bool vec) {
+  std::size_t k = 0;
+  if (vec) {
+    namespace v = util::simd;
+    const v::VFloat vg = v::broadcast(gamma);
+    const v::VFloat vb = v::broadcast(beta);
+    const v::VFloat zero = v::zero_f();
+    const v::VFloat vcap = v::broadcast(cap);
+    for (; k + v::kFloatLanes <= hw; k += v::kFloatLanes) {
+      const v::VFloat y = v::add(v::mul(vg, v::load(xh + k)), vb);
+      v::VFloat mask = v::cmp_gt(y, zero);
+      if (cap > 0.0f) mask = v::bit_and(mask, v::cmp_lt(y, vcap));
+      v::store(gm + k, v::bit_and(v::load(g + k), mask));
+    }
+  }
+  for (; k < hw; ++k) {
+    const float y = gamma * xh[k] + beta;
+    const bool pass = y > 0.0f && (cap <= 0.0f || y < cap);
+    gm[k] = pass ? g[k] : 0.0f;
+  }
+}
+
 // One [hw] row of a channel: y = gamma * xhat + beta with
-// xhat = (x - mean) * inv_std, in the scalar operation order, so lanes
-// across k are independent and both backends agree bitwise.  A training
-// forward also stores xhat for backward.
+// xhat = (x - mean) * inv_std, in the scalar operation order, then the fused
+// clamp with the standalone ReLU's own max/min ops, so lanes across k are
+// independent and both backends agree bitwise.  A training forward also
+// stores xhat for backward.
 template <bool kStoreXhat>
 void batchnorm_row(const float* p, float* xh, float* py, std::size_t hw,
-                   float mean, float inv_std, float g, float b) {
+                   float mean, float inv_std, float g, float b, bool relu,
+                   float cap, bool vec) {
   std::size_t k = 0;
-  if (util::simd_enabled()) {
+  if (vec) {
     namespace v = util::simd;
     const v::VFloat vm = v::broadcast(mean);
     const v::VFloat vs = v::broadcast(inv_std);
     const v::VFloat vg = v::broadcast(g);
     const v::VFloat vb = v::broadcast(b);
+    const v::VFloat zero = v::zero_f();
+    const v::VFloat vcap = v::broadcast(cap);
     for (; k + v::kFloatLanes <= hw; k += v::kFloatLanes) {
       const v::VFloat xhat = v::mul(v::sub(v::load(p + k), vm), vs);
       if constexpr (kStoreXhat) v::store(xh + k, xhat);
-      v::store(py + k, v::add(v::mul(vg, xhat), vb));
+      v::VFloat y = v::add(v::mul(vg, xhat), vb);
+      if (relu) {
+        y = v::vmax(y, zero);
+        if (cap > 0.0f) y = v::vmin(y, vcap);
+      }
+      v::store(py + k, y);
     }
   }
   for (; k < hw; ++k) {
     const float xhat = (p[k] - mean) * inv_std;
     if constexpr (kStoreXhat) xh[k] = xhat;
-    py[k] = g * xhat + b;
+    float y = g * xhat + b;
+    if (relu) {
+      y = std::max(y, 0.0f);
+      if (cap > 0.0f) y = std::min(y, cap);
+    }
+    py[k] = y;
   }
 }
 
 }  // namespace
 
-BatchNorm::BatchNorm(std::size_t channels, float momentum, float eps)
+BatchNorm::BatchNorm(std::size_t channels, Activation act, float momentum,
+                     float eps)
     : channels_(channels),
+      relu_(act != Activation::kNone),
+      cap_(act == Activation::kRelu6 ? 6.0f : 0.0f),
       momentum_(momentum),
       eps_(eps),
       gamma_(Tensor({channels}, 1.0f)),
@@ -185,101 +287,124 @@ Tensor BatchNorm::forward(const Tensor& x, bool train) {
   }
   Tensor y(x.shape(), kNoFill);
   const float count = static_cast<float>(n * hw);
+  const bool vec = util::simd_enabled();
 
   // Channels are independent: every write below (cached stats, running
-  // stats, xhat, y) is per-channel, and the in-channel reduction order is
-  // unchanged, so the parallel split cannot affect results.
-  util::parallel_for(c, [&](std::size_t ch) {
-    float mean_v, var_v;
-    if (train) {
-      float s = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float* p = x.data() + (i * c + ch) * hw;
-        for (std::size_t k = 0; k < hw; ++k) s += p[k];
+  // stats, xhat, y) is per-channel, and each channel's reduction order is
+  // fixed, so neither the parallel split nor the channel grouping can
+  // affect results.
+  util::parallel_for_ranges(c, [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t ch0 = c0; ch0 < c1;) {
+      const std::size_t group = c1 - ch0 >= kChannelGroup ? kChannelGroup : 1;
+      float mean[kChannelGroup] = {}, var[kChannelGroup] = {};
+      if (train) {
+        if (group == kChannelGroup)
+          batch_moments<kChannelGroup>(x.data(), n, c, hw, ch0, count, mean, var);
+        else
+          batch_moments<1>(x.data(), n, c, hw, ch0, count, mean, var);
       }
-      mean_v = s / count;
-      float v = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float* p = x.data() + (i * c + ch) * hw;
-        for (std::size_t k = 0; k < hw; ++k) {
-          const float d = p[k] - mean_v;
-          v += d * d;
+      for (std::size_t j = 0; j < group; ++j) {
+        const std::size_t ch = ch0 + j;
+        float mean_v, var_v;
+        if (train) {
+          mean_v = mean[j];
+          var_v = var[j];
+          running_mean_[ch] = momentum_ * running_mean_[ch] + (1 - momentum_) * mean_v;
+          running_var_[ch] = momentum_ * running_var_[ch] + (1 - momentum_) * var_v;
+        } else {
+          mean_v = running_mean_[ch];
+          var_v = running_var_[ch];
+        }
+        const float inv_std = 1.0f / std::sqrt(var_v + eps_);
+        const float g = gamma_.value[ch], b = beta_.value[ch];
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t off = (i * c + ch) * hw;
+          if (train)
+            batchnorm_row<true>(x.data() + off, cached_xhat_.data() + off,
+                                y.data() + off, hw, mean_v, inv_std, g, b, relu_,
+                                cap_, vec);
+          else
+            batchnorm_row<false>(x.data() + off, nullptr, y.data() + off, hw,
+                                 mean_v, inv_std, g, b, relu_, cap_, vec);
+        }
+        if (train) {
+          cached_mean_[ch] = mean_v;
+          cached_var_[ch] = var_v;
+          cached_inv_std_[ch] = inv_std;
         }
       }
-      var_v = v / count;
-      running_mean_[ch] = momentum_ * running_mean_[ch] + (1 - momentum_) * mean_v;
-      running_var_[ch] = momentum_ * running_var_[ch] + (1 - momentum_) * var_v;
-    } else {
-      mean_v = running_mean_[ch];
-      var_v = running_var_[ch];
+      ch0 += group;
     }
-    const float inv_std = 1.0f / std::sqrt(var_v + eps_);
-    const float g = gamma_.value[ch], b = beta_.value[ch];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t off = (i * c + ch) * hw;
-      if (train)
-        batchnorm_row<true>(x.data() + off, cached_xhat_.data() + off,
-                            y.data() + off, hw, mean_v, inv_std, g, b);
-      else
-        batchnorm_row<false>(x.data() + off, nullptr, y.data() + off, hw,
-                             mean_v, inv_std, g, b);
-    }
-    if (train) {
-      cached_mean_[ch] = mean_v;
-      cached_var_[ch] = var_v;
-      cached_inv_std_[ch] = inv_std;
-    }
-  }, 1);
+  }, kChannelGroup);
   return y;
 }
 
-Tensor BatchNorm::backward(const Tensor& grad_out) {
+Tensor BatchNorm::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   const std::size_t n = cached_n_, c = channels_, hw = cached_hw_;
   const float count = static_cast<float>(n * hw);
-  Tensor grad_in(grad_out.shape());
+  Tensor grad_in(grad_out.shape(), kNoFill);
+  // With a fused activation, the masked gradient the standalone ReLU would
+  // have passed on; every element is written before it is read.
+  Scratch<float> masked{relu_ ? grad_out.numel() : 0};
+  const float* grad = relu_ ? masked.data() : grad_out.data();
+  const bool vec = util::simd_enabled();
 
-  util::parallel_for(c, [&](std::size_t ch) {
-    // Accumulate dgamma, dbeta and the two reduction terms.
-    float dgamma = 0.0f, dbeta = 0.0f, sum_gxhat = 0.0f;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* g = grad_out.data() + (i * c + ch) * hw;
-      const float* xh = cached_xhat_.data() + (i * c + ch) * hw;
-      for (std::size_t k = 0; k < hw; ++k) {
-        dgamma += g[k] * xh[k];
-        dbeta += g[k];
-      }
-    }
-    sum_gxhat = dgamma;
-    gamma_.grad[ch] += dgamma;
-    beta_.grad[ch] += dbeta;
+  util::parallel_for_ranges(c, [&](std::size_t c0, std::size_t c1) {
+    if (relu_)
+      for (std::size_t ch = c0; ch < c1; ++ch)
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t off = (i * c + ch) * hw;
+          relu_mask_row(grad_out.data() + off, cached_xhat_.data() + off,
+                        masked.data() + off, hw, gamma_.value[ch], beta_.value[ch],
+                        cap_, vec);
+        }
+    for (std::size_t ch0 = c0; ch0 < c1;) {
+      const std::size_t group = c1 - ch0 >= kChannelGroup ? kChannelGroup : 1;
+      // dgamma, dbeta and the two reduction terms (sum g*xhat is dgamma).
+      float dgamma[kChannelGroup] = {}, dbeta[kChannelGroup] = {};
+      if (group == kChannelGroup)
+        batchnorm_grad_sums<kChannelGroup>(grad, cached_xhat_.data(), n, c, hw, ch0,
+                                           dgamma, dbeta);
+      else
+        batchnorm_grad_sums<1>(grad, cached_xhat_.data(), n, c, hw, ch0, dgamma,
+                               dbeta);
+      for (std::size_t j = 0; j < group; ++j) {
+        const std::size_t ch = ch0 + j;
+        const float sum_gxhat = dgamma[j], db = dbeta[j];
+        gamma_.grad[ch] += sum_gxhat;
+        beta_.grad[ch] += db;
 
-    const float gval = gamma_.value[ch];
-    const float inv_std = cached_inv_std_[ch];
-    // gval*inv_std/count only involves loop constants, so hoisting it keeps
-    // the per-element arithmetic (and rounding) identical to the scalar form.
-    const float scale = gval * inv_std / count;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* g = grad_out.data() + (i * c + ch) * hw;
-      const float* xh = cached_xhat_.data() + (i * c + ch) * hw;
-      float* gi = grad_in.data() + (i * c + ch) * hw;
-      std::size_t k = 0;
-      if (util::simd_enabled()) {
-        namespace v = util::simd;
-        const v::VFloat vscale = v::broadcast(scale);
-        const v::VFloat vcount = v::broadcast(count);
-        const v::VFloat vdbeta = v::broadcast(dbeta);
-        const v::VFloat vsum = v::broadcast(sum_gxhat);
-        for (; k + v::kFloatLanes <= hw; k += v::kFloatLanes) {
-          const v::VFloat t =
-              v::sub(v::sub(v::mul(vcount, v::load(g + k)), vdbeta),
-                     v::mul(v::load(xh + k), vsum));
-          v::store(gi + k, v::mul(vscale, t));
+        const float gval = gamma_.value[ch];
+        const float inv_std = cached_inv_std_[ch];
+        // gval*inv_std/count only involves loop constants, so hoisting it
+        // keeps the per-element arithmetic (and rounding) identical to the
+        // scalar form.
+        const float scale = gval * inv_std / count;
+        for (std::size_t i = 0; i < n; ++i) {
+          const float* g = grad + (i * c + ch) * hw;
+          const float* xh = cached_xhat_.data() + (i * c + ch) * hw;
+          float* gi = grad_in.data() + (i * c + ch) * hw;
+          std::size_t k = 0;
+          if (vec) {
+            namespace v = util::simd;
+            const v::VFloat vscale = v::broadcast(scale);
+            const v::VFloat vcount = v::broadcast(count);
+            const v::VFloat vdbeta = v::broadcast(db);
+            const v::VFloat vsum = v::broadcast(sum_gxhat);
+            for (; k + v::kFloatLanes <= hw; k += v::kFloatLanes) {
+              const v::VFloat t =
+                  v::sub(v::sub(v::mul(vcount, v::load(g + k)), vdbeta),
+                         v::mul(v::load(xh + k), vsum));
+              v::store(gi + k, v::mul(vscale, t));
+            }
+          }
+          for (; k < hw; ++k)
+            gi[k] = scale * (count * g[k] - db - xh[k] * sum_gxhat);
         }
       }
-      for (; k < hw; ++k)
-        gi[k] = scale * (count * g[k] - dbeta - xh[k] * sum_gxhat);
+      ch0 += group;
     }
-  }, 1);
+  }, kChannelGroup);
   return grad_in;
 }
 
@@ -299,7 +424,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
+Tensor GlobalAvgPool::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   const std::size_t n = cached_shape_[0], c = cached_shape_[1];
   const std::size_t hw = cached_shape_[2] * cached_shape_[3];
   Tensor grad_in(cached_shape_);
@@ -318,7 +443,7 @@ Tensor Flatten::forward(const Tensor& x, bool train) {
   return x.reshaped({x.dim(0), x.row_size()});
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
+Tensor Flatten::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   return grad_out.reshaped(cached_shape_);
 }
 

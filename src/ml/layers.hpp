@@ -11,7 +11,7 @@ class Dense final : public Layer {
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Dense>(*this);
@@ -27,12 +27,14 @@ class Dense final : public Layer {
   Tensor cached_x_;
 };
 
+// A standalone activation layer (MLP).  A ReLU that follows a BatchNorm is
+// that BatchNorm's Activation instead.
 class ReLU final : public Layer {
  public:
   // cap <= 0 means plain ReLU; cap = 6 gives the ReLU6 used by MobileNet.
   explicit ReLU(float cap = 0.0f) : cap_(cap) {}
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<ReLU>(*this);
   }
@@ -45,7 +47,7 @@ class ReLU final : public Layer {
 class Tanh final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Tanh>(*this);
   }
@@ -54,14 +56,23 @@ class Tanh final : public Layer {
   Tensor cached_y_;
 };
 
+// The clamp a BatchNorm applies to its output: none, ReLU (max(y, 0)) or
+// ReLU6 (min(max(y, 0), 6)).
+enum class Activation { kNone, kRelu, kRelu6 };
+
 // Batch normalization over a [N, C, H, W] tensor, per channel.  Also accepts
-// [N, C] (treated as H = W = 1).
+// [N, C] (treated as H = W = 1).  With an Activation it is also the ReLU or
+// ReLU6 that follows it: the forward writes the clamped output in its one
+// pass, and backward masks the incoming gradient on the recomputed
+// gamma * xhat + beta — bit for bit BatchNorm followed by ReLU(cap), without
+// the extra pass or the cached copy of the activation.
 class BatchNorm final : public Layer {
  public:
-  BatchNorm(std::size_t channels, float momentum = 0.9f, float eps = 1e-5f);
+  explicit BatchNorm(std::size_t channels, Activation act = Activation::kNone,
+                     float momentum = 0.9f, float eps = 1e-5f);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> state() override { return {&running_mean_, &running_var_}; }
   std::unique_ptr<Layer> replicate() const override {
@@ -89,6 +100,8 @@ class BatchNorm final : public Layer {
 
  private:
   std::size_t channels_;
+  bool relu_;  // clamp at 0 (both activations)
+  float cap_;  // upper clamp, 0 = none (ReLU's convention)
   float momentum_, eps_;
   Param gamma_, beta_;
   Tensor running_mean_, running_var_;
@@ -102,7 +115,7 @@ class BatchNorm final : public Layer {
 class GlobalAvgPool final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<GlobalAvgPool>(*this);
   }
@@ -115,7 +128,7 @@ class GlobalAvgPool final : public Layer {
 class Flatten final : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Flatten>(*this);
   }

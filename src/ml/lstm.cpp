@@ -113,7 +113,7 @@ void Lstm::step(const Tensor& x, std::size_t t, const float* h_prev,
   });
 }
 
-Tensor Lstm::backward(const Tensor& grad_out) {
+Tensor Lstm::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   const std::size_t n = cached_x_.dim(0);
   Tensor grad_x(cached_x_.shape());
   Tensor dh = grad_out;        // [N, H] gradient flowing into h_t

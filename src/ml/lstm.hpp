@@ -14,7 +14,7 @@ class Lstm final : public Layer {
   Lstm(std::size_t input_size, std::size_t hidden_size, std::size_t seq_len, Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&wx_, &wh_, &b_}; }
 
   std::unique_ptr<Layer> replicate() const override {

@@ -29,8 +29,7 @@ std::unique_ptr<Layer> make_model(ModelKind kind, const ModelInputShape& input,
     case ModelKind::kMobileNetLite: {
       // Stem + depthwise-separable stack (MobileNetV2 spirit at 1/64 scale).
       model->emplace<Conv2D>(input.channels, 8, 3, 1, 1, rng);
-      model->emplace<BatchNorm>(8);
-      model->emplace<ReLU>(6.0f);
+      model->emplace<BatchNorm>(8, Activation::kRelu6);
       model->emplace<DepthwiseSeparableBlock>(8, 16, 2, rng);
       model->emplace<DepthwiseSeparableBlock>(16, 24, 1, rng);
       model->emplace<DepthwiseSeparableBlock>(24, 32, 2, rng);
@@ -40,8 +39,7 @@ std::unique_ptr<Layer> make_model(ModelKind kind, const ModelInputShape& input,
     }
     case ModelKind::kResNetLite: {
       model->emplace<Conv2D>(input.channels, 12, 3, 1, 1, rng);
-      model->emplace<BatchNorm>(12);
-      model->emplace<ReLU>();
+      model->emplace<BatchNorm>(12, Activation::kRelu);
       model->emplace<ResidualBlock>(12, 12, 1, rng);
       model->emplace<ResidualBlock>(12, 24, 2, rng);
       model->emplace<ResidualBlock>(24, 32, 2, rng);

@@ -61,7 +61,7 @@ Tensor NeuralOdeBlock::forward(const Tensor& x, bool train) {
   return h;
 }
 
-Tensor NeuralOdeBlock::backward(const Tensor& grad_out) {
+Tensor NeuralOdeBlock::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   const float dt = 1.0f / static_cast<float>(steps_);
   const std::size_t n = grad_out.dim(0);
   Tensor dh = grad_out;  // gradient wrt h_s, starting at s = K

@@ -19,7 +19,7 @@ class NeuralOdeBlock final : public Layer {
                  Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&w1_, &b1_, &w2_, &b2_}; }
 
   std::unique_ptr<Layer> replicate() const override {

@@ -174,7 +174,8 @@ TrainResult train_regressor(Layer& model, const RegressionDataset& train,
                 const Tensor sy = train.y.gather_rows(rows_idx);
                 const Tensor pred = rep.forward(sx, true);
                 const SquaredError loss = squared_error(pred, sy, grad_scale);
-                rep.backward(loss.grad);
+                // The input gradient is nobody's: the first layer skips it.
+                rep.backward(loss.grad, false);
                 err_partials[s] = loss.sq_err;
                 float* slot = grad_partials.data() + s * total_params;
                 for (std::size_t j = 0; j < rp.size(); ++j) {

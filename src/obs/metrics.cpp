@@ -252,7 +252,7 @@ SloTargets SloTracker::targets() const {
 }
 
 void SloTracker::record(double v) {
-  hist_.record(v);
+  hist_->record(v);
   double p99_target;
   {
     std::lock_guard<std::mutex> lock{mutex_};
@@ -266,16 +266,16 @@ SloTracker::Snapshot SloTracker::snapshot() const {
   const SloTargets t = targets();
   s.target_p50 = t.p50;
   s.target_p99 = t.p99;
-  s.count = hist_.count();
+  s.count = hist_->count();
   s.breaches = breaches_.load(std::memory_order_relaxed);
-  s.attained_p50 = hist_.percentile(50.0);
-  s.attained_p99 = hist_.percentile(99.0);
+  s.attained_p50 = hist_->percentile(50.0);
+  s.attained_p99 = hist_->percentile(99.0);
   s.met = s.count > 0 && s.attained_p50 <= t.p50 && s.attained_p99 <= t.p99;
   return s;
 }
 
 void SloTracker::reset() {
-  hist_.reset();
+  hist_->reset();
   breaches_.store(0, std::memory_order_relaxed);
 }
 
@@ -329,7 +329,11 @@ SloTracker& Registry::slo(const std::string& name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock{im.mutex};
   auto& slot = im.slos[name];
-  if (!slot) slot = std::make_unique<SloTracker>();
+  if (!slot) {
+    auto& hist = im.histograms[name];
+    if (!hist) hist = std::make_unique<Histogram>();
+    slot = std::make_unique<SloTracker>(*hist);
+  }
   return *slot;
 }
 

@@ -121,8 +121,8 @@ class Histogram {
   std::vector<std::uint64_t> bins_;   // lazily sized to kNumBins on first record
 };
 
-// Latency service-level objective: per-sample targets plus the attained
-// distribution.  A breach is one sample above the p99 target; `met` asks
+// Latency service-level objective: per-sample targets over a histogram of
+// the samples.  A breach is one sample above the p99 target; `met` asks
 // whether the attained quantiles honor both targets.
 struct SloTargets {
   double p50 = 0.0;  // seconds
@@ -131,6 +131,11 @@ struct SloTargets {
 
 class SloTracker {
  public:
+  // Records into `hist` (Registry::slo binds the registry histogram of the
+  // same name), so a sample is stored once; the tracker keeps only its
+  // targets and breach count.  `hist` must outlive the tracker.
+  explicit SloTracker(Histogram& hist) : hist_(&hist) {}
+
   void set_targets(const SloTargets& targets);
   SloTargets targets() const;
 
@@ -152,7 +157,7 @@ class SloTracker {
  private:
   mutable std::mutex mutex_;  // guards targets_ (records read them per call)
   SloTargets targets_;
-  Histogram hist_;
+  Histogram* hist_;
   std::atomic<std::uint64_t> breaches_{0};
 };
 
@@ -165,6 +170,7 @@ class Registry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
+  // The tracker records into histogram(name).
   SloTracker& slo(const std::string& name);
 
   // Zeroes every registered instrument (names stay registered; SLO targets

@@ -31,7 +31,6 @@ InferenceScheduler::InferenceScheduler(const core::SensoryMapper& mapper,
   thinned_count_ = &reg.counter("stream.windows_thinned");
   submitted_count_ = &reg.counter("stream.windows_submitted");
   batches_count_ = &reg.counter("stream.batches");
-  latency_hist_ = &reg.histogram("stream.window_to_verdict_seconds");
   occupancy_hist_ = &reg.histogram("stream.batch_occupancy");
   latency_slo_ = &reg.slo("stream.window_to_verdict_seconds");
   if (config_.metric_scope.empty()) {
@@ -108,10 +107,10 @@ void InferenceScheduler::deliver(RcaSession::ReadyWindow&& window,
   session.deliver(pred);
   // One record per window, amortized over a model forward — not a hot loop,
   // so the latency histogram stays unconditionally accurate for serving
-  // dashboards and bench percentiles.
+  // dashboards and bench percentiles.  The SLO tracker records into the
+  // registry histogram of its name, so the sample is stored once.
   const double now = obs::now_us();
   const double seconds = (now - window.ready_at_us) * 1e-6;
-  latency_hist_->record(seconds);
   latency_slo_->record(seconds);
   if (obs::FlightRecorder* rec = session.recorder()) {
     switch (how) {

@@ -117,9 +117,8 @@ class InferenceScheduler {
   obs::Counter* thinned_count_;
   obs::Counter* submitted_count_;
   obs::Counter* batches_count_;
-  obs::Histogram* latency_hist_;
   obs::Histogram* occupancy_hist_;
-  obs::SloTracker* latency_slo_;
+  obs::SloTracker* latency_slo_;  // records into stream.window_to_verdict_seconds
   obs::Gauge* active_gauge_;   // scoped when metric_scope is set
   obs::Gauge* backlog_gauge_;  // scoped when metric_scope is set
   // Scoped counter copies (null without a metric_scope).

@@ -56,7 +56,7 @@ void check_gradients(Layer& layer, Tensor input, double eps = 1e-2,
   const Tensor out = layer.forward(input, true);
   const auto [loss, grad_out] = weighted_loss(out);
   (void)loss;
-  const Tensor grad_in = layer.backward(grad_out);
+  const Tensor grad_in = layer.backward(grad_out, true);
 
   auto numeric_at = [&](float* slot) {
     const float saved = *slot;
@@ -86,7 +86,7 @@ void check_gradients(Layer& layer, Tensor input, double eps = 1e-2,
   // repopulate caches for the unperturbed parameters.
   for (Param* p : layer.params()) p->zero_grad();
   layer.forward(input, true);
-  layer.backward(grad_out);
+  layer.backward(grad_out, true);
   for (Param* p : layer.params()) {
     const std::size_t stride = std::max<std::size_t>(1, p->value.numel() / 8);
     for (std::size_t i = 0; i < p->value.numel(); i += stride) {
@@ -296,7 +296,7 @@ TEST(Layers, FlattenRoundTrip) {
   const Tensor x = random_tensor({2, 3, 4, 5}, rng);
   const Tensor y = f.forward(x, true);
   EXPECT_EQ(y.dim(1), 60u);
-  const Tensor back = f.backward(y);
+  const Tensor back = f.backward(y, true);
   EXPECT_EQ(back.shape(), x.shape());
 }
 
@@ -329,7 +329,7 @@ TEST(Optimizer, SgdReducesQuadratic) {
   for (int step = 0; step < 200; ++step) {
     opt.zero_grad();
     const auto loss = mse(layer.forward(x, true), y);
-    layer.backward(loss.grad);
+    layer.backward(loss.grad, true);
     opt.step();
     if (first < 0) first = loss.sq_err;
     last = loss.sq_err;
@@ -352,7 +352,7 @@ TEST(Optimizer, AdamFitsLinearMap) {
     }
     opt.zero_grad();
     const auto loss = mse(layer.forward(x, true), y);
-    layer.backward(loss.grad);
+    layer.backward(loss.grad, true);
     opt.step();
     last = loss.sq_err / static_cast<double>(y.numel());
   }
@@ -369,7 +369,7 @@ TEST(Optimizer, WeightDecayShrinksUnusedWeights) {
   for (int i = 0; i < 100; ++i) {
     opt.zero_grad();
     const auto loss = mse(layer.forward(x, true), y);
-    layer.backward(loss.grad);
+    layer.backward(loss.grad, true);
     opt.step();
   }
   EXPECT_LT(std::abs(layer.params()[0]->value[0]), 4.0f);
@@ -511,7 +511,9 @@ std::unique_ptr<Layer> warmed_model(ModelKind kind, const ModelInputShape& in,
 // DNN baseline's Lstm, and of one training step of the two conv models —
 // the output, the input gradient, every parameter gradient and the
 // BatchNorm running stats.  Every CRC must hold under both SIMD backends at
-// 1 and 4 threads.
+// 1 and 4 threads.  The training step also runs with want_input_grad ==
+// false, as the trainer does: no input gradient comes back, and the output,
+// parameter gradients and state keep every bit of the pinned run.
 TEST(Models, ForwardBitsArePinned) {
   const ModelInputShape in;
   const auto fold = [](const Tensor& t, std::uint32_t crc) {
@@ -524,18 +526,30 @@ TEST(Models, ForwardBitsArePinned) {
         random_tensor({5, in.channels, in.height, in.width}, rng);
     return fold(model->forward(batch, false), 0);
   };
-  const auto train_crc = [&](ModelKind kind) {
+  struct TrainFold {
+    std::uint32_t pinned;         // output, dX, parameter gradients, state
+    std::uint32_t without_input;  // the same fold without dX
+    bool input_grad_empty;
+  };
+  const auto train_fold = [&](ModelKind kind, bool want_input_grad) {
     Rng rng{96};
     const auto model = warmed_model(kind, in, rng);
     const Tensor batch =
         random_tensor({5, in.channels, in.height, in.width}, rng);
     for (Param* p : model->params()) p->zero_grad();
     const Tensor out = model->forward(batch, true);
-    const Tensor grad_in = model->backward(weighted_loss(out).second);
-    std::uint32_t crc = fold(grad_in, fold(out, 0));
-    for (Param* p : model->params()) crc = fold(p->grad, crc);
-    for (Tensor* t : model->state()) crc = fold(*t, crc);
-    return crc;
+    const Tensor grad_in =
+        model->backward(weighted_loss(out).second, want_input_grad);
+    TrainFold f{fold(grad_in, fold(out, 0)), fold(out, 0), grad_in.empty()};
+    for (Param* p : model->params()) {
+      f.pinned = fold(p->grad, f.pinned);
+      f.without_input = fold(p->grad, f.without_input);
+    }
+    for (Tensor* t : model->state()) {
+      f.pinned = fold(*t, f.pinned);
+      f.without_input = fold(*t, f.without_input);
+    }
+    return f;
   };
   // The DNN baseline's recurrent layer at its shape (6 features, hidden 16,
   // 8 steps).
@@ -567,8 +581,15 @@ TEST(Models, ForwardBitsArePinned) {
                      (backend == util::SimdBackend::kVector ? " vector/"
                                                             : " scalar/") +
                      std::to_string(threads));
-        EXPECT_EQ(pin.train ? train_crc(pin.kind) : eval_crc(pin.kind),
-                  pin.crc);
+        if (!pin.train) {
+          EXPECT_EQ(eval_crc(pin.kind), pin.crc);
+          continue;
+        }
+        const TrainFold full = train_fold(pin.kind, true);
+        EXPECT_EQ(full.pinned, pin.crc);
+        const TrainFold skip = train_fold(pin.kind, false);
+        EXPECT_TRUE(skip.input_grad_empty);
+        EXPECT_EQ(skip.without_input, full.without_input);
       }
       SCOPED_TRACE(std::string{"Lstm eval"} +
                    (backend == util::SimdBackend::kVector ? " vector/"
@@ -600,7 +621,7 @@ void check_shard_backward_recomposition(Layer& full, const Layer& shard_src,
   const Tensor pred = full.forward(x, true);
   const float grad_scale = 2.0f / static_cast<float>(pred.numel());
   const SquaredError batch_loss = squared_error(pred, y, grad_scale);
-  const Tensor batch_grad_in = full.backward(batch_loss.grad);
+  const Tensor batch_grad_in = full.backward(batch_loss.grad, true);
 
   std::vector<float> shard_grad_in;
   std::vector<std::vector<double>> shard_param_grads;
@@ -614,7 +635,7 @@ void check_shard_backward_recomposition(Layer& full, const Layer& shard_src,
     const Tensor sp = rep->forward(sx, true);
     const SquaredError loss = squared_error(sp, sy, grad_scale);
     shard_sq_err += loss.sq_err;
-    const Tensor gi = rep->backward(loss.grad);
+    const Tensor gi = rep->backward(loss.grad, true);
     for (std::size_t i = 0; i < gi.numel(); ++i) shard_grad_in.push_back(gi[i]);
     const auto rp = rep->params();
     shard_param_grads.resize(rp.size());
@@ -742,9 +763,9 @@ TEST(Optimizer, FusedStepMatchesStepThenZeroGradBitwise) {
       const Tensor x = random_tensor({4, 7}, data_rng);
       const Tensor y = random_tensor({4, 5}, data_rng);
       const auto loss_a = mse(fused.forward(x, true), y);
-      fused.backward(loss_a.grad);
+      fused.backward(loss_a.grad, true);
       const auto loss_b = mse(unfused.forward(x, true), y);
-      unfused.backward(loss_b.grad);
+      unfused.backward(loss_b.grad, true);
       opt_fused.step_and_zero_grad();
       opt_unfused.step();
       opt_unfused.zero_grad();

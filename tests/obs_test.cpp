@@ -294,7 +294,8 @@ TEST(Metrics, EmptyHistogramSerializesNullStats) {
 }
 
 TEST(Metrics, SloTrackerCountsBreachesAndAttainment) {
-  obs::SloTracker slo;
+  obs::Histogram hist;
+  obs::SloTracker slo{hist};
   slo.set_targets({0.25, 1.0});
   for (int i = 0; i < 98; ++i) slo.record(0.1);
   slo.record(2.0);
@@ -330,6 +331,15 @@ TEST(Metrics, SloTrackerCountsBreachesAndAttainment) {
   EXPECT_NE(w.str().find("\"test.slo\":{\"count\":1,\"breaches\":0"),
             std::string::npos)
       << w.str();
+}
+
+// A tracker from the registry records into the registry histogram of its
+// name: one sample, stored once, counted by both.
+TEST(Metrics, RegistrySloRecordsIntoTheHistogramOfItsName) {
+  auto& reg = obs::Registry::instance();
+  reg.slo("test.slo_shared").record(0.3);
+  EXPECT_EQ(reg.histogram("test.slo_shared").count(), 1u);
+  EXPECT_EQ(reg.slo("test.slo_shared").snapshot().count, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -186,9 +186,9 @@ void compare_backends(ml::Layer& gemm, ml::Layer& ref, const Tensor& x,
   for (auto& v : grad_out.flat()) v = static_cast<float>(grad_rng.normal(0.0, 1.0));
   for (ml::Param* p : gemm.params()) p->zero_grad();
   for (ml::Param* p : ref.params()) p->zero_grad();
-  const Tensor gx_gemm = gemm.backward(grad_out);
+  const Tensor gx_gemm = gemm.backward(grad_out, true);
   ml::set_conv_backend(ml::ConvBackend::kReference);
-  const Tensor gx_ref = ref.backward(grad_out);
+  const Tensor gx_ref = ref.backward(grad_out, true);
   ml::set_conv_backend(ml::ConvBackend::kGemm);
   expect_close(gx_gemm, gx_ref, 1e-4, what + " grad_in");
 
@@ -222,16 +222,31 @@ TEST(ConvBackendTest, Conv2DGemmMatchesReference) {
   }
 }
 
+// The direct depthwise kernel runs lanes across output columns: the output
+// widths below leave every tail (1-7 columns at 4 and 8 lanes, and an
+// all-tail row), stride 2 reads the phases of odd padded widths, and 5x5
+// kernels with pad 2 run at stride 1 and 2.
 TEST(ConvBackendTest, DepthwiseConv2DGemmMatchesReference) {
   const ConvCase cases[] = {
-      {2, 6, 6, 3, 1, 1, 10, 9},  // same-padded 3x3
-      {3, 4, 4, 3, 2, 1, 11, 7},  // strided
+      {2, 6, 6, 3, 1, 1, 10, 9},  // same-padded 3x3 (ow 9)
+      {3, 4, 4, 3, 2, 1, 11, 7},  // strided, padded width 9 (ow 4)
       {1, 8, 8, 5, 1, 2, 9, 9},   // 5x5
+      {1, 2, 2, 3, 1, 1, 4, 3},   // ow 3: all tail
+      {1, 2, 2, 3, 1, 1, 4, 10},  // ow 10: tails 2 / 2
+      {1, 2, 2, 3, 1, 1, 4, 11},  // ow 11: tails 3 / 3
+      {1, 2, 2, 3, 1, 1, 3, 12},  // ow 12: tails 0 / 4
+      {1, 2, 2, 3, 1, 1, 3, 13},  // ow 13: tails 1 / 5
+      {1, 2, 2, 3, 1, 1, 3, 14},  // ow 14: tails 2 / 6
+      {1, 2, 2, 3, 1, 1, 3, 15},  // ow 15: tails 3 / 7
+      {2, 3, 3, 3, 2, 1, 6, 9},   // stride 2, padded width 11 (ow 5)
+      {1, 3, 3, 3, 2, 1, 5, 13},  // stride 2, padded width 15 (ow 7)
+      {2, 3, 3, 5, 1, 2, 6, 13},  // 5x5, pad 2 (ow 13)
+      {1, 3, 3, 5, 2, 2, 6, 11},  // 5x5, pad 2, stride 2 (ow 6)
   };
   std::uint64_t seed = 500;
   for (const auto& c : cases) {
     SCOPED_TRACE(::testing::Message() << "c=" << c.in_c << " k=" << c.k
-                                      << " stride=" << c.stride);
+                                      << " stride=" << c.stride << " w=" << c.w);
     Rng init_a{seed}, init_b{seed};
     ml::DepthwiseConv2D gemm{c.in_c, c.k, c.stride, c.pad, init_a};
     ml::DepthwiseConv2D ref{c.in_c, c.k, c.stride, c.pad, init_b};

@@ -8,7 +8,9 @@
 //   * FFT butterflies across sizes,
 //   * elementwise layers (ReLU, BatchNorm, ResidualBlock's post-sum ReLU)
 //     fed NaN/infinity/denormal inputs — the vector masks must keep the
-//     exact scalar special-value behaviour,
+//     exact scalar special-value behaviour — and BatchNorm's fused
+//     activation against BatchNorm followed by ReLU,
+//   * the direct depthwise and im2col convolution kernels on ragged widths,
 //   * the cached_hann_window coefficient cache,
 //   * end-to-end training fingerprints across backend x thread-count,
 //   * the steady-state zero-allocation contract of the workspace pool on
@@ -19,6 +21,7 @@
 #include <complex>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/sensory_mapper.hpp"
@@ -247,6 +250,12 @@ std::vector<float> tensor_bits(const Tensor& t) {
   return {t.flat().begin(), t.flat().end()};
 }
 
+Tensor random_tensor(ml::Shape shape, Rng& rng) {
+  Tensor t{std::move(shape)};
+  for (auto& v : t.flat()) v = static_cast<float>(rng.normal(0.0, 1.0));
+  return t;
+}
+
 TEST(SimdLayerTest, ReluForwardBackwardBitIdenticalOnSpecialValues) {
   for (float cap : {0.0f, 6.0f}) {
     SCOPED_TRACE(::testing::Message() << "cap=" << cap);
@@ -256,7 +265,7 @@ TEST(SimdLayerTest, ReluForwardBackwardBitIdenticalOnSpecialValues) {
       SimdBackendGuard guard{backend};
       ml::ReLU relu{cap};
       const Tensor y = relu.forward(x, true);
-      const Tensor gx = relu.backward(g);
+      const Tensor gx = relu.backward(g, true);
       auto out = tensor_bits(y);
       const auto gbits = tensor_bits(gx);
       out.insert(out.end(), gbits.begin(), gbits.end());
@@ -277,7 +286,7 @@ TEST(SimdLayerTest, BatchNormForwardBackwardBitIdentical) {
     SimdBackendGuard guard{backend};
     ml::BatchNorm bn{4};
     const Tensor y_train = bn.forward(x, true);
-    const Tensor gx = bn.backward(g);
+    const Tensor gx = bn.backward(g, true);
     const Tensor y_eval = bn.forward(x, false);
     auto out = tensor_bits(y_train);
     for (const Tensor& t : {gx, y_eval}) {
@@ -288,6 +297,66 @@ TEST(SimdLayerTest, BatchNormForwardBackwardBitIdentical) {
   };
   expect_bits_equal(run(util::SimdBackend::kVector),
                     run(util::SimdBackend::kScalar), "BatchNorm");
+}
+
+// A BatchNorm with a fused Activation is BatchNorm followed by the
+// standalone ReLU(cap), bit for bit: training forward, dX, dgamma/dbeta,
+// running stats and eval forward, under each backend.  Every channel holds
+// integers symmetric about 0, so its batch mean is exactly 0 and x == 0
+// normalizes to exactly beta: beta 0 and beta 6 put outputs exactly at the
+// ReLU's 0 and ReLU6's cap, where both masks must drop the gradient.
+TEST(SimdLayerTest, FusedBatchNormMatchesBatchNormThenRelu) {
+  Tensor x({2, 4, 3, 5});
+  for (std::size_t i = 0; i < x.numel(); ++i)
+    x.flat()[i] = static_cast<float>(static_cast<int>(i % 5) - 2);
+  Rng grad_rng{41};
+  const Tensor g = random_tensor({2, 4, 3, 5}, grad_rng);
+  const float gamma[] = {1.0f, 3.0f, -1.5f, 2.0f};
+  const float beta[] = {0.0f, 6.0f, 0.5f, -1.0f};
+  for (const float cap : {0.0f, 6.0f}) {
+    SCOPED_TRACE(::testing::Message() << "cap=" << cap);
+    // Train forward, backward, eval forward; then the bits of y, dX, every
+    // parameter gradient, the running stats and the eval output.
+    auto run = [&](ml::Layer& bn, ml::Layer* relu) {
+      const auto params = bn.params();
+      for (std::size_t ch = 0; ch < 4; ++ch) {
+        params[0]->value[ch] = gamma[ch];
+        params[1]->value[ch] = beta[ch];
+      }
+      Tensor y = bn.forward(x, true);
+      if (relu) y = relu->forward(y, true);
+      Tensor gy = relu ? relu->backward(g, true) : g;
+      const Tensor gx = bn.backward(gy, true);
+      Tensor y_eval = bn.forward(x, false);
+      if (relu) y_eval = relu->forward(y_eval, false);
+      auto out = tensor_bits(y);
+      const std::vector<const Tensor*> parts{&gx, &params[0]->grad,
+                                             &params[1]->grad, bn.state()[0],
+                                             bn.state()[1], &y_eval};
+      for (const Tensor* t : parts) {
+        const auto bits = tensor_bits(*t);
+        out.insert(out.end(), bits.begin(), bits.end());
+      }
+      return out;
+    };
+    const ml::Activation act =
+        cap > 0.0f ? ml::Activation::kRelu6 : ml::Activation::kRelu;
+    std::vector<float> fused_by_backend[2];
+    int bi = 0;
+    for (const auto backend :
+         {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+      SimdBackendGuard guard{backend};
+      ml::BatchNorm fused{4, act};
+      ml::BatchNorm plain{4};
+      ml::ReLU relu{cap};
+      fused_by_backend[bi] = run(fused, nullptr);
+      expect_bits_equal(fused_by_backend[bi], run(plain, &relu),
+                        "fused BatchNorm vs BatchNorm + ReLU");
+      ++bi;
+    }
+    expect_bits_equal(fused_by_backend[0], fused_by_backend[1],
+                      "fused BatchNorm vector vs scalar");
+  }
 }
 
 TEST(SimdLayerTest, ResidualBlockBackwardKeepsNaNGradientSemantics) {
@@ -304,7 +373,7 @@ TEST(SimdLayerTest, ResidualBlockBackwardKeepsNaNGradientSemantics) {
     Rng init{33};
     ml::ResidualBlock block{4, 4, 1, init};
     const Tensor y = block.forward(x, true);
-    const Tensor gx = block.backward(g);
+    const Tensor gx = block.backward(g, true);
     auto out = tensor_bits(y);
     const auto gbits = tensor_bits(gx);
     out.insert(out.end(), gbits.begin(), gbits.end());
@@ -313,6 +382,69 @@ TEST(SimdLayerTest, ResidualBlockBackwardKeepsNaNGradientSemantics) {
   expect_bits_equal_modulo_nan(run(util::SimdBackend::kVector),
                                run(util::SimdBackend::kScalar),
                                "ResidualBlock");
+}
+
+// ---------------------------------------------------------------------------
+// Convolution kernels.
+
+// The direct depthwise kernel and Conv2D's im2col / pointwise paths, forward
+// and backward, on output widths that leave every vector tail (1-7 columns
+// at 4 and 8 lanes, and an all-tail row), stride 2 over odd padded widths
+// and 5x5 kernels with pad 2: y, dX and every parameter gradient must match
+// between the backends bit for bit.
+TEST(SimdLayerTest, ConvKernelsBitIdenticalAcrossBackends) {
+  struct ConvShape {
+    std::size_t k, stride, pad, h, w;
+  };
+  const ConvShape shapes[] = {
+      {3, 1, 1, 4, 3},  {3, 1, 1, 4, 9},  {3, 1, 1, 4, 10}, {3, 1, 1, 3, 11},
+      {3, 1, 1, 3, 12}, {3, 1, 1, 3, 13}, {3, 1, 1, 3, 14}, {3, 1, 1, 3, 15},
+      {3, 2, 1, 6, 9},  {3, 2, 1, 5, 13}, {5, 1, 2, 6, 13}, {5, 2, 2, 6, 11},
+  };
+  constexpr std::size_t kIn = 3, kOut = 4;
+  enum class Kind { kDepthwise, kConv, kPointwise };
+  std::uint64_t seed = 700;
+  for (const ConvShape& c : shapes) {
+    for (const Kind kind : {Kind::kDepthwise, Kind::kConv, Kind::kPointwise}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "kind=" << static_cast<int>(kind) << " k=" << c.k
+                   << " stride=" << c.stride << " h=" << c.h << " w=" << c.w);
+      auto run = [&](util::SimdBackend backend) {
+        SimdBackendGuard guard{backend};
+        Rng rng{seed};
+        std::unique_ptr<ml::Layer> layer;
+        switch (kind) {
+          case Kind::kDepthwise:
+            layer = std::make_unique<ml::DepthwiseConv2D>(kIn, c.k, c.stride,
+                                                          c.pad, rng);
+            break;
+          case Kind::kConv:
+            layer = std::make_unique<ml::Conv2D>(kIn, kOut, c.k, c.stride, c.pad,
+                                                 rng);
+            break;
+          case Kind::kPointwise:
+            layer = std::make_unique<ml::Conv2D>(kIn, kOut, 1, 1, 0, rng);
+            break;
+        }
+        const Tensor x = random_tensor({2, kIn, c.h, c.w}, rng);
+        const Tensor y = layer->forward(x, true);
+        const Tensor g = random_tensor(y.shape(), rng);
+        const Tensor gx = layer->backward(g, true);
+        auto out = tensor_bits(y);
+        const auto params = layer->params();
+        const std::vector<const Tensor*> parts{&gx, &params[0]->grad,
+                                               &params[1]->grad};
+        for (const Tensor* t : parts) {
+          const auto bits = tensor_bits(*t);
+          out.insert(out.end(), bits.begin(), bits.end());
+        }
+        return out;
+      };
+      expect_bits_equal(run(util::SimdBackend::kVector),
+                        run(util::SimdBackend::kScalar), "conv kernels");
+      ++seed;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -331,12 +463,6 @@ TEST(SimdWindowTest, CachedWindowReusesCoefficients) {
 
 // ---------------------------------------------------------------------------
 // End-to-end training determinism across backend x thread count.
-
-Tensor random_tensor(ml::Shape shape, Rng& rng) {
-  Tensor t{std::move(shape)};
-  for (auto& v : t.flat()) v = static_cast<float>(rng.normal(0.0, 1.0));
-  return t;
-}
 
 std::vector<float> train_and_fingerprint(ml::ModelKind kind,
                                          util::SimdBackend backend,
