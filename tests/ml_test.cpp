@@ -508,12 +508,13 @@ std::unique_ptr<Layer> warmed_model(ModelKind kind, const ModelInputShape& in,
 // The layer graph's output bits, pinned so that a rewrite of any layer
 // forward or backward must keep them: CRC-32 of forward(x, false) for every
 // model kind (warmed, so BatchNorm reads moved running stats) and for the
-// DNN baseline's Lstm, and of one training step of the two conv models —
-// the output, the input gradient, every parameter gradient and the
-// BatchNorm running stats.  Every CRC must hold under both SIMD backends at
-// 1 and 4 threads.  The training step also runs with want_input_grad ==
-// false, as the trainer does: no input gradient comes back, and the output,
-// parameter gradients and state keep every bit of the pinned run.
+// DNN baseline's Lstm, and of one training step of every model kind and of
+// the Lstm — the output, the input gradient, every parameter gradient and
+// the BatchNorm running stats.  Every CRC must hold under both SIMD
+// backends at 1 and 4 threads.  The training step also runs with
+// want_input_grad == false, as the trainer does: the output, parameter
+// gradients and state keep every bit of the pinned run, and the conv
+// models, whose first layer honours the switch, return no input gradient.
 TEST(Models, ForwardBitsArePinned) {
   const ModelInputShape in;
   const auto fold = [](const Tensor& t, std::uint32_t crc) {
@@ -559,6 +560,16 @@ TEST(Models, ForwardBitsArePinned) {
     const Tensor batch = random_tensor({5, 8, 6}, rng);
     return fold(lstm.forward(batch, false), 0);
   };
+  const auto lstm_train_crc = [&] {
+    Rng rng{98};
+    Lstm lstm{6, 16, 8, rng};
+    const Tensor batch = random_tensor({5, 8, 6}, rng);
+    const Tensor out = lstm.forward(batch, true);
+    std::uint32_t crc =
+        fold(lstm.backward(weighted_loss(out).second, true), fold(out, 0));
+    for (Param* p : lstm.params()) crc = fold(p->grad, crc);
+    return crc;
+  };
   const struct {
     ModelKind kind;
     bool train;
@@ -570,6 +581,8 @@ TEST(Models, ForwardBitsArePinned) {
       {ModelKind::kMlp, false, 0xddb1b6a7u},
       {ModelKind::kMobileNetLite, true, 0xcd0f9987u},
       {ModelKind::kResNetLite, true, 0x72da43e9u},
+      {ModelKind::kNeuralOde, true, 0xffba9a09u},
+      {ModelKind::kMlp, true, 0x9bda619cu},
   };
   for (const auto backend :
        {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
@@ -588,14 +601,17 @@ TEST(Models, ForwardBitsArePinned) {
         const TrainFold full = train_fold(pin.kind, true);
         EXPECT_EQ(full.pinned, pin.crc);
         const TrainFold skip = train_fold(pin.kind, false);
-        EXPECT_TRUE(skip.input_grad_empty);
+        if (pin.kind == ModelKind::kMobileNetLite ||
+            pin.kind == ModelKind::kResNetLite)
+          EXPECT_TRUE(skip.input_grad_empty);
         EXPECT_EQ(skip.without_input, full.without_input);
       }
-      SCOPED_TRACE(std::string{"Lstm eval"} +
+      SCOPED_TRACE(std::string{"Lstm"} +
                    (backend == util::SimdBackend::kVector ? " vector/"
                                                           : " scalar/") +
                    std::to_string(threads));
       EXPECT_EQ(lstm_eval_crc(), 0x42b0a164u);
+      EXPECT_EQ(lstm_train_crc(), 0xffb69217u);
     }
   }
 }
