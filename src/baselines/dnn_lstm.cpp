@@ -97,7 +97,7 @@ DnnLstmDetector::Result DnnLstmDetector::analyze(const core::Flight& flight) con
     for (std::size_t s = 0; s < t; ++s)
       for (std::size_t f = 0; f < kFeatures; ++f)
         x[s * kFeatures + f] = rows[k + s][f];
-    const ml::Tensor pred = model_->forward(x, false);
+    const ml::Tensor pred = model_->infer(x);
     const double when = times[k + t];
     if (when < config_.warmup) continue;
     const Vec3 d{static_cast<double>(pred[0]) - rows[k + t][0],

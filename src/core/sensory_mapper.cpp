@@ -86,7 +86,7 @@ void SensoryMapper::fit_output_calibration(const ml::RegressionDataset& data) {
   constexpr std::size_t kBatch = 64;
   for (std::size_t start = 0; start < n; start += kBatch) {
     const std::size_t end = std::min(start + kBatch, n);
-    const ml::Tensor pred = model_->forward(data.x.slice_rows(start, end), false);
+    const ml::Tensor pred = model_->infer(data.x.slice_rows(start, end));
     for (std::size_t i = 0; i < end - start; ++i) {
       for (std::size_t d = 0; d < kLabelDim; ++d) {
         const double p = pred[i * kLabelDim + d];
@@ -204,7 +204,7 @@ std::vector<TimedPrediction> SensoryMapper::predict_prepared(
     std::copy(sigs[i].flat().begin(), sigs[i].flat().end(),
               batch.data() + i * row);
   }
-  const ml::Tensor pred = model_->forward(batch, false);
+  const ml::Tensor pred = model_->infer(batch);
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::array<double, kLabelDim> y{};

@@ -97,13 +97,13 @@ class SensoryMapper {
       double t0 = 0.0) const;
 
   // Batched inference over prepared signatures: stacks the [1,C,H,W] rows
-  // into one [N,C,H,W] tensor and runs ONE eval forward of the layer graph,
-  // which amortizes each layer's fixed per-call cost over the batch.  Every
-  // op processes batch rows independently with a fixed accumulation order,
-  // so the result is bitwise identical to N single-window forwards (pinned
-  // by ml_test).  NaN rows are passed through as NaN predictions.  The eval
-  // forward writes no model state, so several threads may call this on one
-  // mapper at once (fleet shards do).
+  // into one [N,C,H,W] tensor and runs ONE eval forward (Layer::infer) of
+  // the layer graph, which amortizes each layer's fixed per-call cost over
+  // the batch.  Every op processes batch rows independently with a fixed
+  // accumulation order, so the result is bitwise identical to N
+  // single-window forwards (pinned by ml_test).  NaN rows are passed through
+  // as NaN predictions.  infer() is const and writes no model state, so
+  // several threads may call this on one mapper at once (fleet shards do).
   std::vector<TimedPrediction> predict_prepared(
       std::span<const ml::Tensor> sigs, std::span<const WindowSpan> spans) const;
 
@@ -120,7 +120,6 @@ class SensoryMapper {
                   const PredictionHooks& hooks = {}) const;
 
   const SensoryMapperConfig& config() const { return config_; }
-  ml::Layer& model() { return *model_; }
   bool trained() const { return trained_; }
 
   // Pays serving's one-time costs up front so the first window of a stream

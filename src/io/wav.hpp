@@ -1,6 +1,5 @@
-// Minimal RIFF/WAVE I/O (16-bit PCM) so synthesized microphone recordings
-// can be exported for listening/inspection and real recordings can be fed
-// into the pipeline.
+// Minimal RIFF/WAVE export (16-bit PCM), so synthesized microphone
+// recordings can be written out for listening and inspection.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +26,5 @@ bool write_wav(const std::string& path, const WavData& data);
 // Convenience: export a microphone-array recording (scaled by `gain`).
 bool write_wav(const std::string& path, const acoustics::MultiChannelAudio& audio,
                double gain = 1.0);
-
-// Reads a 16-bit PCM RIFF/WAVE file.  Returns false on malformed input.
-bool read_wav(const std::string& path, WavData& out);
 
 }  // namespace sb::io

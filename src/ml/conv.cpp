@@ -295,10 +295,9 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t ke
                                 in_channels * kernel * kernel, rng)),
       bias_(Tensor::zeros({out_channels})) {}
 
-Tensor Conv2D::forward(const Tensor& x, bool train) {
+Tensor Conv2D::infer(const Tensor& x) const {
   if (x.ndim() != 4 || x.dim(1) != in_c_)
-    throw std::invalid_argument{"Conv2D::forward: expected [N,inC,H,W]"};
-  if (train) cached_x_ = x;
+    throw std::invalid_argument{"Conv2D: expected [N,inC,H,W]"};
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = out_dim(h, k_, stride_, pad_);
   const std::size_t ow = out_dim(w, k_, stride_, pad_);
@@ -502,10 +501,9 @@ DepthwiseConv2D::DepthwiseConv2D(std::size_t channels, std::size_t kernel,
       weight_(Tensor::he_normal({channels, kernel, kernel}, kernel * kernel, rng)),
       bias_(Tensor::zeros({channels})) {}
 
-Tensor DepthwiseConv2D::forward(const Tensor& x, bool train) {
+Tensor DepthwiseConv2D::infer(const Tensor& x) const {
   if (x.ndim() != 4 || x.dim(1) != c_)
-    throw std::invalid_argument{"DepthwiseConv2D::forward: expected [N,C,H,W]"};
-  if (train) cached_x_ = x;
+    throw std::invalid_argument{"DepthwiseConv2D: expected [N,C,H,W]"};
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = out_dim(h, k_, stride_, pad_);
   const std::size_t ow = out_dim(w, k_, stride_, pad_);
@@ -656,31 +654,6 @@ void DepthwiseConv2D::backward_reference(const Tensor& grad_out, Tensor& grad_in
   }
 }
 
-DepthwiseSeparableBlock::DepthwiseSeparableBlock(std::size_t in_channels,
-                                                 std::size_t out_channels,
-                                                 std::size_t stride, Rng& rng) {
-  body_.emplace<DepthwiseConv2D>(in_channels, 3, stride, 1, rng);
-  body_.emplace<BatchNorm>(in_channels, Activation::kRelu6);
-  body_.emplace<Conv2D>(in_channels, out_channels, 1, 1, 0, rng);
-  body_.emplace<BatchNorm>(out_channels, Activation::kRelu6);
-}
-
-Tensor DepthwiseSeparableBlock::forward(const Tensor& x, bool train) {
-  return body_.forward(x, train);
-}
-
-Tensor DepthwiseSeparableBlock::backward(const Tensor& grad_out,
-                                         bool want_input_grad) {
-  return body_.backward(grad_out, want_input_grad);
-}
-
-std::unique_ptr<Layer> DepthwiseSeparableBlock::replicate() const {
-  auto body = body_.replicate();
-  std::unique_ptr<DepthwiseSeparableBlock> copy{new DepthwiseSeparableBlock()};
-  copy->body_ = std::move(static_cast<Sequential&>(*body));
-  return copy;
-}
-
 ResidualBlock::ResidualBlock(std::size_t in_channels, std::size_t out_channels,
                              std::size_t stride, Rng& rng) {
   main_.emplace<Conv2D>(in_channels, out_channels, 3, stride, 1, rng);
@@ -694,32 +667,44 @@ ResidualBlock::ResidualBlock(std::size_t in_channels, std::size_t out_channels,
   }
 }
 
-Tensor ResidualBlock::forward(const Tensor& x, bool train) {
-  // The sum accumulates into the main branch's output; an identity
-  // shortcut reads x in place.
-  Tensor sum = main_.forward(x, train);
+namespace {
+
+// The post-sum ReLU; src and dst may alias.  vmax matches std::max's NaN
+// operand pick, and lanes are independent.
+void relu_into(const float* src, float* dst, std::size_t numel) {
+  std::size_t i = 0;
+  if (util::simd_enabled()) {
+    namespace v = util::simd;
+    const v::VFloat zero = v::zero_f();
+    for (; i + v::kFloatLanes <= numel; i += v::kFloatLanes)
+      v::store(dst + i, v::vmax(v::load(src + i), zero));
+  }
+  for (; i < numel; ++i) dst[i] = std::max(src[i], 0.0f);
+}
+
+}  // namespace
+
+// The sum accumulates into the main branch's output; an identity shortcut
+// reads x in place.
+Tensor ResidualBlock::infer(const Tensor& x) const {
+  Tensor sum = main_.infer(x);
   if (shortcut_)
-    sum.add_scaled(shortcut_->forward(x, train), 1.0f);
+    sum.add_scaled(shortcut_->infer(x), 1.0f);
   else
     sum.add_scaled(x, 1.0f);
-  // vmax matches std::max's NaN operand pick; lanes are independent.
-  const auto relu = [](const float* src, float* dst, std::size_t numel) {
-    std::size_t i = 0;
-    if (util::simd_enabled()) {
-      namespace v = util::simd;
-      const v::VFloat zero = v::zero_f();
-      for (; i + v::kFloatLanes <= numel; i += v::kFloatLanes)
-        v::store(dst + i, v::vmax(v::load(src + i), zero));
-    }
-    for (; i < numel; ++i) dst[i] = std::max(src[i], 0.0f);
-  };
-  if (!train) {
-    relu(sum.data(), sum.data(), sum.numel());
-    return sum;
-  }
-  // Training keeps the pre-ReLU sum for backward's mask.
+  relu_into(sum.data(), sum.data(), sum.numel());
+  return sum;
+}
+
+// Keeps the pre-ReLU sum for backward's mask.
+Tensor ResidualBlock::forward_train(const Tensor& x) {
+  Tensor sum = main_.forward_train(x);
+  if (shortcut_)
+    sum.add_scaled(shortcut_->forward_train(x), 1.0f);
+  else
+    sum.add_scaled(x, 1.0f);
   Tensor y(sum.shape(), kNoFill);
-  relu(sum.data(), y.data(), sum.numel());
+  relu_into(sum.data(), y.data(), sum.numel());
   cached_sum_ = std::move(sum);
   return y;
 }

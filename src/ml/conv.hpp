@@ -1,5 +1,5 @@
-// 2-D convolutions: standard and depthwise, plus the residual block used by
-// ResNetLite and the depthwise-separable block used by MobileNetLite.
+// 2-D convolutions, standard and depthwise, plus the residual block used by
+// ResNetLite.
 #pragma once
 
 #include "ml/layer.hpp"
@@ -22,7 +22,11 @@ class Conv2D final : public Layer {
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          std::size_t stride, std::size_t padding, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override {
+    cached_x_ = x;
+    return infer(x);
+  }
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> replicate() const override {
@@ -59,7 +63,11 @@ class DepthwiseConv2D final : public Layer {
   DepthwiseConv2D(std::size_t channels, std::size_t kernel, std::size_t stride,
                   std::size_t padding, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override {
+    cached_x_ = x;
+    return infer(x);
+  }
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> replicate() const override {
@@ -79,35 +87,6 @@ class DepthwiseConv2D final : public Layer {
   Tensor cached_x_;
 };
 
-// MobileNet-style depthwise-separable block:
-//   depthwise 3x3 (stride s) -> BN+ReLU6 -> pointwise 1x1 -> BN+ReLU6, each
-//   BN+ReLU6 one BatchNorm with Activation::kRelu6.
-class DepthwiseSeparableBlock final : public Layer {
- public:
-  DepthwiseSeparableBlock(std::size_t in_channels, std::size_t out_channels,
-                          std::size_t stride, Rng& rng);
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
-  std::vector<Param*> params() override { return body_.params(); }
-  std::vector<Tensor*> state() override { return body_.state(); }
-  std::unique_ptr<Layer> replicate() const override;
-  std::size_t shard_stats_size() const override {
-    return body_.shard_stats_size();
-  }
-  void export_shard_stats(std::span<float> out) const override {
-    body_.export_shard_stats(out);
-  }
-  void absorb_shard_stats(std::span<const float> in) override {
-    body_.absorb_shard_stats(in);
-  }
-
- private:
-  DepthwiseSeparableBlock() = default;
-
-  Sequential body_;
-};
-
 // ResNet-style basic block: two 3x3 convs with BN (the first one's ReLU
 // fused into it), identity (or 1x1 projection) shortcut, ReLU after the sum.
 class ResidualBlock final : public Layer {
@@ -115,7 +94,8 @@ class ResidualBlock final : public Layer {
   ResidualBlock(std::size_t in_channels, std::size_t out_channels, std::size_t stride,
                 Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override;
   std::vector<Tensor*> state() override;

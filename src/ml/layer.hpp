@@ -2,9 +2,10 @@
 // accumulated in place (classic define-by-layer design; no autograd graph).
 //
 // Concurrency contract (DESIGN.md "Eval forward", "Training performance"):
-// an eval forward (train == false) writes no member state, so any number of
-// them may run on one model at once.  A training forward caches what
-// backward needs and runs on a replicate() copy, one per worker.
+// the eval forward infer() is const, so it writes no member state and any
+// number of calls may run on one model at once.  The training forward
+// forward_train() caches what backward needs and runs on a replicate()
+// copy, one per worker.
 #pragma once
 
 #include <atomic>
@@ -42,15 +43,18 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  // Forward pass.  `train` enables training-only behaviour (batch-norm batch
-  // statistics) and makes the layer cache whatever backward needs.  An eval
-  // forward (train == false) writes no member state and fills each output
-  // once; serving, calibration and validation all run it, concurrently on
-  // one model where they like.
-  virtual Tensor forward(const Tensor& x, bool train) = 0;
+  // Eval forward: normalizes with persistent statistics (BatchNorm's
+  // running mean/var) and fills each output once.  Serving, calibration,
+  // validation and the DNN baseline all run it, concurrently on one model
+  // where they like.
+  virtual Tensor infer(const Tensor& x) const = 0;
+
+  // Training forward: normalizes with batch statistics and caches whatever
+  // backward needs.
+  virtual Tensor forward_train(const Tensor& x) = 0;
 
   // Backward pass: receives dLoss/dOutput, accumulates every parameter
-  // gradient and returns dLoss/dInput.  Must follow a training forward.
+  // gradient and returns dLoss/dInput.  Must follow forward_train.
   // With want_input_grad == false the caller discards dLoss/dInput (the
   // trainer's first layer): the layer still accumulates every parameter
   // gradient, and may skip the input gradient and return an empty tensor.
@@ -60,7 +64,7 @@ class Layer {
 
   // Non-learnable persistent state (e.g. batch-norm running statistics).
   // Serialization must persist these alongside params() or a reloaded model
-  // will not reproduce the trained one's eval-mode behaviour.
+  // will not reproduce the trained one's infer() behaviour.
   virtual std::vector<Tensor*> state() { return {}; }
 
   // Deep copy for data-parallel training (DESIGN.md "Training performance").
@@ -100,11 +104,18 @@ class Sequential final : public Layer {
   }
 
   // The first child reads x directly; no copy of the input is made.
-  Tensor forward(const Tensor& x, bool train) override {
+  Tensor infer(const Tensor& x) const override {
     if (layers_.empty()) return x;
-    Tensor h = layers_.front()->forward(x, train);
+    Tensor h = layers_.front()->infer(x);
+    for (std::size_t i = 1; i < layers_.size(); ++i) h = layers_[i]->infer(h);
+    return h;
+  }
+
+  Tensor forward_train(const Tensor& x) override {
+    if (layers_.empty()) return x;
+    Tensor h = layers_.front()->forward_train(x);
     for (std::size_t i = 1; i < layers_.size(); ++i)
-      h = layers_[i]->forward(h, train);
+      h = layers_[i]->forward_train(h);
     return h;
   }
 

@@ -17,10 +17,9 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
       weight_(Tensor::he_normal({out_features, in_features}, in_features, rng)),
       bias_(Tensor::zeros({out_features})) {}
 
-Tensor Dense::forward(const Tensor& x, bool train) {
+Tensor Dense::infer(const Tensor& x) const {
   if (x.ndim() != 2 || x.dim(1) != in_)
-    throw std::invalid_argument{"Dense::forward: expected [N, in]"};
-  if (train) cached_x_ = x;
+    throw std::invalid_argument{"Dense: expected [N, in]"};
   const std::size_t n = x.dim(0);
   Tensor y({n, out_}, kNoFill);
   const float* b = bias_.value.data();
@@ -51,8 +50,7 @@ Tensor Dense::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   return grad_in;
 }
 
-Tensor ReLU::forward(const Tensor& x, bool train) {
-  if (train) cached_x_ = x;
+Tensor ReLU::infer(const Tensor& x) const {
   Tensor y(x.shape(), kNoFill);
   const float* px = x.data();
   float* py = y.data();
@@ -109,10 +107,9 @@ Tensor ReLU::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   return g;
 }
 
-Tensor Tanh::forward(const Tensor& x, bool train) {
+Tensor Tanh::infer(const Tensor& x) const {
   Tensor y(x.shape(), kNoFill);
   util::parallel_for(y.numel(), [&](std::size_t i) { y[i] = std::tanh(x[i]); });
-  if (train) cached_y_ = y;
   return y;
 }
 
@@ -252,6 +249,25 @@ void batchnorm_row(const float* p, float* xh, float* py, std::size_t hw,
   }
 }
 
+// (n, c, hw) of an [N, C, H, W] or [N, C] BatchNorm input; throws on any
+// other shape or a channel count other than `channels`.
+struct BatchNormDims {
+  std::size_t n, c, hw;
+};
+
+BatchNormDims batchnorm_dims(const Tensor& x, std::size_t channels) {
+  BatchNormDims d;
+  if (x.ndim() == 4) {
+    d = {x.dim(0), x.dim(1), x.dim(2) * x.dim(3)};
+  } else if (x.ndim() == 2) {
+    d = {x.dim(0), x.dim(1), 1};
+  } else {
+    throw std::invalid_argument{"BatchNorm: expected [N,C,H,W] or [N,C]"};
+  }
+  if (d.c != channels) throw std::invalid_argument{"BatchNorm: channel mismatch"};
+  return d;
+}
+
 }  // namespace
 
 BatchNorm::BatchNorm(std::size_t channels, Activation act, float momentum,
@@ -266,72 +282,62 @@ BatchNorm::BatchNorm(std::size_t channels, Activation act, float momentum,
       running_mean_(Tensor::zeros({channels})),
       running_var_(Tensor({channels}, 1.0f)) {}
 
-Tensor BatchNorm::forward(const Tensor& x, bool train) {
-  std::size_t n, c, hw;
-  if (x.ndim() == 4) {
-    n = x.dim(0); c = x.dim(1); hw = x.dim(2) * x.dim(3);
-  } else if (x.ndim() == 2) {
-    n = x.dim(0); c = x.dim(1); hw = 1;
-  } else {
-    throw std::invalid_argument{"BatchNorm: expected [N,C,H,W] or [N,C]"};
-  }
-  if (c != channels_) throw std::invalid_argument{"BatchNorm: channel mismatch"};
+// Channels are independent in both forwards: every write (cached stats,
+// running stats, xhat, y) is per-channel, and each channel's reduction order
+// is fixed, so neither the parallel split nor the channel grouping can
+// affect results.
+Tensor BatchNorm::infer(const Tensor& x) const {
+  const auto [n, c, hw] = batchnorm_dims(x, channels_);
+  Tensor y(x.shape(), kNoFill);
+  const bool vec = util::simd_enabled();
+  util::parallel_for_ranges(c, [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t ch = c0; ch < c1; ++ch) {
+      const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t off = (i * c + ch) * hw;
+        batchnorm_row<false>(x.data() + off, nullptr, y.data() + off, hw,
+                             running_mean_[ch], inv_std, gamma_.value[ch],
+                             beta_.value[ch], relu_, cap_, vec);
+      }
+    }
+  }, kChannelGroup);
+  return y;
+}
 
-  if (train) {
-    cached_n_ = n;
-    cached_hw_ = hw;
-    cached_mean_.assign(c, 0.0f);
-    cached_var_.assign(c, 0.0f);
-    cached_inv_std_.assign(c, 0.0f);
-    cached_xhat_ = Tensor(x.shape(), kNoFill);
-  }
+Tensor BatchNorm::forward_train(const Tensor& x) {
+  const auto [n, c, hw] = batchnorm_dims(x, channels_);
+  cached_n_ = n;
+  cached_hw_ = hw;
+  cached_mean_.assign(c, 0.0f);
+  cached_var_.assign(c, 0.0f);
+  cached_inv_std_.assign(c, 0.0f);
+  cached_xhat_ = Tensor(x.shape(), kNoFill);
   Tensor y(x.shape(), kNoFill);
   const float count = static_cast<float>(n * hw);
   const bool vec = util::simd_enabled();
-
-  // Channels are independent: every write below (cached stats, running
-  // stats, xhat, y) is per-channel, and each channel's reduction order is
-  // fixed, so neither the parallel split nor the channel grouping can
-  // affect results.
   util::parallel_for_ranges(c, [&](std::size_t c0, std::size_t c1) {
     for (std::size_t ch0 = c0; ch0 < c1;) {
       const std::size_t group = c1 - ch0 >= kChannelGroup ? kChannelGroup : 1;
       float mean[kChannelGroup] = {}, var[kChannelGroup] = {};
-      if (train) {
-        if (group == kChannelGroup)
-          batch_moments<kChannelGroup>(x.data(), n, c, hw, ch0, count, mean, var);
-        else
-          batch_moments<1>(x.data(), n, c, hw, ch0, count, mean, var);
-      }
+      if (group == kChannelGroup)
+        batch_moments<kChannelGroup>(x.data(), n, c, hw, ch0, count, mean, var);
+      else
+        batch_moments<1>(x.data(), n, c, hw, ch0, count, mean, var);
       for (std::size_t j = 0; j < group; ++j) {
         const std::size_t ch = ch0 + j;
-        float mean_v, var_v;
-        if (train) {
-          mean_v = mean[j];
-          var_v = var[j];
-          running_mean_[ch] = momentum_ * running_mean_[ch] + (1 - momentum_) * mean_v;
-          running_var_[ch] = momentum_ * running_var_[ch] + (1 - momentum_) * var_v;
-        } else {
-          mean_v = running_mean_[ch];
-          var_v = running_var_[ch];
-        }
-        const float inv_std = 1.0f / std::sqrt(var_v + eps_);
+        running_mean_[ch] = momentum_ * running_mean_[ch] + (1 - momentum_) * mean[j];
+        running_var_[ch] = momentum_ * running_var_[ch] + (1 - momentum_) * var[j];
+        const float inv_std = 1.0f / std::sqrt(var[j] + eps_);
         const float g = gamma_.value[ch], b = beta_.value[ch];
         for (std::size_t i = 0; i < n; ++i) {
           const std::size_t off = (i * c + ch) * hw;
-          if (train)
-            batchnorm_row<true>(x.data() + off, cached_xhat_.data() + off,
-                                y.data() + off, hw, mean_v, inv_std, g, b, relu_,
-                                cap_, vec);
-          else
-            batchnorm_row<false>(x.data() + off, nullptr, y.data() + off, hw,
-                                 mean_v, inv_std, g, b, relu_, cap_, vec);
+          batchnorm_row<true>(x.data() + off, cached_xhat_.data() + off,
+                              y.data() + off, hw, mean[j], inv_std, g, b, relu_,
+                              cap_, vec);
         }
-        if (train) {
-          cached_mean_[ch] = mean_v;
-          cached_var_[ch] = var_v;
-          cached_inv_std_[ch] = inv_std;
-        }
+        cached_mean_[ch] = mean[j];
+        cached_var_[ch] = var[j];
+        cached_inv_std_[ch] = inv_std;
       }
       ch0 += group;
     }
@@ -408,9 +414,8 @@ Tensor BatchNorm::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   return grad_in;
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
+Tensor GlobalAvgPool::infer(const Tensor& x) const {
   if (x.ndim() != 4) throw std::invalid_argument{"GlobalAvgPool: expected [N,C,H,W]"};
-  if (train) cached_shape_ = x.shape();
   const std::size_t n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
   Tensor y({n, c}, kNoFill);
   util::parallel_for(n, [&](std::size_t i) {
@@ -438,8 +443,7 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out, bool /*want_input_grad*/)
   return grad_in;
 }
 
-Tensor Flatten::forward(const Tensor& x, bool train) {
-  if (train) cached_shape_ = x.shape();
+Tensor Flatten::infer(const Tensor& x) const {
   return x.reshaped({x.dim(0), x.row_size()});
 }
 

@@ -10,15 +10,16 @@ class Dense final : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override {
+    cached_x_ = x;
+    return infer(x);
+  }
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Dense>(*this);
   }
-
-  std::size_t in_features() const { return in_; }
-  std::size_t out_features() const { return out_; }
 
  private:
   std::size_t in_, out_;
@@ -33,7 +34,11 @@ class ReLU final : public Layer {
  public:
   // cap <= 0 means plain ReLU; cap = 6 gives the ReLU6 used by MobileNet.
   explicit ReLU(float cap = 0.0f) : cap_(cap) {}
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override {
+    cached_x_ = x;
+    return infer(x);
+  }
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<ReLU>(*this);
@@ -46,7 +51,11 @@ class ReLU final : public Layer {
 
 class Tanh final : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override {
+    cached_y_ = infer(x);
+    return cached_y_;
+  }
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Tanh>(*this);
@@ -71,7 +80,8 @@ class BatchNorm final : public Layer {
   explicit BatchNorm(std::size_t channels, Activation act = Activation::kNone,
                      float momentum = 0.9f, float eps = 1e-5f);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> state() override { return {&running_mean_, &running_var_}; }
@@ -114,7 +124,11 @@ class BatchNorm final : public Layer {
 // Global average pooling: [N, C, H, W] -> [N, C].
 class GlobalAvgPool final : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override {
+    cached_shape_ = x.shape();
+    return infer(x);
+  }
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<GlobalAvgPool>(*this);
@@ -127,7 +141,11 @@ class GlobalAvgPool final : public Layer {
 // Collapses everything but dim 0: [N, ...] -> [N, D].
 class Flatten final : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override {
+    cached_shape_ = x.shape();
+    return infer(x);
+  }
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Flatten>(*this);

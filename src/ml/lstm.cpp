@@ -13,6 +13,20 @@ namespace {
 
 float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
+// The [N, T, D] input: a 3-D x itself (no copy), or a 2-D [N, T*D] x
+// reshaped into `reshaped`.  Throws on any other shape.
+const Tensor& as_sequence(const Tensor& x, std::size_t t, std::size_t d,
+                          Tensor& reshaped) {
+  const Tensor* seq = &x;
+  if (x.ndim() == 2) {
+    reshaped = x.reshaped({x.dim(0), t, d});
+    seq = &reshaped;
+  }
+  if (seq->ndim() != 3 || seq->dim(1) != t || seq->dim(2) != d)
+    throw std::invalid_argument{"Lstm: expected [N, T, D]"};
+  return *seq;
+}
+
 }  // namespace
 
 Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, std::size_t seq_len,
@@ -27,31 +41,25 @@ Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, std::size_t seq_len,
   for (std::size_t i = h_; i < 2 * h_; ++i) b_.value[i] = 1.0f;
 }
 
-Tensor Lstm::forward(const Tensor& x_in, bool train) {
+Tensor Lstm::infer(const Tensor& x_in) const {
   Tensor reshaped;
-  const Tensor* xp = &x_in;
-  if (x_in.ndim() == 2) {
-    reshaped = x_in.reshaped({x_in.dim(0), t_, d_});
-    xp = &reshaped;
-  }
-  const Tensor& x = *xp;
-  if (x.ndim() != 3 || x.dim(1) != t_ || x.dim(2) != d_)
-    throw std::invalid_argument{"Lstm::forward: expected [N, T, D]"};
+  const Tensor& x = as_sequence(x_in, t_, d_, reshaped);
   const std::size_t n = x.dim(0);
+  // h and c start at zero and update in place; the gate buffer is fully
+  // rewritten every step.
+  Tensor gate({n, 4 * h_}, kNoFill);
+  Tensor cell({n, h_});
+  Tensor hidden({n, h_});
+  for (std::size_t t = 0; t < t_; ++t)
+    step(x, t, hidden.data(), cell.data(), gate.data(), cell.data(),
+         hidden.data());
+  return hidden;
+}
 
-  if (!train) {
-    // h and c start at zero and update in place; the gate buffer is fully
-    // rewritten every step.
-    Tensor gate({n, 4 * h_}, kNoFill);
-    Tensor cell({n, h_});
-    Tensor hidden({n, h_});
-    for (std::size_t t = 0; t < t_; ++t)
-      step(x, t, hidden.data(), cell.data(), gate.data(), cell.data(),
-           hidden.data());
-    return hidden;
-  }
-
-  cached_x_ = x;
+Tensor Lstm::forward_train(const Tensor& x_in) {
+  Tensor reshaped;
+  cached_x_ = as_sequence(x_in, t_, d_, reshaped);
+  const std::size_t n = cached_x_.dim(0);
   gates_.assign(t_, Tensor({n, 4 * h_}));
   cells_.assign(t_, Tensor({n, h_}));
   hiddens_.assign(t_, Tensor({n, h_}));
@@ -59,7 +67,7 @@ Tensor Lstm::forward(const Tensor& x_in, bool train) {
   for (std::size_t t = 0; t < t_; ++t) {
     const Tensor& h_prev = t > 0 ? hiddens_[t - 1] : zeros;
     const Tensor& c_prev = t > 0 ? cells_[t - 1] : zeros;
-    step(x, t, h_prev.data(), c_prev.data(), gates_[t].data(),
+    step(cached_x_, t, h_prev.data(), c_prev.data(), gates_[t].data(),
          cells_[t].data(), hiddens_[t].data());
   }
   return hiddens_.back();

@@ -13,15 +13,14 @@ class Lstm final : public Layer {
   // output [N, hidden_size] = h_T.
   Lstm(std::size_t input_size, std::size_t hidden_size, std::size_t seq_len, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&wx_, &wh_, &b_}; }
 
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<Lstm>(*this);
   }
-
-  std::size_t hidden_size() const { return h_; }
 
  private:
   // One time step over the [N, T, D] input: gate = act(b + Wx x_t +

@@ -43,7 +43,7 @@ void ReplicaTeam::sync_weights(const std::vector<Param*>& primary_params) {
   }
 }
 
-double evaluate_mse(Layer& model, const Tensor& x, const Tensor& y,
+double evaluate_mse(const Layer& model, const Tensor& x, const Tensor& y,
                     std::size_t batch_size) {
   const std::size_t n = x.dim(0);
   if (n == 0) return 0.0;
@@ -54,7 +54,7 @@ double evaluate_mse(Layer& model, const Tensor& x, const Tensor& y,
     const std::size_t end = std::min(start + batch_size, n);
     const Tensor bx = x.slice_rows(start, end);
     const Tensor by = y.slice_rows(start, end);
-    const Tensor pred = model.forward(bx, false);
+    const Tensor pred = model.infer(bx);
     double s = 0.0;
     for (std::size_t i = 0; i < pred.numel(); ++i) {
       const double d = static_cast<double>(pred[i]) - static_cast<double>(by[i]);

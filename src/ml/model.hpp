@@ -1,4 +1,4 @@
-// The squared-error loss, eval-mode MSE, and the data-parallel replica team
+// The squared-error loss, eval-forward MSE, and the data-parallel replica team
 // shared by the trainer and by the SoundBoost sensory-mapping stage.
 #pragma once
 
@@ -23,8 +23,8 @@ struct SquaredError {
 SquaredError squared_error(const Tensor& pred, const Tensor& target,
                            float grad_scale);
 
-// Eval-mode MSE of the model over a dataset, computed in batches.
-double evaluate_mse(Layer& model, const Tensor& x, const Tensor& y,
+// Eval-forward MSE of the model over a dataset, computed in batches.
+double evaluate_mse(const Layer& model, const Tensor& x, const Tensor& y,
                     std::size_t batch_size = 64);
 
 // Data-parallel training replicas (DESIGN.md "Training performance").

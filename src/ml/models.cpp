@@ -22,6 +22,24 @@ const char* to_string(PlanPrecision) { return "exact"; }
 
 PlanPrecision plan_precision() { return PlanPrecision::kExact; }
 
+namespace {
+
+// MobileNet-style depthwise-separable block: depthwise 3x3 (stride s) ->
+// BN+ReLU6 -> pointwise 1x1 -> BN+ReLU6, each BN+ReLU6 one BatchNorm with
+// Activation::kRelu6.
+std::unique_ptr<Layer> depthwise_separable(std::size_t in_channels,
+                                           std::size_t out_channels,
+                                           std::size_t stride, Rng& rng) {
+  auto block = std::make_unique<Sequential>();
+  block->emplace<DepthwiseConv2D>(in_channels, 3, stride, 1, rng);
+  block->emplace<BatchNorm>(in_channels, Activation::kRelu6);
+  block->emplace<Conv2D>(in_channels, out_channels, 1, 1, 0, rng);
+  block->emplace<BatchNorm>(out_channels, Activation::kRelu6);
+  return block;
+}
+
+}  // namespace
+
 std::unique_ptr<Layer> make_model(ModelKind kind, const ModelInputShape& input,
                                   std::size_t output_dim, Rng& rng) {
   auto model = std::make_unique<Sequential>();
@@ -30,9 +48,9 @@ std::unique_ptr<Layer> make_model(ModelKind kind, const ModelInputShape& input,
       // Stem + depthwise-separable stack (MobileNetV2 spirit at 1/64 scale).
       model->emplace<Conv2D>(input.channels, 8, 3, 1, 1, rng);
       model->emplace<BatchNorm>(8, Activation::kRelu6);
-      model->emplace<DepthwiseSeparableBlock>(8, 16, 2, rng);
-      model->emplace<DepthwiseSeparableBlock>(16, 24, 1, rng);
-      model->emplace<DepthwiseSeparableBlock>(24, 32, 2, rng);
+      model->add(depthwise_separable(8, 16, 2, rng));
+      model->add(depthwise_separable(16, 24, 1, rng));
+      model->add(depthwise_separable(24, 32, 2, rng));
       model->emplace<GlobalAvgPool>();
       model->emplace<Dense>(32, output_dim, rng);
       break;

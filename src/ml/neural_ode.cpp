@@ -4,6 +4,14 @@
 #include <stdexcept>
 
 namespace sb::ml {
+namespace {
+
+void check_state(const Tensor& x, std::size_t d) {
+  if (x.ndim() != 2 || x.dim(1) != d)
+    throw std::invalid_argument{"NeuralOdeBlock: expected [N, D]"};
+}
+
+}  // namespace
 
 NeuralOdeBlock::NeuralOdeBlock(std::size_t state_dim, std::size_t hidden_dim,
                                std::size_t steps, Rng& rng)
@@ -39,24 +47,24 @@ Tensor NeuralOdeBlock::eval_f(const Tensor& h, Tensor& act) const {
   return out;
 }
 
-Tensor NeuralOdeBlock::forward(const Tensor& x, bool train) {
-  if (x.ndim() != 2 || x.dim(1) != d_)
-    throw std::invalid_argument{"NeuralOdeBlock: expected [N, D]"};
+Tensor NeuralOdeBlock::infer(const Tensor& x) const {
+  check_state(x, d_);
   const float dt = 1.0f / static_cast<float>(steps_);
-  if (train) {
-    states_.clear();
-    acts_.clear();
-    states_.push_back(x);
-  }
+  Tensor h = x;
+  Tensor act;
+  for (std::size_t s = 0; s < steps_; ++s) h.add_scaled(eval_f(h, act), dt);
+  return h;
+}
+
+Tensor NeuralOdeBlock::forward_train(const Tensor& x) {
+  check_state(x, d_);
+  const float dt = 1.0f / static_cast<float>(steps_);
+  states_.assign(1, x);
+  acts_.assign(steps_, Tensor{});
   Tensor h = x;
   for (std::size_t s = 0; s < steps_; ++s) {
-    Tensor act;
-    const Tensor f = eval_f(h, act);
-    h.add_scaled(f, dt);
-    if (train) {
-      acts_.push_back(std::move(act));
-      states_.push_back(h);
-    }
+    h.add_scaled(eval_f(h, acts_[s]), dt);
+    states_.push_back(h);
   }
   return h;
 }

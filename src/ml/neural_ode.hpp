@@ -18,7 +18,8 @@ class NeuralOdeBlock final : public Layer {
   NeuralOdeBlock(std::size_t state_dim, std::size_t hidden_dim, std::size_t steps,
                  Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor forward_train(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::vector<Param*> params() override { return {&w1_, &b1_, &w2_, &b2_}; }
 
@@ -27,8 +28,9 @@ class NeuralOdeBlock final : public Layer {
   }
 
  private:
-  // f(h) = W2 tanh(W1 h + b1) + b2, evaluated on [N, D] batches.
-  Tensor eval_f(const Tensor& h, Tensor& pre_act) const;
+  // f(h) = W2 tanh(W1 h + b1) + b2, evaluated on [N, D] batches; the tanh
+  // activations land in `act`.
+  Tensor eval_f(const Tensor& h, Tensor& act) const;
 
   std::size_t d_, hidden_, steps_;
   Param w1_, b1_, w2_, b2_;

@@ -9,29 +9,9 @@
 
 namespace sb::ml {
 
-void Optimizer::zero_grad() {
-  for (Param* p : params_) p->zero_grad();
-}
-
-Sgd::Sgd(std::vector<Param*> params, double lr, double momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  for (Param* p : params_) velocity_.emplace(p, Tensor::zeros(p->value.shape()));
-}
-
-void Sgd::step() {
-  for (Param* p : params_) {
-    Tensor& vel = velocity_.at(p);
-    for (std::size_t i = 0; i < p->value.numel(); ++i) {
-      vel[i] = static_cast<float>(momentum_) * vel[i] - static_cast<float>(lr_) * p->grad[i];
-      p->value[i] += vel[i];
-    }
-    p->bump();
-  }
-}
-
 Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2, double eps,
            double weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -41,6 +21,10 @@ Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2, do
     m_.emplace(p, Tensor::zeros(p->value.shape()));
     v_.emplace(p, Tensor::zeros(p->value.shape()));
   }
+}
+
+void Adam::zero_grad() {
+  for (Param* p : params_) p->zero_grad();
 }
 
 // One pass per parameter: moment update, bias-corrected step, decoupled

@@ -1,4 +1,4 @@
-// First-order optimizers over a parameter set.
+// Adam, the trainer's first-order optimizer over a parameter set.
 #pragma once
 
 #include <unordered_map>
@@ -8,51 +8,27 @@
 
 namespace sb::ml {
 
-class Optimizer {
+// weight_decay is decoupled (AdamW-style).
+class Adam {
  public:
-  explicit Optimizer(std::vector<Param*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  void zero_grad();
-  virtual void step() = 0;
-
-  // Fused mutate+clear: equivalent to `step(); zero_grad();`.  Adam
-  // overrides it with a single SIMD sweep per parameter (one load/store
-  // pass instead of two), bitwise-identical to the unfused pair on both
-  // backends.  Callers that drop their explicit zero_grad() in favour of
-  // this must still clear stale gradients once before the first backward.
-  virtual void step_and_zero_grad() {
-    step();
-    zero_grad();
-  }
-
- protected:
-  std::vector<Param*> params_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Param*> params, double lr, double momentum = 0.9);
-  void step() override;
-
- private:
-  double lr_, momentum_;
-  std::unordered_map<Param*, Tensor> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  // weight_decay is decoupled (AdamW-style).
   Adam(std::vector<Param*> params, double lr, double beta1 = 0.9, double beta2 = 0.999,
        double eps = 1e-8, double weight_decay = 0.0);
-  void step() override { run_step(false); }
-  void step_and_zero_grad() override { run_step(true); }
+
+  void zero_grad();
+  void step() { run_step(false); }
+  // Fused mutate+clear: `step(); zero_grad();` in a single SIMD sweep per
+  // parameter (one load/store pass instead of two), bitwise-identical to the
+  // unfused pair on both backends.  Callers that drop their explicit
+  // zero_grad() in favour of this must still clear stale gradients once
+  // before the first backward.
+  void step_and_zero_grad() { run_step(true); }
 
   void set_lr(double lr) { lr_ = lr; }
 
  private:
   void run_step(bool zero_grads);
 
+  std::vector<Param*> params_;
   double lr_, beta1_, beta2_, eps_, weight_decay_;
   long step_count_ = 0;
   std::unordered_map<Param*, Tensor> m_, v_;

@@ -172,7 +172,7 @@ TrainResult train_regressor(Layer& model, const RegressionDataset& train,
                                                             r1 - r0};
                 const Tensor sx = train.x.gather_rows(rows_idx);
                 const Tensor sy = train.y.gather_rows(rows_idx);
-                const Tensor pred = rep.forward(sx, true);
+                const Tensor pred = rep.forward_train(sx);
                 const SquaredError loss = squared_error(pred, sy, grad_scale);
                 // The input gradient is nobody's: the first layer skips it.
                 rep.backward(loss.grad, false);

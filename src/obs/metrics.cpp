@@ -399,15 +399,6 @@ void Registry::write_slo_json(JsonWriter& w) const {
   w.end_object();
 }
 
-std::vector<std::string> Registry::counter_names() const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock{im.mutex};
-  std::vector<std::string> names;
-  names.reserve(im.counters.size());
-  for (const auto& [name, c] : im.counters) names.push_back(name);
-  return names;
-}
-
 std::vector<std::pair<std::string, std::uint64_t>> Registry::counters_snapshot()
     const {
   Impl& im = impl();

@@ -190,9 +190,6 @@ class Registry {
   // attained quantiles.
   void write_slo_json(JsonWriter& w) const;
 
-  // Sorted names, for enumeration in tests/tools.
-  std::vector<std::string> counter_names() const;
-
   // Full-registry snapshots for exporters (TelemetryExporter).
   std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot() const;
   std::vector<std::pair<std::string, double>> gauges_snapshot() const;

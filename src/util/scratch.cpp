@@ -1,5 +1,7 @@
 #include "util/scratch.hpp"
 
+#include <sanitizer/asan_interface.h>
+
 #include <bit>
 #include <new>
 #include <unordered_map>
@@ -36,7 +38,19 @@ void* heap_new(std::size_t bucket) {
   return ::operator new(bucket, kAlign);
 }
 
-void heap_delete(void* p) noexcept { ::operator delete(p, kAlign); }
+// Under ASan a block's slack past its request, and a whole block waiting on
+// a free list, are poisoned (the macros compile to nothing in other builds),
+// so an access there reports like one past a heap allocation.
+void heap_delete(void* p, std::size_t bucket) noexcept {
+  ASAN_UNPOISON_MEMORY_REGION(p, bucket);
+  ::operator delete(p, kAlign);
+}
+
+void* hand_out(void* p, std::size_t bytes, std::size_t bucket) {
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+  ASAN_POISON_MEMORY_REGION(static_cast<char*>(p) + bytes, bucket - bytes);
+  return p;
+}
 
 // One free-list set per thread.  State tracking ("uninit"/"alive"/"dead")
 // keeps teardown safe: pooled containers destroyed during process exit after
@@ -55,7 +69,7 @@ struct Pool {
   }
   void trim() noexcept {
     for (auto& [bucket, blocks] : lists)
-      for (void* p : blocks) heap_delete(p);
+      for (void* p : blocks) heap_delete(p, bucket);
     lists.clear();
   }
 };
@@ -83,30 +97,32 @@ void* pool_acquire(std::size_t bytes) {
   if (bytes == 0) return nullptr;
   const std::size_t bucket = bucket_bytes(bytes);
   if (t_state == PoolState::kUninit) (void)tls_pool();
-  if (t_state != PoolState::kAlive) return ::operator new(bucket, kAlign);
+  if (t_state != PoolState::kAlive)
+    return hand_out(::operator new(bucket, kAlign), bytes, bucket);
   auto& blocks = tls_pool().lists[bucket];
   if (!blocks.empty()) {
     void* p = blocks.back();
     blocks.pop_back();
     count_acquire(true);
-    return p;
+    return hand_out(p, bytes, bucket);
   }
   count_acquire(false);
-  return heap_new(bucket);
+  return hand_out(heap_new(bucket), bytes, bucket);
 }
 
 void pool_release(void* p, std::size_t bytes) noexcept {
   if (p == nullptr) return;
   const std::size_t bucket = bucket_bytes(bytes);
   if (t_state != PoolState::kAlive) {
-    heap_delete(p);
+    heap_delete(p, bucket);
     return;
   }
   auto& blocks = tls_pool().lists[bucket];
   if (blocks.size() >= kMaxPerBucket) {
-    heap_delete(p);
+    heap_delete(p, bucket);
     return;
   }
+  ASAN_POISON_MEMORY_REGION(p, bucket);
   blocks.push_back(p);
 }
 

@@ -20,7 +20,9 @@
 // every parallel region joins (pool run() barrier) before its outputs are
 // consumed.  The pool hands out UNINITIALIZED memory and never touches
 // contents, so it cannot perturb any seeded computation; callers must fully
-// overwrite what they read.  Per-bucket retention is capped; thread exit
+// overwrite what they read.  Under ASan the bucket slack past each request
+// and every block on a free list are poisoned, so an out-of-bounds access
+// into either is reported.  Per-bucket retention is capped; thread exit
 // frees everything (LSan-clean).
 #pragma once
 

@@ -36,20 +36,63 @@ WavData make_tone(std::size_t channels, std::size_t n, double freq, double fs) {
   return d;
 }
 
+// write_wav layout: "RIFF" size "WAVE" | "fmt " @12, size @16, format @20,
+// channels @22, rate @24, byte rate @28, block align @32, bits @34 |
+// "data" @36, size @40, samples @44.
+struct WrittenWav {
+  std::uint16_t format = 0, channels = 0, bits = 0;
+  std::uint32_t rate = 0, data_bytes = 0;
+  std::vector<std::int16_t> samples;  // interleaved
+};
+
+template <typename T>
+T field_at(const std::string& bytes, std::size_t offset) {
+  T v{};
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
+// Reads back the header fields and samples write_wav put at the offsets
+// above, and removes the file.
+WrittenWav written_wav(const std::string& path) {
+  std::ifstream is{path, std::ios::binary};
+  const std::string bytes{std::istreambuf_iterator<char>{is}, {}};
+  std::remove(path.c_str());
+  WrittenWav w;
+  if (bytes.size() < 44) {
+    ADD_FAILURE() << "header cut short: " << bytes.size() << " bytes";
+    return w;
+  }
+  w.format = field_at<std::uint16_t>(bytes, 20);
+  w.channels = field_at<std::uint16_t>(bytes, 22);
+  w.rate = field_at<std::uint32_t>(bytes, 24);
+  w.bits = field_at<std::uint16_t>(bytes, 34);
+  w.data_bytes = field_at<std::uint32_t>(bytes, 40);
+  if (bytes.size() != 44u + w.data_bytes) {
+    ADD_FAILURE() << "data size " << w.data_bytes << " in a file of "
+                  << bytes.size() << " bytes";
+    return w;
+  }
+  w.samples.resize(w.data_bytes / 2);
+  std::memcpy(w.samples.data(), bytes.data() + 44, w.data_bytes);
+  return w;
+}
+
 TEST(Wav, RoundTripPreservesSamples) {
   const auto path = temp_path("roundtrip.wav");
   const auto original = make_tone(2, 1000, 440.0, 16000.0);
   ASSERT_TRUE(write_wav(path, original));
 
-  WavData loaded;
-  ASSERT_TRUE(read_wav(path, loaded));
-  EXPECT_EQ(loaded.num_channels(), 2u);
-  EXPECT_EQ(loaded.num_samples(), 1000u);
-  EXPECT_DOUBLE_EQ(loaded.sample_rate, 16000.0);
+  const WrittenWav w = written_wav(path);
+  EXPECT_EQ(w.format, 1u);  // PCM
+  EXPECT_EQ(w.channels, 2u);
+  EXPECT_EQ(w.rate, 16000u);
+  EXPECT_EQ(w.bits, 16u);
+  ASSERT_EQ(w.samples.size(), 2u * 1000u);
   for (std::size_t c = 0; c < 2; ++c)
     for (std::size_t i = 0; i < 1000; i += 37)
-      EXPECT_NEAR(loaded.channels[c][i], original.channels[c][i], 1.0 / 32767.0);
-  std::remove(path.c_str());
+      EXPECT_NEAR(w.samples[i * 2 + c] / 32767.0, original.channels[c][i],
+                  1.0 / 32767.0);
 }
 
 TEST(Wav, ClipsOutOfRangeSamples) {
@@ -57,11 +100,11 @@ TEST(Wav, ClipsOutOfRangeSamples) {
   WavData d;
   d.channels.push_back({5.0, -5.0, 0.0});
   ASSERT_TRUE(write_wav(path, d));
-  WavData loaded;
-  ASSERT_TRUE(read_wav(path, loaded));
-  EXPECT_NEAR(loaded.channels[0][0], 1.0, 1e-3);
-  EXPECT_NEAR(loaded.channels[0][1], -1.0, 1e-3);
-  std::remove(path.c_str());
+  const WrittenWav w = written_wav(path);
+  ASSERT_EQ(w.samples.size(), 3u);
+  EXPECT_EQ(w.samples[0], 32767);
+  EXPECT_EQ(w.samples[1], -32767);
+  EXPECT_EQ(w.samples[2], 0);
 }
 
 TEST(Wav, RejectsEmptyData) {
@@ -75,134 +118,16 @@ TEST(Wav, RejectsRaggedChannels) {
   EXPECT_FALSE(write_wav(temp_path("ragged.wav"), d));
 }
 
-TEST(Wav, RejectsMalformedFile) {
-  const auto path = temp_path("garbage.wav");
-  {
-    std::ofstream os{path, std::ios::binary};
-    os << "this is not a wav file at all, not even close";
-  }
-  WavData out;
-  EXPECT_FALSE(read_wav(path, out));
-  std::remove(path.c_str());
-}
-
-TEST(Wav, RejectsMissingFile) {
-  WavData out;
-  EXPECT_FALSE(read_wav("/nonexistent/dir/nope.wav", out));
-}
-
-// ---------------------------------------------------------------------------
-// Corrupt-header hardening: a hostile or truncated file must produce a clean
-// `false`, never a crash, a backwards seek, or a giant allocation.
-
-std::string wav_bytes(const WavData& d, const char* name) {
-  const auto path = temp_path(name);
-  EXPECT_TRUE(write_wav(path, d));
-  std::ifstream is{path, std::ios::binary};
-  std::string bytes{std::istreambuf_iterator<char>{is}, {}};
-  std::remove(path.c_str());
-  return bytes;
-}
-
-bool read_bytes(const std::string& bytes, const char* name, WavData& out) {
-  const auto path = temp_path(name);
-  {
-    std::ofstream os{path, std::ios::binary};
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  const bool ok = read_wav(path, out);
-  std::remove(path.c_str());
-  return ok;
-}
-
-void patch_u32(std::string& bytes, std::size_t offset, std::uint32_t v) {
-  std::memcpy(bytes.data() + offset, &v, sizeof(v));
-}
-
-void patch_u16(std::string& bytes, std::size_t offset, std::uint16_t v) {
-  std::memcpy(bytes.data() + offset, &v, sizeof(v));
-}
-
-// write_wav layout: "RIFF" size "WAVE" | "fmt " @12, size @16, format @20,
-// channels @22, rate @24, byte rate @28, block align @32, bits @34 |
-// "data" @36, size @40, samples @44.
-
-TEST(Wav, RejectsTruncatedFile) {
-  const auto bytes = wav_bytes(make_tone(2, 500, 440.0, 16000.0), "trunc_src.wav");
-  WavData out;
-  // Cut inside the sample data AND inside the header.
-  EXPECT_FALSE(read_bytes(bytes.substr(0, bytes.size() / 2), "trunc_data.wav", out));
-  EXPECT_FALSE(read_bytes(bytes.substr(0, 30), "trunc_hdr.wav", out));
-}
-
-TEST(Wav, RejectsHugeDeclaredDataChunk) {
-  auto bytes = wav_bytes(make_tone(1, 100, 440.0, 16000.0), "huge_src.wav");
-  patch_u32(bytes, 40, 0xFFFFFF00u);  // data chunk claims ~4 GB
-  WavData out;
-  EXPECT_FALSE(read_bytes(bytes, "huge.wav", out));
-  EXPECT_TRUE(out.channels.empty());  // no allocation happened
-}
-
-TEST(Wav, RejectsFmtChunkSmallerThanPcmHeader) {
-  auto bytes = wav_bytes(make_tone(1, 100, 440.0, 16000.0), "fmt_src.wav");
-  patch_u32(bytes, 16, 8);  // fmt chunk too small: would seek backwards
-  WavData out;
-  EXPECT_FALSE(read_bytes(bytes, "fmt_small.wav", out));
-}
-
-TEST(Wav, RejectsZeroChannels) {
-  auto bytes = wav_bytes(make_tone(1, 100, 440.0, 16000.0), "zch_src.wav");
-  patch_u16(bytes, 22, 0);
-  WavData out;
-  EXPECT_FALSE(read_bytes(bytes, "zero_channels.wav", out));
-}
-
-TEST(Wav, RejectsUnsupportedBitDepths) {
-  for (std::uint16_t bits : {std::uint16_t{8}, std::uint16_t{24}, std::uint16_t{32}}) {
-    auto bytes = wav_bytes(make_tone(1, 100, 440.0, 16000.0), "bits_src.wav");
-    patch_u16(bytes, 34, bits);
-    WavData out;
-    EXPECT_FALSE(read_bytes(bytes, "bits.wav", out)) << bits << " bits accepted";
-  }
-}
-
-TEST(Wav, RejectsNonPcmFormat) {
-  auto bytes = wav_bytes(make_tone(1, 100, 440.0, 16000.0), "fmt3_src.wav");
-  patch_u16(bytes, 20, 3);  // IEEE float
-  WavData out;
-  EXPECT_FALSE(read_bytes(bytes, "ieee.wav", out));
-}
-
-TEST(Wav, SkipsUnknownChunksButRejectsOversizedOnes) {
-  // A well-formed extra chunk before "data" is fine...
-  const auto src = wav_bytes(make_tone(1, 100, 440.0, 16000.0), "xchunk_src.wav");
-  std::string with_chunk = src.substr(0, 36);
-  with_chunk += "LIST";
-  const std::uint32_t list_size = 4;
-  with_chunk.append(reinterpret_cast<const char*>(&list_size), 4);
-  with_chunk += "INFO";
-  with_chunk += src.substr(36);
-  WavData out;
-  EXPECT_TRUE(read_bytes(with_chunk, "xchunk_ok.wav", out));
-  EXPECT_EQ(out.num_samples(), 100u);
-
-  // ...but one whose declared size exceeds the file is rejected, not skipped
-  // into EOF oblivion.
-  patch_u32(with_chunk, 40, 0x7FFFFFFFu);
-  EXPECT_FALSE(read_bytes(with_chunk, "xchunk_bad.wav", out));
-}
-
 TEST(Wav, ExportsMicArrayRecording) {
   const auto flight = test::hover_flight(4.0, 70);
   const auto synth = test::lab().synthesizer(flight);
   const auto audio = synth.synthesize(flight.log, 1.0, 1.5);
   const auto path = temp_path("mics.wav");
   ASSERT_TRUE(write_wav(path, audio, 2.0));
-  WavData loaded;
-  ASSERT_TRUE(read_wav(path, loaded));
-  EXPECT_EQ(loaded.num_channels(), 4u);
-  EXPECT_EQ(loaded.num_samples(), audio.num_samples());
-  std::remove(path.c_str());
+  const WrittenWav w = written_wav(path);
+  EXPECT_EQ(w.channels, 4u);
+  EXPECT_EQ(w.rate, static_cast<std::uint32_t>(audio.sample_rate));
+  EXPECT_EQ(w.samples.size(), 4u * audio.num_samples());
 }
 
 std::size_t count_lines(const std::string& path) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "ml/conv.hpp"
@@ -53,7 +54,7 @@ void check_gradients(Layer& layer, Tensor input, double eps = 1e-2,
   int violations = 0;
   // Analytic gradients.
   for (Param* p : layer.params()) p->zero_grad();
-  const Tensor out = layer.forward(input, true);
+  const Tensor out = layer.forward_train(input);
   const auto [loss, grad_out] = weighted_loss(out);
   (void)loss;
   const Tensor grad_in = layer.backward(grad_out, true);
@@ -61,9 +62,9 @@ void check_gradients(Layer& layer, Tensor input, double eps = 1e-2,
   auto numeric_at = [&](float* slot) {
     const float saved = *slot;
     *slot = static_cast<float>(saved + eps);
-    const auto [lp, g1] = weighted_loss(layer.forward(input, true));
+    const auto [lp, g1] = weighted_loss(layer.forward_train(input));
     *slot = static_cast<float>(saved - eps);
-    const auto [lm, g2] = weighted_loss(layer.forward(input, true));
+    const auto [lm, g2] = weighted_loss(layer.forward_train(input));
     *slot = saved;
     (void)g1;
     (void)g2;
@@ -85,7 +86,7 @@ void check_gradients(Layer& layer, Tensor input, double eps = 1e-2,
   // Check a sample of parameter gradients.  Re-run forward/backward to
   // repopulate caches for the unperturbed parameters.
   for (Param* p : layer.params()) p->zero_grad();
-  layer.forward(input, true);
+  layer.forward_train(input);
   layer.backward(grad_out, true);
   for (Param* p : layer.params()) {
     const std::size_t stride = std::max<std::size_t>(1, p->value.numel() / 8);
@@ -114,12 +115,12 @@ TEST(Models, BatchedForwardIsBitwiseSingleRowForward) {
     const auto model = make_model(kind, shape, 6, rng);
     const Tensor batch = random_tensor(
         {kBatch, shape.channels, shape.height, shape.width}, rng);
-    const Tensor out = model->forward(batch, false);
+    const Tensor out = model->infer(batch);
     ASSERT_EQ(out.shape()[0], kBatch) << to_string(kind);
 
     // Row-at-a-time.
     for (std::size_t i = 0; i < kBatch; ++i) {
-      const Tensor row = model->forward(batch.slice_rows(i, i + 1), false);
+      const Tensor row = model->infer(batch.slice_rows(i, i + 1));
       ASSERT_EQ(row.numel(), out.numel() / kBatch) << to_string(kind);
       for (std::size_t d = 0; d < row.numel(); ++d)
         ASSERT_EQ(row[d], out[i * row.numel() + d])
@@ -127,8 +128,8 @@ TEST(Models, BatchedForwardIsBitwiseSingleRowForward) {
     }
 
     // Arbitrary re-chunking (the scheduler's batches cut anywhere).
-    const Tensor front = model->forward(batch.slice_rows(0, 3), false);
-    const Tensor back = model->forward(batch.slice_rows(3, kBatch), false);
+    const Tensor front = model->infer(batch.slice_rows(0, 3));
+    const Tensor back = model->infer(batch.slice_rows(3, kBatch));
     for (std::size_t j = 0; j < front.numel(); ++j)
       ASSERT_EQ(front[j], out[j]) << to_string(kind);
     for (std::size_t j = 0; j < back.numel(); ++j)
@@ -273,7 +274,7 @@ TEST(Layers, BatchNormNormalizesTrainBatch) {
   Rng rng{26};
   BatchNorm bn{2};
   Tensor x = random_tensor({8, 2, 4, 4}, rng, 5.0);
-  const Tensor y = bn.forward(x, true);
+  const Tensor y = bn.forward_train(x);
   // Per-channel mean ~0, var ~1.
   for (std::size_t c = 0; c < 2; ++c) {
     double s = 0.0, ss = 0.0;
@@ -294,7 +295,7 @@ TEST(Layers, FlattenRoundTrip) {
   Flatten f;
   Rng rng{27};
   const Tensor x = random_tensor({2, 3, 4, 5}, rng);
-  const Tensor y = f.forward(x, true);
+  const Tensor y = f.forward_train(x);
   EXPECT_EQ(y.dim(1), 60u);
   const Tensor back = f.backward(y, true);
   EXPECT_EQ(back.shape(), x.shape());
@@ -313,30 +314,6 @@ TEST(Loss, MseValueAndGradient) {
   EXPECT_NEAR(loss.grad[1], 0.0, 1e-6);
 }
 
-TEST(Optimizer, SgdReducesQuadratic) {
-  Rng rng{28};
-  Dense layer{1, 1, rng};
-  Sgd opt{layer.params(), 0.1, 0.0};
-  // Learn y = 2x.
-  Tensor x({8, 1});
-  Tensor y({8, 1});
-  for (int i = 0; i < 8; ++i) {
-    x[static_cast<std::size_t>(i)] = static_cast<float>(i - 4) / 4.0f;
-    y[static_cast<std::size_t>(i)] = 2.0f * x[static_cast<std::size_t>(i)];
-  }
-  double first = -1;
-  double last = 0;
-  for (int step = 0; step < 200; ++step) {
-    opt.zero_grad();
-    const auto loss = mse(layer.forward(x, true), y);
-    layer.backward(loss.grad, true);
-    opt.step();
-    if (first < 0) first = loss.sq_err;
-    last = loss.sq_err;
-  }
-  EXPECT_LT(last, first * 0.01);
-}
-
 TEST(Optimizer, AdamFitsLinearMap) {
   Rng rng{29};
   Dense layer{3, 2, rng};
@@ -351,7 +328,7 @@ TEST(Optimizer, AdamFitsLinearMap) {
       y[i * 2 + 1] = -x[i * 3 + 2];
     }
     opt.zero_grad();
-    const auto loss = mse(layer.forward(x, true), y);
+    const auto loss = mse(layer.forward_train(x), y);
     layer.backward(loss.grad, true);
     opt.step();
     last = loss.sq_err / static_cast<double>(y.numel());
@@ -368,7 +345,7 @@ TEST(Optimizer, WeightDecayShrinksUnusedWeights) {
   Tensor y({1, 1}, 0.0f);
   for (int i = 0; i < 100; ++i) {
     opt.zero_grad();
-    const auto loss = mse(layer.forward(x, true), y);
+    const auto loss = mse(layer.forward_train(x), y);
     layer.backward(loss.grad, true);
     opt.step();
   }
@@ -417,7 +394,7 @@ TEST(Models, AllKindsForwardCorrectShape) {
                     ModelKind::kNeuralOde, ModelKind::kMlp}) {
     auto model = make_model(kind, in, 6, rng);
     Tensor x = random_tensor({2, 4, 14, 32}, rng, 0.5);
-    const Tensor y = model->forward(x, false);
+    const Tensor y = model->infer(x);
     EXPECT_EQ(y.dim(0), 2u) << to_string(kind);
     EXPECT_EQ(y.dim(1), 6u) << to_string(kind);
     for (float v : y.flat()) EXPECT_TRUE(std::isfinite(v)) << to_string(kind);
@@ -433,11 +410,11 @@ TEST(Models, NamesAreStable) {
 TEST(Layers, BatchNormEvalUsesRunningStats) {
   Rng rng{38};
   BatchNorm bn{2};
-  // Train-mode passes accumulate running statistics toward the batch stats.
+  // Training forwards accumulate running statistics toward the batch stats.
   Tensor x = random_tensor({16, 2, 2, 2}, rng, 2.0);
-  for (int i = 0; i < 200; ++i) bn.forward(x, true);
-  const Tensor train_out = bn.forward(x, true);
-  const Tensor eval_out = bn.forward(x, false);
+  for (int i = 0; i < 200; ++i) bn.forward_train(x);
+  const Tensor train_out = bn.forward_train(x);
+  const Tensor eval_out = bn.infer(x);
   // After convergence the eval output matches the train output closely.
   double max_diff = 0;
   for (std::size_t i = 0; i < train_out.numel(); ++i)
@@ -453,7 +430,12 @@ TEST(Layers, BatchNormStateIsExposedForSerialization) {
   Sequential seq;
   seq.emplace<Conv2D>(2, 3, 3, 1, 1, rng);
   seq.emplace<BatchNorm>(3);
-  seq.emplace<DepthwiseSeparableBlock>(3, 4, 1, rng);  // two more BNs inside
+  // A nested block, as MobileNetLite's are: two more BNs inside.
+  auto block = std::make_unique<Sequential>();
+  block->emplace<BatchNorm>(3);
+  block->emplace<Conv2D>(3, 4, 1, 1, 0, rng);
+  block->emplace<BatchNorm>(4);
+  seq.add(std::move(block));
   EXPECT_EQ(seq.state().size(), 2u + 4u);
 }
 
@@ -464,7 +446,7 @@ TEST(Models, EvaluateMseMatchesManual) {
   Tensor x = random_tensor({10, 2}, rng);
   Tensor y = random_tensor({10, 1}, rng);
   const double batched = evaluate_mse(model, x, y, 3);
-  const auto pred = model.forward(x, false);
+  const auto pred = model.infer(x);
   double manual = 0;
   for (std::size_t i = 0; i < 10; ++i) {
     const double d = pred[i] - y[i];
@@ -491,7 +473,7 @@ struct ThreadCountGuard {
 };
 
 // Fresh model with NON-TRIVIAL BatchNorm running statistics: a few
-// train-mode passes move every running mean/var off its (0, 1) init, so
+// training forwards move every running mean/var off its (0, 1) init, so
 // eval forwards are exercised against real eval-affine values, not the
 // identity transform.
 std::unique_ptr<Layer> warmed_model(ModelKind kind, const ModelInputShape& in,
@@ -500,37 +482,43 @@ std::unique_ptr<Layer> warmed_model(ModelKind kind, const ModelInputShape& in,
   for (int i = 0; i < 3; ++i) {
     const Tensor batch =
         random_tensor({4, in.channels, in.height, in.width}, rng, 1.5);
-    (void)model->forward(batch, true);
+    (void)model->forward_train(batch);
   }
   return model;
 }
 
 // The layer graph's output bits, pinned so that a rewrite of any layer
-// forward or backward must keep them: CRC-32 of forward(x, false) for every
-// model kind (warmed, so BatchNorm reads moved running stats) and for the
-// DNN baseline's Lstm, and of one training step of every model kind and of
-// the Lstm — the output, the input gradient, every parameter gradient and
-// the BatchNorm running stats.  Every CRC must hold under both SIMD
-// backends at 1 and 4 threads.  The training step also runs with
-// want_input_grad == false, as the trainer does: the output, parameter
-// gradients and state keep every bit of the pinned run, and the conv
-// models, whose first layer honours the switch, return no input gradient.
+// forward or backward must keep them: CRC-32 of infer(x) for every model
+// kind (warmed, so BatchNorm reads moved running stats) and for the DNN
+// baseline's Lstm, and of one training step of every model kind and of the
+// Lstm — the output, the input gradient, every parameter gradient and the
+// BatchNorm running stats.  Every CRC must hold under both SIMD backends at
+// 1 and 4 threads.  The training step also runs with want_input_grad ==
+// false, as the trainer does: the output, parameter gradients and state
+// keep every bit of the pinned run, and the conv models, whose first layer
+// honours the switch, return no input gradient.  The models without batch
+// statistics (NeuralODE, MLP and the Lstm) train on infer's output bits.
 TEST(Models, ForwardBitsArePinned) {
   const ModelInputShape in;
   const auto fold = [](const Tensor& t, std::uint32_t crc) {
     return util::crc32(t.data(), t.numel() * sizeof(float), crc);
+  };
+  const auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
   };
   const auto eval_crc = [&](ModelKind kind) {
     Rng rng{95};
     const auto model = warmed_model(kind, in, rng);
     const Tensor batch =
         random_tensor({5, in.channels, in.height, in.width}, rng);
-    return fold(model->forward(batch, false), 0);
+    return fold(model->infer(batch), 0);
   };
   struct TrainFold {
     std::uint32_t pinned;         // output, dX, parameter gradients, state
     std::uint32_t without_input;  // the same fold without dX
     bool input_grad_empty;
+    bool output_is_infer;  // forward_train's output has infer's bits
   };
   const auto train_fold = [&](ModelKind kind, bool want_input_grad) {
     Rng rng{96};
@@ -538,10 +526,12 @@ TEST(Models, ForwardBitsArePinned) {
     const Tensor batch =
         random_tensor({5, in.channels, in.height, in.width}, rng);
     for (Param* p : model->params()) p->zero_grad();
-    const Tensor out = model->forward(batch, true);
+    const Tensor eval = model->infer(batch);
+    const Tensor out = model->forward_train(batch);
     const Tensor grad_in =
         model->backward(weighted_loss(out).second, want_input_grad);
-    TrainFold f{fold(grad_in, fold(out, 0)), fold(out, 0), grad_in.empty()};
+    TrainFold f{fold(grad_in, fold(out, 0)), fold(out, 0), grad_in.empty(),
+                same_bits(out, eval)};
     for (Param* p : model->params()) {
       f.pinned = fold(p->grad, f.pinned);
       f.without_input = fold(p->grad, f.without_input);
@@ -558,13 +548,14 @@ TEST(Models, ForwardBitsArePinned) {
     Rng rng{97};
     Lstm lstm{6, 16, 8, rng};
     const Tensor batch = random_tensor({5, 8, 6}, rng);
-    return fold(lstm.forward(batch, false), 0);
+    return fold(lstm.infer(batch), 0);
   };
   const auto lstm_train_crc = [&] {
     Rng rng{98};
     Lstm lstm{6, 16, 8, rng};
     const Tensor batch = random_tensor({5, 8, 6}, rng);
-    const Tensor out = lstm.forward(batch, true);
+    const Tensor out = lstm.forward_train(batch);
+    EXPECT_TRUE(same_bits(out, lstm.infer(batch)));
     std::uint32_t crc =
         fold(lstm.backward(weighted_loss(out).second, true), fold(out, 0));
     for (Param* p : lstm.params()) crc = fold(p->grad, crc);
@@ -601,10 +592,12 @@ TEST(Models, ForwardBitsArePinned) {
         const TrainFold full = train_fold(pin.kind, true);
         EXPECT_EQ(full.pinned, pin.crc);
         const TrainFold skip = train_fold(pin.kind, false);
+        EXPECT_EQ(skip.without_input, full.without_input);
         if (pin.kind == ModelKind::kMobileNetLite ||
             pin.kind == ModelKind::kResNetLite)
           EXPECT_TRUE(skip.input_grad_empty);
-        EXPECT_EQ(skip.without_input, full.without_input);
+        else
+          EXPECT_TRUE(full.output_is_infer);
       }
       SCOPED_TRACE(std::string{"Lstm"} +
                    (backend == util::SimdBackend::kVector ? " vector/"
@@ -634,7 +627,7 @@ void check_shard_backward_recomposition(Layer& full, const Layer& shard_src,
   ASSERT_EQ(half * 2, n);
 
   for (Param* p : full.params()) p->zero_grad();
-  const Tensor pred = full.forward(x, true);
+  const Tensor pred = full.forward_train(x);
   const float grad_scale = 2.0f / static_cast<float>(pred.numel());
   const SquaredError batch_loss = squared_error(pred, y, grad_scale);
   const Tensor batch_grad_in = full.backward(batch_loss.grad, true);
@@ -648,7 +641,7 @@ void check_shard_backward_recomposition(Layer& full, const Layer& shard_src,
     for (Param* p : rep->params()) p->zero_grad();
     const Tensor sx = x.slice_rows(s * half, (s + 1) * half);
     const Tensor sy = y.slice_rows(s * half, (s + 1) * half);
-    const Tensor sp = rep->forward(sx, true);
+    const Tensor sp = rep->forward_train(sx);
     const SquaredError loss = squared_error(sp, sy, grad_scale);
     shard_sq_err += loss.sq_err;
     const Tensor gi = rep->backward(loss.grad, true);
@@ -738,12 +731,12 @@ TEST(ReplicaTeam, ReplicatesSyncsAndAbsorbsShardStats) {
   const auto reference = make_model(ModelKind::kMobileNetLite, in, 3, ref_rng);
   Rng data_rng{957};
   const Tensor batch = random_tensor({4, in.channels, in.height, in.width}, data_rng);
-  (void)reference->forward(batch, true);
+  (void)reference->forward_train(batch);
 
   Rng primary_rng{956};
   const auto ghost_primary = make_model(ModelKind::kMobileNetLite, in, 3, primary_rng);
   ReplicaTeam fresh_team{*ghost_primary, 1};
-  (void)fresh_team.replica(0).forward(batch, true);
+  (void)fresh_team.replica(0).forward_train(batch);
   std::vector<float> stats(fresh_team.replica(0).shard_stats_size());
   ASSERT_FALSE(stats.empty());
   fresh_team.replica(0).export_shard_stats(stats);
@@ -778,9 +771,9 @@ TEST(Optimizer, FusedStepMatchesStepThenZeroGradBitwise) {
     for (int it = 0; it < 5; ++it) {
       const Tensor x = random_tensor({4, 7}, data_rng);
       const Tensor y = random_tensor({4, 5}, data_rng);
-      const auto loss_a = mse(fused.forward(x, true), y);
+      const auto loss_a = mse(fused.forward_train(x), y);
       fused.backward(loss_a.grad, true);
-      const auto loss_b = mse(unfused.forward(x, true), y);
+      const auto loss_b = mse(unfused.forward_train(x), y);
       unfused.backward(loss_b.grad, true);
       opt_fused.step_and_zero_grad();
       opt_unfused.step();

@@ -6,7 +6,7 @@
 //   * Conv2D / DepthwiseConv2D GEMM backend vs the reference loop nest on
 //     random shapes, forward AND backward,
 //   * the model concurrency contract: concurrent eval forwards on one model
-//     match serial ones bitwise,
+//     match serial ones bitwise, also beside a training replica,
 //   * the determinism regression: training the same model at 1 to 4 threads
 //     must produce bit-identical weights and predictions.
 #include <gtest/gtest.h>
@@ -176,9 +176,9 @@ struct ConvCase {
 void compare_backends(ml::Layer& gemm, ml::Layer& ref, const Tensor& x,
                       Rng& grad_rng, const std::string& what) {
   ml::set_conv_backend(ml::ConvBackend::kGemm);
-  const Tensor y_gemm = gemm.forward(x, true);
+  const Tensor y_gemm = gemm.forward_train(x);
   ml::set_conv_backend(ml::ConvBackend::kReference);
-  const Tensor y_ref = ref.forward(x, true);
+  const Tensor y_ref = ref.forward_train(x);
   ml::set_conv_backend(ml::ConvBackend::kGemm);
   expect_close(y_gemm, y_ref, 1e-5, what + " forward");
 
@@ -270,21 +270,21 @@ TEST(ConvBackendTest, GemmBackendStaysParallelSafe) {
 }
 
 // ---------------------------------------------------------------------------
-// Model concurrency contract (ml/layer.hpp): an eval forward writes no member
-// state, so concurrent eval forwards on ONE model — fleet shards serving one
-// mapper — must each match the same forward run alone, bit for bit.
+// Model concurrency contract (ml/layer.hpp): infer() is const, so concurrent
+// eval forwards on ONE model — fleet shards serving one mapper — must each
+// match the same forward run alone, bit for bit, also while a replicate()
+// copy of the model trains beside them.
 
-TEST(ModelReentrancy, ConcurrentEvalForwardsMatchSerial) {
-  ThreadCountGuard guard{4};
-  constexpr std::size_t kInputs = 8;
-  constexpr int kRounds = 20;
+struct ModelCase {
+  std::string name;
+  std::unique_ptr<ml::Layer> model;
+  ml::Shape row;  // one input row's shape after the batch dim
+};
+
+// Every model kind, and an Lstm.
+std::vector<ModelCase> model_cases() {
   const ml::ModelInputShape shape;
-  struct Case {
-    std::string name;
-    std::unique_ptr<ml::Layer> model;
-    ml::Shape row;  // one input row's shape after the batch dim
-  };
-  std::vector<Case> cases;
+  std::vector<ModelCase> cases;
   Rng model_rng{910};
   for (const ml::ModelKind kind :
        {ml::ModelKind::kMobileNetLite, ml::ModelKind::kResNetLite,
@@ -293,32 +293,93 @@ TEST(ModelReentrancy, ConcurrentEvalForwardsMatchSerial) {
                      {shape.channels, shape.height, shape.width}});
   cases.push_back({"Lstm", std::make_unique<ml::Lstm>(3, 16, 20, model_rng),
                    {20, 3}});
+  return cases;
+}
 
-  for (const Case& c : cases) {
+// Inputs of 1-3 rows, so concurrent forwards see different batch sizes.
+std::vector<Tensor> case_inputs(const ml::Shape& row, std::size_t count) {
+  Rng data_rng{911};
+  std::vector<Tensor> inputs;
+  for (std::size_t i = 0; i < count; ++i) {
+    ml::Shape in_shape{1 + i % 3};
+    in_shape.insert(in_shape.end(), row.begin(), row.end());
+    inputs.push_back(random_tensor(in_shape, data_rng));
+  }
+  return inputs;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(ModelReentrancy, ConcurrentEvalForwardsMatchSerial) {
+  ThreadCountGuard guard{4};
+  constexpr std::size_t kInputs = 8;
+  constexpr int kRounds = 20;
+  for (const ModelCase& c : model_cases()) {
     SCOPED_TRACE(c.name);
-    // Inputs of 1-3 rows, so concurrent forwards see different batch sizes.
-    Rng data_rng{911};
-    std::vector<Tensor> inputs;
+    const std::vector<Tensor> inputs = case_inputs(c.row, kInputs);
     std::vector<Tensor> serial;
-    for (std::size_t i = 0; i < kInputs; ++i) {
-      ml::Shape in_shape{1 + i % 3};
-      in_shape.insert(in_shape.end(), c.row.begin(), c.row.end());
-      inputs.push_back(random_tensor(in_shape, data_rng));
-      serial.push_back(c.model->forward(inputs.back(), false));
-    }
+    for (const Tensor& x : inputs) serial.push_back(c.model->infer(x));
     for (int round = 0; round < kRounds; ++round) {
       std::vector<Tensor> outs(kInputs);
       util::parallel_for(
           kInputs,
-          [&](std::size_t i) { outs[i] = c.model->forward(inputs[i], false); },
+          [&](std::size_t i) { outs[i] = c.model->infer(inputs[i]); },
           1);
-      for (std::size_t i = 0; i < kInputs; ++i) {
-        ASSERT_EQ(outs[i].shape(), serial[i].shape()) << "round " << round;
-        ASSERT_EQ(std::memcmp(outs[i].data(), serial[i].data(),
-                              serial[i].numel() * sizeof(float)),
-                  0)
+      for (std::size_t i = 0; i < kInputs; ++i)
+        ASSERT_TRUE(same_bits(outs[i], serial[i]))
             << "input " << i << " diverged in round " << round;
-      }
+    }
+  }
+}
+
+// One training step on a replica, with the output as its own loss gradient
+// (loss = |y|^2 / 2): dX followed by every parameter gradient.
+std::vector<Tensor> train_step(ml::Layer& replica, const Tensor& x) {
+  for (ml::Param* p : replica.params()) p->zero_grad();
+  const Tensor y = replica.forward_train(x);
+  std::vector<Tensor> grads{replica.backward(y, true)};
+  for (ml::Param* p : replica.params()) grads.push_back(p->grad);
+  return grads;
+}
+
+// The white-box attacker's setting: one pool task trains a replica while the
+// others serve the primary.  Every infer output keeps its serial bits, and
+// the replica's gradients are a serial replica's.
+TEST(ModelReentrancy, TrainingReplicaBesideConcurrentInfer) {
+  ThreadCountGuard guard{4};
+  constexpr std::size_t kInputs = 8;
+  constexpr int kRounds = 4;
+  for (const ModelCase& c : model_cases()) {
+    SCOPED_TRACE(c.name);
+    std::vector<Tensor> inputs = case_inputs(c.row, kInputs + 1);
+    const Tensor train_x = std::move(inputs.back());
+    inputs.pop_back();
+    std::vector<Tensor> serial;
+    for (const Tensor& x : inputs) serial.push_back(c.model->infer(x));
+    const std::vector<Tensor> want = train_step(*c.model->replicate(), train_x);
+    const auto replica = c.model->replicate();
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<Tensor> outs(kInputs);
+      std::vector<Tensor> grads;
+      util::parallel_for(
+          kInputs + 1,
+          [&](std::size_t i) {
+            if (i == kInputs)
+              grads = train_step(*replica, train_x);
+            else
+              outs[i] = c.model->infer(inputs[i]);
+          },
+          1);
+      for (std::size_t i = 0; i < kInputs; ++i)
+        ASSERT_TRUE(same_bits(outs[i], serial[i]))
+            << "input " << i << " diverged in round " << round;
+      ASSERT_EQ(grads.size(), want.size());
+      for (std::size_t j = 0; j < want.size(); ++j)
+        ASSERT_TRUE(same_bits(grads[j], want[j]))
+            << "gradient " << j << " diverged in round " << round;
     }
   }
 }
@@ -356,7 +417,7 @@ std::vector<float> train_and_fingerprint(ml::ModelKind kind, std::size_t threads
   Rng probe_rng{903};
   const Tensor probe =
       random_tensor({5, shape.channels, shape.height, shape.width}, probe_rng);
-  const Tensor pred = model->forward(probe, false);
+  const Tensor pred = model->infer(probe);
   for (float v : pred.flat()) fingerprint.push_back(v);
   return fingerprint;
 }

@@ -264,7 +264,7 @@ TEST(SimdLayerTest, ReluForwardBackwardBitIdenticalOnSpecialValues) {
     auto run = [&](util::SimdBackend backend) {
       SimdBackendGuard guard{backend};
       ml::ReLU relu{cap};
-      const Tensor y = relu.forward(x, true);
+      const Tensor y = relu.forward_train(x);
       const Tensor gx = relu.backward(g, true);
       auto out = tensor_bits(y);
       const auto gbits = tensor_bits(gx);
@@ -285,9 +285,9 @@ TEST(SimdLayerTest, BatchNormForwardBackwardBitIdentical) {
   auto run = [&](util::SimdBackend backend) {
     SimdBackendGuard guard{backend};
     ml::BatchNorm bn{4};
-    const Tensor y_train = bn.forward(x, true);
+    const Tensor y_train = bn.forward_train(x);
     const Tensor gx = bn.backward(g, true);
-    const Tensor y_eval = bn.forward(x, false);
+    const Tensor y_eval = bn.infer(x);
     auto out = tensor_bits(y_train);
     for (const Tensor& t : {gx, y_eval}) {
       const auto bits = tensor_bits(t);
@@ -323,12 +323,12 @@ TEST(SimdLayerTest, FusedBatchNormMatchesBatchNormThenRelu) {
         params[0]->value[ch] = gamma[ch];
         params[1]->value[ch] = beta[ch];
       }
-      Tensor y = bn.forward(x, true);
-      if (relu) y = relu->forward(y, true);
+      Tensor y = bn.forward_train(x);
+      if (relu) y = relu->forward_train(y);
       Tensor gy = relu ? relu->backward(g, true) : g;
       const Tensor gx = bn.backward(gy, true);
-      Tensor y_eval = bn.forward(x, false);
-      if (relu) y_eval = relu->forward(y_eval, false);
+      Tensor y_eval = bn.infer(x);
+      if (relu) y_eval = relu->infer(y_eval);
       auto out = tensor_bits(y);
       const std::vector<const Tensor*> parts{&gx, &params[0]->grad,
                                              &params[1]->grad, bn.state()[0],
@@ -372,7 +372,7 @@ TEST(SimdLayerTest, ResidualBlockBackwardKeepsNaNGradientSemantics) {
     SimdBackendGuard guard{backend};
     Rng init{33};
     ml::ResidualBlock block{4, 4, 1, init};
-    const Tensor y = block.forward(x, true);
+    const Tensor y = block.forward_train(x);
     const Tensor gx = block.backward(g, true);
     auto out = tensor_bits(y);
     const auto gbits = tensor_bits(gx);
@@ -427,7 +427,7 @@ TEST(SimdLayerTest, ConvKernelsBitIdenticalAcrossBackends) {
             break;
         }
         const Tensor x = random_tensor({2, kIn, c.h, c.w}, rng);
-        const Tensor y = layer->forward(x, true);
+        const Tensor y = layer->forward_train(x);
         const Tensor g = random_tensor(y.shape(), rng);
         const Tensor gx = layer->backward(g, true);
         auto out = tensor_bits(y);
@@ -492,7 +492,7 @@ std::vector<float> train_and_fingerprint(ml::ModelKind kind,
   Rng probe_rng{913};
   const Tensor probe =
       random_tensor({5, shape.channels, shape.height, shape.width}, probe_rng);
-  const Tensor pred = model->forward(probe, false);
+  const Tensor pred = model->infer(probe);
   for (float v : pred.flat()) fingerprint.push_back(v);
   return fingerprint;
 }

@@ -1,9 +1,21 @@
 #include <gtest/gtest.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SB_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SB_TEST_ASAN 1
+#endif
+#endif
+#ifdef SB_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include <cmath>
 #include <set>
 
 #include "util/rng.hpp"
+#include "util/scratch.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/vec3.hpp"
@@ -243,6 +255,25 @@ TEST(Mat3, PitchRotatesBodyZ) {
   const Mat3 r = rotation_from_euler(0, 0.1, 0);
   const Vec3 thrust = r * Vec3{0, 0, -1};
   EXPECT_LT(thrust.x, 0.0);
+}
+
+// A Scratch<float>{100} asks for 400 bytes and gets a 512-byte bucket; the
+// slack past the request and a released block on the free list must be
+// poisoned, so ASan reports an overrun into either.
+TEST(Scratch, PoolPoisonsSlackAndFreeBlocksUnderAsan) {
+#ifndef SB_TEST_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  const char* released = nullptr;
+  {
+    util::Scratch<float> s{100};
+    const char* p = reinterpret_cast<const char*>(s.data());
+    EXPECT_FALSE(__asan_address_is_poisoned(p + 399));
+    EXPECT_TRUE(__asan_address_is_poisoned(p + 400));
+    released = p;
+  }
+  EXPECT_TRUE(__asan_address_is_poisoned(released));
+#endif
 }
 
 }  // namespace
