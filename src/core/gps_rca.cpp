@@ -54,21 +54,13 @@ double GpsRcaDetector::calibrate(std::span<const Result> benign_results,
   return vt;
 }
 
-GpsRcaDetector::Monitor::Monitor(const GpsRcaConfig& config, GpsDetectorMode mode,
-                                 double vel_threshold, double pos_threshold,
-                                 bool count_metrics)
-    : config_(config),
+GpsRcaDetector::Monitor::Monitor(const GpsRcaDetector& detector, GpsDetectorMode mode)
+    : config_(detector.config_),
       mode_(mode),
-      vel_threshold_(vel_threshold),
-      pos_threshold_(pos_threshold),
-      count_metrics_(count_metrics),
-      monitor_(config.mean_window),
+      vel_threshold_(detector.threshold(mode)),
+      pos_threshold_(detector.pos_threshold(mode)),
+      monitor_(detector.config_.mean_window),
       last_fix_t_(std::numeric_limits<double>::quiet_NaN()) {}
-
-GpsRcaDetector::Monitor::Monitor(const GpsRcaDetector& detector, GpsDetectorMode mode,
-                                 bool count_metrics)
-    : Monitor(detector.config_, mode, detector.threshold(mode),
-              detector.pos_threshold(mode), count_metrics) {}
 
 void GpsRcaDetector::Monitor::step_window(
     const TimedPrediction& p, std::span<const sim::GpsSample> gps,
@@ -103,11 +95,6 @@ void GpsRcaDetector::Monitor::step_window(
   const double q = fused ? config_.kf.q_imu : config_.kf.q_audio;
   const auto fallback = [&] {
     if (health) ++health->kf_fallback_steps;
-    if (count_metrics_) {
-      static obs::Counter& fallbacks =
-          obs::Registry::instance().counter("faults.kf_fallback_steps");
-      fallbacks.add();
-    }
   };
   if (!finite(p.accel) || !finite(p.vel)) {
     // No usable audio prediction for this window (e.g. a fully masked
@@ -143,11 +130,6 @@ void GpsRcaDetector::Monitor::step_window(
     ++gps_idx_;
     if (!usable(fix)) {
       if (health) ++health->gps_fixes_nonfinite;
-      if (count_metrics_) {
-        static obs::Counter& bad =
-            obs::Registry::instance().counter("faults.gps_fixes_nonfinite");
-        bad.add();
-      }
       continue;
     }
     if (health) ++health->gps_fixes_total;
@@ -164,11 +146,6 @@ void GpsRcaDetector::Monitor::step_window(
       if (health) {
         ++health->gps_coast_intervals;
         health->gps_coast_seconds += fix.t - last_fix_t_;
-      }
-      if (count_metrics_) {
-        static obs::Counter& coasted =
-            obs::Registry::instance().counter("faults.gps_coast_intervals");
-        coasted.add();
       }
     }
     last_fix_t_ = fix.t;

@@ -82,17 +82,11 @@ class GpsRcaDetector {
   // anyway).  No finite fix seeds zero.
   class Monitor {
    public:
-    // Explicit thresholds (< 0 disables the comparison, as in calibration
-    // runs).  `count_metrics` = false suppresses the global `faults.*` obs
-    // counters — RcaEngine::Monitor runs BOTH mode monitors concurrently
-    // and adds the selected one's tallies itself at finish, so the global
-    // metrics count one GPS stage per flight.
-    Monitor(const GpsRcaConfig& config, GpsDetectorMode mode,
-            double vel_threshold, double pos_threshold,
-            bool count_metrics = true);
-    // Calibrated thresholds of `detector` for `mode`.
-    Monitor(const GpsRcaDetector& detector, GpsDetectorMode mode,
-            bool count_metrics = true);
+    // Calibrated thresholds of `detector` for `mode` (< 0 disables the
+    // comparison, as before calibration).  The monitor counts no global
+    // `faults.*` metric: RcaEngine::Monitor runs both mode monitors and
+    // counts the selected one's tallies at finish.
+    Monitor(const GpsRcaDetector& detector, GpsDetectorMode mode);
 
     // Advances over one prediction window: one KF step, then consumes GPS
     // fixes with t <= p.t1 from `gps` (the fix stream so far; the monitor
@@ -123,7 +117,6 @@ class GpsRcaDetector {
     GpsDetectorMode mode_;
     double vel_threshold_;
     double pos_threshold_;
-    bool count_metrics_ = true;
     bool first_window_ = true;
     // Seeded on the first window; q and the predicting acceleration follow
     // mode_.

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/binary_io.hpp"
 #include "util/stats.hpp"
@@ -75,15 +74,8 @@ std::vector<WindowResiduals> ImuRcaDetector::residuals(
     std::size_t reference_windows) {
   std::vector<WindowResiduals> out;
   out.reserve(preds.size());
-  std::size_t nonfinite = 0;
   std::size_t lo = 0;
-  for (const auto& p : preds)
-    out.push_back(window_residuals(p, flight.log.imu, lo, nullptr, &nonfinite));
-  if (nonfinite > 0) {
-    static obs::Counter& dropped =
-        obs::Registry::instance().counter("faults.imu_samples_nonfinite");
-    dropped.add(nonfinite);
-  }
+  for (const auto& p : preds) out.push_back(window_residuals(p, flight.log.imu, lo));
 
   // Flight-local baseline from the attack-free early windows.  Residuals are
   // finite, so subtracting a zero baseline leaves them bit-identical.

@@ -74,8 +74,8 @@ RcaEngine::Monitor::Monitor(const ImuRcaDetector& imu_detector,
                             const GpsRcaDetector& gps_detector,
                             std::size_t reference_windows)
     : imu_(imu_detector, reference_windows),
-      gps_{{gps_detector, GpsDetectorMode::kAudioOnly, /*count_metrics=*/false},
-           {gps_detector, GpsDetectorMode::kAudioImu, /*count_metrics=*/false}} {}
+      gps_{{gps_detector, GpsDetectorMode::kAudioOnly},
+           {gps_detector, GpsDetectorMode::kAudioImu}} {}
 
 void RcaEngine::Monitor::push_imu(std::span<const sim::ImuSample> samples) {
   imu_buf_.insert(imu_buf_.end(), samples.begin(), samples.end());
@@ -125,7 +125,7 @@ RcaReport RcaEngine::Monitor::finish(const faults::HealthReport& window_health,
 
   // Only the SELECTED variant's tally counts — the rejected monitor's walk
   // over the same fixes must not double-count — and it is mirrored into the
-  // global counters its monitor was told not to touch.
+  // global counters, which no detector counts on its own.
   faults::HealthReport& health = report.health;
   health = window_health;
   health += imu_health_;

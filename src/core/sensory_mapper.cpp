@@ -378,9 +378,6 @@ bool SensoryMapper::load(std::istream& file, const std::string& path) {
     if (!read_pod(is, numel) || numel != p->value.numel() ||
         !read_floats(is, p->value.data(), p->value.numel()))
       return false;
-    // New weights under the same Param: invalidate packed backward operands
-    // keyed on the version stamp (ml::Conv2D's weight^T pack).
-    p->bump();
   }
 
   const auto state = model_->state();

@@ -386,15 +386,6 @@ Tensor Conv2D::backward(const Tensor& grad_out, bool want_input_grad) {
   const std::size_t patches = oh * ow;
   const bool pointwise = is_pointwise();
   const PhaseGeometry geom{h, w, pad_, 1};
-  // dX operand: weight^T packed [kdim, outC], rebuilt only when the weights
-  // actually changed (Param::version — optimizer steps, load, replica sync).
-  // matmul_nn over the pack keeps matmul_tn's exact per-element ascending-oc
-  // accumulation order but runs the vectorized micro-kernel.
-  if (want_input_grad && packed_version_ != weight_.version) {
-    if (packed_wt_.numel() != kdim * out_c_) packed_wt_ = Tensor({kdim, out_c_});
-    pack_transpose(weight_.value.data(), kdim, out_c_, kdim, packed_wt_.data());
-    packed_version_ = weight_.version;
-  }
   // A pointwise dX is written whole by one GEMM; col2im_add accumulates.
   Tensor grad_in = !want_input_grad ? Tensor{}
                    : pointwise      ? Tensor(x.shape(), kNoFill)
@@ -431,15 +422,14 @@ Tensor Conv2D::backward(const Tensor& grad_out, bool want_input_grad) {
                     kdim, out_c_, patches, kdim, false);
           row_sums(gi, out_c_, patches, gb_part.data() + i * out_c_);
           if (!want_input_grad) continue;
+          // dcol[j][p] = sum over oc, ascending, of W[oc][j] * g[oc][p] from
+          // +0: matmul_tn reads the weights transposed in place.
           float* gxi = grad_in.data() + i * in_c_ * h * w;
-          if (pointwise) {
-            matmul_nn(packed_wt_.data(), out_c_, gi, patches, gxi, patches, kdim,
-                      out_c_, patches, false);
-          } else {
-            matmul_nn(packed_wt_.data(), out_c_, gi, patches, gcol.data(), patches,
-                      kdim, out_c_, patches, false);
+          float* dcol = pointwise ? gxi : gcol.data();
+          matmul_tn(weight_.value.data(), kdim, gi, patches, dcol, patches, kdim,
+                    out_c_, patches, false);
+          if (!pointwise)
             col2im_add(gcol.data(), in_c_, h, w, k_, stride_, pad_, oh, ow, gxi);
-          }
         }
       },
       1);

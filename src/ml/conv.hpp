@@ -15,8 +15,9 @@ ConvBackend conv_backend();
 void set_conv_backend(ConvBackend backend);
 
 // Standard convolution: x [N, inC, H, W] -> [N, outC, H', W'].  Backward
-// takes dW from matmul_nn over the transposed patch matrix and, with
-// want_input_grad == false, computes no input gradient at all.
+// takes dW from matmul_nn over the transposed patch matrix and dX from
+// matmul_tn over the weights as they are; with want_input_grad == false it
+// computes no input gradient at all.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -48,12 +49,6 @@ class Conv2D final : public Layer {
   Param weight_;  // [outC, inC, k, k]
   Param bias_;    // [outC]
   Tensor cached_x_;
-  // Backward dX operand weight^T [inC*k*k, outC], packed lazily and keyed on
-  // weight_.version: reused across every backward between optimizer steps
-  // (which bump the version), and routes dX through the vectorized
-  // matmul_nn instead of the scalar-only matmul_tn.
-  Tensor packed_wt_;
-  std::uint64_t packed_version_ = 0;
 };
 
 // Depthwise convolution: one k x k filter per channel, run as a direct

@@ -36,15 +36,23 @@ void count_flops(std::size_t m, std::size_t k, std::size_t n) {
 // bitwise-identical to the scalar path (no FMA: this TU is built with
 // -ffp-contract=off).  The C tile lives in registers across the whole kk
 // sweep, which is also where the speedup comes from.
+//
+// Both row kernels read A through a row stride `rs` and a column stride
+// `cs`: element (i, kk) is a[i * lda + kk] for matmul_nn and, with A stored
+// [K, M], a[kk * lda + i] for matmul_tn.  The unit stride is a compile-time
+// constant in each instantiation, so matmul_nn keeps its plain indexing.
+template <bool kTransA>
 void nn_rows_vector(const float* a, std::size_t lda, const float* b,
                     std::size_t ldb, float* c, std::size_t ldc, std::size_t i0,
                     std::size_t i1, std::size_t k, std::size_t n,
                     bool accumulate) {
   namespace v = util::simd;
   constexpr std::size_t W = v::kFloatLanes;
+  const std::size_t rs = kTransA ? 1 : lda;
+  const std::size_t cs = kTransA ? lda : 1;
   std::size_t i = i0;
   for (; i + 4 <= i1; i += 4) {
-    const float* a0 = a + i * lda;
+    const float* a0 = a + i * rs;
     float* c0 = c + i * ldc;
     float* c1 = c0 + ldc;
     float* c2 = c1 + ldc;
@@ -57,10 +65,11 @@ void nn_rows_vector(const float* a, std::size_t lda, const float* b,
       v::VFloat s3 = accumulate ? v::load(c3 + j) : v::zero_f();
       for (std::size_t kk = 0; kk < k; ++kk) {
         const v::VFloat bv = v::load(b + kk * ldb + j);
-        s0 = v::add(s0, v::mul(v::broadcast(a0[kk]), bv));
-        s1 = v::add(s1, v::mul(v::broadcast(a0[lda + kk]), bv));
-        s2 = v::add(s2, v::mul(v::broadcast(a0[2 * lda + kk]), bv));
-        s3 = v::add(s3, v::mul(v::broadcast(a0[3 * lda + kk]), bv));
+        const float* ak = a0 + kk * cs;
+        s0 = v::add(s0, v::mul(v::broadcast(ak[0]), bv));
+        s1 = v::add(s1, v::mul(v::broadcast(ak[rs]), bv));
+        s2 = v::add(s2, v::mul(v::broadcast(ak[2 * rs]), bv));
+        s3 = v::add(s3, v::mul(v::broadcast(ak[3 * rs]), bv));
       }
       v::store(c0 + j, s0);
       v::store(c1 + j, s1);
@@ -74,10 +83,11 @@ void nn_rows_vector(const float* a, std::size_t lda, const float* b,
       float s3 = accumulate ? c3[j] : 0.0f;
       for (std::size_t kk = 0; kk < k; ++kk) {
         const float bj = b[kk * ldb + j];
-        s0 += a0[kk] * bj;
-        s1 += a0[lda + kk] * bj;
-        s2 += a0[2 * lda + kk] * bj;
-        s3 += a0[3 * lda + kk] * bj;
+        const float* ak = a0 + kk * cs;
+        s0 += ak[0] * bj;
+        s1 += ak[rs] * bj;
+        s2 += ak[2 * rs] * bj;
+        s3 += ak[3 * rs] * bj;
       }
       c0[j] = s0;
       c1[j] = s1;
@@ -86,27 +96,30 @@ void nn_rows_vector(const float* a, std::size_t lda, const float* b,
     }
   }
   for (; i < i1; ++i) {
-    const float* ai = a + i * lda;
+    const float* ai = a + i * rs;
     float* ci = c + i * ldc;
     std::size_t j = 0;
     for (; j + W <= n; j += W) {
       v::VFloat s = accumulate ? v::load(ci + j) : v::zero_f();
       for (std::size_t kk = 0; kk < k; ++kk)
-        s = v::add(s, v::mul(v::broadcast(ai[kk]), v::load(b + kk * ldb + j)));
+        s = v::add(s, v::mul(v::broadcast(ai[kk * cs]), v::load(b + kk * ldb + j)));
       v::store(ci + j, s);
     }
     for (; j < n; ++j) {
       float s = accumulate ? ci[j] : 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) s += ai[kk] * b[kk * ldb + j];
+      for (std::size_t kk = 0; kk < k; ++kk) s += ai[kk * cs] * b[kk * ldb + j];
       ci[j] = s;
     }
   }
 }
 
+template <bool kTransA>
 void nn_rows_scalar(const float* a, std::size_t lda, const float* b,
                     std::size_t ldb, float* c, std::size_t ldc, std::size_t i0,
                     std::size_t i1, std::size_t k, std::size_t n,
                     bool accumulate) {
+  const std::size_t rs = kTransA ? 1 : lda;
+  const std::size_t cs = kTransA ? lda : 1;
   std::size_t i = i0;
   // 4-row micro-kernel: each loaded B row feeds four C rows.  The
   // per-element accumulation order over kk stays strictly ascending.
@@ -121,13 +134,14 @@ void nn_rows_scalar(const float* a, std::size_t lda, const float* b,
       std::fill_n(c2, n, 0.0f);
       std::fill_n(c3, n, 0.0f);
     }
-    const float* a0 = a + i * lda;
+    const float* a0 = a + i * rs;
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float* br = b + kk * ldb;
-      const float v0 = a0[kk];
-      const float v1 = a0[lda + kk];
-      const float v2 = a0[2 * lda + kk];
-      const float v3 = a0[3 * lda + kk];
+      const float* ak = a0 + kk * cs;
+      const float v0 = ak[0];
+      const float v1 = ak[rs];
+      const float v2 = ak[2 * rs];
+      const float v3 = ak[3 * rs];
       for (std::size_t j = 0; j < n; ++j) {
         const float bj = br[j];
         c0[j] += v0 * bj;
@@ -140,13 +154,32 @@ void nn_rows_scalar(const float* a, std::size_t lda, const float* b,
   for (; i < i1; ++i) {
     float* ci = c + i * ldc;
     if (!accumulate) std::fill_n(ci, n, 0.0f);
-    const float* ai = a + i * lda;
+    const float* ai = a + i * rs;
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float* br = b + kk * ldb;
-      const float v = ai[kk];
+      const float v = ai[kk * cs];
       for (std::size_t j = 0; j < n; ++j) ci[j] += v * br[j];
     }
   }
+}
+
+// matmul_nn and matmul_tn: disjoint row ranges of C, each through the
+// vector or the scalar tile.
+template <bool kTransA>
+void matmul_rows(const float* a, std::size_t lda, const float* b, std::size_t ldb,
+                 float* c, std::size_t ldc, std::size_t m, std::size_t k,
+                 std::size_t n, bool accumulate) {
+  count_flops(m, k, n);
+  const bool vec = util::simd_enabled();
+  util::parallel_for_ranges(
+      m,
+      [&](std::size_t i0, std::size_t i1) {
+        if (vec)
+          nn_rows_vector<kTransA>(a, lda, b, ldb, c, ldc, i0, i1, k, n, accumulate);
+        else
+          nn_rows_scalar<kTransA>(a, lda, b, ldb, c, ldc, i0, i1, k, n, accumulate);
+      },
+      row_grain(m, k * n));
 }
 
 }  // namespace
@@ -154,17 +187,13 @@ void nn_rows_scalar(const float* a, std::size_t lda, const float* b,
 void matmul_nn(const float* a, std::size_t lda, const float* b, std::size_t ldb,
                float* c, std::size_t ldc, std::size_t m, std::size_t k,
                std::size_t n, bool accumulate) {
-  count_flops(m, k, n);
-  const bool vec = util::simd_enabled();
-  util::parallel_for_ranges(
-      m,
-      [&](std::size_t i0, std::size_t i1) {
-        if (vec)
-          nn_rows_vector(a, lda, b, ldb, c, ldc, i0, i1, k, n, accumulate);
-        else
-          nn_rows_scalar(a, lda, b, ldb, c, ldc, i0, i1, k, n, accumulate);
-      },
-      row_grain(m, k * n));
+  matmul_rows<false>(a, lda, b, ldb, c, ldc, m, k, n, accumulate);
+}
+
+void matmul_tn(const float* a, std::size_t lda, const float* b, std::size_t ldb,
+               float* c, std::size_t ldc, std::size_t m, std::size_t k,
+               std::size_t n, bool accumulate) {
+  matmul_rows<true>(a, lda, b, ldb, c, ldc, m, k, n, accumulate);
 }
 
 void matmul_nt(const float* a, std::size_t lda, const float* b, std::size_t ldb,
@@ -207,26 +236,6 @@ void matmul_nt(const float* a, std::size_t lda, const float* b, std::size_t ldb,
             float s = accumulate ? ci[j] : 0.0f;
             for (std::size_t kk = 0; kk < k; ++kk) s += ai[kk] * bj[kk];
             ci[j] = s;
-          }
-        }
-      },
-      row_grain(m, k * n));
-}
-
-void matmul_tn(const float* a, std::size_t lda, const float* b, std::size_t ldb,
-               float* c, std::size_t ldc, std::size_t m, std::size_t k,
-               std::size_t n, bool accumulate) {
-  count_flops(m, k, n);
-  util::parallel_for_ranges(
-      m,
-      [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          float* ci = c + i * ldc;
-          if (!accumulate) std::fill_n(ci, n, 0.0f);
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const float v = a[kk * lda + i];
-            const float* br = b + kk * ldb;
-            for (std::size_t j = 0; j < n; ++j) ci[j] += v * br[j];
           }
         }
       },

@@ -8,8 +8,6 @@
 // copy, one per worker.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -18,25 +16,15 @@
 
 namespace sb::ml {
 
-// Monotonic process-wide stamp for parameter mutations (see Param::bump).
-inline std::uint64_t next_param_version() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-// A learnable parameter and its gradient accumulator.
+// A learnable parameter and its gradient accumulator.  Layers derive
+// nothing from `value` that outlives a call, so the optimizer, the model
+// loader, a replica sync or any other caller may write it in place.
 struct Param {
   Tensor value;
   Tensor grad;
-  // Bumped by whoever mutates `value` (optimizer steps, model load, replica
-  // weight sync).  Caches derived from the weights — e.g. Conv2D's packed
-  // backward operand — compare against this stamp and repack lazily, so the
-  // pack is reused until the next mutation instead of being rebuilt per call.
-  std::uint64_t version = next_param_version();
 
   explicit Param(Tensor v) : value(std::move(v)), grad(value.shape()) {}
   void zero_grad() { grad.fill(0.0f); }
-  void bump() { version = next_param_version(); }
 };
 
 class Layer {

@@ -18,8 +18,8 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
       bias_(Tensor::zeros({out_features})) {}
 
 Tensor Dense::infer(const Tensor& x) const {
-  if (x.ndim() != 2 || x.dim(1) != in_)
-    throw std::invalid_argument{"Dense: expected [N, in]"};
+  if (x.ndim() < 2 || x.numel() != x.dim(0) * in_)
+    throw std::invalid_argument{"Dense: expected [N, ...] rows of in features"};
   const std::size_t n = x.dim(0);
   Tensor y({n, out_}, kNoFill);
   const float* b = bias_.value.data();
@@ -32,9 +32,8 @@ Tensor Dense::infer(const Tensor& x) const {
   return y;
 }
 
-Tensor Dense::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
+Tensor Dense::backward(const Tensor& grad_out, bool want_input_grad) {
   const std::size_t n = cached_x_.dim(0);
-  Tensor grad_in({n, in_});
   float* gb = bias_.grad.data();
   // dBias: batch items in ascending order, as in the classic loop.
   for (std::size_t i = 0; i < n; ++i) {
@@ -45,6 +44,8 @@ Tensor Dense::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   // outputs, ascending) — both match the classic loop's summation order.
   matmul_tn(grad_out.data(), out_, cached_x_.data(), in_, weight_.grad.data(),
             in_, out_, n, in_, true);
+  if (!want_input_grad) return {};
+  Tensor grad_in(cached_x_.shape(), kNoFill);
   matmul_nn(grad_out.data(), out_, weight_.value.data(), in_, grad_in.data(),
             in_, n, out_, in_, false);
   return grad_in;
@@ -441,14 +442,6 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out, bool /*want_input_grad*/)
     }
   });
   return grad_in;
-}
-
-Tensor Flatten::infer(const Tensor& x) const {
-  return x.reshaped({x.dim(0), x.row_size()});
-}
-
-Tensor Flatten::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
-  return grad_out.reshaped(cached_shape_);
 }
 
 }  // namespace sb::ml

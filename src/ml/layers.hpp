@@ -1,11 +1,13 @@
-// Core layers: Dense, activations, BatchNorm, pooling, Flatten.
+// Core layers: Dense, activations, BatchNorm, pooling.
 #pragma once
 
 #include "ml/layer.hpp"
 
 namespace sb::ml {
 
-// Fully connected: x [N, in] -> [N, out].
+// Fully connected: x [N, ...] -> [N, out], reading each dim-0 row of x
+// (C·H·W floats of a [N, C, H, W] signature, say) as its `in` features.
+// Backward returns dX in x's shape.
 class Dense final : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
@@ -132,23 +134,6 @@ class GlobalAvgPool final : public Layer {
   Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
   std::unique_ptr<Layer> replicate() const override {
     return std::make_unique<GlobalAvgPool>(*this);
-  }
-
- private:
-  Shape cached_shape_;
-};
-
-// Collapses everything but dim 0: [N, ...] -> [N, D].
-class Flatten final : public Layer {
- public:
-  Tensor infer(const Tensor& x) const override;
-  Tensor forward_train(const Tensor& x) override {
-    cached_shape_ = x.shape();
-    return infer(x);
-  }
-  Tensor backward(const Tensor& grad_out, bool want_input_grad) override;
-  std::unique_ptr<Layer> replicate() const override {
-    return std::make_unique<Flatten>(*this);
   }
 
  private:

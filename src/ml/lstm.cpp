@@ -13,18 +13,9 @@ namespace {
 
 float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
-// The [N, T, D] input: a 3-D x itself (no copy), or a 2-D [N, T*D] x
-// reshaped into `reshaped`.  Throws on any other shape.
-const Tensor& as_sequence(const Tensor& x, std::size_t t, std::size_t d,
-                          Tensor& reshaped) {
-  const Tensor* seq = &x;
-  if (x.ndim() == 2) {
-    reshaped = x.reshaped({x.dim(0), t, d});
-    seq = &reshaped;
-  }
-  if (seq->ndim() != 3 || seq->dim(1) != t || seq->dim(2) != d)
+void check_sequence(const Tensor& x, std::size_t t, std::size_t d) {
+  if (x.ndim() != 3 || x.dim(1) != t || x.dim(2) != d)
     throw std::invalid_argument{"Lstm: expected [N, T, D]"};
-  return *seq;
 }
 
 }  // namespace
@@ -41,9 +32,8 @@ Lstm::Lstm(std::size_t input_size, std::size_t hidden_size, std::size_t seq_len,
   for (std::size_t i = h_; i < 2 * h_; ++i) b_.value[i] = 1.0f;
 }
 
-Tensor Lstm::infer(const Tensor& x_in) const {
-  Tensor reshaped;
-  const Tensor& x = as_sequence(x_in, t_, d_, reshaped);
+Tensor Lstm::infer(const Tensor& x) const {
+  check_sequence(x, t_, d_);
   const std::size_t n = x.dim(0);
   // h and c start at zero and update in place; the gate buffer is fully
   // rewritten every step.
@@ -56,9 +46,9 @@ Tensor Lstm::infer(const Tensor& x_in) const {
   return hidden;
 }
 
-Tensor Lstm::forward_train(const Tensor& x_in) {
-  Tensor reshaped;
-  cached_x_ = as_sequence(x_in, t_, d_, reshaped);
+Tensor Lstm::forward_train(const Tensor& x) {
+  check_sequence(x, t_, d_);
+  cached_x_ = x;
   const std::size_t n = cached_x_.dim(0);
   gates_.assign(t_, Tensor({n, 4 * h_}));
   cells_.assign(t_, Tensor({n, h_}));

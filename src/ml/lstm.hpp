@@ -9,8 +9,7 @@ namespace sb::ml {
 
 class Lstm final : public Layer {
  public:
-  // Input [N, T, input_size] (or [N, T*input_size] reshaped by the caller);
-  // output [N, hidden_size] = h_T.
+  // Input [N, T, input_size]; output [N, hidden_size] = h_T.
   Lstm(std::size_t input_size, std::size_t hidden_size, std::size_t seq_len, Rng& rng);
 
   Tensor infer(const Tensor& x) const override;

@@ -35,11 +35,9 @@ ReplicaTeam::ReplicaTeam(const Layer& primary, std::size_t count) {
 void ReplicaTeam::sync_weights(const std::vector<Param*>& primary_params) {
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
     const auto& rp = replica_params_[r];
-    for (std::size_t j = 0; j < rp.size(); ++j) {
+    for (std::size_t j = 0; j < rp.size(); ++j)
       std::copy_n(primary_params[j]->value.data(),
                   primary_params[j]->value.numel(), rp[j]->value.data());
-      rp[j]->bump();
-    }
   }
 }
 

@@ -45,8 +45,7 @@ class ReplicaTeam {
     return replica_params_[i];
   }
 
-  // Copies the primary's parameter values into every replica and bumps the
-  // replica Param versions (invalidating packed backward operands).  Driver
+  // Copies the primary's parameter values into every replica.  Driver
   // thread only, between parallel regions.
   void sync_weights(const std::vector<Param*>& primary_params);
 

@@ -68,7 +68,6 @@ std::unique_ptr<Layer> make_model(ModelKind kind, const ModelInputShape& input,
     case ModelKind::kNeuralOde: {
       const std::size_t flat = input.channels * input.height * input.width;
       const std::size_t state = 48;
-      model->emplace<Flatten>();
       model->emplace<Dense>(flat, state, rng);   // encoder
       model->emplace<Tanh>();
       model->emplace<NeuralOdeBlock>(state, 64, 6, rng);
@@ -77,7 +76,6 @@ std::unique_ptr<Layer> make_model(ModelKind kind, const ModelInputShape& input,
     }
     case ModelKind::kMlp: {
       const std::size_t flat = input.channels * input.height * input.width;
-      model->emplace<Flatten>();
       model->emplace<Dense>(flat, 64, rng);
       model->emplace<ReLU>();
       model->emplace<Dense>(64, 32, rng);

@@ -99,7 +99,6 @@ void Adam::run_step(bool zero_grads) {
                                         lr_ * weight_decay_ * p->value[i]);
       if (zero_grads) p->grad[i] = 0.0f;
     }
-    p->bump();
   }
 }
 

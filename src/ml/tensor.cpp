@@ -34,14 +34,6 @@ Tensor Tensor::he_normal(Shape shape, std::size_t fan_in, Rng& rng) {
   return t;
 }
 
-Tensor Tensor::reshaped(Shape shape) const {
-  if (product(shape) != numel())
-    throw std::invalid_argument{"Tensor::reshaped: element count mismatch"};
-  Tensor t = *this;
-  t.shape_ = std::move(shape);
-  return t;
-}
-
 std::size_t Tensor::row_size() const {
   if (shape_.empty()) return 0;
   return shape_[0] == 0 ? 0 : numel() / shape_[0];

@@ -53,9 +53,6 @@ class Tensor {
   std::span<const float> flat() const { return data_; }
   std::span<float> flat() { return data_; }
 
-  // Reinterprets the buffer with a new shape of equal element count.
-  Tensor reshaped(Shape shape) const;
-
   // Returns rows [begin, end) along dim 0 as a new tensor.
   Tensor slice_rows(std::size_t begin, std::size_t end) const;
 

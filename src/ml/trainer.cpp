@@ -234,7 +234,7 @@ TrainResult train_regressor(Layer& model, const RegressionDataset& train,
           .set(batches > 0 ? epoch_grad_norm / static_cast<double>(batches) : 0.0);
       registry.counter("train.epochs").add();
     }
-    obs::logf(config.verbose ? obs::LogLevel::kInfo : obs::LogLevel::kDebug, "train",
+    obs::logf(obs::LogLevel::kDebug, "train",
               "epoch %zu: train MSE %.4f, val MSE %.4f, lr %.2e", epoch + 1,
               train_mse, val_mse, epoch_lr);
   }

@@ -30,7 +30,6 @@ struct TrainConfig {
   // Batch size for the epoch-end / final evaluate_mse passes.  Bounds eval
   // peak memory to one batch of activations regardless of dataset size.
   std::size_t eval_batch_size = 64;
-  bool verbose = false;
 };
 
 // Data-parallel sharding (DESIGN.md "Training performance"): each minibatch

@@ -13,6 +13,7 @@
 #include "core/rca_engine.hpp"
 #include "core/sensory_mapper.hpp"
 #include "core/signature.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/checksum.hpp"
 #include "util/simd.hpp"
@@ -643,6 +644,33 @@ TEST(RcaMonitor, CheckpointRoundTripResumesBitwise) {
   state.seekg(0);
   RcaEngine::Monitor other{det.imu, det.gps, 5};
   EXPECT_FALSE(other.load_state(state));
+}
+
+// The `faults.*` counters count decisions only: a detector run on its own
+// (calibration, a bench's per-variant analyze) adds nothing, and a decision
+// adds exactly its report's tally.  An IMU NaN burst makes the fused GPS
+// filter fall back to the audio acceleration.
+TEST(RcaMonitor, FaultCountersCountOnlyTheDecision) {
+  auto f = test::hover_flight(12.0, 38);
+  const auto preds = synthetic_predictions(f);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (auto& s : f.log.imu)
+    if (s.t >= 4.0 && s.t < 6.0) s.accel_ned = Vec3{nan, nan, nan};
+  const auto& det = monitor_detectors();
+  const obs::Counter& fallbacks =
+      obs::Registry::instance().counter("faults.kf_fallback_steps");
+  const std::uint64_t before = fallbacks.value();
+  (void)det.gps.analyze(f, preds, GpsDetectorMode::kAudioImu);
+  EXPECT_EQ(fallbacks.value(), before);
+
+  SensoryMapperConfig cfg;
+  cfg.model = ml::ModelKind::kMlp;
+  const SensoryMapper unused{cfg};  // decide() never touches the mapper
+  const RcaEngine engine{unused, det.imu, det.gps};
+  const RcaReport report = engine.decide(f, preds);
+  EXPECT_EQ(report.gps_mode_used, GpsDetectorMode::kAudioImu);
+  EXPECT_GT(report.health.kf_fallback_steps, 0u);
+  EXPECT_EQ(fallbacks.value() - before, report.health.kf_fallback_steps);
 }
 
 // ---------------------------------------------------------------------------

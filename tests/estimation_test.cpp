@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "estimation/frames.hpp"
 #include "estimation/matrix.hpp"
 #include "estimation/velocity_kf.hpp"
 #include "util/checksum.hpp"
@@ -255,28 +254,6 @@ TEST(VelocityKf, OutputBitsArePinned) {
   EXPECT_EQ(crc_audio, 0x506da468u);
   EXPECT_EQ(crc_fused, 0xe61aa283u);
   EXPECT_EQ(crc_reckon, 0xce362433u);
-}
-
-TEST(Frames, AccelRoundTrip) {
-  const Vec3 euler{0.3, -0.2, 0.7};
-  const Vec3 accel{1.5, -0.5, 0.25};
-  const Vec3 sf = specific_force_from_accel_ned(accel, euler);
-  const Vec3 back = accel_ned_from_specific_force(sf, euler);
-  EXPECT_NEAR(back.x, accel.x, 1e-12);
-  EXPECT_NEAR(back.y, accel.y, 1e-12);
-  EXPECT_NEAR(back.z, accel.z, 1e-12);
-}
-
-TEST(Frames, HoverSpecificForce) {
-  const Vec3 sf = specific_force_from_accel_ned({}, {});
-  EXPECT_NEAR(sf.z, -9.81, 1e-12);
-}
-
-TEST(Frames, WrapAngle) {
-  EXPECT_NEAR(wrap_angle(0.0), 0.0, 1e-12);
-  EXPECT_NEAR(wrap_angle(3 * M_PI), M_PI, 1e-9);
-  EXPECT_NEAR(wrap_angle(-3 * M_PI), M_PI, 1e-9);
-  EXPECT_NEAR(wrap_angle(M_PI + 0.1), -M_PI + 0.1, 1e-9);
 }
 
 class KfNoiseSweep : public ::testing::TestWithParam<double> {};

@@ -257,6 +257,33 @@ TEST(ConvBackendTest, DepthwiseConv2DGemmMatchesReference) {
   }
 }
 
+// The input gradient reads the weights as they are at backward time: after
+// one forward and backward per backend, both convs' parameters are written
+// in place (v = -2v + 0.25, no optimizer involved) and the comparison runs
+// again.  A copy of the weights kept from the first backward would hand the
+// second one a stale input gradient.
+TEST(ConvBackendTest, Conv2DInputGradientFollowsADirectWeightWrite) {
+  const ConvCase cases[] = {
+      {2, 3, 8, 3, 1, 1, 9, 11},  // same-padded 3x3
+      {1, 5, 7, 1, 1, 0, 6, 6},   // pointwise 1x1
+  };
+  std::uint64_t seed = 300;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "k=" << c.k << " pad=" << c.pad);
+    Rng init_a{seed}, init_b{seed};
+    ml::Conv2D gemm{c.in_c, c.out_c, c.k, c.stride, c.pad, init_a};
+    ml::Conv2D ref{c.in_c, c.out_c, c.k, c.stride, c.pad, init_b};
+    Rng data_rng{seed + 1};
+    const Tensor x = random_tensor({c.n, c.in_c, c.h, c.w}, data_rng);
+    compare_backends(gemm, ref, x, data_rng, "Conv2D");
+    for (ml::Conv2D* conv : {&gemm, &ref})
+      for (ml::Param* p : conv->params())
+        for (float& v : p->value.flat()) v = -2.0f * v + 0.25f;
+    compare_backends(gemm, ref, x, data_rng, "Conv2D after a weight write");
+    seed += 10;
+  }
+}
+
 TEST(ConvBackendTest, GemmBackendStaysParallelSafe) {
   // Same comparison with a multi-thread pool active: chunking must not change
   // the GEMM results (the reference path is serial either way).

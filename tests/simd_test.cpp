@@ -2,9 +2,10 @@
 // (DESIGN.md "Performance architecture"):
 //   * vmax/vmin/compare lane semantics vs the scalar operators, including
 //     NaN operand-order behaviour,
-//   * matmul_nn vector vs scalar backend on ragged shapes (k in {0,1},
-//     non-multiple-of-lane N, non-multiple-of-tile M, strided sub-blocks) —
-//     bitwise, not approximately,
+//   * matmul_nn and matmul_tn, vector and scalar backend, against a naive
+//     ascending-k loop on ragged shapes (k in {0,1}, non-multiple-of-lane
+//     N, non-multiple-of-tile M, strided sub-blocks) — bitwise, not
+//     approximately,
 //   * FFT butterflies across sizes,
 //   * elementwise layers (ReLU, BatchNorm, ResidualBlock's post-sum ReLU)
 //     fed NaN/infinity/denormal inputs — the vector masks must keep the
@@ -129,27 +130,91 @@ TEST(SimdOpsTest, BackendToggleRoundTrips) {
 
 struct GemmCase {
   std::size_t m, k, n;
-  bool accumulate;
 };
+
+// The two products the row kernels run: element (i, kk) of A sits at
+// a[i * lda + kk] for matmul_nn and at a[kk * lda + i] for matmul_tn.
+enum class GemmOp { kNn, kTn };
+
+const char* to_string(GemmOp op) { return op == GemmOp::kNn ? "nn" : "tn"; }
+
+std::vector<float> run_gemm(GemmOp op, util::SimdBackend backend,
+                            const std::vector<float>& a, std::size_t lda,
+                            const std::vector<float>& b, std::size_t ldb,
+                            std::vector<float> c, std::size_t ldc, std::size_t m,
+                            std::size_t k, std::size_t n, bool accumulate) {
+  SimdBackendGuard guard{backend};
+  (op == GemmOp::kNn ? ml::matmul_nn : ml::matmul_tn)(
+      a.data(), lda, b.data(), ldb, c.data(), ldc, m, k, n, accumulate);
+  return c;
+}
+
+// C (or +0) plus one product per k in ascending k: the sum both backends
+// must reproduce bit for bit.  Each product passes through a volatile, so
+// no compiler can fuse it into the add.
+std::vector<float> naive_gemm(GemmOp op, const std::vector<float>& a,
+                              std::size_t lda, const std::vector<float>& b,
+                              std::size_t ldb, std::vector<float> c,
+                              std::size_t ldc, std::size_t m, std::size_t k,
+                              std::size_t n, bool accumulate) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      float s = accumulate ? c[i * ldc + j] : 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float aik = op == GemmOp::kNn ? a[i * lda + kk] : a[kk * lda + i];
+        const volatile float product = aik * b[kk * ldb + j];
+        s += product;
+      }
+      c[i * ldc + j] = s;
+    }
+  return c;
+}
+
+// matmul_nn and matmul_tn, with and without accumulate, on both backends
+// and at 1 and 4 threads, against the naive loop.
+void expect_gemm_matches_naive(const std::vector<float>& a, std::size_t lda_nn,
+                               std::size_t lda_tn, const std::vector<float>& b,
+                               std::size_t ldb, const std::vector<float>& c0,
+                               std::size_t ldc, std::size_t m, std::size_t k,
+                               std::size_t n) {
+  for (const GemmOp op : {GemmOp::kNn, GemmOp::kTn}) {
+    const std::size_t lda = op == GemmOp::kNn ? lda_nn : lda_tn;
+    for (const bool acc : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "matmul_" << to_string(op)
+                                        << " acc=" << acc);
+      const auto want = naive_gemm(op, a, lda, b, ldb, c0, ldc, m, k, n, acc);
+      for (const std::size_t threads : {1u, 4u}) {
+        ThreadCountGuard pool{threads};
+        expect_bits_equal(run_gemm(op, util::SimdBackend::kVector, a, lda, b,
+                                   ldb, c0, ldc, m, k, n, acc),
+                          want, "vector");
+        expect_bits_equal(run_gemm(op, util::SimdBackend::kScalar, a, lda, b,
+                                   ldb, c0, ldc, m, k, n, acc),
+                          want, "scalar");
+      }
+    }
+  }
+}
 
 TEST(SimdGemmTest, MatmulNnBitIdenticalOnRaggedShapes) {
   constexpr std::size_t kLanes = util::simd::kFloatLanes;
   const GemmCase cases[] = {
-      {1, 0, 5, false},            // empty K, zero-fill path
-      {2, 0, 3, true},             // empty K, accumulate keeps C
-      {3, 1, 7, false},            // single-element dot products
-      {1, 1, 1, true},             // degenerate everything
-      {4, 8, kLanes, false},       // exact tile, exact lane width
-      {5, 13, 2 * kLanes + 3, true},   // row remainder + column tail
-      {7, 17, kLanes - 1, false},      // all-tail columns
-      {13, 5, 1, true},                // single column
-      {8, 31, 33, false},              // odd everything
+      {1, 0, 5},                // empty K: zero fill, or C kept
+      {2, 0, 3},                // empty K, two rows
+      {3, 1, 7},                // single-element dot products
+      {1, 1, 1},                // degenerate everything
+      {4, 8, kLanes},           // exact tile, exact lane width
+      {5, 13, 2 * kLanes + 3},  // row remainder + column tail
+      {7, 17, kLanes - 1},      // all-tail columns
+      {13, 5, 1},               // single column
+      {8, 31, 33},              // odd everything
   };
   std::uint64_t seed = 4200;
   for (const auto& c : cases) {
     SCOPED_TRACE(::testing::Message() << "m=" << c.m << " k=" << c.k
-                                      << " n=" << c.n << " acc=" << c.accumulate);
+                                      << " n=" << c.n);
     Rng rng{seed++};
+    // A is [M, K] for matmul_nn and [K, M] for matmul_tn: the same buffer.
     std::vector<float> a(std::max<std::size_t>(c.m * c.k, 1));
     std::vector<float> b(std::max<std::size_t>(c.k * c.n, 1));
     std::vector<float> c0(c.m * c.n);
@@ -159,41 +224,23 @@ TEST(SimdGemmTest, MatmulNnBitIdenticalOnRaggedShapes) {
                              std::exp2(static_cast<double>(rng.uniform_int(0, 20)) - 10.0));
     for (auto& v : b) v = static_cast<float>(rng.normal(0.0, 1.0));
     for (auto& v : c0) v = static_cast<float>(rng.normal(0.0, 1.0));
-
-    auto run = [&](util::SimdBackend backend) {
-      SimdBackendGuard guard{backend};
-      std::vector<float> out = c0;
-      ml::matmul_nn(a.data(), c.k, b.data(), c.n, out.data(), c.n, c.m, c.k,
-                    c.n, c.accumulate);
-      return out;
-    };
-    expect_bits_equal(run(util::SimdBackend::kVector),
-                      run(util::SimdBackend::kScalar), "matmul_nn");
-    // Chunked rows must not change anything either.
-    ThreadCountGuard threads{4};
-    expect_bits_equal(run(util::SimdBackend::kVector),
-                      run(util::SimdBackend::kScalar), "matmul_nn(4 threads)");
+    expect_gemm_matches_naive(a, c.k, c.m, b, c.n, c0, c.n, c.m, c.k, c.n);
   }
 }
 
 TEST(SimdGemmTest, MatmulNnBitIdenticalOnStridedSubBlocks) {
   // Multiply a sub-block of larger matrices: lda/ldb/ldc exceed the logical
-  // widths, so the vector kernel's loads/stores must respect the strides.
+  // widths, so the kernels' loads and stores must respect the strides.  A is
+  // read as [M, K] with row stride k + 3 by matmul_nn and as [K, M] with row
+  // stride m + 3 by matmul_tn.
   constexpr std::size_t m = 5, k = 9, n = 11;
-  constexpr std::size_t lda = k + 3, ldb = n + 5, ldc = n + 2;
+  constexpr std::size_t lda_nn = k + 3, lda_tn = m + 3, ldb = n + 5, ldc = n + 2;
   Rng rng{777};
-  std::vector<float> a(m * lda), b(k * ldb), c0(m * ldc);
+  std::vector<float> a(std::max(m * lda_nn, k * lda_tn)), b(k * ldb), c0(m * ldc);
   for (auto& v : a) v = static_cast<float>(rng.normal(0.0, 1.0));
   for (auto& v : b) v = static_cast<float>(rng.normal(0.0, 1.0));
   for (auto& v : c0) v = static_cast<float>(rng.normal(0.0, 1.0));
-  auto run = [&](util::SimdBackend backend) {
-    SimdBackendGuard guard{backend};
-    std::vector<float> out = c0;
-    ml::matmul_nn(a.data(), lda, b.data(), ldb, out.data(), ldc, m, k, n, true);
-    return out;
-  };
-  expect_bits_equal(run(util::SimdBackend::kVector),
-                    run(util::SimdBackend::kScalar), "matmul_nn strided");
+  expect_gemm_matches_naive(a, lda_nn, lda_tn, b, ldb, c0, ldc, m, k, n);
 }
 
 // ---------------------------------------------------------------------------
