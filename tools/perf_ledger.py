@@ -12,7 +12,8 @@ per workload of a set of alternating parent/change perfbench runs:
                  ...}}
 
 `metrics` carries every end-to-end metric BENCHMARK.json declares; the
-quartiles are the inclusive ones of Python's statistics.quantiles.
+quartiles are the inclusive ones of Python's statistics.quantiles, to six
+significant digits.
 
     python3 tools/perf_ledger.py append --parent SHA --change SHA \\
         --parent-out P1.txt P2.txt ... --change-out C1.txt C2.txt ...
@@ -24,7 +25,7 @@ isa/backend, ...)") and its last line, the result object.  `append` groups
 the runs by workload, checks that both sides ran the same workload, seed,
 nproc and SIMD line the same number of times, and appends one line per
 workload.  `check` validates every line of the ledger and exits nonzero on
-the first file that breaks the schema.
+the first line that breaks the schema.
 """
 import argparse
 import json
@@ -71,8 +72,10 @@ def read_run(path):
 
 
 def summary(values):
+    """Quartiles to 6 significant digits (rounding keeps their order)."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"q1": q1, "median": median, "q3": q3}
+    return {"q1": float(f"{q1:.6g}"), "median": float(f"{median:.6g}"),
+            "q3": float(f"{q3:.6g}")}
 
 
 def ledger_lines(parent, change, parent_paths, change_paths):
@@ -141,10 +144,9 @@ def check_line(entry):
 
 
 def check(path):
-    text = path.read_text() if path.exists() else ""
-    lines = text.splitlines()
+    lines = path.read_text().splitlines() if path.exists() else []
     if not lines:
-        raise LedgerError(f"{path}: empty ledger")
+        raise LedgerError(f"{path}: missing or empty ledger")
     for number, line in enumerate(lines, 1):
         try:
             check_line(json.loads(line))
