@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   }
 
   // 10 attacked hovers.  The first one also exports its per-decision
-  // evidence (both RCA stages) as JSONL + CSV next to the binary.
+  // evidence (both RCA stages) as JSONL next to the binary.
   const core::RcaEngine engine{mapper, det.imu, det.gps};
   for (int i = 0; i < 10; ++i) {
     const auto scenario = bench::imu_attack_scenario(i);
@@ -59,10 +59,6 @@ int main(int argc, char** argv) {
       const auto dir = bench::bench_output_dir();
       io::write_decision_trace_jsonl((dir / "DECISIONS_imu_attack.jsonl").string(),
                                      trace);
-      io::write_imu_decisions_csv((dir / "DECISIONS_imu_attack_windows.csv").string(),
-                                  trace.imu);
-      io::write_gps_decisions_csv((dir / "DECISIONS_imu_attack_gps.csv").string(),
-                                  trace.gps);
     }
     ++attacks_total;
     if (r.attacked) {

@@ -102,35 +102,4 @@ bool write_decision_trace_jsonl(const std::string& path,
   return static_cast<bool>(os);
 }
 
-bool write_imu_decisions_csv(const std::string& path,
-                             std::span<const core::ImuWindowDecision> decisions) {
-  std::ofstream os{path};
-  if (!os) return false;
-  os << "t0,t1,mean_z_x,mean_z_y,mean_z_z,spread_z_x,spread_z_y,spread_z_z,"
-        "score,threshold,flagged,alert\n";
-  for (const auto& d : decisions) {
-    os << d.t0 << ',' << d.t1;
-    for (double z : d.mean_z) os << ',' << z;
-    for (double z : d.spread_z) os << ',' << z;
-    os << ',' << d.score << ',' << d.threshold << ',' << int{d.flagged} << ','
-       << int{d.alert} << '\n';
-  }
-  return static_cast<bool>(os);
-}
-
-bool write_gps_decisions_csv(const std::string& path,
-                             std::span<const core::GpsFixDecision> decisions) {
-  std::ofstream os{path};
-  if (!os) return false;
-  os << "t,running_mean_err,pos_dev,vel_threshold,pos_threshold,vel_hit,"
-        "pos_hit,alert,coast_reset\n";
-  for (const auto& d : decisions) {
-    os << d.t << ',' << d.running_mean_err << ',' << d.pos_dev << ','
-       << d.vel_threshold << ',' << d.pos_threshold << ',' << int{d.vel_hit}
-       << ',' << int{d.pos_hit} << ',' << int{d.alert} << ','
-       << int{d.coast_reset} << '\n';
-  }
-  return static_cast<bool>(os);
-}
-
 }  // namespace sb::io

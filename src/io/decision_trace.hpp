@@ -1,9 +1,8 @@
 // Export of RCA per-decision evidence (core/decision_trace.hpp) for offline
-// audit: JSONL (one decision per line, `type` discriminated, with a trailing
-// summary record) and per-stage CSV in the flight_csv style.
+// audit: JSONL, one decision per line, `type` discriminated, with trailing
+// health and summary records.
 #pragma once
 
-#include <span>
 #include <string>
 
 #include "core/decision_trace.hpp"
@@ -27,11 +26,5 @@ bool write_decision_trace_jsonl(const std::string& path,
 
 // Serialized form of the above, for embedding or in-memory inspection.
 std::string decision_trace_jsonl(const core::RcaDecisionTrace& trace);
-
-bool write_imu_decisions_csv(const std::string& path,
-                             std::span<const core::ImuWindowDecision> decisions);
-
-bool write_gps_decisions_csv(const std::string& path,
-                             std::span<const core::GpsFixDecision> decisions);
 
 }  // namespace sb::io

@@ -4,14 +4,12 @@
 #include <stdexcept>
 
 #include "ml/gemm.hpp"
-#include "ml/workspace.hpp"
+#include "util/scratch.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sb::ml {
 namespace {
-
-ConvBackend g_backend = ConvBackend::kGemm;
 
 std::size_t out_dim(std::size_t in, std::size_t k, std::size_t stride, std::size_t pad) {
   return (in + 2 * pad - k) / stride + 1;
@@ -88,9 +86,9 @@ const float* padded_input(const float* x, std::size_t channels, std::size_t h,
 
 // Unfolds a zero-padded [C, hp, wp] plane stack into the patch matrix
 // col[(c*k + ky)*k + kx][oy*ow + ox] = xp[c][oy*stride + ky][ox*stride + kx].
-// Row order (c, ky, kx) matches the direct loop's accumulation order, so
-// GEMM over these rows reproduces the reference convolution's floating-point
-// sums, padding taps included.
+// Row order (c, ky, kx) is the direct loop nest's accumulation order (the
+// conv oracle in parallel_test), so GEMM over these rows sums each output in
+// that order, padding taps included.
 void im2col(const float* xp, std::size_t channels, std::size_t hp, std::size_t wp,
             std::size_t ksize, std::size_t stride, std::size_t oh, std::size_t ow,
             float* col) {
@@ -281,9 +279,6 @@ void depthwise_xgrad_plane(const float* wts, const float* grad, const PhaseGeome
 
 }  // namespace
 
-ConvBackend conv_backend() { return g_backend; }
-void set_conv_backend(ConvBackend backend) { g_backend = backend; }
-
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
                std::size_t stride, std::size_t padding, Rng& rng)
     : in_c_(in_channels),
@@ -301,13 +296,9 @@ Tensor Conv2D::infer(const Tensor& x) const {
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = out_dim(h, k_, stride_, pad_);
   const std::size_t ow = out_dim(w, k_, stride_, pad_);
-  // Both backends write every output element (the GEMM path seeds it with
-  // the bias, then accumulates), so y starts unfilled.
+  // Every output element is seeded with its bias, then accumulated, so y
+  // starts unfilled.
   Tensor y({n, out_c_, oh, ow}, kNoFill);
-  if (g_backend == ConvBackend::kReference) {
-    forward_reference(x, y, n, h, w, oh, ow);
-    return y;
-  }
 
   const std::size_t kdim = in_c_ * k_ * k_;
   const std::size_t patches = oh * ow;
@@ -319,8 +310,8 @@ Tensor Conv2D::infer(const Tensor& x) const {
         // The padded copy and im2col fully overwrite their buffers, so
         // uninitialized scratch is safe; a pointwise conv's input already is
         // its patch matrix.
-        Scratch<float> xp{pad_ == 0 ? 0 : in_c_ * geom.size};
-        Scratch<float> col{pointwise ? 0 : kdim * patches};
+        util::Scratch<float> xp{pad_ == 0 ? 0 : in_c_ * geom.size};
+        util::Scratch<float> col{pointwise ? 0 : kdim * patches};
         for (std::size_t i = i0; i < i1; ++i) {
           const float* xi = x.data() + i * in_c_ * h * w;
           if (!pointwise)
@@ -337,51 +328,10 @@ Tensor Conv2D::infer(const Tensor& x) const {
   return y;
 }
 
-void Conv2D::forward_reference(const Tensor& x, Tensor& y, std::size_t n,
-                               std::size_t h, std::size_t w, std::size_t oh,
-                               std::size_t ow) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      float* py = y.data() + ((i * out_c_ + oc) * oh) * ow;
-      const float b = bias_.value[oc];
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float s = b;
-          for (std::size_t ic = 0; ic < in_c_; ++ic) {
-            const float* px = x.data() + ((i * in_c_ + ic) * h) * w;
-            const float* pw = weight_.value.data() + ((oc * in_c_ + ic) * k_) * k_;
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                    static_cast<std::ptrdiff_t>(pad_);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                s += pw[ky * k_ + kx] *
-                     px[static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix)];
-              }
-            }
-          }
-          py[oy * ow + ox] = s;
-        }
-      }
-    }
-  }
-}
-
 Tensor Conv2D::backward(const Tensor& grad_out, bool want_input_grad) {
   const Tensor& x = cached_x_;
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  if (g_backend == ConvBackend::kReference) {
-    Tensor grad_in(x.shape());
-    backward_reference(grad_out, grad_in, n, h, w, oh, ow);
-    return want_input_grad ? grad_in : Tensor{};
-  }
-
   const std::size_t kdim = in_c_ * k_ * k_;
   const std::size_t patches = oh * ow;
   const bool pointwise = is_pointwise();
@@ -394,14 +344,14 @@ Tensor Conv2D::backward(const Tensor& grad_out, bool want_input_grad) {
   // below so the result is independent of the thread count.  Every slot is
   // written before the reduction (matmul_nn with accumulate=false and the
   // patch sums), so uninitialized scratch is safe.
-  Scratch<float> gw_part{n * out_c_ * kdim};
-  Scratch<float> gb_part{n * out_c_};
+  util::Scratch<float> gw_part{n * out_c_ * kdim};
+  util::Scratch<float> gb_part{n * out_c_};
   util::parallel_for_ranges(
       n,
       [&](std::size_t i0, std::size_t i1) {
-        Scratch<float> xp{pad_ == 0 ? 0 : in_c_ * geom.size};
-        Scratch<float> colt{kdim * patches};
-        Scratch<float> gcol{want_input_grad && !pointwise ? kdim * patches : 0};
+        util::Scratch<float> xp{pad_ == 0 ? 0 : in_c_ * geom.size};
+        util::Scratch<float> colt{kdim * patches};
+        util::Scratch<float> gcol{want_input_grad && !pointwise ? kdim * patches : 0};
         for (std::size_t i = i0; i < i1; ++i) {
           const float* xi = x.data() + i * in_c_ * h * w;
           if (pointwise) {
@@ -442,46 +392,6 @@ Tensor Conv2D::backward(const Tensor& grad_out, bool want_input_grad) {
   return grad_in;
 }
 
-void Conv2D::backward_reference(const Tensor& grad_out, Tensor& grad_in,
-                                std::size_t n, std::size_t h, std::size_t w,
-                                std::size_t oh, std::size_t ow) {
-  const Tensor& x = cached_x_;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      const float* g = grad_out.data() + ((i * out_c_ + oc) * oh) * ow;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const float gv = g[oy * ow + ox];
-          if (gv == 0.0f) continue;
-          bias_.grad[oc] += gv;
-          for (std::size_t ic = 0; ic < in_c_; ++ic) {
-            const float* px = x.data() + ((i * in_c_ + ic) * h) * w;
-            float* gx = grad_in.data() + ((i * in_c_ + ic) * h) * w;
-            const float* pw = weight_.value.data() + ((oc * in_c_ + ic) * k_) * k_;
-            float* gw = weight_.grad.data() + ((oc * in_c_ + ic) * k_) * k_;
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                    static_cast<std::ptrdiff_t>(pad_);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                const std::size_t xi =
-                    static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix);
-                gw[ky * k_ + kx] += gv * px[xi];
-                gx[xi] += gv * pw[ky * k_ + kx];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 DepthwiseConv2D::DepthwiseConv2D(std::size_t channels, std::size_t kernel,
                                  std::size_t stride, std::size_t padding, Rng& rng)
     : c_(channels),
@@ -499,20 +409,15 @@ Tensor DepthwiseConv2D::infer(const Tensor& x) const {
   const std::size_t ow = out_dim(w, k_, stride_, pad_);
   // Every output element is written once: bias seed, then accumulation.
   Tensor y({n, c_, oh, ow}, kNoFill);
-  if (g_backend == ConvBackend::kReference) {
-    forward_reference(x, y, n, h, w, oh, ow);
-    return y;
-  }
-
   const PhaseGeometry geom{h, w, pad_, stride_};
   const std::size_t taps = k_ * k_;
   const std::size_t patches = oh * ow;
-  Scratch<std::size_t> off{taps};
+  util::Scratch<std::size_t> off{taps};
   tap_offsets(geom, k_, stride_, off.data());
   const bool vec = util::simd_enabled();
   // Each (item, channel) plane is an independent single-filter convolution.
   util::parallel_for_ranges(n * c_, [&](std::size_t p0, std::size_t p1) {
-    Scratch<float> q{geom.size};
+    util::Scratch<float> q{geom.size};
     for (std::size_t pair = p0; pair < p1; ++pair) {
       const std::size_t c = pair % c_;
       pad_phases(x.data() + pair * h * w, h, w, pad_, stride_, geom, q.data());
@@ -524,61 +429,24 @@ Tensor DepthwiseConv2D::infer(const Tensor& x) const {
   return y;
 }
 
-void DepthwiseConv2D::forward_reference(const Tensor& x, Tensor& y, std::size_t n,
-                                        std::size_t h, std::size_t w,
-                                        std::size_t oh, std::size_t ow) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < c_; ++c) {
-      const float* px = x.data() + ((i * c_ + c) * h) * w;
-      const float* pw = weight_.value.data() + (c * k_) * k_;
-      float* py = y.data() + ((i * c_ + c) * oh) * ow;
-      const float b = bias_.value[c];
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float s = b;
-          for (std::size_t ky = 0; ky < k_; ++ky) {
-            const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kx = 0; kx < k_; ++kx) {
-              const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                                        static_cast<std::ptrdiff_t>(pad_);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-              s += pw[ky * k_ + kx] *
-                   px[static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix)];
-            }
-          }
-          py[oy * ow + ox] = s;
-        }
-      }
-    }
-  }
-}
-
 Tensor DepthwiseConv2D::backward(const Tensor& grad_out, bool want_input_grad) {
   const Tensor& x = cached_x_;
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  if (g_backend == ConvBackend::kReference) {
-    Tensor grad_in(x.shape());
-    backward_reference(grad_out, grad_in, n, h, w, oh, ow);
-    return want_input_grad ? grad_in : Tensor{};
-  }
-
   const std::size_t kdim = k_ * k_;
   const std::size_t patches = oh * ow;
   const PhaseGeometry geom{h, w, pad_, stride_};
-  Scratch<std::size_t> off{kdim};
+  util::Scratch<std::size_t> off{kdim};
   tap_offsets(geom, k_, stride_, off.data());
   const bool vec = util::simd_enabled();
   // Every plane of dX is copied out of its phase buffer whole.
   Tensor grad_in = want_input_grad ? Tensor(x.shape(), kNoFill) : Tensor{};
   // Per-plane partials, reduced serially in (item, channel) order below.
-  Scratch<float> gw_part{n * c_ * kdim};
-  Scratch<float> gb_part{n * c_};
+  util::Scratch<float> gw_part{n * c_ * kdim};
+  util::Scratch<float> gb_part{n * c_};
   util::parallel_for_ranges(n * c_, [&](std::size_t p0, std::size_t p1) {
-    Scratch<float> q{geom.size};
-    Scratch<float> gq{want_input_grad ? geom.size : 0};
+    util::Scratch<float> q{geom.size};
+    util::Scratch<float> gq{want_input_grad ? geom.size : 0};
     for (std::size_t pair = p0; pair < p1; ++pair) {
       const std::size_t c = pair % c_;
       const float* grow = grad_out.data() + pair * patches;
@@ -605,43 +473,6 @@ Tensor DepthwiseConv2D::backward(const Tensor& grad_out, bool want_input_grad) {
     bias_.grad[c] += gb_part[pair];
   }
   return grad_in;
-}
-
-void DepthwiseConv2D::backward_reference(const Tensor& grad_out, Tensor& grad_in,
-                                         std::size_t n, std::size_t h,
-                                         std::size_t w, std::size_t oh,
-                                         std::size_t ow) {
-  const Tensor& x = cached_x_;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < c_; ++c) {
-      const float* px = x.data() + ((i * c_ + c) * h) * w;
-      float* gx = grad_in.data() + ((i * c_ + c) * h) * w;
-      const float* pw = weight_.value.data() + (c * k_) * k_;
-      float* gw = weight_.grad.data() + (c * k_) * k_;
-      const float* g = grad_out.data() + ((i * c_ + c) * oh) * ow;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const float gv = g[oy * ow + ox];
-          if (gv == 0.0f) continue;
-          bias_.grad[c] += gv;
-          for (std::size_t ky = 0; ky < k_; ++ky) {
-            const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kx = 0; kx < k_; ++kx) {
-              const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                                        static_cast<std::ptrdiff_t>(pad_);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-              const std::size_t xi =
-                  static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix);
-              gw[ky * k_ + kx] += gv * px[xi];
-              gx[xi] += gv * pw[ky * k_ + kx];
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 ResidualBlock::ResidualBlock(std::size_t in_channels, std::size_t out_channels,

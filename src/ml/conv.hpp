@@ -7,14 +7,8 @@
 
 namespace sb::ml {
 
-// kGemm (default) lowers Conv2D to im2col + the shared GEMM kernels and runs
-// DepthwiseConv2D as a direct kernel over zero-padded column phases;
-// kReference is the original direct loop nest, kept as the test oracle.
-enum class ConvBackend { kGemm, kReference };
-ConvBackend conv_backend();
-void set_conv_backend(ConvBackend backend);
-
-// Standard convolution: x [N, inC, H, W] -> [N, outC, H', W'].  Backward
+// Standard convolution: x [N, inC, H, W] -> [N, outC, H', W'], lowered to
+// im2col plus the shared GEMM kernels.  Backward
 // takes dW from matmul_nn over the transposed patch matrix and dX from
 // matmul_tn over the weights as they are; with want_input_grad == false it
 // computes no input gradient at all.
@@ -35,12 +29,6 @@ class Conv2D final : public Layer {
   }
 
  private:
-  void forward_reference(const Tensor& x, Tensor& y, std::size_t n, std::size_t h,
-                         std::size_t w, std::size_t oh, std::size_t ow) const;
-  void backward_reference(const Tensor& grad_out, Tensor& grad_in, std::size_t n,
-                          std::size_t h, std::size_t w, std::size_t oh,
-                          std::size_t ow);
-
   // 1x1, stride 1, unpadded: x is its own patch matrix, so forward and dX
   // skip im2col and col2im_add.
   bool is_pointwise() const { return k_ == 1 && stride_ == 1 && pad_ == 0; }
@@ -70,12 +58,6 @@ class DepthwiseConv2D final : public Layer {
   }
 
  private:
-  void forward_reference(const Tensor& x, Tensor& y, std::size_t n, std::size_t h,
-                         std::size_t w, std::size_t oh, std::size_t ow) const;
-  void backward_reference(const Tensor& grad_out, Tensor& grad_in, std::size_t n,
-                          std::size_t h, std::size_t w, std::size_t oh,
-                          std::size_t ow);
-
   std::size_t c_, k_, stride_, pad_;
   Param weight_;  // [C, k, k]
   Param bias_;    // [C]

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "ml/gemm.hpp"
-#include "ml/workspace.hpp"
+#include "util/scratch.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -352,7 +352,7 @@ Tensor BatchNorm::backward(const Tensor& grad_out, bool /*want_input_grad*/) {
   Tensor grad_in(grad_out.shape(), kNoFill);
   // With a fused activation, the masked gradient the standalone ReLU would
   // have passed on; every element is written before it is read.
-  Scratch<float> masked{relu_ ? grad_out.numel() : 0};
+  util::Scratch<float> masked{relu_ ? grad_out.numel() : 0};
   const float* grad = relu_ ? masked.data() : grad_out.data();
   const bool vec = util::simd_enabled();
 

@@ -119,44 +119,6 @@ void Histogram::record(double v) {
   record_locked(v);
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (&other == this) return;
-  // Copy the source under its own lock first; never hold both locks at once.
-  std::uint64_t ocount;
-  double osum, omin, omax;
-  std::vector<double> oexact;
-  std::vector<std::uint64_t> obins;
-  {
-    std::lock_guard<std::mutex> lock{other.mutex_};
-    ocount = other.count_;
-    osum = other.sum_;
-    omin = other.min_;
-    omax = other.max_;
-    oexact = other.exact_;
-    obins = other.bins_;
-  }
-  if (ocount == 0) return;
-  std::lock_guard<std::mutex> lock{mutex_};
-  if (count_ == 0) {
-    min_ = omin;
-    max_ = omax;
-  } else {
-    min_ = std::min(min_, omin);
-    max_ = std::max(max_, omax);
-  }
-  if (bins_.empty()) bins_.assign(kNumBins, 0);
-  for (std::size_t i = 0; i < kNumBins; ++i) bins_[i] += obins[i];
-  const bool both_exact = (count_ == 0 || !exact_.empty()) && !oexact.empty();
-  if (both_exact && count_ + ocount <= kExactSamples) {
-    exact_.insert(exact_.end(), oexact.begin(), oexact.end());
-  } else {
-    exact_.clear();
-    exact_.shrink_to_fit();
-  }
-  count_ += ocount;
-  sum_ += osum;
-}
-
 double Histogram::bins_percentile(const std::vector<std::uint64_t>& bins,
                                   std::uint64_t count, double p) {
   if (count == 0 || bins.empty()) return kNan;

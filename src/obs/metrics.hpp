@@ -51,16 +51,10 @@ class Gauge {
 // of signed log-spaced bins (kSubBuckets per octave, so bucketed quantiles
 // carry <= ~1/(2*kSubBuckets) relative error), and streams of at most
 // kExactSamples values additionally keep every sample so small-stream
-// percentiles are exact (same interpolation as util::stats).  Bins from two
-// shards add elementwise, so histograms merge() without losing accuracy.
+// percentiles are exact (same interpolation as util::stats).
 class Histogram {
  public:
   void record(double v);
-
-  // Folds another histogram's distribution into this one.  Two exact-mode
-  // histograms whose combined count still fits kExactSamples stay exact;
-  // any other combination continues on the (always-populated) bins.
-  void merge(const Histogram& other);
 
   // Empty histograms report NaN statistics (count 0, sum 0): the JSON layer
   // serializes non-finite as null, so consumers never see fabricated zeros.

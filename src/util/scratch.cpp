@@ -128,8 +128,4 @@ void pool_release(void* p, std::size_t bytes) noexcept {
 
 }  // namespace detail
 
-void scratch_trim() noexcept {
-  if (t_state == PoolState::kAlive) tls_pool().trim();
-}
-
 }  // namespace sb::util

@@ -44,9 +44,6 @@ void pool_release(void* p, std::size_t bytes) noexcept;
 
 }  // namespace detail
 
-// Releases every block retained by the calling thread's free lists.
-void scratch_trim() noexcept;
-
 // RAII scratch span for kernel temporaries (im2col patch matrices, gradient
 // partials, STFT frames).  Contents start UNINITIALIZED — the caller must
 // write every element it reads (memory sanitizers will catch violations).

@@ -145,11 +145,6 @@ void ThreadPool::set_threads(std::size_t n) {
 
 bool ThreadPool::in_parallel_region() { return tl_in_parallel; }
 
-std::size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock{impl_->mutex};
-  return impl_->queue.size();
-}
-
 void ThreadPool::run(std::size_t num_chunks,
                      const std::function<void(std::size_t)>& fn) {
   if (num_chunks == 0) return;

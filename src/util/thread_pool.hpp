@@ -60,14 +60,11 @@ class ThreadPool {
 
   // Runs fn(chunk) for chunk in [0, num_chunks), distributing chunks over
   // the workers plus the calling thread.  Blocks until all chunks finish.
-  // fn must not throw.
-  void run(std::size_t num_chunks, const std::function<void(std::size_t)>& fn);
-
-  // Tasks currently waiting in the queue.  While tracing is enabled the
-  // "pool.queue_depth" gauge also records it at each enqueue, and the
+  // fn must not throw.  While tracing is enabled the "pool.queue_depth"
+  // gauge records the queue length once the chunks are enqueued, and the
   // "pool.queue_wait_seconds" / "pool.task_run_seconds" histograms time
   // every task.
-  std::size_t queue_depth() const;
+  void run(std::size_t num_chunks, const std::function<void(std::size_t)>& fn);
 
  private:
   ThreadPool();

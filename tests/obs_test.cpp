@@ -229,49 +229,6 @@ TEST(Metrics, HistogramLongRunPercentilesStayAccurate) {
   EXPECT_DOUBLE_EQ(h.percentile(100.0), s.max);
 }
 
-TEST(Metrics, HistogramMergeStaysExactSmallAndAccurateLarge) {
-  // Two small shards whose union still fits the exact budget: the merge must
-  // keep util::stats-exact percentiles.
-  obs::Histogram a, b;
-  Rng rng{4242};
-  std::vector<double> all;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.normal(0.0, 2.0);
-    a.record(v);
-    all.push_back(v);
-  }
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.normal(5.0, 1.0);
-    b.record(v);
-    all.push_back(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2000u);
-  for (double p : {10.0, 50.0, 99.0})
-    EXPECT_DOUBLE_EQ(a.percentile(p), sb::percentile(all, p)) << "p" << p;
-
-  // Two binned shards (each past the exact budget): the bins add
-  // elementwise, so the merged quantiles stay whole-run accurate.
-  obs::Histogram c, d;
-  std::vector<double> big;
-  for (int i = 0; i < 6000; ++i) {
-    const double v = rng.normal(10.0, 3.0);
-    c.record(v);
-    big.push_back(v);
-  }
-  for (int i = 0; i < 6000; ++i) {
-    const double v = rng.normal(50.0, 8.0);
-    d.record(v);
-    big.push_back(v);
-  }
-  c.merge(d);
-  EXPECT_EQ(c.count(), 12000u);
-  for (double p : {50.0, 90.0, 99.0}) {
-    const double exact = sb::percentile(big, p);
-    EXPECT_NEAR(c.percentile(p), exact, 0.04 * std::abs(exact)) << "p" << p;
-  }
-}
-
 TEST(Metrics, EmptyHistogramSerializesNullStats) {
   auto& reg = obs::Registry::instance();
   reg.histogram("test.empty_hist").reset();

@@ -1,10 +1,10 @@
-// Tier-1 coverage for the deterministic thread pool and the GEMM-backed
-// convolution backend:
+// Tier-1 coverage for the deterministic thread pool and the convolution
+// kernels:
 //   * thread-pool semantics (disjoint coverage, deterministic reductions,
 //     nested regions run inline, set_threads override, the worker cap and
 //     the SB_THREADS parser),
-//   * Conv2D / DepthwiseConv2D GEMM backend vs the reference loop nest on
-//     random shapes, forward AND backward,
+//   * Conv2D (im2col + GEMM) and DepthwiseConv2D (direct phase kernel) vs a
+//     direct loop-nest oracle on random shapes, forward AND backward,
 //   * the model concurrency contract: concurrent eval forwards on one model
 //     match serial ones bitwise, also beside a training replica,
 //   * the determinism regression: training the same model at 1 to 4 threads
@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,7 +151,7 @@ TEST(ThreadPoolTest, ThreadCountParsesWholePositiveIntegersOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM conv backend vs the reference loop nest.
+// The conv layers vs the direct loop-nest oracle.
 
 Tensor random_tensor(ml::Shape shape, Rng& rng) {
   Tensor t{std::move(shape)};
@@ -171,53 +172,102 @@ struct ConvCase {
   std::size_t n, in_c, out_c, k, stride, pad, h, w;
 };
 
-// Runs forward + backward through `gemm` (kGemm) and `ref` (kReference) on
-// identical inputs and compares outputs, input gradients and param gradients.
-void compare_backends(ml::Layer& gemm, ml::Layer& ref, const Tensor& x,
-                      Rng& grad_rng, const std::string& what) {
-  ml::set_conv_backend(ml::ConvBackend::kGemm);
-  const Tensor y_gemm = gemm.forward_train(x);
-  ml::set_conv_backend(ml::ConvBackend::kReference);
-  const Tensor y_ref = ref.forward_train(x);
-  ml::set_conv_backend(ml::ConvBackend::kGemm);
-  expect_close(y_gemm, y_ref, 1e-5, what + " forward");
+struct OracleResult {
+  Tensor y, dx, dw, db;
+};
 
-  Tensor grad_out{y_gemm.shape()};
-  for (auto& v : grad_out.flat()) v = static_cast<float>(grad_rng.normal(0.0, 1.0));
-  for (ml::Param* p : gemm.params()) p->zero_grad();
-  for (ml::Param* p : ref.params()) p->zero_grad();
-  const Tensor gx_gemm = gemm.backward(grad_out, true);
-  ml::set_conv_backend(ml::ConvBackend::kReference);
-  const Tensor gx_ref = ref.backward(grad_out, true);
-  ml::set_conv_backend(ml::ConvBackend::kGemm);
-  expect_close(gx_gemm, gx_ref, 1e-4, what + " grad_in");
-
-  const auto pg = gemm.params();
-  const auto pr = ref.params();
-  ASSERT_EQ(pg.size(), pr.size());
-  for (std::size_t i = 0; i < pg.size(); ++i) {
-    expect_close(pg[i]->grad, pr[i]->grad, 1e-4,
-                 what + " param grad " + std::to_string(i));
-  }
+// The direct convolution the conv layers must reproduce: x [N, inC, H, W],
+// w [outC, inC, k, k] — or [C, k, k] when `depthwise`, where output channel
+// c reads input channel c only — and b [outC].  Forward seeds each output
+// with its bias, then adds w * x over (ic, ky, kx) in that order, skipping
+// padding taps.  Backward skips zero output gradients and accumulates dW,
+// db and dX from zero, element by element, in (item, oc, oy, ox, ic, ky,
+// kx) order.
+OracleResult conv_oracle(const Tensor& x, const Tensor& w, const Tensor& b,
+                         std::size_t stride, std::size_t pad, bool depthwise,
+                         const Tensor& grad_out) {
+  const std::size_t n = x.dim(0), in_c = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const std::size_t out_c = w.dim(0), k = w.dim(w.ndim() - 1);
+  const std::size_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::size_t ow = (wd + 2 * pad - k) / stride + 1;
+  if (grad_out.shape() != ml::Shape{n, out_c, oh, ow})
+    throw std::invalid_argument{"conv_oracle: grad_out is not the output's shape"};
+  OracleResult r{Tensor{grad_out.shape()}, Tensor{x.shape()}, Tensor{w.shape()},
+                 Tensor{b.shape()}};
+  // Calls f(x index, w index) for each in-bounds tap of output (i, oc, oy,
+  // ox), in (ic, ky, kx) order.
+  const auto taps = [&](std::size_t i, std::size_t oc, std::size_t oy,
+                        std::size_t ox, auto&& f) {
+    for (std::size_t ic = depthwise ? oc : 0; ic < (depthwise ? oc + 1 : in_c); ++ic) {
+      const std::size_t wc = depthwise ? oc : oc * in_c + ic;
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        const std::size_t iy = oy * stride + ky;
+        if (iy < pad || iy >= pad + h) continue;
+        for (std::size_t kx = 0; kx < k; ++kx) {
+          const std::size_t ix = ox * stride + kx;
+          if (ix < pad || ix >= pad + wd) continue;
+          f(((i * in_c + ic) * h + iy - pad) * wd + ix - pad, (wc * k + ky) * k + kx);
+        }
+      }
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t oc = 0; oc < out_c; ++oc)
+      for (std::size_t oy = 0; oy < oh; ++oy)
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          const std::size_t o = ((i * out_c + oc) * oh + oy) * ow + ox;
+          float s = b[oc];
+          taps(i, oc, oy, ox,
+               [&](std::size_t xi, std::size_t wi) { s += w[wi] * x[xi]; });
+          r.y[o] = s;
+          const float g = grad_out[o];
+          if (g == 0.0f) continue;
+          r.db[oc] += g;
+          taps(i, oc, oy, ox, [&](std::size_t xi, std::size_t wi) {
+            r.dw[wi] += g * x[xi];
+            r.dx[xi] += g * w[wi];
+          });
+        }
+  return r;
 }
 
-TEST(ConvBackendTest, Conv2DGemmMatchesReference) {
+// Runs the layer's training forward and backward once, with a random output
+// gradient, and compares its output, input gradient and parameter gradients
+// with the oracle's over the layer's own params() as they are now.
+void compare_with_oracle(ml::Layer& layer, const ConvCase& c, bool depthwise,
+                         const Tensor& x, Rng& grad_rng, const std::string& what) {
+  const Tensor y = layer.forward_train(x);
+  Tensor grad_out{y.shape()};
+  for (auto& v : grad_out.flat()) v = static_cast<float>(grad_rng.normal(0.0, 1.0));
+  const auto params = layer.params();
+  ASSERT_EQ(params.size(), 2u) << what;
+  for (ml::Param* p : params) p->zero_grad();
+  const Tensor gx = layer.backward(grad_out, true);
+  const OracleResult want = conv_oracle(x, params[0]->value, params[1]->value,
+                                        c.stride, c.pad, depthwise, grad_out);
+  expect_close(y, want.y, 1e-5, what + " forward");
+  expect_close(gx, want.dx, 1e-4, what + " grad_in");
+  expect_close(params[0]->grad, want.dw, 1e-4, what + " weight grad");
+  expect_close(params[1]->grad, want.db, 1e-4, what + " bias grad");
+}
+
+TEST(ConvOracleTest, Conv2DGemmMatchesReference) {
   const ConvCase cases[] = {
       {2, 3, 8, 3, 1, 1, 9, 11},   // same-padded 3x3
       {3, 4, 6, 5, 2, 2, 12, 10},  // strided 5x5
       {2, 1, 4, 3, 2, 0, 8, 8},    // no padding, stride 2
       {1, 5, 7, 1, 1, 0, 6, 6},    // pointwise 1x1
+      {2, 6, 12, 1, 2, 0, 9, 7},   // 1x1 stride 2: ResNetLite's projection
   };
   std::uint64_t seed = 100;
   for (const auto& c : cases) {
     SCOPED_TRACE(::testing::Message() << "k=" << c.k << " stride=" << c.stride
                                       << " pad=" << c.pad);
-    Rng init_a{seed}, init_b{seed};
-    ml::Conv2D gemm{c.in_c, c.out_c, c.k, c.stride, c.pad, init_a};
-    ml::Conv2D ref{c.in_c, c.out_c, c.k, c.stride, c.pad, init_b};
+    Rng init{seed};
+    ml::Conv2D conv{c.in_c, c.out_c, c.k, c.stride, c.pad, init};
     Rng data_rng{seed + 1};
     const Tensor x = random_tensor({c.n, c.in_c, c.h, c.w}, data_rng);
-    compare_backends(gemm, ref, x, data_rng, "Conv2D");
+    compare_with_oracle(conv, c, false, x, data_rng, "Conv2D");
     seed += 10;
   }
 }
@@ -226,7 +276,7 @@ TEST(ConvBackendTest, Conv2DGemmMatchesReference) {
 // widths below leave every tail (1-7 columns at 4 and 8 lanes, and an
 // all-tail row), stride 2 reads the phases of odd padded widths, and 5x5
 // kernels with pad 2 run at stride 1 and 2.
-TEST(ConvBackendTest, DepthwiseConv2DGemmMatchesReference) {
+TEST(ConvOracleTest, DepthwiseConv2DGemmMatchesReference) {
   const ConvCase cases[] = {
       {2, 6, 6, 3, 1, 1, 10, 9},  // same-padded 3x3 (ow 9)
       {3, 4, 4, 3, 2, 1, 11, 7},  // strided, padded width 9 (ow 4)
@@ -247,22 +297,21 @@ TEST(ConvBackendTest, DepthwiseConv2DGemmMatchesReference) {
   for (const auto& c : cases) {
     SCOPED_TRACE(::testing::Message() << "c=" << c.in_c << " k=" << c.k
                                       << " stride=" << c.stride << " w=" << c.w);
-    Rng init_a{seed}, init_b{seed};
-    ml::DepthwiseConv2D gemm{c.in_c, c.k, c.stride, c.pad, init_a};
-    ml::DepthwiseConv2D ref{c.in_c, c.k, c.stride, c.pad, init_b};
+    Rng init{seed};
+    ml::DepthwiseConv2D conv{c.in_c, c.k, c.stride, c.pad, init};
     Rng data_rng{seed + 1};
     const Tensor x = random_tensor({c.n, c.in_c, c.h, c.w}, data_rng);
-    compare_backends(gemm, ref, x, data_rng, "DepthwiseConv2D");
+    compare_with_oracle(conv, c, true, x, data_rng, "DepthwiseConv2D");
     seed += 10;
   }
 }
 
 // The input gradient reads the weights as they are at backward time: after
-// one forward and backward per backend, both convs' parameters are written
-// in place (v = -2v + 0.25, no optimizer involved) and the comparison runs
-// again.  A copy of the weights kept from the first backward would hand the
-// second one a stale input gradient.
-TEST(ConvBackendTest, Conv2DInputGradientFollowsADirectWeightWrite) {
+// one forward and backward, the conv's parameters are written in place
+// (v = -2v + 0.25, no optimizer involved) and the comparison runs again.  A
+// copy of the weights kept from the first backward would hand the second
+// one a stale input gradient.
+TEST(ConvOracleTest, Conv2DInputGradientFollowsADirectWeightWrite) {
   const ConvCase cases[] = {
       {2, 3, 8, 3, 1, 1, 9, 11},  // same-padded 3x3
       {1, 5, 7, 1, 1, 0, 6, 6},   // pointwise 1x1
@@ -270,30 +319,28 @@ TEST(ConvBackendTest, Conv2DInputGradientFollowsADirectWeightWrite) {
   std::uint64_t seed = 300;
   for (const auto& c : cases) {
     SCOPED_TRACE(::testing::Message() << "k=" << c.k << " pad=" << c.pad);
-    Rng init_a{seed}, init_b{seed};
-    ml::Conv2D gemm{c.in_c, c.out_c, c.k, c.stride, c.pad, init_a};
-    ml::Conv2D ref{c.in_c, c.out_c, c.k, c.stride, c.pad, init_b};
+    Rng init{seed};
+    ml::Conv2D conv{c.in_c, c.out_c, c.k, c.stride, c.pad, init};
     Rng data_rng{seed + 1};
     const Tensor x = random_tensor({c.n, c.in_c, c.h, c.w}, data_rng);
-    compare_backends(gemm, ref, x, data_rng, "Conv2D");
-    for (ml::Conv2D* conv : {&gemm, &ref})
-      for (ml::Param* p : conv->params())
-        for (float& v : p->value.flat()) v = -2.0f * v + 0.25f;
-    compare_backends(gemm, ref, x, data_rng, "Conv2D after a weight write");
+    compare_with_oracle(conv, c, false, x, data_rng, "Conv2D");
+    for (ml::Param* p : conv.params())
+      for (float& v : p->value.flat()) v = -2.0f * v + 0.25f;
+    compare_with_oracle(conv, c, false, x, data_rng, "Conv2D after a weight write");
     seed += 10;
   }
 }
 
-TEST(ConvBackendTest, GemmBackendStaysParallelSafe) {
+TEST(ConvOracleTest, GemmBackendStaysParallelSafe) {
   // Same comparison with a multi-thread pool active: chunking must not change
-  // the GEMM results (the reference path is serial either way).
+  // the layer's results (the oracle is serial either way).
   ThreadCountGuard guard{4};
-  Rng init_a{42}, init_b{42};
-  ml::Conv2D gemm{4, 8, 3, 1, 1, init_a};
-  ml::Conv2D ref{4, 8, 3, 1, 1, init_b};
+  const ConvCase c{4, 4, 8, 3, 1, 1, 12, 12};
+  Rng init{42};
+  ml::Conv2D conv{c.in_c, c.out_c, c.k, c.stride, c.pad, init};
   Rng data_rng{43};
-  const Tensor x = random_tensor({4, 4, 12, 12}, data_rng);
-  compare_backends(gemm, ref, x, data_rng, "Conv2D(4 threads)");
+  const Tensor x = random_tensor({c.n, c.in_c, c.h, c.w}, data_rng);
+  compare_with_oracle(conv, c, false, x, data_rng, "Conv2D(4 threads)");
 }
 
 // ---------------------------------------------------------------------------
