@@ -8,10 +8,10 @@
 namespace sb::ml {
 
 // Standard convolution: x [N, inC, H, W] -> [N, outC, H', W'], lowered to
-// im2col plus the shared GEMM kernels.  Backward
-// takes dW from matmul_nn over the transposed patch matrix and dX from
-// matmul_tn over the weights as they are; with want_input_grad == false it
-// computes no input gradient at all.
+// im2col plus the shared GEMM kernels.  Backward takes dW from matmul_nn
+// over the transposed patch matrix and dX from matmul_tn over the weights
+// as they are; with want_input_grad == false it computes no input gradient
+// at all.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
