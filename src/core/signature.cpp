@@ -1,6 +1,7 @@
 #include "core/signature.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -58,18 +59,23 @@ ml::Tensor compute_signature(acoustics::AudioView audio,
   const auto shape = signature_shape(config);
   ml::Tensor out({1, shape.channels, shape.frames, shape.bands});
 
-  // Channels are filtered/analysed independently and fill disjoint slices of
-  // the output tensor.
-  util::parallel_for(static_cast<std::size_t>(sensors::kNumMics), [&](std::size_t ci) {
-    // 6 kHz anti-spoofing low-pass before analysis.  Filtered samples and
-    // band features live in workspace scratch (fully overwritten below), so
-    // the per-window signature path stays off the heap in steady state.
-    dsp::BiquadCascade lp = dsp::BiquadCascade::low_pass(
-        config.lowpass_hz, audio.sample_rate, config.lowpass_sections);
-    util::Scratch<double> filtered{n};
-    lp.process_into(audio.channels[ci], filtered.span());
+  // 6 kHz anti-spoofing low-pass before analysis, every channel in one pass
+  // (lane = mic on the vector backend).  Filtered samples and band features
+  // live in workspace scratch (fully overwritten below), so the per-window
+  // signature path stays off the heap in steady state.
+  static_assert(sensors::kNumMics == dsp::kLaneChannels);
+  util::Scratch<double> filtered{sensors::kNumMics * n};
+  std::array<std::span<double>, sensors::kNumMics> channel;
+  for (std::size_t ci = 0; ci < channel.size(); ++ci)
+    channel[ci] = filtered.span().subspan(ci * n, n);
+  dsp::BiquadCascade::low_pass(config.lowpass_hz, audio.sample_rate,
+                               config.lowpass_sections)
+      .process_channels_into(audio.channels, channel);
 
-    const auto spec = dsp::stft(filtered.span(), stft_cfg);
+  // Channels are analysed independently and fill disjoint slices of the
+  // output tensor.
+  util::parallel_for(channel.size(), [&](std::size_t ci) {
+    const auto spec = dsp::stft(channel[ci], stft_cfg);
     util::Scratch<double> feats{spec.num_frames * config.bands.bands_per_frame};
     dsp::band_features_into(spec, config.bands, feats.span());
     const std::size_t frames = std::min<std::size_t>(spec.num_frames, shape.frames);

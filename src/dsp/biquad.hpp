@@ -3,6 +3,7 @@
 // acoustic pipeline (paper §III-A).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -41,10 +42,15 @@ class Biquad {
   double magnitude_at(double hz, double sample_rate) const;
 
  private:
+  friend class BiquadCascade;  // process_channels_into reads the coefficients
   Biquad(double b0, double b1, double b2, double a1, double a2);
   double b0_, b1_, b2_, a1_, a2_;
   double x1_ = 0, x2_ = 0, y1_ = 0, y2_ = 0;
 };
+
+// Channels BiquadCascade::process_channels_into filters in one pass: the
+// four microphones.
+inline constexpr std::size_t kLaneChannels = 4;
 
 // Cascade of biquads for steeper roll-off.
 class BiquadCascade {
@@ -58,6 +64,18 @@ class BiquadCascade {
   // Allocation-free variant for hot paths; sizes must match (throws).
   void process_into(std::span<const double> xs, std::span<double> out);
   void reset();
+
+  // Filters kLaneChannels equal-length channels, each from zero state, and
+  // leaves this cascade's state untouched: out[c] holds bitwise what a
+  // reset copy's process_into(in[c], out[c]) writes.  The vector backend
+  // runs the channels as lanes (lane = channel) through an interleaving
+  // block of 256 samples per channel from the workspace pool, sweeping each
+  // block once per pair of sections with both sections' state in registers
+  // and each lane in Biquad::process's operation order; the scalar backend
+  // runs the per-channel loop.  Sizes must match (throws).
+  void process_channels_into(
+      std::span<const std::span<const double>, kLaneChannels> in,
+      std::span<const std::span<double>, kLaneChannels> out) const;
 
  private:
   // Pool-allocated: cascades are built per analysis window on the streaming

@@ -53,8 +53,10 @@ struct FftPlan {
 };
 
 // Plans are immutable once built and shared across threads; the mutex only
-// guards the map itself.
-std::shared_ptr<const FftPlan> get_plan(std::size_t n) {
+// guards the map itself.  A caller that runs `transforms` transforms off the
+// plan counts each as one lookup, the first a miss if the plan is new, so
+// the counters read the same whether frames go one by one or in lanes.
+std::shared_ptr<const FftPlan> get_plan(std::size_t n, std::size_t transforms = 1) {
   static std::mutex mutex;
   static std::unordered_map<std::size_t, std::shared_ptr<const FftPlan>> cache;
   // Hit/miss counters are always on: one relaxed add under a mutex we hold
@@ -66,8 +68,9 @@ std::shared_ptr<const FftPlan> get_plan(std::size_t n) {
   if (!slot) {
     slot = std::make_shared<const FftPlan>(n);
     misses.add();
+    hits.add(transforms - 1);
   } else {
-    hits.add();
+    hits.add(transforms);
   }
   return slot;
 }
@@ -76,33 +79,14 @@ std::shared_ptr<const FftPlan> get_plan(std::size_t n) {
 // data, reading the stage's len/2 twiddles.  Every butterfly computes
 //   v = (xr*wr - xi*wi, xr*wi + xi*wr);  lo = u + v;  hi = u - v
 // (the naive complex multiply, which std::complex also lowers to for finite
-// operands).  The vector body holds two complexes side by side in AVX2's
-// four double lanes and util::simd::cmul keeps that per-component
-// operation order, so the body and the scalar tail are bitwise-identical
-// (this TU pins -ffp-contract=off so no FMA can fuse the mul-sub/mul-add
-// pairs).  At 2 double lanes (SSE2/NEON) one complex per vector measured
-// ~2x slower than the scalar loop, so only AVX2 carries the complex
-// helpers; the guard is the preprocessor's because a non-template function
-// compiles both arms of an if constexpr.
-void stage(double* d, std::size_t n, std::size_t len, const double* tw,
-           [[maybe_unused]] bool vec) {
+// operands).  The lanes kernel below runs this same butterfly across
+// frames.
+void stage(double* d, std::size_t n, std::size_t len, const double* tw) {
   const std::size_t half = len / 2;
   for (std::size_t i = 0; i < n; i += len) {
     double* lo = d + 2 * i;
     double* hi = lo + 2 * half;
-    std::size_t k = 0;
-#if defined(SB_SIMD_AVX2)
-    namespace v = util::simd;
-    if (vec)
-      for (; k + 2 <= half; k += 2) {
-        const v::VDouble w = v::loadd(tw + 2 * k);
-        const v::VDouble u = v::loadd(lo + 2 * k);
-        const v::VDouble vv = v::cmul(v::loadd(hi + 2 * k), w);
-        v::stored(lo + 2 * k, v::addd(u, vv));
-        v::stored(hi + 2 * k, v::subd(u, vv));
-      }
-#endif
-    for (; k < half; ++k) {
+    for (std::size_t k = 0; k < half; ++k) {
       const double wr = tw[2 * k], wi = tw[2 * k + 1];
       const double xr = hi[2 * k], xi = hi[2 * k + 1];
       const double vr = xr * wr - xi * wi;
@@ -130,10 +114,9 @@ void transform(double* d, std::size_t m, const FftPlan& plan, std::size_t stride
       std::swap(d[2 * i + 1], d[2 * j + 1]);
     }
   }
-  const bool vec = util::simd_enabled();
   const double* tw = plan.tw.data();
   for (std::size_t len = 2; len <= m; len <<= 1) {
-    stage(d, m, len, tw, vec);
+    stage(d, m, len, tw);
     tw += len;  // this stage read len/2 interleaved twiddles
   }
 }
@@ -198,6 +181,105 @@ void real_fft_magnitudes(std::span<const double> frame,
     const double wr = w[2 * k], wi = w[2 * k + 1];
     mags[k] = mag(ev_r + (od_r * wr - od_i * wi), ev_i + (od_r * wi + od_i * wr),
                   half);
+  }
+}
+
+void real_fft_magnitudes_lanes(std::span<const std::span<const double>> frames,
+                               std::span<const double> window, double scale,
+                               std::span<const std::span<double>> mags) {
+  namespace simd = util::simd;
+  using simd::VDouble;
+  constexpr std::size_t kLanes = simd::kDoubleLanes;
+  const std::size_t count = frames.size();
+  if (count == 0 || count > kLanes || mags.size() != count)
+    throw std::invalid_argument{
+        "real_fft_magnitudes_lanes: 1 to kDoubleLanes frames, one mags row each"};
+  const std::size_t n = frames[0].size();
+  for (const auto& f : frames)
+    if (f.size() != n)
+      throw std::invalid_argument{"real_fft_magnitudes_lanes: frame sizes differ"};
+  if (!is_pow2(n) || window.size() != n)
+    throw std::invalid_argument{
+        "real_fft_magnitudes_lanes: size must be a power of two, with a window "
+        "of that size"};
+  if (!util::simd_enabled() || n == 1) {
+    for (std::size_t l = 0; l < count; ++l)
+      real_fft_magnitudes(frames[l], window, scale, mags[l]);
+    return;
+  }
+  const auto plan = get_plan(n, count);
+  const std::size_t m = n / 2;
+
+  // Lane l of vector i holds frame l's complex i: split arrays, re[i·L + l]
+  // and im[i·L + l].  Spare lanes of a short group repeat its last frame.
+  util::Scratch<double> buf{2 * m * kLanes};
+  double* re = buf.data();
+  double* im = re + m * kLanes;
+  const double* src[kLanes];
+  for (std::size_t l = 0; l < kLanes; ++l)
+    src[l] = frames[std::min(l, count - 1)].data();
+  // Each frame packs as z_j = x_2j + i·x_2j+1, loaded straight into the
+  // bit-reversed position that real_fft_magnitudes' swaps move it to.
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t j = 2 * plan->rev[2 * i];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      re[i * kLanes + l] = src[l][j] * window[j];
+      im[i * kLanes + l] = src[l][j + 1] * window[j + 1];
+    }
+  }
+
+  // stage()'s butterflies, the twiddle broadcast to every lane.
+  const double* tw = plan->tw.data();
+  for (std::size_t len = 2; len <= m; len <<= 1) {
+    const std::size_t half = len / 2;
+    for (std::size_t k = 0; k < half; ++k) {
+      const VDouble wr = simd::broadcastd(tw[2 * k]);
+      const VDouble wi = simd::broadcastd(tw[2 * k + 1]);
+      for (std::size_t i = k; i < m; i += len) {
+        double* lo_r = re + i * kLanes;
+        double* lo_i = im + i * kLanes;
+        double* hi_r = lo_r + half * kLanes;
+        double* hi_i = lo_i + half * kLanes;
+        const VDouble xr = simd::loadd(hi_r), xi = simd::loadd(hi_i);
+        const VDouble vr = simd::subd(simd::muld(xr, wr), simd::muld(xi, wi));
+        const VDouble vi = simd::addd(simd::muld(xr, wi), simd::muld(xi, wr));
+        const VDouble ur = simd::loadd(lo_r), ui = simd::loadd(lo_i);
+        simd::stored(lo_r, simd::addd(ur, vr));
+        simd::stored(lo_i, simd::addd(ui, vi));
+        simd::stored(hi_r, simd::subd(ur, vr));
+        simd::stored(hi_i, simd::subd(ui, vi));
+      }
+    }
+    tw += len;
+  }
+
+  // real_fft_magnitudes' split pass and magnitudes, one bin of every frame
+  // per step.
+  const auto mag = [](VDouble r, VDouble i, VDouble s) {
+    return simd::muld(simd::sqrtd(simd::addd(simd::muld(r, r), simd::muld(i, i))), s);
+  };
+  double row[kLanes];
+  const auto put = [&](std::size_t k, VDouble v) {
+    simd::stored(row, v);
+    for (std::size_t l = 0; l < count; ++l) mags[l][k] = row[l];
+  };
+  const VDouble zero = simd::broadcastd(0.0);
+  const VDouble full = simd::broadcastd(scale);
+  const VDouble z0r = simd::loadd(re), z0i = simd::loadd(im);
+  put(0, mag(simd::addd(z0r, z0i), zero, full));
+  put(m, mag(simd::subd(z0r, z0i), zero, full));
+  const VDouble half = simd::broadcastd(0.5 * scale);
+  const double* w = plan->tw.data() + (n - 2);
+  for (std::size_t k = 1; k < m; ++k) {
+    const VDouble ar = simd::loadd(re + k * kLanes), ai = simd::loadd(im + k * kLanes);
+    const VDouble br = simd::loadd(re + (m - k) * kLanes);
+    const VDouble bi = simd::loadd(im + (m - k) * kLanes);
+    const VDouble ev_r = simd::addd(ar, br), ev_i = simd::subd(ai, bi);
+    const VDouble od_r = simd::addd(ai, bi), od_i = simd::subd(br, ar);
+    const VDouble wr = simd::broadcastd(w[2 * k]), wi = simd::broadcastd(w[2 * k + 1]);
+    put(k, mag(simd::addd(ev_r, simd::subd(simd::muld(od_r, wr), simd::muld(od_i, wi))),
+               simd::addd(ev_i, simd::addd(simd::muld(od_r, wi), simd::muld(od_i, wr))),
+               half));
   }
 }
 

@@ -11,8 +11,7 @@ namespace sb::dsp {
 
 // In-place iterative radix-2 Cooley–Tukey forward transform.  data.size()
 // must be a power of two (throws std::invalid_argument otherwise).  It reads
-// a memoized per-size plan; the scalar and vector butterflies are
-// bitwise-identical (pinned by simd_test).
+// a memoized per-size plan.
 void fft(std::span<std::complex<double>> data);
 
 // Scaled magnitudes of the DFT of one real frame: mags[k] = |X_k|·scale for
@@ -22,10 +21,24 @@ void fft(std::span<std::complex<double>> data);
 // mags holds n/2 + 1.  The n reals run as one n/2-point complex transform
 // plus a split pass, and each magnitude is sqrt(re² + im²)·scale.  One plan
 // lookup per call: the n-point plan holds the half-size transform's tables
-// and the split twiddles.  The STFT frame loop calls it once per frame.
+// and the split twiddles.
 void real_fft_magnitudes(std::span<const double> frame,
                          std::span<const double> window, double scale,
                          std::span<double> mags);
+
+// real_fft_magnitudes of 1 to util::simd::kDoubleLanes windowed frames of
+// one size: mags[l] gets bitwise what real_fft_magnitudes(frames[l], window,
+// scale, mags[l]) writes, and the plan counts one lookup per frame.  The
+// window must hold one value per sample (throws otherwise).  The vector
+// backend runs one frame per lane (spare lanes repeat the last frame): the
+// windowed samples load straight into bit-reversed position, every
+// butterfly, the split pass and the sqrt run across the frames in each
+// frame's scalar operation order, and vector sqrt is correctly rounded.
+// The scalar backend calls real_fft_magnitudes per frame.  The STFT runs
+// its frames through this in fixed groups.
+void real_fft_magnitudes_lanes(std::span<const std::span<const double>> frames,
+                               std::span<const double> window, double scale,
+                               std::span<const std::span<double>> mags);
 
 // Magnitude spectrum of a real signal, zero-padded to the next power of two
 // N: bins [0, N/2], scaled by 2/size so a unit-amplitude sinusoid at a bin

@@ -1,12 +1,14 @@
 #include "dsp/spectrogram.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "dsp/fft.hpp"
 #include "dsp/window.hpp"
 #include "obs/trace.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sb::dsp {
@@ -31,11 +33,24 @@ Spectrogram stft(std::span<const double> signal, const StftConfig& config) {
   out.mags.resize(out.num_frames * out.num_bins);
 
   // Frames are independent and write disjoint rows of the magnitude matrix.
-  util::parallel_for_ranges(out.num_frames, [&](std::size_t f0, std::size_t f1) {
-    for (std::size_t f = f0; f < f1; ++f)
-      real_fft_magnitudes(signal.subspan(f * config.hop_size, config.frame_size),
-                          *window, norm,
-                          std::span{out.mags}.subspan(f * out.num_bins, out.num_bins));
+  // They run in fixed groups of kDoubleLanes consecutive frames, one frame
+  // per lane, and the pool chunks whole groups: the frame index alone
+  // decides which frames share a vector, never the thread count.
+  constexpr std::size_t kGroup = util::simd::kDoubleLanes;
+  const std::size_t groups = (out.num_frames + kGroup - 1) / kGroup;
+  util::parallel_for_ranges(groups, [&](std::size_t g0, std::size_t g1) {
+    for (std::size_t g = g0; g < g1; ++g) {
+      const std::size_t f0 = g * kGroup;
+      const std::size_t count = std::min(kGroup, out.num_frames - f0);
+      std::array<std::span<const double>, kGroup> frames;
+      std::array<std::span<double>, kGroup> rows;
+      for (std::size_t l = 0; l < count; ++l) {
+        frames[l] = signal.subspan((f0 + l) * config.hop_size, config.frame_size);
+        rows[l] = std::span{out.mags}.subspan((f0 + l) * out.num_bins, out.num_bins);
+      }
+      real_fft_magnitudes_lanes(std::span{frames}.first(count), *window, norm,
+                                std::span{rows}.first(count));
+    }
   });
   return out;
 }

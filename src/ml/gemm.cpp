@@ -33,8 +33,8 @@ void count_flops(std::size_t m, std::size_t k, std::size_t n) {
 // Vectorized 4-row x lane-width C tile: lanes span independent output
 // COLUMNS, kk advances strictly ascending inside the tile, and each lane
 // performs the same mul-then-add as the scalar kernel — so the result is
-// bitwise-identical to the scalar path (no FMA: this TU is built with
-// -ffp-contract=off).  The C tile lives in registers across the whole kk
+// bitwise-identical to the scalar path (no FMA: every library TU is built
+// with -ffp-contract=off).  The C tile lives in registers across the whole kk
 // sweep, which is also where the speedup comes from.
 //
 // Both row kernels read A through a row stride `rs` and a column stride

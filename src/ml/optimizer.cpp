@@ -1,6 +1,7 @@
-// Kernel TU (SB_KERNEL_SOURCES, -ffp-contract=off): the fused Adam sweep
-// below mixes a scalar loop and a vector path built on util/simd.hpp's
-// correctly-rounded double ops, and the two must stay bitwise-identical.
+// Kernel TU (built with -ffp-contract=off like every library TU): the
+// fused Adam sweep below mixes a scalar loop and a vector path built on
+// util/simd.hpp's correctly-rounded double ops, and the two must stay
+// bitwise-identical.
 #include "ml/optimizer.hpp"
 
 #include <cmath>

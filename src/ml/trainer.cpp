@@ -1,5 +1,6 @@
-// Kernel TU (SB_KERNEL_SOURCES, -ffp-contract=off): the gradient reduction
-// below has scalar and vector paths that must stay bitwise-identical.
+// Kernel TU (built with -ffp-contract=off like every library TU): the
+// gradient reduction below has scalar and vector paths that must stay
+// bitwise-identical.
 #include "ml/trainer.hpp"
 
 #include <algorithm>

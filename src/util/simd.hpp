@@ -15,8 +15,8 @@
 // ordered (false on NaN) like the scalar operators.  Kernels built on these
 // ops keep each output element's scalar operation order, so the vector path
 // is bitwise-identical to the scalar path as long as lanes span INDEPENDENT
-// output elements and the kernel TU is compiled with -ffp-contract=off (no
-// FMA contraction; see src/CMakeLists.txt).  Transcendentals (tanh, exp,
+// output elements and no FMA contracts them: src/CMakeLists.txt compiles
+// every library TU with -ffp-contract=off.  Transcendentals (tanh, exp,
 // log, hypot) are deliberately absent: they cannot match libm bitwise.
 //
 // One boundary: when a REDUCTION mixes NaNs with different payloads, which
@@ -110,19 +110,6 @@ inline VDouble widen(const float* p) {
 inline VFloat narrow2(VDouble lo, VDouble hi) {
   return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo)),
                               _mm256_cvtpd_ps(hi), 1);
-}
-// Interleaved-complex helpers ([re, im, re, im] layout, 2 complexes/vector)
-// for the FFT butterflies.  Only AVX2 has them: at 2 double lanes a vector
-// holds one complex, and the FFT's scalar loop beats that.
-inline VDouble dup_even(VDouble a) { return _mm256_movedup_pd(a); }
-inline VDouble dup_odd(VDouble a) { return _mm256_permute_pd(a, 0xF); }
-inline VDouble swap_pairs(VDouble a) { return _mm256_permute_pd(a, 0x5); }
-// even lanes: a - b, odd lanes: a + b.
-inline VDouble addsub(VDouble a, VDouble b) { return _mm256_addsub_pd(a, b); }
-// Interleaved complex multiply x*w over [re, im, ...] pairs, with the exact
-// per-component operation order of `(xr*wr - xi*wi, xr*wi + xi*wr)`.
-inline VDouble cmul(VDouble x, VDouble w) {
-  return addsub(muld(dup_even(x), w), muld(dup_odd(x), swap_pairs(w)));
 }
 
 #elif defined(SB_SIMD_SSE2)

@@ -34,6 +34,39 @@ TEST(Fft, RejectsNonPowerOfTwo) {
   EXPECT_THROW(fft(data), std::invalid_argument);
   std::vector<double> frame(100), mags(51);
   EXPECT_THROW(real_fft_magnitudes(frame, {}, 1.0, mags), std::invalid_argument);
+  const std::span<const double> frames[] = {frame};
+  const std::span<double> rows[] = {mags};
+  EXPECT_THROW(real_fft_magnitudes_lanes(frames, frame, 1.0, rows),
+               std::invalid_argument);
+}
+
+// The lanes kernel checks its group on both backends: one mags row per
+// frame, 1 to kDoubleLanes frames of one size, and a window of that size.
+TEST(Fft, LanesRejectMismatchedShapes) {
+  for (const auto backend : {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+    SimdBackendGuard guard{backend};
+    std::vector<double> a(64, 1.0), b(32, 1.0), mags_a(33), mags_b(33);
+    const std::vector<double> window(64, 1.0);
+    const std::span<const double> one[] = {a};
+    const std::span<double> one_row[] = {mags_a};
+    EXPECT_NO_THROW(real_fft_magnitudes_lanes(one, window, 1.0, one_row));
+    EXPECT_THROW(real_fft_magnitudes_lanes(one, {}, 1.0, one_row),
+                 std::invalid_argument);
+    EXPECT_THROW(real_fft_magnitudes_lanes(one, b, 1.0, one_row),
+                 std::invalid_argument);
+    EXPECT_THROW(real_fft_magnitudes_lanes({}, window, 1.0, {}),
+                 std::invalid_argument);
+    const std::span<const double> mixed[] = {a, b};
+    const std::span<double> two_rows[] = {mags_a, mags_b};
+    EXPECT_THROW(real_fft_magnitudes_lanes(mixed, window, 1.0, two_rows),
+                 std::invalid_argument);
+    EXPECT_THROW(real_fft_magnitudes_lanes(mixed, window, 1.0, one_row),
+                 std::invalid_argument);
+    std::vector<std::span<const double>> too_many(util::simd::kDoubleLanes + 1, a);
+    std::vector<std::span<double>> rows(too_many.size(), mags_a);
+    EXPECT_THROW(real_fft_magnitudes_lanes(too_many, window, 1.0, rows),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Fft, ImpulseGivesFlatSpectrum) {

@@ -6,7 +6,9 @@
 //     ascending-k loop on ragged shapes (k in {0,1}, non-multiple-of-lane
 //     N, non-multiple-of-tile M, strided sub-blocks) — bitwise, not
 //     approximately,
-//   * FFT butterflies across sizes,
+//   * the STFT's lanes across frames and the four-mic low-pass's lanes
+//     across mics against their per-frame and per-channel scalar loops, on
+//     special values,
 //   * elementwise layers (ReLU, BatchNorm, ResidualBlock's post-sum ReLU)
 //     fed NaN/infinity/denormal inputs — the vector masks must keep the
 //     exact scalar special-value behaviour — and BatchNorm's fused
@@ -18,8 +20,8 @@
 //     the prepare_signature -> predict_prepared serving path.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
-#include <complex>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -27,7 +29,9 @@
 
 #include "core/sensory_mapper.hpp"
 #include "core/signature.hpp"
-#include "dsp/fft.hpp"
+#include "dsp/biquad.hpp"
+#include "dsp/features.hpp"
+#include "dsp/spectrogram.hpp"
 #include "dsp/window.hpp"
 #include "ml/conv.hpp"
 #include "ml/gemm.hpp"
@@ -65,6 +69,7 @@ template <typename T>
 void expect_bits_equal(const std::vector<T>& a, const std::vector<T>& b,
                        const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
+  if (a.empty()) return;  // memcmp must not see an empty vector's null data()
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0) << what;
 }
 
@@ -244,28 +249,120 @@ TEST(SimdGemmTest, MatmulNnBitIdenticalOnStridedSubBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// FFT.
+// Signature front end: the STFT's lanes across frames and the low-pass's
+// lanes across mics.
 
-TEST(SimdFftTest, ForwardBitIdenticalAcrossBackends) {
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                        std::size_t{8}, std::size_t{16}, std::size_t{128},
-                        std::size_t{1024}}) {
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    Rng rng{9000 + n};
-    std::vector<std::complex<double>> data(n);
-    for (auto& z : data) z = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
+// The hardware's default NaN, made at run time: Inf - Inf and Inf * 0 inside
+// the kernels produce this same payload, so a special-value input carries a
+// single NaN payload and raw-bit comparison stays exact.
+double default_nan() {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
 
-    auto run = [&](util::SimdBackend backend) {
-      SimdBackendGuard guard{backend};
-      auto copy = data;
-      dsp::fft(copy);
-      // Compare raw doubles, not complex (operator== would miss -0.0/NaN).
-      std::vector<double> flat(2 * n);
-      std::memcpy(flat.data(), copy.data(), flat.size() * sizeof(double));
-      return flat;
-    };
-    expect_bits_equal(run(util::SimdBackend::kVector),
-                      run(util::SimdBackend::kScalar), "fft");
+// `n` samples of noise whose first samples are NaN, infinities, signed
+// zeros, denormals and DBL_MAX (as many as fit).
+std::vector<double> special_value_signal(std::size_t n, std::uint64_t seed) {
+  const double specials[] = {default_nan(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max()};
+  Rng rng{seed};
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i)
+    x[i] = i < std::size(specials) ? specials[i] : rng.normal(0.0, 1.0);
+  return x;
+}
+
+// The STFT under the vector backend (frames in fixed groups of
+// kDoubleLanes, one frame per lane) against the scalar backend's per-frame
+// real_fft_magnitudes, at 1 and 4 threads: frame counts that leave full and
+// partial groups at 2 and 4 lanes, several frame sizes and hops, and a
+// signal that opens with special values.
+TEST(SimdFftTest, StftBitIdenticalAcrossBackendsAndThreads) {
+  const std::size_t counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 14};
+  for (const std::size_t frame : {std::size_t{4}, std::size_t{8},
+                                  std::size_t{64}, std::size_t{1024}}) {
+    for (const std::size_t hop :
+         {std::size_t{1}, std::size_t{3}, frame / 2, frame, frame + 5}) {
+      for (const std::size_t frames : counts) {
+        SCOPED_TRACE(::testing::Message() << "frame=" << frame << " hop=" << hop
+                                          << " frames=" << frames);
+        const auto signal =
+            special_value_signal(frame + (frames - 1) * hop, frame + hop + frames);
+        dsp::StftConfig cfg;
+        cfg.frame_size = frame;
+        cfg.hop_size = hop;
+        const auto run = [&](util::SimdBackend backend, std::size_t threads) {
+          SimdBackendGuard simd{backend};
+          ThreadCountGuard pool{threads};
+          const auto spec = dsp::stft(signal, cfg);
+          EXPECT_EQ(spec.num_frames, frames);
+          return std::vector<double>(spec.mags.begin(), spec.mags.end());
+        };
+        const auto want = run(util::SimdBackend::kScalar, 1);
+        expect_bits_equal(run(util::SimdBackend::kVector, 1), want, "vector/1");
+        expect_bits_equal(run(util::SimdBackend::kVector, 4), want, "vector/4");
+        expect_bits_equal(run(util::SimdBackend::kScalar, 4), want, "scalar/4");
+      }
+    }
+  }
+}
+
+// The four-channel low-pass against four fresh BiquadCascade::low_pass
+// cascades, channel by channel, on both backends: lengths around the
+// 256-sample interleaving block, 1 to 3 sections (3 runs a fused pair and
+// then a single section), and special values in one channel only, whose
+// NaNs and infinities must stay in that mic.
+TEST(SimdBiquadTest, FourChannelLowPassMatchesPerChannelCascades) {
+  constexpr std::size_t kSpecialMic = 2;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{3}, std::size_t{17}, std::size_t{257},
+                              std::size_t{8000}}) {
+    std::array<std::vector<double>, dsp::kLaneChannels> in;
+    for (std::size_t c = 0; c < in.size(); ++c) {
+      Rng rng{50 + 10 * n + c};
+      in[c].resize(n);
+      for (auto& v : in[c]) v = rng.normal(0.0, 1.0);
+    }
+    in[kSpecialMic] = special_value_signal(n, 60 + n);
+    for (const int sections : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " sections=" << sections);
+      const auto cascade = [&] {
+        return dsp::BiquadCascade::low_pass(dsp::kPipelineCutoffHz, 16000.0, sections);
+      };
+      std::array<std::vector<double>, dsp::kLaneChannels> want;
+      for (std::size_t c = 0; c < in.size(); ++c) {
+        want[c].resize(n);
+        cascade().process_into(in[c], want[c]);
+      }
+      for (const auto backend :
+           {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+        SimdBackendGuard guard{backend};
+        std::array<std::vector<double>, dsp::kLaneChannels> got;
+        std::array<std::span<const double>, dsp::kLaneChannels> ins;
+        std::array<std::span<double>, dsp::kLaneChannels> outs;
+        for (std::size_t c = 0; c < in.size(); ++c) {
+          got[c].assign(n, 0.0);
+          ins[c] = in[c];
+          outs[c] = got[c];
+        }
+        cascade().process_channels_into(ins, outs);
+        for (std::size_t c = 0; c < in.size(); ++c) {
+          SCOPED_TRACE(::testing::Message()
+                       << (backend == util::SimdBackend::kVector ? "vector" : "scalar")
+                       << " mic " << c);
+          expect_bits_equal(got[c], want[c], "low-pass");
+          if (c != kSpecialMic) {
+            for (const double v : got[c]) ASSERT_TRUE(std::isfinite(v));
+          }
+        }
+      }
+    }
   }
 }
 
