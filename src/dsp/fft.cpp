@@ -228,29 +228,80 @@ void real_fft_magnitudes_lanes(std::span<const std::span<const double>> frames,
     }
   }
 
-  // stage()'s butterflies, the twiddle broadcast to every lane.
-  const double* tw = plan->tw.data();
-  for (std::size_t len = 2; len <= m; len <<= 1) {
+  // stage()'s butterflies with the twiddles broadcast to every lane, two
+  // stages per sweep: stages len and 2·len map the four complexes
+  // p, p + len/2, p + len, p + 3·len/2 onto themselves, so each sweep runs
+  // those four butterflies in registers.  Every butterfly is stage()'s own,
+  // and butterflies of one stage are independent, so the order is free.
+  const auto butterfly = [](VDouble& ur, VDouble& ui, VDouble& xr, VDouble& xi,
+                            VDouble wr, VDouble wi) {
+    const VDouble vr = simd::subd(simd::muld(xr, wr), simd::muld(xi, wi));
+    const VDouble vi = simd::addd(simd::muld(xr, wi), simd::muld(xi, wr));
+    xr = simd::subd(ur, vr);
+    xi = simd::subd(ui, vi);
+    ur = simd::addd(ur, vr);
+    ui = simd::addd(ui, vi);
+  };
+  const double* tw = plan->tw.data();  // stage len's len/2 twiddles
+  std::size_t len = 2;
+  for (; 2 * len <= m; len <<= 2) {
+    const std::size_t half = len / 2;
+    const double* tw2 = tw + len;  // stage 2·len's twiddles
+    for (std::size_t k = 0; k < half; ++k) {
+      const VDouble w1r = simd::broadcastd(tw[2 * k]);
+      const VDouble w1i = simd::broadcastd(tw[2 * k + 1]);
+      const VDouble w2r = simd::broadcastd(tw2[2 * k]);
+      const VDouble w2i = simd::broadcastd(tw2[2 * k + 1]);
+      const VDouble w3r = simd::broadcastd(tw2[2 * (k + half)]);
+      const VDouble w3i = simd::broadcastd(tw2[2 * (k + half) + 1]);
+      for (std::size_t p = k; p < m; p += 2 * len) {
+        double* r0 = re + p * kLanes;
+        double* i0 = im + p * kLanes;
+        double* r1 = r0 + half * kLanes;
+        double* i1 = i0 + half * kLanes;
+        double* r2 = r0 + len * kLanes;
+        double* i2 = i0 + len * kLanes;
+        double* r3 = r2 + half * kLanes;
+        double* i3 = i2 + half * kLanes;
+        VDouble a0r = simd::loadd(r0), a0i = simd::loadd(i0);
+        VDouble a1r = simd::loadd(r1), a1i = simd::loadd(i1);
+        VDouble a2r = simd::loadd(r2), a2i = simd::loadd(i2);
+        VDouble a3r = simd::loadd(r3), a3i = simd::loadd(i3);
+        butterfly(a0r, a0i, a1r, a1i, w1r, w1i);  // stage len
+        butterfly(a2r, a2i, a3r, a3i, w1r, w1i);
+        butterfly(a0r, a0i, a2r, a2i, w2r, w2i);  // stage 2·len
+        butterfly(a1r, a1i, a3r, a3i, w3r, w3i);
+        simd::stored(r0, a0r);
+        simd::stored(i0, a0i);
+        simd::stored(r1, a1r);
+        simd::stored(i1, a1i);
+        simd::stored(r2, a2r);
+        simd::stored(i2, a2i);
+        simd::stored(r3, a3r);
+        simd::stored(i3, a3i);
+      }
+    }
+    tw += 3 * len;  // both stages' twiddles
+  }
+  if (len <= m) {  // an odd stage count leaves the last stage on its own
     const std::size_t half = len / 2;
     for (std::size_t k = 0; k < half; ++k) {
       const VDouble wr = simd::broadcastd(tw[2 * k]);
       const VDouble wi = simd::broadcastd(tw[2 * k + 1]);
-      for (std::size_t i = k; i < m; i += len) {
-        double* lo_r = re + i * kLanes;
-        double* lo_i = im + i * kLanes;
-        double* hi_r = lo_r + half * kLanes;
-        double* hi_i = lo_i + half * kLanes;
-        const VDouble xr = simd::loadd(hi_r), xi = simd::loadd(hi_i);
-        const VDouble vr = simd::subd(simd::muld(xr, wr), simd::muld(xi, wi));
-        const VDouble vi = simd::addd(simd::muld(xr, wi), simd::muld(xi, wr));
-        const VDouble ur = simd::loadd(lo_r), ui = simd::loadd(lo_i);
-        simd::stored(lo_r, simd::addd(ur, vr));
-        simd::stored(lo_i, simd::addd(ui, vi));
-        simd::stored(hi_r, simd::subd(ur, vr));
-        simd::stored(hi_i, simd::subd(ui, vi));
+      for (std::size_t p = k; p < m; p += len) {
+        double* r0 = re + p * kLanes;
+        double* i0 = im + p * kLanes;
+        double* r1 = r0 + half * kLanes;
+        double* i1 = i0 + half * kLanes;
+        VDouble ur = simd::loadd(r0), ui = simd::loadd(i0);
+        VDouble xr = simd::loadd(r1), xi = simd::loadd(i1);
+        butterfly(ur, ui, xr, xi, wr, wi);
+        simd::stored(r0, ur);
+        simd::stored(i0, ui);
+        simd::stored(r1, xr);
+        simd::stored(i1, xi);
       }
     }
-    tw += len;
   }
 
   // real_fft_magnitudes' split pass and magnitudes, one bin of every frame
