@@ -195,13 +195,15 @@ void real_fft_magnitudes_lanes(std::span<const std::span<const double>> frames,
     throw std::invalid_argument{
         "real_fft_magnitudes_lanes: 1 to kDoubleLanes frames, one mags row each"};
   const std::size_t n = frames[0].size();
-  for (const auto& f : frames)
-    if (f.size() != n)
-      throw std::invalid_argument{"real_fft_magnitudes_lanes: frame sizes differ"};
   if (!is_pow2(n) || window.size() != n)
     throw std::invalid_argument{
         "real_fft_magnitudes_lanes: size must be a power of two, with a window "
         "of that size"};
+  for (std::size_t l = 0; l < count; ++l)
+    if (frames[l].size() != n || mags[l].size() != n / 2 + 1)
+      throw std::invalid_argument{
+          "real_fft_magnitudes_lanes: every frame needs the first's size and "
+          "a mags row of size/2 + 1"};
   if (!util::simd_enabled() || n == 1) {
     for (std::size_t l = 0; l < count; ++l)
       real_fft_magnitudes(frames[l], window, scale, mags[l]);

@@ -29,7 +29,8 @@ void real_fft_magnitudes(std::span<const double> frame,
 // real_fft_magnitudes of 1 to util::simd::kDoubleLanes windowed frames of
 // one size: mags[l] gets bitwise what real_fft_magnitudes(frames[l], window,
 // scale, mags[l]) writes, and the plan counts one lookup per frame.  The
-// window must hold one value per sample (throws otherwise).  The vector
+// window holds one value per sample and each mags row n/2 + 1 (throws
+// otherwise, on both backends).  The vector
 // backend runs one frame per lane (spare lanes repeat the last frame): the
 // windowed samples load straight into bit-reversed position, every
 // butterfly, the split pass and the sqrt run across the frames in each

@@ -40,8 +40,9 @@ TEST(Fft, RejectsNonPowerOfTwo) {
                std::invalid_argument);
 }
 
-// The lanes kernel checks its group on both backends: one mags row per
-// frame, 1 to kDoubleLanes frames of one size, and a window of that size.
+// The lanes kernel checks its group on both backends: 1 to kDoubleLanes
+// frames of one size, a window of that size and one n/2 + 1 mags row per
+// frame.
 TEST(Fft, LanesRejectMismatchedShapes) {
   for (const auto backend : {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
     SimdBackendGuard guard{backend};
@@ -53,6 +54,9 @@ TEST(Fft, LanesRejectMismatchedShapes) {
     EXPECT_THROW(real_fft_magnitudes_lanes(one, {}, 1.0, one_row),
                  std::invalid_argument);
     EXPECT_THROW(real_fft_magnitudes_lanes(one, b, 1.0, one_row),
+                 std::invalid_argument);
+    const std::span<double> short_row[] = {std::span{mags_a}.first(32)};
+    EXPECT_THROW(real_fft_magnitudes_lanes(one, window, 1.0, short_row),
                  std::invalid_argument);
     EXPECT_THROW(real_fft_magnitudes_lanes({}, window, 1.0, {}),
                  std::invalid_argument);
