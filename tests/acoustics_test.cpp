@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "acoustics/propagation.hpp"
 #include "acoustics/rotor_sound.hpp"
@@ -9,6 +11,8 @@
 #include "core/flight_lab.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/spectrogram.hpp"
+#include "scenario/airframe.hpp"
+#include "scenario/environment.hpp"
 #include "util/checksum.hpp"
 #include "util/simd.hpp"
 #include "util/stats.hpp"
@@ -398,20 +402,96 @@ TEST(Synthesizer, AdjacentSlicesConcatenateToTheRecordingBitwise) {
                            recording.channels[m].begin() + std::llround(a * kFs)));
 }
 
+// Recordings that GoldenQuad's flight never reaches, each a slice [t0, t1)
+// of one flight's recording: six and eight rotors with their catalog
+// detunes, the pad environment's ground-reflected tap, a constant-omega
+// hover whose phasors renormalize inside a physics step, and an explicit
+// rotor_detune list with airflow off.  Slices that start off the render's
+// block grid also mix the blocks before t0.
+struct SynthCase {
+  std::string name;
+  AudioSynthesizer synth;
+  sim::FlightLog log;
+  double t0, t1;
+};
+
+const std::vector<SynthCase>& synth_cases() {
+  static const std::vector<SynthCase> kCases = [] {
+    std::vector<SynthCase> out;
+    const auto fly = [&](const std::string& name, const core::FlightLab::Config& cfg,
+                         double t0, double t1) {
+      const core::FlightLab lab{cfg};
+      core::FlightScenario s;
+      s.mission = sim::Mission::line({0, 0, -10}, {15, 0, -10}, 3.0, 4.0);
+      s.wind.gust_stddev = 0.3;
+      s.seed = 17;
+      const auto flight = lab.fly(s);
+      out.push_back({name, lab.synthesizer(flight), flight.log, t0, t1});
+    };
+    for (const char* frame : {"hexa-700", "octo-900"})
+      fly(frame, scenario::find_airframe(frame)->lab_config(), 0.0, 3.0);
+    fly("low-hover-pad", scenario::find_environment("low-hover-pad")->apply({}),
+        0.4213, 3.5);
+    core::FlightLab::Config detuned;
+    detuned.synth.rotor_detune = {0.07, -0.02, 0.045, -0.09};
+    detuned.synth.flow_directivity = 0.0;
+    fly("rotor-detune-no-flow", detuned, 1.0, 2.7);
+    // 2.5 s at one speed: the phasors renormalize at sample 4096, 16
+    // samples into physics step 102.
+    const sim::QuadrotorParams quad;
+    out.push_back({"constant-omega-hover", AudioSynthesizer{{}, quad, 23},
+                   hover_log(quad, 1000), 0.0, 2.5});
+    return out;
+  }();
+  return kCases;
+}
+
+std::uint32_t audio_crc(const MultiChannelAudio& audio) {
+  std::uint32_t crc = 0;
+  for (const auto& ch : audio.channels)
+    crc = util::crc32(ch.data(), ch.size() * sizeof(double), crc);
+  return crc;
+}
+
 TEST(Synthesizer, RecordingIsIdenticalAcrossThreadsAndSimdBackends) {
   const auto& flight = line_flight();
-  const auto synth = core::FlightLab{}.synthesizer(flight);
-  util::ThreadPool::set_threads(1);
-  const auto one = synth.synthesize(flight.log, 0.0, flight.log.duration());
-  util::ThreadPool::set_threads(4);
-  const auto four = synth.synthesize(flight.log, 0.0, flight.log.duration());
+  std::vector<SynthCase> cases{
+      {"line", core::FlightLab{}.synthesizer(flight), flight.log, 0.0,
+       flight.log.duration()}};
+  cases.insert(cases.end(), synth_cases().begin(), synth_cases().end());
   const util::SimdBackend backend = util::simd_backend();
-  util::set_simd_backend(util::SimdBackend::kScalar);
-  const auto scalar = synth.synthesize(flight.log, 0.0, flight.log.duration());
-  util::set_simd_backend(backend);
-  util::ThreadPool::set_threads(0);
-  expect_same_audio(one, four);
-  expect_same_audio(one, scalar);
+  for (const SynthCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    util::ThreadPool::set_threads(1);
+    const auto one = c.synth.synthesize(c.log, c.t0, c.t1);
+    util::ThreadPool::set_threads(4);
+    const auto four = c.synth.synthesize(c.log, c.t0, c.t1);
+    util::set_simd_backend(util::SimdBackend::kScalar);
+    const auto scalar = c.synth.synthesize(c.log, c.t0, c.t1);
+    util::set_simd_backend(backend);
+    util::ThreadPool::set_threads(0);
+    expect_same_audio(one, four);
+    expect_same_audio(one, scalar);
+  }
+}
+
+// Pins the double samples of synth_cases() under both SIMD backends.
+TEST(Synthesizer, CatalogAndEdgeRecordingsArePinned) {
+  const std::map<std::string, std::uint32_t> pinned{
+      {"hexa-700", 0xbc0c71e4u},
+      {"octo-900", 0xed4b0260u},
+      {"low-hover-pad", 0xd801e4bau},
+      {"rotor-detune-no-flow", 0x55b7ff9bu},
+      {"constant-omega-hover", 0x62d6b80bu},
+  };
+  const util::SimdBackend saved = util::simd_backend();
+  for (const auto backend : {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+    util::set_simd_backend(backend);
+    for (const SynthCase& c : synth_cases())
+      EXPECT_EQ(audio_crc(c.synth.synthesize(c.log, c.t0, c.t1)), pinned.at(c.name))
+          << c.name << (backend == util::SimdBackend::kVector ? " vector" : " scalar");
+  }
+  util::set_simd_backend(saved);
 }
 
 TEST(Synthesizer, ConstantOmegaPeaksAtBladeMechanicalAndVortexTones) {

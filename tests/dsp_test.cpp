@@ -354,6 +354,55 @@ TEST(BiquadCascade, SteeperThanSingleSection) {
   EXPECT_LT(p2, p1 * 0.5);
 }
 
+// Pins the double output bits of the two filters the audio path runs: the
+// rotor renderer's aerodynamic band-pass and the signature front end's
+// 2-section 6 kHz low-pass, the latter through the one-channel loop and
+// the four-channel pass.  Signature.OutputBitsArePinned hashes float32
+// features, so it cannot see a last-bit change here.
+TEST(Biquad, OutputBitsArePinned) {
+  Rng rng{5250};
+  std::array<std::vector<double>, kLaneChannels> in;
+  for (auto& ch : in) {
+    ch.resize(1000);  // ends mid-way through the four-channel pass's block
+    for (double& x : ch) x = rng.normal();
+  }
+  for (const auto backend :
+       {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+    SCOPED_TRACE(backend == util::SimdBackend::kVector ? "vector" : "scalar");
+    SimdBackendGuard guard{backend};
+    Biquad aero = Biquad::band_pass(5250.0, 16000.0, 3.0);
+    std::uint32_t crc = 0;
+    for (const auto& ch : in) {
+      const auto y = aero.process(ch);
+      crc = util::crc32(y.data(), y.size() * sizeof(double), crc);
+    }
+    EXPECT_EQ(crc, 0xb1f15e30u);
+
+    const BiquadCascade low_pass = BiquadCascade::low_pass(6000.0, 16000.0, 2);
+    std::array<std::vector<double>, kLaneChannels> out;
+    std::uint32_t one_channel = 0;
+    for (std::size_t c = 0; c < kLaneChannels; ++c) {
+      BiquadCascade lane = low_pass;
+      out[c].resize(in[c].size());
+      lane.process_into(in[c], out[c]);
+      one_channel = util::crc32(out[c].data(), out[c].size() * sizeof(double),
+                                one_channel);
+    }
+    std::array<std::span<const double>, kLaneChannels> in_views;
+    std::array<std::span<double>, kLaneChannels> out_views;
+    for (std::size_t c = 0; c < kLaneChannels; ++c) {
+      in_views[c] = in[c];
+      out_views[c] = out[c];
+    }
+    low_pass.process_channels_into(in_views, out_views);
+    std::uint32_t four_channel = 0;
+    for (const auto& ch : out)
+      four_channel = util::crc32(ch.data(), ch.size() * sizeof(double), four_channel);
+    EXPECT_EQ(one_channel, 0x89e22c31u);
+    EXPECT_EQ(four_channel, 0x89e22c31u);
+  }
+}
+
 TEST(Features, GroupBandsCoverExpectedFrequencies) {
   BandFeatureConfig cfg;  // 32 bands to 6 kHz -> 187.5 Hz per band
   // 200 Hz -> band 1 -> blade passing.
