@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -23,7 +24,12 @@ AudioSynthesizer::AudioSynthesizer(const SynthesizerConfig& config,
     : config_(config),
       quad_(quad),
       geometry_(sensors::compute_geometry(config.mic_array, quad)),
-      seed_(seed) {}
+      seed_(seed) {
+  if (!config_.rotor_detune.empty() &&
+      config_.rotor_detune.size() != static_cast<std::size_t>(quad_.num_rotors))
+    throw std::invalid_argument{
+        "AudioSynthesizer: rotor_detune needs one entry per rotor"};
+}
 
 namespace {
 

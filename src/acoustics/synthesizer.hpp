@@ -20,7 +20,8 @@ struct SynthesizerConfig {
   // see mix_to_mics.
   double flow_directivity = 0.10;
   // Per-rotor detune offsets added to rotor.detune (one entry per rotor of
-  // the airframe; the scenario catalog derives them via motor_unit_detune).
+  // the airframe, or the synthesizer throws std::invalid_argument; the
+  // scenario catalog derives them via motor_unit_detune).
   // EMPTY keeps the legacy measured X500 table {-0.10, -0.035, 0.035, 0.10}
   // (indexed rotor % 4) — the pre-scenario default, bitwise identical for the
   // default quad.

@@ -303,6 +303,19 @@ TEST(Synthesizer, ExplicitLegacyDetuneTableIsBitwiseIdentical) {
       ASSERT_EQ(a.channels[m][i], b.channels[m][i]);
 }
 
+TEST(Synthesizer, RotorDetuneNeedsOneEntryPerRotor) {
+  const sim::QuadrotorParams quad;  // four rotors
+  SynthesizerConfig cfg;
+  for (const std::size_t size : {1, 3, 5, 8}) {
+    cfg.rotor_detune.assign(size, 0.01);
+    EXPECT_THROW((AudioSynthesizer{cfg, quad, 42}), std::invalid_argument) << size;
+  }
+  cfg.rotor_detune.assign(4, 0.01);
+  EXPECT_NO_THROW((AudioSynthesizer{cfg, quad, 42}));
+  cfg.rotor_detune.clear();  // the legacy table
+  EXPECT_NO_THROW((AudioSynthesizer{cfg, quad, 42}));
+}
+
 TEST(Synthesizer, GroundReflectionOffIsBitwiseIdentical) {
   // Either field at zero gates the image source off entirely — the output
   // must be bit-identical to the default free-field path.
