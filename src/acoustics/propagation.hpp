@@ -52,7 +52,8 @@ struct GroundReflection {
 
 // Body-frame air velocity held over a run of output samples: a segment
 // covers [begin, next segment's begin), the last one to the end of the
-// block, and the first begins at 0.  The synthesizer emits one per physics
+// block, and the first begins at 0 (mix_block throws std::invalid_argument
+// otherwise).  The synthesizer emits one per physics
 // step (400 Hz), so airflow is computed once per step rather than once per
 // audio sample.
 struct FlowSegment {
@@ -67,7 +68,12 @@ struct FlowSegment {
 // samples; output sample k reads stream sample k + lead - delay, so `lead`
 // must cover the largest delay including the ground-reflection tap (the
 // caller validates this).  Channels mix in parallel and each draws only its
-// own noise stream, so the result is the same at any thread count.
+// own noise stream, so the result is the same at any thread count.  The
+// vector backend mixes each channel in one pass with lanes across output
+// samples (a flow segment's samples past its last full vector take a scalar
+// tail); the scalar backend adds one tap at a time over the whole channel.
+// Both keep each element's order — +0, then per rotor the direct tap and
+// the reflected tap, then the ambient draw — so they agree bit for bit.
 //
 // `flow` (optional) models airflow directivity: rotor turbulence noise
 // convects downwind, so the gain of rotor r at mic m is scaled by

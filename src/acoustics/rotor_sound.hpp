@@ -80,6 +80,19 @@ class RotorSound {
   // renders one physics step (40 samples at 16 kHz) per call.
   void render(double omega, std::span<double> out);
 
+  // Lanes form of render for a group of 1 to util::simd::kDoubleLanes
+  // rotors: renders `len` samples of rotor r at speed omega[r] into
+  // out[r][0, len), bitwise what group[r].render(omega[r], {out[r], len})
+  // writes.  The vector backend runs the rotors as lanes of a double vector
+  // (lane = rotor; a short group pads lanes whose output is discarded), each
+  // lane in render's operation order: retune stays scalar, each rotor's
+  // aero noise is drawn ahead from its own generator, and a lane whose
+  // phasors are due for renormalization splits the run at that sample.
+  // The scalar backend, and a group whose harmonic counts differ, call
+  // render per rotor.  Throws std::invalid_argument on a bad group size.
+  static void render_lanes(std::span<RotorSound> group, std::span<const double> omega,
+                           std::span<double* const> out, std::size_t len);
+
   // Largest |1 - |z|| over the three oscillator phasors.
   double phasor_error() const;
 

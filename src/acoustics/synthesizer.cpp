@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sb::acoustics {
@@ -113,13 +114,32 @@ MultiChannelAudio AudioSynthesizer::synthesize(const sim::FlightLog& log, double
   };
 
   // Each rotor stream holds the `lead` samples carried from the previous
-  // block, then the current block.  Before t = 0 the rotors spin at the
-  // first physics step's speed.
+  // block, then the current block.  Rotors render in fixed groups, one
+  // parallel task each: the lanes of one double vector on the vector
+  // backend (RotorSound::render_lanes), one rotor on the scalar backend.
+  // render_group(g, step, offset, len) renders samples [offset, offset +
+  // len) of group g's streams at physics step `step`.
   std::vector<std::vector<double>> streams(num_rotors,
                                            std::vector<double>(lead + kBlockSamples));
-  util::parallel_for(num_rotors, [&](std::size_t r) {
-    rotors[r].render(omega_at(0, r), std::span{streams[r]}.first(lead));
-  }, 1);
+  constexpr std::size_t kLanes = util::simd::kDoubleLanes;
+  const std::size_t width = util::simd_enabled() ? kLanes : 1;
+  const std::size_t num_groups = (num_rotors + width - 1) / width;
+  const auto render_group = [&](std::size_t g, std::size_t step, std::size_t offset,
+                                std::size_t len) {
+    const std::size_t r0 = g * width;
+    const std::size_t count = std::min(width, num_rotors - r0);
+    std::array<double, kLanes> omega;
+    std::array<double*, kLanes> out;
+    for (std::size_t l = 0; l < count; ++l) {
+      omega[l] = omega_at(step, r0 + l);
+      out[l] = streams[r0 + l].data() + offset;
+    }
+    RotorSound::render_lanes(std::span{rotors}.subspan(r0, count),
+                             std::span{omega}.first(count), std::span{out}.first(count),
+                             len);
+  };
+  // Before t = 0 the rotors spin at the first physics step's speed.
+  util::parallel_for(num_groups, [&](std::size_t g) { render_group(g, 0, 0, lead); }, 1);
 
   const bool with_flow = config_.flow_directivity != 0.0 && !log.t.empty();
   std::vector<StepRun> runs;
@@ -150,12 +170,10 @@ MultiChannelAudio AudioSynthesizer::synthesize(const sim::FlightLog& log, double
       k = next;
     }
 
-    util::parallel_for(num_rotors, [&](std::size_t r) {
-      double* dst = streams[r].data() + lead;
+    util::parallel_for(num_groups, [&](std::size_t g) {
       for (std::size_t j = 0; j < runs.size(); ++j) {
         const std::size_t end = j + 1 < runs.size() ? runs[j + 1].begin : n;
-        rotors[r].render(omega_at(runs[j].step, r),
-                         {dst + runs[j].begin, end - runs[j].begin});
+        render_group(g, runs[j].step, lead + runs[j].begin, end - runs[j].begin);
       }
     }, 1);
 

@@ -221,8 +221,8 @@ void BiquadCascade::process_channels_into(
   const std::size_t sections = sections_.size();
   util::Scratch<LaneSection> state{sections};
   for (std::size_t s = 0; s < sections; ++s) {
-    const Biquad& q = sections_[s];
-    state[s] = {q.b0_, q.b1_, q.b2_, q.a1_, q.a2_, {}, {}, {}, {}};
+    const Biquad::Coefficients k = sections_[s].coefficients();
+    state[s] = {k.b0, k.b1, k.b2, k.a1, k.a2, {}, {}, {}, {}};
   }
   util::Scratch<double> block{kBlock * kLaneChannels};
   double* b = block.data();

@@ -41,8 +41,26 @@ class Biquad {
   // Steady-state magnitude response at the given frequency.
   double magnitude_at(double hz, double sample_rate) const;
 
+  // The coefficients and the direct-form-I state, by process()'s names.
+  // Lane kernels that run process()'s arithmetic for several filters at
+  // once (BiquadCascade::process_channels_into, the rotor renderer's
+  // lanes) read filters through these and write the state back.
+  struct Coefficients {
+    double b0, b1, b2, a1, a2;
+  };
+  struct State {
+    double x1, x2, y1, y2;
+  };
+  Coefficients coefficients() const { return {b0_, b1_, b2_, a1_, a2_}; }
+  State state() const { return {x1_, x2_, y1_, y2_}; }
+  void set_state(const State& s) {
+    x1_ = s.x1;
+    x2_ = s.x2;
+    y1_ = s.y1;
+    y2_ = s.y2;
+  }
+
  private:
-  friend class BiquadCascade;  // process_channels_into reads the coefficients
   Biquad(double b0, double b1, double b2, double a1, double a2);
   double b0_, b1_, b2_, a1_, a2_;
   double x1_ = 0, x2_ = 0, y1_ = 0, y2_ = 0;

@@ -373,6 +373,129 @@ TEST(RotorSound, RenderMatchesPerSampleCalls) {
   }
 }
 
+// render_lanes against per-rotor render on both backends, for groups of
+// every size up to the lane width (short groups pad lanes): each rotor has
+// its own detune and speed schedule, runs are 0 to 9000 samples long, and
+// in the long constant-speed runs the lanes renormalize at different
+// samples (rotor 0 holds its speed from run 5, the others from run 6).
+TEST(RotorSound, RenderLanesMatchesRender) {
+  const double hover = sim::QuadrotorParams{}.hover_omega();
+  const std::size_t lens[] = {40, 0, 1, 7, 40, 40, 5000, 9000, 40};
+  for (const auto backend : {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+    const util::SimdBackend saved = util::simd_backend();
+    util::set_simd_backend(backend);
+    for (std::size_t count = 1; count <= util::simd::kDoubleLanes; ++count) {
+      SCOPED_TRACE(count);
+      std::vector<RotorSound> lanes, solo;
+      Rng base{100 + count};
+      for (std::size_t r = 0; r < count; ++r) {
+        RotorSoundConfig cfg;
+        cfg.detune = 0.03 * static_cast<double>(r);
+        const Rng rng = base.split();
+        lanes.emplace_back(cfg, kFs, hover, rng);
+        solo.emplace_back(cfg, kFs, hover, rng);
+      }
+      for (std::size_t j = 0; j < std::size(lens); ++j) {
+        std::vector<double> omega(count);
+        std::vector<std::vector<double>> got(count, std::vector<double>(lens[j]));
+        std::vector<double*> out(count);
+        for (std::size_t r = 0; r < count; ++r) {
+          const double jr = static_cast<double>((j * 3 + r) % 5);
+          omega[r] = j < 5    ? hover * (1.0 + 0.01 * jr)
+                     : r == 0 ? hover * 1.05
+                     : j == 5 ? hover * 0.97
+                              : hover * 0.99;
+          out[r] = got[r].data();
+        }
+        RotorSound::render_lanes(lanes, omega, out, lens[j]);
+        for (std::size_t r = 0; r < count; ++r) {
+          std::vector<double> want(lens[j]);
+          solo[r].render(omega[r], want);
+          ASSERT_EQ(got[r], want) << "run " << j << " rotor " << r;
+        }
+      }
+    }
+    util::set_simd_backend(saved);
+  }
+}
+
+TEST(RotorSound, RenderLanesWithMixedHarmonicsOrBadGroups) {
+  const double hover = sim::QuadrotorParams{}.hover_omega();
+  RotorSoundConfig five;
+  five.blade_harmonics = 5;
+  std::vector<RotorSound> lanes{{{}, kFs, hover, Rng{1}}, {five, kFs, hover, Rng{2}}};
+  std::vector<RotorSound> solo = lanes;
+  std::vector<double> a(300), b(300), want(300);
+  const double omega[] = {hover, 1.1 * hover};
+  double* const out[] = {a.data(), b.data()};
+  RotorSound::render_lanes(lanes, omega, out, 300);  // every ISA has >= 2 lanes
+  solo[0].render(omega[0], want);
+  EXPECT_EQ(a, want);
+  solo[1].render(omega[1], want);
+  EXPECT_EQ(b, want);
+
+  EXPECT_THROW(RotorSound::render_lanes({}, {}, {}, 8), std::invalid_argument);
+  EXPECT_THROW(RotorSound::render_lanes(std::span{lanes}.first(1), omega,
+                                        std::span{out}.first(1), 8),
+               std::invalid_argument);
+  std::vector<RotorSound> wide(util::simd::kDoubleLanes + 1, lanes[0]);
+  std::vector<double> omegas(wide.size(), hover);
+  std::vector<double*> outs(wide.size(), a.data());
+  EXPECT_THROW(RotorSound::render_lanes(wide, omegas, outs, 8), std::invalid_argument);
+}
+
+// mix_block's one-pass vector mix against the multi-pass scalar oracle, on
+// six rotors: flow segments whose boundaries fall off the lane grid, the
+// reflected tap, ambient noise, each on and off, and the mic generators'
+// state afterwards.
+TEST(Propagation, MixBlockIsIdenticalAcrossSimdBackends) {
+  const auto quad = scenario::find_airframe("hexa-700")->quad_params();
+  const auto geom = sensors::compute_geometry({}, quad);
+  constexpr std::size_t kLead = 300, kN = 1003;
+  Rng rng{77};
+  std::vector<std::vector<double>> streams(static_cast<std::size_t>(quad.num_rotors),
+                                           std::vector<double>(kLead + kN));
+  for (auto& s : streams)
+    for (double& x : s) x = rng.normal();
+  const std::vector<std::span<const double>> views(streams.begin(), streams.end());
+  std::vector<FlowSegment> flow;
+  for (const std::size_t begin : {0, 3, 40, 41, 77, 500, 1001})
+    flow.push_back({begin, Vec3{rng.normal(), rng.normal(), rng.normal()}});
+  const auto mix = [&](util::SimdBackend backend, double directivity, double ambient,
+                       const GroundReflection& ground) {
+    const util::SimdBackend saved = util::simd_backend();
+    util::set_simd_backend(backend);
+    std::array<std::vector<double>, sensors::kNumMics> out;
+    std::array<std::span<double>, sensors::kNumMics> out_views;
+    std::array<GaussianNoise, sensors::kNumMics> noise;
+    Rng seed{5};
+    for (std::size_t m = 0; m < sensors::kNumMics; ++m) {
+      out[m].assign(kN, std::nan(""));
+      out_views[m] = out[m];
+      noise[m] = GaussianNoise{seed.split()};
+    }
+    mix_block(out_views, views, kLead, geom, kFs, ambient, noise, flow, directivity,
+              ground);
+    util::set_simd_backend(saved);
+    for (std::size_t m = 0; m < sensors::kNumMics; ++m)
+      out[m].push_back(noise[m].next());  // the generator's next draw
+    return out;
+  };
+  for (const double directivity : {0.0, 0.1})
+    for (const double ambient : {0.0, 0.002})
+      for (const GroundReflection ground :
+           {GroundReflection{}, GroundReflection{0.3, 233}}) {
+        SCOPED_TRACE(testing::Message() << "directivity " << directivity << " ambient "
+                                        << ambient << " ground " << ground.gain_scale);
+        const auto vector = mix(util::SimdBackend::kVector, directivity, ambient, ground);
+        const auto scalar = mix(util::SimdBackend::kScalar, directivity, ambient, ground);
+        for (std::size_t m = 0; m < sensors::kNumMics; ++m)
+          ASSERT_EQ(vector[m], scalar[m]) << "mic " << m;
+      }
+  flow.front().begin = 1;  // throws before it mixes, on the current backend
+  EXPECT_THROW(mix(util::simd_backend(), 0.1, 0.0, {}), std::invalid_argument);
+}
+
 // A real closed-loop flight: rotor speeds change every physics step and the
 // body moves, so the recording exercises retuning, airflow and every block
 // boundary.
