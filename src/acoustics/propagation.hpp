@@ -53,9 +53,8 @@ struct GroundReflection {
 // Body-frame air velocity held over a run of output samples: a segment
 // covers [begin, next segment's begin), the last one to the end of the
 // block, and the first begins at 0 (mix_block throws std::invalid_argument
-// otherwise).  The synthesizer emits one per physics
-// step (400 Hz), so airflow is computed once per step rather than once per
-// audio sample.
+// otherwise).  The synthesizer emits one per physics step (400 Hz), so
+// airflow is computed once per step rather than once per audio sample.
 struct FlowSegment {
   std::size_t begin = 0;
   Vec3 v;

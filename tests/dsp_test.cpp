@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -392,6 +393,7 @@ TEST(Biquad, OutputBitsArePinned) {
     std::array<std::span<double>, kLaneChannels> out_views;
     for (std::size_t c = 0; c < kLaneChannels; ++c) {
       in_views[c] = in[c];
+      std::fill(out[c].begin(), out[c].end(), std::nan(""));
       out_views[c] = out[c];
     }
     low_pass.process_channels_into(in_views, out_views);
