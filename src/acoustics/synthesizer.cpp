@@ -149,9 +149,14 @@ MultiChannelAudio AudioSynthesizer::synthesize(const sim::FlightLog& log, double
   std::array<std::span<double>, sensors::kNumMics> mic_views;
   for (auto& ch : mic_block) ch.resize(kBlockSamples);
 
+  // One task per channel zero-fills it: a 40 s recording is 20 MB of fresh
+  // pages, and faulting them in on one thread took 11–14 ms, a fifth of the
+  // whole synthesis.
   MultiChannelAudio out;
   out.sample_rate = fs;
-  for (auto& ch : out.channels) ch.resize(last - first);
+  util::parallel_for(sensors::kNumMics, [&](std::size_t m) {
+    out.channels[m].resize(last - first);
+  }, 1);
 
   for (std::size_t b0 = 0; b0 < last; b0 += kBlockSamples) {
     const std::size_t n = std::min(kBlockSamples, last - b0);
