@@ -68,7 +68,8 @@ void mix_run(const MicTaps& t, double* ch, std::size_t begin, std::size_t end) {
   for (; i + kLanes <= end; i += kLanes) {
     VDouble acc = simd::broadcastd(0.0);
     for (std::size_t r = 0; r < t.rotors; ++r) {
-      acc = simd::addd(acc, simd::muld(simd::broadcastd(t.gain[r]), simd::loadd(t.src[r] + i)));
+      acc = simd::addd(
+          acc, simd::muld(simd::broadcastd(t.gain[r]), simd::loadd(t.src[r] + i)));
       if (t.ground)
         acc = simd::addd(
             acc, simd::muld(simd::broadcastd(t.rgain[r]), simd::loadd(t.rsrc[r] + i)));
