@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -13,6 +14,7 @@
 #include "core/rca_engine.hpp"
 #include "core/sensory_mapper.hpp"
 #include "core/signature.hpp"
+#include "io/decision_trace.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/checksum.hpp"
@@ -671,6 +673,80 @@ TEST(RcaMonitor, FaultCountersCountOnlyTheDecision) {
   EXPECT_EQ(report.gps_mode_used, GpsDetectorMode::kAudioImu);
   EXPECT_GT(report.health.kf_fallback_steps, 0u);
   EXPECT_EQ(fallbacks.value() - before, report.health.kf_fallback_steps);
+}
+
+// Pins what the two stages decide, not just that two feeds agree: the
+// CRC-32 of the decision-trace JSONL (every score, threshold and alert at
+// %.17g) of a benign, an IMU-attack and a GPS-spoof flight.  Each trace is
+// computed twice — through RcaEngine::decide, and through a monitor fed
+// window by window (the samples up to each window's end, as a streaming
+// session feeds it) whose state is saved and loaded into a fresh monitor
+// halfway — and both must hit the pin.
+TEST(RcaMonitor, DecisionTracesArePinned) {
+  const auto& det = monitor_detectors();
+  SensoryMapperConfig cfg;
+  cfg.model = ml::ModelKind::kMlp;
+  const SensoryMapper unused{cfg};  // decide() never touches the mapper
+  const RcaEngine engine{unused, det.imu, det.gps};
+
+  const auto streamed = [&](const Flight& f, std::span<const TimedPrediction> preds) {
+    auto monitor = std::make_unique<RcaEngine::Monitor>(det.imu, det.gps);
+    std::size_t imu_i = 0, gps_i = 0;
+    for (std::size_t w = 0; w < preds.size(); ++w) {
+      if (w == preds.size() / 2) {
+        std::stringstream state{std::ios::in | std::ios::out | std::ios::binary};
+        monitor->save_state(state);
+        monitor = std::make_unique<RcaEngine::Monitor>(det.imu, det.gps);
+        EXPECT_TRUE(monitor->load_state(state));
+      }
+      std::size_t imu_end = imu_i, gps_end = gps_i;
+      while (imu_end < f.log.imu.size() && f.log.imu[imu_end].t <= preds[w].t1) ++imu_end;
+      while (gps_end < f.log.gps.size() && f.log.gps[gps_end].t <= preds[w].t1) ++gps_end;
+      monitor->push_imu(std::span{f.log.imu}.subspan(imu_i, imu_end - imu_i));
+      monitor->push_gps(std::span{f.log.gps}.subspan(gps_i, gps_end - gps_i));
+      imu_i = imu_end;
+      gps_i = gps_end;
+      monitor->deliver(preds[w]);
+    }
+    RcaDecisionTrace trace;
+    monitor->finish({}, &trace);
+    return io::decision_trace_jsonl(trace);
+  };
+
+  struct Case {
+    const char* name;
+    std::uint64_t seed;
+    bool imu_attacked;
+    bool gps_attacked;
+    std::uint32_t crc;
+  };
+  const Case cases[] = {
+      {"benign", 43, false, false, 0x3453ca05u},
+      {"imu attack", 41, true, false, 0xd4d2c44eu},
+      {"gps spoof", 42, false, true, 0x89829cdbu},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto f = test::hover_flight(16.0, c.seed);
+    // The predictions stay clean; the attacks act on the recorded streams.
+    const auto preds = synthetic_predictions(f);
+    if (c.imu_attacked)
+      for (auto& s : f.log.imu)
+        if (s.t >= 8.0 && s.t < 11.0) s.accel_ned += Vec3{3.0, 0.0, 0.0};
+    if (c.gps_attacked)
+      for (auto& fix : f.log.gps)
+        if (fix.t >= 8.0) {
+          fix.pos += Vec3{2.0 * (fix.t - 8.0), 0.0, 0.0};
+          fix.vel += Vec3{2.0, 0.0, 0.0};
+        }
+    RcaDecisionTrace trace;
+    engine.decide(f, preds, {}, &trace);
+    EXPECT_EQ(trace.imu_attacked, c.imu_attacked);
+    EXPECT_EQ(trace.gps_attacked, c.gps_attacked);
+    const std::string decided = io::decision_trace_jsonl(trace);
+    EXPECT_EQ(util::crc32(decided.data(), decided.size()), c.crc);
+    EXPECT_EQ(streamed(f, preds), decided);
+  }
 }
 
 // ---------------------------------------------------------------------------
