@@ -63,10 +63,8 @@ FleetServer::FleetServer(const core::SensoryMapper& mapper,
   shards_.resize(config_.num_shards);
   for (std::size_t k = 0; k < config_.num_shards; ++k) {
     InferenceSchedulerConfig sc = config_.scheduler;
-    // Shards pump inside one parallel region: telemetry ticking (not
-    // concurrent-safe) moves up to the fleet, and gauges/extra counters go
-    // to the shard's own scope so concurrent shards never share a gauge.
-    sc.telemetry_ticks = false;
+    // Shards pump inside one parallel region: gauges/extra counters go to
+    // the shard's own scope so concurrent shards never share a gauge.
     sc.metric_scope = "stream.shard" + std::to_string(k);
     shards_[k].scheduler = std::make_unique<InferenceScheduler>(mapper, sc);
   }
@@ -152,7 +150,8 @@ void FleetServer::update_global_gauges() {
 
 std::size_t FleetServer::pump() {
   obs::ScopedSpan span{"fleet_pump", obs::Stage::kPredict};
-  // The fleet round is the telemetry clock; shard pumps have ticking off.
+  // The fleet round is the telemetry clock; shard pumps on pool workers do
+  // not tick.
   obs::telemetry_tick();
   std::vector<std::size_t> inferred(shards_.size(), 0);
   // grain 1 = one chunk per shard: bodies touch disjoint shard state (own
@@ -223,8 +222,14 @@ std::size_t FleetServer::checkpoint_all(const std::string& dir) {
   return written;
 }
 
-FleetServer::AdmissionResult FleetServer::attach_restored(
-    std::unique_ptr<RcaSession> session) {
+FleetServer::AdmissionResult FleetServer::restore(const std::string& path) {
+  // The one SBSESS01 read: the restored session names its own id, which
+  // picks the shard.
+  auto session = RcaSession::restore(path, *mapper_, *imu_detector_,
+                                     *gps_detector_, config_.session);
+  if (!session) return {};
+  if (find(session->id()) != nullptr)
+    throw std::invalid_argument{"FleetServer: restore of a live session id"};
   const std::size_t k = shard_of(session->id(), shards_.size());
   Shard& shard = shards_[k];
   RcaSession* ptr = session.get();
@@ -239,18 +244,6 @@ FleetServer::AdmissionResult FleetServer::attach_restored(
                  obs::now_us(), 0.0, static_cast<double>(verdict),
                  static_cast<double>(k)});
   return {verdict, k, ptr};
-}
-
-FleetServer::AdmissionResult FleetServer::restore(const std::string& path) {
-  std::uint64_t id = 0;
-  if (!RcaSession::peek_checkpoint_id(path, &id)) return {};
-  const std::size_t k = shard_of(id, shards_.size());
-  if (find(id) != nullptr)
-    throw std::invalid_argument{"FleetServer: restore of a live session id"};
-  auto session = RcaSession::restore(path, *mapper_, *imu_detector_,
-                                     *gps_detector_, config_.session);
-  if (!session) return {Admission::kRejected, k, nullptr};
-  return attach_restored(std::move(session));
 }
 
 }  // namespace sb::stream

@@ -42,7 +42,7 @@ struct FleetServerConfig {
   std::size_t degrade_sessions_per_shard = 0;
   std::size_t degraded_evidence_stride = 2;
   // Per-shard scheduler settings (queue bound, batch, SLO targets).  The
-  // fleet forces telemetry_ticks off and assigns each shard's metric_scope.
+  // fleet assigns each shard's metric_scope.
   InferenceSchedulerConfig scheduler;
   // Session settings for admitted sessions; evidence_stride is overridden
   // for degraded admissions and by restore() from the checkpoint.
@@ -111,7 +111,9 @@ class FleetServer {
   // Restores a checkpointed session and attaches it to whichever shard its
   // id maps to — the migration path: the fleet it lands in may shard
   // differently than the one that wrote the file.  Malformed or mismatched
-  // checkpoints are rejected loudly (kRejected, no session).
+  // checkpoints are rejected loudly (kRejected, no session).  A checkpoint
+  // of a session that is live here throws std::invalid_argument and
+  // attaches nothing.
   AdmissionResult restore(const std::string& path);
 
   std::size_t num_shards() const { return shards_.size(); }
@@ -129,7 +131,6 @@ class FleetServer {
     std::vector<std::unique_ptr<RcaSession>> sessions;
   };
 
-  AdmissionResult attach_restored(std::unique_ptr<RcaSession> session);
   void update_global_gauges();
 
   FleetServerConfig config_;

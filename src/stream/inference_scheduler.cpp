@@ -8,6 +8,7 @@
 #include "obs/recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sb::stream {
 namespace {
@@ -140,9 +141,11 @@ void InferenceScheduler::deliver(RcaSession::ReadyWindow&& window,
 std::size_t InferenceScheduler::pump() {
   obs::ScopedSpan span{"scheduler_pump", obs::Stage::kPredict};
   // The pump loop is the serving heartbeat, so it doubles as the telemetry
-  // clock: one relaxed atomic load when SB_TELEMETRY is unset.  A fleet
-  // shard pumps inside a parallel region and leaves ticking to the fleet.
-  if (config_.telemetry_ticks) obs::telemetry_tick();
+  // clock: one relaxed atomic load when SB_TELEMETRY is unset.  Fleet
+  // shards pumped on pool workers leave ticking to the fleet's own round;
+  // shards pumped inline (one shard, SB_THREADS=1) tick right after it,
+  // inside the export interval, so they write nothing.
+  if (!util::ThreadPool::in_parallel_region()) obs::telemetry_tick();
   update_active_gauge();
   collect();
   shed_excess();

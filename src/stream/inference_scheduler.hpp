@@ -42,10 +42,6 @@ struct InferenceSchedulerConfig {
   // of the standard 4 Hz analysis grid, p99 within a second.
   double slo_p50_target = 0.25;
   double slo_p99_target = 1.0;
-  // pump() doubles as the telemetry clock by default.  A fleet pumps its
-  // shard schedulers inside a parallel region where obs::telemetry_tick()
-  // is not safe, so it disables per-scheduler ticks and ticks once itself.
-  bool telemetry_ticks = true;
   // When non-empty (e.g. "stream.shard0"), this scheduler ALSO maintains
   // scoped copies of its counters and gauges under "<scope>.<name>" —
   // per-shard shed/throughput accounting on top of the fleet-wide

@@ -162,10 +162,6 @@ class RcaSession {
       const core::GpsRcaDetector& gps_detector,
       const RcaSessionConfig& config = {});
 
-  // Reads just the session id from a checkpoint frame (for shard routing
-  // before the full restore).  Returns false on any malformed frame.
-  static bool peek_checkpoint_id(const std::string& path, std::uint64_t* id);
-
  private:
   // Turns the monitor's IMU decisions from index `begin` on into events.
   void emit_imu_decisions(std::size_t begin, double decided_at);

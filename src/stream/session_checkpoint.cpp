@@ -38,21 +38,6 @@ void reject(const std::string& path, const char* why) {
   obs::Registry::instance().counter("stream.checkpoint_rejected").add();
 }
 
-// Reads and validates the whole frame; false with a logged rejection.
-bool read_checkpoint(const std::string& path, std::string& payload) {
-  std::ifstream file{path, std::ios::binary};
-  if (!file) {
-    reject(path, "cannot open");
-    return false;
-  }
-  if (const char* why =
-          util::io::read_frame(file, kSessionMagic, kSessionVersion, payload)) {
-    reject(path, why);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void RcaSession::save_payload(std::ostream& os) const {
@@ -118,8 +103,17 @@ std::unique_ptr<RcaSession> RcaSession::restore(
     const std::string& path, const core::SensoryMapper& mapper,
     const core::ImuRcaDetector& imu_detector,
     const core::GpsRcaDetector& gps_detector, const RcaSessionConfig& config) {
+  std::ifstream file{path, std::ios::binary};
+  if (!file) {
+    reject(path, "cannot open");
+    return nullptr;
+  }
   std::string payload;
-  if (!read_checkpoint(path, payload)) return nullptr;
+  if (const char* why =
+          util::io::read_frame(file, kSessionMagic, kSessionVersion, payload)) {
+    reject(path, why);
+    return nullptr;
+  }
   std::istringstream is{payload, std::ios::binary};
   std::uint64_t id = 0;
   if (!util::io::read_pod(is, id)) {
@@ -135,20 +129,6 @@ std::unique_ptr<RcaSession> RcaSession::restore(
     return nullptr;
   }
   return session;
-}
-
-bool RcaSession::peek_checkpoint_id(const std::string& path,
-                                    std::uint64_t* id) {
-  std::string payload;
-  if (!read_checkpoint(path, payload)) return false;
-  std::istringstream is{payload, std::ios::binary};
-  std::uint64_t parsed = 0;
-  if (!util::io::read_pod(is, parsed)) {
-    reject(path, "payload too short for a session id");
-    return false;
-  }
-  if (id) *id = parsed;
-  return true;
 }
 
 }  // namespace sb::stream

@@ -464,9 +464,9 @@ TEST_F(StreamServingTest, CheckpointRequiresQuiescence) {
   EXPECT_THROW(a.checkpoint(path), std::logic_error);
   sched.drain();
   EXPECT_TRUE(a.checkpoint(path));
-  std::uint64_t id = 0;
-  EXPECT_TRUE(RcaSession::peek_checkpoint_id(path, &id));
-  EXPECT_EQ(id, 16u);
+  const auto restored = RcaSession::restore(path, *mapper_, det_->imu, det_->gps);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->id(), 16u);
   sched.detach(a);
   a.finish();
   EXPECT_THROW(a.checkpoint(path), std::logic_error);
@@ -808,8 +808,11 @@ TEST_F(StreamServingTest, FleetRestoreMigratesSessionsAcrossShardLayouts) {
   ASSERT_NE(res.session, nullptr);
   EXPECT_EQ(res.shard, FleetServer::shard_of(19, 4));
   EXPECT_EQ(fleet.find(19), res.session);
-  // A second restore of the same id must not silently fork the session.
+  // A second restore of the same id must not silently fork the session:
+  // it throws before anything is attached.
   EXPECT_THROW(fleet.restore(path), std::invalid_argument);
+  EXPECT_EQ(fleet.sessions_live(), 1u);
+  EXPECT_EQ(fleet.scheduler(res.shard).sessions_attached(), 1u);
 
   feed_range(*res.session, 5.0, 10.0);
   fleet.pump();
@@ -817,13 +820,17 @@ TEST_F(StreamServingTest, FleetRestoreMigratesSessionsAcrossShardLayouts) {
   const auto report = fleet.finish(19);
   EXPECT_GT(report.health.windows_total, 0u);
 
-  // A corrupt file is rejected, not attached.
+  // A corrupt file is rejected, not attached, and counted once.
   std::string bytes = slurp(path);
   bytes[bytes.size() / 2] ^= 0x10;
   spew(path, bytes);
+  auto& rejections = obs::Registry::instance().counter("stream.checkpoint_rejected");
+  const auto rejections_before = rejections.value();
   const auto rejected = fleet.restore(path);
   EXPECT_EQ(rejected.verdict, Admission::kRejected);
   EXPECT_EQ(rejected.session, nullptr);
+  EXPECT_EQ(rejections.value(), rejections_before + 1);
+  EXPECT_EQ(fleet.sessions_live(), 0u);
 }
 
 }  // namespace
