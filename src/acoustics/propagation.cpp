@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "util/scratch.hpp"
 #include "util/simd.hpp"
@@ -164,52 +163,6 @@ void mix_block(std::span<const std::span<double>> out,
     }
     mic_noise[mi] = noise;
   }, 1);
-}
-
-MultiChannelAudio mix_to_mics(
-    std::span<const std::vector<double>> rotor_signals,
-    std::size_t lead_samples, const sensors::MicGeometry& geometry,
-    double sample_rate, double ambient_noise, Rng& rng,
-    std::span<const Vec3> flow_body, double directivity,
-    const GroundReflection& ground) {
-  const int num_rotors = geometry.num_rotors;
-  if (rotor_signals.size() != static_cast<std::size_t>(num_rotors))
-    throw std::invalid_argument{"mix_to_mics: rotor count mismatch"};
-  const std::size_t total = rotor_signals[0].size();
-  if (total < lead_samples)
-    throw std::invalid_argument{"mix_to_mics: lead exceeds signal length"};
-  const std::size_t n = total - lead_samples;
-  const bool with_ground = ground.gain_scale != 0.0;
-
-  for (int m = 0; m < sensors::kNumMics; ++m)
-    for (int r = 0; r < num_rotors; ++r) {
-      const auto delay = static_cast<std::size_t>(std::llround(
-          geometry.delay_s[static_cast<std::size_t>(m)][static_cast<std::size_t>(r)] *
-          sample_rate));
-      const std::size_t worst =
-          delay + (with_ground ? ground.delay_samples : std::size_t{0});
-      if (worst > lead_samples)
-        throw std::invalid_argument{"mix_to_mics: lead too short for delay"};
-    }
-
-  std::array<GaussianNoise, sensors::kNumMics> noise;
-  for (auto& g : noise) g = GaussianNoise{rng.split()};
-  std::vector<FlowSegment> flow;
-  if (directivity != 0.0 && flow_body.size() >= n)
-    for (std::size_t i = 0; i < n; ++i) flow.push_back({i, flow_body[i]});
-  std::vector<std::span<const double>> streams(rotor_signals.begin(),
-                                               rotor_signals.end());
-
-  MultiChannelAudio out;
-  out.sample_rate = sample_rate;
-  std::array<std::span<double>, sensors::kNumMics> channels;
-  for (std::size_t m = 0; m < sensors::kNumMics; ++m) {
-    out.channels[m].resize(n);
-    channels[m] = out.channels[m];
-  }
-  mix_block(channels, streams, lead_samples, geometry, sample_rate, ambient_noise,
-            noise, flow, directivity, ground);
-  return out;
 }
 
 double external_attenuation(double distance_m) {

@@ -10,7 +10,6 @@
 
 #include "acoustics/gaussian.hpp"
 #include "sensors/mic_array.hpp"
-#include "util/rng.hpp"
 
 namespace sb::acoustics {
 
@@ -87,20 +86,6 @@ void mix_block(std::span<const std::span<double>> out,
                std::span<GaussianNoise> mic_noise,
                std::span<const FlowSegment> flow, double directivity,
                const GroundReflection& ground);
-
-// Whole-buffer form of mix_block: mixes rotor source signals (one per
-// rotor, all the same length, each including `lead_samples` of pre-roll;
-// the count must match geometry.num_rotors) into a new recording.  Throws
-// std::invalid_argument when the lead is too short for a delayed tap.
-// One ambient-noise generator per channel is split from `rng` up front, in
-// mic order.  `flow_body` (optional) holds one body-frame air-velocity
-// vector per OUTPUT sample.
-MultiChannelAudio mix_to_mics(
-    std::span<const std::vector<double>> rotor_signals,
-    std::size_t lead_samples, const sensors::MicGeometry& geometry,
-    double sample_rate, double ambient_noise, Rng& rng,
-    std::span<const Vec3> flow_body = {}, double directivity = 0.0,
-    const GroundReflection& ground = {});
 
 // Adds an external interfering source (replay speaker / second UAV) at the
 // given body-frame position.  The interferer couples into every mic with

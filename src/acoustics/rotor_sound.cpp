@@ -167,12 +167,6 @@ void RotorSound::retune(double omega) {
   since_renorm_ = 0;
 }
 
-double RotorSound::sample(double omega) {
-  double y = 0.0;
-  render(omega, {&y, 1});
-  return y;
-}
-
 void RotorSound::render(double omega, std::span<double> out) {
   if (omega != omega_) retune(omega);
   // The loop runs on local copies: stores to `out` could otherwise alias

@@ -71,12 +71,8 @@ class RotorSound {
   RotorSound(const RotorSoundConfig& config, double sample_rate, double hover_omega,
              Rng rng);
 
-  // Produces the next audio sample for the given instantaneous rotor speed
-  // (rad/s).
-  double sample(double omega);
-
-  // Fills `out` with the next out.size() samples at one rotor speed —
-  // identical to calling sample(omega) once per element.  The synthesizer
+  // Fills `out` with the next out.size() samples at one rotor speed
+  // (rad/s) — identical to out.size() one-sample calls.  The synthesizer
   // renders one physics step (40 samples at 16 kHz) per call.
   void render(double omega, std::span<double> out);
 

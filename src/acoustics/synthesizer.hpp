@@ -17,7 +17,7 @@ struct SynthesizerConfig {
   sensors::MicArrayConfig mic_array;
   double sample_rate = 16000.0;
   // Airflow directivity coefficient per (m/s) of body-frame air velocity;
-  // see mix_to_mics.
+  // see mix_block.
   double flow_directivity = 0.10;
   // Per-rotor detune offsets added to rotor.detune (one entry per rotor of
   // the airframe, or the synthesizer throws std::invalid_argument; the

@@ -25,7 +25,25 @@ constexpr double kFs = 16000.0;
 
 std::vector<double> render(RotorSound& synth, double omega, std::size_t n) {
   std::vector<double> out(n);
-  for (auto& x : out) x = synth.sample(omega);
+  synth.render(omega, out);
+  return out;
+}
+
+// mix_block into fresh channels of the streams' length minus `lead`, with
+// ambient noise off.
+std::array<std::vector<double>, sensors::kNumMics> mix(
+    std::span<const std::vector<double>> rotors, std::size_t lead,
+    const sensors::MicGeometry& geom, std::span<const FlowSegment> flow = {},
+    double directivity = 0.0) {
+  std::array<std::vector<double>, sensors::kNumMics> out;
+  std::array<std::span<double>, sensors::kNumMics> out_views;
+  for (std::size_t m = 0; m < sensors::kNumMics; ++m) {
+    out[m].assign(rotors[0].size() - lead, std::nan(""));
+    out_views[m] = out[m];
+  }
+  std::array<GaussianNoise, sensors::kNumMics> noise;
+  const std::vector<std::span<const double>> streams(rotors.begin(), rotors.end());
+  mix_block(out_views, streams, lead, geom, kFs, 0.0, noise, flow, directivity, {});
   return out;
 }
 
@@ -108,12 +126,9 @@ TEST(Propagation, MixAppliesGains) {
   // Only rotor 0 active, constant signal.
   for (auto& r : rotors) r.assign(200, 0.0);
   std::fill(rotors[0].begin(), rotors[0].end(), 1.0);
-  Rng rng{5};
-  const auto audio = mix_to_mics(rotors, 100, geom, kFs, 0.0, rng);
-  for (int m = 0; m < sensors::kNumMics; ++m) {
-    const auto mi = static_cast<std::size_t>(m);
-    EXPECT_NEAR(audio.channels[mi].back(), geom.gain[mi][0], 1e-12);
-  }
+  const auto audio = mix(rotors, 100, geom);
+  for (std::size_t m = 0; m < sensors::kNumMics; ++m)
+    EXPECT_NEAR(audio[m].back(), geom.gain[m][0], 1e-12);
 }
 
 TEST(Propagation, MixAppliesDelays) {
@@ -121,40 +136,30 @@ TEST(Propagation, MixAppliesDelays) {
   std::array<std::vector<double>, sim::kNumRotors> rotors;
   for (auto& r : rotors) r.assign(120, 0.0);
   rotors[0][100] = 1.0;  // impulse exactly at the window start (lead = 100)
-  Rng rng{6};
-  const auto audio = mix_to_mics(rotors, 100, geom, kFs, 0.0, rng);
-  for (int m = 0; m < sensors::kNumMics; ++m) {
-    const auto mi = static_cast<std::size_t>(m);
-    const auto expected_delay = static_cast<std::size_t>(
-        std::llround(geom.delay_s[mi][0] * kFs));
+  const auto audio = mix(rotors, 100, geom);
+  for (std::size_t m = 0; m < sensors::kNumMics; ++m) {
+    const auto expected_delay =
+        static_cast<std::size_t>(std::llround(geom.delay_s[m][0] * kFs));
     // The impulse lands `expected_delay` samples into the output.
-    ASSERT_LT(expected_delay, audio.channels[mi].size());
-    EXPECT_NEAR(audio.channels[mi][expected_delay], geom.gain[mi][0], 1e-12);
+    ASSERT_LT(expected_delay, audio[m].size());
+    EXPECT_NEAR(audio[m][expected_delay], geom.gain[m][0], 1e-12);
   }
 }
 
-TEST(Propagation, InsufficientLeadThrows) {
-  const auto geom = sensors::compute_geometry({}, sim::QuadrotorParams{});
-  std::array<std::vector<double>, sim::kNumRotors> rotors;
-  for (auto& r : rotors) r.assign(50, 0.0);
-  Rng rng{7};
-  EXPECT_THROW(mix_to_mics(rotors, 0, geom, kFs, 0.0, rng), std::invalid_argument);
-}
-
+// One flow segment per output sample: every segment is shorter than a
+// vector, so the vector backend mixes each one in its scalar tail.
 TEST(Propagation, FlowDirectivityBreaksChannelBalance) {
   const auto geom = sensors::compute_geometry({}, sim::QuadrotorParams{});
   std::array<std::vector<double>, sim::kNumRotors> rotors;
   for (auto& r : rotors) r.assign(300, 1.0);
-  Rng rng{8};
-  const auto still = mix_to_mics(rotors, 100, geom, kFs, 0.0, rng);
-  std::vector<Vec3> flow(200, Vec3{5, 0, 0});
-  Rng rng2{8};
-  const auto moving = mix_to_mics(rotors, 100, geom, kFs, 0.0, rng2, flow, 0.1);
+  const auto still = mix(rotors, 100, geom);
+  std::vector<FlowSegment> flow;
+  for (std::size_t i = 0; i < 200; ++i) flow.push_back({i, Vec3{5, 0, 0}});
+  const auto moving = mix(rotors, 100, geom, flow, 0.1);
   double max_change = 0.0;
-  for (int m = 0; m < sensors::kNumMics; ++m) {
-    const auto mi = static_cast<std::size_t>(m);
-    max_change = std::max(max_change,
-                          std::abs(moving.channels[mi].back() - still.channels[mi].back()));
+  for (std::size_t m = 0; m < sensors::kNumMics; ++m) {
+    ASSERT_EQ(moving[m], std::vector<double>(200, moving[m].back())) << "mic " << m;
+    max_change = std::max(max_change, std::abs(moving[m].back() - still[m].back()));
   }
   EXPECT_GT(max_change, 0.01);
 }
@@ -369,7 +374,11 @@ TEST(RotorSound, RenderMatchesPerSampleCalls) {
   std::vector<double> block(100);
   for (const double omega : {hover, 1.1 * hover, 0.95 * hover}) {
     a.render(omega, block);
-    for (double x : block) ASSERT_EQ(x, b.sample(omega));
+    for (double x : block) {
+      double y = 0.0;
+      b.render(omega, {&y, 1});
+      ASSERT_EQ(x, y);
+    }
   }
 }
 
