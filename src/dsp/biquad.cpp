@@ -149,12 +149,6 @@ Biquad Biquad::band_pass(double center_hz, double sample_rate, double q) {
   return {alpha / a0, 0.0, -alpha / a0, -2.0 * cw / a0, (1.0 - alpha) / a0};
 }
 
-std::vector<double> Biquad::process(std::span<const double> xs) {
-  std::vector<double> out(xs.size());
-  process_into(xs, out);
-  return out;
-}
-
 void Biquad::process_into(std::span<const double> xs, std::span<double> out) {
   if (xs.size() != out.size())
     throw std::invalid_argument{"Biquad::process_into: size mismatch"};
@@ -183,12 +177,6 @@ BiquadCascade BiquadCascade::low_pass(double cutoff_hz, double sample_rate,
 double BiquadCascade::process(double x) {
   for (auto& s : sections_) x = s.process(x);
   return x;
-}
-
-std::vector<double> BiquadCascade::process(std::span<const double> xs) {
-  std::vector<double> out(xs.size());
-  process_into(xs, out);
-  return out;
 }
 
 void BiquadCascade::process_into(std::span<const double> xs,

@@ -30,10 +30,8 @@ class Biquad {
     return y;
   }
 
-  // Filters a whole buffer (stateful across calls).
-  std::vector<double> process(std::span<const double> xs);
-
-  // Allocation-free variant for hot paths; sizes must match (throws).
+  // Filters a whole buffer into `out` (stateful across calls); sizes must
+  // match (throws).
   void process_into(std::span<const double> xs, std::span<double> out);
 
   void reset();
@@ -78,8 +76,8 @@ class BiquadCascade {
                                 int sections = 2);
 
   double process(double x);
-  std::vector<double> process(std::span<const double> xs);
-  // Allocation-free variant for hot paths; sizes must match (throws).
+  // Filters a whole buffer into `out` (stateful across calls); sizes must
+  // match (throws).
   void process_into(std::span<const double> xs, std::span<double> out);
   void reset();
 

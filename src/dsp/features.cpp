@@ -22,13 +22,6 @@ const FrequencyBand& band_of(FreqGroup group) {
   return bands()[static_cast<std::size_t>(group)];
 }
 
-std::vector<double> band_features(const Spectrogram& spec,
-                                  const BandFeatureConfig& config) {
-  std::vector<double> out(spec.num_frames * config.bands_per_frame, 0.0);
-  band_features_into(spec, config, out);
-  return out;
-}
-
 void band_features_into(const Spectrogram& spec, const BandFeatureConfig& config,
                         std::span<double> out) {
   if (config.bands_per_frame == 0)

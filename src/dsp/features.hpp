@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "dsp/spectrogram.hpp"
 
@@ -43,12 +42,8 @@ struct BandFeatureConfig {
   double cutoff_hz = kPipelineCutoffHz;
 };
 
-// Returns [num_frames x bands_per_frame] row-major features.
-std::vector<double> band_features(const Spectrogram& spec,
-                                  const BandFeatureConfig& config);
-
-// Allocation-free variant: writes into caller-owned storage of exactly
-// num_frames * bands_per_frame elements (throws on size mismatch).  The
+// Writes [num_frames x bands_per_frame] row-major features into
+// caller-owned storage of exactly that size (throws on size mismatch).  The
 // per-band bin sums stay strict ascending scalar accumulations — this
 // routine is deliberately NOT vectorized, because reassociating the sums
 // would perturb log-magnitude features that detection thresholds sit on.

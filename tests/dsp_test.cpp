@@ -324,7 +324,8 @@ TEST(Biquad, BandPassPeaksAtCenter) {
 TEST(Biquad, TimeDomainMatchesMagnitudeResponse) {
   Biquad lp = Biquad::low_pass(2000.0, 16000.0);
   const auto s = sine(5500.0, 16000.0, 4000);
-  const auto y = lp.process(s);
+  std::vector<double> y(s.size());
+  lp.process_into(s, y);
   // Steady-state amplitude after the transient.
   double peak = 0.0;
   for (std::size_t i = 2000; i < y.size(); ++i) peak = std::max(peak, std::abs(y[i]));
@@ -344,9 +345,9 @@ TEST(BiquadCascade, SteeperThanSingleSection) {
   Biquad one = Biquad::low_pass(1000.0, 16000.0);
   BiquadCascade two = BiquadCascade::low_pass(1000.0, 16000.0, 2);
   const auto s = sine(4000.0, 16000.0, 4000);
-  Biquad one_copy = one;
-  const auto y1 = one_copy.process(s);
-  const auto y2 = two.process(s);
+  std::vector<double> y1(s.size()), y2(s.size());
+  one.process_into(s, y1);
+  two.process_into(s, y2);
   double p1 = 0.0, p2 = 0.0;
   for (std::size_t i = 2000; i < s.size(); ++i) {
     p1 = std::max(p1, std::abs(y1[i]));
@@ -374,7 +375,8 @@ TEST(Biquad, OutputBitsArePinned) {
     Biquad aero = Biquad::band_pass(5250.0, 16000.0, 3.0);
     std::uint32_t crc = 0;
     for (const auto& ch : in) {
-      const auto y = aero.process(ch);
+      std::vector<double> y(ch.size());
+      aero.process_into(ch, y);
       crc = util::crc32(y.data(), y.size() * sizeof(double), crc);
     }
     EXPECT_EQ(crc, 0xb1f15e30u);
@@ -424,8 +426,11 @@ TEST(Features, BandFeatureLayout) {
   const auto s = sine(2500.0, 16000.0, 4096);
   const auto spec = stft(s, scfg);
   BandFeatureConfig cfg;
-  const auto feats = band_features(spec, cfg);
-  EXPECT_EQ(feats.size(), spec.num_frames * cfg.bands_per_frame);
+  std::vector<double> feats(spec.num_frames * cfg.bands_per_frame);
+  band_features_into(spec, cfg, feats);
+  EXPECT_GT(spec.num_frames, 1u);
+  EXPECT_THROW(band_features_into(spec, cfg, std::span{feats}.first(feats.size() - 1)),
+               std::invalid_argument);
 }
 
 TEST(Features, ToneRaisesItsBandOnly) {
@@ -435,7 +440,8 @@ TEST(Features, ToneRaisesItsBandOnly) {
   const auto s = sine(2500.0, 16000.0, 4096, 1.0);
   const auto spec = stft(s, scfg);
   BandFeatureConfig cfg;
-  const auto feats = band_features(spec, cfg);
+  std::vector<double> feats(spec.num_frames * cfg.bands_per_frame);
+  band_features_into(spec, cfg, feats);
   // Band 13 holds 2500 Hz; band 5 holds ~1 kHz.
   EXPECT_GT(feats[13], feats[5] + 3.0);  // log scale: >3 nats apart
 }
