@@ -65,10 +65,4 @@ KsResult ks_test_two_sample(std::span<const double> xs, std::span<const double> 
   return out;
 }
 
-double ks_critical_value(std::size_t n, double alpha) {
-  // c(alpha) = sqrt(-ln(alpha/2)/2), asymptotic one-sample critical constant.
-  const double c = std::sqrt(-0.5 * std::log(alpha / 2.0));
-  return c / std::sqrt(static_cast<double>(n));
-}
-
 }  // namespace sb::detect

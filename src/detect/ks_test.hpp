@@ -18,9 +18,6 @@ KsResult ks_test_normal(std::span<const double> xs, double mean, double stddev);
 // Two-sample KS test.
 KsResult ks_test_two_sample(std::span<const double> xs, std::span<const double> ys);
 
-// Critical D value at significance alpha for sample size n (asymptotic).
-double ks_critical_value(std::size_t n, double alpha);
-
 // Asymptotic Kolmogorov survival function Q(lambda) = P(D > lambda-ish);
 // exposed for testing.
 double kolmogorov_q(double lambda);

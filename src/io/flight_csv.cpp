@@ -49,20 +49,4 @@ bool write_gps_csv(const std::string& path, const sim::FlightLog& log) {
   return static_cast<bool>(os);
 }
 
-bool write_trace_csv(const std::string& path,
-                     const core::GpsRcaDetector::Trace& trace) {
-  std::ofstream os{path};
-  if (!os) return false;
-  os << "t,vest_x,vest_y,vest_z,vgps_x,vgps_y,vgps_z,pest_x,pest_y,pest_z,"
-        "running_mean\n";
-  for (std::size_t i = 0; i < trace.t.size(); ++i) {
-    os << trace.t[i] << ',' << trace.v_est[i].x << ',' << trace.v_est[i].y << ','
-       << trace.v_est[i].z << ',' << trace.v_gps[i].x << ',' << trace.v_gps[i].y
-       << ',' << trace.v_gps[i].z << ',' << trace.pos_est[i].x << ','
-       << trace.pos_est[i].y << ',' << trace.pos_est[i].z << ','
-       << trace.running_mean[i] << '\n';
-  }
-  return static_cast<bool>(os);
-}
-
 }  // namespace sb::io

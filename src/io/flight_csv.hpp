@@ -1,11 +1,10 @@
-// CSV export of flight recordings: ground truth, sensor streams and RCA
-// traces, for external plotting/analysis (e.g. regenerating the paper's
-// figures graphically).
+// CSV export of flight recordings: ground truth and sensor streams, for
+// external plotting/analysis (e.g. regenerating the paper's figures
+// graphically).
 #pragma once
 
 #include <string>
 
-#include "core/gps_rca.hpp"
 #include "sim/simulator.hpp"
 
 namespace sb::io {
@@ -19,9 +18,5 @@ bool write_imu_csv(const std::string& path, const sim::FlightLog& log);
 
 // GPS stream (possibly attacked).
 bool write_gps_csv(const std::string& path, const sim::FlightLog& log);
-
-// GPS-stage RCA trace (Fig. 7's series).
-bool write_trace_csv(const std::string& path,
-                     const core::GpsRcaDetector::Trace& trace);
 
 }  // namespace sb::io

@@ -62,11 +62,6 @@ TEST(KsTest, TwoSampleDifferentDistributions) {
   EXPECT_LT(ks_test_two_sample(a, b).p_value, 1e-9);
 }
 
-TEST(KsTest, CriticalValueShrinksWithN) {
-  EXPECT_GT(ks_critical_value(50, 0.05), ks_critical_value(500, 0.05));
-  EXPECT_GT(ks_critical_value(100, 0.01), ks_critical_value(100, 0.10));
-}
-
 TEST(KsTest, KolmogorovQBounds) {
   EXPECT_DOUBLE_EQ(kolmogorov_q(0.0), 1.0);
   EXPECT_NEAR(kolmogorov_q(1.36), 0.05, 0.01);

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/gps_rca.hpp"
 #include "io/flight_csv.hpp"
 #include "io/wav.hpp"
 #include "test_helpers.hpp"
@@ -157,19 +156,6 @@ TEST(FlightCsv, ImuAndGpsExports) {
   EXPECT_EQ(count_lines(gps_path), 1 + flight.log.gps.size());
   std::remove(imu_path.c_str());
   std::remove(gps_path.c_str());
-}
-
-TEST(FlightCsv, TraceExport) {
-  core::GpsRcaDetector::Trace trace;
-  trace.t = {0.2, 0.4};
-  trace.v_est = {{1, 0, 0}, {1, 1, 0}};
-  trace.v_gps = {{0.9, 0, 0}, {1, 1, 0.1}};
-  trace.pos_est = {{0, 0, -10}, {0.2, 0, -10}};
-  trace.running_mean = {0.1, 0.12};
-  const auto path = temp_path("trace.csv");
-  ASSERT_TRUE(write_trace_csv(path, trace));
-  EXPECT_EQ(count_lines(path), 3u);
-  std::remove(path.c_str());
 }
 
 TEST(FlightCsv, ZeroStrideRejected) {
