@@ -57,11 +57,10 @@ WindowResiduals ImuRcaDetector::window_residuals(
   return w;
 }
 
-Vec3 ImuRcaDetector::baseline(std::span<const WindowResiduals> raw,
-                               std::size_t reference_windows) {
+Vec3 ImuRcaDetector::baseline(std::span<const WindowResiduals> raw) {
   Vec3 sum;
   std::size_t n = 0;
-  for (const auto& w : raw.first(std::min(reference_windows, raw.size())))
+  for (const auto& w : raw.first(std::min(kReferenceWindows, raw.size())))
     for (const auto& r : w.samples) {
       sum += r;
       ++n;
@@ -70,8 +69,7 @@ Vec3 ImuRcaDetector::baseline(std::span<const WindowResiduals> raw,
 }
 
 std::vector<WindowResiduals> ImuRcaDetector::residuals(
-    const Flight& flight, std::span<const TimedPrediction> preds,
-    std::size_t reference_windows) {
+    const Flight& flight, std::span<const TimedPrediction> preds) {
   std::vector<WindowResiduals> out;
   out.reserve(preds.size());
   std::size_t lo = 0;
@@ -79,7 +77,7 @@ std::vector<WindowResiduals> ImuRcaDetector::residuals(
 
   // Flight-local baseline from the attack-free early windows.  Residuals are
   // finite, so subtracting a zero baseline leaves them bit-identical.
-  const Vec3 b = baseline(out, reference_windows);
+  const Vec3 b = baseline(out);
   for (auto& w : out)
     for (auto& r : w.samples) r -= b;
   return out;
@@ -214,13 +212,12 @@ ImuRcaDetector::Result ImuRcaDetector::analyze(
   return state.result;
 }
 
-ImuRcaDetector::Monitor::Monitor(const ImuRcaDetector& detector,
-                                 std::size_t reference_windows)
-    : detector_(&detector), reference_windows_(reference_windows) {}
+ImuRcaDetector::Monitor::Monitor(const ImuRcaDetector& detector)
+    : detector_(&detector) {}
 
 void ImuRcaDetector::Monitor::freeze_and_drain(std::vector<ImuWindowDecision>& out) {
   if (!frozen_) {
-    baseline_ = baseline(pending_, reference_windows_);
+    baseline_ = baseline(pending_);
     frozen_ = true;
   }
   for (auto& w : pending_) {
@@ -234,7 +231,7 @@ void ImuRcaDetector::Monitor::freeze_and_drain(std::vector<ImuWindowDecision>& o
 void ImuRcaDetector::Monitor::add(WindowResiduals raw,
                                   std::vector<ImuWindowDecision>& out) {
   pending_.push_back(std::move(raw));
-  if (frozen_ || pending_.size() >= reference_windows_) freeze_and_drain(out);
+  if (frozen_ || pending_.size() >= kReferenceWindows) freeze_and_drain(out);
 }
 
 void ImuRcaDetector::Monitor::finish(std::vector<ImuWindowDecision>& out) {
@@ -243,7 +240,7 @@ void ImuRcaDetector::Monitor::finish(std::vector<ImuWindowDecision>& out) {
 
 void ImuRcaDetector::Monitor::save_state(std::ostream& os) const {
   using util::io::write_pod;
-  write_pod(os, static_cast<std::uint64_t>(reference_windows_));
+  write_pod(os, static_cast<std::uint64_t>(kReferenceWindows));
   write_pod(os, static_cast<std::uint8_t>(frozen_ ? 1 : 0));
   write_pod(os, baseline_);
   write_pod(os, static_cast<std::uint64_t>(pending_.size()));
@@ -266,12 +263,12 @@ bool ImuRcaDetector::Monitor::load_state(std::istream& is) {
   using util::io::read_pod;
   std::uint64_t ref = 0, n_pending = 0;
   std::uint8_t frozen = 0;
-  if (!read_pod(is, ref) || ref != reference_windows_) return false;
+  if (!read_pod(is, ref) || ref != kReferenceWindows) return false;
   if (!read_pod(is, frozen) || !read_pod(is, baseline_)) return false;
   if (!read_pod(is, n_pending)) return false;
-  // Between calls the backlog holds fewer than reference_windows_ windows
+  // Between calls the backlog holds fewer than kReferenceWindows windows
   // (none once frozen); a wild count here means corrupt bytes.
-  if (n_pending >= std::max<std::uint64_t>(reference_windows_, 1)) return false;
+  if (n_pending >= kReferenceWindows) return false;
   pending_.clear();
   pending_.reserve(n_pending);
   for (std::uint64_t i = 0; i < n_pending; ++i) {

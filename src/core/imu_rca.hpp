@@ -35,6 +35,10 @@ struct ImuRcaConfig {
   double min_threshold = 1.0;
 };
 
+// Windows at the start of a flight whose mean residual is the flight-local
+// baseline (ImuRcaDetector::baseline).
+inline constexpr std::size_t kReferenceWindows = 10;
+
 // Residuals of one signature window: prediction minus each IMU reading.
 struct WindowResiduals {
   double t0 = 0.0;
@@ -48,14 +52,13 @@ class ImuRcaDetector {
 
   // IMU-rate residual series of one flight given its window predictions
   // (detector calibration, Fig. 6).  Residuals are baselined against the
-  // flight's first `reference_windows` windows: the threat model guarantees
+  // flight's first kReferenceWindows windows: the threat model guarantees
   // attacks begin only after takeoff completes, so the early flight
   // provides a per-flight reference that removes flight-specific model bias
   // before the distribution test.  Non-finite IMU readings (NaN bursts,
   // poisoned streams) are dropped before any statistic touches them.
   static std::vector<WindowResiduals> residuals(const Flight& flight,
-                                                std::span<const TimedPrediction> preds,
-                                                std::size_t reference_windows = 10);
+                                                std::span<const TimedPrediction> preds);
 
   // One window's RAW (un-baselined) residuals from a time-ordered IMU sample
   // stream.  `lo` is the remembered scan lower bound, advanced in place so
@@ -70,11 +73,10 @@ class ImuRcaDetector {
                                           std::size_t* nonfinite = nullptr);
 
   // The flight-local baseline: mean residual over the first
-  // `reference_windows` RAW windows, accumulated in window then sample
-  // order (zero when they hold no samples).  residuals() and Monitor both
+  // kReferenceWindows RAW windows, accumulated in window then sample order
+  // (zero when they hold no samples).  residuals() and Monitor both
   // baseline through it.
-  static Vec3 baseline(std::span<const WindowResiduals> raw,
-                       std::size_t reference_windows);
+  static Vec3 baseline(std::span<const WindowResiduals> raw);
 
   // Fits the benign residual statistics (Fig. 6's blue curve): per-axis
   // distributions of the window MEAN (Side-Swing shifts it) and of the
@@ -112,14 +114,13 @@ class ImuRcaDetector {
 
   // Incremental form of residuals()+analyze(): feed RAW (un-baselined)
   // windows in grid order and collect decisions as they become final.  The
-  // pending backlog holds exactly the first `reference_windows` windows when
+  // pending backlog holds exactly the first kReferenceWindows windows when
   // the baseline freezes (at finish() for short flights), so early windows
   // drain in order once it does — the decision sequence and Result equal
   // analyze() over residuals() bit for bit.
   class Monitor {
    public:
-    explicit Monitor(const ImuRcaDetector& detector,
-                     std::size_t reference_windows = 10);
+    explicit Monitor(const ImuRcaDetector& detector);
 
     // Offers the next raw window and appends the decisions it finalized to
     // `out` (none while the baseline is pending, the backlog right after it
@@ -134,10 +135,10 @@ class ImuRcaDetector {
     const ImuRcaDetector& detector() const { return *detector_; }
 
     // Bitwise checkpoint of the running analysis state (baseline, pending
-    // backlog, step state).  load_state expects a monitor constructed
-    // against the SAME detector and reference-window count; it returns
-    // false on malformed bytes or a configuration mismatch, leaving the
-    // monitor in an unspecified state.
+    // backlog, step state).  The state records kReferenceWindows, and
+    // load_state expects a monitor constructed against the SAME detector;
+    // it returns false on malformed bytes or a configuration mismatch,
+    // leaving the monitor in an unspecified state.
     void save_state(std::ostream& os) const;
     bool load_state(std::istream& is);
 
@@ -145,7 +146,6 @@ class ImuRcaDetector {
     void freeze_and_drain(std::vector<ImuWindowDecision>& out);
 
     const ImuRcaDetector* detector_;
-    std::size_t reference_windows_;
     bool frozen_ = false;
     Vec3 baseline_;
     std::vector<WindowResiduals> pending_;

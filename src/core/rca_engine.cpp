@@ -71,9 +71,8 @@ RcaReport RcaEngine::decide(const Flight& flight,
 }
 
 RcaEngine::Monitor::Monitor(const ImuRcaDetector& imu_detector,
-                            const GpsRcaDetector& gps_detector,
-                            std::size_t reference_windows)
-    : imu_(imu_detector, reference_windows),
+                            const GpsRcaDetector& gps_detector)
+    : imu_(imu_detector),
       gps_{{gps_detector, GpsDetectorMode::kAudioOnly},
            {gps_detector, GpsDetectorMode::kAudioImu}} {}
 

@@ -84,8 +84,7 @@ class RcaEngine {
    public:
     // Detectors must be calibrated; the monitor holds references only.
     Monitor(const ImuRcaDetector& imu_detector,
-            const GpsRcaDetector& gps_detector,
-            std::size_t reference_windows = 10);
+            const GpsRcaDetector& gps_detector);
 
     void push_imu(std::span<const sim::ImuSample> samples);
     void push_gps(std::span<const sim::GpsSample> samples);
@@ -118,8 +117,8 @@ class RcaEngine {
 
     // Bitwise checkpoint of everything above (detector thresholds included
     // as a guard).  load_state expects a monitor built against the SAME
-    // detectors and reference-window count; it returns false on malformed
-    // bytes or a mismatch, leaving the monitor in an unspecified state.
+    // detectors; it returns false on malformed bytes or a mismatch, leaving
+    // the monitor in an unspecified state.
     void save_state(std::ostream& os) const;
     bool load_state(std::istream& is);
 

@@ -28,7 +28,7 @@ RcaSession::RcaSession(std::uint64_t id, const core::SensoryMapper& mapper,
       mapper_(&mapper),
       config_(config),
       extractor_(extractor_config(mapper, config)),
-      monitor_(imu_detector, gps_detector, config.reference_windows) {
+      monitor_(imu_detector, gps_detector) {
   if (!mapper.trained())
     throw std::logic_error{"RcaSession: mapper not trained"};
   if (obs::recorder_enabled())

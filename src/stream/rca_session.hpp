@@ -60,8 +60,6 @@ struct RcaSessionConfig {
   // stride, window length) always comes from the mapper's dataset config so
   // the session analyzes exactly the offline grid.
   double sample_rate = 16000.0;
-  // IMU residual baseline horizon (offline default).
-  std::size_t reference_windows = 10;
   // Degraded-mode evidence thinning: only every evidence_stride-th window
   // (seq % stride == 0) is prepared and inferred; the rest are delivered as
   // NaN "thinned" predictions, which the detectors treat exactly like shed

@@ -290,20 +290,23 @@ TEST(ImuRca, ResidualWindowsCarryImuRateSamples) {
   std::vector<TimedPrediction> preds;
   for (double t0 = 2.0; t0 + 0.5 <= 6.0; t0 += 0.5)
     preds.push_back({t0, t0 + 0.5, {}, {}});
-  const auto windows = ImuRcaDetector::residuals(f, preds, 0);
+  const auto windows = ImuRcaDetector::residuals(f, preds);
   ASSERT_FALSE(windows.empty());
   for (const auto& w : windows) EXPECT_NEAR(static_cast<double>(w.samples.size()), 100, 3);
 }
 
 TEST(ImuRca, BaseliningRemovesConstantOffset) {
-  const auto f = test::hover_flight(6.0, 13);
+  // More windows than the baseline horizon, so the windows after it are
+  // baselined by a mean they did not enter.
+  const auto f = test::hover_flight(10.0, 13);
   std::vector<TimedPrediction> preds;
   // Predictions biased by a constant +2 in x relative to the IMU.
-  for (double t0 = 2.0; t0 + 0.5 <= 6.0; t0 += 0.5) {
+  for (double t0 = 2.0; t0 + 0.5 <= 10.0; t0 += 0.5) {
     const Vec3 imu = f.log.mean_imu_accel(t0, t0 + 0.5);
     preds.push_back({t0, t0 + 0.5, imu + Vec3{2.0, 0, 0}, {}});
   }
-  const auto windows = ImuRcaDetector::residuals(f, preds, 4);
+  ASSERT_GT(preds.size(), kReferenceWindows);
+  const auto windows = ImuRcaDetector::residuals(f, preds);
   double mean_x = 0;
   std::size_t n = 0;
   for (const auto& w : windows)
@@ -476,9 +479,9 @@ struct MonitorRun {
 // (RcaEngine::decide's feed) or, window by window, only the samples up to
 // each window's end (a streaming session's feed).
 MonitorRun feed_monitor(const Flight& f, std::span<const TimedPrediction> preds,
-                        std::size_t reference_windows, bool incremental) {
+                        bool incremental) {
   const auto& det = monitor_detectors();
-  RcaEngine::Monitor monitor{det.imu, det.gps, reference_windows};
+  RcaEngine::Monitor monitor{det.imu, det.gps};
   if (!incremental) {
     monitor.push_imu(f.log.imu);
     monitor.push_gps(f.log.gps);
@@ -558,11 +561,9 @@ void expect_same_run(const MonitorRun& a, const MonitorRun& b) {
 // predictions: one residual baseline, one GPS seeding.
 void expect_matches_batch_detectors(const Flight& f,
                                     std::span<const TimedPrediction> preds,
-                                    std::size_t reference_windows,
                                     const MonitorRun& run) {
   const auto& det = monitor_detectors();
-  const auto imu =
-      det.imu.analyze(ImuRcaDetector::residuals(f, preds, reference_windows));
+  const auto imu = det.imu.analyze(ImuRcaDetector::residuals(f, preds));
   EXPECT_EQ(run.report.imu_attacked, imu.attacked);
   EXPECT_EQ(run.report.imu_detect_time, imu.detect_time);
   EXPECT_EQ(run.trace.imu.size(), imu.windows_tested);
@@ -584,12 +585,12 @@ TEST(RcaMonitor, WindowByWindowFeedMatchesWholeLogFeedBitwise) {
       fix.pos += Vec3{2.0 * (fix.t - 14.0), 0.0, 0.0};
       fix.vel += Vec3{2.0, 0.0, 0.0};
     }
-  const auto incremental = feed_monitor(f, preds, 10, true);
-  const auto upfront = feed_monitor(f, preds, 10, false);
+  const auto incremental = feed_monitor(f, preds, true);
+  const auto upfront = feed_monitor(f, preds, false);
   EXPECT_TRUE(upfront.report.imu_attacked);
   EXPECT_FALSE(upfront.trace.gps.empty());
   expect_same_run(incremental, upfront);
-  expect_matches_batch_detectors(f, preds, 10, upfront);
+  expect_matches_batch_detectors(f, preds, upfront);
 
   const auto& det = monitor_detectors();
   SensoryMapperConfig cfg;
@@ -601,25 +602,17 @@ TEST(RcaMonitor, WindowByWindowFeedMatchesWholeLogFeedBitwise) {
   expect_same_run(decided, upfront);
 }
 
-TEST(RcaMonitor, ShortFlightAndZeroReferenceWindowsFeedBitwise) {
+TEST(RcaMonitor, ShortFlightFeedsBitwise) {
   // Fewer windows than the baseline horizon: the baseline freezes at
   // finish() over every window seen.
   const auto short_flight = test::hover_flight(3.5, 34);
   const auto short_preds = synthetic_predictions(short_flight);
-  ASSERT_LT(short_preds.size(), 10u);
-  const auto a = feed_monitor(short_flight, short_preds, 10, true);
-  const auto b = feed_monitor(short_flight, short_preds, 10, false);
+  ASSERT_LT(short_preds.size(), kReferenceWindows);
+  const auto a = feed_monitor(short_flight, short_preds, true);
+  const auto b = feed_monitor(short_flight, short_preds, false);
   EXPECT_EQ(a.trace.imu.size(), short_preds.size());
   expect_same_run(a, b);
-  expect_matches_batch_detectors(short_flight, short_preds, 10, b);
-
-  // reference_windows = 0: no flight-local baseline, decisions flow at once.
-  const auto f = test::hover_flight(12.0, 35);
-  const auto preds = synthetic_predictions(f);
-  const auto c = feed_monitor(f, preds, 0, true);
-  const auto d = feed_monitor(f, preds, 0, false);
-  expect_same_run(c, d);
-  expect_matches_batch_detectors(f, preds, 0, d);
+  expect_matches_batch_detectors(short_flight, short_preds, b);
 }
 
 TEST(RcaMonitor, CheckpointRoundTripResumesBitwise) {
@@ -639,13 +632,19 @@ TEST(RcaMonitor, CheckpointRoundTripResumesBitwise) {
   for (std::size_t i = half; i < preds.size(); ++i) resumed.deliver(preds[i]);
   MonitorRun a;
   a.report = resumed.finish({}, &a.trace);
-  expect_same_run(a, feed_monitor(f, preds, 10, false));
+  expect_same_run(a, feed_monitor(f, preds, false));
 
-  // A different baseline horizon is a configuration mismatch.
-  state.clear();
-  state.seekg(0);
-  RcaEngine::Monitor other{det.imu, det.gps, 5};
-  EXPECT_FALSE(other.load_state(state));
+  // A different baseline horizon is a configuration mismatch.  The IMU
+  // stage's state opens with it, after the IMU threshold.
+  std::string bytes = state.str();
+  std::uint64_t horizon = 0;
+  std::memcpy(&horizon, bytes.data() + sizeof(double), sizeof horizon);
+  ASSERT_EQ(horizon, kReferenceWindows);
+  const std::uint64_t other_horizon = kReferenceWindows - 1;
+  std::memcpy(bytes.data() + sizeof(double), &other_horizon, sizeof other_horizon);
+  std::istringstream forged{bytes, std::ios::binary};
+  RcaEngine::Monitor other{det.imu, det.gps};
+  EXPECT_FALSE(other.load_state(forged));
 }
 
 // The `faults.*` counters count decisions only: a detector run on its own
