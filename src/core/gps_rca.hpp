@@ -104,6 +104,13 @@ class GpsRcaDetector {
 
     const Result& result() const { return result_; }
 
+    // Fixes of the stream consumed so far: later windows read only the
+    // fixes from here on (the first window also seeds from the stream's
+    // start).  drop_fixes(n) follows a caller that erased the first n
+    // consumed fixes of its stream.
+    std::size_t fixes_consumed() const { return gps_idx_; }
+    void drop_fixes(std::size_t n) { gps_idx_ -= n; }
+
     // Bitwise checkpoint of the running estimation state (KF velocity and
     // variance, error monitor ring, fix cursor, timing).  load_state expects
     // a monitor constructed with the SAME mode/thresholds/config and returns

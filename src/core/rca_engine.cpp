@@ -1,5 +1,7 @@
 #include "core/rca_engine.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 #include "obs/log.hpp"
@@ -104,6 +106,23 @@ RcaEngine::Monitor::Delivery RcaEngine::Monitor::deliver(const TimedPrediction& 
   for (std::size_t m = 0; m < 2; ++m)
     gps_[m].step_window(pred, gps_buf_, imu_buf_, &gps_decisions_[m],
                         &gps_health_[m]);
+
+  // Later windows never start earlier, so the IMU samples before the
+  // residual cursor and the fixes both GPS variants consumed are never read
+  // again.  A prefix goes once it is half the buffer, which keeps a whole
+  // log pushed up front (decide()) linear.
+  if (residual_lo_ > 0 && 2 * residual_lo_ >= imu_buf_.size()) {
+    imu_buf_.erase(imu_buf_.begin(),
+                   imu_buf_.begin() + static_cast<std::ptrdiff_t>(residual_lo_));
+    residual_lo_ = 0;
+  }
+  const std::size_t fixes =
+      std::min(gps_[0].fixes_consumed(), gps_[1].fixes_consumed());
+  if (fixes > 0 && 2 * fixes >= gps_buf_.size()) {
+    gps_buf_.erase(gps_buf_.begin(),
+                   gps_buf_.begin() + static_cast<std::ptrdiff_t>(fixes));
+    for (auto& m : gps_) m.drop_fixes(fixes);
+  }
   return out;
 }
 
@@ -187,6 +206,8 @@ bool RcaEngine::Monitor::load_state(std::istream& is) {
   std::uint64_t residual_lo = 0;
   if (!read_pod(is, residual_lo) || residual_lo > imu_buf_.size()) return false;
   residual_lo_ = static_cast<std::size_t>(residual_lo);
+  for (const auto& m : gps_)
+    if (m.fixes_consumed() > gps_buf_.size()) return false;
   return true;
 }
 

@@ -126,6 +126,9 @@ class RcaEngine {
     ImuRcaDetector::Monitor imu_;
     // [0] = kAudioOnly, [1] = kAudioImu.
     GpsRcaDetector::Monitor gps_[2];
+    // The sensor samples still to be read: deliver() drops the prefix every
+    // later window is past, so a session's state does not grow with flight
+    // age.
     std::vector<sim::ImuSample> imu_buf_;
     std::vector<sim::GpsSample> gps_buf_;
     std::size_t residual_lo_ = 0;  // window_residuals scan cursor

@@ -640,6 +640,32 @@ TEST_F(StreamServingTest, CheckpointRestoreResumesBitwise) {
   expect_same_reports(expected, actual);
 }
 
+// A checkpoint holds what the session still needs, not the flight so far:
+// two checkpoints of one session at the same phase of the window grid, 5 s
+// apart, differ only by the decision records of those 5 s.  The IMU
+// samples alone would add 5 s x 200 Hz x 80 B = 80 KB.
+TEST_F(StreamServingTest, CheckpointSizeDoesNotGrowWithFlightAge) {
+  auto a = make_session(21);
+  InferenceScheduler sched{*mapper_};
+  sched.attach(a);
+  std::size_t chunk = 0;
+  const auto checkpoint_after = [&](std::size_t chunks, const char* name) {
+    for (; chunk < chunks; ++chunk) {
+      feed_range(a, 0.1 * static_cast<double>(chunk),
+                 0.1 * static_cast<double>(chunk + 1));
+      sched.pump();
+    }
+    sched.drain();
+    a.poll_verdicts();
+    const std::string path = ::testing::TempDir() + name;
+    EXPECT_TRUE(a.checkpoint(path));
+    return static_cast<double>(std::filesystem::file_size(path));
+  };
+  const double at_5s = checkpoint_after(50, "sb_age_5s.sbsess");
+  const double at_10s = checkpoint_after(100, "sb_age_10s.sbsess");
+  EXPECT_LT(at_10s - at_5s, 16.0 * 1024.0) << at_5s << " -> " << at_10s << " bytes";
+}
+
 // ---------------------------------------------------------------------------
 // Fleet server: shard assignment, admission control, migration.
 
