@@ -641,9 +641,9 @@ TEST_F(StreamServingTest, CheckpointRestoreResumesBitwise) {
 }
 
 // A checkpoint holds what the session still needs, not the flight so far:
-// two checkpoints of one session at the same phase of the window grid, 5 s
-// apart, differ only by the decision records of those 5 s.  The IMU
-// samples alone would add 5 s x 200 Hz x 80 B = 80 KB.
+// two checkpoints of one session 5 s apart, at the same phase of the window
+// grid, may differ by the decision records of those 5 s but not by their
+// sensor samples (the IMU's alone are 5 s x 200 Hz x 80 B = 80 KB).
 TEST_F(StreamServingTest, CheckpointSizeDoesNotGrowWithFlightAge) {
   auto a = make_session(21);
   InferenceScheduler sched{*mapper_};
