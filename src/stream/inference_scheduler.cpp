@@ -142,9 +142,10 @@ std::size_t InferenceScheduler::pump() {
   obs::ScopedSpan span{"scheduler_pump", obs::Stage::kPredict};
   // The pump loop is the serving heartbeat, so it doubles as the telemetry
   // clock: one relaxed atomic load when SB_TELEMETRY is unset.  Fleet
-  // shards pumped on pool workers leave ticking to the fleet's own round;
-  // shards pumped inline (one shard, SB_THREADS=1) tick right after it,
-  // inside the export interval, so they write nothing.
+  // shards pumped on pool workers leave ticking to the fleet's own round.
+  // Shards pumped inline (one shard, or SB_THREADS=1) tick too, one after
+  // another, so when the export interval ends partway through a round the
+  // sample is written between two shard pumps.
   if (!util::ThreadPool::in_parallel_region()) obs::telemetry_tick();
   update_active_gauge();
   collect();
