@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/decision_trace.hpp"
 #include "core/signature.hpp"
 #include "obs/metrics.hpp"
 #include "stream/fleet_server.hpp"
@@ -640,30 +642,48 @@ TEST_F(StreamServingTest, CheckpointRestoreResumesBitwise) {
   expect_same_reports(expected, actual);
 }
 
-// A checkpoint holds what the session still needs, not the flight so far:
-// two checkpoints of one session 5 s apart, at the same phase of the window
-// grid, may differ by the decision records of those 5 s but not by their
-// sensor samples (the IMU's alone are 5 s x 200 Hz x 80 B = 80 KB).
+// A checkpoint holds what the session still needs, not the flight so far.
+// Until the IMU stage holds its baseline it keeps the reference windows'
+// residuals, so the test checkpoints at every whole second (one phase of
+// the window grid) from the first IMU window decision on.  The monitor then
+// holds the sensor samples from the last window's start on, plus a read
+// prefix it drops once that prefix is the larger half of its buffer, so
+// the checkpoints may differ by one window of IMU samples and GPS fixes
+// plus the decision records of the seconds between them, but not by those
+// seconds' samples (the IMU's alone are 200 Hz x 80 B = 16 KB per second).
 TEST_F(StreamServingTest, CheckpointSizeDoesNotGrowWithFlightAge) {
   auto a = make_session(21);
   InferenceScheduler sched{*mapper_};
   sched.attach(a);
-  std::size_t chunk = 0;
-  const auto checkpoint_after = [&](std::size_t chunks, const char* name) {
-    for (; chunk < chunks; ++chunk) {
-      feed_range(a, 0.1 * static_cast<double>(chunk),
-                 0.1 * static_cast<double>(chunk + 1));
-      sched.pump();
-    }
+  bool baseline = false;
+  std::vector<double> sizes;
+  for (std::size_t chunk = 1; chunk <= 100; ++chunk) {
+    feed_range(a, 0.1 * static_cast<double>(chunk - 1),
+               0.1 * static_cast<double>(chunk));
+    sched.pump();
+    if (chunk % 10 != 0) continue;
     sched.drain();
-    a.poll_verdicts();
-    const std::string path = ::testing::TempDir() + name;
-    EXPECT_TRUE(a.checkpoint(path));
-    return static_cast<double>(std::filesystem::file_size(path));
-  };
-  const double at_5s = checkpoint_after(50, "sb_age_5s.sbsess");
-  const double at_10s = checkpoint_after(100, "sb_age_10s.sbsess");
-  EXPECT_LT(at_10s - at_5s, 16.0 * 1024.0) << at_5s << " -> " << at_10s << " bytes";
+    for (const auto& e : a.poll_verdicts())
+      baseline = baseline || e.kind == VerdictEvent::Kind::kImuWindow;
+    if (!baseline) continue;
+    const std::string path = ::testing::TempDir() + "sb_age.sbsess";
+    ASSERT_TRUE(a.checkpoint(path));
+    sizes.push_back(static_cast<double>(std::filesystem::file_size(path)));
+  }
+  ASSERT_GE(sizes.size(), 3u);
+  const auto& rates = lab_->config().rates;
+  const auto& dataset = mapper_->config().dataset;
+  const double seconds = static_cast<double>(sizes.size() - 1);
+  const double window = dataset.signature.window_seconds *
+                        (rates.imu_hz * sizeof(sim::ImuSample) +
+                         rates.gps_hz * sizeof(sim::GpsSample));
+  const double records =
+      seconds * (sizeof(core::ImuWindowDecision) / dataset.stride +
+                 2.0 * rates.gps_hz * sizeof(core::GpsFixDecision));
+  const auto [lo, hi] = std::minmax_element(sizes.begin(), sizes.end());
+  std::ostringstream seen;
+  for (const double b : sizes) seen << ' ' << b;
+  EXPECT_LT(*hi - *lo, window + records) << "bytes, one a second:" << seen.str();
 }
 
 // ---------------------------------------------------------------------------
