@@ -647,10 +647,11 @@ TEST_F(StreamServingTest, CheckpointRestoreResumesBitwise) {
 // residuals, so the test checkpoints at every whole second (one phase of
 // the window grid) from the first IMU window decision on.  The monitor then
 // holds the sensor samples from the last window's start on, plus a read
-// prefix it drops once that prefix is the larger half of its buffer, so
-// the checkpoints may differ by one window of IMU samples and GPS fixes
-// plus the decision records of the seconds between them, but not by those
-// seconds' samples (the IMU's alone are 200 Hz x 80 B = 16 KB per second).
+// prefix it drops once that prefix is at least half its buffer, so the
+// checkpoints may differ by one window of IMU samples and GPS fixes plus
+// the decision records of the seconds between them (both GPS variants),
+// but not by those seconds' samples (the IMU's alone are 200 Hz x 80 B =
+// 16 KB per second).
 TEST_F(StreamServingTest, CheckpointSizeDoesNotGrowWithFlightAge) {
   auto a = make_session(21);
   InferenceScheduler sched{*mapper_};
