@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -10,11 +11,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/decision_trace.hpp"
 #include "core/signature.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "stream/fleet_server.hpp"
 #include "stream/inference_scheduler.hpp"
 #include "stream/rca_session.hpp"
@@ -357,6 +360,47 @@ TEST_F(StreamServingTest, OverflowShedsOldestAndEngagesDegradation) {
   // queue front — still contribute), never silently lost.
   EXPECT_GT(report.health.imu_samples_nonfinite, 0u);
   EXPECT_EQ(report.health.imu_windows_skipped, staged - 2);
+}
+
+// Windows held past the 1 s p99 latency target before the pump: every
+// delivery lands in the window->verdict histogram, and each one is a breach
+// in the session's black box, against the same 1 s target.
+TEST_F(StreamServingTest, DeliveriesPastTheP99TargetAreBreaches) {
+  // Black boxes dump to the working directory by default; keep them in a
+  // temporary one.
+  const auto cwd = std::filesystem::current_path();
+  const auto dir = std::filesystem::path{::testing::TempDir()} / "sb_slo_breach";
+  std::filesystem::create_directories(dir);
+  std::filesystem::current_path(dir);
+  obs::set_recorder_enabled(true);
+  auto a = make_session(23);
+  obs::set_recorder_enabled(false);
+  ASSERT_NE(a.recorder(), nullptr);
+
+  auto& latency =
+      obs::Registry::instance().histogram("stream.window_to_verdict_seconds");
+  const auto latency_before = latency.count();
+  InferenceScheduler sched{*mapper_};
+  sched.attach(a);
+  feed(a, 5.0);
+  const std::size_t staged = a.windows_staged();
+  ASSERT_GT(staged, 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  sched.drain();
+  ASSERT_EQ(a.windows_delivered(), staged);
+  EXPECT_EQ(latency.count() - latency_before, staged);
+
+  std::size_t breaches = 0;
+  for (const auto& e : a.recorder()->events()) {
+    if (e.kind != obs::RecorderEvent::Kind::kSloBreach) continue;
+    ++breaches;
+    EXPECT_GT(e.v0, 1.0);
+    EXPECT_EQ(e.v1, 1.0);
+  }
+  EXPECT_EQ(breaches, staged);
+  EXPECT_TRUE(std::filesystem::exists(a.recorder()->dump_path()));
+  std::filesystem::current_path(cwd);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
