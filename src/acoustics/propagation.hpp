@@ -14,7 +14,7 @@
 namespace sb::acoustics {
 
 struct MultiChannelAudio {
-  double sample_rate = 16000.0;
+  double sample_rate = sensors::kMicSampleRate;
   std::array<std::vector<double>, sensors::kNumMics> channels;
 
   std::size_t num_samples() const { return channels[0].size(); }
@@ -25,7 +25,7 @@ struct MultiChannelAudio {
 // MultiChannelAudio, so analysis windows of a flight's one recording are
 // read in place instead of copied.  The viewed audio must outlive the view.
 struct AudioView {
-  double sample_rate = 16000.0;
+  double sample_rate = sensors::kMicSampleRate;
   std::array<std::span<const double>, sensors::kNumMics> channels;
 
   AudioView() = default;

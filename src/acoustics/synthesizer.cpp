@@ -51,7 +51,7 @@ struct StepRun {
 MultiChannelAudio AudioSynthesizer::synthesize(const sim::FlightLog& log, double t0,
                                                double t1) const {
   obs::ScopedSpan span{"synthesize", obs::Stage::kSynthesis};
-  const double fs = config_.sample_rate;
+  const double fs = sensors::kMicSampleRate;
   const double physics_dt = log.rates.physics_dt();
   const auto num_rotors = static_cast<std::size_t>(quad_.num_rotors);
   const auto first = static_cast<std::size_t>(std::max(std::llround(t0 * fs), 0LL));

@@ -15,7 +15,6 @@ namespace sb::acoustics {
 struct SynthesizerConfig {
   RotorSoundConfig rotor;
   sensors::MicArrayConfig mic_array;
-  double sample_rate = 16000.0;
   // Airflow directivity coefficient per (m/s) of body-frame air velocity;
   // see mix_block.
   double flow_directivity = 0.10;

@@ -11,6 +11,10 @@
 namespace sb::sensors {
 
 inline constexpr int kNumMics = 4;
+// Every microphone samples at 16 kHz: Nyquist comfortably above the 6 kHz
+// pipeline cutoff.  Synthesis, the offline windows and the serving stream
+// all run at this one rate.
+inline constexpr double kMicSampleRate = 16000.0;
 inline constexpr double kSpeedOfSound = 343.0;  // m/s
 
 struct MicArrayConfig {

@@ -14,13 +14,11 @@
 namespace sb::sim {
 
 // Sample-rate contract.  Physics and control run at 400 Hz; the IMU samples
-// at 200 Hz; GPS at 5 Hz; microphones at 16 kHz (Nyquist comfortably above
-// the 6 kHz pipeline cutoff).
+// at 200 Hz; GPS at 5 Hz.  Microphones sample at sensors::kMicSampleRate.
 struct SimRates {
   double physics_hz = 400.0;
   double imu_hz = 200.0;
   double gps_hz = 5.0;
-  double audio_hz = 16000.0;
 
   double physics_dt() const { return 1.0 / physics_hz; }
   std::size_t imu_decimation() const {

@@ -6,19 +6,6 @@
 #include "obs/trace.hpp"
 
 namespace sb::stream {
-namespace {
-
-StreamingExtractorConfig extractor_config(const core::SensoryMapper& mapper,
-                                          const RcaSessionConfig& config) {
-  StreamingExtractorConfig ec;
-  ec.sample_rate = config.sample_rate;
-  ec.settle = mapper.config().dataset.settle_time;
-  ec.stride = mapper.config().dataset.stride;
-  ec.window_seconds = mapper.config().dataset.signature.window_seconds;
-  return ec;
-}
-
-}  // namespace
 
 RcaSession::RcaSession(std::uint64_t id, const core::SensoryMapper& mapper,
                        const core::ImuRcaDetector& imu_detector,
@@ -27,7 +14,10 @@ RcaSession::RcaSession(std::uint64_t id, const core::SensoryMapper& mapper,
     : id_(id),
       mapper_(&mapper),
       config_(config),
-      extractor_(extractor_config(mapper, config)),
+      extractor_({.settle = mapper.config().dataset.settle_time,
+                  .stride = mapper.config().dataset.stride,
+                  .window_seconds =
+                      mapper.config().dataset.signature.window_seconds}),
       monitor_(imu_detector, gps_detector) {
   if (!mapper.trained())
     throw std::logic_error{"RcaSession: mapper not trained"};

@@ -55,11 +55,10 @@ struct VerdictEvent {
   core::GpsFixDecision gps;     // valid when kind == kGpsFix
 };
 
+// The pushed audio runs at sensors::kMicSampleRate; the window grid (settle,
+// stride, window length) always comes from the mapper's dataset config so the
+// session analyzes exactly the offline grid.
 struct RcaSessionConfig {
-  // Audio sample rate of the pushed stream; the window grid itself (settle,
-  // stride, window length) always comes from the mapper's dataset config so
-  // the session analyzes exactly the offline grid.
-  double sample_rate = 16000.0;
   // Degraded-mode evidence thinning: only every evidence_stride-th window
   // (seq % stride == 0) is prepared and inferred; the rest are delivered as
   // NaN "thinned" predictions, which the detectors treat exactly like shed

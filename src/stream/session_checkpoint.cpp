@@ -47,7 +47,7 @@ void RcaSession::save_payload(std::ostream& os) const {
   // Configuration the state was taken under; load_payload and the monitor
   // load_state guards reject any mismatch.
   write_pod(os, static_cast<std::uint64_t>(config_.evidence_stride));
-  write_pod(os, config_.sample_rate);
+  write_pod(os, sensors::kMicSampleRate);
 
   write_pod(os, audio_chunks_);
   extractor_.save_state(os);
@@ -66,7 +66,7 @@ bool RcaSession::load_payload(std::istream& is) {
   double sample_rate = 0.0;
   if (!read_pod(is, id) || id != id_) return false;
   if (!read_pod(is, stride) || stride == 0) return false;
-  if (!read_pod(is, sample_rate) || sample_rate != config_.sample_rate)
+  if (!read_pod(is, sample_rate) || sample_rate != sensors::kMicSampleRate)
     return false;
   // The degradation level travels WITH the session: a fleet restoring a
   // degraded session must not silently promote it back to full evidence.

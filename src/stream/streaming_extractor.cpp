@@ -11,17 +11,16 @@ namespace sb::stream {
 StreamingFeatureExtractor::StreamingFeatureExtractor(
     const StreamingExtractorConfig& config)
     : config_(config), next_t0_(config.settle) {
-  if (config_.sample_rate <= 0.0 || config_.stride <= 0.0 ||
-      config_.window_seconds <= 0.0)
+  if (config_.stride <= 0.0 || config_.window_seconds <= 0.0)
     throw std::invalid_argument{"StreamingFeatureExtractor: non-positive config"};
   window_len_ = static_cast<std::size_t>(
-      std::llround(config_.window_seconds * config_.sample_rate));
+      std::llround(config_.window_seconds * sensors::kMicSampleRate));
   if (window_len_ == 0)
     throw std::invalid_argument{"StreamingFeatureExtractor: empty window"};
 }
 
 std::size_t StreamingFeatureExtractor::window_begin(double t0) const {
-  const auto idx = std::llround(std::max(t0, 0.0) * config_.sample_rate);
+  const auto idx = std::llround(std::max(t0, 0.0) * sensors::kMicSampleRate);
   return static_cast<std::size_t>(idx);
 }
 
@@ -45,7 +44,7 @@ std::vector<WindowAudio> StreamingFeatureExtractor::push(
       throw std::invalid_argument{"StreamingFeatureExtractor: ragged chunk"};
   // Sample indices are the stream's clock: audio at another rate would be
   // cut into windows of the wrong duration and stamped as this rate.
-  if (chunk.sample_rate != config_.sample_rate)
+  if (chunk.sample_rate != sensors::kMicSampleRate)
     throw std::invalid_argument{"StreamingFeatureExtractor: sample rate mismatch"};
   for (std::size_t c = 0; c < sensors::kNumMics; ++c)
     buffer_[c].insert(buffer_[c].end(), chunk.channels[c].begin(),
@@ -59,7 +58,6 @@ std::vector<WindowAudio> StreamingFeatureExtractor::push(
     WindowAudio w;
     w.t0 = next_t0_;
     w.t1 = next_t0_ + config_.window_seconds;
-    w.audio.sample_rate = config_.sample_rate;
     const std::size_t off = begin - base_;
     for (std::size_t c = 0; c < sensors::kNumMics; ++c)
       w.audio.channels[c].assign(
@@ -75,7 +73,7 @@ std::vector<WindowAudio> StreamingFeatureExtractor::push(
 
 void StreamingFeatureExtractor::save_state(std::ostream& os) const {
   using util::io::write_pod;
-  write_pod(os, config_.sample_rate);
+  write_pod(os, sensors::kMicSampleRate);
   write_pod(os, config_.settle);
   write_pod(os, config_.stride);
   write_pod(os, config_.window_seconds);
@@ -89,7 +87,7 @@ void StreamingFeatureExtractor::save_state(std::ostream& os) const {
 bool StreamingFeatureExtractor::load_state(std::istream& is) {
   using util::io::read_pod;
   double sample_rate = 0.0, settle = 0.0, stride = 0.0, window_seconds = 0.0;
-  if (!read_pod(is, sample_rate) || sample_rate != config_.sample_rate)
+  if (!read_pod(is, sample_rate) || sample_rate != sensors::kMicSampleRate)
     return false;
   if (!read_pod(is, settle) || settle != config_.settle) return false;
   if (!read_pod(is, stride) || stride != config_.stride) return false;

@@ -29,8 +29,8 @@ struct WindowAudio {
   acoustics::MultiChannelAudio audio;
 };
 
+// The stream runs at sensors::kMicSampleRate.
 struct StreamingExtractorConfig {
-  double sample_rate = 16000.0;
   double settle = 2.0;          // grid origin: takeoff transient skipped
   double stride = 0.5;          // grid step
   double window_seconds = 0.5;  // window length
@@ -40,8 +40,8 @@ class StreamingFeatureExtractor {
  public:
   explicit StreamingFeatureExtractor(const StreamingExtractorConfig& config);
 
-  // Appends one chunk (all channels the same length, at the configured
-  // sample rate — anything else throws invalid_argument; t = 0 is the first
+  // Appends one chunk (all channels the same length, at
+  // sensors::kMicSampleRate — anything else throws invalid_argument; t = 0 is the first
   // sample ever pushed) and returns the analysis windows it completed, in
   // grid order.  Chunk boundaries are irrelevant: the emitted windows depend
   // only on the concatenated stream (chunk-size invariance is pinned by

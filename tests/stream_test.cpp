@@ -66,7 +66,7 @@ TEST(StreamingExtractor, EmitsTheOfflineWindowGrid) {
   StreamingFeatureExtractor ex{cfg};
   const double duration = 6.3;
   const auto n = static_cast<std::size_t>(
-      std::llround(duration * cfg.sample_rate));
+      std::llround(duration * sensors::kMicSampleRate));
   const auto full = noise_stream(n, 1);
   const auto windows = push_in_chunks(ex, full, 4096);
 
@@ -79,7 +79,7 @@ TEST(StreamingExtractor, EmitsTheOfflineWindowGrid) {
     // The emitted audio is the verbatim stream slice at the synthesizer's
     // index convention: begin = llround(t0 * fs), length = llround(w * fs).
     const auto begin = static_cast<std::size_t>(
-        std::llround(grid[k].t0 * cfg.sample_rate));
+        std::llround(grid[k].t0 * sensors::kMicSampleRate));
     ASSERT_EQ(windows[k].audio.num_samples(), ex.window_length());
     for (std::size_t c = 0; c < sensors::kNumMics; ++c)
       for (std::size_t i = 0; i < ex.window_length(); ++i)
@@ -90,7 +90,8 @@ TEST(StreamingExtractor, EmitsTheOfflineWindowGrid) {
 
 TEST(StreamingExtractor, ChunkSizeIsIrrelevant) {
   StreamingExtractorConfig cfg;
-  const auto n = static_cast<std::size_t>(std::llround(4.7 * cfg.sample_rate));
+  const auto n =
+      static_cast<std::size_t>(std::llround(4.7 * sensors::kMicSampleRate));
   const auto full = noise_stream(n, 2);
 
   StreamingFeatureExtractor whole{cfg};
@@ -117,7 +118,7 @@ TEST(StreamingExtractor, OverlappingStrideEmitsEveryGridWindow) {
   StreamingFeatureExtractor ex{cfg};
   const double duration = 5.0;
   const auto n = static_cast<std::size_t>(
-      std::llround(duration * cfg.sample_rate));
+      std::llround(duration * sensors::kMicSampleRate));
   const auto full = noise_stream(n, 3);
   const auto windows = push_in_chunks(ex, full, 777);
 
@@ -127,7 +128,7 @@ TEST(StreamingExtractor, OverlappingStrideEmitsEveryGridWindow) {
   for (std::size_t k = 0; k < grid.size(); ++k) {
     EXPECT_DOUBLE_EQ(windows[k].t0, grid[k].t0);
     const auto begin = static_cast<std::size_t>(
-        std::llround(grid[k].t0 * cfg.sample_rate));
+        std::llround(grid[k].t0 * sensors::kMicSampleRate));
     for (std::size_t c = 0; c < sensors::kNumMics; ++c)
       for (std::size_t i = 0; i < ex.window_length(); ++i)
         ASSERT_EQ(windows[k].audio.channels[c][i], full.channels[c][begin + i]);
@@ -138,8 +139,8 @@ TEST(StreamingExtractor, BufferStaysBoundedOnLongStreams) {
   StreamingExtractorConfig cfg;
   StreamingFeatureExtractor ex{cfg};
   const std::size_t chunk = 1600;  // 100 ms
-  const auto window_plus_stride = static_cast<std::size_t>(
-      std::llround((cfg.window_seconds + cfg.stride) * cfg.sample_rate));
+  const auto window_plus_stride = static_cast<std::size_t>(std::llround(
+      (cfg.window_seconds + cfg.stride) * sensors::kMicSampleRate));
   std::size_t emitted = 0;
   for (int tick = 0; tick < 600; ++tick) {  // one minute of stream
     emitted += ex.push(noise_stream(chunk, 100 + tick)).size();
@@ -164,7 +165,7 @@ TEST(StreamingExtractor, RejectsChunksAtAnotherSampleRate) {
   chunk.sample_rate = 48000.0;
   EXPECT_THROW(ex.push(chunk), std::invalid_argument);
   EXPECT_EQ(ex.samples_pushed(), 0u);
-  chunk.sample_rate = ex.config().sample_rate;
+  chunk.sample_rate = sensors::kMicSampleRate;
   EXPECT_FALSE(ex.push(chunk).empty());
 }
 
