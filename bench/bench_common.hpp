@@ -300,10 +300,6 @@ class BenchReport {
       obs::Trace::instance().write_chrome_json(
           (bench_output_dir() / ("TRACE_" + name_ + ".json")).string());
     }
-    // Latency SLOs (targets, attained quantiles, breach counts) get their
-    // own top-level block so dashboards need not dig through `metrics`.
-    w.key("slo");
-    obs::Registry::instance().write_slo_json(w);
     w.key("metrics");
     obs::Registry::instance().write_json(w);
     w.end_object();

@@ -201,47 +201,6 @@ void Histogram::reset() {
 }
 
 // ---------------------------------------------------------------------------
-// SloTracker
-
-void SloTracker::set_targets(const SloTargets& targets) {
-  std::lock_guard<std::mutex> lock{mutex_};
-  targets_ = targets;
-}
-
-SloTargets SloTracker::targets() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return targets_;
-}
-
-void SloTracker::record(double v) {
-  hist_->record(v);
-  double p99_target;
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    p99_target = targets_.p99;
-  }
-  if (v > p99_target) breaches_.fetch_add(1, std::memory_order_relaxed);
-}
-
-SloTracker::Snapshot SloTracker::snapshot() const {
-  Snapshot s;
-  const SloTargets t = targets();
-  s.target_p50 = t.p50;
-  s.target_p99 = t.p99;
-  s.count = hist_->count();
-  s.breaches = breaches_.load(std::memory_order_relaxed);
-  s.attained_p50 = hist_->percentile(50.0);
-  s.attained_p99 = hist_->percentile(99.0);
-  s.met = s.count > 0 && s.attained_p50 <= t.p50 && s.attained_p99 <= t.p99;
-  return s;
-}
-
-void SloTracker::reset() {
-  hist_->reset();
-  breaches_.store(0, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // Registry
 
 struct Registry::Impl {
@@ -250,7 +209,6 @@ struct Registry::Impl {
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
-  std::map<std::string, std::unique_ptr<SloTracker>> slos;
 };
 
 Registry::Impl& Registry::impl() const {
@@ -287,25 +245,12 @@ Histogram& Registry::histogram(const std::string& name) {
   return *slot;
 }
 
-SloTracker& Registry::slo(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock{im.mutex};
-  auto& slot = im.slos[name];
-  if (!slot) {
-    auto& hist = im.histograms[name];
-    if (!hist) hist = std::make_unique<Histogram>();
-    slot = std::make_unique<SloTracker>(*hist);
-  }
-  return *slot;
-}
-
 void Registry::reset() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock{im.mutex};
   for (auto& [name, c] : im.counters) c->reset();
   for (auto& [name, g] : im.gauges) g->reset();
   for (auto& [name, h] : im.histograms) h->reset();
-  for (auto& [name, s] : im.slos) s->reset();
 }
 
 void Registry::write_json(JsonWriter& w) const {
@@ -338,26 +283,6 @@ void Registry::write_json(JsonWriter& w) const {
     w.end_object();
   }
   w.end_object();
-  w.end_object();
-}
-
-void Registry::write_slo_json(JsonWriter& w) const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock{im.mutex};
-  w.begin_object();
-  for (const auto& [name, tracker] : im.slos) {
-    const SloTracker::Snapshot s = tracker->snapshot();
-    w.key(name);
-    w.begin_object();
-    w.kv("count", static_cast<std::uint64_t>(s.count));
-    w.kv("breaches", static_cast<std::uint64_t>(s.breaches));
-    w.kv("target_p50", s.target_p50);
-    w.kv("target_p99", s.target_p99);
-    w.kv("attained_p50", s.attained_p50);
-    w.kv("attained_p99", s.attained_p99);
-    w.kv("met", s.met);
-    w.end_object();
-  }
   w.end_object();
 }
 
@@ -400,9 +325,7 @@ bool metrics_json_wellformed(std::string_view json) {
   // so a lexical scan is exact for our own dumps: inside any object that
   // carries "count":0, every present statistic field must be null.
   static constexpr std::string_view kStatKeys[] = {
-      "\"mean\":",         "\"min\":",          "\"max\":",
-      "\"p50\":",          "\"p90\":",          "\"p99\":",
-      "\"attained_p50\":", "\"attained_p99\":",
+      "\"mean\":", "\"min\":", "\"max\":", "\"p50\":", "\"p90\":", "\"p99\":",
   };
   std::size_t pos = 0;
   while ((pos = json.find("\"count\":0,", pos)) != std::string_view::npos) {

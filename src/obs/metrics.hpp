@@ -1,5 +1,5 @@
-// Process-wide metrics registry: named counters, gauges, histograms with
-// whole-run percentile summaries, and SLO trackers.  Producers cache a
+// Process-wide metrics registry: named counters, gauges and histograms with
+// whole-run percentile summaries.  Producers cache a
 // reference once (function-local static) and then update lock-free
 // (counters/gauges) or under a short per-instrument lock; readers snapshot
 // on demand.
@@ -115,46 +115,6 @@ class Histogram {
   std::vector<std::uint64_t> bins_;   // lazily sized to kNumBins on first record
 };
 
-// Latency service-level objective: per-sample targets over a histogram of
-// the samples.  A breach is one sample above the p99 target; `met` asks
-// whether the attained quantiles honor both targets.
-struct SloTargets {
-  double p50 = 0.0;  // seconds
-  double p99 = 0.0;  // seconds
-};
-
-class SloTracker {
- public:
-  // Records into `hist` (Registry::slo binds the registry histogram of the
-  // same name), so a sample is stored once; the tracker keeps only its
-  // targets and breach count.  `hist` must outlive the tracker.
-  explicit SloTracker(Histogram& hist) : hist_(&hist) {}
-
-  void set_targets(const SloTargets& targets);
-  SloTargets targets() const;
-
-  void record(double v);
-
-  struct Snapshot {
-    std::uint64_t count = 0;
-    std::uint64_t breaches = 0;  // samples above the p99 target
-    double target_p50 = 0.0;
-    double target_p99 = 0.0;
-    double attained_p50 = 0.0;  // NaN when empty
-    double attained_p99 = 0.0;  // NaN when empty
-    bool met = false;           // count > 0 and attained <= target, both quantiles
-  };
-  Snapshot snapshot() const;
-
-  void reset();  // drops samples/breaches, keeps the targets
-
- private:
-  mutable std::mutex mutex_;  // guards targets_ (records read them per call)
-  SloTargets targets_;
-  Histogram* hist_;
-  std::atomic<std::uint64_t> breaches_{0};
-};
-
 // Name -> instrument registry.  Instruments are created on first use and
 // live for the process lifetime, so cached references never dangle.
 class Registry {
@@ -164,11 +124,8 @@ class Registry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
-  // The tracker records into histogram(name).
-  SloTracker& slo(const std::string& name);
 
-  // Zeroes every registered instrument (names stay registered; SLO targets
-  // are kept).
+  // Zeroes every registered instrument (names stay registered).
   void reset();
 
   // Serializes every instrument into the writer as one JSON object:
@@ -176,13 +133,6 @@ class Registry {
   // Empty histograms emit null min/max/mean/percentiles (never fabricated
   // zeros) — metrics_json_wellformed() rejects the pre-null form.
   void write_json(JsonWriter& w) const;
-
-  // Serializes the SLO trackers as one JSON object:
-  //   {name: {count, breaches, target_p50, target_p99, attained_p50,
-  //           attained_p99, met}}
-  // (the `slo` block of every BENCH json).  Empty trackers emit null
-  // attained quantiles.
-  void write_slo_json(JsonWriter& w) const;
 
   // Full-registry snapshots for exporters (TelemetryExporter).
   std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot() const;
@@ -199,8 +149,7 @@ class Registry {
 // Strict structural check for metrics dumps, layered on top of json_valid:
 // additionally rejects the legacy empty-distribution encoding, i.e. any
 // object carrying "count":0 whose statistic fields (mean/min/max/p50/p90/
-// p99/attained_p50/attained_p99) are not null.  Used by the obs tests and
-// the bench self-checks.
+// p99) are not null.  Used by the obs tests and the bench self-checks.
 bool metrics_json_wellformed(std::string_view json);
 
 }  // namespace sb::obs

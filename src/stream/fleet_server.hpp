@@ -41,7 +41,7 @@ struct FleetServerConfig {
   // many is served with `degraded_evidence_stride`.  0 = never degrade.
   std::size_t degrade_sessions_per_shard = 0;
   std::size_t degraded_evidence_stride = 2;
-  // Per-shard scheduler settings (queue bound, batch, SLO targets).  The
+  // Per-shard scheduler settings (queue bound, batch).  The
   // fleet assigns each shard's metric_scope.
   InferenceSchedulerConfig scheduler;
   // Session settings for admitted sessions; evidence_stride is overridden

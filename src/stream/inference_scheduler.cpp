@@ -26,14 +26,13 @@ InferenceScheduler::InferenceScheduler(const core::SensoryMapper& mapper,
   if (config_.max_batch == 0 || config_.queue_capacity == 0)
     throw std::invalid_argument{"InferenceScheduler: zero batch/capacity"};
   auto& reg = obs::Registry::instance();
-  reg.slo("stream.window_to_verdict_seconds")
-      .set_targets({config_.slo_p50_target, config_.slo_p99_target});
   shed_count_ = &reg.counter("stream.windows_shed");
   thinned_count_ = &reg.counter("stream.windows_thinned");
   submitted_count_ = &reg.counter("stream.windows_submitted");
   batches_count_ = &reg.counter("stream.batches");
   occupancy_hist_ = &reg.histogram("stream.batch_occupancy");
-  latency_slo_ = &reg.slo("stream.window_to_verdict_seconds");
+  latency_hist_ = &reg.histogram("stream.window_to_verdict_seconds");
+  slo_breach_count_ = &reg.counter("stream.slo_breaches");
   if (config_.metric_scope.empty()) {
     active_gauge_ = &reg.gauge("stream.sessions_active");
     backlog_gauge_ = &reg.gauge("stream.backlog");
@@ -108,11 +107,12 @@ void InferenceScheduler::deliver(RcaSession::ReadyWindow&& window,
   session.deliver(pred);
   // One record per window, amortized over a model forward — not a hot loop,
   // so the latency histogram stays unconditionally accurate for serving
-  // dashboards and bench percentiles.  The SLO tracker records into the
-  // registry histogram of its name, so the sample is stored once.
+  // dashboards and bench percentiles.
   const double now = obs::now_us();
   const double seconds = (now - window.ready_at_us) * 1e-6;
-  latency_slo_->record(seconds);
+  latency_hist_->record(seconds);
+  const bool breach = seconds > kSloP99Seconds;
+  if (breach) slo_breach_count_->add();
   if (obs::FlightRecorder* rec = session.recorder()) {
     switch (how) {
       case Delivery::kShed:
@@ -130,9 +130,9 @@ void InferenceScheduler::deliver(RcaSession::ReadyWindow&& window,
                      now, window.span.t1, seconds, 0.0});
         break;
     }
-    if (seconds > config_.slo_p99_target) {
+    if (breach) {
       rec->record({obs::RecorderEvent::Kind::kSloBreach, true, window.seq, now,
-                   window.span.t1, seconds, config_.slo_p99_target});
+                   window.span.t1, seconds, kSloP99Seconds});
       rec->trigger("slo_breach");
     }
   }

@@ -32,16 +32,17 @@
 
 namespace sb::stream {
 
+// The serving SLO on window→verdict latency (seconds, staging to delivery,
+// recorded in the "stream.window_to_verdict_seconds" histogram): p50 within
+// one stride of the standard 4 Hz analysis grid, p99 within a second.  A
+// delivery above kSloP99Seconds is a breach, counted in
+// "stream.slo_breaches" and written to the session's black box.
+inline constexpr double kSloP50Seconds = 0.25;
+inline constexpr double kSloP99Seconds = 1.0;
+
 struct InferenceSchedulerConfig {
   std::size_t max_batch = 16;       // windows per forward
   std::size_t queue_capacity = 64;  // bound on staged-but-uninferred windows
-  // Window→verdict latency SLO targets (seconds), tracked by the registry's
-  // "stream.window_to_verdict_seconds" SloTracker and reported in the `slo`
-  // block of every BENCH json.  A sample above slo_p99_target is a breach
-  // (recorded + black-boxed per session).  Defaults: p50 within one stride
-  // of the standard 4 Hz analysis grid, p99 within a second.
-  double slo_p50_target = 0.25;
-  double slo_p99_target = 1.0;
   // When non-empty (e.g. "stream.shard0"), this scheduler ALSO maintains
   // scoped copies of its counters and gauges under "<scope>.<name>" —
   // per-shard shed/throughput accounting on top of the fleet-wide
@@ -114,7 +115,8 @@ class InferenceScheduler {
   obs::Counter* submitted_count_;
   obs::Counter* batches_count_;
   obs::Histogram* occupancy_hist_;
-  obs::SloTracker* latency_slo_;  // records into stream.window_to_verdict_seconds
+  obs::Histogram* latency_hist_;
+  obs::Counter* slo_breach_count_;
   obs::Gauge* active_gauge_;   // scoped when metric_scope is set
   obs::Gauge* backlog_gauge_;  // scoped when metric_scope is set
   // Scoped counter copies (null without a metric_scope).

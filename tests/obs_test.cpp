@@ -250,55 +250,6 @@ TEST(Metrics, EmptyHistogramSerializesNullStats) {
   EXPECT_FALSE(obs::metrics_json_wellformed(legacy));
 }
 
-TEST(Metrics, SloTrackerCountsBreachesAndAttainment) {
-  obs::Histogram hist;
-  obs::SloTracker slo{hist};
-  slo.set_targets({0.25, 1.0});
-  for (int i = 0; i < 98; ++i) slo.record(0.1);
-  slo.record(2.0);
-  slo.record(3.0);
-  const auto s = slo.snapshot();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_EQ(s.breaches, 2u);  // only the two samples above the p99 target
-  EXPECT_DOUBLE_EQ(s.target_p50, 0.25);
-  EXPECT_DOUBLE_EQ(s.target_p99, 1.0);
-  EXPECT_DOUBLE_EQ(s.attained_p50, 0.1);
-  EXPECT_GT(s.attained_p99, 1.0);  // the tail breaches, so the SLO is not met
-  EXPECT_FALSE(s.met);
-
-  slo.reset();
-  const auto empty = slo.snapshot();
-  EXPECT_EQ(empty.count, 0u);
-  EXPECT_EQ(empty.breaches, 0u);
-  EXPECT_DOUBLE_EQ(empty.target_p99, 1.0);  // reset keeps the targets
-  EXPECT_TRUE(std::isnan(empty.attained_p50));
-  EXPECT_FALSE(empty.met);
-
-  slo.record(0.2);
-  slo.record(0.2);
-  EXPECT_TRUE(slo.snapshot().met);
-
-  auto& reg = obs::Registry::instance();
-  reg.slo("test.slo").set_targets({0.5, 2.0});
-  reg.slo("test.slo").record(0.3);
-  obs::JsonWriter w;
-  reg.write_slo_json(w);
-  EXPECT_TRUE(obs::json_valid(w.str())) << w.str();
-  EXPECT_TRUE(obs::metrics_json_wellformed(w.str())) << w.str();
-  EXPECT_NE(w.str().find("\"test.slo\":{\"count\":1,\"breaches\":0"),
-            std::string::npos)
-      << w.str();
-}
-
-// A tracker from the registry records into the registry histogram of its
-// name: one sample, stored once, counted by both.
-TEST(Metrics, RegistrySloRecordsIntoTheHistogramOfItsName) {
-  auto& reg = obs::Registry::instance();
-  reg.slo("test.slo_shared").record(0.3);
-  EXPECT_EQ(reg.histogram("test.slo_shared").count(), 1u);
-  EXPECT_EQ(reg.slo("test.slo_shared").snapshot().count, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Flight recorder.
 

@@ -381,6 +381,8 @@ TEST_F(StreamServingTest, DeliveriesPastTheP99TargetAreBreaches) {
   auto& latency =
       obs::Registry::instance().histogram("stream.window_to_verdict_seconds");
   const auto latency_before = latency.count();
+  auto& breach_count = obs::Registry::instance().counter("stream.slo_breaches");
+  const auto breaches_before = breach_count.value();
   InferenceScheduler sched{*mapper_};
   sched.attach(a);
   feed(a, 5.0);
@@ -390,6 +392,7 @@ TEST_F(StreamServingTest, DeliveriesPastTheP99TargetAreBreaches) {
   sched.drain();
   ASSERT_EQ(a.windows_delivered(), staged);
   EXPECT_EQ(latency.count() - latency_before, staged);
+  EXPECT_EQ(breach_count.value() - breaches_before, staged);
 
   std::size_t breaches = 0;
   for (const auto& e : a.recorder()->events()) {
