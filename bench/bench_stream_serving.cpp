@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   int imu_flagged = 0, gps_flagged = 0;
   // Black boxes land next to the BENCH json so CI can pick them up.
   stream::RcaSessionConfig session_config;
-  session_config.recorder.out_dir = bench::bench_output_dir().string();
+  session_config.recorder_dir = bench::bench_output_dir().string();
   const double serve_wall = bench::repeat_median([&](int) {
     for (auto& f : feeds) f.audio_cursor = f.imu_cursor = f.gps_cursor = 0;
     verdicts = 0;

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -11,12 +12,6 @@ namespace sb::obs {
 namespace {
 
 std::atomic<int> g_recorder_enabled{-1};  // -1 = not yet read from the env
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
@@ -60,31 +55,30 @@ const char* to_string(RecorderEvent::Kind kind) {
   return "event";
 }
 
-FlightRecorder::FlightRecorder(std::uint64_t session,
-                               const RecorderConfig& config)
+FlightRecorder::FlightRecorder(std::uint64_t session, std::string out_dir)
     : session_(session),
-      config_(config),
-      ring_(round_up_pow2(config.capacity == 0 ? 1 : config.capacity)),
+      out_dir_(std::move(out_dir)),
+      ring_(kCapacity),
       last_dump_us_(-1e300) {}
 
 void FlightRecorder::record(const RecorderEvent& e) {
   const std::uint64_t h = head_.load(std::memory_order_relaxed);
-  ring_[h & (ring_.size() - 1)] = e;
+  ring_[h & (kCapacity - 1)] = e;
   head_.store(h + 1, std::memory_order_release);
 }
 
 std::vector<RecorderEvent> FlightRecorder::events() const {
   const std::uint64_t h = head_.load(std::memory_order_acquire);
-  const std::uint64_t n = h < ring_.size() ? h : ring_.size();
+  const std::uint64_t n = h < kCapacity ? h : kCapacity;
   std::vector<RecorderEvent> out;
   out.reserve(n);
   for (std::uint64_t i = h - n; i < h; ++i)
-    out.push_back(ring_[i & (ring_.size() - 1)]);
+    out.push_back(ring_[i & (kCapacity - 1)]);
   return out;
 }
 
 std::string FlightRecorder::dump_path() const {
-  std::string path = config_.out_dir;
+  std::string path = out_dir_;
   if (!path.empty() && path.back() != '/') path += '/';
   path += "BLACKBOX_" + std::to_string(session_) + ".jsonl";
   return path;
@@ -92,9 +86,8 @@ std::string FlightRecorder::dump_path() const {
 
 bool FlightRecorder::trigger(const char* reason, bool force) {
   const double now = now_us();
-  if (dumps_.load(std::memory_order_relaxed) >= config_.max_dumps) return false;
-  if (!force && now - last_dump_us_ < config_.min_trigger_gap_seconds * 1e6)
-    return false;
+  if (dumps_.load(std::memory_order_relaxed) >= kMaxDumps) return false;
+  if (!force && now - last_dump_us_ < kMinTriggerGapSeconds * 1e6) return false;
   if (!dump(reason, now)) return false;
   last_dump_us_ = now;
   dumps_.fetch_add(1, std::memory_order_relaxed);
@@ -103,7 +96,7 @@ bool FlightRecorder::trigger(const char* reason, bool force) {
 
 bool FlightRecorder::dump(const char* reason, double now_us) {
   const std::vector<RecorderEvent> retained = events();
-  const double oldest = now_us - config_.horizon_seconds * 1e6;
+  const double oldest = now_us - kHorizonSeconds * 1e6;
   std::size_t first = 0;
   while (first < retained.size() && retained[first].t_us < oldest) ++first;
 
@@ -119,11 +112,11 @@ bool FlightRecorder::dump(const char* reason, double now_us) {
     w.kv("session", session_);
     w.kv("reason", std::string_view{reason});
     w.kv("t_us", now_us);
-    w.kv("horizon_seconds", config_.horizon_seconds);
+    w.kv("horizon_seconds", kHorizonSeconds);
     w.kv("events", static_cast<std::uint64_t>(retained.size() - first));
     w.kv("recorded", recorded());
     w.kv("dropped", dropped());
-    w.kv("capacity", static_cast<std::uint64_t>(ring_.size()));
+    w.kv("capacity", static_cast<std::uint64_t>(kCapacity));
     w.end_object();
     w.write_to(os);
     os << '\n';

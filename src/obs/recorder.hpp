@@ -60,18 +60,20 @@ struct RecorderEvent {
 
 const char* to_string(RecorderEvent::Kind kind);
 
-struct RecorderConfig {
-  std::size_t capacity = 2048;           // events retained (rounded up to 2^k)
-  double horizon_seconds = 30.0;         // dump window, host clock
-  double min_trigger_gap_seconds = 5.0;  // rate limit between dumps
-  std::size_t max_dumps = 8;             // per-session disk bound
-  std::string out_dir = ".";             // where BLACKBOX_<session>.jsonl goes
-};
-
 class FlightRecorder {
  public:
-  explicit FlightRecorder(std::uint64_t session,
-                          const RecorderConfig& config = {});
+  // One black-box policy for every session: the ring keeps the last
+  // kCapacity events (a power of two), a dump writes those of the last
+  // kHorizonSeconds of host time, dumps are at least kMinTriggerGapSeconds
+  // apart unless forced, and a session writes at most kMaxDumps.
+  static constexpr std::size_t kCapacity = 2048;
+  static constexpr double kHorizonSeconds = 30.0;
+  static constexpr double kMinTriggerGapSeconds = 5.0;
+  static constexpr std::size_t kMaxDumps = 8;
+  static_assert((kCapacity & (kCapacity - 1)) == 0);
+
+  // Dumps go to `out_dir`/BLACKBOX_<session>.jsonl.
+  explicit FlightRecorder(std::uint64_t session, std::string out_dir = ".");
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -81,7 +83,7 @@ class FlightRecorder {
 
   // Rate-limited black-box dump: writes the retained events inside the
   // horizon to dump_path() (overwriting any previous dump) unless a dump
-  // happened less than min_trigger_gap_seconds ago or max_dumps is
+  // happened less than kMinTriggerGapSeconds ago or kMaxDumps is
   // exhausted.  `force` bypasses the gap (final attack verdicts), never the
   // dump bound.  Returns true iff a dump was written.
   bool trigger(const char* reason, bool force = false);
@@ -91,10 +93,9 @@ class FlightRecorder {
   }
   std::uint64_t dropped() const {
     const std::uint64_t n = recorded();
-    return n > ring_.size() ? n - ring_.size() : 0;
+    return n > kCapacity ? n - kCapacity : 0;
   }
   std::uint64_t dumps() const { return dumps_.load(std::memory_order_relaxed); }
-  std::size_t capacity() const { return ring_.size(); }
   std::uint64_t session() const { return session_; }
   std::string dump_path() const;
 
@@ -105,8 +106,8 @@ class FlightRecorder {
   bool dump(const char* reason, double now_us);
 
   std::uint64_t session_;
-  RecorderConfig config_;
-  std::vector<RecorderEvent> ring_;      // preallocated, power-of-two size
+  std::string out_dir_;
+  std::vector<RecorderEvent> ring_;      // preallocated, kCapacity events
   std::atomic<std::uint64_t> head_{0};   // total events ever recorded
   std::atomic<std::uint64_t> dumps_{0};
   double last_dump_us_;                  // producer-thread only

@@ -22,7 +22,7 @@ RcaSession::RcaSession(std::uint64_t id, const core::SensoryMapper& mapper,
   if (!mapper.trained())
     throw std::logic_error{"RcaSession: mapper not trained"};
   if (obs::recorder_enabled())
-    recorder_ = std::make_unique<obs::FlightRecorder>(id, config.recorder);
+    recorder_ = std::make_unique<obs::FlightRecorder>(id, config.recorder_dir);
   // Pay serving's one-time costs (FFT plan, window coefficients) now rather
   // than inside the first window's latency.
   mapper.warm_serving();

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/rca_engine.hpp"
@@ -68,9 +69,10 @@ struct RcaSessionConfig {
   std::size_t evidence_stride = 1;
   // Optional transforms applied before inference, as in the offline path.
   core::PredictionHooks hooks;
-  // Flight-recorder ring/dump settings; the recorder itself is only built
-  // when SB_RECORDER is set (obs::recorder_enabled()).
-  obs::RecorderConfig recorder;
+  // Where the session's black box (BLACKBOX_<id>.jsonl) is dumped; the
+  // recorder itself is only built when SB_RECORDER is set
+  // (obs::recorder_enabled()).
+  std::string recorder_dir = ".";
 };
 
 class RcaSession {

@@ -434,7 +434,7 @@ StreamOutcome run_streaming(const Flight& f, const SensoryMapper& m,
   sc.hooks = hooks;
   // Inert unless the recorder-on test flips SB_RECORDER's switch; keeps any
   // black-box dumps out of the working directory.
-  sc.recorder.out_dir = ::testing::TempDir();
+  sc.recorder_dir = ::testing::TempDir();
   stream::RcaSession session{1, m, p.det.imu, p.det.gps, sc};
   stream::InferenceScheduler sched{m};
   sched.attach(session);
@@ -489,7 +489,7 @@ StreamOutcome run_streaming_with_restart(const Flight& f,
   const auto& p = pipeline();
   stream::RcaSessionConfig sc;
   sc.hooks = hooks;
-  sc.recorder.out_dir = ::testing::TempDir();
+  sc.recorder_dir = ::testing::TempDir();
   auto session =
       std::make_unique<stream::RcaSession>(1, m, p.det.imu, p.det.gps, sc);
   auto sched = std::make_unique<stream::InferenceScheduler>(m);
@@ -769,7 +769,7 @@ TEST(StreamingEquivalence, RecorderOnServingStaysScratchHeapFlat) {
   const auto& m = *p.mapper;
   const auto f = test::hover_flight(25.0, 420, 0.4);
   stream::RcaSessionConfig sc;
-  sc.recorder.out_dir = ::testing::TempDir();
+  sc.recorder_dir = ::testing::TempDir();
   stream::RcaSession session{11, m, p.det.imu, p.det.gps, sc};
   ASSERT_NE(session.recorder(), nullptr);
   stream::InferenceScheduler sched{m};

@@ -254,18 +254,16 @@ TEST(Metrics, EmptyHistogramSerializesNullStats) {
 // Flight recorder.
 
 TEST(Recorder, RingWrapsAndAccountsOverflow) {
-  obs::RecorderConfig cfg;
-  cfg.capacity = 5;  // rounds up to 8
-  obs::FlightRecorder rec{7, cfg};
-  EXPECT_EQ(rec.capacity(), 8u);
+  constexpr std::uint64_t kCapacity = obs::FlightRecorder::kCapacity;
+  obs::FlightRecorder rec{7};
   EXPECT_EQ(rec.session(), 7u);
-  for (std::uint64_t i = 0; i < 20; ++i)
+  for (std::uint64_t i = 0; i < kCapacity + 12; ++i)
     rec.record({obs::RecorderEvent::Kind::kWindow, false, i,
                 static_cast<double>(i), 0.0, 0.0, 0.0});
-  EXPECT_EQ(rec.recorded(), 20u);
-  EXPECT_EQ(rec.dropped(), 12u);  // 20 recorded - 8 retained
+  EXPECT_EQ(rec.recorded(), kCapacity + 12);
+  EXPECT_EQ(rec.dropped(), 12u);  // 12 past the retained kCapacity
   const auto events = rec.events();
-  ASSERT_EQ(events.size(), 8u);
+  ASSERT_EQ(events.size(), kCapacity);
   for (std::size_t i = 0; i < events.size(); ++i)
     EXPECT_EQ(events[i].seq, 12u + i);  // oldest survivor is seq 12
 }
@@ -273,21 +271,18 @@ TEST(Recorder, RingWrapsAndAccountsOverflow) {
 TEST(Recorder, TriggerIsRateLimitedAndDumpsValidJsonl) {
   const auto dir = std::filesystem::path{::testing::TempDir()} / "sb_recorder";
   std::filesystem::create_directories(dir);
-  obs::RecorderConfig cfg;
-  cfg.capacity = 16;
-  cfg.out_dir = dir.string();
-  cfg.min_trigger_gap_seconds = 3600.0;  // no second dump within this test
-  cfg.max_dumps = 2;
-  obs::FlightRecorder rec{3, cfg};
+  obs::FlightRecorder rec{3, dir.string()};
   for (std::uint64_t i = 0; i < 10; ++i)
     rec.record({obs::RecorderEvent::Kind::kImuVerdict, i == 9, i,
                 obs::now_us(), 0.25 * static_cast<double>(i), 3.0, 2.5});
 
   EXPECT_TRUE(rec.trigger("imu_alert"));
   EXPECT_FALSE(rec.trigger("imu_alert"));  // inside the rate-limit gap
-  EXPECT_TRUE(rec.trigger("final_verdict", /*force=*/true));
-  EXPECT_FALSE(rec.trigger("another", /*force=*/true));  // max_dumps reached
-  EXPECT_EQ(rec.dumps(), 2u);
+  // Forced dumps bypass the gap, never the per-session bound.
+  for (std::size_t d = 1; d < obs::FlightRecorder::kMaxDumps; ++d)
+    EXPECT_TRUE(rec.trigger("final_verdict", /*force=*/true));
+  EXPECT_FALSE(rec.trigger("another", /*force=*/true));
+  EXPECT_EQ(rec.dumps(), obs::FlightRecorder::kMaxDumps);
 
   std::ifstream is{rec.dump_path()};
   ASSERT_TRUE(is.is_open()) << rec.dump_path();
@@ -311,9 +306,7 @@ TEST(Recorder, TriggerIsRateLimitedAndDumpsValidJsonl) {
 
 TEST(Recorder, DisabledProbeAndRecordDoNotAllocate) {
   obs::set_recorder_enabled(false);
-  obs::RecorderConfig cfg;
-  cfg.capacity = 64;
-  obs::FlightRecorder rec{1, cfg};  // ring preallocated here, before the count
+  obs::FlightRecorder rec{1};  // ring preallocated here, before the count
   const auto before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 10000; ++i) {
     bool on = obs::recorder_enabled();
