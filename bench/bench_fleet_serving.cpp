@@ -263,7 +263,6 @@ int main(int argc, char** argv) {
     // grid exercises every admission verdict and the thinning path.
     fc.degrade_sessions_per_shard = std::max<std::size_t>(
         1, (3 * static_cast<std::size_t>(n)) / (4 * shards));
-    fc.degraded_evidence_stride = 2;
     fc.session.recorder_dir = bench::bench_output_dir().string();
     return fc;
   };

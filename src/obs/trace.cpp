@@ -113,8 +113,6 @@ ThreadBuffer& local_buffer() {
 
 }  // namespace
 
-struct Trace::Impl {};
-
 Trace& Trace::instance() {
   static Trace trace;
   return trace;

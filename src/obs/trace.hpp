@@ -91,8 +91,6 @@ class Trace {
 
  private:
   Trace() = default;
-  struct Impl;
-  Impl& impl() const;
 };
 
 // RAII span.  `name` must have static lifetime (pass a string literal); this

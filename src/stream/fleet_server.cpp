@@ -57,7 +57,6 @@ FleetServer::FleetServer(const core::SensoryMapper& mapper,
   auto& reg = obs::Registry::instance();
   admitted_count_ = &reg.counter("stream.shard.admitted");
   degraded_count_ = &reg.counter("stream.shard.degraded");
-  rejected_count_ = &reg.counter("stream.shard.rejected");
   restored_count_ = &reg.counter("stream.shard.restored");
 
   shards_.resize(config_.num_shards);
@@ -106,22 +105,11 @@ FleetServer::AdmissionResult FleetServer::admit(std::uint64_t id) {
   Shard& shard = shards_[k];
   if (find(id) != nullptr)
     throw std::invalid_argument{"FleetServer: duplicate session id"};
-  const std::size_t occupancy = shard.sessions.size();
-  if (config_.max_sessions_per_shard > 0 &&
-      occupancy >= config_.max_sessions_per_shard) {
-    rejected_count_->add();
-    obs::logf(obs::LogLevel::kWarn, "stream",
-              "fleet: rejected session %llu (shard %zu at cap %zu)",
-              static_cast<unsigned long long>(id), k,
-              config_.max_sessions_per_shard);
-    return {Admission::kRejected, k, nullptr};
-  }
-  const bool degrade = config_.degrade_sessions_per_shard > 0 &&
-                       occupancy >= config_.degrade_sessions_per_shard;
+  const bool degrade =
+      config_.degrade_sessions_per_shard > 0 &&
+      shard.sessions.size() >= config_.degrade_sessions_per_shard;
   RcaSessionConfig sc = config_.session;
-  if (degrade)
-    sc.evidence_stride =
-        std::max<std::size_t>(config_.degraded_evidence_stride, 2);
+  if (degrade) sc.evidence_stride = kDegradedEvidenceStride;
   auto session = std::make_unique<RcaSession>(id, *mapper_, *imu_detector_,
                                               *gps_detector_, sc);
   RcaSession* ptr = session.get();

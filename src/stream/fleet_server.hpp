@@ -11,9 +11,9 @@
 //
 // Admission control: every session enters through admit(), which returns an
 // explicit verdict.  A shard at its degrade watermark admits new sessions
-// with a thinned evidence stride (every k-th window inferred, the rest
-// delivered as NaN — the detectors' existing degradation paths); a shard at
-// its hard cap rejects.  Combined with the per-shard bounded queues
+// with a thinned evidence stride (every kDegradedEvidenceStride-th window
+// inferred, the rest delivered as NaN — the detectors' existing degradation
+// paths).  There is no hard cap: combined with the per-shard bounded queues
 // (shedding), overload thins evidence instead of growing latency without
 // bound or corrupting verdict ordering.
 //
@@ -32,15 +32,14 @@
 
 namespace sb::stream {
 
+// Evidence stride of a degraded admission: every second window is inferred.
+inline constexpr std::size_t kDegradedEvidenceStride = 2;
+
 struct FleetServerConfig {
   std::size_t num_shards = 4;
-  // Hard per-shard session cap; admissions beyond it are rejected.
-  // 0 = unbounded.
-  std::size_t max_sessions_per_shard = 0;
   // Degrade watermark: a session admitted to a shard already holding this
-  // many is served with `degraded_evidence_stride`.  0 = never degrade.
+  // many is served with kDegradedEvidenceStride.  0 = never degrade.
   std::size_t degrade_sessions_per_shard = 0;
-  std::size_t degraded_evidence_stride = 2;
   // Per-shard scheduler settings (queue bound, batch).  The
   // fleet assigns each shard's metric_scope.
   InferenceSchedulerConfig scheduler;
@@ -52,7 +51,7 @@ struct FleetServerConfig {
 enum class Admission : std::uint8_t {
   kAdmitted = 0,  // full evidence
   kDegraded = 1,  // admitted with a thinned evidence stride
-  kRejected = 2,  // shard at hard cap (or checkpoint rejected): no session
+  kRejected = 2,  // checkpoint rejected by restore(): no session
 };
 
 const char* to_string(Admission verdict);
@@ -140,7 +139,6 @@ class FleetServer {
   std::vector<Shard> shards_;
   obs::Counter* admitted_count_;
   obs::Counter* degraded_count_;
-  obs::Counter* rejected_count_;
   obs::Counter* restored_count_;
 };
 

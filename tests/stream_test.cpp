@@ -753,16 +753,14 @@ TEST(FleetShard, AssignmentIsPureDeterministicAndCovers) {
     EXPECT_GT(hits[k], 16u) << "shard " << k;
 }
 
-TEST_F(StreamServingTest, FleetAdmissionAdmitsDegradesAndRejects) {
+TEST_F(StreamServingTest, FleetAdmissionAdmitsAndDegrades) {
   FleetServerConfig config;
   config.num_shards = 2;
-  config.max_sessions_per_shard = 2;
   config.degrade_sessions_per_shard = 1;
-  config.degraded_evidence_stride = 3;
   FleetServer fleet{*mapper_, det_->imu, det_->gps, config};
 
-  // Three ids that land on the SAME shard exercise all three verdicts in
-  // admission order.
+  // Three ids that land on the SAME shard: the first is admitted with full
+  // evidence, every later one with the degraded stride.
   std::vector<std::uint64_t> ids;
   const std::size_t shard = FleetServer::shard_of(100, 2);
   for (std::uint64_t id = 100; ids.size() < 3; ++id)
@@ -774,19 +772,17 @@ TEST_F(StreamServingTest, FleetAdmissionAdmitsDegradesAndRejects) {
   ASSERT_NE(first.session, nullptr);
   EXPECT_EQ(first.session->config().evidence_stride, 1u);
 
-  const auto second = fleet.admit(ids[1]);
-  EXPECT_EQ(second.verdict, Admission::kDegraded);
-  ASSERT_NE(second.session, nullptr);
-  EXPECT_EQ(second.session->config().evidence_stride, 3u);
-
-  const auto third = fleet.admit(ids[2]);
-  EXPECT_EQ(third.verdict, Admission::kRejected);
-  EXPECT_EQ(third.session, nullptr);
+  for (const std::uint64_t id : {ids[1], ids[2]}) {
+    const auto later = fleet.admit(id);
+    EXPECT_EQ(later.verdict, Admission::kDegraded);
+    EXPECT_EQ(later.shard, shard);
+    ASSERT_NE(later.session, nullptr);
+    EXPECT_EQ(later.session->config().evidence_stride, kDegradedEvidenceStride);
+  }
 
   EXPECT_THROW(fleet.admit(ids[0]), std::invalid_argument);
   EXPECT_EQ(fleet.find(ids[0]), first.session);
-  EXPECT_EQ(fleet.find(ids[2]), nullptr);
-  EXPECT_EQ(fleet.sessions_live(), 2u);
+  EXPECT_EQ(fleet.sessions_live(), 3u);
 }
 
 TEST_F(StreamServingTest, FleetServingMatchesShardedStandaloneBitwise) {
