@@ -171,6 +171,58 @@ RcaReport RcaEngine::Monitor::finish(const faults::HealthReport& window_health,
   return report;
 }
 
+// The layouts the records keep: ten doubles, two bools and 6 bytes of
+// padding; five doubles, four bools and 4 bytes of padding.
+static_assert(sizeof(ImuWindowDecision) == kImuDecisionBytes);
+static_assert(sizeof(GpsFixDecision) == kGpsDecisionBytes);
+
+void write_imu_decision(std::ostream& os, const ImuWindowDecision& d) {
+  using util::io::write_pod;
+  write_pod(os, d.t0);
+  write_pod(os, d.t1);
+  write_pod(os, d.mean_z);
+  write_pod(os, d.spread_z);
+  write_pod(os, d.score);
+  write_pod(os, d.threshold);
+  util::io::write_bool(os, d.flagged);
+  util::io::write_bool(os, d.alert);
+  util::io::write_padding(os, 6);
+}
+
+bool read_imu_decision(std::istream& is, ImuWindowDecision& d) {
+  using util::io::read_bool;
+  using util::io::read_pod;
+  return read_pod(is, d.t0) && read_pod(is, d.t1) && read_pod(is, d.mean_z) &&
+         read_pod(is, d.spread_z) && read_pod(is, d.score) &&
+         read_pod(is, d.threshold) && read_bool(is, d.flagged) &&
+         read_bool(is, d.alert) && util::io::skip_padding(is, 6);
+}
+
+void write_gps_decision(std::ostream& os, const GpsFixDecision& d) {
+  using util::io::write_bool;
+  using util::io::write_pod;
+  write_pod(os, d.t);
+  write_pod(os, d.running_mean_err);
+  write_pod(os, d.pos_dev);
+  write_pod(os, d.vel_threshold);
+  write_pod(os, d.pos_threshold);
+  write_bool(os, d.vel_hit);
+  write_bool(os, d.pos_hit);
+  write_bool(os, d.alert);
+  write_bool(os, d.coast_reset);
+  util::io::write_padding(os, 4);
+}
+
+bool read_gps_decision(std::istream& is, GpsFixDecision& d) {
+  using util::io::read_bool;
+  using util::io::read_pod;
+  return read_pod(is, d.t) && read_pod(is, d.running_mean_err) &&
+         read_pod(is, d.pos_dev) && read_pod(is, d.vel_threshold) &&
+         read_pod(is, d.pos_threshold) && read_bool(is, d.vel_hit) &&
+         read_bool(is, d.pos_hit) && read_bool(is, d.alert) &&
+         read_bool(is, d.coast_reset) && util::io::skip_padding(is, 4);
+}
+
 void RcaEngine::Monitor::save_state(std::ostream& os) const {
   using util::io::write_pod;
   using util::io::write_pod_vec;
@@ -179,8 +231,9 @@ void RcaEngine::Monitor::save_state(std::ostream& os) const {
   for (const auto& m : gps_) m.save_state(os);
   write_pod(os, imu_health_);
   for (const auto& h : gps_health_) write_pod(os, h);
-  write_pod_vec(os, imu_decisions_);
-  for (const auto& d : gps_decisions_) write_pod_vec(os, d);
+  util::io::write_records(os, imu_decisions_, write_imu_decision);
+  for (const auto& d : gps_decisions_)
+    util::io::write_records(os, d, write_gps_decision);
   write_pod_vec(os, imu_buf_);
   write_pod_vec(os, gps_buf_);
   write_pod(os, static_cast<std::uint64_t>(residual_lo_));
@@ -199,9 +252,11 @@ bool RcaEngine::Monitor::load_state(std::istream& is) {
   if (!read_pod(is, imu_health_)) return false;
   for (auto& h : gps_health_)
     if (!read_pod(is, h)) return false;
-  if (!read_pod_vec(is, imu_decisions_)) return false;
+  using util::io::read_records;
+  if (!read_records(is, imu_decisions_, kImuDecisionBytes, read_imu_decision))
+    return false;
   for (auto& d : gps_decisions_)
-    if (!read_pod_vec(is, d)) return false;
+    if (!read_records(is, d, kGpsDecisionBytes, read_gps_decision)) return false;
   if (!read_pod_vec(is, imu_buf_) || !read_pod_vec(is, gps_buf_)) return false;
   std::uint64_t residual_lo = 0;
   if (!read_pod(is, residual_lo) || residual_lo > imu_buf_.size()) return false;

@@ -4,6 +4,7 @@
 // audio+IMU fusion when it is trusted).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <span>
 #include <vector>
@@ -49,6 +50,17 @@ CalibratedDetectors calibrate_detectors(
     std::span<const Flight> flights,
     std::span<const std::vector<TimedPrediction>> preds,
     const ImuRcaConfig& imu_config = {});
+
+// SBSESS01 records of the decision structs: each field in the struct's own
+// byte layout, padding written as zeros and skipped on read, each bool one
+// byte that must read 0 or 1.  So two equal decisions write equal bytes, and
+// checkpoints that hold raw memory images of the structs still restore.
+inline constexpr std::size_t kImuDecisionBytes = 88;
+inline constexpr std::size_t kGpsDecisionBytes = 48;
+void write_imu_decision(std::ostream& os, const ImuWindowDecision& d);
+bool read_imu_decision(std::istream& is, ImuWindowDecision& d);
+void write_gps_decision(std::ostream& os, const GpsFixDecision& d);
+bool read_gps_decision(std::istream& is, GpsFixDecision& d);
 
 class RcaEngine {
  public:

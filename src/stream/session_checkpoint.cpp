@@ -38,11 +38,45 @@ void reject(const std::string& path, const char* why) {
   obs::Registry::instance().counter("stream.checkpoint_rejected").add();
 }
 
+// A verdict event in VerdictEvent's own byte layout (see
+// core::write_imu_decision): kind, 4 bytes of padding, decided_at,
+// imu_attacked, 3 bytes of padding, gps_mode, then the two decision records.
+// Both enums are 32-bit and must read 0 or 1.
+constexpr std::size_t kEventBytes = 160;
+static_assert(sizeof(VerdictEvent) == kEventBytes);
+
+void write_event(std::ostream& os, const VerdictEvent& e) {
+  using util::io::write_padding;
+  using util::io::write_pod;
+  write_pod(os, static_cast<std::int32_t>(e.kind));
+  write_padding(os, 4);
+  write_pod(os, e.decided_at);
+  util::io::write_bool(os, e.imu_attacked);
+  write_padding(os, 3);
+  write_pod(os, static_cast<std::int32_t>(e.gps_mode));
+  core::write_imu_decision(os, e.imu);
+  core::write_gps_decision(os, e.gps);
+}
+
+bool read_event(std::istream& is, VerdictEvent& e) {
+  using util::io::read_pod;
+  using util::io::skip_padding;
+  std::int32_t kind = 0, gps_mode = 0;
+  if (!read_pod(is, kind) || kind < 0 || kind > 1 || !skip_padding(is, 4) ||
+      !read_pod(is, e.decided_at) || !util::io::read_bool(is, e.imu_attacked) ||
+      !skip_padding(is, 3) || !read_pod(is, gps_mode) || gps_mode < 0 ||
+      gps_mode > 1)
+    return false;
+  e.kind = static_cast<VerdictEvent::Kind>(kind);
+  e.gps_mode = static_cast<core::GpsDetectorMode>(gps_mode);
+  return core::read_imu_decision(is, e.imu) &&
+         core::read_gps_decision(is, e.gps);
+}
+
 }  // namespace
 
 void RcaSession::save_payload(std::ostream& os) const {
   using util::io::write_pod;
-  using util::io::write_pod_vec;
   write_pod(os, id_);
   // Configuration the state was taken under; load_payload and the monitor
   // load_state guards reject any mismatch.
@@ -55,13 +89,12 @@ void RcaSession::save_payload(std::ostream& os) const {
   write_pod(os, next_seq_);
   write_pod(os, delivered_);
   write_pod(os, last_t1_);
-  write_pod_vec(os, events_);
+  util::io::write_records(os, events_, write_event);
   write_pod(os, health_);
 }
 
 bool RcaSession::load_payload(std::istream& is) {
   using util::io::read_pod;
-  using util::io::read_pod_vec;
   std::uint64_t id = 0, stride = 0;
   double sample_rate = 0.0;
   if (!read_pod(is, id) || id != id_) return false;
@@ -79,7 +112,8 @@ bool RcaSession::load_payload(std::istream& is) {
       !read_pod(is, last_t1_))
     return false;
   if (next_seq_ != delivered_) return false;  // quiescence invariant
-  if (!read_pod_vec(is, events_)) return false;
+  if (!util::io::read_records(is, events_, kEventBytes, read_event))
+    return false;
   if (!read_pod(is, health_)) return false;
   return util::io::at_end(is);
 }

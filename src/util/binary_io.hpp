@@ -2,7 +2,10 @@
 // (SBMAPF02 model files, SBSESS01 session checkpoints).  Header-only: every
 // persistence path serializes with these so all formats share one idiom —
 // little-endian in-memory byte images, explicit sizes ahead of variable
-// payloads, read functions that report failure instead of throwing.
+// payloads, read functions that report failure instead of throwing.  A
+// struct with padding or bools is written field by field (write_bool,
+// write_padding, write_records), never as a memory image: its padding bytes
+// are indeterminate, and a bool byte read back unchecked may not be 0 or 1.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +32,31 @@ bool read_pod(std::istream& is, T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
   is.read(reinterpret_cast<char*>(&v), sizeof(v));
   return static_cast<bool>(is);
+}
+
+// A bool as one byte, 0 or 1.  read_bool rejects any other byte before it is
+// stored as a bool.
+inline void write_bool(std::ostream& os, bool b) {
+  write_pod(os, static_cast<std::uint8_t>(b ? 1 : 0));
+}
+
+inline bool read_bool(std::istream& is, bool& b) {
+  std::uint8_t byte = 0;
+  if (!read_pod(is, byte) || byte > 1) return false;
+  b = byte == 1;
+  return true;
+}
+
+// `n` zero bytes (n <= 8) where a record keeps padding; skip_padding passes
+// over them without reading their values.
+inline void write_padding(std::ostream& os, std::size_t n) {
+  static constexpr char kZeros[8] = {};
+  os.write(kZeros, static_cast<std::streamsize>(n));
+}
+
+inline bool skip_padding(std::istream& is, std::size_t n) {
+  is.ignore(static_cast<std::streamsize>(n));
+  return is && is.gcount() == static_cast<std::streamsize>(n);
 }
 
 // Bytes between the read position and the end of a seekable stream (0 when
@@ -65,6 +93,27 @@ bool read_pod_vec(std::istream& is, std::vector<T>& v) {
     is.read(reinterpret_cast<char*>(v.data()),
             static_cast<std::streamsize>(n * sizeof(T)));
   return static_cast<bool>(is);
+}
+
+// Length-prefixed vector of records written field by field: `write_one`
+// writes one element, `read_one` reads one of `record_bytes` bytes back.  The
+// prefix is bounded by the bytes left, as in read_pod_vec.
+template <typename T, typename WriteOne>
+void write_records(std::ostream& os, const std::vector<T>& v,
+                   WriteOne write_one) {
+  write_pod(os, static_cast<std::uint64_t>(v.size()));
+  for (const T& x : v) write_one(os, x);
+}
+
+template <typename T, typename ReadOne>
+bool read_records(std::istream& is, std::vector<T>& v,
+                  std::size_t record_bytes, ReadOne read_one) {
+  std::uint64_t n = 0;
+  if (!read_pod(is, n) || n > bytes_left(is) / record_bytes) return false;
+  v.resize(static_cast<std::size_t>(n));
+  for (T& x : v)
+    if (!read_one(is, x)) return false;
+  return true;
 }
 
 // Integrity frame: magic, format version, payload size, CRC-32 of the

@@ -647,6 +647,31 @@ TEST(RcaMonitor, CheckpointRoundTripResumesBitwise) {
   EXPECT_FALSE(other.load_state(forged));
 }
 
+// A checkpoint is a function of the monitor's state: the decision records'
+// padding is written as zeros, so two monitors fed the same flight and the
+// same predictions write the same bytes.
+TEST(RcaMonitor, IdenticalFeedsWriteIdenticalCheckpoints) {
+  const auto f = test::hover_flight(12.0, 36);
+  const auto preds = synthetic_predictions(f);
+  const auto& det = monitor_detectors();
+  std::string states[2];
+  for (std::string& bytes : states) {
+    RcaEngine::Monitor m{det.imu, det.gps};
+    m.push_imu(f.log.imu);
+    m.push_gps(f.log.gps);
+    for (std::size_t i = 0; i < preds.size() / 2; ++i) m.deliver(preds[i]);
+    ASSERT_FALSE(m.imu_decisions().empty());
+    std::ostringstream os{std::ios::binary};
+    m.save_state(os);
+    bytes = os.str();
+  }
+  ASSERT_EQ(states[0].size(), states[1].size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < states[0].size(); ++i)
+    differing += states[0][i] != states[1][i] ? 1 : 0;
+  EXPECT_EQ(differing, 0u) << "of " << states[0].size() << " bytes";
+}
+
 // The `faults.*` counters count decisions only: a detector run on its own
 // (calibration, a bench's per-variant analyze) adds nothing, and a decision
 // adds exactly its report's tally.  An IMU NaN burst makes the fused GPS

@@ -22,6 +22,7 @@
 #include "stream/inference_scheduler.hpp"
 #include "stream/rca_session.hpp"
 #include "stream/streaming_extractor.hpp"
+#include "util/binary_io.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
 
@@ -620,6 +621,75 @@ TEST_F(StreamServingTest, RestoreRejectsOversizedLengthPrefixWithoutThrowing) {
   std::unique_ptr<RcaSession> restored;
   EXPECT_NO_THROW(restored = RcaSession::restore(path, *mapper_, det_->imu, det_->gps));
   EXPECT_EQ(restored, nullptr);
+}
+
+// Two sessions fed the same streams write the same checkpoint bytes,
+// verdict backlog and decision records included.
+TEST_F(StreamServingTest, IdenticalSessionsWriteIdenticalCheckpoints) {
+  std::string files[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    auto a = make_session(25);
+    InferenceScheduler sched{*mapper_};
+    sched.attach(a);
+    feed(a, 6.0);
+    sched.drain();
+    const std::string path =
+        ::testing::TempDir() + "sb_same_" + std::to_string(i) + ".sbsess";
+    ASSERT_TRUE(a.checkpoint(path));
+    files[i] = slurp(path);
+  }
+  ASSERT_EQ(files[0].size(), files[1].size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < files[0].size(); ++i)
+    differing += files[0][i] != files[1][i] ? 1 : 0;
+  EXPECT_EQ(differing, 0u) << "of " << files[0].size() << " bytes";
+}
+
+// A CRC-valid checkpoint whose verdict backlog holds a bool byte other than
+// 0 or 1 is rejected before the byte is read as a bool.
+TEST_F(StreamServingTest, RestoreRejectsABoolByteOtherThanZeroOrOne) {
+  auto a = make_session(27);
+  InferenceScheduler sched{*mapper_};
+  sched.attach(a);
+  feed(a, 6.0);
+  sched.drain();
+  const std::string path = ::testing::TempDir() + "sb_bool.sbsess";
+  ASSERT_TRUE(a.checkpoint(path));
+  const std::string bytes = slurp(path);
+  const auto pristine = RcaSession::restore(path, *mapper_, det_->imu, det_->gps);
+  ASSERT_NE(pristine, nullptr);
+  const std::size_t backlog = pristine->poll_verdicts().size();
+  ASSERT_GT(backlog, 0u);
+
+  // Frame header: magic(8) version(4) size(8) crc(4).  The payload ends with
+  // the backlog (a count, then 160-byte events) and the window health tally.
+  std::uint64_t magic = 0;
+  std::uint32_t version = 0;
+  std::memcpy(&magic, bytes.data(), sizeof magic);
+  std::memcpy(&version, bytes.data() + 8, sizeof version);
+  const std::string payload = bytes.substr(24);
+  constexpr std::size_t kEventBytes = 160;
+  const std::size_t events_at =
+      payload.size() - sizeof(faults::HealthReport) - backlog * kEventBytes;
+  std::uint64_t count = 0;
+  std::memcpy(&count, payload.data() + events_at - sizeof count, sizeof count);
+  ASSERT_EQ(count, backlog);
+
+  // The first event's bools: imu_attacked, the IMU decision's flagged and
+  // alert, the GPS decision's four hit/alert/reset flags.
+  auto& rejected = obs::Registry::instance().counter("stream.checkpoint_rejected");
+  for (const std::size_t at : {16, 104, 105, 152, 153, 154, 155}) {
+    std::string forged = payload;
+    ASSERT_LE(static_cast<unsigned char>(forged[events_at + at]), 1u) << at;
+    forged[events_at + at] = 2;
+    std::ofstream os{path, std::ios::binary | std::ios::trunc};
+    util::io::write_frame(os, magic, version, forged);
+    os.close();
+    const auto before = rejected.value();
+    EXPECT_FALSE(RcaSession::restore(path, *mapper_, det_->imu, det_->gps))
+        << "bool byte at event offset " << at;
+    EXPECT_EQ(rejected.value(), before + 1) << at;
+  }
 }
 
 void expect_same_verdicts(const std::vector<VerdictEvent>& x,
