@@ -1,25 +1,30 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 namespace sb::sim {
 namespace {
 
-// Index range [lo, hi) of timestamps within [t0, t1).
-template <typename GetT, typename Size>
-std::pair<std::size_t, std::size_t> time_range(GetT get_t, Size n, double t0, double t1) {
-  std::size_t lo = 0;
-  while (lo < n && get_t(lo) < t0) ++lo;
-  std::size_t hi = lo;
-  while (hi < n && get_t(hi) < t1) ++hi;
-  return {lo, hi};
+// Index range [lo, hi) of the records timed within [t0, t1).  Every log is
+// time-ordered, so both bounds are binary searches.
+template <typename Records, typename Time = std::identity>
+std::pair<std::size_t, std::size_t> time_range(const Records& records, double t0,
+                                               double t1, Time time = {}) {
+  const auto first = std::ranges::begin(records);
+  const auto lo = std::ranges::partition_point(
+      records, [t0](double t) { return t < t0; }, time);
+  const auto hi = std::ranges::partition_point(
+      lo, std::ranges::end(records), [t1](double t) { return t < t1; }, time);
+  return {static_cast<std::size_t>(lo - first),
+          static_cast<std::size_t>(hi - first)};
 }
 
 }  // namespace
 
 Vec3 FlightLog::mean_true_accel(double t0, double t1) const {
-  const auto [lo, hi] =
-      time_range([this](std::size_t i) { return t[i]; }, t.size(), t0, t1);
+  const auto [lo, hi] = time_range(t, t0, t1);
   if (hi <= lo) return {};
   Vec3 s;
   for (std::size_t i = lo; i < hi; ++i) s += true_accel[i];
@@ -27,8 +32,7 @@ Vec3 FlightLog::mean_true_accel(double t0, double t1) const {
 }
 
 Vec3 mean_imu_accel(std::span<const ImuSample> imu, double t0, double t1) {
-  const auto [lo, hi] =
-      time_range([&](std::size_t i) { return imu[i].t; }, imu.size(), t0, t1);
+  const auto [lo, hi] = time_range(imu, t0, t1, &ImuSample::t);
   if (hi <= lo) return {};
   Vec3 s;
   for (std::size_t i = lo; i < hi; ++i) s += imu[i].accel_ned;
@@ -36,8 +40,7 @@ Vec3 mean_imu_accel(std::span<const ImuSample> imu, double t0, double t1) {
 }
 
 std::size_t imu_samples_in(std::span<const ImuSample> imu, double t0, double t1) {
-  const auto [lo, hi] =
-      time_range([&](std::size_t i) { return imu[i].t; }, imu.size(), t0, t1);
+  const auto [lo, hi] = time_range(imu, t0, t1, &ImuSample::t);
   return hi - lo;
 }
 
@@ -50,8 +53,7 @@ std::size_t FlightLog::imu_samples_in(double t0, double t1) const {
 }
 
 Vec3 FlightLog::mean_nav_vel(double t0, double t1) const {
-  const auto [lo, hi] =
-      time_range([this](std::size_t i) { return nav[i].t; }, nav.size(), t0, t1);
+  const auto [lo, hi] = time_range(nav, t0, t1, &NavSample::t);
   if (hi > lo) {
     Vec3 s;
     for (std::size_t i = lo; i < hi; ++i) s += nav[i].vel;
@@ -65,8 +67,7 @@ Vec3 FlightLog::mean_nav_vel(double t0, double t1) const {
 
 std::array<double, kMaxRotors> FlightLog::mean_omega(double t0, double t1) const {
   std::array<double, kMaxRotors> out{};
-  const auto [lo, hi] =
-      time_range([this](std::size_t i) { return t[i]; }, t.size(), t0, t1);
+  const auto [lo, hi] = time_range(t, t0, t1);
   if (hi <= lo) return out;
   for (std::size_t i = lo; i < hi; ++i)
     for (int r = 0; r < num_rotors; ++r)
