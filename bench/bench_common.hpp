@@ -1,6 +1,7 @@
 // Shared experiment rig for the bench harnesses: the standard training
-// corpus, the benign/attack test flight sets, the calibrated detectors and
-// the serving benches' set-up (tiny mode, env knobs, feed slicing, model).
+// corpus, the benign/attack test flight sets, the calibrated detectors, the
+// serving benches' set-up (tiny mode, env knobs, feed cursors, model) and
+// the self-checks of the JSON artifacts the benches write.
 //
 // Workload scale note: the paper's flights are 1-3 minutes on a physical
 // testbed; the benches use 25-60 s simulated flights so the whole suite runs
@@ -22,6 +23,8 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -38,6 +41,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "stream/rca_session.hpp"
 #include "util/simd.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -180,6 +184,80 @@ inline std::filesystem::path cache_dir() {
     return dir;
   }
   return "/tmp";
+}
+
+// Self-check of a JSON artifact a bench wrote: the whole file must be one
+// valid JSON value whose metrics objects are well formed
+// (obs::metrics_json_wellformed).  Prints why not to stderr.  With `text`,
+// the file's contents are returned for further checks.
+inline bool validate_json_file(const std::filesystem::path& path,
+                               std::string* text = nullptr) {
+  std::ifstream is{path};
+  if (!is) {
+    std::fprintf(stderr, "bench: cannot reopen %s\n", path.c_str());
+    return false;
+  }
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  const std::string json = ss.str();
+  if (text != nullptr) *text = json;
+  if (!obs::json_valid(json)) {
+    std::fprintf(stderr, "bench: %s is not valid JSON\n", path.c_str());
+    return false;
+  }
+  if (!obs::metrics_json_wellformed(json)) {
+    std::fprintf(stderr, "bench: %s has malformed metrics objects\n",
+                 path.c_str());
+    return false;
+  }
+  return true;
+}
+
+// JSONL artifacts (black boxes, telemetry): at least one line, and every
+// nonempty line one valid JSON object that also passes the metrics check.
+inline bool validate_jsonl_file(const std::filesystem::path& path) {
+  std::ifstream is{path};
+  if (!is) {
+    std::fprintf(stderr, "bench: cannot reopen %s\n", path.c_str());
+    return false;
+  }
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(is, line)) {
+    if (line.empty()) continue;
+    ++lines;
+    if (!obs::json_valid(line) || !obs::metrics_json_wellformed(line)) {
+      std::fprintf(stderr, "bench: %s line %zu is not valid JSON\n",
+                   path.c_str(), lines);
+      return false;
+    }
+  }
+  if (lines == 0) {
+    std::fprintf(stderr, "bench: %s is empty\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+// Validates every black box (BLACKBOX_<id>.jsonl in bench_output_dir()) of
+// sessions 0..sessions-1 that exists; a run under SB_RECORDER forces at
+// least one, so none at all fails too.
+inline bool validate_black_boxes(std::size_t sessions) {
+  bool ok = true;
+  std::size_t found = 0;
+  for (std::size_t id = 0; id < sessions; ++id) {
+    const auto path =
+        bench_output_dir() / ("BLACKBOX_" + std::to_string(id) + ".jsonl");
+    if (!std::filesystem::exists(path)) continue;
+    ++found;
+    ok = validate_jsonl_file(path) && ok;
+  }
+  if (found == 0) {
+    std::fprintf(stderr, "bench: no black box in %s\n",
+                 bench_output_dir().c_str());
+    return false;
+  }
+  return ok;
 }
 
 // Collects per-bench wall-clock and workload metadata, and writes
@@ -583,6 +661,44 @@ inline acoustics::MultiChannelAudio slice_audio(
     chunk.channels[c].assign(full.channels[c].begin() + begin,
                              full.channels[c].begin() + end);
   return chunk;
+}
+
+// Read positions of one serving session in its pre-rendered feed: the audio
+// samples, IMU samples and GPS fixes pushed so far.
+struct FeedCursor {
+  std::size_t audio = 0;
+  std::size_t imu = 0;
+  std::size_t gps = 0;
+};
+
+// The cursor past everything with t < until (audio by sample index),
+// scanning on from `from`.
+inline FeedCursor feed_cursor_at(const core::Flight& flight,
+                                 const acoustics::MultiChannelAudio& audio,
+                                 double until, FeedCursor from = {}) {
+  const auto samples = static_cast<std::size_t>(std::min(
+      until * audio.sample_rate, static_cast<double>(audio.num_samples())));
+  from.audio = std::max(from.audio, samples);
+  const auto& imu = flight.log.imu;
+  while (from.imu < imu.size() && imu[from.imu].t < until) ++from.imu;
+  const auto& gps = flight.log.gps;
+  while (from.gps < gps.size() && gps[from.gps].t < until) ++from.gps;
+  return from;
+}
+
+// Pushes everything with t < until that `cur` has not passed yet — the
+// "what arrived since the last tick" slice of each stream — and advances it.
+inline void push_until(stream::RcaSession& session, const core::Flight& flight,
+                       const acoustics::MultiChannelAudio& audio,
+                       FeedCursor& cur, double until) {
+  const FeedCursor next = feed_cursor_at(flight, audio, until, cur);
+  if (next.audio > cur.audio)
+    session.push_audio(slice_audio(audio, cur.audio, next.audio));
+  session.push_imu(
+      std::span{flight.log.imu}.subspan(cur.imu, next.imu - cur.imu));
+  session.push_gps(
+      std::span{flight.log.gps}.subspan(cur.gps, next.gps - cur.gps));
+  cur = next;
 }
 
 // The model the serving benches serve: the standard mapper, or with `tiny`

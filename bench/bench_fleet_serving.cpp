@@ -74,50 +74,11 @@ struct Feed {
   acoustics::MultiChannelAudio audio;
 };
 
+// A session's feed and its read positions in it.
 struct Cursor {
   std::size_t feed = 0;
-  std::size_t audio = 0;
-  std::size_t imu = 0;
-  std::size_t gps = 0;
+  bench::FeedCursor at;
 };
-
-void push_until(stream::RcaSession& session, const Feed& feed, Cursor& cur,
-                double until) {
-  const auto upto = static_cast<std::size_t>(
-      std::min(until * feed.audio.sample_rate,
-               static_cast<double>(feed.audio.num_samples())));
-  if (upto > cur.audio) {
-    session.push_audio(bench::slice_audio(feed.audio, cur.audio, upto));
-    cur.audio = upto;
-  }
-  const auto& imu = feed.flight.log.imu;
-  std::size_t i = cur.imu;
-  while (i < imu.size() && imu[i].t < until) ++i;
-  session.push_imu(std::span{imu}.subspan(cur.imu, i - cur.imu));
-  cur.imu = i;
-  const auto& gps = feed.flight.log.gps;
-  std::size_t g = cur.gps;
-  while (g < gps.size() && gps[g].t < until) ++g;
-  session.push_gps(std::span{gps}.subspan(cur.gps, g - cur.gps));
-  cur.gps = g;
-}
-
-// Cursor state as if push_until had been called up to `until` — used by the
-// restore smoke to resume feeds without replaying the first half.
-Cursor cursor_at(const Feed& feed, std::size_t feed_idx, double until) {
-  Cursor cur;
-  cur.feed = feed_idx;
-  cur.audio = static_cast<std::size_t>(
-      std::min(until * feed.audio.sample_rate,
-               static_cast<double>(feed.audio.num_samples())));
-  while (cur.imu < feed.flight.log.imu.size() &&
-         feed.flight.log.imu[cur.imu].t < until)
-    ++cur.imu;
-  while (cur.gps < feed.flight.log.gps.size() &&
-         feed.flight.log.gps[cur.gps].t < until)
-    ++cur.gps;
-  return cur;
-}
 
 // One line per session, every field printed with round-trip precision, so
 // string equality == bitwise verdict equality.
@@ -133,19 +94,15 @@ std::string digest_report(std::uint64_t id, const core::RcaReport& r) {
   return buf;
 }
 
-bool validate_json_file(const std::filesystem::path& path) {
-  std::ifstream is{path};
-  if (!is) {
-    std::fprintf(stderr, "fleet_serving: cannot reopen %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  if (!obs::json_valid(ss.str()) || !obs::metrics_json_wellformed(ss.str())) {
-    std::fprintf(stderr, "fleet_serving: %s is not valid JSON\n", path.c_str());
-    return false;
-  }
-  return true;
+// Forces one black-box dump (the first live session with a recorder) so a
+// run under SB_RECORDER always writes a black box to validate; force
+// bypasses the rate-limit gap, not the per-session dump bound.
+void snapshot_black_box(const std::vector<stream::RcaSession*>& sessions) {
+  for (stream::RcaSession* s : sessions)
+    if (s != nullptr && s->recorder() != nullptr) {
+      s->recorder()->trigger("bench_snapshot", /*force=*/true);
+      return;
+    }
 }
 
 constexpr double kTick = 0.1;
@@ -182,8 +139,9 @@ ServeStats serve_phase(stream::FleetServer& fleet,
     const double t = static_cast<double>(k) * kTick;
     for (std::size_t i = 0; i < sessions.size(); ++i) {
       if (sessions[i] == nullptr) continue;
-      push_until(*sessions[i], feeds[cursors[i].feed], cursors[i],
-                 std::min(t, duration));
+      const Feed& feed = feeds[cursors[i].feed];
+      bench::push_until(*sessions[i], feed.flight, feed.audio, cursors[i].at,
+                        std::min(t, duration));
       stats.verdicts += sessions[i]->poll_verdicts().size();
     }
     fleet.pump();
@@ -298,9 +256,10 @@ int main(int argc, char** argv) {
         continue;
       }
       sessions[static_cast<std::size_t>(i)] = res.session;
-      cursors[static_cast<std::size_t>(i)] =
-          cursor_at(feeds[static_cast<std::size_t>(i % n_feeds)],
-                    static_cast<std::size_t>(i % n_feeds), half);
+      // Resume the feed where the checkpointing process pushed up to.
+      Cursor& cur = cursors[static_cast<std::size_t>(i)];
+      cur.at = bench::feed_cursor_at(feeds[cur.feed].flight,
+                                     feeds[cur.feed].audio, half);
       ++restored;
     }
     report.metric("sessions", n);
@@ -308,6 +267,7 @@ int main(int argc, char** argv) {
     const auto stats = serve_phase(fleet, sessions, feeds, cursors, half_ticks,
                                    total_ticks, duration);
     total_wall += stats.wall;
+    snapshot_black_box(sessions);
     std::string digest = "{\"sessions\": [\n";
     for (int i = 0; i < n; ++i) {
       if (sessions[static_cast<std::size_t>(i)] == nullptr) continue;
@@ -371,12 +331,7 @@ int main(int argc, char** argv) {
         thinned = fleet.windows_thinned();
         inferred = fleet.windows_inferred();
 
-        if (obs::recorder_enabled())
-          for (auto* s : sessions)
-            if (s != nullptr && s->recorder() != nullptr) {
-              s->recorder()->trigger("bench_snapshot", /*force=*/true);
-              break;
-            }
+        snapshot_black_box(sessions);
 
         std::string digest = "{\"sessions\": [\n";
         for (int i = 0; i < n; ++i) {
@@ -509,10 +464,15 @@ int main(int argc, char** argv) {
   report.wall_seconds(total_wall);
   report.flush();
 
-  ok = validate_json_file(bench::bench_output_dir() /
-                          "BENCH_fleet_serving.json") && ok;
+  ok = bench::validate_json_file(bench::bench_output_dir() /
+                                 "BENCH_fleet_serving.json") &&
+       ok;
   if (obs::enabled())
-    ok = validate_json_file(bench::bench_output_dir() /
-                            "TRACE_fleet_serving.json") && ok;
+    ok = bench::validate_json_file(bench::bench_output_dir() /
+                                   "TRACE_fleet_serving.json") &&
+         ok;
+  // Every black box a session of this run dumped (ids 0..max_n-1).
+  if (obs::recorder_enabled())
+    ok = bench::validate_black_boxes(static_cast<std::size_t>(max_n)) && ok;
   return ok ? 0 : 1;
 }

@@ -18,9 +18,6 @@
 // tracing) fails the run with a nonzero exit code.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,78 +33,8 @@ using namespace sb;
 struct SessionFeed {
   core::Flight flight;
   acoustics::MultiChannelAudio audio;  // whole continuous capture
-  std::size_t audio_cursor = 0;
-  std::size_t imu_cursor = 0;
-  std::size_t gps_cursor = 0;
+  bench::FeedCursor cursor;
 };
-
-// Pushes everything with t < until (audio by sample index) and advances the
-// cursors — the "what arrived since the last tick" slice of each stream.
-void push_until(stream::RcaSession& session, SessionFeed& feed, double until) {
-  const auto upto = static_cast<std::size_t>(
-      std::min(until * feed.audio.sample_rate,
-               static_cast<double>(feed.audio.num_samples())));
-  if (upto > feed.audio_cursor) {
-    session.push_audio(bench::slice_audio(feed.audio, feed.audio_cursor, upto));
-    feed.audio_cursor = upto;
-  }
-  const auto& imu = feed.flight.log.imu;
-  std::size_t i = feed.imu_cursor;
-  while (i < imu.size() && imu[i].t < until) ++i;
-  session.push_imu(std::span{imu}.subspan(feed.imu_cursor, i - feed.imu_cursor));
-  feed.imu_cursor = i;
-  const auto& gps = feed.flight.log.gps;
-  std::size_t g = feed.gps_cursor;
-  while (g < gps.size() && gps[g].t < until) ++g;
-  session.push_gps(std::span{gps}.subspan(feed.gps_cursor, g - feed.gps_cursor));
-  feed.gps_cursor = g;
-}
-
-bool validate_json_file(const std::filesystem::path& path) {
-  std::ifstream is{path};
-  if (!is) {
-    std::fprintf(stderr, "stream_serving: cannot reopen %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  if (!obs::json_valid(ss.str())) {
-    std::fprintf(stderr, "stream_serving: %s is not valid JSON\n", path.c_str());
-    return false;
-  }
-  if (!obs::metrics_json_wellformed(ss.str())) {
-    std::fprintf(stderr, "stream_serving: %s has malformed metrics objects\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
-}
-
-// JSONL artifacts (black boxes, telemetry): every nonempty line must be one
-// well-formed JSON object that also passes the strict metrics check.
-bool validate_jsonl_file(const std::filesystem::path& path) {
-  std::ifstream is{path};
-  if (!is) {
-    std::fprintf(stderr, "stream_serving: cannot reopen %s\n", path.c_str());
-    return false;
-  }
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    if (!obs::json_valid(line) || !obs::metrics_json_wellformed(line)) {
-      std::fprintf(stderr, "stream_serving: %s line %zu is not valid JSON\n",
-                   path.c_str(), lines);
-      return false;
-    }
-  }
-  if (lines == 0) {
-    std::fprintf(stderr, "stream_serving: %s is empty\n", path.c_str());
-    return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -162,7 +89,7 @@ int main(int argc, char** argv) {
   stream::RcaSessionConfig session_config;
   session_config.recorder_dir = bench::bench_output_dir().string();
   const double serve_wall = bench::repeat_median([&](int) {
-    for (auto& f : feeds) f.audio_cursor = f.imu_cursor = f.gps_cursor = 0;
+    for (auto& f : feeds) f.cursor = {};
     verdicts = 0;
     imu_flagged = gps_flagged = 0;
     std::vector<stream::RcaSession> sessions;
@@ -185,7 +112,8 @@ int main(int argc, char** argv) {
     bench::Stopwatch serve_timer;
     for (double t = tick; t < duration + tick; t += tick) {
       for (std::size_t i = 0; i < sessions.size(); ++i) {
-        push_until(sessions[i], feeds[i], std::min(t, duration));
+        bench::push_until(sessions[i], feeds[i].flight, feeds[i].audio,
+                          feeds[i].cursor, std::min(t, duration));
         for ([[maybe_unused]] auto& e : sessions[i].poll_verdicts()) ++verdicts;
       }
       scheduler.pump();
@@ -267,23 +195,17 @@ int main(int argc, char** argv) {
       staged > 0.0 ? 100.0 * static_cast<double>(windows_shed) / staged : 0.0);
 
   // Self-check every JSON artifact this run produced (CI gates on this).
-  bool ok = validate_json_file(bench::bench_output_dir() /
-                               "BENCH_stream_serving.json");
+  // The forced bench_snapshot dump makes a black box mandatory under
+  // SB_RECORDER; any further incident dumps must validate too.
+  bool ok = bench::validate_json_file(bench::bench_output_dir() /
+                                      "BENCH_stream_serving.json");
   if (obs::enabled())
-    ok = validate_json_file(bench::bench_output_dir() /
-                            "TRACE_stream_serving.json") && ok;
-  if (obs::recorder_enabled()) {
-    // The forced bench_snapshot dump makes session 0's black box mandatory;
-    // any further incident dumps that exist must validate too.
-    ok = validate_jsonl_file(bench::bench_output_dir() / "BLACKBOX_0.jsonl") &&
+    ok = bench::validate_json_file(bench::bench_output_dir() /
+                                   "TRACE_stream_serving.json") &&
          ok;
-    for (int i = 1; i < n_sessions; ++i) {
-      const auto path = bench::bench_output_dir() /
-                        ("BLACKBOX_" + std::to_string(i) + ".jsonl");
-      if (std::filesystem::exists(path)) ok = validate_jsonl_file(path) && ok;
-    }
-  }
+  if (obs::recorder_enabled())
+    ok = bench::validate_black_boxes(static_cast<std::size_t>(n_sessions)) && ok;
   if (obs::telemetry_enabled())
-    ok = validate_jsonl_file(obs::telemetry_path()) && ok;
+    ok = bench::validate_jsonl_file(obs::telemetry_path()) && ok;
   return ok ? 0 : 1;
 }

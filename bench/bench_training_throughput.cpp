@@ -16,8 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -224,12 +222,9 @@ int main(int argc, char** argv) {
   }
 
   // --- Self-validate the emitted report. ---------------------------------
-  const auto path = bench::bench_output_dir() / "BENCH_training_throughput.json";
-  std::ifstream is{path};
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  const std::string json = ss.str();
-  bool keys_ok = is.good() || !json.empty();
+  std::string json;
+  bool keys_ok = bench::validate_json_file(
+      bench::bench_output_dir() / "BENCH_training_throughput.json", &json);
   for (const char* key :
        {"samples_per_second", "fit_seconds_p50_t1", "fit_seconds_p50_t4",
         "epoch_seconds_p50", "speedup_vs_1_thread", "heap_alloc_delta",
@@ -240,10 +235,6 @@ int main(int argc, char** argv) {
                    key);
       keys_ok = false;
     }
-  }
-  if (!obs::json_valid(json) || !obs::metrics_json_wellformed(json)) {
-    std::fprintf(stderr, "training_throughput: BENCH json malformed\n");
-    keys_ok = false;
   }
   if (!deterministic || !keys_ok) return 1;
   return 0;
