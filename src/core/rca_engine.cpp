@@ -226,14 +226,14 @@ bool read_gps_decision(std::istream& is, GpsFixDecision& d) {
 void RcaEngine::Monitor::save_state(std::ostream& os) const {
   using util::io::write_pod;
   using util::io::write_pod_vec;
+  using util::io::write_records;
   write_pod(os, imu_.detector().score_threshold());
   imu_.save_state(os);
   for (const auto& m : gps_) m.save_state(os);
   write_pod(os, imu_health_);
   for (const auto& h : gps_health_) write_pod(os, h);
-  util::io::write_records(os, imu_decisions_, write_imu_decision);
-  for (const auto& d : gps_decisions_)
-    util::io::write_records(os, d, write_gps_decision);
+  write_records(os, imu_decisions_, write_imu_decision);
+  for (const auto& d : gps_decisions_) write_records(os, d, write_gps_decision);
   write_pod_vec(os, imu_buf_);
   write_pod_vec(os, gps_buf_);
   write_pod(os, static_cast<std::uint64_t>(residual_lo_));
@@ -242,6 +242,7 @@ void RcaEngine::Monitor::save_state(std::ostream& os) const {
 bool RcaEngine::Monitor::load_state(std::istream& is) {
   using util::io::read_pod;
   using util::io::read_pod_vec;
+  using util::io::read_records;
   double imu_threshold = 0.0;
   if (!read_pod(is, imu_threshold) ||
       imu_threshold != imu_.detector().score_threshold())
@@ -252,7 +253,6 @@ bool RcaEngine::Monitor::load_state(std::istream& is) {
   if (!read_pod(is, imu_health_)) return false;
   for (auto& h : gps_health_)
     if (!read_pod(is, h)) return false;
-  using util::io::read_records;
   if (!read_records(is, imu_decisions_, kImuDecisionBytes, read_imu_decision))
     return false;
   for (auto& d : gps_decisions_)

@@ -47,11 +47,10 @@ inline bool read_bool(std::istream& is, bool& b) {
   return true;
 }
 
-// `n` zero bytes (n <= 8) where a record keeps padding; skip_padding passes
-// over them without reading their values.
+// `n` zero bytes where a record keeps padding; skip_padding passes over them
+// without reading their values.
 inline void write_padding(std::ostream& os, std::size_t n) {
-  static constexpr char kZeros[8] = {};
-  os.write(kZeros, static_cast<std::streamsize>(n));
+  for (; n > 0; --n) os.put('\0');
 }
 
 inline bool skip_padding(std::istream& is, std::size_t n) {
